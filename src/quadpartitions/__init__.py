@@ -24,12 +24,12 @@ from .parity import (
 )
 from .partition import (
     GridPool,
+    ParityGrid,
     PartitionGrid,
     asymptotic_estimate,
     build_grid,
     enumerate_interval,
     p_rational,
-    p_value,
     sigma_K,
 )
 from .search import (
@@ -67,6 +67,7 @@ __all__ = [
     "FieldContext",
     "GridPool",
     "InvariantViolation",
+    "ParityGrid",
     "ParityProfile",
     "ParityReport",
     "PartitionGrid",
@@ -99,7 +100,6 @@ __all__ = [
     "is_squarefree",
     "odd_sigma_set",
     "p_rational",
-    "p_value",
     "parity_check",
     "report_from_obj",
     "report_to_obj",

@@ -16,7 +16,7 @@ from .field import Field, QElement
 from .fixtures import builtin_documents, load_documents, verify_documents
 from .oracle import enumerate_partitions
 from .parity import cumulative_P, parity_check
-from .partition import GridPool, PartitionGrid, asymptotic_estimate, p_value
+from .partition import GridPool, ParityGrid, PartitionGrid, asymptotic_estimate
 from .search import (
     dm_scan,
     exhaustive_scan_range,
@@ -232,13 +232,17 @@ def cmd_search(args: argparse.Namespace) -> int:
             for e in report.representatives[m]:
                 if e.a > 12:
                     continue
-                assert p_value(e, grid) == m
+                count = grid.count(e)
+                if count != m:
+                    raise InvariantViolation(f"{e} has {count} partitions, listed under m = {m}")
                 for part_list in enumerate_partitions(e):
                     print(f"  {e} = " + " + ".join(str(p) for p in part_list))
     return 0
 
 
 def cmd_dm(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"dm: --jobs must be >= 1, got {args.jobs}")
     if args.Dmax is not None:
         scan = tuple(D for D in range(2, args.Dmax + 1) if _try_squarefree(D))
         complete = False
@@ -292,8 +296,7 @@ def _try_squarefree(D: int) -> bool:
 
 def cmd_parity(args: argparse.Namespace) -> int:
     field = _field(args)
-    grid = PartitionGrid(field)
-    report = parity_check(field, args.N, grid)
+    report = parity_check(field, args.N, ParityGrid(field))
     profile = report.profile
     if args.format == "json":
         print(

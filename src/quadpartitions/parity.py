@@ -12,6 +12,11 @@ field; the recurrence therefore pins the parity of p(n) itself.  For
 D = 1 (mod 4) elements of odd trace exist, so the same Euler product
 argument is run on the full trace layers c_t instead; the resulting
 P(n) = Q(2n) still equals the direct sum over even traces.
+
+parity_check confirms the congruence by comparing P(n) mod 2 with p(n) mod 2
+read from a grid at (n, 0).  The command line passes a ParityGrid, which
+expands the Euler product modulo 2, so the two sides of the congruence come
+from independent algorithms.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from math import isqrt
 
 from .errors import DivisibilityViolation, InvariantViolation
 from .field import Field
-from .partition import DivisorCache, PartitionGrid
+from .partition import DivisorCache, ParityGrid, PartitionGrid
 
 __all__ = [
     "ParityProfile",
@@ -34,28 +39,16 @@ __all__ = [
 ]
 
 
-def _count_trace_enumerated(field: Field, n: int) -> int:
-    # Every element of trace 2n is n + t*sqrt(D) for integer t (with b = 2t
-    # when D = 1 mod 4), so the scan over t is complete.
-    count = 0
-    for t in range(-n, n + 1):
-        if field.from_sqrt(n, t).is_totally_positive():
-            count += 1
-    return count
-
-
 def count_trace(field: Field, n: int) -> int:
     """a_n: the number of totally positive elements of trace 2n.
 
-    Closed form 2*floor(n/sqrt(D)) + 1; cross-checked against a direct
-    enumeration for small n on every call.
+    Closed form 2*floor(n/sqrt(D)) + 1: the elements of trace 2n are
+    n + t*sqrt(D), and exactly those with |t| <= floor(n/sqrt(D)) are totally
+    positive.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    a_n = 2 * isqrt(n * n // field.D) + 1
-    if n <= 50 and a_n != _count_trace_enumerated(field, n):
-        raise InvariantViolation(f"count_trace mismatch at D={field.D}, n={n}")
-    return a_n
+    return 2 * isqrt(n * n // field.D) + 1
 
 
 def trace_layer_count(field: Field, t: int) -> int:
@@ -133,15 +126,23 @@ class ParityReport:
         return self.profile.parity_bits == self.p_parity
 
 
-def parity_check(field: Field, N: int, grid: PartitionGrid) -> ParityReport:
-    """Confirm P(n) = p(n) (mod 2) for n <= N against the grid diagonal."""
-    profile = cumulative_P(field, N, cache=grid.divisors)
+def parity_check(field: Field, N: int, grid: PartitionGrid | ParityGrid) -> ParityReport:
+    """Confirm P(n) = p(n) (mod 2) for n <= N.
+
+    P(n) comes from the trace-layer recurrence; p(n) mod 2 is read from the
+    grid at the rational integers (n, 0).  With a ParityGrid that is the Euler
+    product modulo 2, an algorithm independent of both recurrences; with a
+    PartitionGrid it is the exact count.  Any disagreement, or a missing cell,
+    raises InvariantViolation.
+    """
+    profile = cumulative_P(field, N)
     grid.ensure(N)
     p_par = []
     offenders = []
     for n in range(N + 1):
         v = grid.value(n, 0)
-        assert v is not None
+        if v is None:
+            raise InvariantViolation(f"grid for D={field.D} has no cell at ({n}, 0)")
         p_par.append(v % 2)
         if profile.parity_bits[n] != v % 2:
             offenders.append(n)

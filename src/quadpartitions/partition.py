@@ -14,6 +14,9 @@ coordinate cross-checks it; any mismatch raises DivisibilityViolation.
 Cells are filled column by column in the first coordinate.  Every summand
 beta has first coordinate >= 1, so a cell only depends on strictly earlier
 columns and the recurrence is well founded.
+
+ParityGrid is an independent second algorithm for p(alpha) mod 2 alone: it
+expands the Euler product over the cone with shifts and XORs.
 """
 
 from __future__ import annotations
@@ -27,12 +30,12 @@ from .field import Field, QElement
 __all__ = [
     "DivisorCache",
     "PartitionGrid",
+    "ParityGrid",
     "GridPool",
     "content",
     "sigma_K",
     "enumerate_interval",
     "build_grid",
-    "p_value",
     "p_rational",
     "asymptotic_estimate",
     "ZETA3",
@@ -301,6 +304,71 @@ class PartitionGrid:
         return grid
 
 
+class ParityGrid:
+    """p(alpha) mod 2 for the whole cone, from the Euler product.
+
+    The generating function of p is the product over totally positive beta of
+    1/(1 - q^beta), and modulo 2, 1/(1 - t) = (1 + t)(1 + t^2)(1 + t^4)...
+    The truncated product therefore needs only shifts and XORs.  The cone up
+    to max_x is one int F whose bit x*W + y holds p(x + y*w) mod 2.  Every
+    coin beta = (u, v) with u <= max_x is folded in as the factors
+    1 + t^(s*2^k) for s = u*W + v and every s*2^k < L, where
+    L = max_x*W + floor(max_x/xi) + 1 is one past the top cell of column max_x.
+    This shares no code or arithmetic with the sigma recurrence, so each
+    checks the other.
+
+    Choice of W.  Column x occupies bits x*W - floor(x/omega) up to
+    x*W + floor(x/xi).  Every exponent the product generates is a totally
+    positive element, so dropping the bits >= L is the truncation x <= max_x
+    exactly when every cell with x > max_x lands at or above L.  The lowest
+    such cell is (max_x + 1, -floor((max_x + 1)/omega)), so W must exceed
+    floor((max_x + 1)/omega) + floor(max_x/xi); that bound also keeps the
+    columns up to max_x disjoint and in order.  The width of column max_x
+    itself, floor(max_x/omega) + floor(max_x/xi) + 1, falls one short
+    whenever floor(t/omega) steps up at t = max_x + 1: the bottom cell of
+    column max_x + 1 then aliases the top cell of column max_x.
+    """
+
+    def __init__(self, field: Field) -> None:
+        self.field = field
+        self._bits = 1  # p(0) = 1
+        self._width = 1
+        self._fdo: list[int] = [0]
+        self._fdx: list[int] = [0]
+
+    @property
+    def max_x(self) -> int:
+        return len(self._fdo) - 1
+
+    def ensure(self, max_x: int) -> None:
+        """Rebuild the product so that all columns up to max_x are complete."""
+        if max_x <= self.max_x:
+            return
+        fld = self.field
+        fdo = [fld.floor_div_omega(x) for x in range(max_x + 1)]
+        fdx = [fld.floor_div_xi(x) for x in range(max_x + 1)]
+        W = fld.floor_div_omega(max_x + 1) + fdx[max_x] + 1
+        L = max_x * W + fdx[max_x] + 1
+        mask = (1 << L) - 1
+        F = 1
+        for u in range(1, max_x + 1):
+            for v in range(-fdo[u], fdx[u] + 1):
+                s = u * W + v
+                while s < L:
+                    F ^= (F << s) & mask
+                    s <<= 1
+        self._bits = F
+        self._width = W
+        self._fdo = fdo
+        self._fdx = fdx
+
+    def value(self, x: int, y: int) -> int | None:
+        """p(x + y*w) mod 2, or None when the cell is outside the built cone."""
+        if not 0 <= x <= self.max_x or not -self._fdo[x] <= y <= self._fdx[x]:
+            return None
+        return (self._bits >> (x * self._width + y)) & 1
+
+
 class GridPool:
     """One shared, lazily extended grid per field."""
 
@@ -321,11 +389,6 @@ def build_grid(field: Field, max_x: int) -> PartitionGrid:
     grid = PartitionGrid(field)
     grid.ensure(max_x)
     return grid
-
-
-def p_value(alpha: QElement, grid: PartitionGrid) -> int:
-    """p(alpha) through the recurrence; extends the grid if needed."""
-    return grid.count(alpha)
 
 
 def p_rational(n: int, cache: DivisorCache | None = None) -> int:

@@ -14,6 +14,7 @@ has p >= m with y_max >= floor(eps_plus / (xi + omega)).
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -32,6 +33,7 @@ __all__ = [
     "find_ymax",
     "search_m",
     "dm_scan",
+    "worker_count",
     "exhaustive_scan_range",
     "en_fn_bounds",
     "verify_thresholds",
@@ -157,6 +159,13 @@ def _misses(args: tuple[int, int]) -> tuple[int, bool]:
     return D, report.missing()
 
 
+def worker_count(jobs: int, tasks: int, cpus: int) -> int:
+    """Worker processes for a scan: never more than jobs, tasks or cpus."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    return min(jobs, tasks, cpus)
+
+
 def dm_scan(m: int, D_values: list[int] | tuple[int, ...], jobs: int = 1) -> tuple[int, ...]:
     """The subset of D_values whose field has no element with exactly m partitions."""
     work = []
@@ -164,8 +173,9 @@ def dm_scan(m: int, D_values: list[int] | tuple[int, ...], jobs: int = 1) -> tup
         if not is_squarefree(D) or D < 2:
             raise ValueError(f"D values must be squarefree and >= 2, got {D}")
         work.append((D, m))
-    if jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = worker_count(jobs, len(work), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_misses, work))
     else:
         results = [_misses(w) for w in work]

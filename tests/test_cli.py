@@ -74,6 +74,12 @@ def test_dm_json(capsys):
     assert doc["complete"] is True
 
 
+def test_parity_reads_the_euler_product(capsys):
+    code, out, _ = run(capsys, "parity", "--D", "3", "--N", "200")
+    assert code == 0
+    assert "congruent: True" in out
+
+
 def test_estimate_compare(capsys):
     code, out, _ = run(
         capsys, "estimate", "--D", "2", "--a", "8", "--b", "1", "--compare", "--format", "json"
@@ -103,6 +109,8 @@ def test_usage_errors_exit_1(capsys):
         ("grid", "--D", "2"),
         ("grid", "--D", "2", "--view", "ky", "--kmax", "3"),
         ("dm", "--m", "4"),
+        ("dm", "--m", "3", "--jobs", "0"),
+        ("dm", "--m", "3", "--jobs", "-2"),
         ("estimate", "--D", "2", "--a", "1", "--b", "1"),
         ("verify", "--fixtures", "/nonexistent/path"),
         ("nonsense",),
@@ -148,3 +156,14 @@ def test_internal_violation_exits_3(monkeypatch, capsys):
     code, _, err = run(capsys, "witness", "--D", "2", "--m", "4")
     assert code == 3
     assert "invariant" in err
+
+
+def test_explain_count_mismatch_exits_3(monkeypatch, capsys):
+    class MiscountingGrid(cli.PartitionGrid):
+        def count(self, e):
+            return 0
+
+    monkeypatch.setattr(cli, "PartitionGrid", MiscountingGrid)
+    code, _, err = run(capsys, "search", "--D", "5", "--m", "3", "--explain")
+    assert code == 3
+    assert "listed under m = 1" in err

@@ -2,6 +2,7 @@ import pytest
 
 from quadpartitions import (
     Field,
+    ParityGrid,
     count_trace,
     cumulative_P,
     is_squarefree,
@@ -56,6 +57,15 @@ def test_count_trace_matches_enumeration_both_classes():
         for n in range(1, 40):
             want = direct_trace_layer(f, 2 * n)
             assert count_trace(f, n) == want, (D, n)
+    # Every element of trace 2n is n + t*sqrt(D) for an integer t (b = 2t
+    # when D = 1 mod 4), so scanning t in [-n, n] enumerates the whole layer.
+    for D in range(2, 60):
+        if not is_squarefree(D):
+            continue
+        f = Field(D)
+        for n in range(1, 51):
+            want = sum(f.from_sqrt(n, t).is_totally_positive() for t in range(-n, n + 1))
+            assert count_trace(f, n) == want, (D, n)
 
 
 def test_trace_layer_count_matches_enumeration():
@@ -97,6 +107,12 @@ def test_parity_congruence_holds(pool):
         assert report.congruent
         assert report.odd_count + report.even_count == 40
         assert report.p_parity[0] == 1
+
+
+def test_parity_check_agrees_for_both_grids(pool):
+    for D in PARITY_D:
+        f = Field(D)
+        assert parity_check(f, 40, ParityGrid(f)) == parity_check(f, 40, pool.grid(f)), D
 
 
 def test_parity_bits_frozen_for_sqrt2(pool):

@@ -5,13 +5,13 @@ import pytest
 from quadpartitions import (
     DivisibilityViolation,
     Field,
+    ParityGrid,
     PartitionGrid,
     QElement,
     asymptotic_estimate,
     build_grid,
     enumerate_interval,
     p_rational,
-    p_value,
     sigma_K,
 )
 from quadpartitions.partition import DivisorCache, content
@@ -95,7 +95,7 @@ def test_interval_rejects_bad_base():
 def test_spot_values(pool):
     for (D, a, b), want in SPOT_VALUES.items():
         f = Field(D)
-        assert p_value(f.element(a, b), pool.grid(f)) == want, (D, a, b)
+        assert pool.grid(f).count(f.element(a, b)) == want, (D, a, b)
 
 
 def test_grid_windows_and_base_column(pool):
@@ -246,3 +246,53 @@ def test_asymptotic_estimate_monotone_in_norm():
     assert asymptotic_estimate(Field(5).element(4, 2)) > 0
     with pytest.raises(ValueError):
         asymptotic_estimate(f.element(1, 1))
+
+
+def cone_cells(field: Field, max_x: int):
+    for x in range(max_x + 1):
+        for y in range(-field.floor_div_omega(x), field.floor_div_xi(x) + 1):
+            yield x, y
+
+
+def test_parity_grid_matches_exact_grid_mod_2(pool):
+    # D=2 at X=60 fails when W is the width of column X alone: the bottom cell
+    # of column 61 then shares a bit with the top cell (60, 42) of column 60.
+    for D, X in [(D, 40) for D in TABULATED_D] + [(2, 60)]:
+        f = Field(D)
+        exact = pool.grid(f)
+        exact.ensure(X)
+        par = ParityGrid(f)
+        par.ensure(X)
+        assert par.max_x == X
+        for x, y in cone_cells(f, X):
+            assert par.value(x, y) == exact.value(x, y) % 2, (D, x, y)
+
+
+def test_parity_grid_rebuilds_when_extended():
+    f = Field(3)
+    grown = ParityGrid(f)
+    grown.ensure(20)
+    grown.ensure(10)
+    assert grown.max_x == 20
+    grown.ensure(45)
+    fresh = ParityGrid(f)
+    fresh.ensure(45)
+    assert grown.max_x == fresh.max_x == 45
+    cells = list(cone_cells(f, 45))
+    assert [grown.value(x, y) for x, y in cells] == [fresh.value(x, y) for x, y in cells]
+
+
+def test_parity_grid_value_outside_cone_is_none():
+    for D in (2, 5):
+        f = Field(D)
+        par = ParityGrid(f)
+        assert par.max_x == 0
+        assert par.value(0, 0) == 1
+        assert par.value(1, 0) is None
+        par.ensure(12)
+        assert par.value(-1, 0) is None
+        assert par.value(13, 0) is None
+        for x in range(13):
+            assert par.value(x, -f.floor_div_omega(x) - 1) is None
+            assert par.value(x, f.floor_div_xi(x) + 1) is None
+            assert par.value(x, 0) is not None

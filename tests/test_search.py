@@ -20,6 +20,7 @@ from quadpartitions import (
     witness_m6,
 )
 from quadpartitions.contfrac import floor_ratio_eps
+from quadpartitions.search import worker_count
 
 from conftest import TABULATED_D
 
@@ -256,3 +257,13 @@ def test_search_missing_flag(contexts, pool):
     assert r2.missing()
     assert not r17.missing()
     assert [str(e) for e in r17.representatives[11]] == ["14+3√17"]
+
+
+def test_dm_worker_count_is_capped():
+    assert worker_count(1, 10, 8) == 1
+    assert worker_count(4, 10, 8) == 4
+    assert worker_count(1000, 10, 8) == 8
+    assert worker_count(1000, 3, 8) == 3
+    assert worker_count(5, 0, 8) == 0
+    with pytest.raises(ValueError):
+        worker_count(0, 10, 8)
