@@ -8,14 +8,16 @@ command produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from typing import Callable
 
 from .contfrac import build_context, floor_ratio_eps
 from .errors import BudgetExceeded, DivisibilityViolation, InvariantViolation
 from .field import Field, QElement
 from .fixtures import builtin_documents, load_documents, verify_documents
 from .oracle import enumerate_partitions
-from .parity import cumulative_P, parity_check
+from .parity import parity_check
 from .partition import GridPool, ParityGrid, PartitionGrid, asymptotic_estimate
 from .search import (
     dm_scan,
@@ -37,6 +39,19 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(f"{self.prog}: {message}")
+
+
+def _at_least(low: int) -> Callable[[str], int]:
+    """argparse type for an int no smaller than low; a smaller one is a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _field(args: argparse.Namespace) -> Field:
@@ -101,15 +116,9 @@ def _matrix_tex(rows: list[list[int]], row_label: str, col_label: str) -> str:
     return "\n".join(lines)
 
 
-def _emit_matrix(rows: list[list[int]], fmt: str, doc: dict, row_label: str, col_label: str) -> None:
-    if fmt == "json":
-        print(dumps_canonical(doc))
-    elif fmt == "csv":
-        print(_matrix_csv(rows, row_label, col_label))
-    elif fmt == "tex":
-        print(_matrix_tex(rows, row_label, col_label))
-    else:
-        print(_matrix_pretty(rows, row_label, col_label))
+def _emit(fmt: str, doc: dict, **render: Callable[[], str]) -> None:
+    """Print doc as canonical JSON for json, else the text render[fmt]() builds."""
+    print(dumps_canonical(doc) if fmt == "json" else render[fmt]())
 
 
 # ----- subcommands -----------------------------------------------------------
@@ -128,108 +137,101 @@ def cmd_grid(args: argparse.Namespace) -> int:
             [(grid.value(x, y) or 0) for x in range(M + 1)] for y in range(y_top + 1)
         ]
         doc = {"D": field.D, "view": "xy", "max_x": M, "y_max": y_top, "rows": rows}
-        _emit_matrix(rows, args.format, doc, "y", "x")
-        return 0
-    if args.kmax is None or args.ymax is None:
-        raise UsageError("grid: --kmax and --ymax are required for the ky view")
-    grid.ensure(field.ceil_xi_mult(args.ymax) + args.kmax)
-    rows = []
-    for y in range(args.ymax + 1):
-        row = []
-        for k in range(args.kmax + 1):
-            if y == 0 and k == 0:
-                row.append(grid.value(0, 0))
-                continue
-            e = slice_element(field, k, y)
-            row.append(grid.value(e.a, e.b))
-        rows.append(row)
-    doc = {"D": field.D, "view": "ky", "k_max": args.kmax, "y_max": args.ymax, "rows": rows}
-    _emit_matrix(rows, args.format, doc, "y", "k")
+        col = "x"
+    else:
+        if args.kmax is None or args.ymax is None:
+            raise UsageError("grid: --kmax and --ymax are required for the ky view")
+        grid.ensure(field.ceil_xi_mult(args.ymax) + args.kmax)
+        rows = []
+        for y in range(args.ymax + 1):
+            row = []
+            for k in range(args.kmax + 1):
+                e = slice_element(field, k, y)  # (k, y) = (0, 0) reads p(0) = 1
+                row.append(grid.value(e.a, e.b))
+            rows.append(row)
+        doc = {"D": field.D, "view": "ky", "k_max": args.kmax, "y_max": args.ymax, "rows": rows}
+        col = "k"
+    _emit(
+        args.format,
+        doc,
+        pretty=lambda: _matrix_pretty(rows, "y", col),
+        csv=lambda: _matrix_csv(rows, "y", col),
+        tex=lambda: _matrix_tex(rows, "y", col),
+    )
     return 0
 
 
 def cmd_indecomposables(args: argparse.Namespace) -> int:
     field = _field(args)
     ctx = build_context(field)
-    if args.format == "json":
-        print(
-            dumps_canonical(
-                {
-                    "D": field.D,
-                    "period": list(ctx.period),
-                    "indecomposables": [element_to_obj(e) for e in ctx.indecomposables],
-                }
-            )
-        )
-        return 0
-    print(f"D = {field.D}, continued fraction period {list(ctx.period)}")
-    print("indecomposables for one unit period (with conjugates implied):")
-    for e in ctx.indecomposables:
-        print(f"  {e}")
+    doc = {
+        "D": field.D,
+        "period": list(ctx.period),
+        "indecomposables": [element_to_obj(e) for e in ctx.indecomposables],
+    }
+    lines = [
+        f"D = {field.D}, continued fraction period {list(ctx.period)}",
+        "indecomposables for one unit period (with conjugates implied):",
+    ]
+    lines += [f"  {e}" for e in ctx.indecomposables]
+    _emit(args.format, doc, pretty=lambda: "\n".join(lines))
     return 0
 
 
 def cmd_units(args: argparse.Namespace) -> int:
     field = _field(args)
     ctx = build_context(field)
-    s = len(ctx.period)
-    if args.format == "json":
-        print(
-            dumps_canonical(
-                {
-                    "D": field.D,
-                    "period": list(ctx.period),
-                    "convergents": [list(pq) for pq in ctx.convergents],
-                    "eps": element_to_obj(ctx.eps),
-                    "eps_norm": ctx.eps.norm(),
-                    "eps_plus": element_to_obj(ctx.eps_plus),
-                    "floor_ratio": floor_ratio_eps(ctx),
-                }
-            )
-        )
-        return 0
-    print(f"D = {field.D}, discriminant {ctx.discriminant}")
-    print(f"continued fraction period {list(ctx.period)} (length {s})")
-    print(f"eps      = {ctx.eps}  (norm {ctx.eps.norm()})")
-    print(f"eps_plus = {ctx.eps_plus}")
-    print(f"floor(eps_plus / (xi + omega)) = {floor_ratio_eps(ctx)}")
+    doc = {
+        "D": field.D,
+        "period": list(ctx.period),
+        "convergents": [list(pq) for pq in ctx.convergents],
+        "eps": element_to_obj(ctx.eps),
+        "eps_norm": ctx.eps.norm(),
+        "eps_plus": element_to_obj(ctx.eps_plus),
+        "floor_ratio": floor_ratio_eps(ctx),
+    }
+    lines = [
+        f"D = {field.D}, discriminant {ctx.discriminant}",
+        f"continued fraction period {list(ctx.period)} (length {len(ctx.period)})",
+        f"eps      = {ctx.eps}  (norm {doc['eps_norm']})",
+        f"eps_plus = {ctx.eps_plus}",
+        f"floor(eps_plus / (xi + omega)) = {doc['floor_ratio']}",
+    ]
+    _emit(args.format, doc, pretty=lambda: "\n".join(lines))
     return 0
 
 
 def cmd_search(args: argparse.Namespace) -> int:
     field = _field(args)
-    ctx = build_context(field)
-    report = search_m(ctx, args.m)
-    if args.format == "json":
-        print(dumps_canonical(report_to_obj(report)))
-        return 0
-    if args.format == "csv":
-        lines = ["m,elements"]
-        for m in range(1, report.m_max + 1):
-            lines.append(f"{m}," + ";".join(str(e) for e in report.representatives[m]))
-        print("\n".join(lines))
-        return 0
-    if args.format == "tex":
+    report = search_m(build_context(field), args.m)
+    ms = range(1, report.m_max + 1)
+    reps = report.representatives
+
+    def csv() -> str:
+        return "\n".join(["m,elements"] + [f"{m}," + ";".join(map(str, reps[m])) for m in ms])
+
+    def tex() -> str:
         lines = ["\\begin{tabular}{|l|l|}", "\\hline", "$m$&elements\\\\", "\\hline\\hline"]
-        for m in range(1, report.m_max + 1):
-            reps = report.representatives[m]
-            cell = ", ".join(f"${_tex_element(e)}$" for e in reps) if reps else "--"
-            lines.append(f"${m}$&{cell}\\\\")
-            lines.append("\\hline")
-        lines.append("\\end{tabular}")
-        print("\n".join(lines))
-        return 0
-    print(f"D = {field.D}: k_max = {report.k_max}, y_max = {report.y_max}")
-    print("elements with exactly m partitions, up to units and conjugation:")
-    for m in range(1, report.m_max + 1):
-        reps = report.representatives[m]
-        body = ", ".join(str(e) for e in reps) if reps else "(none)"
-        print(f"  m = {m}: {body}")
-    if args.explain:
+        for m in ms:
+            cell = ", ".join(f"${_tex_element(e)}$" for e in reps[m]) if reps[m] else "--"
+            lines += [f"${m}$&{cell}\\\\", "\\hline"]
+        return "\n".join(lines + ["\\end{tabular}"])
+
+    def pretty() -> str:
+        lines = [
+            f"D = {field.D}: k_max = {report.k_max}, y_max = {report.y_max}",
+            "elements with exactly m partitions, up to units and conjugation:",
+        ]
+        for m in ms:
+            lines.append(f"  m = {m}: " + (", ".join(str(e) for e in reps[m]) or "(none)"))
+        return "\n".join(lines)
+
+    _emit(args.format, report_to_obj(report), csv=csv, tex=tex, pretty=pretty)
+    if args.explain and args.format == "pretty":
         grid = PartitionGrid(field)
         print("partitions of the small representatives:")
-        for m in range(1, report.m_max + 1):
-            for e in report.representatives[m]:
+        for m in ms:
+            for e in reps[m]:
                 if e.a > 12:
                     continue
                 count = grid.count(e)
@@ -241,8 +243,6 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_dm(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        raise UsageError(f"dm: --jobs must be >= 1, got {args.jobs}")
     if args.Dmax is not None:
         scan = tuple(D for D in range(2, args.Dmax + 1) if _try_squarefree(D))
         complete = False
@@ -257,32 +257,23 @@ def cmd_dm(args: argparse.Namespace) -> int:
             raise UsageError(f"dm: {exc}; pass an explicit --Dmax") from None
         complete = True
     missing = dm_scan(args.m, list(scan), jobs=args.jobs)
-    if args.format == "json":
-        print(
-            dumps_canonical(
-                {
-                    "m": args.m,
-                    "scanned": list(scan),
-                    "missing": list(missing),
-                    "complete": complete,
-                }
-            )
-        )
-        return 0
-    if args.format == "csv":
-        lines = ["D,attains_m"]
-        for D in scan:
-            lines.append(f"{D},{0 if D in missing else 1}")
-        print("\n".join(lines))
-        return 0
-    print(f"m = {args.m}: scanned D in {list(scan)}")
-    print(f"fields where no element has exactly {args.m} partitions: "
-          + (str(list(missing)) if missing else "(none)"))
+    doc = {"m": args.m, "scanned": list(scan), "missing": list(missing), "complete": complete}
+    lines = [
+        f"m = {args.m}: scanned D in {list(scan)}",
+        f"fields where no element has exactly {args.m} partitions: "
+        + (str(list(missing)) if missing else "(none)"),
+    ]
     if complete:
-        print("the scan range is exhaustive: every other squarefree D attains m "
-              "at a rational integer")
+        lines.append("the scan range is exhaustive: every other squarefree D attains m "
+                     "at a rational integer")
     else:
-        print("partial scan; membership outside the range is not decided here")
+        lines.append("partial scan; membership outside the range is not decided here")
+    _emit(
+        args.format,
+        doc,
+        csv=lambda: "\n".join(["D,attains_m"] + [f"{D},{0 if D in missing else 1}" for D in scan]),
+        pretty=lambda: "\n".join(lines),
+    )
     return 0
 
 
@@ -298,39 +289,37 @@ def cmd_parity(args: argparse.Namespace) -> int:
     field = _field(args)
     report = parity_check(field, args.N, ParityGrid(field))
     profile = report.profile
-    if args.format == "json":
-        print(
-            dumps_canonical(
-                {
-                    "D": field.D,
-                    "N": args.N,
-                    "a": list(profile.a),
-                    "P": list(profile.P),
-                    "P_parity": list(profile.parity_bits),
-                    "p_parity": list(report.p_parity),
-                    "odd_count": report.odd_count,
-                    "even_count": report.even_count,
-                }
-            )
-        )
-        return 0
-    if args.format == "csv":
+    doc = {
+        "D": field.D,
+        "N": args.N,
+        "a": list(profile.a),
+        "P": list(profile.P),
+        "P_parity": list(profile.parity_bits),
+        "p_parity": list(report.p_parity),
+        "odd_count": report.odd_count,
+        "even_count": report.even_count,
+    }
+
+    def csv() -> str:
         lines = ["n,a_n,P_n,P_parity,p_parity"]
         for n in range(args.N + 1):
             a_n = profile.a[n - 1] if n >= 1 else ""
             lines.append(
                 f"{n},{a_n},{profile.P[n]},{profile.parity_bits[n]},{report.p_parity[n]}"
             )
-        print("\n".join(lines))
-        return 0
-    print(f"D = {field.D}, N = {args.N}")
-    print(f"P(n)      : {list(profile.P)}")
-    print(f"P(n) mod 2: {list(profile.parity_bits)}")
-    print(f"p(n) mod 2: {list(report.p_parity)}")
-    print(f"congruent: {report.congruent} "
-          f"(odd p(n) for {report.odd_count} of n = 1..{args.N})")
+        return "\n".join(lines)
+
+    lines = [
+        f"D = {field.D}, N = {args.N}",
+        f"P(n)      : {doc['P']}",
+        f"P(n) mod 2: {doc['P_parity']}",
+        f"p(n) mod 2: {doc['p_parity']}",
+        f"congruent: {report.congruent} "
+        f"(odd p(n) for {report.odd_count} of n = 1..{args.N})",
+    ]
     if field.one_mod4:
-        print("note: D = 1 (mod 4); values are reported without any parity claim")
+        lines.append("note: D = 1 (mod 4); values are reported without any parity claim")
+    _emit(args.format, doc, csv=csv, pretty=lambda: "\n".join(lines))
     return 0
 
 
@@ -339,47 +328,19 @@ def cmd_witness(args: argparse.Namespace) -> int:
     grid = PartitionGrid(field)
     if args.m == 4:
         alpha, count = witness_m4(field, grid)
-        payload = {"D": field.D, "m": 4, "alpha": element_to_obj(alpha), "count": count}
-        if args.format == "json":
-            print(dumps_canonical(payload))
-        else:
-            print(f"D = {field.D}: p({alpha}) = {count}")
-        return 0
-    if field.D == 5:
-        alpha = slice_element(field, 2, 2)
-        count = grid.count(alpha)
-        if count != 10:
-            raise InvariantViolation(f"expected 10 partitions at {alpha}, got {count}")
-        if args.format == "json":
-            print(
-                dumps_canonical(
-                    {
-                        "D": 5,
-                        "m": 6,
-                        "alpha": element_to_obj(alpha),
-                        "count": count,
-                        "branch": "excluded",
-                    }
-                )
-            )
-        else:
-            print(f"D = 5 is excluded from the 6-or-9 dichotomy: p({alpha}) = {count}")
-        return 0
-    alpha, count, branch = witness_m6(field, grid)
-    if args.format == "json":
-        print(
-            dumps_canonical(
-                {
-                    "D": field.D,
-                    "m": 6,
-                    "alpha": element_to_obj(alpha),
-                    "count": count,
-                    "branch": branch,
-                }
-            )
-        )
+        branch = None
     else:
-        print(f"D = {field.D}: p({alpha}) = {count} ({branch})")
+        alpha, count, branch = witness_m6(field, grid)
+    doc = {"D": field.D, "m": args.m, "alpha": element_to_obj(alpha), "count": count}
+    if branch is None:
+        sentence = f"D = {field.D}: p({alpha}) = {count}"
+    else:
+        doc["branch"] = branch
+        if branch == "excluded":
+            sentence = f"D = {field.D} is excluded from the 6-or-9 dichotomy: p({alpha}) = {count}"
+        else:
+            sentence = f"D = {field.D}: p({alpha}) = {count} ({branch})"
+    _emit(args.format, doc, pretty=lambda: sentence)
     return 0
 
 
@@ -389,26 +350,22 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if not alpha.is_totally_positive():
         raise UsageError(f"estimate: {alpha} is not totally positive")
     est = asymptotic_estimate(alpha)
-    payload = {
+    doc = {
         "D": field.D,
         "alpha": element_to_obj(alpha),
         "norm": alpha.norm(),
         "log_p_estimate": est,
     }
+    lines = [
+        f"alpha = {alpha}, norm {doc['norm']}",
+        f"leading-order estimate of log p(alpha): {est:.6f}",
+    ]
     if args.compare:
-        import math
-
-        grid = PartitionGrid(field)
-        exact = grid.count(alpha)
-        payload["p_exact"] = exact
-        payload["log_p_exact"] = math.log(exact) if exact > 1 else 0.0
-    if args.format == "json":
-        print(dumps_canonical(payload))
-        return 0
-    print(f"alpha = {alpha}, norm {payload['norm']}")
-    print(f"leading-order estimate of log p(alpha): {est:.6f}")
-    if args.compare:
-        print(f"exact p(alpha) = {payload['p_exact']}, log = {payload['log_p_exact']:.6f}")
+        exact = PartitionGrid(field).count(alpha)
+        doc["p_exact"] = exact
+        doc["log_p_exact"] = math.log(exact) if exact > 1 else 0.0
+        lines.append(f"exact p(alpha) = {exact}, log = {doc['log_p_exact']:.6f}")
+    _emit(args.format, doc, pretty=lambda: "\n".join(lines))
     return 0
 
 
@@ -458,10 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid", help="partition counts over a rectangle of the cone")
     p.add_argument("--D", type=int, required=True)
-    p.add_argument("--max-x", type=int, dest="max_x")
+    p.add_argument("--max-x", type=_at_least(0), dest="max_x")
     p.add_argument("--view", choices=("xy", "ky"), default="xy")
-    p.add_argument("--kmax", type=int)
-    p.add_argument("--ymax", type=int)
+    p.add_argument("--kmax", type=_at_least(0))
+    p.add_argument("--ymax", type=_at_least(0))
     add_format(p)
     p.set_defaults(func=cmd_grid)
 
@@ -477,21 +434,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="all elements with at most m partitions")
     p.add_argument("--D", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_at_least(1), required=True)
     p.add_argument("--explain", action="store_true")
     add_format(p)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("dm", help="fields with no element of exactly m partitions")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_at_least(1), required=True)
     p.add_argument("--Dmax", type=int)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_at_least(1), default=1)
     add_format(p, choices=("pretty", "csv", "json"))
     p.set_defaults(func=cmd_dm)
 
     p = sub.add_parser("parity", help="cumulative counts P(n) and their parity")
     p.add_argument("--D", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_at_least(0), required=True)
     add_format(p, choices=("pretty", "csv", "json"))
     p.set_defaults(func=cmd_parity)
 

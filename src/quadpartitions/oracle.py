@@ -1,12 +1,16 @@
 """Brute-force partition enumeration, independent of the recurrence.
 
 Partitions are produced as tuples of parts in non-increasing lex order, by
-recursive descent over the interval of each remainder.  The walker charges
-one unit of budget per visited node so that runaway inputs fail fast with
-BudgetExceeded instead of hanging.
+recursive descent over the interval of each remainder.  One walker serves
+both entry points: enumerate_partitions collects what it yields and
+count_partitions counts it.  The walker charges one unit of budget per
+visited node so that runaway inputs fail fast with BudgetExceeded instead of
+hanging.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from .errors import BudgetExceeded
 from .field import QElement
@@ -34,6 +38,28 @@ def _candidates(remaining: QElement) -> list[QElement]:
     return sorted(enumerate_interval(remaining), key=lambda e: e.lex_key, reverse=True)
 
 
+def _partitions(alpha: QElement, budget: int) -> Iterator[tuple[QElement, ...]]:
+    """Yield each partition of alpha once, as a tuple of non-increasing parts."""
+    if not alpha.is_totally_positive():
+        raise ValueError(f"can only partition totally positive elements, got {alpha!r}")
+    box = _Budget(budget)
+
+    def walk(remaining: QElement, bound: tuple[int, int], prefix: list[QElement]):
+        box.spend()
+        for beta in _candidates(remaining):
+            if beta.lex_key > bound:
+                continue
+            prefix.append(beta)
+            rest = remaining - beta
+            if rest.a == 0 and rest.b == 0:
+                yield tuple(prefix)
+            else:
+                yield from walk(rest, beta.lex_key, prefix)
+            prefix.pop()
+
+    yield from walk(alpha, alpha.lex_key, [])
+
+
 def enumerate_partitions(
     alpha: QElement, budget: int = DEFAULT_BUDGET
 ) -> list[tuple[QElement, ...]]:
@@ -42,45 +68,9 @@ def enumerate_partitions(
     Each partition is a tuple sorted by non-increasing lex key; the list of
     partitions is itself lex-sorted and duplicate-free by construction.
     """
-    if not alpha.is_totally_positive():
-        raise ValueError(f"can only partition totally positive elements, got {alpha!r}")
-    box = _Budget(budget)
-    out: list[tuple[QElement, ...]] = []
-
-    def walk(remaining: QElement, bound: tuple[int, int], prefix: list[QElement]) -> None:
-        box.spend()
-        for beta in _candidates(remaining):
-            if beta.lex_key > bound:
-                continue
-            prefix.append(beta)
-            rest = remaining - beta
-            if rest.a == 0 and rest.b == 0:
-                out.append(tuple(prefix))
-            else:
-                walk(rest, beta.lex_key, prefix)
-            prefix.pop()
-
-    walk(alpha, alpha.lex_key, [])
-    return out
+    return list(_partitions(alpha, budget))
 
 
 def count_partitions(alpha: QElement, budget: int = DEFAULT_BUDGET) -> int:
-    """len(enumerate_partitions(alpha)) without materializing the parts."""
-    if not alpha.is_totally_positive():
-        raise ValueError(f"can only partition totally positive elements, got {alpha!r}")
-    box = _Budget(budget)
-
-    def walk(remaining: QElement, bound: tuple[int, int]) -> int:
-        box.spend()
-        total = 0
-        for beta in _candidates(remaining):
-            if beta.lex_key > bound:
-                continue
-            rest = remaining - beta
-            if rest.a == 0 and rest.b == 0:
-                total += 1
-            else:
-                total += walk(rest, beta.lex_key)
-        return total
-
-    return walk(alpha, alpha.lex_key)
+    """len(enumerate_partitions(alpha)) without keeping the partitions."""
+    return sum(1 for _ in _partitions(alpha, budget))

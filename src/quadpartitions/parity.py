@@ -4,14 +4,17 @@ P(n) sums p(alpha) over all totally positive alpha of trace 2n, with
 P(0) = 1.  Writing a_n for the number of such alpha, every a_n is odd for
 D = 2, 3 (mod 4) and P satisfies the exact recurrence
 
-    n * P(n) = sum_{k=1..n} ( sum_{d | k} d * a_d ) * P(n - k).
+    n * P(n) = sum_{k=1..n} ( sum_{d | k} d * a_d ) * P(n - k),
+
+the Euler transform of (a_n) that partition.euler_transform computes.
 
 Conjugation pairs off every non-rational term of P(n), so P(n) = p(n)
 (mod 2) where p(n) counts the partitions of the rational integer n in the
 field; the recurrence therefore pins the parity of p(n) itself.  For
 D = 1 (mod 4) elements of odd trace exist, so the same Euler product
-argument is run on the full trace layers c_t instead; the resulting
-P(n) = Q(2n) still equals the direct sum over even traces.
+argument is run on the full trace layers c_t instead (the same helper on
+c_1..c_2N); the resulting P(n) = Q(2n) still equals the direct sum over
+even traces.
 
 parity_check confirms the congruence by comparing P(n) mod 2 with p(n) mod 2
 read from a grid at (n, 0).  The command line passes a ParityGrid, which
@@ -24,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .errors import DivisibilityViolation, InvariantViolation
+from .errors import InvariantViolation
 from .field import Field
-from .partition import DivisorCache, ParityGrid, PartitionGrid
+from .partition import ParityGrid, PartitionGrid, euler_transform
 
 __all__ = [
     "ParityProfile",
@@ -77,41 +80,23 @@ class ParityProfile:
         return tuple(v % 2 for v in self.P)
 
 
-def cumulative_P(field: Field, N: int, cache: DivisorCache | None = None) -> ParityProfile:
-    """P(0..N) through the exact divisor-weighted recurrence."""
+def cumulative_P(field: Field, N: int) -> ParityProfile:
+    """P(0..N) through the exact divisor-weighted recurrence (euler_transform).
+
+    For D = 1 (mod 4) the transform runs over the trace layers c_t, t <= 2N,
+    and P(n) = Q(2n) is every second entry.  Otherwise only even traces
+    occur, so it runs over (0, a_1..a_N) directly: the trace-layer path would
+    give the same values from twice as many terms, at four times the cost.
+    """
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
-    dc = cache or DivisorCache()
     a = tuple(count_trace(field, n) for n in range(1, N + 1))
-
-    if not field.one_mod4:
-        weight = [0] * (N + 1)
-        for k in range(1, N + 1):
-            weight[k] = sum(d * a[d - 1] for d in dc.divisors(k))
-        P = [1]
-        for n in range(1, N + 1):
-            s = sum(weight[k] * P[n - k] for k in range(1, n + 1))
-            q, r = divmod(s, n)
-            if r:
-                raise DivisibilityViolation(f"P({n}) division failed for D={field.D}")
-            P.append(q)
-        return ParityProfile(field=field, N=N, a=a, P=tuple(P))
-
-    # D = 1 mod 4: run the recurrence on all trace layers and read off even traces.
-    T = 2 * N
-    c = [0] + [trace_layer_count(field, t) for t in range(1, T + 1)]
-    weight = [0] * (T + 1)
-    for k in range(1, T + 1):
-        weight[k] = sum(d * c[d] for d in dc.divisors(k))
-    Q = [1]
-    for t in range(1, T + 1):
-        s = sum(weight[k] * Q[t - k] for k in range(1, t + 1))
-        q, r = divmod(s, t)
-        if r:
-            raise DivisibilityViolation(f"Q({t}) division failed for D={field.D}")
-        Q.append(q)
-    P = tuple(Q[2 * n] for n in range(N + 1))
-    return ParityProfile(field=field, N=N, a=a, P=P)
+    if field.one_mod4:
+        c = [0] + [trace_layer_count(field, t) for t in range(1, 2 * N + 1)]
+        P = euler_transform(c)[::2]
+    else:
+        P = euler_transform((0,) + a)
+    return ParityProfile(field=field, N=N, a=a, P=tuple(P))
 
 
 @dataclass(frozen=True)

@@ -17,14 +17,18 @@ columns and the recurrence is well founded.
 
 ParityGrid is an independent second algorithm for p(alpha) mod 2 alone: it
 expands the Euler product over the cone with shifts and XORs.
+
+euler_transform is the one-variable form of the same recurrence, for a product
+prod_k (1 - q^k)^(-c[k]) over the rational integers: p_rational uses it with
+c = 1, and parity.cumulative_P with the trace-layer counts.
 """
 
 from __future__ import annotations
 
 from math import gcd, sqrt
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .errors import DivisibilityViolation
+from .errors import DivisibilityViolation, InvariantViolation
 from .field import Field, QElement
 
 __all__ = [
@@ -36,6 +40,7 @@ __all__ = [
     "sigma_K",
     "enumerate_interval",
     "build_grid",
+    "euler_transform",
     "p_rational",
     "asymptotic_estimate",
     "ZETA3",
@@ -120,8 +125,8 @@ def enumerate_interval(alpha: QElement) -> Iterator[QElement]:
         hi = min(fld.floor_div_xi(u), y + fld.floor_div_omega(g))
         for v in range(lo, hi + 1):
             beta = QElement(fld, u, v)
-            assert u >= 1 and beta.is_totally_positive()
-            assert (alpha - beta).is_totally_positive()
+            if not (beta.is_totally_positive() and (alpha - beta).is_totally_positive()):
+                raise InvariantViolation(f"{beta!r} escapes the interval [0, {alpha!r}]")
             yield beta
     # u = x admits only beta = alpha: a nonzero (0, c) is never totally positive.
     yield alpha
@@ -172,7 +177,8 @@ class PartitionGrid:
             raise ValueError(f"count needs a totally positive element, got {e!r}")
         self.ensure(e.a)
         v = self.value(e.a, e.b)
-        assert v is not None
+        if v is None:
+            raise InvariantViolation(f"no stored cell for {e!r} after ensure({e.a})")
         return v
 
     def column_window(self, x: int) -> tuple[int, int]:
@@ -191,6 +197,12 @@ class PartitionGrid:
     # ----- internals -----------------------------------------------------
 
     def _build_column(self, x: int) -> None:
+        vmin, vmax = self._append_tables(x)
+        self._cols.append([self._cell(x, y) for y in range(vmin, vmax + 1)])
+        self._vmin.append(vmin)
+
+    def _append_tables(self, x: int) -> tuple[int, int]:
+        """Append column x's floors and sig coordinate tables; return its window."""
         fld = self.field
         self._fdo.append(fld.floor_div_omega(x))
         self._fdx.append(fld.floor_div_xi(x))
@@ -207,10 +219,7 @@ class PartitionGrid:
             s1.append((v // c) * sc)
         self._sig0.append(s0)
         self._sig1.append(s1)
-
-        col = [self._cell(x, y) for y in range(vmin, vmax + 1)]
-        self._cols.append(col)
-        self._vmin.append(vmin)
+        return vmin, vmax
 
     def _cell(self, x: int, y: int) -> int:
         fdo, fdx = self._fdo, self._fdx
@@ -283,24 +292,11 @@ class PartitionGrid:
                 continue
             if x != grid.max_x + 1:
                 raise ValueError(f"columns must be contiguous, missing x={grid.max_x + 1}")
-            fdo = field.floor_div_omega(x)
-            fdx = field.floor_div_xi(x)
-            if entry["y_min"] != -fdo or len(entry["counts"]) != fdo + fdx + 1:
+            vmin, vmax = grid._append_tables(x)
+            if entry["y_min"] != vmin or len(entry["counts"]) != vmax - vmin + 1:
                 raise ValueError(f"column {x} does not match the cone window")
-            grid._fdo.append(fdo)
-            grid._fdx.append(fdx)
-            sigma = grid.divisors.sigma
-            s0: list[int] = []
-            s1: list[int] = []
-            for v in range(-fdo, fdx + 1):
-                c = gcd(x, v)
-                sc = sigma(c)
-                s0.append((x // c) * sc)
-                s1.append((v // c) * sc)
-            grid._sig0.append(s0)
-            grid._sig1.append(s1)
             grid._cols.append([int(c) for c in entry["counts"]])
-            grid._vmin.append(-fdo)
+            grid._vmin.append(vmin)
         return grid
 
 
@@ -391,21 +387,30 @@ def build_grid(field: Field, max_x: int) -> PartitionGrid:
     return grid
 
 
-def p_rational(n: int, cache: DivisorCache | None = None) -> int:
-    """The classical partition number p(n), by the sigma recurrence."""
+def euler_transform(c: Sequence[int]) -> list[int]:
+    """P(0..T), T = len(c) - 1, the coefficients of prod_{k>=1} (1 - q^k)^(-c[k]).
+
+    Taking the logarithmic derivative gives n * P(n) = sum_{k=1..n} w(k) * P(n - k)
+    with w(k) = sum_{d | k} d * c[d]; c[0] is ignored.  Every division is
+    checked and a remainder raises DivisibilityViolation.
+    """
+    T = len(c) - 1
+    divisors = DivisorCache().divisors
+    w = [0] + [sum(d * c[d] for d in divisors(k)) for k in range(1, T + 1)]
+    P = [1]
+    for n in range(1, T + 1):
+        q, r = divmod(sum(w[k] * P[n - k] for k in range(1, n + 1)), n)
+        if r:
+            raise DivisibilityViolation(f"Euler transform division failed at n={n}")
+        P.append(q)
+    return P
+
+
+def p_rational(n: int) -> int:
+    """The classical partition number p(n): the Euler transform of c = 1."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    dc = cache or DivisorCache()
-    p = [1]
-    for m in range(1, n + 1):
-        s = 0
-        for k in range(1, m + 1):
-            s += dc.sigma(k) * p[m - k]
-        q, r = divmod(s, m)
-        if r:
-            raise DivisibilityViolation(f"p({m}) recurrence division failed")
-        p.append(q)
-    return p[n]
+    return euler_transform([0] + [1] * n)[n]
 
 
 def asymptotic_estimate(alpha: QElement) -> float:

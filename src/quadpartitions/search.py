@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .contfrac import FieldContext, build_context, floor_ratio_eps
 from .errors import InvariantViolation
 from .field import Field, QElement, is_squarefree
-from .partition import PartitionGrid, p_rational
+from .partition import GridPool, PartitionGrid, p_rational
 
 __all__ = [
     "SearchReport",
@@ -81,7 +81,8 @@ def find_kmax(grid: PartitionGrid, m: int) -> int:
     while True:
         grid.ensure(n)
         v = grid.value(n, 0)
-        assert v is not None
+        if v is None:
+            raise InvariantViolation(f"grid for D={grid.field.D} has no cell at ({n}, 0)")
         if v >= m:
             return n
         n += 1
@@ -133,7 +134,8 @@ def search_m(ctx: FieldContext, m_max: int, grid: PartitionGrid | None = None) -
                 continue
             alpha = QElement(field, base + k, y)
             p = grid.value(alpha.a, alpha.b)
-            assert p is not None
+            if p is None:
+                raise InvariantViolation(f"grid for D={field.D} has no cell at {alpha!r}")
             row.append(p)
             if p <= m_max and in_fundamental_domain(alpha, ctx):
                 reps[p].append(alpha)
@@ -236,7 +238,7 @@ def _threshold_witness_parts(field: Field, n: int) -> tuple[QElement, QElement]:
 def verify_thresholds(
     n: int,
     D_values: list[int] | tuple[int, ...],
-    pool: "object | None" = None,
+    pool: GridPool | None = None,
 ) -> tuple[ThresholdRow, ...]:
     """Check p(n) = p_rational(n) exactly when D exceeds its class threshold.
 
@@ -251,7 +253,8 @@ def verify_thresholds(
         grid = pool.grid(field) if pool is not None else PartitionGrid(field)
         grid.ensure(n)
         pkn = grid.value(n, 0)
-        assert pkn is not None
+        if pkn is None:
+            raise InvariantViolation(f"grid for D={D} has no cell at ({n}, 0)")
         bound = f_n if field.one_mod4 else e_n
         row = ThresholdRow(D=D, n=n, bound=bound, p_field=pkn, p_rational=pn)
         if D > bound:
@@ -286,19 +289,21 @@ def witness_m6(
     """(ceil(2*xi) + 2) + 2*omega has 6 or 9 partitions, by an exact gap test.
 
     The count is 6 when ceil(xi) - xi > 1/2 and 9 when it is < 1/2 (equality
-    cannot occur).  D = 5 is rejected: the same element has 10 partitions there.
+    cannot occur).  D = 5 is excluded from the dichotomy: the same element has
+    10 partitions there, and the branch is reported as "excluded".
     """
     if field.D == 5:
-        raise ValueError("D=5 is excluded: the candidate element has 10 partitions")
-    # ceil(xi) - xi vs 1/2 becomes sign(2*ceil(xi) - 1 - 2*xi).
-    gap = field.element(2 * (field.floor_xi() + 1) - 1) - 2 * field.xi()
-    s = gap.sign()
-    assert s != 0
-    expected = 6 if s > 0 else 9
-    alpha = QElement(field, field.ceil_xi_mult(2) + 2, 2)
+        expected, branch = 10, "excluded"
+    else:
+        # ceil(xi) - xi vs 1/2 becomes sign(2*ceil(xi) - 1 - 2*xi).
+        s = (field.element(2 * (field.floor_xi() + 1) - 1) - 2 * field.xi()).sign()
+        if s == 0:
+            raise InvariantViolation(f"ceil(xi) - xi equals 1/2 for D={field.D}")
+        expected, branch = (6, "wide-gap") if s > 0 else (9, "narrow-gap")
+    alpha = slice_element(field, 2, 2)
     if grid is None:
         grid = PartitionGrid(field)
     count = grid.count(alpha)
     if count != expected:
         raise InvariantViolation(f"expected {expected} partitions at {alpha}, got {count}")
-    return alpha, count, "wide-gap" if s > 0 else "narrow-gap"
+    return alpha, count, branch

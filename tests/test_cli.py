@@ -111,6 +111,13 @@ def test_usage_errors_exit_1(capsys):
         ("dm", "--m", "4"),
         ("dm", "--m", "3", "--jobs", "0"),
         ("dm", "--m", "3", "--jobs", "-2"),
+        ("parity", "--D", "2", "--N", "-1"),
+        ("grid", "--D", "2", "--max-x", "-2"),
+        ("grid", "--D", "2", "--view", "ky", "--kmax", "-1", "--ymax", "2"),
+        ("grid", "--D", "2", "--view", "ky", "--kmax", "2", "--ymax", "-1"),
+        ("search", "--D", "2", "--m", "0"),
+        ("search", "--D", "2", "--m", "-3"),
+        ("dm", "--m", "0", "--Dmax", "5"),
         ("estimate", "--D", "2", "--a", "1", "--b", "1"),
         ("verify", "--fixtures", "/nonexistent/path"),
         ("nonsense",),
@@ -120,6 +127,16 @@ def test_usage_errors_exit_1(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 1, argv
         assert err, argv
+    # the bounds themselves are valid
+    boundary = (
+        ("parity", "--D", "2", "--N", "0"),
+        ("grid", "--D", "2", "--max-x", "0"),
+        ("grid", "--D", "2", "--view", "ky", "--kmax", "0", "--ymax", "0"),
+        ("search", "--D", "2", "--m", "1"),
+    )
+    for argv in boundary:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out, argv
 
 
 def test_verify_builtin_passes(capsys):

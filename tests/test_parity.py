@@ -10,7 +10,7 @@ from quadpartitions import (
     parity_check,
     trace_layer_count,
 )
-from quadpartitions.partition import DivisorCache
+from quadpartitions.partition import DivisorCache, euler_transform
 
 PARITY_D = (2, 3, 6, 7)
 
@@ -98,6 +98,16 @@ def test_cumulative_P_matches_direct_sum_one_mod4(pool):
         profile = cumulative_P(f, 18)
         for n in range(1, 19):
             assert profile.P[n] == direct_P(f, grid, n), (D, n)
+
+
+def test_trace_layer_transform_matches_the_even_trace_branch():
+    # For D = 2, 3 (mod 4) the odd trace layers are empty, so the transform over
+    # all layers is 0 at odd traces and the transform of (a_n) at even ones.
+    for D in PARITY_D:
+        f = Field(D)
+        Q = euler_transform([0] + [trace_layer_count(f, t) for t in range(1, 81)])
+        assert Q[1::2] == [0] * 40, D
+        assert tuple(Q[::2]) == cumulative_P(f, 40).P, D
 
 
 def test_parity_congruence_holds(pool):

@@ -196,11 +196,10 @@ def test_witness_m6_branches(pool):
         assert (gap > Decimal("0.5")) == (branch == "wide-gap"), D
 
 
-def test_witness_m6_rejects_sqrt5(pool):
-    with pytest.raises(ValueError):
-        witness_m6(Field(5))
-    # the candidate element of Q(sqrt(5)) has 10 partitions instead
-    assert pool.grid(Field(5)).count(slice_element(Field(5), 2, 2)) == 10
+def test_witness_m6_excludes_sqrt5(pool):
+    # the candidate element of Q(sqrt(5)) has 10 partitions instead of 6 or 9
+    f = Field(5)
+    assert witness_m6(f, pool.grid(f)) == (slice_element(f, 2, 2), 10, "excluded")
 
 
 def test_exhaustive_scan_range_frozen():

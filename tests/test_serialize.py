@@ -44,9 +44,11 @@ def test_grid_round_trip():
         ((x, y), c) for x, y, c in grid.cells()
     )
     assert dumps_canonical(grid_to_obj(loaded)) == dumps_canonical(grid_to_obj(grid))
-    # a loaded grid keeps working
-    loaded.ensure(14)
-    assert loaded.value(14, 0) == grid.count(Field(13).element(14))
+    # a loaded grid keeps working: extended, it equals a fresh build on every cell
+    loaded.ensure(20)
+    fresh = PartitionGrid(Field(13))
+    fresh.ensure(20)
+    assert list(loaded.cells()) == list(fresh.cells())
 
 
 def test_grid_rejects_tampered_objects():
