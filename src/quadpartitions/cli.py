@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 violated
-internal invariant.  All output is deterministic: repeated runs of the same
-command produce identical bytes.
+internal invariant, 4 a brute-force enumeration over its node budget.  All
+output is deterministic: repeated runs of the same command produce identical
+bytes.
 """
 
 from __future__ import annotations
@@ -441,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dm", help="fields with no element of exactly m partitions")
     p.add_argument("--m", type=_at_least(1), required=True)
-    p.add_argument("--Dmax", type=int)
+    p.add_argument("--Dmax", type=_at_least(2))
     p.add_argument("--jobs", type=_at_least(1), default=1)
     add_format(p, choices=("pretty", "csv", "json"))
     p.set_defaults(func=cmd_dm)
@@ -486,7 +487,7 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except BudgetExceeded as exc:
         print(str(exc), file=sys.stderr)
-        return 3
+        return 4
 
 
 if __name__ == "__main__":

@@ -133,11 +133,30 @@ def enumerate_interval(alpha: QElement) -> Iterator[QElement]:
 
 
 class PartitionGrid:
-    """Partition counts for the whole cone of totally positive elements.
+    """Partition counts p(x + y*w) on an order ideal of the cone, filled on demand.
 
-    Column x stores p(x + y*w) for every y in the exact window
-    [-floor(x/omega), floor(x/xi)]; cells outside the window are not stored
-    (value() returns None for them).  Columns extend on demand.
+    Column x stores one contiguous range of its exact window
+    [-floor(x/omega), floor(x/xi)]; value() returns None for every cell that
+    is not stored, inside the window or not.  ensure(X) completes every column
+    up to X, and count(alpha) fills only the interval [0, alpha] that the
+    recurrence reads, so a search near the cone's edge touches a thin sliver
+    instead of the whole cone.  max_x is the largest X whose columns up to X
+    are all complete; columns beyond it may hold partial ranges.
+
+    Why one range per column is enough.  [0, x + y*w] meets column u in the
+    window clipped to [y - floor((x-u)/xi), y + floor((x-u)/omega)]: one
+    interval, whose two ends never fall as y grows.  So the interval of a
+    cell lying between two cells of a column sits, in each lower column,
+    inside the hull of their two intervals, and the union of intervals filled
+    one after another mostly stays contiguous column by column.  Not always:
+    where an interval misses a column altogether (that of the unit
+    3+2*sqrt(2) meets neither column 1 nor column 2), the hull of a stored
+    range and a new one can hold cells whose own intervals reach past both,
+    and filling targets in an arbitrary order does run into them.  So _fill
+    takes that hull in every column and, for each new cell outside the
+    target's interval, widens the lower columns' ranges by the cell's own
+    interval before computing anything.  The stored set stays an order ideal,
+    one range per column, and holds every cell the recurrence reads.
     """
 
     def __init__(self, field: Field) -> None:
@@ -147,21 +166,24 @@ class PartitionGrid:
         self._vmin: list[int] = [0]
         self._fdo: list[int] = [0]
         self._fdx: list[int] = [0]
-        self._sig0: list[list[int]] = [[]]
-        self._sig1: list[list[int]] = [[]]
+        # sig coordinate tables, indexed by v + floor(x/omega): a list over the
+        # whole window once column x is complete, a dict of its stored cells before.
+        self._sig0: list[list[int] | dict[int, int]] = [[]]
+        self._sig1: list[list[int] | dict[int, int]] = [[]]
+        self._max_x = 0
 
     @property
     def max_x(self) -> int:
-        return len(self._cols) - 1
+        return self._max_x
 
     def ensure(self, max_x: int) -> None:
         """Extend the grid so that all columns up to max_x are complete."""
-        for x in range(self.max_x + 1, max_x + 1):
-            self._build_column(x)
+        if max_x > self._max_x:
+            self._fill(max_x)
 
     def value(self, x: int, y: int) -> int | None:
-        """Stored count at (x, y), or None when the cell is outside the cone."""
-        if not 0 <= x <= self.max_x:
+        """Stored count at (x, y), or None when the cell is not stored."""
+        if not 0 <= x < len(self._cols):
             return None
         i = y - self._vmin[x]
         col = self._cols[x]
@@ -170,56 +192,117 @@ class PartitionGrid:
         return None
 
     def count(self, e: QElement) -> int:
-        """p(e) for totally positive e, extending the grid as needed."""
+        """p(e) for totally positive e, filling the interval [0, e] as needed."""
         if e.field != self.field:
             raise ValueError(f"element of D={e.field.D} queried against D={self.field.D}")
         if not e.is_totally_positive():
             raise ValueError(f"count needs a totally positive element, got {e!r}")
-        self.ensure(e.a)
         v = self.value(e.a, e.b)
         if v is None:
-            raise InvariantViolation(f"no stored cell for {e!r} after ensure({e.a})")
+            self._fill(e.a, e.b)
+            v = self.value(e.a, e.b)
+            if v is None:
+                raise InvariantViolation(f"no stored cell for {e!r} after filling its interval")
         return v
 
     def column_window(self, x: int) -> tuple[int, int]:
-        """(y_min, y_max) of the stored window in column x."""
-        if not 0 <= x <= self.max_x:
+        """(y_min, y_max) of the window of a complete column x <= max_x."""
+        if not 0 <= x <= self._max_x:
             raise ValueError(f"column {x} not built yet")
         return self._vmin[x], self._vmin[x] + len(self._cols[x]) - 1
 
     def cells(self) -> Iterator[tuple[int, int, int]]:
-        """All stored (x, y, count) triples with x >= 1."""
-        for x in range(1, self.max_x + 1):
+        """Every stored (x, y, count) triple with x >= 1, complete column or not."""
+        for x in range(1, len(self._cols)):
             vmin = self._vmin[x]
             for i, c in enumerate(self._cols[x]):
                 yield x, vmin + i, c
 
     # ----- internals -----------------------------------------------------
 
-    def _build_column(self, x: int) -> None:
-        vmin, vmax = self._append_tables(x)
-        self._cols.append([self._cell(x, y) for y in range(vmin, vmax + 1)])
-        self._vmin.append(vmin)
-
-    def _append_tables(self, x: int) -> tuple[int, int]:
-        """Append column x's floors and sig coordinate tables; return its window."""
+    def _grow(self, x: int) -> None:
+        """Add empty columns and their floors up to x."""
         fld = self.field
-        self._fdo.append(fld.floor_div_omega(x))
-        self._fdx.append(fld.floor_div_xi(x))
-        vmin, vmax = -self._fdo[x], self._fdx[x]
+        for u in range(len(self._cols), x + 1):
+            self._fdo.append(fld.floor_div_omega(u))
+            self._fdx.append(fld.floor_div_xi(u))
+            self._cols.append([])
+            self._vmin.append(-self._fdo[u])
+            self._sig0.append({})
+            self._sig1.append({})
 
-        # sig coordinate tables for this column, indexed parallel to v.
+    def _fill(self, x: int, y: int | None = None) -> None:
+        """Store the interval [0, x + y*w], or with y None every column up to x.
+
+        Top down, each column's new range is the hull of its stored range and
+        the requested one (widened by any gap cells above it); bottom up, the
+        missing cells of each range are computed by _cell, column by column.
+        """
+        self._grow(x)
+        fdo, fdx = self._fdo, self._fdx
+        cols, vmins = self._cols, self._vmin
+        if y is None:
+            lo = [-fdo[u] for u in range(x + 1)]
+            hi = fdx[: x + 1]
+        else:
+            lo = [max(-fdo[u], y - fdx[x - u]) for u in range(x + 1)]
+            hi = [min(fdx[u], y + fdo[x - u]) for u in range(x + 1)]
+        want = list(zip(lo, hi))
+        work: list[tuple[int, range, range]] = []
+        for u in range(x, 0, -1):
+            a, b = lo[u], hi[u]
+            if a > b:
+                continue
+            s, n = vmins[u], len(cols[u])
+            if not n:
+                s = b + 1
+            elif s <= a and b < s + n:
+                continue
+            below, above = range(min(a, s), s), range(s + n, max(b, s + n - 1) + 1)
+            work.append((u, below, above))
+            # New cells outside the request close a gap; store their intervals too.
+            ra, rb = want[u]
+            out = [v for v in (*below, *above) if not ra <= v <= rb]
+            if out:
+                self._widen(u, out[0], out[-1], lo, hi)
+        cell = self._cell
+        for u, below, above in reversed(work):
+            complete = below.start == -fdo[u] and above.stop == fdx[u] + 1
+            self._add_sig(u, (below, above), complete)
+            cols[u] = [cell(u, v) for v in below] + cols[u] + [cell(u, v) for v in above]
+            vmins[u] = below.start
+        m = self._max_x
+        while m + 1 < len(cols) and len(cols[m + 1]) == fdo[m + 1] + fdx[m + 1] + 1:
+            m += 1
+        self._max_x = m
+
+    def _widen(self, u: int, c: int, d: int, lo: list[int], hi: list[int]) -> None:
+        """Widen lo/hi below column u to hold the intervals of cells (u, c..d)."""
+        fdo, fdx = self._fdo, self._fdx
+        for r in range(1, u):
+            g = u - r
+            a = max(-fdo[r], c - fdx[g])
+            b = min(fdx[r], d + fdo[g])
+            if a <= b:
+                if lo[r] > hi[r]:
+                    lo[r], hi[r] = a, b
+                else:
+                    lo[r], hi[r] = min(lo[r], a), max(hi[r], b)
+
+    def _add_sig(self, x: int, new: tuple[range, ...], complete: bool) -> None:
+        """Add sig(x + v*w) for every v in new to column x's coordinate tables."""
+        f = self._fdo[x]
+        s0, s1 = self._sig0[x], self._sig1[x]
         sigma = self.divisors.sigma
-        s0: list[int] = []
-        s1: list[int] = []
-        for v in range(vmin, vmax + 1):
-            c = gcd(x, v)
-            sc = sigma(c)
-            s0.append((x // c) * sc)
-            s1.append((v // c) * sc)
-        self._sig0.append(s0)
-        self._sig1.append(s1)
-        return vmin, vmax
+        for vs in new:
+            for v in vs:
+                c = gcd(x, v)
+                sc = sigma(c)
+                s0[v + f] = (x // c) * sc
+                s1[v + f] = (v // c) * sc
+        if complete:
+            self._sig0[x] = [s0[i] for i in range(len(s0))]
+            self._sig1[x] = [s1[i] for i in range(len(s1))]
 
     def _cell(self, x: int, y: int) -> int:
         fdo, fdx = self._fdo, self._fdx
@@ -292,11 +375,13 @@ class PartitionGrid:
                 continue
             if x != grid.max_x + 1:
                 raise ValueError(f"columns must be contiguous, missing x={grid.max_x + 1}")
-            vmin, vmax = grid._append_tables(x)
+            grid._grow(x)
+            vmin, vmax = -grid._fdo[x], grid._fdx[x]
             if entry["y_min"] != vmin or len(entry["counts"]) != vmax - vmin + 1:
                 raise ValueError(f"column {x} does not match the cone window")
-            grid._cols.append([int(c) for c in entry["counts"]])
-            grid._vmin.append(vmin)
+            grid._add_sig(x, (range(vmin, vmax + 1),), True)
+            grid._cols[x] = [int(c) for c in entry["counts"]]
+            grid._max_x = x
         return grid
 
 

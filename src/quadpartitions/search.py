@@ -78,14 +78,9 @@ def find_kmax(grid: PartitionGrid, m: int) -> int:
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     n = 1
-    while True:
-        grid.ensure(n)
-        v = grid.value(n, 0)
-        if v is None:
-            raise InvariantViolation(f"grid for D={grid.field.D} has no cell at ({n}, 0)")
-        if v >= m:
-            return n
+    while grid.count(grid.field.element(n)) < m:
         n += 1
+    return n
 
 
 def find_ymax(ctx: FieldContext, grid: PartitionGrid, m: int) -> int:
@@ -121,12 +116,14 @@ def search_m(ctx: FieldContext, m_max: int, grid: PartitionGrid | None = None) -
         grid = PartitionGrid(field)
     k_max = find_kmax(grid, m_max)
     y_max = find_ymax(ctx, grid, m_max)
-    grid.ensure(field.ceil_xi_mult(y_max) + k_max)
 
     rows: list[tuple[int, ...]] = []
     reps: dict[int, list[QElement]] = {m: [] for m in range(1, m_max + 1)}
     for y in range(y_max + 1):
         base = field.ceil_xi_mult(y)
+        # Every cell of the row lies below the row top (k_max, y), so filling
+        # the top's interval stores the row and nothing outside the slice's ideal.
+        grid.count(QElement(field, base + k_max, y))
         row: list[int] = []
         for k in range(k_max + 1):
             if y == 0 and k == 0:
@@ -251,10 +248,7 @@ def verify_thresholds(
     for D in D_values:
         field = Field(D)
         grid = pool.grid(field) if pool is not None else PartitionGrid(field)
-        grid.ensure(n)
-        pkn = grid.value(n, 0)
-        if pkn is None:
-            raise InvariantViolation(f"grid for D={D} has no cell at ({n}, 0)")
+        pkn = grid.count(field.element(n))
         bound = f_n if field.one_mod4 else e_n
         row = ThresholdRow(D=D, n=n, bound=bound, p_field=pkn, p_rational=pn)
         if D > bound:

@@ -3,7 +3,7 @@ import shutil
 from pathlib import Path
 
 import quadpartitions
-from quadpartitions import InvariantViolation, cli
+from quadpartitions import BudgetExceeded, InvariantViolation, cli
 
 REFERENCE = Path(quadpartitions.__file__).parent / "reference"
 
@@ -118,6 +118,8 @@ def test_usage_errors_exit_1(capsys):
         ("search", "--D", "2", "--m", "0"),
         ("search", "--D", "2", "--m", "-3"),
         ("dm", "--m", "0", "--Dmax", "5"),
+        ("dm", "--m", "3", "--Dmax", "-5"),
+        ("dm", "--m", "3", "--Dmax", "1"),
         ("estimate", "--D", "2", "--a", "1", "--b", "1"),
         ("verify", "--fixtures", "/nonexistent/path"),
         ("nonsense",),
@@ -133,6 +135,7 @@ def test_usage_errors_exit_1(capsys):
         ("grid", "--D", "2", "--max-x", "0"),
         ("grid", "--D", "2", "--view", "ky", "--kmax", "0", "--ymax", "0"),
         ("search", "--D", "2", "--m", "1"),
+        ("dm", "--m", "3", "--Dmax", "2"),
     )
     for argv in boundary:
         code, out, _ = run(capsys, *argv)
@@ -184,3 +187,13 @@ def test_explain_count_mismatch_exits_3(monkeypatch, capsys):
     code, _, err = run(capsys, "search", "--D", "5", "--m", "3", "--explain")
     assert code == 3
     assert "listed under m = 1" in err
+
+
+def test_budget_exceeded_exits_4(monkeypatch, capsys):
+    def over_budget(e):
+        raise BudgetExceeded(f"enumerating the partitions of {e} exceeded its node budget")
+
+    monkeypatch.setattr(cli, "enumerate_partitions", over_budget)
+    code, _, err = run(capsys, "search", "--D", "5", "--m", "11", "--explain")
+    assert code == 4
+    assert "node budget" in err

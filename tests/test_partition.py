@@ -201,6 +201,51 @@ def test_build_grid_and_fresh_equal_pool(pool):
             assert shared.value(x, y) == c
 
 
+def test_count_stores_exactly_the_interval():
+    # On a fresh grid count(alpha) stores [0, alpha] and nothing else; a cell of
+    # a window outside the interval is not computed and reads None.
+    for D, a, b in ((2, 3, 2), (2, 10, 5), (5, 6, 3), (5, 9, 1)):
+        f = Field(D)
+        alpha = f.element(a, b)
+        grid = PartitionGrid(f)
+        grid.count(alpha)
+        stored = {(x, y) for x, y, _ in grid.cells()}
+        assert stored == {(e.a, e.b) for e in brute_interval(alpha)}, (D, a, b)
+        assert grid.max_x < a
+        assert grid.to_columns() == build_grid(f, grid.max_x).to_columns()
+    grid = PartitionGrid(Field(2))
+    assert grid.count(Field(2).element(3, 2)) == 1  # the unit 3+2*sqrt(2)
+    assert grid.value(3, 0) is None and grid.value(1, 0) is None
+
+
+def test_count_in_any_order_matches_the_dense_grid(pool):
+    # A shuffled order makes new intervals meet stored ranges with gaps between
+    # them, so the gap closing in _fill is exercised as well as the plain fill.
+    rng = random.Random(0xC0DE)
+    for D in TABULATED_D:
+        f = Field(D)
+        dense = pool.grid(f)
+        dense.ensure(30)
+        cells = list(cone_cells(f, 30))[1:]
+        rng.shuffle(cells)
+        grid = PartitionGrid(f)
+        for x, y in cells:
+            assert grid.count(f.element(x, y)) == dense.value(x, y), (D, x, y)
+        assert grid.max_x == 30
+        assert all(dense.value(x, y) == c for x, y, c in grid.cells())
+
+
+def test_ensure_completes_partial_columns():
+    f = Field(13)
+    grid = PartitionGrid(f)
+    grid.count(f.element(9, 4))
+    grid.ensure(12)
+    fresh = build_grid(f, 12)
+    assert grid.max_x == 12
+    assert grid.to_columns() == fresh.to_columns()
+    assert list(grid.cells()) == list(fresh.cells())
+
+
 def test_p_rational_small_values():
     want = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231]
     for n, w in enumerate(want):

@@ -5,6 +5,9 @@ import pytest
 
 from quadpartitions import (
     Field,
+    ParityGrid,
+    PartitionGrid,
+    build_context,
     dm_scan,
     en_fn_bounds,
     exhaustive_scan_range,
@@ -35,6 +38,13 @@ BOUNDS_AT_11 = {
     17: (6, 18),
     21: (6, 9),
 }
+
+# The 53 fields searched by the benchmark's slice-search workload.
+SLICE_SEARCH_FIELDS = (
+    2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 23, 26, 29, 30, 33, 34, 35, 37, 38, 39,
+    42, 47, 51, 53, 55, 57, 62, 66, 69, 77, 78, 79, 83, 85, 87, 93, 95, 102, 105, 110, 119,
+    133, 138, 141, 142, 143, 165, 182, 194, 195,
+)
 
 WITNESS6_BRANCH = {
     2: (6, "wide-gap"),
@@ -266,3 +276,47 @@ def test_dm_worker_count_is_capped():
     assert worker_count(5, 0, 8) == 0
     with pytest.raises(ValueError):
         worker_count(0, 10, 8)
+
+
+@pytest.mark.parametrize("D, cells", [(2, 122), (19, 286)])
+def test_search_fills_only_the_slice_ideal(D, cells):
+    # The stored cells are the union of the row tops' intervals, a deterministic
+    # count; the dense cone up to x_top has 575 and 7,560 cells.
+    ctx = build_context(Field(D))
+    grid = PartitionGrid(ctx.field)
+    search_m(ctx, 11, grid)
+    assert sum(1 for _ in grid.cells()) == cells
+
+
+def test_search_reaches_D31():
+    # The dense search would fill all 421,815 cells up to x_top = 1532.
+    ctx = build_context(Field(31))
+    f = ctx.field
+    grid = PartitionGrid(f)
+    report = search_m(ctx, 11, grid)
+    assert sum(1 for _ in grid.cells()) == 1924
+    assert (report.k_max, report.y_max) == (6, 274)
+    assert not report.missing()
+    x_top = f.ceil_xi_mult(report.y_max) + report.k_max
+    cone = sum(f.floor_div_omega(x) + f.floor_div_xi(x) + 1 for x in range(x_top + 1))
+    assert (x_top, cone) == (1532, 421815)
+
+
+def test_slice_counts_match_the_parity_kernel():
+    # ParityGrid expands the Euler product mod 2 over the whole cone and shares
+    # no arithmetic with the interval fill that search_m uses.
+    checked = []
+    for D in SLICE_SEARCH_FIELDS:
+        f = Field(D)
+        report = search_m(build_context(f), 11, PartitionGrid(f))
+        x_top = f.ceil_xi_mult(report.y_max) + report.k_max
+        if x_top > 200:
+            continue
+        par = ParityGrid(f)
+        par.ensure(x_top)
+        for y, row in enumerate(report.slice_counts):
+            for k, c in enumerate(row):
+                e = slice_element(f, k, y)
+                assert par.value(e.a, e.b) == c % 2, (D, k, y)
+        checked.append(D)
+    assert len(checked) == 51 and 19 in checked
