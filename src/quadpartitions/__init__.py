@@ -18,7 +18,6 @@ from .parity import (
     ParityReport,
     count_trace,
     cumulative_P,
-    odd_sigma_set,
     parity_check,
     trace_layer_count,
 )
@@ -27,7 +26,6 @@ from .partition import (
     ParityGrid,
     PartitionGrid,
     asymptotic_estimate,
-    build_grid,
     enumerate_interval,
     p_rational,
     sigma_K,
@@ -77,7 +75,6 @@ __all__ = [
     "__version__",
     "asymptotic_estimate",
     "build_context",
-    "build_grid",
     "count_partitions",
     "count_trace",
     "cumulative_P",
@@ -98,7 +95,6 @@ __all__ = [
     "grid_to_obj",
     "in_fundamental_domain",
     "is_squarefree",
-    "odd_sigma_set",
     "p_rational",
     "parity_check",
     "report_from_obj",

@@ -15,16 +15,16 @@ from typing import Callable
 
 from .contfrac import build_context, floor_ratio_eps
 from .errors import BudgetExceeded, DivisibilityViolation, InvariantViolation
-from .field import Field, QElement
+from .field import Field, QElement, is_squarefree
 from .fixtures import builtin_documents, load_documents, verify_documents
 from .oracle import enumerate_partitions
 from .parity import parity_check
-from .partition import GridPool, ParityGrid, PartitionGrid, asymptotic_estimate
+from .partition import GridPool, ParityGrid, PartitionGrid, asymptotic_estimate, cone_rows
 from .search import (
     dm_scan,
     exhaustive_scan_range,
     search_m,
-    slice_element,
+    slice_rows,
     witness_m4,
     witness_m6,
 )
@@ -132,24 +132,13 @@ def cmd_grid(args: argparse.Namespace) -> int:
         if args.max_x is None:
             raise UsageError("grid: --max-x is required for the xy view")
         M = args.max_x
-        grid.ensure(M)
-        y_top = field.floor_div_xi(M)
-        rows = [
-            [(grid.value(x, y) or 0) for x in range(M + 1)] for y in range(y_top + 1)
-        ]
-        doc = {"D": field.D, "view": "xy", "max_x": M, "y_max": y_top, "rows": rows}
+        rows = cone_rows(grid, M)
+        doc = {"D": field.D, "view": "xy", "max_x": M, "y_max": len(rows) - 1, "rows": rows}
         col = "x"
     else:
         if args.kmax is None or args.ymax is None:
             raise UsageError("grid: --kmax and --ymax are required for the ky view")
-        grid.ensure(field.ceil_xi_mult(args.ymax) + args.kmax)
-        rows = []
-        for y in range(args.ymax + 1):
-            row = []
-            for k in range(args.kmax + 1):
-                e = slice_element(field, k, y)  # (k, y) = (0, 0) reads p(0) = 1
-                row.append(grid.value(e.a, e.b))
-            rows.append(row)
+        rows = slice_rows(grid, args.kmax, args.ymax)
         doc = {"D": field.D, "view": "ky", "k_max": args.kmax, "y_max": args.ymax, "rows": rows}
         col = "k"
     _emit(
@@ -245,8 +234,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 def cmd_dm(args: argparse.Namespace) -> int:
     if args.Dmax is not None:
-        scan = tuple(D for D in range(2, args.Dmax + 1) if _try_squarefree(D))
-        complete = False
+        scan = tuple(D for D in range(2, args.Dmax + 1) if is_squarefree(D))
         try:
             complete = set(exhaustive_scan_range(args.m)) <= set(scan)
         except ValueError:
@@ -276,14 +264,6 @@ def cmd_dm(args: argparse.Namespace) -> int:
         pretty=lambda: "\n".join(lines),
     )
     return 0
-
-
-def _try_squarefree(D: int) -> bool:
-    try:
-        Field(D)
-        return True
-    except ValueError:
-        return False
 
 
 def cmd_parity(args: argparse.Namespace) -> int:

@@ -11,12 +11,12 @@ from __future__ import annotations
 import json
 from importlib import resources
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .contfrac import build_context, floor_ratio_eps
 from .field import Field, QElement
-from .partition import GridPool
-from .search import search_m, slice_element
+from .partition import GridPool, cone_rows
+from .search import search_m, slice_element, slice_rows
 
 __all__ = [
     "builtin_documents",
@@ -46,41 +46,33 @@ def load_documents(path: str | Path) -> list[dict]:
     return [json.loads(p.read_text(encoding="utf-8"))]
 
 
-def _diff_grid_xy(doc: dict, pool: GridPool) -> list[str]:
-    field = Field(doc["D"])
-    grid = pool.grid(field)
-    grid.ensure(doc["max_x"])
-    diffs = []
-    for y, row in enumerate(doc["rows"]):
-        for x, expected in enumerate(row):
-            got = grid.value(x, y)
-            shown = 0 if got is None else got
-            if shown != expected:
-                diffs.append(
-                    f"{doc['name']}: D={doc['D']} x={x} y={y} "
-                    f"expected={expected} got={shown}"
-                )
-    return diffs
+def _diff_rows(doc: dict, rows: Sequence[Sequence[int]], at: str) -> list[str]:
+    """One diff line per cell of doc["rows"] that differs from rows.
 
-
-def _diff_slice_ky(doc: dict, pool: GridPool) -> list[str]:
-    field = Field(doc["D"])
-    grid = pool.grid(field)
-    grid.ensure(field.ceil_xi_mult(doc["y_max"]) + doc["k_max"])
+    at places a cell by its row r and column c.  A document cell outside rows,
+    the box its own header defines, compares against None.
+    """
     diffs = []
-    for y, row in enumerate(doc["rows"]):
-        for k, expected in enumerate(row):
-            if y == 0 and k == 0:
-                got = grid.value(0, 0)
-            else:
-                e = slice_element(field, k, y)
-                got = grid.value(e.a, e.b)
+    for r, expected_row in enumerate(doc["rows"]):
+        row = rows[r] if r < len(rows) else ()
+        for c, expected in enumerate(expected_row):
+            got = row[c] if c < len(row) else None
             if got != expected:
                 diffs.append(
-                    f"{doc['name']}: D={doc['D']} y={y} k={k} "
+                    f"{doc['name']}: D={doc['D']} {at.format(r=r, c=c)} "
                     f"expected={expected} got={got}"
                 )
     return diffs
+
+
+def _diff_grid_xy(doc: dict, pool: GridPool) -> list[str]:
+    rows = cone_rows(pool.grid(Field(doc["D"])), doc["max_x"])
+    return _diff_rows(doc, rows, "x={c} y={r}")
+
+
+def _diff_slice_ky(doc: dict, pool: GridPool) -> list[str]:
+    rows = slice_rows(pool.grid(Field(doc["D"])), doc["k_max"], doc["y_max"])
+    return _diff_rows(doc, rows, "y={r} k={c}")
 
 
 def _diff_units(doc: dict, pool: GridPool) -> list[str]:

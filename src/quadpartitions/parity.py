@@ -38,7 +38,6 @@ __all__ = [
     "trace_layer_count",
     "cumulative_P",
     "parity_check",
-    "odd_sigma_set",
 ]
 
 
@@ -142,19 +141,3 @@ def parity_check(field: Field, N: int, grid: PartitionGrid | ParityGrid) -> Pari
         odd_count=odd,
         even_count=N - odd,
     )
-
-
-def odd_sigma_set(n: int) -> frozenset[int]:
-    """{k <= n : sigma(k) is odd} = squares and doubled squares up to n."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    out = set()
-    m = 1
-    while m * m <= n:
-        out.add(m * m)
-        m += 1
-    m = 1
-    while 2 * m * m <= n:
-        out.add(2 * m * m)
-        m += 1
-    return frozenset(out)

@@ -39,7 +39,7 @@ __all__ = [
     "content",
     "sigma_K",
     "enumerate_interval",
-    "build_grid",
+    "cone_rows",
     "euler_transform",
     "p_rational",
     "asymptotic_estimate",
@@ -465,11 +465,13 @@ class GridPool:
             return g
 
 
-def build_grid(field: Field, max_x: int) -> PartitionGrid:
-    """A grid with all columns up to max_x complete."""
-    grid = PartitionGrid(field)
+def cone_rows(grid: PartitionGrid, max_x: int) -> list[list[int]]:
+    """p(x + y*w) for rows y = 0..floor(max_x/xi), columns x = 0..max_x, 0 outside the cone."""
     grid.ensure(max_x)
-    return grid
+    return [
+        [grid.value(x, y) or 0 for x in range(max_x + 1)]
+        for y in range(grid.field.floor_div_xi(max_x) + 1)
+    ]
 
 
 def euler_transform(c: Sequence[int]) -> list[int]:

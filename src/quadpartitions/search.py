@@ -31,6 +31,7 @@ __all__ = [
     "fundamental_representative",
     "find_kmax",
     "find_ymax",
+    "slice_rows",
     "search_m",
     "dm_scan",
     "worker_count",
@@ -109,6 +110,28 @@ class SearchReport:
         return not self.representatives[self.m_max]
 
 
+def slice_rows(grid: PartitionGrid, k_max: int, y_max: int) -> tuple[tuple[int, ...], ...]:
+    """p on the slice box: rows y = 0..y_max, columns k = 0..k_max.
+
+    Each row fills only the interval of its top (k_max, y): every cell of the
+    row lies below the top, because the difference is the rational integer
+    k_max - k >= 0, so the grid stores the box's order ideal and nothing more.
+    The corner (0, 0) is not totally positive; it reads p(0) = 1.
+    """
+    field = grid.field
+    rows = []
+    for y in range(y_max + 1):
+        top = slice_element(field, k_max, y)
+        if (k_max, y) != (0, 0):
+            grid.count(top)
+        base = top.a - k_max
+        row = tuple(grid.value(base + k, y) for k in range(k_max + 1))
+        if None in row:
+            raise InvariantViolation(f"grid for D={field.D} is missing a cell of slice row {y}")
+        rows.append(row)
+    return tuple(rows)
+
+
 def search_m(ctx: FieldContext, m_max: int, grid: PartitionGrid | None = None) -> SearchReport:
     """Classify every element with p(alpha) <= m_max, up to units and conjugation."""
     field = ctx.field
@@ -116,27 +139,14 @@ def search_m(ctx: FieldContext, m_max: int, grid: PartitionGrid | None = None) -
         grid = PartitionGrid(field)
     k_max = find_kmax(grid, m_max)
     y_max = find_ymax(ctx, grid, m_max)
-
-    rows: list[tuple[int, ...]] = []
+    rows = slice_rows(grid, k_max, y_max)
     reps: dict[int, list[QElement]] = {m: [] for m in range(1, m_max + 1)}
-    for y in range(y_max + 1):
-        base = field.ceil_xi_mult(y)
-        # Every cell of the row lies below the row top (k_max, y), so filling
-        # the top's interval stores the row and nothing outside the slice's ideal.
-        grid.count(QElement(field, base + k_max, y))
-        row: list[int] = []
-        for k in range(k_max + 1):
-            if y == 0 and k == 0:
-                row.append(1)  # p(0), for the slice corner display
-                continue
-            alpha = QElement(field, base + k, y)
-            p = grid.value(alpha.a, alpha.b)
-            if p is None:
-                raise InvariantViolation(f"grid for D={field.D} has no cell at {alpha!r}")
-            row.append(p)
-            if p <= m_max and in_fundamental_domain(alpha, ctx):
-                reps[p].append(alpha)
-        rows.append(tuple(row))
+    for y, row in enumerate(rows):
+        for k, p in enumerate(row):
+            if p <= m_max:
+                alpha = slice_element(field, k, y)
+                if in_fundamental_domain(alpha, ctx):
+                    reps[p].append(alpha)
 
     representatives = {
         m: tuple(sorted(found, key=lambda e: e.lex_key)) for m, found in reps.items()
@@ -146,7 +156,7 @@ def search_m(ctx: FieldContext, m_max: int, grid: PartitionGrid | None = None) -
         m_max=m_max,
         k_max=k_max,
         y_max=y_max,
-        slice_counts=tuple(rows),
+        slice_counts=rows,
         representatives=representatives,
     )
 

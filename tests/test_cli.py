@@ -23,6 +23,35 @@ def test_grid_xy_json_matches_fixture(capsys):
     assert doc["y_max"] == 7
 
 
+def test_grid_ky_json_matches_every_slice_fixture(capsys):
+    paths = sorted(REFERENCE.glob("slice-D*.json"))
+    assert len(paths) == 8
+    for path in paths:
+        fixture = json.loads(path.read_text())
+        code, out, _ = run(
+            capsys, "grid", "--D", str(fixture["D"]), "--view", "ky",
+            "--kmax", str(fixture["k_max"]), "--ymax", str(fixture["y_max"]), "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["rows"] == fixture["rows"], path.name
+
+
+def test_grid_ky_corner_box(capsys):
+    # (k_max, y_max) = (0, 0) is the one box whose row top is not totally positive.
+    want = {
+        "pretty": "   y\\k | 0\n----------\n     0 | 1\n",
+        "csv": "y\\k,0\n0,1\n",
+        "json": '{"D":2,"k_max":0,"rows":[[1]],"view":"ky","y_max":0}\n',
+        "tex": "\\begin{tabular}{|l||r|}\n\\hline\n&\\multicolumn{1}{c|}{$k$}\\\\\n"
+        "\\hline\n$y$&$0$\\\\\n\\hline\\hline\n$0$&$1$\\\\\n\\hline\n\\end{tabular}\n",
+    }
+    for fmt, text in want.items():
+        code, out, _ = run(
+            capsys, "grid", "--D", "2", "--view", "ky", "--kmax", "0", "--ymax", "0", "--format", fmt
+        )
+        assert (code, out) == (0, text), fmt
+
+
 def test_output_is_deterministic(capsys):
     argvs = (
         ("grid", "--D", "13", "--max-x", "8", "--format", "json"),
@@ -156,10 +185,36 @@ def test_verify_corrupt_fixture_exits_2(tmp_path, capsys):
     doc = json.loads(bad.read_text())
     doc["rows"][0][4] = 7
     bad.write_text(json.dumps(doc))
+    bad = tmp_path / "slice-D13.json"
+    doc = json.loads(bad.read_text())
+    doc["rows"][3][2] += 1
+    bad.write_text(json.dumps(doc))
     code, out, _ = run(capsys, "verify", "--fixtures", str(tmp_path))
     assert code == 2
-    assert "FAIL grid-xy-D2" in out
-    assert "1 of 12 documents failed" in out
+    assert "FAIL grid-xy-D2\n  grid-xy-D2: D=2 x=4 y=0 expected=7 got=6\n" in out
+    assert "FAIL slice-D13\n  slice-D13: D=13 y=3 k=2 expected=9 got=8\n" in out
+    assert "2 of 12 documents failed" in out
+
+
+def test_verify_reports_cells_outside_the_header_box(tmp_path, capsys):
+    # One extra column and one extra row: every cell beyond the box that the
+    # header (max_x, or k_max and y_max) defines is reported with got=None.
+    want = []
+    for name in ("grid-xy-D2", "slice-D13"):
+        doc = json.loads((REFERENCE / f"{name}.json").read_text())
+        width = len(doc["rows"][0])
+        doc["rows"] = [row + [1] for row in doc["rows"]] + [[1] * (width + 1)]
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        at = "x={c} y={r}" if name == "grid-xy-D2" else "y={r} k={c}"
+        cells = [(r, width) for r in range(len(doc["rows"]) - 1)]
+        cells += [(len(doc["rows"]) - 1, c) for c in range(width + 1)]
+        want.append(f"FAIL {name}")
+        want += [
+            f"  {name}: D={doc['D']} {at.format(r=r, c=c)} expected=1 got=None" for r, c in cells
+        ]
+    code, out, err = run(capsys, "verify", "--fixtures", str(tmp_path))
+    assert (code, err) == (2, "")
+    assert out.splitlines() == want + ["2 of 2 documents failed"]
 
 
 def test_verify_empty_dir_exits_1(tmp_path, capsys):

@@ -6,11 +6,10 @@ from quadpartitions import (
     count_trace,
     cumulative_P,
     is_squarefree,
-    odd_sigma_set,
     parity_check,
     trace_layer_count,
 )
-from quadpartitions.partition import DivisorCache, euler_transform
+from quadpartitions.partition import euler_transform
 
 PARITY_D = (2, 3, 6, 7)
 
@@ -138,16 +137,6 @@ def test_both_parities_occur_in_window(pool):
         bits = parity_check(Field(D), 40, pool.grid(Field(D))).p_parity[1:]
         assert bits.count(1) >= 3
         assert bits.count(0) >= 3
-
-
-def test_odd_sigma_set():
-    dc = DivisorCache()
-    want = {k for k in range(1, 501) if dc.sigma(k) % 2 == 1}
-    assert odd_sigma_set(500) == frozenset(want)
-    assert odd_sigma_set(0) == frozenset()
-    assert odd_sigma_set(2) == frozenset({1, 2})
-    with pytest.raises(ValueError):
-        odd_sigma_set(-1)
 
 
 def test_bad_arguments():

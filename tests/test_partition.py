@@ -9,7 +9,6 @@ from quadpartitions import (
     PartitionGrid,
     QElement,
     asymptotic_estimate,
-    build_grid,
     enumerate_interval,
     p_rational,
     sigma_K,
@@ -192,9 +191,10 @@ def test_column_cells_all_positive(pool):
             assert c >= 1
 
 
-def test_build_grid_and_fresh_equal_pool(pool):
+def test_fresh_grid_and_pool_agree(pool):
     for D in (3, 21):
-        fresh = build_grid(Field(D), 9)
+        fresh = PartitionGrid(Field(D))
+        fresh.ensure(9)
         shared = pool.grid(Field(D))
         shared.ensure(9)
         for x, y, c in fresh.cells():
@@ -212,7 +212,9 @@ def test_count_stores_exactly_the_interval():
         stored = {(x, y) for x, y, _ in grid.cells()}
         assert stored == {(e.a, e.b) for e in brute_interval(alpha)}, (D, a, b)
         assert grid.max_x < a
-        assert grid.to_columns() == build_grid(f, grid.max_x).to_columns()
+        dense = PartitionGrid(f)
+        dense.ensure(grid.max_x)
+        assert grid.to_columns() == dense.to_columns()
     grid = PartitionGrid(Field(2))
     assert grid.count(Field(2).element(3, 2)) == 1  # the unit 3+2*sqrt(2)
     assert grid.value(3, 0) is None and grid.value(1, 0) is None
@@ -240,7 +242,8 @@ def test_ensure_completes_partial_columns():
     grid = PartitionGrid(f)
     grid.count(f.element(9, 4))
     grid.ensure(12)
-    fresh = build_grid(f, 12)
+    fresh = PartitionGrid(f)
+    fresh.ensure(12)
     assert grid.max_x == 12
     assert grid.to_columns() == fresh.to_columns()
     assert list(grid.cells()) == list(fresh.cells())
@@ -272,13 +275,15 @@ def test_p_rational_against_brute_force():
 
 def test_rational_column_matches_p_rational_when_cone_is_narrow():
     # For D > E_n the y = 0 column collapses to the rational values.
-    grid = build_grid(Field(199), 12)
+    grid = PartitionGrid(Field(199))
+    grid.ensure(12)
     for n in range(1, 13):
         assert grid.value(n, 0) == p_rational(n), n
 
 
 def test_divisibility_violation_on_corrupted_state():
-    grid = build_grid(Field(2), 6)
+    grid = PartitionGrid(Field(2))
+    grid.ensure(6)
     grid._cols[5][grid._fdo[5]] = 9  # poison p(5, 0)
     with pytest.raises(DivisibilityViolation):
         grid.ensure(12)

@@ -22,8 +22,9 @@ from quadpartitions import (
     witness_m4,
     witness_m6,
 )
+from quadpartitions import cli
 from quadpartitions.contfrac import floor_ratio_eps
-from quadpartitions.search import worker_count
+from quadpartitions.search import slice_rows, worker_count
 
 from conftest import TABULATED_D
 
@@ -286,6 +287,29 @@ def test_search_fills_only_the_slice_ideal(D, cells):
     grid = PartitionGrid(ctx.field)
     search_m(ctx, 11, grid)
     assert sum(1 for _ in grid.cells()) == cells
+
+
+def test_ky_view_fills_only_the_slice_ideal(monkeypatch, capsys):
+    # grid --view ky over search's own box (k_max, y_max) = (6, 40) for D=19
+    # stores the same 286 cells; the dense fill under the box stored 7,559.
+    f = Field(19)
+    report = search_m(build_context(f), 11)
+    assert (report.k_max, report.y_max) == (6, 40)
+    grid = PartitionGrid(f)
+    assert slice_rows(grid, 6, 40) == report.slice_counts
+    assert sum(1 for _ in grid.cells()) == 286
+
+    grids = []
+
+    class RecordingGrid(cli.PartitionGrid):
+        def __init__(self, field):
+            super().__init__(field)
+            grids.append(self)
+
+    monkeypatch.setattr(cli, "PartitionGrid", RecordingGrid)
+    assert cli.main(["grid", "--D", "19", "--view", "ky", "--kmax", "6", "--ymax", "40"]) == 0
+    capsys.readouterr()
+    assert [sum(1 for _ in g.cells()) for g in grids] == [286]
 
 
 def test_search_reaches_D31():
