@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 violated
-internal invariant, 4 a brute-force enumeration over its node budget.  All
+internal invariant, 4 a run over its cost budget (BudgetExceeded).  All
 output is deterministic: repeated runs of the same command produce identical
 bytes.
 """
@@ -127,18 +127,17 @@ def _emit(fmt: str, doc: dict, **render: Callable[[], str]) -> None:
 
 def cmd_grid(args: argparse.Namespace) -> int:
     field = _field(args)
-    grid = PartitionGrid(field)
     if args.view == "xy":
         if args.max_x is None:
             raise UsageError("grid: --max-x is required for the xy view")
         M = args.max_x
-        rows = cone_rows(grid, M)
+        rows = cone_rows(field, M)
         doc = {"D": field.D, "view": "xy", "max_x": M, "y_max": len(rows) - 1, "rows": rows}
         col = "x"
     else:
         if args.kmax is None or args.ymax is None:
             raise UsageError("grid: --kmax and --ymax are required for the ky view")
-        rows = slice_rows(grid, args.kmax, args.ymax)
+        rows = slice_rows(PartitionGrid(field), args.kmax, args.ymax)
         doc = {"D": field.D, "view": "ky", "k_max": args.kmax, "y_max": args.ymax, "rows": rows}
         col = "k"
     _emit(

@@ -11,7 +11,12 @@ class DivisibilityViolation(ArithmeticError):
 
 
 class BudgetExceeded(RuntimeError):
-    """The brute-force enumerator exhausted its node budget."""
+    """A run over its cost budget.
+
+    Raised when the brute-force enumerator exhausts its node budget, and,
+    before any work starts, when building the cone up to a column is
+    estimated to take longer than the partition module's budget.
+    """
 
 
 class InvariantViolation(AssertionError):

@@ -19,6 +19,7 @@ from .partition import GridPool, cone_rows
 from .search import search_m, slice_element, slice_rows
 
 __all__ = [
+    "MalformedDocument",
     "builtin_documents",
     "load_documents",
     "verify_document",
@@ -37,13 +38,17 @@ def builtin_documents() -> list[dict]:
 
 
 def load_documents(path: str | Path) -> list[dict]:
-    """Documents from a JSON file or from every *.json in a directory."""
+    """Documents from a JSON file or from every *.json in a directory.
+
+    Raises ValueError for a file that is not JSON, and MalformedDocument (a
+    ValueError) for a document that _check_document rejects.
+    """
     p = Path(path)
-    if p.is_dir():
-        return [
-            json.loads(f.read_text(encoding="utf-8")) for f in sorted(p.glob("*.json"))
-        ]
-    return [json.loads(p.read_text(encoding="utf-8"))]
+    files = sorted(p.glob("*.json")) if p.is_dir() else [p]
+    docs = [json.loads(f.read_text(encoding="utf-8")) for f in files]
+    for doc in docs:
+        _check_document(doc)
+    return docs
 
 
 def _diff_rows(doc: dict, rows: Sequence[Sequence[int]], at: str) -> list[str]:
@@ -66,7 +71,7 @@ def _diff_rows(doc: dict, rows: Sequence[Sequence[int]], at: str) -> list[str]:
 
 
 def _diff_grid_xy(doc: dict, pool: GridPool) -> list[str]:
-    rows = cone_rows(pool.grid(Field(doc["D"])), doc["max_x"])
+    rows = cone_rows(Field(doc["D"]), doc["max_x"])
     return _diff_rows(doc, rows, "x={c} y={r}")
 
 
@@ -129,13 +134,71 @@ _DISPATCH = {
 }
 
 
+class MalformedDocument(ValueError):
+    """A reference document that cannot be recomputed as it stands."""
+
+
+# The keys each kind reads: those of its header, then the key of its list of
+# per-field entries (if any) and the keys of each entry.
+_KEYS = {
+    "grid_xy": (("D", "max_x", "rows"), None, ()),
+    "slice_ky": (("D", "k_max", "y_max", "rows"), None, ()),
+    "units": (("rows",), "rows", ("D", "eps_plus", "floor_ratio", "y_max", "corner_count")),
+    "representatives": (("m_max", "fields"), "fields", ("D", "by_m")),
+}
+_SIZES = {"max_x", "k_max", "y_max", "m_max"}
+
+
+def _check_document(doc: dict) -> None:
+    """Raise MalformedDocument unless doc can be recomputed as it stands.
+
+    A document is an object with a name and a known kind, holding every key
+    its kind reads, in its header and in each per-field entry.  The sizes
+    (max_x, k_max, y_max, m_max) are nonnegative integers, rows and fields
+    are lists, and every D is a valid Field discriminant.  Only the document
+    is read here; nothing is recomputed.
+    """
+    if not isinstance(doc, dict) or "name" not in doc:
+        raise MalformedDocument("a document that is not an object with a name")
+    name = doc["name"]
+    if doc.get("kind") not in _KEYS:
+        raise MalformedDocument(f"{name}: unknown document kind {doc.get('kind')!r}")
+    header, listed, entry_keys = _KEYS[doc["kind"]]
+    parts = [(doc, header)]
+    if listed is not None and isinstance(doc.get(listed), list):
+        parts += [(entry, entry_keys) for entry in doc[listed]]
+    for part, keys in parts:
+        if not isinstance(part, dict):
+            raise MalformedDocument(f"{name}: an entry of {listed!r} is not an object")
+        for key in keys:
+            reason = _check_value(key, part[key]) if key in part else f"missing key {key!r}"
+            if reason:
+                raise MalformedDocument(f"{name}: {reason}")
+
+
+def _check_value(key: str, value: object) -> str | None:
+    """Why value cannot stand under key, or None when it can."""
+    if key in ("rows", "fields"):
+        return None if isinstance(value, list) else f"{key} must be a list"
+    if key == "D":
+        try:
+            Field(value)
+        except ValueError as exc:
+            return str(exc)
+    elif key in _SIZES and (type(value) is not int or value < 0):
+        return f"{key} must be a nonnegative integer, got {value!r}"
+    return None
+
+
 def verify_document(doc: dict, pool: GridPool | None = None) -> list[str]:
-    """Recompute one reference document; the list of diff lines (empty = pass)."""
-    try:
-        handler = _DISPATCH[doc["kind"]]
-    except KeyError:
-        raise ValueError(f"unknown document kind {doc.get('kind')!r}") from None
-    return handler(doc, pool if pool is not None else GridPool())
+    """Recompute one reference document; the list of diff lines (empty = pass).
+
+    A document that _check_document rejects raises MalformedDocument before
+    anything is recomputed; errors raised while recomputing propagate as they
+    are.
+    """
+    _check_document(doc)
+    return _DISPATCH[doc["kind"]](doc, pool if pool is not None else GridPool())
 
 
 def verify_documents(

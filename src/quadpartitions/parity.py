@@ -119,8 +119,8 @@ def parity_check(field: Field, N: int, grid: PartitionGrid | ParityGrid) -> Pari
     PartitionGrid it is the exact count.  Any disagreement, or a missing cell,
     raises InvariantViolation.
     """
+    grid.ensure(N)  # first: a ParityGrid over its cost budget refuses before the O(N^2) transform
     profile = cumulative_P(field, N)
-    grid.ensure(N)
     p_par = []
     offenders = []
     for n in range(N + 1):

@@ -1,7 +1,6 @@
-"""Partition counts p(alpha) for totally positive elements, by exact recurrence.
+"""Partition counts p(alpha) for totally positive elements.
 
-The count p(alpha) of ways to write alpha as an unordered sum of totally
-positive elements satisfies
+Two independent algorithms compute p.  The first is an exact recurrence:
 
     alpha * p(alpha) = sum over 0 < beta <= alpha of sig(beta) * p(alpha - beta)
 
@@ -10,17 +9,23 @@ sig(beta) = (beta / c) * sigma(c) with c = gcd of the coordinates of beta
 and sigma the rational sum-of-divisors function.  Matching coefficients in
 the basis (1, w) recovers p(alpha) by one exact division, and the second
 coordinate cross-checks it; any mismatch raises DivisibilityViolation.
-
 Cells are filled column by column in the first coordinate.  Every summand
 beta has first coordinate >= 1, so a cell only depends on strictly earlier
-columns and the recurrence is well founded.
+columns and the recurrence is well founded.  PartitionGrid fills order ideals
+of the cone on demand with it.
 
-ParityGrid is an independent second algorithm for p(alpha) mod 2 alone: it
-expands the Euler product over the cone with shifts and XORs.
+The second expands the Euler product of 1/(1 - q^beta) over the whole cone
+up to a column, packed into one big int (Kronecker substitution), and
+ParityGrid is its mod-2 case, with 1-bit slots and XOR in place of addition.
+It shares no arithmetic with the recurrence, so each checks the other.
+cone_columns and cone_rows, the xy view, read the whole cone from whichever
+of the two is estimated cheaper: the product up to X of about 200 for small
+D, the recurrence above.
 
-euler_transform is the one-variable form of the same recurrence, for a product
+euler_transform is the one-variable form of the recurrence, for a product
 prod_k (1 - q^k)^(-c[k]) over the rational integers: p_rational uses it with
-c = 1, and parity.cumulative_P with the trace-layer counts.
+c = 1, parity.cumulative_P with the trace-layer counts, and the Euler product
+with the column sizes, for its slot width and its column-sum check.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 from math import gcd, sqrt
 from typing import Iterator, Sequence
 
-from .errors import DivisibilityViolation, InvariantViolation
+from .errors import BudgetExceeded, DivisibilityViolation, InvariantViolation
 from .field import Field, QElement
 
 __all__ = [
@@ -48,6 +53,21 @@ __all__ = [
 
 # Apery's constant zeta(3), used only by the floating-point diagnostic below.
 ZETA3 = 1.2020569031595942854
+
+# Throughput of the three cone kernels on a 2-core host with Python 3.11,
+# measured for D = 2..97 and X = 40..260: estimated 64-bit word operations per
+# second of the exact fold and of the XOR fold (see _fold_ms), and multiply-adds
+# per second of the recurrence (see _recurrence_madds).  The exact fold's rate
+# is the one it keeps once its int outgrows about 400 KB (X >= 140 for D = 2
+# or 5), where its cost meets the recurrence's; smaller ints fold up to 1.6x
+# faster, which only widens the product's lead.
+_ADD_FOLD_OPS_PER_S = 2_500_000_000
+_XOR_FOLD_OPS_PER_S = 5_000_000_000
+_MADDS_PER_S = 7_000_000
+# The longest estimated run, in milliseconds on that host, that is started.
+# The recurrence took 55 s for the xy view of D=2 up to x = 260, and 56 s for
+# D=5 up to x = 210, so every run it finished in about a minute stays inside.
+_BUDGET_MS = 120_000
 
 
 class DivisorCache:
@@ -385,29 +405,89 @@ class PartitionGrid:
         return grid
 
 
+def _cone_layout(field: Field, X: int) -> tuple[list[int], list[int], int, int]:
+    """(fdo, fdx, W, L) of the cone up to column X packed into one int, slot x*W + y.
+
+    fdo[x] = floor(x/omega) and fdx[x] = floor(x/xi) bound the window of
+    column x, which occupies slots x*W - fdo[x] up to x*W + fdx[x], and
+    L = X*W + fdx[X] + 1 is one past the top cell of column X.  Raises
+    BudgetExceeded, before the O(X) floors are listed, when no kernel could
+    build the cone within the budget.
+
+    Choice of W.  Every exponent the Euler product generates is a totally
+    positive element, so dropping the slots >= L is the truncation x <= X
+    exactly when every cell with x > X lands at or above L.  The lowest such
+    cell is (X + 1, -floor((X + 1)/omega)), and the bottom slot of column x
+    grows with x, so W must exceed floor((X + 1)/omega) + floor(X/xi); that
+    bound also keeps the columns up to X disjoint and in order.  The width of
+    column X itself, floor(X/omega) + floor(X/xi) + 1, falls one short
+    whenever floor(t/omega) steps up at t = X + 1: the bottom cell of column
+    X + 1 then aliases the top cell of column X.
+    """
+    top = field.floor_div_xi(X)
+    W = field.floor_div_omega(X + 1) + top + 1
+    L = X * W + top + 1
+    # Every column holds the cell y = 0, so the cheapest kernel, the XOR fold,
+    # folds at least X parts, and the recurrence does at least X(X-1)/2
+    # multiply-adds.
+    lower = min(_fold_ms(X, L, 1, _XOR_FOLD_OPS_PER_S), _madds_ms(X * (X - 1) // 2))
+    _check_budget(X, lower, "building it would take at least")
+    fdo = [field.floor_div_omega(x) for x in range(X + 1)]
+    fdx = [field.floor_div_xi(x) for x in range(X + 1)]
+    return fdo, fdx, W, L
+
+
+def _fold_ms(parts: int, L: int, bits: int, ops_per_s: int) -> int:
+    """Estimated milliseconds to fold parts into L slots of bits bits each.
+
+    Each part is folded in as at most ceil(log2 L) factors, and each factor
+    is a shift, a mask and an add (or XOR) over L*bits/64 words.
+    """
+    return parts * (L - 1).bit_length() * L * bits * 1000 // (64 * ops_per_s)
+
+
+def _recurrence_madds(sizes: Sequence[int]) -> int:
+    """Multiply-adds of PartitionGrid.ensure(X), sizes[x] the width of column x <= X.
+
+    For each u < x the cells of column x walk |W(u)| * |W(x - u)| pairs in
+    all, so the total is the sum of sizes[u] * sizes[g] over u, g >= 1 with
+    u + g <= X: sizes[u] times the sum of sizes[1..X - u].
+    """
+    X = len(sizes) - 1
+    below = [0]
+    for g in range(1, X + 1):
+        below.append(below[-1] + sizes[g])
+    return sum(sizes[u] * below[X - u] for u in range(1, X))
+
+
+def _madds_ms(madds: int) -> int:
+    """Estimated milliseconds of the recurrence for madds multiply-adds."""
+    return madds * 1000 // _MADDS_PER_S
+
+
+def _check_budget(X: int, ms: int, what: str) -> None:
+    """Raise BudgetExceeded when ms, what's estimate for the cone up to x = X, is over budget."""
+    if ms > _BUDGET_MS:
+        secs = ms // 1000
+        # Beyond 1e300 no float holds secs.
+        about = secs if secs < 10**6 else f"{secs:.1e}" if secs < 10**300 else "over 1e+300"
+        raise BudgetExceeded(
+            f"the cone up to x = {X} is over the cost budget: {what} {about} s, "
+            f"more than {_BUDGET_MS // 1000} s"
+        )
+
+
 class ParityGrid:
     """p(alpha) mod 2 for the whole cone, from the Euler product.
 
     The generating function of p is the product over totally positive beta of
     1/(1 - q^beta), and modulo 2, 1/(1 - t) = (1 + t)(1 + t^2)(1 + t^4)...
     The truncated product therefore needs only shifts and XORs.  The cone up
-    to max_x is one int F whose bit x*W + y holds p(x + y*w) mod 2.  Every
-    coin beta = (u, v) with u <= max_x is folded in as the factors
-    1 + t^(s*2^k) for s = u*W + v and every s*2^k < L, where
-    L = max_x*W + floor(max_x/xi) + 1 is one past the top cell of column max_x.
-    This shares no code or arithmetic with the sigma recurrence, so each
-    checks the other.
-
-    Choice of W.  Column x occupies bits x*W - floor(x/omega) up to
-    x*W + floor(x/xi).  Every exponent the product generates is a totally
-    positive element, so dropping the bits >= L is the truncation x <= max_x
-    exactly when every cell with x > max_x lands at or above L.  The lowest
-    such cell is (max_x + 1, -floor((max_x + 1)/omega)), so W must exceed
-    floor((max_x + 1)/omega) + floor(max_x/xi); that bound also keeps the
-    columns up to max_x disjoint and in order.  The width of column max_x
-    itself, floor(max_x/omega) + floor(max_x/xi) + 1, falls one short
-    whenever floor(t/omega) steps up at t = max_x + 1: the bottom cell of
-    column max_x + 1 then aliases the top cell of column max_x.
+    to max_x is one int F whose bit x*W + y holds p(x + y*w) mod 2 (the
+    layout of _cone_layout with 1-bit slots).  Every coin beta = (u, v) with
+    u <= max_x is folded in as the factors 1 + t^(s*2^k) for s = u*W + v and
+    every s*2^k < L.  This is _product_columns modulo 2: 1-bit slots and XOR
+    for +, so each factor touches B times fewer words.
     """
 
     def __init__(self, field: Field) -> None:
@@ -422,14 +502,16 @@ class ParityGrid:
         return len(self._fdo) - 1
 
     def ensure(self, max_x: int) -> None:
-        """Rebuild the product so that all columns up to max_x are complete."""
+        """Rebuild the product so that all columns up to max_x are complete.
+
+        Raises BudgetExceeded, before any folding, when the fold is too costly.
+        """
         if max_x <= self.max_x:
             return
-        fld = self.field
-        fdo = [fld.floor_div_omega(x) for x in range(max_x + 1)]
-        fdx = [fld.floor_div_xi(x) for x in range(max_x + 1)]
-        W = fld.floor_div_omega(max_x + 1) + fdx[max_x] + 1
-        L = max_x * W + fdx[max_x] + 1
+        fdo, fdx, W, L = _cone_layout(self.field, max_x)
+        parts = sum(fdo) + sum(fdx) + max_x
+        ms = _fold_ms(parts, L, 1, _XOR_FOLD_OPS_PER_S)
+        _check_budget(max_x, ms, "its parity product would take about")
         mask = (1 << L) - 1
         F = 1
         for u in range(1, max_x + 1):
@@ -465,12 +547,113 @@ class GridPool:
             return g
 
 
-def cone_rows(grid: PartitionGrid, max_x: int) -> list[list[int]]:
-    """p(x + y*w) for rows y = 0..floor(max_x/xi), columns x = 0..max_x, 0 outside the cone."""
+def cone_columns(field: Field, max_x: int) -> list[list[int]]:
+    """p(x + y*w) over the whole window y = -floor(x/omega)..floor(x/xi) of each column x <= max_x.
+
+    Two kernels compute the same counts, the packed Euler product of
+    _product_columns and the recurrence of PartitionGrid.ensure, and the one
+    of lower estimated cost runs (see _cone_costs).  Raises BudgetExceeded,
+    before any work, when that estimate is over budget.
+    """
+    layout, R, costs = _cone_costs(field, max_x)
+    if costs["product"] <= costs["recurrence"]:
+        _check_budget(max_x, costs["product"], "its Euler product would take about")
+        return _product_columns(field, *layout, R)
+    _check_budget(max_x, costs["recurrence"], "its recurrence would take about")
+    grid = PartitionGrid(field)
     grid.ensure(max_x)
+    return [column["counts"] for column in grid.to_columns()]
+
+
+def _cone_costs(
+    field: Field, X: int
+) -> tuple[tuple[list[int], list[int], int, int], list[int] | None, dict[str, int]]:
+    """(layout, R, costs) of the cone up to column X, for cone_columns.
+
+    layout is _cone_layout's, R the Euler transform of the column sizes, and
+    costs each kernel's estimated milliseconds.  The fold costs about
+    X^4 log X * B/64 word operations and the recurrence about X^4 small
+    multiply-adds, so the product is cheaper up to X of about 200 for D = 2
+    (170 for D = 5, further for larger D) and the recurrence beyond.  R costs
+    O(X^2), so it is computed, and the product costed at its real B, only
+    when the fold at the least B, one byte, is within budget; otherwise R is
+    None.
+    """
+    layout = _cone_layout(field, X)
+    fdo, fdx, _, L = layout
+    sizes = [fdo[u] + fdx[u] + 1 for u in range(X + 1)]
+    parts = sum(sizes) - 1
+    product = _fold_ms(parts, L, 8, _ADD_FOLD_OPS_PER_S)
+    R = None
+    if product <= _BUDGET_MS:
+        R = euler_transform([0] + sizes[1:])
+        product = _fold_ms(parts, L, 8 * _slot_bytes(R[X]), _ADD_FOLD_OPS_PER_S)
+    return layout, R, {"product": product, "recurrence": _madds_ms(_recurrence_madds(sizes))}
+
+
+def _slot_bytes(top: int) -> int:
+    """Whole bytes per slot that hold every count up to top."""
+    return (top.bit_length() + 7) // 8
+
+
+def _product_columns(
+    field: Field, fdo: list[int], fdx: list[int], W: int, L: int, R: list[int]
+) -> list[list[int]]:
+    """The columns of cone_columns from the Euler product of 1/(1 - q^beta).
+
+    The counts are the coefficients of the product over the parts
+    beta = (u, v) with u <= X, packed B bits per slot in the layout of
+    _cone_layout (Kronecker substitution).  Each part with offset
+    s = u*W + v is folded in as the factors 1 + t^(s*2^k), s*2^k < L, each
+    one shift, one mask and one add on the whole int.  R is the Euler
+    transform of the column sizes.
+
+    Why B bits never carry.  Every totally positive element has x >= 1, so
+    x is an additive, positive integer functional on the cone, and R(n), the
+    sum of column n, is the number of partitions into parts counted by their
+    x: the Euler transform of the column sizes.  p(alpha) is one term of
+    R(x(alpha)), and R is nondecreasing (adding the part 1 maps the
+    partitions counted by R(n) injectively into those of R(n + 1)), so
+    p(alpha) <= R(X).  Every factor has nonnegative coefficients and
+    constant term 1, so every partial product is coefficientwise <= the final
+    one, and B = bitlen(R(X)), rounded up to whole bytes for to_bytes,
+    holds every slot at every step.  Each column's slot sum is still checked
+    against R(x), and a mismatch raises InvariantViolation.
+    """
+    X = len(fdo) - 1
+    nbytes = _slot_bytes(R[X])
+    B = 8 * nbytes
+    full = (1 << L * B) - 1
+    F = 1
+    for u in range(1, X + 1):
+        for v in range(-fdo[u], fdx[u] + 1):
+            s = u * W + v
+            while s < L:
+                F += (F & (full >> s * B)) << s * B
+                s <<= 1
+    buf = F.to_bytes(L * nbytes, "little")
+    cols = []
+    for x in range(X + 1):
+        col = [
+            int.from_bytes(buf[i * nbytes : (i + 1) * nbytes], "little")
+            for i in range(x * W - fdo[x], x * W + fdx[x] + 1)
+        ]
+        if sum(col) != R[x]:
+            raise InvariantViolation(
+                f"column {x} of the Euler product for D={field.D} sums to {sum(col)}, not {R[x]}"
+            )
+        cols.append(col)
+    return cols
+
+
+def cone_rows(field: Field, max_x: int) -> list[list[int]]:
+    """p(x + y*w) for rows y = 0..floor(max_x/xi), columns x = 0..max_x, 0 outside the cone."""
+    cols = cone_columns(field, max_x)
+    tops = [field.floor_div_xi(x) for x in range(max_x + 1)]
+    # Column x ends at y = tops[x], so y sits at index y - tops[x] - 1 from its end.
     return [
-        [grid.value(x, y) or 0 for x in range(max_x + 1)]
-        for y in range(grid.field.floor_div_xi(max_x) + 1)
+        [col[y - top - 1] if y <= top else 0 for col, top in zip(cols, tops)]
+        for y in range(tops[-1] + 1)
     ]
 
 

@@ -1,9 +1,12 @@
 import json
 import shutil
+import time
 from pathlib import Path
 
+import pytest
+
 import quadpartitions
-from quadpartitions import BudgetExceeded, InvariantViolation, cli
+from quadpartitions import BudgetExceeded, InvariantViolation, cli, fixtures
 
 REFERENCE = Path(quadpartitions.__file__).parent / "reference"
 
@@ -252,3 +255,51 @@ def test_budget_exceeded_exits_4(monkeypatch, capsys):
     code, _, err = run(capsys, "search", "--D", "5", "--m", "11", "--explain")
     assert code == 4
     assert "node budget" in err
+
+
+def test_runs_over_the_cost_budget_exit_4_at_once(capsys):
+    for argv in (("grid", "--D", "2", "--max-x", "100000"), ("parity", "--D", "2", "--N", "100000")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 2, argv
+        assert (code, out) == (4, ""), argv
+        assert err.count("\n") == 1 and "over the cost budget" in err, argv
+    # The largest argvs of the benchmark pool stay well inside the budget.
+    for argv in (("grid", "--D", "15", "--max-x", "100"), ("parity", "--D", "2", "--N", "90")):
+        assert run(capsys, *argv)[0] == 0, argv
+
+
+def _drop_corner(doc):
+    del doc["rows"][1]["corner_count"]
+
+
+@pytest.mark.parametrize("name, edit, reason", [
+    ("slice-D13", lambda d: d.pop("k_max"), "missing key 'k_max'"),
+    ("grid-xy-D2", lambda d: d.update(D=12), "D must be squarefree, got 12"),
+    ("grid-xy-D2", lambda d: d.update(kind="grid_yx"), "unknown document kind 'grid_yx'"),
+    ("grid-xy-D2", lambda d: d.update(max_x="10"), "max_x must be a nonnegative integer, got '10'"),
+    ("grid-xy-D2", lambda d: d.update(max_x=-1), "max_x must be a nonnegative integer, got -1"),
+    ("grid-xy-D2", lambda d: d.update(D=True), "D must be an integer >= 2, got True"),
+    ("grid-xy-D2", lambda d: d.update(rows={}), "rows must be a list"),
+    ("units-summary", _drop_corner, "missing key 'corner_count'"),
+    ("representatives-1-mod-4", lambda d: d["fields"][0].update(D=4), "D must be squarefree, got 4"),
+])
+def test_verify_malformed_document_exits_1(tmp_path, capsys, name, edit, reason):
+    doc = json.loads((REFERENCE / f"{name}.json").read_text())
+    edit(doc)
+    (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--fixtures", str(tmp_path))
+    assert (code, out, err) == (1, "", f"cannot load fixtures from {tmp_path}: {name}: {reason}\n")
+
+
+def test_verify_lets_an_engine_error_propagate(monkeypatch):
+    # Only the document's own inputs make it malformed: an error raised while
+    # recomputing it is not reported as one.
+    def broken(field, max_x):
+        raise ValueError("engine bug")
+
+    monkeypatch.setattr(fixtures, "cone_rows", broken)
+    doc = json.loads((REFERENCE / "grid-xy-D2.json").read_text())
+    with pytest.raises(ValueError, match="engine bug") as info:
+        fixtures.verify_document(doc)
+    assert not isinstance(info.value, fixtures.MalformedDocument)

@@ -5,6 +5,7 @@ import pytest
 from quadpartitions import (
     DivisibilityViolation,
     Field,
+    InvariantViolation,
     ParityGrid,
     PartitionGrid,
     QElement,
@@ -13,9 +14,10 @@ from quadpartitions import (
     p_rational,
     sigma_K,
 )
-from quadpartitions.partition import DivisorCache, content
+from quadpartitions import partition
+from quadpartitions.partition import DivisorCache, cone_columns, content
 
-from conftest import TABULATED_D
+from conftest import TABULATED_D, euler_product
 
 SPOT_VALUES = {
     # (D, a, b) -> p, frozen reference values
@@ -346,3 +348,71 @@ def test_parity_grid_value_outside_cone_is_none():
             assert par.value(x, -f.floor_div_omega(x) - 1) is None
             assert par.value(x, f.floor_div_xi(x) + 1) is None
             assert par.value(x, 0) is not None
+
+
+def test_euler_product_matches_the_recurrence_to_x60(pool):
+    # Every cell of every column x <= 60, y < 0 included.  D=2 at X=60 also
+    # catches a W no wider than column X (see test_parity_grid_matches_exact_grid_mod_2).
+    for D in TABULATED_D:
+        f = Field(D)
+        exact = pool.grid(f)
+        exact.ensure(60)
+        cols = euler_product(f, 60)
+        assert len(cols) == 61
+        for x, col in enumerate(cols):
+            lo, hi = exact.column_window(x)
+            assert col == [exact.value(x, y) for y in range(lo, hi + 1)], (D, x)
+
+
+def test_euler_product_column_sum_mismatch_raises(monkeypatch):
+    real = partition.euler_transform
+
+    def one_too_many_at_3(c):
+        R = real(c)
+        R[3] += 1
+        return R
+
+    monkeypatch.setattr(partition, "euler_transform", one_too_many_at_3)
+    with pytest.raises(InvariantViolation, match="column 3 of the Euler product for D=2"):
+        euler_product(Field(2), 10)
+
+
+def test_cone_columns_runs_the_cheaper_kernel(monkeypatch):
+    # The product wins the whole benchmark range (X <= 100) and far beyond for
+    # large D; the recurrence wins past X of about 200 for small D.
+    for D, X, cheaper in [(2, 100, "product"), (5, 100, "product"), (31, 150, "product"),
+                          (2, 300, "recurrence"), (5, 250, "recurrence")]:
+        costs = partition._cone_costs(Field(D), X)[2]
+        assert min(costs, key=costs.get) == cheaper, (D, X, costs)
+    # The runs the recurrence alone finished in about a minute stay in budget.
+    for D, X in [(2, 260), (5, 210)]:
+        assert min(partition._cone_costs(Field(D), X)[2].values()) <= partition._BUDGET_MS
+    f = Field(13)
+    ran = []
+    monkeypatch.setattr(partition, "_product_columns", lambda *a: ran.append(a) or [])
+    assert cone_columns(f, 30) == [] and len(ran) == 1
+    # Where the recurrence is the cheaper kernel it runs, with the same counts.
+    real_costs = partition._cone_costs
+
+    def recurrence_cheaper(field, X):
+        layout, R, costs = real_costs(field, X)
+        return layout, R, {"product": costs["recurrence"] + 1, "recurrence": costs["recurrence"]}
+
+    monkeypatch.undo()
+    monkeypatch.setattr(partition, "_cone_costs", recurrence_cheaper)
+    assert cone_columns(f, 30) == euler_product(f, 30)
+
+
+def test_recurrence_madds_matches_the_loop():
+    # The same (u, v) bounds as PartitionGrid._cell, counted step by step.
+    for D in (2, 5, 13):
+        f = Field(D)
+        X = 14
+        fdo = [f.floor_div_omega(x) for x in range(X + 1)]
+        fdx = [f.floor_div_xi(x) for x in range(X + 1)]
+        steps = 0
+        for x in range(1, X + 1):
+            for y in range(-fdo[x], fdx[x] + 1):
+                for u in range(1, x):
+                    steps += max(0, min(y + fdo[x - u], fdx[u]) - max(y - fdx[x - u], -fdo[u]) + 1)
+        assert partition._recurrence_madds([fdo[x] + fdx[x] + 1 for x in range(X + 1)]) == steps
