@@ -48,11 +48,7 @@ from .search import (
 )
 from .serialize import (
     dumps_canonical,
-    element_from_obj,
     element_to_obj,
-    grid_from_obj,
-    grid_to_obj,
-    report_from_obj,
     report_to_obj,
 )
 
@@ -80,7 +76,6 @@ __all__ = [
     "cumulative_P",
     "dm_scan",
     "dumps_canonical",
-    "element_from_obj",
     "element_to_obj",
     "en_fn_bounds",
     "enumerate_interval",
@@ -91,13 +86,10 @@ __all__ = [
     "find_ymax",
     "floor_ratio_eps",
     "fundamental_representative",
-    "grid_from_obj",
-    "grid_to_obj",
     "in_fundamental_domain",
     "is_squarefree",
     "p_rational",
     "parity_check",
-    "report_from_obj",
     "report_to_obj",
     "search_m",
     "sigma_K",

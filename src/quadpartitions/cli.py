@@ -329,7 +329,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     alpha = QElement(field, args.a, args.b)
     if not alpha.is_totally_positive():
         raise UsageError(f"estimate: {alpha} is not totally positive")
-    est = asymptotic_estimate(alpha)
+    try:
+        est = asymptotic_estimate(alpha)
+    except OverflowError:
+        raise UsageError(f"estimate: the norm of {alpha} is too large for a float") from None
     doc = {
         "D": field.D,
         "alpha": element_to_obj(alpha),

@@ -190,7 +190,7 @@ def _check_value(key: str, value: object) -> str | None:
     return None
 
 
-def verify_document(doc: dict, pool: GridPool | None = None) -> list[str]:
+def verify_document(doc: dict, pool: GridPool) -> list[str]:
     """Recompute one reference document; the list of diff lines (empty = pass).
 
     A document that _check_document rejects raises MalformedDocument before
@@ -198,12 +198,9 @@ def verify_document(doc: dict, pool: GridPool | None = None) -> list[str]:
     are.
     """
     _check_document(doc)
-    return _DISPATCH[doc["kind"]](doc, pool if pool is not None else GridPool())
+    return _DISPATCH[doc["kind"]](doc, pool)
 
 
-def verify_documents(
-    docs: Iterable[dict], pool: GridPool | None = None
-) -> list[tuple[str, list[str]]]:
+def verify_documents(docs: Iterable[dict], pool: GridPool) -> list[tuple[str, list[str]]]:
     """(name, diffs) for each document, sharing one grid pool."""
-    shared = pool if pool is not None else GridPool()
-    return [(doc["name"], verify_document(doc, shared)) for doc in docs]
+    return [(doc["name"], verify_document(doc, pool)) for doc in docs]

@@ -30,6 +30,7 @@ with the column sizes, for its slot width and its column-sum check.
 
 from __future__ import annotations
 
+from functools import cache
 from math import gcd, sqrt
 from typing import Iterator, Sequence
 
@@ -37,7 +38,6 @@ from .errors import BudgetExceeded, DivisibilityViolation, InvariantViolation
 from .field import Field, QElement
 
 __all__ = [
-    "DivisorCache",
     "PartitionGrid",
     "ParityGrid",
     "GridPool",
@@ -70,43 +70,27 @@ _MADDS_PER_S = 7_000_000
 _BUDGET_MS = 120_000
 
 
-class DivisorCache:
-    """Memoized divisor lists and sum-of-divisors values."""
+@cache
+def divisors(n: int) -> tuple[int, ...]:
+    """All positive divisors of n, ascending."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    small: list[int] = []
+    large: list[int] = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+        d += 1
+    return tuple(small + large[::-1])
 
-    def __init__(self) -> None:
-        self._divisors: dict[int, tuple[int, ...]] = {1: (1,)}
-        self._sigma: dict[int, int] = {1: 1}
 
-    def divisors(self, n: int) -> tuple[int, ...]:
-        """All positive divisors of n, ascending."""
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        try:
-            return self._divisors[n]
-        except KeyError:
-            pass
-        small: list[int] = []
-        large: list[int] = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                small.append(d)
-                if d * d != n:
-                    large.append(n // d)
-            d += 1
-        out = tuple(small + large[::-1])
-        self._divisors[n] = out
-        return out
-
-    def sigma(self, n: int) -> int:
-        """Sum of the positive divisors of n."""
-        try:
-            return self._sigma[n]
-        except KeyError:
-            pass
-        out = sum(self.divisors(n))
-        self._sigma[n] = out
-        return out
+@cache
+def sigma(n: int) -> int:
+    """Sum of the positive divisors of n."""
+    return sum(divisors(n))
 
 
 def content(e: QElement) -> int:
@@ -117,12 +101,12 @@ def content(e: QElement) -> int:
     return c
 
 
-def sigma_K(e: QElement, cache: DivisorCache | None = None) -> QElement:
+def sigma_K(e: QElement) -> QElement:
     """(e / content(e)) * sigma(content(e)) for totally positive e."""
     if not e.is_totally_positive():
         raise ValueError(f"sigma_K needs a totally positive element, got {e!r}")
     c = content(e)
-    s = (cache or DivisorCache()).sigma(c)
+    s = sigma(c)
     return QElement(e.field, (e.a // c) * s, (e.b // c) * s)
 
 
@@ -157,11 +141,14 @@ class PartitionGrid:
 
     Column x stores one contiguous range of its exact window
     [-floor(x/omega), floor(x/xi)]; value() returns None for every cell that
-    is not stored, inside the window or not.  ensure(X) completes every column
-    up to X, and count(alpha) fills only the interval [0, alpha] that the
-    recurrence reads, so a search near the cone's edge touches a thin sliver
-    instead of the whole cone.  max_x is the largest X whose columns up to X
-    are all complete; columns beyond it may hold partial ranges.
+    is not stored, inside the window or not.  Both ways in go through one
+    _fill, which stores the order ideal below a segment of one column.
+    count(alpha) fills the ideal below the single cell alpha, the interval
+    [0, alpha] that the recurrence reads, so a search near the cone's edge
+    touches a thin sliver instead of the whole cone.  ensure(X) fills the
+    ideal below column X's whole window, which is every column up to X.
+    max_x is the largest X whose columns up to X are all complete; columns
+    beyond it may hold partial ranges.
 
     Why one range per column is enough.  [0, x + y*w] meets column u in the
     window clipped to [y - floor((x-u)/xi), y + floor((x-u)/omega)]: one
@@ -174,14 +161,13 @@ class PartitionGrid:
     range and a new one can hold cells whose own intervals reach past both,
     and filling targets in an arbitrary order does run into them.  So _fill
     takes that hull in every column and, for each new cell outside the
-    target's interval, widens the lower columns' ranges by the cell's own
+    requested ideal, widens the lower columns' ranges by the cell's own
     interval before computing anything.  The stored set stays an order ideal,
     one range per column, and holds every cell the recurrence reads.
     """
 
     def __init__(self, field: Field) -> None:
         self.field = field
-        self.divisors = DivisorCache()
         self._cols: list[list[int]] = [[1]]  # p(0) = 1
         self._vmin: list[int] = [0]
         self._fdo: list[int] = [0]
@@ -199,7 +185,8 @@ class PartitionGrid:
     def ensure(self, max_x: int) -> None:
         """Extend the grid so that all columns up to max_x are complete."""
         if max_x > self._max_x:
-            self._fill(max_x)
+            self._grow(max_x)
+            self._fill(max_x, -self._fdo[max_x], self._fdx[max_x])
 
     def value(self, x: int, y: int) -> int | None:
         """Stored count at (x, y), or None when the cell is not stored."""
@@ -219,7 +206,7 @@ class PartitionGrid:
             raise ValueError(f"count needs a totally positive element, got {e!r}")
         v = self.value(e.a, e.b)
         if v is None:
-            self._fill(e.a, e.b)
+            self._fill(e.a, e.b, e.b)
             v = self.value(e.a, e.b)
             if v is None:
                 raise InvariantViolation(f"no stored cell for {e!r} after filling its interval")
@@ -251,8 +238,12 @@ class PartitionGrid:
             self._sig0.append({})
             self._sig1.append({})
 
-    def _fill(self, x: int, y: int | None = None) -> None:
-        """Store the interval [0, x + y*w], or with y None every column up to x.
+    def _fill(self, x: int, ylo: int, yhi: int) -> None:
+        """Store the order ideal below the segment (x, ylo..yhi) of column x.
+
+        That ideal is the union of the intervals [0, x + y*w], ylo <= y <= yhi,
+        one range per column (see _below).  Below column x's whole window it
+        is every full window up to x, as the floors are nondecreasing in u.
 
         Top down, each column's new range is the hull of its stored range and
         the requested one (widened by any gap cells above it); bottom up, the
@@ -261,12 +252,7 @@ class PartitionGrid:
         self._grow(x)
         fdo, fdx = self._fdo, self._fdx
         cols, vmins = self._cols, self._vmin
-        if y is None:
-            lo = [-fdo[u] for u in range(x + 1)]
-            hi = fdx[: x + 1]
-        else:
-            lo = [max(-fdo[u], y - fdx[x - u]) for u in range(x + 1)]
-            hi = [min(fdx[u], y + fdo[x - u]) for u in range(x + 1)]
+        lo, hi = self._below(x, ylo, yhi)
         want = list(zip(lo, hi))
         work: list[tuple[int, range, range]] = []
         for u in range(x, 0, -1):
@@ -296,13 +282,24 @@ class PartitionGrid:
             m += 1
         self._max_x = m
 
-    def _widen(self, u: int, c: int, d: int, lo: list[int], hi: list[int]) -> None:
-        """Widen lo/hi below column u to hold the intervals of cells (u, c..d)."""
+    def _below(self, x: int, ylo: int, yhi: int) -> tuple[list[int], list[int]]:
+        """(lo, hi): the ideal below the segment (x, ylo..yhi) meets column u in lo[u]..hi[u].
+
+        [0, x + y*w] meets column u in one range whose ends never fall as y
+        grows (see the class docstring), and the nonempty ranges of
+        consecutive y leave no gap, so the segment's union runs from the lower
+        end at ylo to the upper end at yhi; lo[u] > hi[u] where it misses u.
+        """
         fdo, fdx = self._fdo, self._fdx
+        lo = [max(-fdo[u], ylo - fdx[x - u]) for u in range(x + 1)]
+        hi = [min(fdx[u], yhi + fdo[x - u]) for u in range(x + 1)]
+        return lo, hi
+
+    def _widen(self, u: int, c: int, d: int, lo: list[int], hi: list[int]) -> None:
+        """Widen lo/hi below column u to hold the ideal below the cells (u, c..d)."""
+        blo, bhi = self._below(u, c, d)
         for r in range(1, u):
-            g = u - r
-            a = max(-fdo[r], c - fdx[g])
-            b = min(fdx[r], d + fdo[g])
+            a, b = blo[r], bhi[r]
             if a <= b:
                 if lo[r] > hi[r]:
                     lo[r], hi[r] = a, b
@@ -313,7 +310,6 @@ class PartitionGrid:
         """Add sig(x + v*w) for every v in new to column x's coordinate tables."""
         f = self._fdo[x]
         s0, s1 = self._sig0[x], self._sig1[x]
-        sigma = self.divisors.sigma
         for vs in new:
             for v in vs:
                 c = gcd(x, v)
@@ -375,34 +371,12 @@ class PartitionGrid:
             raise DivisibilityViolation(f"nonpositive count {p} at (x={x}, y={y})")
         return p
 
-    # ----- serialization support ------------------------------------------
-
     def to_columns(self) -> list[dict]:
+        """The complete columns x <= max_x as {"x", "y_min", "counts"}."""
         return [
             {"x": x, "y_min": self._vmin[x], "counts": list(self._cols[x])}
             for x in range(self.max_x + 1)
         ]
-
-    @classmethod
-    def from_columns(cls, field: Field, columns: list[dict]) -> "PartitionGrid":
-        """Rebuild a grid from serialized columns, revalidating the windows."""
-        grid = cls(field)
-        for entry in sorted(columns, key=lambda e: e["x"]):
-            x = entry["x"]
-            if x == 0:
-                if entry["y_min"] != 0 or entry["counts"] != [1]:
-                    raise ValueError("column 0 must be exactly {p(0) = 1}")
-                continue
-            if x != grid.max_x + 1:
-                raise ValueError(f"columns must be contiguous, missing x={grid.max_x + 1}")
-            grid._grow(x)
-            vmin, vmax = -grid._fdo[x], grid._fdx[x]
-            if entry["y_min"] != vmin or len(entry["counts"]) != vmax - vmin + 1:
-                raise ValueError(f"column {x} does not match the cone window")
-            grid._add_sig(x, (range(vmin, vmax + 1),), True)
-            grid._cols[x] = [int(c) for c in entry["counts"]]
-            grid._max_x = x
-        return grid
 
 
 def _cone_layout(field: Field, X: int) -> tuple[list[int], list[int], int, int]:
@@ -665,7 +639,6 @@ def euler_transform(c: Sequence[int]) -> list[int]:
     checked and a remainder raises DivisibilityViolation.
     """
     T = len(c) - 1
-    divisors = DivisorCache().divisors
     w = [0] + [sum(d * c[d] for d in divisors(k)) for k in range(1, T + 1)]
     P = [1]
     for n in range(1, T + 1):

@@ -245,7 +245,7 @@ def _threshold_witness_parts(field: Field, n: int) -> tuple[QElement, QElement]:
 def verify_thresholds(
     n: int,
     D_values: list[int] | tuple[int, ...],
-    pool: GridPool | None = None,
+    pool: GridPool,
 ) -> tuple[ThresholdRow, ...]:
     """Check p(n) = p_rational(n) exactly when D exceeds its class threshold.
 
@@ -257,8 +257,7 @@ def verify_thresholds(
     rows = []
     for D in D_values:
         field = Field(D)
-        grid = pool.grid(field) if pool is not None else PartitionGrid(field)
-        pkn = grid.count(field.element(n))
+        pkn = pool.grid(field).count(field.element(n))
         bound = f_n if field.one_mod4 else e_n
         row = ThresholdRow(D=D, n=n, bound=bound, p_field=pkn, p_rational=pn)
         if D > bound:
@@ -276,20 +275,16 @@ def verify_thresholds(
     return tuple(rows)
 
 
-def witness_m4(field: Field, grid: PartitionGrid | None = None) -> tuple[QElement, int]:
+def witness_m4(field: Field, grid: PartitionGrid) -> tuple[QElement, int]:
     """(ceil(xi) + 2) + omega has exactly 4 partitions, for every field."""
     alpha = QElement(field, field.ceil_xi_mult(1) + 2, 1)
-    if grid is None:
-        grid = PartitionGrid(field)
     count = grid.count(alpha)
     if count != 4:
         raise InvariantViolation(f"expected 4 partitions at {alpha}, got {count}")
     return alpha, count
 
 
-def witness_m6(
-    field: Field, grid: PartitionGrid | None = None
-) -> tuple[QElement, int, str]:
+def witness_m6(field: Field, grid: PartitionGrid) -> tuple[QElement, int, str]:
     """(ceil(2*xi) + 2) + 2*omega has 6 or 9 partitions, by an exact gap test.
 
     The count is 6 when ceil(xi) - xi > 1/2 and 9 when it is < 1/2 (equality
@@ -305,8 +300,6 @@ def witness_m6(
             raise InvariantViolation(f"ceil(xi) - xi equals 1/2 for D={field.D}")
         expected, branch = (6, "wide-gap") if s > 0 else (9, "narrow-gap")
     alpha = slice_element(field, 2, 2)
-    if grid is None:
-        grid = PartitionGrid(field)
     count = grid.count(alpha)
     if count != expected:
         raise InvariantViolation(f"expected {expected} partitions at {alpha}, got {count}")

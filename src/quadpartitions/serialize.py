@@ -1,4 +1,4 @@
-"""Deterministic JSON forms for elements, grids and search reports.
+"""Deterministic JSON forms for elements and search reports.
 
 The JSON layer is lossless for arbitrary-precision counts (Python's json
 reads and writes big ints natively) and canonical: keys are sorted and the
@@ -10,18 +10,13 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .field import Field, QElement
-from .partition import PartitionGrid
+from .field import QElement
 from .search import SearchReport
 
 __all__ = [
     "dumps_canonical",
     "element_to_obj",
-    "element_from_obj",
-    "grid_to_obj",
-    "grid_from_obj",
     "report_to_obj",
-    "report_from_obj",
 ]
 
 
@@ -31,26 +26,6 @@ def dumps_canonical(obj: Any) -> str:
 
 def element_to_obj(e: QElement) -> dict:
     return {"a": e.a, "b": e.b, "text": str(e)}
-
-
-def element_from_obj(field: Field, obj: dict) -> QElement:
-    return QElement(field, int(obj["a"]), int(obj["b"]))
-
-
-def grid_to_obj(grid: PartitionGrid) -> dict:
-    return {
-        "D": grid.field.D,
-        "max_x": grid.max_x,
-        "columns": grid.to_columns(),
-    }
-
-
-def grid_from_obj(obj: dict) -> PartitionGrid:
-    field = Field(int(obj["D"]))
-    grid = PartitionGrid.from_columns(field, obj["columns"])
-    if grid.max_x != int(obj["max_x"]):
-        raise ValueError("max_x does not match the column data")
-    return grid
 
 
 def report_to_obj(report: SearchReport) -> dict:
@@ -65,19 +40,3 @@ def report_to_obj(report: SearchReport) -> dict:
             for m, reps in sorted(report.representatives.items())
         },
     }
-
-
-def report_from_obj(obj: dict) -> SearchReport:
-    field = Field(int(obj["D"]))
-    reps = {
-        int(m): tuple(element_from_obj(field, o) for o in items)
-        for m, items in obj["representatives"].items()
-    }
-    return SearchReport(
-        field=field,
-        m_max=int(obj["m_max"]),
-        k_max=int(obj["k_max"]),
-        y_max=int(obj["y_max"]),
-        slice_counts=tuple(tuple(int(v) for v in row) for row in obj["slice"]),
-        representatives=reps,
-    )

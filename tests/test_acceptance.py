@@ -251,7 +251,7 @@ def test_criterion_8_invariant_suites(contexts, pool):
                 for beta in enumerate_interval(alpha):
                     rest = grid.value(alpha.a - beta.a, alpha.b - beta.b)
                     assert rest is not None
-                    total = total + sigma_K(beta, grid.divisors) * rest
+                    total = total + sigma_K(beta) * rest
                 assert total == alpha * c, (D, x, y)
 
         # slice lemmas on the search regions

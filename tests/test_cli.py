@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import quadpartitions
-from quadpartitions import BudgetExceeded, InvariantViolation, cli, fixtures
+from quadpartitions import BudgetExceeded, GridPool, InvariantViolation, cli, fixtures
 
 REFERENCE = Path(quadpartitions.__file__).parent / "reference"
 
@@ -153,6 +153,7 @@ def test_usage_errors_exit_1(capsys):
         ("dm", "--m", "3", "--Dmax", "-5"),
         ("dm", "--m", "3", "--Dmax", "1"),
         ("estimate", "--D", "2", "--a", "1", "--b", "1"),
+        ("estimate", "--D", "2", "--a", "1" + "0" * 200, "--b", "0"),
         ("verify", "--fixtures", "/nonexistent/path"),
         ("nonsense",),
         (),
@@ -301,5 +302,5 @@ def test_verify_lets_an_engine_error_propagate(monkeypatch):
     monkeypatch.setattr(fixtures, "cone_rows", broken)
     doc = json.loads((REFERENCE / "grid-xy-D2.json").read_text())
     with pytest.raises(ValueError, match="engine bug") as info:
-        fixtures.verify_document(doc)
+        fixtures.verify_document(doc, GridPool())
     assert not isinstance(info.value, fixtures.MalformedDocument)

@@ -15,7 +15,7 @@ from quadpartitions import (
     sigma_K,
 )
 from quadpartitions import partition
-from quadpartitions.partition import DivisorCache, cone_columns, content
+from quadpartitions.partition import cone_columns, content
 
 from conftest import TABULATED_D, euler_product
 
@@ -49,13 +49,15 @@ def brute_interval(alpha: QElement) -> set[QElement]:
 
 
 def test_divisor_cache():
-    dc = DivisorCache()
-    assert dc.divisors(12) == (1, 2, 3, 4, 6, 12)
-    assert dc.divisors(1) == (1,)
-    assert dc.sigma(12) == 28
-    assert dc.sigma(1) == 1
+    assert partition.divisors(12) == (1, 2, 3, 4, 6, 12)
+    assert partition.divisors(1) == (1,)
+    assert partition.divisors(49) == (1, 7, 49)
+    assert partition.sigma(12) == 28
+    assert partition.sigma(1) == 1
     with pytest.raises(ValueError):
-        dc.divisors(0)
+        partition.divisors(0)
+    with pytest.raises(ValueError):
+        partition.sigma(0)
 
 
 def test_content_and_sigma_k():
@@ -171,7 +173,6 @@ def test_recurrence_coefficients_recheck(pool):
         f = Field(D)
         grid = pool.grid(f)
         grid.ensure(10)
-        dc = DivisorCache()
         for x, y, c in grid.cells():
             if x > 10:
                 continue
@@ -181,7 +182,7 @@ def test_recurrence_coefficients_recheck(pool):
                 rest = alpha - beta
                 pr = grid.value(rest.a, rest.b)
                 assert pr is not None
-                total = total + sigma_K(beta, dc) * pr
+                total = total + sigma_K(beta) * pr
             assert total == alpha * c, (D, x, y)
 
 
@@ -248,6 +249,12 @@ def test_ensure_completes_partial_columns():
     fresh.ensure(12)
     assert grid.max_x == 12
     assert grid.to_columns() == fresh.to_columns()
+    assert list(grid.cells()) == list(fresh.cells())
+    # extended further, it still equals a fresh build on every cell
+    grid.ensure(20)
+    fresh = PartitionGrid(f)
+    fresh.ensure(20)
+    assert grid.max_x == 20
     assert list(grid.cells()) == list(fresh.cells())
 
 
@@ -404,10 +411,12 @@ def test_cone_columns_runs_the_cheaper_kernel(monkeypatch):
 
 
 def test_recurrence_madds_matches_the_loop():
-    # The same (u, v) bounds as PartitionGrid._cell, counted step by step.
-    for D in (2, 5, 13):
+    # The same (u, v) bounds as PartitionGrid._cell, counted step by step.  The
+    # counts are exact, so the larger cases pin (madds, cells) of ensure(X).
+    pinned = {(2, 40): (223_660, 1_160), (3, 60): (745_434, 2_114),
+              (5, 30): (179_677, 1_039), (13, 50): (390_404, 1_532)}
+    for D, X in [(2, 14), (5, 14), (13, 14), *pinned]:
         f = Field(D)
-        X = 14
         fdo = [f.floor_div_omega(x) for x in range(X + 1)]
         fdx = [f.floor_div_xi(x) for x in range(X + 1)]
         steps = 0
@@ -415,4 +424,7 @@ def test_recurrence_madds_matches_the_loop():
             for y in range(-fdo[x], fdx[x] + 1):
                 for u in range(1, x):
                     steps += max(0, min(y + fdo[x - u], fdx[u]) - max(y - fdx[x - u], -fdo[u]) + 1)
-        assert partition._recurrence_madds([fdo[x] + fdx[x] + 1 for x in range(X + 1)]) == steps
+        sizes = [fdo[x] + fdx[x] + 1 for x in range(X + 1)]
+        assert partition._recurrence_madds(sizes) == steps
+        if (D, X) in pinned:
+            assert (steps, sum(sizes[1:])) == pinned[D, X], (D, X)
