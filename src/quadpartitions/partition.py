@@ -1,6 +1,6 @@
 """Partition counts p(alpha) for totally positive elements.
 
-Two independent algorithms compute p.  The first is an exact recurrence:
+One exact recurrence computes p:
 
     alpha * p(alpha) = sum over 0 < beta <= alpha of sig(beta) * p(alpha - beta)
 
@@ -9,23 +9,26 @@ sig(beta) = (beta / c) * sigma(c) with c = gcd of the coordinates of beta
 and sigma the rational sum-of-divisors function.  Matching coefficients in
 the basis (1, w) recovers p(alpha) by one exact division, and the second
 coordinate cross-checks it; any mismatch raises DivisibilityViolation.
-Cells are filled column by column in the first coordinate.  Every summand
-beta has first coordinate >= 1, so a cell only depends on strictly earlier
-columns and the recurrence is well founded.  PartitionGrid fills order ideals
-of the cone on demand with it.
+Every summand beta has first coordinate >= 1, so a cell only depends on
+strictly earlier columns and the recurrence is well founded.
 
-The second expands the Euler product of 1/(1 - q^beta) over the whole cone
-up to a column, packed into one big int (Kronecker substitution), and
-ParityGrid is its mod-2 case, with 1-bit slots and XOR in place of addition.
-It shares no arithmetic with the recurrence, so each checks the other.
-cone_columns and cone_rows, the xy view, read the whole cone from whichever
-of the two is estimated cheaper: the product up to X of about 200 for small
-D, the recurrence above.
+It runs in two layouts.  PartitionGrid computes it cell by cell on order
+ideals of the cone, filled on demand.  cone_columns computes the whole cone
+up to a column, one column at a time: each column is one big int with a
+slot of B bits per cell (Kronecker substitution), and column x is a sum of
+x products of packed columns.  cone_rows, the xy view, reads it.
+
+Two checks are independent of the recurrence over the cone.  Every column of
+cone_columns must sum to R(x), the number of partitions of x into parts
+counted by their first coordinate, or InvariantViolation is raised.  And
+ParityGrid expands the Euler product of 1/(1 - q^beta) modulo 2, with 1-bit
+slots and XOR in place of addition, so the tests compare p mod 2 from either
+layout with a product that never runs the recurrence.
 
 euler_transform is the one-variable form of the recurrence, for a product
 prod_k (1 - q^k)^(-c[k]) over the rational integers: p_rational uses it with
-c = 1, parity.cumulative_P with the trace-layer counts, and the Euler product
-with the column sizes, for its slot width and its column-sum check.
+c = 1, parity.cumulative_P with the trace-layer counts, and cone_columns with
+the column sizes, for its slot width and its column-sum check.
 """
 
 from __future__ import annotations
@@ -54,19 +57,18 @@ __all__ = [
 # Apery's constant zeta(3), used only by the floating-point diagnostic below.
 ZETA3 = 1.2020569031595942854
 
-# Throughput of the three cone kernels on a 2-core host with Python 3.11,
-# measured for D = 2..97 and X = 40..260: estimated 64-bit word operations per
-# second of the exact fold and of the XOR fold (see _fold_ms), and multiply-adds
-# per second of the recurrence (see _recurrence_madds).  The exact fold's rate
-# is the one it keeps once its int outgrows about 400 KB (X >= 140 for D = 2
-# or 5), where its cost meets the recurrence's; smaller ints fold up to 1.6x
-# faster, which only widens the product's lead.
-_ADD_FOLD_OPS_PER_S = 2_500_000_000
+# Throughput of the two cone kernels on a 2-core host with Python 3.11:
+# estimated 64-bit word operations per second of ParityGrid's XOR fold (see
+# _fold_ms), measured for D = 2..97 and X = 40..260, and slot products per
+# second of cone_columns (see _recurrence_madds).  The latter falls as the
+# columns and their slots widen: 8e7 at X = 100 and 5e7 at X = 200 for D = 2,
+# 2.6e7 at X = 316 and 2.1e7 at X = 430, where the budget bites.  The rate is
+# that last one, so smaller cones run faster than estimated.
 _XOR_FOLD_OPS_PER_S = 5_000_000_000
-_MADDS_PER_S = 7_000_000
+_MADDS_PER_S = 21_000_000
 # The longest estimated run, in milliseconds on that host, that is started.
-# The recurrence took 55 s for the xy view of D=2 up to x = 260, and 56 s for
-# D=5 up to x = 210, so every run it finished in about a minute stays inside.
+# The xy view runs up to x = 416 for D=2 and 331 for D=5, estimated at two
+# minutes each, and is refused beyond.
 _BUDGET_MS = 120_000
 
 
@@ -371,13 +373,6 @@ class PartitionGrid:
             raise DivisibilityViolation(f"nonpositive count {p} at (x={x}, y={y})")
         return p
 
-    def to_columns(self) -> list[dict]:
-        """The complete columns x <= max_x as {"x", "y_min", "counts"}."""
-        return [
-            {"x": x, "y_min": self._vmin[x], "counts": list(self._cols[x])}
-            for x in range(self.max_x + 1)
-        ]
-
 
 def _cone_layout(field: Field, X: int) -> tuple[list[int], list[int], int, int]:
     """(fdo, fdx, W, L) of the cone up to column X packed into one int, slot x*W + y.
@@ -425,7 +420,8 @@ def _recurrence_madds(sizes: Sequence[int]) -> int:
 
     For each u < x the cells of column x walk |W(u)| * |W(x - u)| pairs in
     all, so the total is the sum of sizes[u] * sizes[g] over u, g >= 1 with
-    u + g <= X: sizes[u] times the sum of sizes[1..X - u].
+    u + g <= X: sizes[u] times the sum of sizes[1..X - u].  The products
+    S0_u * C_(x-u) of cone_columns multiply as many pairs of slots.
     """
     X = len(sizes) - 1
     below = [0]
@@ -435,7 +431,7 @@ def _recurrence_madds(sizes: Sequence[int]) -> int:
 
 
 def _madds_ms(madds: int) -> int:
-    """Estimated milliseconds of the recurrence for madds multiply-adds."""
+    """Estimated milliseconds of cone_columns for madds multiply-adds."""
     return madds * 1000 // _MADDS_PER_S
 
 
@@ -460,8 +456,8 @@ class ParityGrid:
     to max_x is one int F whose bit x*W + y holds p(x + y*w) mod 2 (the
     layout of _cone_layout with 1-bit slots).  Every coin beta = (u, v) with
     u <= max_x is folded in as the factors 1 + t^(s*2^k) for s = u*W + v and
-    every s*2^k < L.  This is _product_columns modulo 2: 1-bit slots and XOR
-    for +, so each factor touches B times fewer words.
+    every s*2^k < L.  It shares no arithmetic with the recurrence, so it
+    checks the counts of PartitionGrid and cone_columns mod 2 independently.
     """
 
     def __init__(self, field: Field) -> None:
@@ -524,99 +520,92 @@ class GridPool:
 def cone_columns(field: Field, max_x: int) -> list[list[int]]:
     """p(x + y*w) over the whole window y = -floor(x/omega)..floor(x/xi) of each column x <= max_x.
 
-    Two kernels compute the same counts, the packed Euler product of
-    _product_columns and the recurrence of PartitionGrid.ensure, and the one
-    of lower estimated cost runs (see _cone_costs).  Raises BudgetExceeded,
-    before any work, when that estimate is over budget.
+    The recurrence of PartitionGrid, a column at a time on packed ints.
+    Column g is one int C_g with B bits per cell, p(g, y) at slot
+    y + floor(g/omega), and S0_u, S1_u pack the weights sig0(u, v) = (u/c)*sigma(c)
+    and sig1(u, v) = ((u + v)/c)*sigma(c), c = gcd(u, v), over column u's
+    window.  The slots of the product S0_u * C_g, g = x - u, that sum to y
+    hold the terms of beta = (u, .) in column x's sum for p(x, y), at slot
+    y + floor(u/omega) + floor(g/omega), so
+
+        T0 = sum over u = 1..x of (S0_u * C_(x-u)) << (fdo[x] - fdo[u] - fdo[x-u])*B
+
+    holds x*p(x, y) at slot y + floor(x/omega), and T1, with S1_u, holds
+    (x + y)*p(x, y); the shifts are >= 0 as floor(t/omega) is superadditive.
+    p is T0's slot divided by x, and T1's slot must equal (x + y)*p, which is
+    PartitionGrid's check S1 = y*p; a remainder or a mismatch raises
+    DivisibilityViolation.  Column x costs x products of two packed columns,
+    where PartitionGrid.ensure walks every pair of cells one multiply-add at
+    a time.
+
+    Why B bits never carry.  B = bitlen((X + floor(X/xi)) * R(X)) rounded up
+    to whole bytes, X = max_x, where R(n), the sum of column n, is the Euler
+    transform of the column sizes.  Every totally positive element has
+    x >= 1, so x is an additive, positive integer functional on the cone,
+    and R(n) counts the partitions into parts counted by their x.  p(alpha)
+    is one term of R(x(alpha)), and R is nondecreasing (adding the part 1
+    maps the partitions counted by R(n) injectively into those of R(n + 1)),
+    so p(alpha) <= R(X).  u + v > 0 on the cone, as v >= -floor(u/omega) and
+    omega > 1, so every weight and every count is nonnegative, and every
+    partial sum of a slot, within one product or across them, is at most its
+    final value x*p or (x + y)*p <= (X + floor(X/xi)) * R(X).  Each column's
+    sum is still checked against R(x), and a mismatch raises
+    InvariantViolation.
+
+    Raises BudgetExceeded, before any work, when the estimated cost is over
+    budget.
     """
-    layout, R, costs = _cone_costs(field, max_x)
-    if costs["product"] <= costs["recurrence"]:
-        _check_budget(max_x, costs["product"], "its Euler product would take about")
-        return _product_columns(field, *layout, R)
-    _check_budget(max_x, costs["recurrence"], "its recurrence would take about")
-    grid = PartitionGrid(field)
-    grid.ensure(max_x)
-    return [column["counts"] for column in grid.to_columns()]
-
-
-def _cone_costs(
-    field: Field, X: int
-) -> tuple[tuple[list[int], list[int], int, int], list[int] | None, dict[str, int]]:
-    """(layout, R, costs) of the cone up to column X, for cone_columns.
-
-    layout is _cone_layout's, R the Euler transform of the column sizes, and
-    costs each kernel's estimated milliseconds.  The fold costs about
-    X^4 log X * B/64 word operations and the recurrence about X^4 small
-    multiply-adds, so the product is cheaper up to X of about 200 for D = 2
-    (170 for D = 5, further for larger D) and the recurrence beyond.  R costs
-    O(X^2), so it is computed, and the product costed at its real B, only
-    when the fold at the least B, one byte, is within budget; otherwise R is
-    None.
-    """
-    layout = _cone_layout(field, X)
-    fdo, fdx, _, L = layout
-    sizes = [fdo[u] + fdx[u] + 1 for u in range(X + 1)]
-    parts = sum(sizes) - 1
-    product = _fold_ms(parts, L, 8, _ADD_FOLD_OPS_PER_S)
-    R = None
-    if product <= _BUDGET_MS:
-        R = euler_transform([0] + sizes[1:])
-        product = _fold_ms(parts, L, 8 * _slot_bytes(R[X]), _ADD_FOLD_OPS_PER_S)
-    return layout, R, {"product": product, "recurrence": _madds_ms(_recurrence_madds(sizes))}
-
-
-def _slot_bytes(top: int) -> int:
-    """Whole bytes per slot that hold every count up to top."""
-    return (top.bit_length() + 7) // 8
-
-
-def _product_columns(
-    field: Field, fdo: list[int], fdx: list[int], W: int, L: int, R: list[int]
-) -> list[list[int]]:
-    """The columns of cone_columns from the Euler product of 1/(1 - q^beta).
-
-    The counts are the coefficients of the product over the parts
-    beta = (u, v) with u <= X, packed B bits per slot in the layout of
-    _cone_layout (Kronecker substitution).  Each part with offset
-    s = u*W + v is folded in as the factors 1 + t^(s*2^k), s*2^k < L, each
-    one shift, one mask and one add on the whole int.  R is the Euler
-    transform of the column sizes.
-
-    Why B bits never carry.  Every totally positive element has x >= 1, so
-    x is an additive, positive integer functional on the cone, and R(n), the
-    sum of column n, is the number of partitions into parts counted by their
-    x: the Euler transform of the column sizes.  p(alpha) is one term of
-    R(x(alpha)), and R is nondecreasing (adding the part 1 maps the
-    partitions counted by R(n) injectively into those of R(n + 1)), so
-    p(alpha) <= R(X).  Every factor has nonnegative coefficients and
-    constant term 1, so every partial product is coefficientwise <= the final
-    one, and B = bitlen(R(X)), rounded up to whole bytes for to_bytes,
-    holds every slot at every step.  Each column's slot sum is still checked
-    against R(x), and a mismatch raises InvariantViolation.
-    """
-    X = len(fdo) - 1
-    nbytes = _slot_bytes(R[X])
+    fdo, fdx, _, _ = _cone_layout(field, max_x)
+    sizes = [fdo[x] + fdx[x] + 1 for x in range(max_x + 1)]
+    ms = _madds_ms(_recurrence_madds(sizes))
+    _check_budget(max_x, ms, "its recurrence would take about")
+    R = euler_transform([0] + sizes[1:])
+    nbytes = (((max_x + fdx[max_x]) * R[max_x]).bit_length() + 7) // 8
     B = 8 * nbytes
-    full = (1 << L * B) - 1
-    F = 1
-    for u in range(1, X + 1):
-        for v in range(-fdo[u], fdx[u] + 1):
-            s = u * W + v
-            while s < L:
-                F += (F & (full >> s * B)) << s * B
-                s <<= 1
-    buf = F.to_bytes(L * nbytes, "little")
-    cols = []
-    for x in range(X + 1):
-        col = [
-            int.from_bytes(buf[i * nbytes : (i + 1) * nbytes], "little")
-            for i in range(x * W - fdo[x], x * W + fdx[x] + 1)
-        ]
+
+    def pack(values: list[int]) -> int:
+        return int.from_bytes(b"".join(v.to_bytes(nbytes, "little") for v in values), "little")
+
+    cols = [[1]]  # p(0) = 1
+    C = [1]
+    S0 = [0]
+    S1 = [0]
+    for x in range(1, max_x + 1):
+        f = fdo[x]
+        sig0 = []
+        sig1 = []
+        for v in range(-f, fdx[x] + 1):
+            c = gcd(x, v)
+            sc = sigma(c)
+            sig0.append((x // c) * sc)
+            sig1.append(((x + v) // c) * sc)
+        S0.append(pack(sig0))
+        S1.append(pack(sig1))
+        T0 = 0
+        T1 = 0
+        for u in range(1, x + 1):
+            g = x - u
+            shift = (f - fdo[u] - fdo[g]) * B
+            T0 += (S0[u] * C[g]) << shift
+            T1 += (S1[u] * C[g]) << shift
+        t0 = T0.to_bytes(sizes[x] * nbytes, "little")
+        t1 = T1.to_bytes(sizes[x] * nbytes, "little")
+        col = []
+        for i in range(0, sizes[x] * nbytes, nbytes):
+            y = i // nbytes - f
+            xp = int.from_bytes(t0[i : i + nbytes], "little")
+            p, r = divmod(xp, x)
+            if r or p < 1 or int.from_bytes(t1[i : i + nbytes], "little") != (x + y) * p:
+                raise DivisibilityViolation(
+                    f"coefficient match failed at (x={x}, y={y}): x*p = {xp}"
+                )
+            col.append(p)
         if sum(col) != R[x]:
             raise InvariantViolation(
-                f"column {x} of the Euler product for D={field.D} sums to {sum(col)}, not {R[x]}"
+                f"column {x} of the cone for D={field.D} sums to {sum(col)}, not R({x}) = {R[x]}"
             )
         cols.append(col)
+        C.append(pack(col))
     return cols
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import quadpartitions
-from quadpartitions import BudgetExceeded, GridPool, InvariantViolation, cli, fixtures
+from quadpartitions import BudgetExceeded, Field, GridPool, InvariantViolation, cli, fixtures, partition
 
 REFERENCE = Path(quadpartitions.__file__).parent / "reference"
 
@@ -268,6 +268,16 @@ def test_runs_over_the_cost_budget_exit_4_at_once(capsys):
     # The largest argvs of the benchmark pool stay well inside the budget.
     for argv in (("grid", "--D", "15", "--max-x", "100"), ("parity", "--D", "2", "--N", "90")):
         assert run(capsys, *argv)[0] == 0, argv
+    # The xy view runs up to x = 416 for D=2 and 331 for D=5, and is refused
+    # at once from the next X on.
+    for D, X in ((2, 260), (5, 210), (2, 316), (5, 251), (2, 416), (5, 331)):
+        f = Field(D)
+        sizes = [f.floor_div_omega(x) + f.floor_div_xi(x) + 1 for x in range(X + 1)]
+        assert partition._madds_ms(partition._recurrence_madds(sizes)) <= partition._BUDGET_MS, D
+    for argv in (("grid", "--D", "2", "--max-x", "417"), ("grid", "--D", "5", "--max-x", "332")):
+        start = time.perf_counter()
+        assert run(capsys, *argv)[:2] == (4, ""), argv
+        assert time.perf_counter() - start < 2, argv
 
 
 def _drop_corner(doc):

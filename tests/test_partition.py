@@ -14,10 +14,10 @@ from quadpartitions import (
     p_rational,
     sigma_K,
 )
-from quadpartitions import partition
+from quadpartitions import cli, partition
 from quadpartitions.partition import cone_columns, content
 
-from conftest import TABULATED_D, euler_product
+from conftest import TABULATED_D, euler_product, grid_columns
 
 SPOT_VALUES = {
     # (D, a, b) -> p, frozen reference values
@@ -217,7 +217,7 @@ def test_count_stores_exactly_the_interval():
         assert grid.max_x < a
         dense = PartitionGrid(f)
         dense.ensure(grid.max_x)
-        assert grid.to_columns() == dense.to_columns()
+        assert grid_columns(grid, grid.max_x) == grid_columns(dense, grid.max_x)
     grid = PartitionGrid(Field(2))
     assert grid.count(Field(2).element(3, 2)) == 1  # the unit 3+2*sqrt(2)
     assert grid.value(3, 0) is None and grid.value(1, 0) is None
@@ -248,7 +248,7 @@ def test_ensure_completes_partial_columns():
     fresh = PartitionGrid(f)
     fresh.ensure(12)
     assert grid.max_x == 12
-    assert grid.to_columns() == fresh.to_columns()
+    assert grid_columns(grid, 12) == grid_columns(fresh, 12)
     assert list(grid.cells()) == list(fresh.cells())
     # extended further, it still equals a fresh build on every cell
     grid.ensure(20)
@@ -358,17 +358,35 @@ def test_parity_grid_value_outside_cone_is_none():
 
 
 def test_euler_product_matches_the_recurrence_to_x60(pool):
-    # Every cell of every column x <= 60, y < 0 included.  D=2 at X=60 also
-    # catches a W no wider than column X (see test_parity_grid_matches_exact_grid_mod_2).
+    # Every cell of every column x <= 60, y < 0 included, from three algorithms.
+    # D=2 at X=60 also catches a W no wider than column X in the product (see
+    # test_parity_grid_matches_exact_grid_mod_2).
     for D in TABULATED_D:
         f = Field(D)
         exact = pool.grid(f)
         exact.ensure(60)
-        cols = euler_product(f, 60)
+        cols = cone_columns(f, 60)
         assert len(cols) == 61
+        assert cols == euler_product(f, 60), D
+        assert cols == grid_columns(exact, 60), D
+
+
+def test_cone_columns_match_the_euler_product_to_x100():
+    # Slots of 72 bits in cone_columns and 64 in the product, wider than at x <= 60.
+    for D in (2, 3):
+        f = Field(D)
+        assert cone_columns(f, 100) == euler_product(f, 100), D
+
+
+def test_cone_columns_match_the_parity_grid_to_x100():
+    for D in TABULATED_D:
+        f = Field(D)
+        par = ParityGrid(f)
+        par.ensure(100)
+        cols = cone_columns(f, 100)
         for x, col in enumerate(cols):
-            lo, hi = exact.column_window(x)
-            assert col == [exact.value(x, y) for y in range(lo, hi + 1)], (D, x)
+            lo = -f.floor_div_omega(x)
+            assert [p % 2 for p in col] == [par.value(x, lo + i) for i in range(len(col))], (D, x)
 
 
 def test_euler_product_column_sum_mismatch_raises(monkeypatch):
@@ -380,34 +398,22 @@ def test_euler_product_column_sum_mismatch_raises(monkeypatch):
         return R
 
     monkeypatch.setattr(partition, "euler_transform", one_too_many_at_3)
-    with pytest.raises(InvariantViolation, match="column 3 of the Euler product for D=2"):
-        euler_product(Field(2), 10)
+    with pytest.raises(InvariantViolation, match="column 3 of the cone for D=2 sums to"):
+        cone_columns(Field(2), 10)
 
 
-def test_cone_columns_runs_the_cheaper_kernel(monkeypatch):
-    # The product wins the whole benchmark range (X <= 100) and far beyond for
-    # large D; the recurrence wins past X of about 200 for small D.
-    for D, X, cheaper in [(2, 100, "product"), (5, 100, "product"), (31, 150, "product"),
-                          (2, 300, "recurrence"), (5, 250, "recurrence")]:
-        costs = partition._cone_costs(Field(D), X)[2]
-        assert min(costs, key=costs.get) == cheaper, (D, X, costs)
-    # The runs the recurrence alone finished in about a minute stay in budget.
-    for D, X in [(2, 260), (5, 210)]:
-        assert min(partition._cone_costs(Field(D), X)[2].values()) <= partition._BUDGET_MS
-    f = Field(13)
-    ran = []
-    monkeypatch.setattr(partition, "_product_columns", lambda *a: ran.append(a) or [])
-    assert cone_columns(f, 30) == [] and len(ran) == 1
-    # Where the recurrence is the cheaper kernel it runs, with the same counts.
-    real_costs = partition._cone_costs
-
-    def recurrence_cheaper(field, X):
-        layout, R, costs = real_costs(field, X)
-        return layout, R, {"product": costs["recurrence"] + 1, "recurrence": costs["recurrence"]}
-
-    monkeypatch.undo()
-    monkeypatch.setattr(partition, "_cone_costs", recurrence_cheaper)
-    assert cone_columns(f, 30) == euler_product(f, 30)
+def test_wrong_weight_raises_divisibility_violation(monkeypatch, capsys):
+    # sigma(2) off by one corrupts the weight of every part with content 2.  The
+    # first such cell is (2, 0): 2*p = 1 + sigma(2) is odd, where the cell
+    # (2, -1) before it has content 1.
+    real = partition.sigma
+    monkeypatch.setattr(partition, "sigma", lambda c: real(c) + (c == 2))
+    with pytest.raises(DivisibilityViolation, match=r"at \(x=2, y=0\)"):
+        cone_columns(Field(2), 10)
+    code = cli.main(["grid", "--D", "2", "--max-x", "10"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and "at (x=2, y=0)" in err
 
 
 def test_recurrence_madds_matches_the_loop():

@@ -1,5 +1,6 @@
 """Property tests on random fields: the exact floors and signs against decimal
-arithmetic, and the packed Euler product against the recurrence."""
+arithmetic, and the packed columns against the per-cell recurrence and the
+Euler product."""
 
 import random
 from decimal import ROUND_FLOOR, Decimal, localcontext
@@ -10,9 +11,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from quadpartitions import Field, PartitionGrid, QElement, build_context, is_squarefree  # noqa: E402
-from quadpartitions.partition import cone_rows  # noqa: E402
+from quadpartitions.partition import cone_columns, cone_rows  # noqa: E402
 
-from conftest import euler_product  # noqa: E402
+from conftest import euler_product, grid_columns  # noqa: E402
 
 SQUAREFREE = [D for D in range(2, 300) if is_squarefree(D)]
 SQUAREFREE_10K = [D for D in range(2, 10_000) if is_squarefree(D)]
@@ -53,10 +54,11 @@ def test_floors_and_signs_match_decimal(D, u, a, b, near):
 @given(D=st.sampled_from(SQUAREFREE), X=st.integers(0, 25))
 def test_euler_product_rows_match_the_recurrence(D, X):
     f = Field(D)
-    cols = euler_product(f, X)
+    cols = cone_columns(f, X)
     grid = PartitionGrid(f)
     grid.ensure(X)
-    assert cols == [column["counts"] for column in grid.to_columns()]
+    assert cols == grid_columns(grid, X)
+    assert cols == euler_product(f, X)
     # Column x runs from y = -floor(x/omega); the rows hold y >= 0, 0 outside the cone.
     rows = cone_rows(f, X)
     bottoms = [f.floor_div_omega(x) for x in range(X + 1)]
