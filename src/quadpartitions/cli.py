@@ -9,6 +9,7 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import Callable
@@ -456,10 +457,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reads, built once per process.
+
+    It depends on no input, and parse_args returns a new Namespace on every
+    call, so nothing else is kept between calls of main.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)

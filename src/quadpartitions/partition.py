@@ -438,7 +438,7 @@ def _madds_ms(madds: int) -> int:
 def _check_budget(X: int, ms: int, what: str) -> None:
     """Raise BudgetExceeded when ms, what's estimate for the cone up to x = X, is over budget."""
     if ms > _BUDGET_MS:
-        secs = ms // 1000
+        secs = -(-ms // 1000)  # rounded up, so it always reads above the budget
         # Beyond 1e300 no float holds secs.
         about = secs if secs < 10**6 else f"{secs:.1e}" if secs < 10**300 else "over 1e+300"
         raise BudgetExceeded(

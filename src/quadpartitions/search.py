@@ -15,7 +15,6 @@ has p >= m with y_max >= floor(eps_plus / (xi + omega)).
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .contfrac import FieldContext, build_context, floor_ratio_eps
@@ -184,6 +183,9 @@ def dm_scan(m: int, D_values: list[int] | tuple[int, ...], jobs: int = 1) -> tup
         work.append((D, m))
     workers = worker_count(jobs, len(work), os.cpu_count() or 1)
     if workers > 1:
+        # Imported here: it loads multiprocessing, which only a pool needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_misses, work))
     else:

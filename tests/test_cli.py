@@ -1,12 +1,25 @@
 import json
+import multiprocessing.process
+import os
 import shutil
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
 import quadpartitions
-from quadpartitions import BudgetExceeded, Field, GridPool, InvariantViolation, cli, fixtures, partition
+from quadpartitions import (
+    BudgetExceeded,
+    Field,
+    GridPool,
+    InvariantViolation,
+    cli,
+    fixtures,
+    partition,
+    search,
+)
 
 REFERENCE = Path(quadpartitions.__file__).parent / "reference"
 
@@ -15,6 +28,25 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def start_python(*args):
+    """Start python with args in a fresh interpreter that imports this package."""
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, (str(REFERENCE.parents[1]), os.environ.get("PYTHONPATH")))),
+        PYTHONIOENCODING="utf-8",
+        COLUMNS="80",  # argparse wraps --help to the terminal width
+    )
+    return subprocess.Popen(
+        [sys.executable, *args], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, encoding="utf-8"
+    )
+
+
+def finish(proc):
+    """(exit code, stdout, stderr) of a process from start_python."""
+    out, err = proc.communicate()
+    return proc.returncode, out, err
 
 
 def test_grid_xy_json_matches_fixture(capsys):
@@ -274,10 +306,21 @@ def test_runs_over_the_cost_budget_exit_4_at_once(capsys):
         f = Field(D)
         sizes = [f.floor_div_omega(x) + f.floor_div_xi(x) + 1 for x in range(X + 1)]
         assert partition._madds_ms(partition._recurrence_madds(sizes)) <= partition._BUDGET_MS, D
-    for argv in (("grid", "--D", "2", "--max-x", "417"), ("grid", "--D", "5", "--max-x", "332")):
+    # The estimate is rounded up, so a refusal never reads "about 120 s, more than 120 s".
+    refusals = {
+        ("grid", "--D", "2", "--max-x", "417"): 121,
+        ("grid", "--D", "5", "--max-x", "332"): 122,
+    }
+    for argv, secs in refusals.items():
         start = time.perf_counter()
-        assert run(capsys, *argv)[:2] == (4, ""), argv
+        code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 2, argv
+        assert (code, out) == (4, ""), argv
+        assert err == (
+            f"the cone up to x = {argv[-1]} is over the cost budget: "
+            f"its recurrence would take about {secs} s, more than 120 s\n"
+        )
+        assert secs > partition._BUDGET_MS // 1000
 
 
 def _drop_corner(doc):
@@ -314,3 +357,71 @@ def test_verify_lets_an_engine_error_propagate(monkeypatch):
     with pytest.raises(ValueError, match="engine bug") as info:
         fixtures.verify_document(doc, GridPool())
     assert not isinstance(info.value, fixtures.MalformedDocument)
+
+
+def test_one_parser_serves_every_call_alike(monkeypatch, capsys):
+    # main builds its parser once per process; each call must still print
+    # what the same argv prints alone in a fresh interpreter.
+    argvs = (
+        ("search", "--D", "2", "--m", "0"),
+        ("--help",),
+        ("grid", "--D", "2", "--max-x", "417"),
+        ("grid", "--D", "5", "--max-x", "6", "--format", "tex"),
+        ("grid", "--D", "5", "--max-x", "6"),
+        ("grid", "--D", "2", "--view", "ky", "--kmax", "3", "--ymax", "4", "--format", "csv"),
+        ("search", "--D", "5", "--m", "5", "--format", "json"),
+        ("units", "--D", "7"),
+        ("dm", "--m", "3", "--format", "csv"),
+        ("parity", "--D", "3", "--N", "12", "--format", "json"),
+    )
+    builds = []
+    build_parser = cli.build_parser
+
+    def counting_build_parser():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    monkeypatch.setenv("COLUMNS", "80")
+    alone = [start_python("-m", "quadpartitions", *argv) for argv in argvs]
+    cli._parser.cache_clear()
+    for argv, proc in zip(argvs, alone):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == finish(proc), argv
+    assert len(builds) == 1
+    # The public builder still returns a new parser on every call.
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    code, out, err = finish(start_python(
+        "-c", "import sys, quadpartitions, quadpartitions.cli; print(*sorted(sys.modules))"
+    ))
+    assert (code, err) == (0, "")
+    loaded = out.split()
+    assert "quadpartitions.cli" in loaded
+    pool = [name for name in loaded
+            if name.split(".")[0] == "multiprocessing" or name.startswith("concurrent.futures")]
+    assert pool == []
+
+
+def test_dm_jobs_2_runs_a_pool_of_two_and_prints_the_serial_bytes(monkeypatch, capsys):
+    starts = []
+    real_start = multiprocessing.process.BaseProcess.start
+
+    def counting_start(self):
+        starts.append(self)
+        real_start(self)
+
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
+    for fmt in ("pretty", "csv", "json"):
+        serial = run(capsys, "dm", "--m", "5", "--jobs", "1", "--format", fmt)
+        assert starts == [], fmt
+        assert run(capsys, "dm", "--m", "5", "--jobs", "2", "--format", fmt) == serial, fmt
+        assert len(starts) == 2, fmt
+        starts.clear()
