@@ -218,16 +218,17 @@ def cmd_search(args: argparse.Namespace) -> int:
 
     _emit(args.format, report_to_obj(report), csv=csv, tex=tex, pretty=pretty)
     if args.explain and args.format == "pretty":
-        grid = PartitionGrid(field)
         print("partitions of the small representatives:")
         for m in ms:
             for e in reps[m]:
                 if e.a > 12:
                     continue
-                count = grid.count(e)
-                if count != m:
-                    raise InvariantViolation(f"{e} has {count} partitions, listed under m = {m}")
-                for part_list in enumerate_partitions(e):
+                parts = enumerate_partitions(e)
+                if len(parts) != m:
+                    raise InvariantViolation(
+                        f"{e} has {len(parts)} partitions, listed under m = {m}"
+                    )
+                for part_list in parts:
                     print(f"  {e} = " + " + ".join(str(p) for p in part_list))
     return 0
 

@@ -13,10 +13,11 @@ Every summand beta has first coordinate >= 1, so a cell only depends on
 strictly earlier columns and the recurrence is well founded.
 
 It runs in two layouts.  PartitionGrid computes it cell by cell on order
-ideals of the cone, filled on demand.  cone_columns computes the whole cone
-up to a column, one column at a time: each column is one big int with a
-slot of B bits per cell (Kronecker substitution), and column x is a sum of
-x products of packed columns.  cone_rows, the xy view, reads it.
+ideals of the cone, filled on demand, and stores each column as a dict of
+exactly the cells filled.  cone_columns computes the whole cone up to a
+column, one column at a time: each column is one big int with a slot of B
+bits per cell (Kronecker substitution), and column x is a sum of x products
+of packed columns.  cone_rows, the xy view, reads it.
 
 Two checks are independent of the recurrence over the cone.  Every column of
 cone_columns must sum to R(x), the number of partitions of x into parts
@@ -58,13 +59,12 @@ __all__ = [
 ZETA3 = 1.2020569031595942854
 
 # Throughput of the two cone kernels on a 2-core host with Python 3.11:
-# estimated 64-bit word operations per second of ParityGrid's XOR fold (see
+# estimated 64-bit word operations per second of ParityGrid's XOR fold (in
 # _fold_ms), measured for D = 2..97 and X = 40..260, and slot products per
 # second of cone_columns (see _recurrence_madds).  The latter falls as the
 # columns and their slots widen: 8e7 at X = 100 and 5e7 at X = 200 for D = 2,
 # 2.6e7 at X = 316 and 2.1e7 at X = 430, where the budget bites.  The rate is
 # that last one, so smaller cones run faster than estimated.
-_XOR_FOLD_OPS_PER_S = 5_000_000_000
 _MADDS_PER_S = 21_000_000
 # The longest estimated run, in milliseconds on that host, that is started.
 # The xy view runs up to x = 416 for D=2 and 331 for D=5, estimated at two
@@ -141,43 +141,27 @@ def enumerate_interval(alpha: QElement) -> Iterator[QElement]:
 class PartitionGrid:
     """Partition counts p(x + y*w) on an order ideal of the cone, filled on demand.
 
-    Column x stores one contiguous range of its exact window
-    [-floor(x/omega), floor(x/xi)]; value() returns None for every cell that
-    is not stored, inside the window or not.  Both ways in go through one
-    _fill, which stores the order ideal below a segment of one column.
-    count(alpha) fills the ideal below the single cell alpha, the interval
-    [0, alpha] that the recurrence reads, so a search near the cone's edge
-    touches a thin sliver instead of the whole cone.  ensure(X) fills the
-    ideal below column X's whole window, which is every column up to X.
-    max_x is the largest X whose columns up to X are all complete; columns
-    beyond it may hold partial ranges.
-
-    Why one range per column is enough.  [0, x + y*w] meets column u in the
-    window clipped to [y - floor((x-u)/xi), y + floor((x-u)/omega)]: one
-    interval, whose two ends never fall as y grows.  So the interval of a
-    cell lying between two cells of a column sits, in each lower column,
-    inside the hull of their two intervals, and the union of intervals filled
-    one after another mostly stays contiguous column by column.  Not always:
-    where an interval misses a column altogether (that of the unit
-    3+2*sqrt(2) meets neither column 1 nor column 2), the hull of a stored
-    range and a new one can hold cells whose own intervals reach past both,
-    and filling targets in an arbitrary order does run into them.  So _fill
-    takes that hull in every column and, for each new cell outside the
-    requested ideal, widens the lower columns' ranges by the cell's own
-    interval before computing anything.  The stored set stays an order ideal,
-    one range per column, and holds every cell the recurrence reads.
+    Column x is a dict {y: p(x + y*w)} of exactly the cells filled so far,
+    all inside its window [-floor(x/omega), floor(x/xi)]; value() returns
+    None for every other cell.  Both ways in go through one _fill, which
+    stores the order ideal below a segment of one column.  count(alpha)
+    fills the ideal below the single cell alpha, the interval [0, alpha]
+    that the recurrence reads, so a search near the cone's edge touches a
+    thin sliver instead of the whole cone.  ensure(X) fills the ideal below
+    column X's whole window, which is every column up to X.  The stored set
+    is the union of the ideals filled, itself an order ideal, so it holds
+    every cell the recurrence reads.  max_x is the largest X whose columns
+    up to X are all complete; columns beyond it may be partial.
     """
 
     def __init__(self, field: Field) -> None:
         self.field = field
-        self._cols: list[list[int]] = [[1]]  # p(0) = 1
-        self._vmin: list[int] = [0]
+        self._cols: list[dict[int, int]] = [{0: 1}]  # p(0) = 1
         self._fdo: list[int] = [0]
         self._fdx: list[int] = [0]
-        # sig coordinate tables, indexed by v + floor(x/omega): a list over the
-        # whole window once column x is complete, a dict of its stored cells before.
-        self._sig0: list[list[int] | dict[int, int]] = [[]]
-        self._sig1: list[list[int] | dict[int, int]] = [[]]
+        # sig coordinate tables of column x, keyed by y like the column.
+        self._sig0: list[dict[int, int]] = [{}]
+        self._sig1: list[dict[int, int]] = [{}]
         self._max_x = 0
 
     @property
@@ -194,11 +178,7 @@ class PartitionGrid:
         """Stored count at (x, y), or None when the cell is not stored."""
         if not 0 <= x < len(self._cols):
             return None
-        i = y - self._vmin[x]
-        col = self._cols[x]
-        if 0 <= i < len(col):
-            return col[i]
-        return None
+        return self._cols[x].get(y)
 
     def count(self, e: QElement) -> int:
         """p(e) for totally positive e, filling the interval [0, e] as needed."""
@@ -218,14 +198,14 @@ class PartitionGrid:
         """(y_min, y_max) of the window of a complete column x <= max_x."""
         if not 0 <= x <= self._max_x:
             raise ValueError(f"column {x} not built yet")
-        return self._vmin[x], self._vmin[x] + len(self._cols[x]) - 1
+        return -self._fdo[x], self._fdx[x]
 
     def cells(self) -> Iterator[tuple[int, int, int]]:
-        """Every stored (x, y, count) triple with x >= 1, complete column or not."""
+        """Every stored (x, y, count) triple with x >= 1, ascending in y within each column."""
         for x in range(1, len(self._cols)):
-            vmin = self._vmin[x]
-            for i, c in enumerate(self._cols[x]):
-                yield x, vmin + i, c
+            col = self._cols[x]
+            for y in sorted(col):
+                yield x, y, col[y]
 
     # ----- internals -----------------------------------------------------
 
@@ -235,8 +215,7 @@ class PartitionGrid:
         for u in range(len(self._cols), x + 1):
             self._fdo.append(fld.floor_div_omega(u))
             self._fdx.append(fld.floor_div_xi(u))
-            self._cols.append([])
-            self._vmin.append(-self._fdo[u])
+            self._cols.append({})
             self._sig0.append({})
             self._sig1.append({})
 
@@ -246,39 +225,22 @@ class PartitionGrid:
         That ideal is the union of the intervals [0, x + y*w], ylo <= y <= yhi,
         one range per column (see _below).  Below column x's whole window it
         is every full window up to x, as the floors are nondecreasing in u.
-
-        Top down, each column's new range is the hull of its stored range and
-        the requested one (widened by any gap cells above it); bottom up, the
-        missing cells of each range are computed by _cell, column by column.
+        Bottom up, each missing cell of a column's range gets its weights and
+        then its count from _cell, which reads only its own weights and lower
+        columns.
         """
         self._grow(x)
-        fdo, fdx = self._fdo, self._fdx
-        cols, vmins = self._cols, self._vmin
+        fdo, fdx, cols = self._fdo, self._fdx, self._cols
         lo, hi = self._below(x, ylo, yhi)
-        want = list(zip(lo, hi))
-        work: list[tuple[int, range, range]] = []
-        for u in range(x, 0, -1):
-            a, b = lo[u], hi[u]
-            if a > b:
-                continue
-            s, n = vmins[u], len(cols[u])
-            if not n:
-                s = b + 1
-            elif s <= a and b < s + n:
-                continue
-            below, above = range(min(a, s), s), range(s + n, max(b, s + n - 1) + 1)
-            work.append((u, below, above))
-            # New cells outside the request close a gap; store their intervals too.
-            ra, rb = want[u]
-            out = [v for v in (*below, *above) if not ra <= v <= rb]
-            if out:
-                self._widen(u, out[0], out[-1], lo, hi)
-        cell = self._cell
-        for u, below, above in reversed(work):
-            complete = below.start == -fdo[u] and above.stop == fdx[u] + 1
-            self._add_sig(u, (below, above), complete)
-            cols[u] = [cell(u, v) for v in below] + cols[u] + [cell(u, v) for v in above]
-            vmins[u] = below.start
+        for u in range(1, x + 1):
+            col, s0, s1 = cols[u], self._sig0[u], self._sig1[u]
+            for v in range(lo[u], hi[u] + 1):
+                if v not in col:
+                    c = gcd(u, v)
+                    sc = sigma(c)
+                    s0[v] = (u // c) * sc
+                    s1[v] = (v // c) * sc
+                    col[v] = self._cell(u, v)
         m = self._max_x
         while m + 1 < len(cols) and len(cols[m + 1]) == fdo[m + 1] + fdx[m + 1] + 1:
             m += 1
@@ -287,44 +249,20 @@ class PartitionGrid:
     def _below(self, x: int, ylo: int, yhi: int) -> tuple[list[int], list[int]]:
         """(lo, hi): the ideal below the segment (x, ylo..yhi) meets column u in lo[u]..hi[u].
 
-        [0, x + y*w] meets column u in one range whose ends never fall as y
-        grows (see the class docstring), and the nonempty ranges of
-        consecutive y leave no gap, so the segment's union runs from the lower
-        end at ylo to the upper end at yhi; lo[u] > hi[u] where it misses u.
+        [0, x + y*w] meets column u in the window clipped to
+        [y - floor((x-u)/xi), y + floor((x-u)/omega)], one range whose ends
+        never fall as y grows, and the nonempty ranges of consecutive y leave
+        no gap, so the segment's union runs from the lower end at ylo to the
+        upper end at yhi; lo[u] > hi[u] where it misses u.
         """
         fdo, fdx = self._fdo, self._fdx
         lo = [max(-fdo[u], ylo - fdx[x - u]) for u in range(x + 1)]
         hi = [min(fdx[u], yhi + fdo[x - u]) for u in range(x + 1)]
         return lo, hi
 
-    def _widen(self, u: int, c: int, d: int, lo: list[int], hi: list[int]) -> None:
-        """Widen lo/hi below column u to hold the ideal below the cells (u, c..d)."""
-        blo, bhi = self._below(u, c, d)
-        for r in range(1, u):
-            a, b = blo[r], bhi[r]
-            if a <= b:
-                if lo[r] > hi[r]:
-                    lo[r], hi[r] = a, b
-                else:
-                    lo[r], hi[r] = min(lo[r], a), max(hi[r], b)
-
-    def _add_sig(self, x: int, new: tuple[range, ...], complete: bool) -> None:
-        """Add sig(x + v*w) for every v in new to column x's coordinate tables."""
-        f = self._fdo[x]
-        s0, s1 = self._sig0[x], self._sig1[x]
-        for vs in new:
-            for v in vs:
-                c = gcd(x, v)
-                sc = sigma(c)
-                s0[v + f] = (x // c) * sc
-                s1[v + f] = (v // c) * sc
-        if complete:
-            self._sig0[x] = [s0[i] for i in range(len(s0))]
-            self._sig1[x] = [s1[i] for i in range(len(s1))]
-
     def _cell(self, x: int, y: int) -> int:
         fdo, fdx = self._fdo, self._fdx
-        cols, vmins = self._cols, self._vmin
+        cols = self._cols
         sig0, sig1 = self._sig0, self._sig1
         S0 = 0
         S1 = 0
@@ -343,18 +281,13 @@ class PartitionGrid:
             a0 = sig0[u]
             a1 = sig1[u]
             prev = cols[g]
-            i = lo + fdo[u]
-            j = (y - lo) - vmins[g]
-            for _ in range(lo, hi + 1):
-                P = prev[j]
-                S0 += a0[i] * P
-                S1 += a1[i] * P
-                i += 1
-                j -= 1
+            for v in range(lo, hi + 1):
+                P = prev[y - v]
+                S0 += a0[v] * P
+                S1 += a1[v] * P
         # The beta = alpha term contributes sig(alpha) * p(0).
-        i = y + fdo[x]
-        S0 += sig0[x][i]
-        S1 += sig1[x][i]
+        S0 += sig0[x][y]
+        S1 += sig1[x][y]
 
         # Recover p from alpha * p = (S0, S1) and cross-check both coordinates.
         if y:
@@ -399,20 +332,21 @@ def _cone_layout(field: Field, X: int) -> tuple[list[int], list[int], int, int]:
     # Every column holds the cell y = 0, so the cheapest kernel, the XOR fold,
     # folds at least X parts, and the recurrence does at least X(X-1)/2
     # multiply-adds.
-    lower = min(_fold_ms(X, L, 1, _XOR_FOLD_OPS_PER_S), _madds_ms(X * (X - 1) // 2))
+    lower = min(_fold_ms(X, L), _madds_ms(X * (X - 1) // 2))
     _check_budget(X, lower, "building it would take at least")
     fdo = [field.floor_div_omega(x) for x in range(X + 1)]
     fdx = [field.floor_div_xi(x) for x in range(X + 1)]
     return fdo, fdx, W, L
 
 
-def _fold_ms(parts: int, L: int, bits: int, ops_per_s: int) -> int:
-    """Estimated milliseconds to fold parts into L slots of bits bits each.
+def _fold_ms(parts: int, L: int) -> int:
+    """Estimated milliseconds of ParityGrid's XOR fold of parts into L one-bit slots.
 
     Each part is folded in as at most ceil(log2 L) factors, and each factor
-    is a shift, a mask and an add (or XOR) over L*bits/64 words.
+    is a shift, a mask and an XOR over L/64 words, at 5e9 word operations
+    per second.
     """
-    return parts * (L - 1).bit_length() * L * bits * 1000 // (64 * ops_per_s)
+    return parts * (L - 1).bit_length() * L * 1000 // (64 * 5_000_000_000)
 
 
 def _recurrence_madds(sizes: Sequence[int]) -> int:
@@ -480,7 +414,7 @@ class ParityGrid:
             return
         fdo, fdx, W, L = _cone_layout(self.field, max_x)
         parts = sum(fdo) + sum(fdx) + max_x
-        ms = _fold_ms(parts, L, 1, _XOR_FOLD_OPS_PER_S)
+        ms = _fold_ms(parts, L)
         _check_budget(max_x, ms, "its parity product would take about")
         mask = (1 << L) - 1
         F = 1

@@ -16,6 +16,7 @@ from quadpartitions import (
     GridPool,
     InvariantViolation,
     cli,
+    enumerate_partitions,
     fixtures,
     partition,
     search,
@@ -270,11 +271,11 @@ def test_internal_violation_exits_3(monkeypatch, capsys):
 
 
 def test_explain_count_mismatch_exits_3(monkeypatch, capsys):
-    class MiscountingGrid(cli.PartitionGrid):
-        def count(self, e):
-            return 0
+    def one_partition_too_many(e):
+        parts = enumerate_partitions(e)
+        return parts + parts[:1]
 
-    monkeypatch.setattr(cli, "PartitionGrid", MiscountingGrid)
+    monkeypatch.setattr(cli, "enumerate_partitions", one_partition_too_many)
     code, _, err = run(capsys, "search", "--D", "5", "--m", "3", "--explain")
     assert code == 3
     assert "listed under m = 1" in err

@@ -221,11 +221,29 @@ def test_count_stores_exactly_the_interval():
     grid = PartitionGrid(Field(2))
     assert grid.count(Field(2).element(3, 2)) == 1  # the unit 3+2*sqrt(2)
     assert grid.value(3, 0) is None and grid.value(1, 0) is None
+    # After a sequence of counts it stores exactly the union of their intervals,
+    # no cell between two of them, and ensure still completes it.
+    rng = random.Random(0xC0DE)
+    for D in TABULATED_D:
+        f = Field(D)
+        cells = list(cone_cells(f, 30))[1:]
+        rng.shuffle(cells)
+        grid = PartitionGrid(f)
+        union = set()
+        for x, y in cells[:12]:
+            grid.count(f.element(x, y))
+            union |= {(e.a, e.b) for e in brute_interval(f.element(x, y))}
+        assert {(x, y) for x, y, _ in grid.cells()} == union, D
+        X = max(x for x, _ in union)
+        grid.ensure(X)
+        dense = PartitionGrid(f)
+        dense.ensure(X)
+        assert list(grid.cells()) == list(dense.cells()), D
 
 
 def test_count_in_any_order_matches_the_dense_grid(pool):
-    # A shuffled order makes new intervals meet stored ranges with gaps between
-    # them, so the gap closing in _fill is exercised as well as the plain fill.
+    # A shuffled order makes new intervals overlap the stored cells only in
+    # part, so _fill must compute exactly the missing cells of each column.
     rng = random.Random(0xC0DE)
     for D in TABULATED_D:
         f = Field(D)
@@ -293,7 +311,7 @@ def test_rational_column_matches_p_rational_when_cone_is_narrow():
 def test_divisibility_violation_on_corrupted_state():
     grid = PartitionGrid(Field(2))
     grid.ensure(6)
-    grid._cols[5][grid._fdo[5]] = 9  # poison p(5, 0)
+    grid._cols[5][0] = 9  # poison p(5, 0)
     with pytest.raises(DivisibilityViolation):
         grid.ensure(12)
 
