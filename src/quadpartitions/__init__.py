@@ -23,9 +23,9 @@ from .parity import (
 )
 from .partition import (
     GridPool,
-    ParityGrid,
     PartitionGrid,
     asymptotic_estimate,
+    cone_parity,
     enumerate_interval,
     p_rational,
     sigma_K,
@@ -61,7 +61,6 @@ __all__ = [
     "FieldContext",
     "GridPool",
     "InvariantViolation",
-    "ParityGrid",
     "ParityProfile",
     "ParityReport",
     "PartitionGrid",
@@ -71,6 +70,7 @@ __all__ = [
     "__version__",
     "asymptotic_estimate",
     "build_context",
+    "cone_parity",
     "count_partitions",
     "count_trace",
     "cumulative_P",

@@ -20,7 +20,7 @@ from .field import Field, QElement, is_squarefree
 from .fixtures import builtin_documents, load_documents, verify_documents
 from .oracle import enumerate_partitions
 from .parity import parity_check
-from .partition import GridPool, ParityGrid, PartitionGrid, asymptotic_estimate, cone_rows
+from .partition import GridPool, PartitionGrid, asymptotic_estimate, cone_parity, cone_rows
 from .search import (
     dm_scan,
     exhaustive_scan_range,
@@ -181,7 +181,7 @@ def cmd_units(args: argparse.Namespace) -> int:
         "floor_ratio": floor_ratio_eps(ctx),
     }
     lines = [
-        f"D = {field.D}, discriminant {ctx.discriminant}",
+        f"D = {field.D}, discriminant {field.discriminant}",
         f"continued fraction period {list(ctx.period)} (length {len(ctx.period)})",
         f"eps      = {ctx.eps}  (norm {doc['eps_norm']})",
         f"eps_plus = {ctx.eps_plus}",
@@ -269,14 +269,15 @@ def cmd_dm(args: argparse.Namespace) -> int:
 
 def cmd_parity(args: argparse.Namespace) -> int:
     field = _field(args)
-    report = parity_check(field, args.N, ParityGrid(field))
+    report = parity_check(field, args.N, cone_parity(field, args.N))
     profile = report.profile
+    P_bits = profile.parity_bits
     doc = {
         "D": field.D,
         "N": args.N,
         "a": list(profile.a),
         "P": list(profile.P),
-        "P_parity": list(profile.parity_bits),
+        "P_parity": list(P_bits),
         "p_parity": list(report.p_parity),
         "odd_count": report.odd_count,
         "even_count": report.even_count,
@@ -287,7 +288,7 @@ def cmd_parity(args: argparse.Namespace) -> int:
         for n in range(args.N + 1):
             a_n = profile.a[n - 1] if n >= 1 else ""
             lines.append(
-                f"{n},{a_n},{profile.P[n]},{profile.parity_bits[n]},{report.p_parity[n]}"
+                f"{n},{a_n},{profile.P[n]},{P_bits[n]},{report.p_parity[n]}"
             )
         return "\n".join(lines)
 

@@ -55,22 +55,12 @@ class FieldContext:
     """
 
     field: Field
-    floor_xi: int
     period: tuple[int, ...]
     convergents: tuple[tuple[int, int], ...]
     alphas: tuple[QElement, ...]
     indecomposables: tuple[QElement, ...]
     eps: QElement
     eps_plus: QElement
-    discriminant: int
-
-    def alpha(self, i: int) -> QElement:
-        """alpha_i for -1 <= i <= 2s."""
-        return self.alphas[i + 1]
-
-    def partial_quotient(self, i: int) -> int:
-        """u_i for any i >= 0, read off the period cyclically."""
-        return self.period[i % len(self.period)]
 
 
 def build_context(field: Field) -> FieldContext:
@@ -110,14 +100,12 @@ def build_context(field: Field) -> FieldContext:
 
     return FieldContext(
         field=field,
-        floor_xi=field.floor_xi(),
         period=period,
         convergents=tuple(zip(ps, qs)),
         alphas=alphas,
         indecomposables=indecomposables,
         eps=eps,
         eps_plus=eps_plus,
-        discriminant=field.discriminant,
     )
 
 

@@ -17,19 +17,20 @@ c_1..c_2N); the resulting P(n) = Q(2n) still equals the direct sum over
 even traces.
 
 parity_check confirms the congruence by comparing P(n) mod 2 with p(n) mod 2
-read from a grid at (n, 0).  The command line passes a ParityGrid, which
-expands the Euler product modulo 2, so the two sides of the congruence come
-from independent algorithms.
+read from whole-window columns at (n, 0).  The command line passes the
+columns of partition.cone_parity, which expands the Euler product modulo 2,
+so the two sides of the congruence come from independent algorithms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+from typing import Sequence
 
 from .errors import InvariantViolation
 from .field import Field
-from .partition import ParityGrid, PartitionGrid, euler_transform
+from .partition import euler_transform
 
 __all__ = [
     "ParityProfile",
@@ -110,26 +111,20 @@ class ParityReport:
         return self.profile.parity_bits == self.p_parity
 
 
-def parity_check(field: Field, N: int, grid: PartitionGrid | ParityGrid) -> ParityReport:
+def parity_check(field: Field, N: int, columns: Sequence[Sequence[int]]) -> ParityReport:
     """Confirm P(n) = p(n) (mod 2) for n <= N.
 
-    P(n) comes from the trace-layer recurrence; p(n) mod 2 is read from the
-    grid at the rational integers (n, 0).  With a ParityGrid that is the Euler
-    product modulo 2, an algorithm independent of both recurrences; with a
-    PartitionGrid it is the exact count.  Any disagreement, or a missing cell,
-    raises InvariantViolation.
+    P(n) comes from the trace-layer recurrence; p(n) mod 2 is read at the
+    rational integers (n, 0), index floor(n/omega) of column n, from columns
+    in the shape of cone_columns up to x = N.  From cone_parity that is the
+    Euler product modulo 2, an algorithm independent of both recurrences;
+    from cone_columns it is the exact count.  Any disagreement raises
+    InvariantViolation.
     """
-    grid.ensure(N)  # first: a ParityGrid over its cost budget refuses before the O(N^2) transform
     profile = cumulative_P(field, N)
-    p_par = []
-    offenders = []
-    for n in range(N + 1):
-        v = grid.value(n, 0)
-        if v is None:
-            raise InvariantViolation(f"grid for D={field.D} has no cell at ({n}, 0)")
-        p_par.append(v % 2)
-        if profile.parity_bits[n] != v % 2:
-            offenders.append(n)
+    P_bits = profile.parity_bits
+    p_par = tuple(columns[n][field.floor_div_omega(n)] % 2 for n in range(N + 1))
+    offenders = [n for n in range(N + 1) if P_bits[n] != p_par[n]]
     if offenders:
         raise InvariantViolation(
             f"P and p disagree mod 2 for D={field.D} at n in {offenders}"
@@ -137,7 +132,7 @@ def parity_check(field: Field, N: int, grid: PartitionGrid | ParityGrid) -> Pari
     odd = sum(p_par[1:])
     return ParityReport(
         profile=profile,
-        p_parity=tuple(p_par),
+        p_parity=p_par,
         odd_count=odd,
         even_count=N - odd,
     )

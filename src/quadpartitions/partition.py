@@ -22,9 +22,10 @@ of packed columns.  cone_rows, the xy view, reads it.
 Two checks are independent of the recurrence over the cone.  Every column of
 cone_columns must sum to R(x), the number of partitions of x into parts
 counted by their first coordinate, or InvariantViolation is raised.  And
-ParityGrid expands the Euler product of 1/(1 - q^beta) modulo 2, with 1-bit
-slots and XOR in place of addition, so the tests compare p mod 2 from either
-layout with a product that never runs the recurrence.
+cone_parity expands the Euler product of 1/(1 - q^beta) modulo 2, with 1-bit
+slots and XOR in place of addition, and returns p mod 2 in the shape of
+cone_columns, so p mod 2 from either layout is compared with a product that
+never runs the recurrence.
 
 euler_transform is the one-variable form of the recurrence, for a product
 prod_k (1 - q^k)^(-c[k]) over the rational integers: p_rational uses it with
@@ -43,11 +44,11 @@ from .field import Field, QElement
 
 __all__ = [
     "PartitionGrid",
-    "ParityGrid",
     "GridPool",
     "content",
     "sigma_K",
     "enumerate_interval",
+    "cone_parity",
     "cone_rows",
     "euler_transform",
     "p_rational",
@@ -59,7 +60,7 @@ __all__ = [
 ZETA3 = 1.2020569031595942854
 
 # Throughput of the two cone kernels on a 2-core host with Python 3.11:
-# estimated 64-bit word operations per second of ParityGrid's XOR fold (in
+# estimated 64-bit word operations per second of cone_parity's XOR fold (in
 # _fold_ms), measured for D = 2..97 and X = 40..260, and slot products per
 # second of cone_columns (see _recurrence_madds).  The latter falls as the
 # columns and their slots widen: 8e7 at X = 100 and 5e7 at X = 200 for D = 2,
@@ -162,15 +163,18 @@ class PartitionGrid:
         # sig coordinate tables of column x, keyed by y like the column.
         self._sig0: list[dict[int, int]] = [{}]
         self._sig1: list[dict[int, int]] = [{}]
-        self._max_x = 0
 
     @property
     def max_x(self) -> int:
-        return self._max_x
+        cols, fdo, fdx = self._cols, self._fdo, self._fdx
+        m = 0
+        while m + 1 < len(cols) and len(cols[m + 1]) == fdo[m + 1] + fdx[m + 1] + 1:
+            m += 1
+        return m
 
     def ensure(self, max_x: int) -> None:
         """Extend the grid so that all columns up to max_x are complete."""
-        if max_x > self._max_x:
+        if max_x > self.max_x:
             self._grow(max_x)
             self._fill(max_x, -self._fdo[max_x], self._fdx[max_x])
 
@@ -196,7 +200,7 @@ class PartitionGrid:
 
     def column_window(self, x: int) -> tuple[int, int]:
         """(y_min, y_max) of the window of a complete column x <= max_x."""
-        if not 0 <= x <= self._max_x:
+        if not 0 <= x <= self.max_x:
             raise ValueError(f"column {x} not built yet")
         return -self._fdo[x], self._fdx[x]
 
@@ -230,7 +234,7 @@ class PartitionGrid:
         columns.
         """
         self._grow(x)
-        fdo, fdx, cols = self._fdo, self._fdx, self._cols
+        cols = self._cols
         lo, hi = self._below(x, ylo, yhi)
         for u in range(1, x + 1):
             col, s0, s1 = cols[u], self._sig0[u], self._sig1[u]
@@ -241,10 +245,6 @@ class PartitionGrid:
                     s0[v] = (u // c) * sc
                     s1[v] = (v // c) * sc
                     col[v] = self._cell(u, v)
-        m = self._max_x
-        while m + 1 < len(cols) and len(cols[m + 1]) == fdo[m + 1] + fdx[m + 1] + 1:
-            m += 1
-        self._max_x = m
 
     def _below(self, x: int, ylo: int, yhi: int) -> tuple[list[int], list[int]]:
         """(lo, hi): the ideal below the segment (x, ylo..yhi) meets column u in lo[u]..hi[u].
@@ -312,9 +312,10 @@ def _cone_layout(field: Field, X: int) -> tuple[list[int], list[int], int, int]:
 
     fdo[x] = floor(x/omega) and fdx[x] = floor(x/xi) bound the window of
     column x, which occupies slots x*W - fdo[x] up to x*W + fdx[x], and
-    L = X*W + fdx[X] + 1 is one past the top cell of column X.  Raises
-    BudgetExceeded, before the O(X) floors are listed, when no kernel could
-    build the cone within the budget.
+    L = X*W + fdx[X] + 1 is one past the top cell of column X.  Both
+    whole-cone kernels start here, cone_columns with B-bit slots and
+    cone_parity with 1-bit slots.  Raises BudgetExceeded, before the O(X)
+    floors are listed, when neither could build the cone within the budget.
 
     Choice of W.  Every exponent the Euler product generates is a totally
     positive element, so dropping the slots >= L is the truncation x <= X
@@ -340,7 +341,7 @@ def _cone_layout(field: Field, X: int) -> tuple[list[int], list[int], int, int]:
 
 
 def _fold_ms(parts: int, L: int) -> int:
-    """Estimated milliseconds of ParityGrid's XOR fold of parts into L one-bit slots.
+    """Estimated milliseconds of cone_parity's XOR fold of parts into L one-bit slots.
 
     Each part is folded in as at most ceil(log2 L) factors, and each factor
     is a shift, a mask and an XOR over L/64 words, at 5e9 word operations
@@ -381,9 +382,14 @@ def _check_budget(X: int, ms: int, what: str) -> None:
         )
 
 
-class ParityGrid:
-    """p(alpha) mod 2 for the whole cone, from the Euler product.
+# Maps the digits of a binary numeral to the byte values 0 and 1.
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
+
+def cone_parity(field: Field, max_x: int) -> list[list[int]]:
+    """p(x + y*w) mod 2 over the whole window of each column x <= max_x, from the Euler product.
+
+    The shape of cone_columns: column x lists y = -floor(x/omega)..floor(x/xi).
     The generating function of p is the product over totally positive beta of
     1/(1 - q^beta), and modulo 2, 1/(1 - t) = (1 + t)(1 + t^2)(1 + t^4)...
     The truncated product therefore needs only shifts and XORs.  The cone up
@@ -392,48 +398,23 @@ class ParityGrid:
     u <= max_x is folded in as the factors 1 + t^(s*2^k) for s = u*W + v and
     every s*2^k < L.  It shares no arithmetic with the recurrence, so it
     checks the counts of PartitionGrid and cone_columns mod 2 independently.
+
+    Raises BudgetExceeded, before any folding, when the fold is too costly.
     """
-
-    def __init__(self, field: Field) -> None:
-        self.field = field
-        self._bits = 1  # p(0) = 1
-        self._width = 1
-        self._fdo: list[int] = [0]
-        self._fdx: list[int] = [0]
-
-    @property
-    def max_x(self) -> int:
-        return len(self._fdo) - 1
-
-    def ensure(self, max_x: int) -> None:
-        """Rebuild the product so that all columns up to max_x are complete.
-
-        Raises BudgetExceeded, before any folding, when the fold is too costly.
-        """
-        if max_x <= self.max_x:
-            return
-        fdo, fdx, W, L = _cone_layout(self.field, max_x)
-        parts = sum(fdo) + sum(fdx) + max_x
-        ms = _fold_ms(parts, L)
-        _check_budget(max_x, ms, "its parity product would take about")
-        mask = (1 << L) - 1
-        F = 1
-        for u in range(1, max_x + 1):
-            for v in range(-fdo[u], fdx[u] + 1):
-                s = u * W + v
-                while s < L:
-                    F ^= (F << s) & mask
-                    s <<= 1
-        self._bits = F
-        self._width = W
-        self._fdo = fdo
-        self._fdx = fdx
-
-    def value(self, x: int, y: int) -> int | None:
-        """p(x + y*w) mod 2, or None when the cell is outside the built cone."""
-        if not 0 <= x <= self.max_x or not -self._fdo[x] <= y <= self._fdx[x]:
-            return None
-        return (self._bits >> (x * self._width + y)) & 1
+    fdo, fdx, W, L = _cone_layout(field, max_x)
+    parts = sum(fdo) + sum(fdx) + max_x
+    _check_budget(max_x, _fold_ms(parts, L), "its parity product would take about")
+    mask = (1 << L) - 1
+    F = 1  # p(0) = 1
+    for u in range(1, max_x + 1):
+        for v in range(-fdo[u], fdx[u] + 1):
+            s = u * W + v
+            while s < L:
+                F ^= (F << s) & mask
+                s <<= 1
+    # Byte i of bits is bit i of F.
+    bits = format(F, f"0{L}b").encode()[::-1].translate(_BIT_BYTES)
+    return [list(bits[x * W - fdo[x] : x * W + fdx[x] + 1]) for x in range(max_x + 1)]
 
 
 class GridPool:

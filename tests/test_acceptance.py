@@ -29,7 +29,7 @@ from quadpartitions import (
     witness_m6,
 )
 from quadpartitions.contfrac import floor_ratio_eps
-from quadpartitions.partition import enumerate_interval
+from quadpartitions.partition import cone_columns, enumerate_interval
 
 from conftest import TABULATED_D
 
@@ -282,7 +282,7 @@ def test_criterion_8_invariant_suites(contexts, pool):
         # cumulative parity agrees with the grid diagonal
         for D in (2, 3, 6, 7):
             f = Field(D)
-            report = parity_check(f, 40, pool.grid(f))
+            report = parity_check(f, 40, cone_columns(f, 40))
             assert report.congruent, D
 
 

@@ -18,6 +18,7 @@ from quadpartitions import (
     cli,
     enumerate_partitions,
     fixtures,
+    parity,
     partition,
     search,
 )
@@ -289,6 +290,17 @@ def test_budget_exceeded_exits_4(monkeypatch, capsys):
     code, _, err = run(capsys, "search", "--D", "5", "--m", "11", "--explain")
     assert code == 4
     assert "node budget" in err
+
+
+def test_parity_refuses_before_the_recurrence(monkeypatch, capsys):
+    # The fold's budget check runs before cumulative_P's O(N^2) transform.
+    def recurrence(field, N):
+        raise AssertionError(f"cumulative_P ran for N = {N}")
+
+    monkeypatch.setattr(parity, "cumulative_P", recurrence)
+    code, out, err = run(capsys, "parity", "--D", "2", "--N", "100000")
+    assert (code, out) == (4, "")
+    assert "over the cost budget" in err
 
 
 def test_runs_over_the_cost_budget_exit_4_at_once(capsys):

@@ -81,8 +81,6 @@ def test_convergent_recurrence_and_bounds(contexts):
             u = ctx.period[(j - 1) % s]
             assert pq[j][0] == u * pq[j - 1][0] + pq[j - 2][0]
             assert pq[j][1] == u * pq[j - 1][1] + pq[j - 2][1]
-        assert ctx.partial_quotient(0) == ctx.period[0]
-        assert ctx.partial_quotient(s) == ctx.period[0]
 
 
 def test_alphas_are_convergent_elements(contexts):
@@ -91,7 +89,7 @@ def test_alphas_are_convergent_elements(contexts):
         xi = f.xi()
         for (p, q), alpha in zip(ctx.convergents, ctx.alphas):
             assert f.element(p) + q * xi == alpha
-        assert ctx.alpha(-1) == f.element(1)
+        assert ctx.alphas[0] == f.element(1)  # alpha_(-1)
 
 
 def test_units_match_known_table(contexts):
@@ -117,7 +115,7 @@ def test_eps_plus_is_smallest_totally_positive_unit(contexts):
         s = len(ctx.period)
         top = s - 1 if s % 2 == 0 else 2 * s - 1
         for i in range(0, top):
-            a = ctx.alpha(i)
+            a = ctx.alphas[i + 1]
             if abs(a.norm()) == 1:
                 assert not (a.is_totally_positive() and a.norm() == 1), (ctx.field.D, i)
 
@@ -134,7 +132,7 @@ def test_shift_by_eps(contexts):
     for ctx in contexts.values():
         s = len(ctx.period)
         for i in range(-1, s + 1):
-            assert ctx.alpha(i + s) == ctx.eps * ctx.alpha(i), (ctx.field.D, i)
+            assert ctx.alphas[i + s + 1] == ctx.eps * ctx.alphas[i + 1], (ctx.field.D, i)
 
 
 def test_indecomposables_have_count_one(contexts, pool):

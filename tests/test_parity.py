@@ -2,14 +2,14 @@ import pytest
 
 from quadpartitions import (
     Field,
-    ParityGrid,
+    cone_parity,
     count_trace,
     cumulative_P,
     is_squarefree,
     parity_check,
     trace_layer_count,
 )
-from quadpartitions.partition import euler_transform
+from quadpartitions.partition import cone_columns, euler_transform
 
 PARITY_D = (2, 3, 6, 7)
 
@@ -109,32 +109,33 @@ def test_trace_layer_transform_matches_the_even_trace_branch():
         assert tuple(Q[::2]) == cumulative_P(f, 40).P, D
 
 
-def test_parity_congruence_holds(pool):
+def test_parity_congruence_holds():
     for D in PARITY_D:
         f = Field(D)
-        report = parity_check(f, 40, pool.grid(f))
+        report = parity_check(f, 40, cone_columns(f, 40))
         assert report.congruent
         assert report.odd_count + report.even_count == 40
         assert report.p_parity[0] == 1
 
 
-def test_parity_check_agrees_for_both_grids(pool):
+def test_parity_check_agrees_for_both_grids():
+    # The columns of the Euler product mod 2 and the exact columns give one report.
     for D in PARITY_D:
         f = Field(D)
-        assert parity_check(f, 40, ParityGrid(f)) == parity_check(f, 40, pool.grid(f)), D
+        assert parity_check(f, 40, cone_parity(f, 40)) == parity_check(f, 40, cone_columns(f, 40)), D
 
 
-def test_parity_bits_frozen_for_sqrt2(pool):
-    report = parity_check(Field(2), 10, pool.grid(Field(2)))
+def test_parity_bits_frozen_for_sqrt2():
+    report = parity_check(Field(2), 10, cone_parity(Field(2), 10))
     assert report.profile.parity_bits[1:] == (1, 0, 1, 0, 0, 1, 0, 0, 0, 0)
     assert report.profile.P == (1, 1, 4, 9, 20, 42, 91, 176, 354, 676, 1282)
     assert report.profile.a == (1, 3, 5, 5, 7, 9, 9, 11, 13, 15)
 
 
-def test_both_parities_occur_in_window(pool):
+def test_both_parities_occur_in_window():
     # finite-window stand-in for the infinitude statement
     for D in PARITY_D:
-        bits = parity_check(Field(D), 40, pool.grid(Field(D))).p_parity[1:]
+        bits = parity_check(Field(D), 40, cone_parity(Field(D), 40)).p_parity[1:]
         assert bits.count(1) >= 3
         assert bits.count(0) >= 3
 

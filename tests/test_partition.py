@@ -6,10 +6,10 @@ from quadpartitions import (
     DivisibilityViolation,
     Field,
     InvariantViolation,
-    ParityGrid,
     PartitionGrid,
     QElement,
     asymptotic_estimate,
+    cone_parity,
     enumerate_interval,
     p_rational,
     sigma_K,
@@ -338,41 +338,12 @@ def test_parity_grid_matches_exact_grid_mod_2(pool):
         f = Field(D)
         exact = pool.grid(f)
         exact.ensure(X)
-        par = ParityGrid(f)
-        par.ensure(X)
-        assert par.max_x == X
+        par = cone_parity(f, X)
+        assert len(par) == X + 1
         for x, y in cone_cells(f, X):
-            assert par.value(x, y) == exact.value(x, y) % 2, (D, x, y)
-
-
-def test_parity_grid_rebuilds_when_extended():
-    f = Field(3)
-    grown = ParityGrid(f)
-    grown.ensure(20)
-    grown.ensure(10)
-    assert grown.max_x == 20
-    grown.ensure(45)
-    fresh = ParityGrid(f)
-    fresh.ensure(45)
-    assert grown.max_x == fresh.max_x == 45
-    cells = list(cone_cells(f, 45))
-    assert [grown.value(x, y) for x, y in cells] == [fresh.value(x, y) for x, y in cells]
-
-
-def test_parity_grid_value_outside_cone_is_none():
+            assert par[x][y + f.floor_div_omega(x)] == exact.value(x, y) % 2, (D, x, y)
     for D in (2, 5):
-        f = Field(D)
-        par = ParityGrid(f)
-        assert par.max_x == 0
-        assert par.value(0, 0) == 1
-        assert par.value(1, 0) is None
-        par.ensure(12)
-        assert par.value(-1, 0) is None
-        assert par.value(13, 0) is None
-        for x in range(13):
-            assert par.value(x, -f.floor_div_omega(x) - 1) is None
-            assert par.value(x, f.floor_div_xi(x) + 1) is None
-            assert par.value(x, 0) is not None
+        assert cone_parity(Field(D), 0) == [[1]], D
 
 
 def test_euler_product_matches_the_recurrence_to_x60(pool):
@@ -399,12 +370,7 @@ def test_cone_columns_match_the_euler_product_to_x100():
 def test_cone_columns_match_the_parity_grid_to_x100():
     for D in TABULATED_D:
         f = Field(D)
-        par = ParityGrid(f)
-        par.ensure(100)
-        cols = cone_columns(f, 100)
-        for x, col in enumerate(cols):
-            lo = -f.floor_div_omega(x)
-            assert [p % 2 for p in col] == [par.value(x, lo + i) for i in range(len(col))], (D, x)
+        assert cone_parity(f, 100) == [[p % 2 for p in c] for c in cone_columns(f, 100)], D
 
 
 def test_euler_product_column_sum_mismatch_raises(monkeypatch):

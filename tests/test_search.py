@@ -5,9 +5,9 @@ import pytest
 
 from quadpartitions import (
     Field,
-    ParityGrid,
     PartitionGrid,
     build_context,
+    cone_parity,
     dm_scan,
     en_fn_bounds,
     exhaustive_scan_range,
@@ -327,7 +327,7 @@ def test_search_reaches_D31():
 
 
 def test_slice_counts_match_the_parity_kernel():
-    # ParityGrid expands the Euler product mod 2 over the whole cone and shares
+    # cone_parity expands the Euler product mod 2 over the whole cone and shares
     # no arithmetic with the interval fill that search_m uses.
     checked = []
     for D in SLICE_SEARCH_FIELDS:
@@ -336,11 +336,10 @@ def test_slice_counts_match_the_parity_kernel():
         x_top = f.ceil_xi_mult(report.y_max) + report.k_max
         if x_top > 200:
             continue
-        par = ParityGrid(f)
-        par.ensure(x_top)
+        par = cone_parity(f, x_top)
         for y, row in enumerate(report.slice_counts):
             for k, c in enumerate(row):
                 e = slice_element(f, k, y)
-                assert par.value(e.a, e.b) == c % 2, (D, k, y)
+                assert par[e.a][e.b + f.floor_div_omega(e.a)] == c % 2, (D, k, y)
         checked.append(D)
     assert len(checked) == 51 and 19 in checked
