@@ -25,6 +25,7 @@ from .partition import (
     GridPool,
     PartitionGrid,
     asymptotic_estimate,
+    cone_columns,
     cone_parity,
     enumerate_interval,
     p_rational,
@@ -70,6 +71,7 @@ __all__ = [
     "__version__",
     "asymptotic_estimate",
     "build_context",
+    "cone_columns",
     "cone_parity",
     "count_partitions",
     "count_trace",

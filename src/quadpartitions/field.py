@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-__all__ = ["Field", "QElement", "is_squarefree", "isqrt"]
+__all__ = ["Field", "QElement", "is_squarefree"]
 
 
 def is_squarefree(n: int) -> bool:
@@ -223,11 +223,6 @@ class QElement:
     @property
     def lex_key(self) -> tuple[int, int]:
         return (self.a, self.b)
-
-    def lex_lt(self, other: QElement) -> bool:
-        """Lexicographic order on (a, b); a linear extension of succ_gt."""
-        self._check_same_field(other)
-        return self.lex_key < other.lex_key
 
     # ----- rendering ----------------------------------------------------------
 

@@ -3,9 +3,9 @@
 Partitions are produced as tuples of parts in non-increasing lex order, by
 recursive descent over the interval of each remainder.  One walker serves
 both entry points: enumerate_partitions collects what it yields and
-count_partitions counts it.  The walker charges one unit of budget per
-visited node so that runaway inputs fail fast with BudgetExceeded instead of
-hanging.
+count_partitions counts it.  The walker counts the nodes it visits and
+raises BudgetExceeded past DEFAULT_BUDGET of them, read at each call, so
+that runaway inputs fail fast instead of hanging.
 """
 
 from __future__ import annotations
@@ -21,31 +21,22 @@ __all__ = ["enumerate_partitions", "count_partitions"]
 DEFAULT_BUDGET = 10_000_000
 
 
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, n: int) -> None:
-        self.left = n
-
-    def spend(self) -> None:
-        self.left -= 1
-        if self.left < 0:
-            raise BudgetExceeded("partition enumeration budget exhausted")
-
-
 def _candidates(remaining: QElement) -> list[QElement]:
     # Descending lex, so partitions come out in non-increasing part order.
     return sorted(enumerate_interval(remaining), key=lambda e: e.lex_key, reverse=True)
 
 
-def _partitions(alpha: QElement, budget: int) -> Iterator[tuple[QElement, ...]]:
+def _partitions(alpha: QElement) -> Iterator[tuple[QElement, ...]]:
     """Yield each partition of alpha once, as a tuple of non-increasing parts."""
     if not alpha.is_totally_positive():
         raise ValueError(f"can only partition totally positive elements, got {alpha!r}")
-    box = _Budget(budget)
+    left = DEFAULT_BUDGET
 
     def walk(remaining: QElement, bound: tuple[int, int], prefix: list[QElement]):
-        box.spend()
+        nonlocal left
+        left -= 1
+        if left < 0:
+            raise BudgetExceeded("partition enumeration budget exhausted")
         for beta in _candidates(remaining):
             if beta.lex_key > bound:
                 continue
@@ -60,17 +51,15 @@ def _partitions(alpha: QElement, budget: int) -> Iterator[tuple[QElement, ...]]:
     yield from walk(alpha, alpha.lex_key, [])
 
 
-def enumerate_partitions(
-    alpha: QElement, budget: int = DEFAULT_BUDGET
-) -> list[tuple[QElement, ...]]:
+def enumerate_partitions(alpha: QElement) -> list[tuple[QElement, ...]]:
     """All partitions of alpha into totally positive parts.
 
     Each partition is a tuple sorted by non-increasing lex key; the list of
     partitions is itself lex-sorted and duplicate-free by construction.
     """
-    return list(_partitions(alpha, budget))
+    return list(_partitions(alpha))
 
 
-def count_partitions(alpha: QElement, budget: int = DEFAULT_BUDGET) -> int:
+def count_partitions(alpha: QElement) -> int:
     """len(enumerate_partitions(alpha)) without keeping the partitions."""
-    return sum(1 for _ in _partitions(alpha, budget))
+    return sum(1 for _ in _partitions(alpha))

@@ -6,15 +6,18 @@ One exact recurrence computes p:
 
 where the interval runs over the total-positivity order, and
 sig(beta) = (beta / c) * sigma(c) with c = gcd of the coordinates of beta
-and sigma the rational sum-of-divisors function.  Matching coefficients in
-the basis (1, w) recovers p(alpha) by one exact division, and the second
-coordinate cross-checks it; any mismatch raises DivisibilityViolation.
+and sigma the rational sum-of-divisors function.  Match coefficients in the
+basis (1, w), alpha = x + y*w: the first coordinate of the sum is x*p(alpha),
+so p(alpha) is one exact division.  Both layouts also sum the weights
+((u + v)/c)*sigma(c) of the parts beta = u + v*w, the two coordinates of
+sig(beta) added, and check that the sum is (x + y)*p(alpha) with p(alpha) >= 1;
+any mismatch raises DivisibilityViolation.
 Every summand beta has first coordinate >= 1, so a cell only depends on
 strictly earlier columns and the recurrence is well founded.
 
-It runs in two layouts.  PartitionGrid computes it cell by cell on order
-ideals of the cone, filled on demand, and stores each column as a dict of
-exactly the cells filled.  cone_columns computes the whole cone up to a
+It runs in two layouts.  PartitionGrid computes it cell by cell on the
+intervals [0, alpha] that count(alpha) asks for, and stores each column as a
+dict of exactly the cells filled.  cone_columns computes the whole cone up to a
 column, one column at a time: each column is one big int with a slot of B
 bits per cell (Kronecker substitution), and column x is a sum of x products
 of packed columns.  cone_rows, the xy view, reads it.
@@ -48,6 +51,7 @@ __all__ = [
     "content",
     "sigma_K",
     "enumerate_interval",
+    "cone_columns",
     "cone_parity",
     "cone_rows",
     "euler_transform",
@@ -144,15 +148,16 @@ class PartitionGrid:
 
     Column x is a dict {y: p(x + y*w)} of exactly the cells filled so far,
     all inside its window [-floor(x/omega), floor(x/xi)]; value() returns
-    None for every other cell.  Both ways in go through one _fill, which
-    stores the order ideal below a segment of one column.  count(alpha)
-    fills the ideal below the single cell alpha, the interval [0, alpha]
+    None for every other cell.  count(alpha) fills the interval [0, alpha]
     that the recurrence reads, so a search near the cone's edge touches a
-    thin sliver instead of the whole cone.  ensure(X) fills the ideal below
-    column X's whole window, which is every column up to X.  The stored set
-    is the union of the ideals filled, itself an order ideal, so it holds
-    every cell the recurrence reads.  max_x is the largest X whose columns
-    up to X are all complete; columns beyond it may be partial.
+    thin sliver instead of the whole cone.  The stored set is the union of
+    the intervals filled, itself an order ideal, so it holds every cell the
+    recurrence reads.  Whole cones come from cone_columns.
+
+    ensure, max_x and column_window are kept for perfbench, which reads them;
+    no command calls them.  ensure(X) fills the interval below every cell of
+    column X, which is every column up to X, and max_x is the largest X whose
+    columns up to X are all complete.
     """
 
     def __init__(self, field: Field) -> None:
@@ -160,7 +165,7 @@ class PartitionGrid:
         self._cols: list[dict[int, int]] = [{0: 1}]  # p(0) = 1
         self._fdo: list[int] = [0]
         self._fdx: list[int] = [0]
-        # sig coordinate tables of column x, keyed by y like the column.
+        # sig weight tables of column x, keyed by y like the column.
         self._sig0: list[dict[int, int]] = [{}]
         self._sig1: list[dict[int, int]] = [{}]
 
@@ -176,7 +181,8 @@ class PartitionGrid:
         """Extend the grid so that all columns up to max_x are complete."""
         if max_x > self.max_x:
             self._grow(max_x)
-            self._fill(max_x, -self._fdo[max_x], self._fdx[max_x])
+            for y in range(-self._fdo[max_x], self._fdx[max_x] + 1):
+                self._fill(max_x, y)
 
     def value(self, x: int, y: int) -> int | None:
         """Stored count at (x, y), or None when the cell is not stored."""
@@ -192,7 +198,7 @@ class PartitionGrid:
             raise ValueError(f"count needs a totally positive element, got {e!r}")
         v = self.value(e.a, e.b)
         if v is None:
-            self._fill(e.a, e.b, e.b)
+            self._fill(e.a, e.b)
             v = self.value(e.a, e.b)
             if v is None:
                 raise InvariantViolation(f"no stored cell for {e!r} after filling its interval")
@@ -203,13 +209,6 @@ class PartitionGrid:
         if not 0 <= x <= self.max_x:
             raise ValueError(f"column {x} not built yet")
         return -self._fdo[x], self._fdx[x]
-
-    def cells(self) -> Iterator[tuple[int, int, int]]:
-        """Every stored (x, y, count) triple with x >= 1, ascending in y within each column."""
-        for x in range(1, len(self._cols)):
-            col = self._cols[x]
-            for y in sorted(col):
-                yield x, y, col[y]
 
     # ----- internals -----------------------------------------------------
 
@@ -223,19 +222,16 @@ class PartitionGrid:
             self._sig0.append({})
             self._sig1.append({})
 
-    def _fill(self, x: int, ylo: int, yhi: int) -> None:
-        """Store the order ideal below the segment (x, ylo..yhi) of column x.
+    def _fill(self, x: int, y: int) -> None:
+        """Store the interval [0, x + y*w].
 
-        That ideal is the union of the intervals [0, x + y*w], ylo <= y <= yhi,
-        one range per column (see _below).  Below column x's whole window it
-        is every full window up to x, as the floors are nondecreasing in u.
-        Bottom up, each missing cell of a column's range gets its weights and
-        then its count from _cell, which reads only its own weights and lower
-        columns.
+        Bottom up, each missing cell of the interval's range in a column (see
+        _below) gets its weights and then its count from _cell, which reads
+        only its own weights and lower columns.
         """
         self._grow(x)
         cols = self._cols
-        lo, hi = self._below(x, ylo, yhi)
+        lo, hi = self._below(x, y)
         for u in range(1, x + 1):
             col, s0, s1 = cols[u], self._sig0[u], self._sig1[u]
             for v in range(lo[u], hi[u] + 1):
@@ -243,21 +239,18 @@ class PartitionGrid:
                     c = gcd(u, v)
                     sc = sigma(c)
                     s0[v] = (u // c) * sc
-                    s1[v] = (v // c) * sc
+                    s1[v] = ((u + v) // c) * sc
                     col[v] = self._cell(u, v)
 
-    def _below(self, x: int, ylo: int, yhi: int) -> tuple[list[int], list[int]]:
-        """(lo, hi): the ideal below the segment (x, ylo..yhi) meets column u in lo[u]..hi[u].
+    def _below(self, x: int, y: int) -> tuple[list[int], list[int]]:
+        """(lo, hi): the interval [0, x + y*w] meets column u in lo[u]..hi[u].
 
-        [0, x + y*w] meets column u in the window clipped to
-        [y - floor((x-u)/xi), y + floor((x-u)/omega)], one range whose ends
-        never fall as y grows, and the nonempty ranges of consecutive y leave
-        no gap, so the segment's union runs from the lower end at ylo to the
-        upper end at yhi; lo[u] > hi[u] where it misses u.
+        That is column u's window clipped to [y - floor((x-u)/xi),
+        y + floor((x-u)/omega)]; lo[u] > hi[u] where the interval misses u.
         """
         fdo, fdx = self._fdo, self._fdx
-        lo = [max(-fdo[u], ylo - fdx[x - u]) for u in range(x + 1)]
-        hi = [min(fdx[u], yhi + fdo[x - u]) for u in range(x + 1)]
+        lo = [max(-fdo[u], y - fdx[x - u]) for u in range(x + 1)]
+        hi = [min(fdx[u], y + fdo[x - u]) for u in range(x + 1)]
         return lo, hi
 
     def _cell(self, x: int, y: int) -> int:
@@ -289,21 +282,12 @@ class PartitionGrid:
         S0 += sig0[x][y]
         S1 += sig1[x][y]
 
-        # Recover p from alpha * p = (S0, S1) and cross-check both coordinates.
-        if y:
-            p, r = divmod(S1, y)
-            if r or S0 != x * p:
-                raise DivisibilityViolation(
-                    f"coefficient match failed at (x={x}, y={y}): S=({S0}, {S1})"
-                )
-        else:
-            p, r = divmod(S0, x)
-            if r or S1 != 0:
-                raise DivisibilityViolation(
-                    f"coefficient match failed at (x={x}, y={y}): S=({S0}, {S1})"
-                )
-        if p < 1:
-            raise DivisibilityViolation(f"nonpositive count {p} at (x={x}, y={y})")
+        # S0 = x*p recovers p, and S1 = (x + y)*p cross-checks it.
+        p, r = divmod(S0, x)
+        if r or p < 1 or S1 != (x + y) * p:
+            raise DivisibilityViolation(
+                f"coefficient match failed at (x={x}, y={y}): x*p = {S0}"
+            )
         return p
 
 
@@ -351,12 +335,12 @@ def _fold_ms(parts: int, L: int) -> int:
 
 
 def _recurrence_madds(sizes: Sequence[int]) -> int:
-    """Multiply-adds of PartitionGrid.ensure(X), sizes[x] the width of column x <= X.
+    """Slot products of cone_columns up to X, sizes[x] the width of column x <= X.
 
-    For each u < x the cells of column x walk |W(u)| * |W(x - u)| pairs in
-    all, so the total is the sum of sizes[u] * sizes[g] over u, g >= 1 with
-    u + g <= X: sizes[u] times the sum of sizes[1..X - u].  The products
-    S0_u * C_(x-u) of cone_columns multiply as many pairs of slots.
+    For each u < x the product S0_u * C_(x-u) multiplies |W(u)| * |W(x - u)|
+    pairs of slots, so the total is the sum of sizes[u] * sizes[g] over
+    u, g >= 1 with u + g <= X: sizes[u] times the sum of sizes[1..X - u].
+    The per-cell recurrence over the same cone walks as many multiply-adds.
     """
     X = len(sizes) - 1
     below = [0]
@@ -447,11 +431,11 @@ def cone_columns(field: Field, max_x: int) -> list[list[int]]:
 
     holds x*p(x, y) at slot y + floor(x/omega), and T1, with S1_u, holds
     (x + y)*p(x, y); the shifts are >= 0 as floor(t/omega) is superadditive.
-    p is T0's slot divided by x, and T1's slot must equal (x + y)*p, which is
-    PartitionGrid's check S1 = y*p; a remainder or a mismatch raises
+    p is T0's slot divided by x, and T1's slot must equal (x + y)*p, the
+    check of PartitionGrid._cell; a remainder or a mismatch raises
     DivisibilityViolation.  Column x costs x products of two packed columns,
-    where PartitionGrid.ensure walks every pair of cells one multiply-add at
-    a time.
+    where the per-cell recurrence walks every pair of cells one multiply-add
+    at a time.
 
     Why B bits never carry.  B = bitlen((X + floor(X/xi)) * R(X)) rounded up
     to whole bytes, X = max_x, where R(n), the sum of column n, is the Euler

@@ -17,13 +17,19 @@ def contexts():
     return {D: build_context(Field(D)) for D in TABULATED_D}
 
 
-def grid_columns(grid, X):
-    """The complete columns x <= X of a PartitionGrid, each over its whole window."""
-    columns = []
-    for x in range(X + 1):
-        lo, hi = grid.column_window(x)
-        columns.append([grid.value(x, y) for y in range(lo, hi + 1)])
-    return columns
+def dense_counts(field, X):
+    """{(x, y): p(x + y*w)} on every totally positive cell with x <= X, from cone_columns."""
+    return {
+        (x, y): p
+        for x, col in enumerate(partition.cone_columns(field, X))
+        if x
+        for y, p in enumerate(col, -field.floor_div_omega(x))
+    }
+
+
+def stored_counts(grid):
+    """{(x, y): p(x + y*w)} on every cell a PartitionGrid has filled, all with x >= 1."""
+    return {(x, y): p for x, col in enumerate(grid._cols) if x for y, p in col.items()}
 
 
 def euler_product(field, X):

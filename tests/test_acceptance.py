@@ -9,9 +9,8 @@ from pathlib import Path
 import quadpartitions
 from quadpartitions import (
     Field,
-    GridPool,
-    PartitionGrid,
     build_context,
+    cone_columns,
     count_partitions,
     count_trace,
     dm_scan,
@@ -29,9 +28,9 @@ from quadpartitions import (
     witness_m6,
 )
 from quadpartitions.contfrac import floor_ratio_eps
-from quadpartitions.partition import cone_columns, enumerate_interval
+from quadpartitions.partition import enumerate_interval
 
-from conftest import TABULATED_D
+from conftest import TABULATED_D, dense_counts
 
 REFERENCE = Path(quadpartitions.__file__).parent / "reference"
 
@@ -54,10 +53,9 @@ def test_criterion_1_figure_grid():
     with criterion(1, "88-cell partition grid for D=2 reproduced bit-exact in < 1 s"):
         fixture = load("grid-xy-D2")
         t0 = time.perf_counter()
-        grid = PartitionGrid(Field(2))
-        grid.ensure(10)
+        cone = dense_counts(Field(2), 10)
         rows = [
-            [(grid.value(x, y) or 0) for x in range(11)]
+            [1 if (x, y) == (0, 0) else cone.get((x, y), 0) for x in range(11)]
             for y in range(len(fixture["rows"]))
         ]
         elapsed = time.perf_counter() - t0
@@ -69,13 +67,11 @@ def test_criterion_1_figure_grid():
 def test_criterion_2_slice_tables():
     with criterion(2, "eight slice tables reproduced bit-exact in < 60 s total"):
         t0 = time.perf_counter()
-        pool = GridPool()
         seen_max = 0
         for D in TABULATED_D:
             fixture = load(f"slice-D{D}")
             field = Field(D)
-            grid = pool.grid(field)
-            grid.ensure(field.ceil_xi_mult(fixture["y_max"]) + fixture["k_max"])
+            cone = dense_counts(field, field.ceil_xi_mult(fixture["y_max"]) + fixture["k_max"])
             rows = []
             for y in range(fixture["y_max"] + 1):
                 row = []
@@ -84,7 +80,7 @@ def test_criterion_2_slice_tables():
                         row.append(1)
                         continue
                     e = slice_element(field, k, y)
-                    row.append(grid.value(e.a, e.b))
+                    row.append(cone[e.a, e.b])
                 rows.append(row)
             assert rows == fixture["rows"], f"D={D}"
             seen_max = max(seen_max, max(max(r) for r in rows))
@@ -177,17 +173,14 @@ def test_criterion_6_witnesses(pool):
         assert len(got) == 6
 
 
-def test_criterion_7_oracle_equivalence(pool):
+def test_criterion_7_oracle_equivalence():
     with criterion(7, "brute-force count equals recurrence count on every cell with x <= 8"):
         checked = 0
         small = 0
         for D in TABULATED_D:
             f = Field(D)
-            grid = pool.grid(f)
-            grid.ensure(8)
-            for x, y, c in grid.cells():
-                if x > 8:
-                    continue
+            cone = dense_counts(f, 8)
+            for (x, y), c in cone.items():
                 assert count_partitions(f.element(x, y)) == c, (D, x, y)
                 checked += 1
                 if x <= 6:
@@ -195,7 +188,7 @@ def test_criterion_7_oracle_equivalence(pool):
             expect_small = sum(
                 f.floor_div_omega(x) + f.floor_div_xi(x) + 1 for x in range(1, 7)
             )
-            cells_small = sum(1 for x, _, _ in grid.cells() if x <= 6)
+            cells_small = sum(1 for x, _ in cone if x <= 6)
             assert cells_small == expect_small
         assert checked >= 300, checked
         assert small >= 200, small
@@ -203,16 +196,15 @@ def test_criterion_7_oracle_equivalence(pool):
 
 def test_criterion_8_invariant_suites(contexts, pool):
     with criterion(8, "conjugation, unit invariance, monotonicity, recurrence and parity invariants"):
-        # conjugation symmetry on every stored cell
+        # conjugation symmetry on every cell up to x = 15
         for D in TABULATED_D:
             f = Field(D)
-            grid = pool.grid(f)
-            grid.ensure(15)
-            for x, y, c in grid.cells():
+            cone = dense_counts(f, 15)
+            for (x, y), c in cone.items():
                 cx = x + y if f.one_mod4 else x
-                if cx > grid.max_x:
-                    continue  # conjugate column not materialized yet
-                assert grid.value(cx, -y) == c, (D, x, y)
+                if cx > 15:
+                    continue  # conjugate column beyond the cone read
+                assert cone[cx, -y] == c, (D, x, y)
 
         # multiplication by eps_plus fixes the count
         for D in (2, 5, 13):
@@ -228,8 +220,7 @@ def test_criterion_8_invariant_suites(contexts, pool):
         # the partial order is strictly monotone
         for D in (2, 13):
             f = Field(D)
-            grid = pool.grid(f)
-            cells = [(x, y, c) for x, y, c in grid.cells() if 1 <= x <= 6]
+            cells = [(x, y, c) for (x, y), c in dense_counts(f, 6).items()]
             for x1, y1, c1 in cells:
                 e1 = f.element(x1, y1)
                 for x2, y2, c2 in cells:
@@ -241,15 +232,12 @@ def test_criterion_8_invariant_suites(contexts, pool):
         # divisor-weighted recurrence on every cell up to x = 10
         for D in TABULATED_D:
             f = Field(D)
-            grid = pool.grid(f)
-            grid.ensure(10)
-            for x, y, c in grid.cells():
-                if not 1 <= x <= 10:
-                    continue
+            cone = dense_counts(f, 10)
+            for (x, y), c in cone.items():
                 alpha = f.element(x, y)
                 total = f.element(0)
                 for beta in enumerate_interval(alpha):
-                    rest = grid.value(alpha.a - beta.a, alpha.b - beta.b)
+                    rest = 1 if beta == alpha else cone.get((alpha.a - beta.a, alpha.b - beta.b))
                     assert rest is not None
                     total = total + sigma_K(beta) * rest
                 assert total == alpha * c, (D, x, y)

@@ -18,6 +18,7 @@ from quadpartitions import (
     cli,
     enumerate_partitions,
     fixtures,
+    oracle,
     parity,
     partition,
     search,
@@ -292,6 +293,15 @@ def test_budget_exceeded_exits_4(monkeypatch, capsys):
     assert "node budget" in err
 
 
+def test_node_budget_of_the_real_enumerator_exits_4(monkeypatch, capsys):
+    # No stub: the walker itself runs out of nodes on a representative it explains.
+    monkeypatch.setattr(oracle, "DEFAULT_BUDGET", 10)
+    code, out, err = run(capsys, "search", "--D", "5", "--m", "11", "--explain")
+    assert code == 4
+    assert err == "partition enumeration budget exhausted\n"
+    assert "partitions of the small representatives:" in out
+
+
 def test_parity_refuses_before_the_recurrence(monkeypatch, capsys):
     # The fold's budget check runs before cumulative_P's O(N^2) transform.
     def recurrence(field, N):
@@ -438,3 +448,37 @@ def test_dm_jobs_2_runs_a_pool_of_two_and_prints_the_serial_bytes(monkeypatch, c
         assert run(capsys, "dm", "--m", "5", "--jobs", "2", "--format", fmt) == serial, fmt
         assert len(starts) == 2, fmt
         starts.clear()
+
+
+def test_no_command_reads_what_only_perfbench_keeps(monkeypatch, capsys):
+    # PartitionGrid keeps ensure, max_x and column_window for perfbench alone:
+    # with all three raising, every subcommand prints what it prints with them.
+    argvs = (
+        ("grid", "--D", "5", "--max-x", "12", "--format", "json"),
+        ("grid", "--D", "19", "--view", "ky", "--kmax", "3", "--ymax", "6"),
+        ("search", "--D", "7", "--m", "11", "--format", "json"),
+        ("search", "--D", "5", "--m", "11", "--explain"),
+        ("dm", "--m", "5"),
+        ("parity", "--D", "3", "--N", "30"),
+        ("witness", "--D", "14", "--m", "4"),
+        ("witness", "--D", "14", "--m", "6"),
+        ("estimate", "--D", "2", "--a", "10", "--b", "5", "--compare"),
+        ("units", "--D", "19"),
+        ("indecomposables", "--D", "19"),
+        ("verify",),
+    )
+    unpatched = []
+    for argv in argvs:
+        code, out, _ = run(capsys, *argv)
+        unpatched.append((code, out))
+
+    def perfbench_only(*args):
+        raise AssertionError("a command read a PartitionGrid member kept for perfbench")
+
+    monkeypatch.setattr(partition.PartitionGrid, "ensure", perfbench_only)
+    monkeypatch.setattr(partition.PartitionGrid, "max_x", property(perfbench_only))
+    monkeypatch.setattr(partition.PartitionGrid, "column_window", perfbench_only)
+    for argv, want in zip(argvs, unpatched):
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == want, argv
+    assert [code for code, _ in unpatched] == [0] * len(argvs)

@@ -11,6 +11,8 @@ from quadpartitions import (
     is_squarefree,
 )
 
+from conftest import dense_counts
+
 getcontext().prec = 100
 
 # Hand-checked periods of sigma = omega + floor(xi).
@@ -143,14 +145,12 @@ def test_indecomposables_have_count_one(contexts, pool):
             assert grid.count(e) == 1, (ctx.field.D, e)
 
 
-def test_indecomposables_cover_all_small_count_one_cells(contexts, pool):
+def test_indecomposables_cover_all_small_count_one_cells(contexts):
     # Any cell with p = 1 must reduce into the stored eps_plus-period.
     for ctx in contexts.values():
-        grid = pool.grid(ctx.field)
-        grid.ensure(12)
         reduced = {fundamental_representative(e, ctx) for e in ctx.indecomposables}
-        for x, y, c in grid.cells():
-            if x <= 12 and c == 1:
+        for (x, y), c in dense_counts(ctx.field, 12).items():
+            if c == 1:
                 e = ctx.field.element(x, y)
                 assert fundamental_representative(e, ctx) in reduced, (ctx.field.D, x, y)
 

@@ -8,6 +8,7 @@ from quadpartitions import (
     count_partitions,
     enumerate_partitions,
 )
+from quadpartitions import oracle
 
 from conftest import TABULATED_D
 
@@ -78,12 +79,20 @@ def test_count_matches_enumeration():
         assert count_partitions(alpha) == len(enumerate_partitions(alpha))
 
 
-def test_budget_exhaustion():
+def test_budget_exhaustion(monkeypatch):
+    # The walker reads DEFAULT_BUDGET at each call.
     f = Field(2)
+    monkeypatch.setattr(oracle, "DEFAULT_BUDGET", 50)
+    with pytest.raises(BudgetExceeded, match="partition enumeration budget exhausted"):
+        enumerate_partitions(f.element(30, 0))
+    with pytest.raises(BudgetExceeded, match="partition enumeration budget exhausted"):
+        count_partitions(f.element(30, 0))
+    # The walk over the 6 partitions of 4 in Q(sqrt(3)) visits 9 nodes.
+    monkeypatch.setattr(oracle, "DEFAULT_BUDGET", 9)
+    assert count_partitions(Field(3).element(4)) == 6
+    monkeypatch.setattr(oracle, "DEFAULT_BUDGET", 8)
     with pytest.raises(BudgetExceeded):
-        enumerate_partitions(f.element(30, 0), budget=50)
-    with pytest.raises(BudgetExceeded):
-        count_partitions(f.element(30, 0), budget=50)
+        count_partitions(Field(3).element(4))
 
 
 def test_rejects_non_totally_positive():

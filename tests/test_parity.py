@@ -2,6 +2,7 @@ import pytest
 
 from quadpartitions import (
     Field,
+    cone_columns,
     cone_parity,
     count_trace,
     cumulative_P,
@@ -9,7 +10,9 @@ from quadpartitions import (
     parity_check,
     trace_layer_count,
 )
-from quadpartitions.partition import cone_columns, euler_transform
+from quadpartitions.partition import euler_transform
+
+from conftest import dense_counts
 
 PARITY_D = (2, 3, 6, 7)
 
@@ -31,11 +34,10 @@ def direct_trace_layer(field: Field, t: int) -> int:
     return count
 
 
-def direct_P(field: Field, grid, n: int) -> int:
-    # sum of grid counts over the full trace layer 2n
+def direct_P(field: Field, n: int) -> int:
+    # sum of the counts over the full trace layer 2n, all with x <= 2n
     total = 0
-    grid.ensure(2 * n)
-    for x, y, c in grid.cells():
+    for (x, y), c in dense_counts(field, 2 * n).items():
         if field.element(x, y).trace() == 2 * n:
             total += c
     return total
@@ -80,23 +82,21 @@ def test_trace_layer_count_matches_enumeration():
         trace_layer_count(Field(5), 0)
 
 
-def test_cumulative_P_matches_direct_sum(pool):
+def test_cumulative_P_matches_direct_sum():
     for D in PARITY_D:
         f = Field(D)
-        grid = pool.grid(f)
         profile = cumulative_P(f, 25)
         assert profile.P[0] == 1
         for n in range(1, 26):
-            assert profile.P[n] == direct_P(f, grid, n), (D, n)
+            assert profile.P[n] == direct_P(f, n), (D, n)
 
 
-def test_cumulative_P_matches_direct_sum_one_mod4(pool):
+def test_cumulative_P_matches_direct_sum_one_mod4():
     for D in (5, 13, 17, 21):
         f = Field(D)
-        grid = pool.grid(f)
         profile = cumulative_P(f, 18)
         for n in range(1, 19):
-            assert profile.P[n] == direct_P(f, grid, n), (D, n)
+            assert profile.P[n] == direct_P(f, n), (D, n)
 
 
 def test_trace_layer_transform_matches_the_even_trace_branch():

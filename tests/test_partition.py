@@ -14,10 +14,10 @@ from quadpartitions import (
     p_rational,
     sigma_K,
 )
-from quadpartitions import cli, partition
-from quadpartitions.partition import cone_columns, content
+from quadpartitions import cli, cone_columns, partition
+from quadpartitions.partition import content
 
-from conftest import TABULATED_D, euler_product, grid_columns
+from conftest import TABULATED_D, dense_counts, euler_product, stored_counts
 
 SPOT_VALUES = {
     # (D, a, b) -> p, frozen reference values
@@ -101,17 +101,23 @@ def test_spot_values(pool):
         assert pool.grid(f).count(f.element(a, b)) == want, (D, a, b)
 
 
-def test_grid_windows_and_base_column(pool):
+def test_grid_windows_and_base_column():
+    # ensure, max_x and column_window, which perfbench reads: ensure(X) stores
+    # exactly the dense cone up to X, and max_x and the windows describe it.
     for D in TABULATED_D:
         f = Field(D)
-        grid = pool.grid(f)
+        grid = PartitionGrid(f)
         grid.ensure(10)
+        assert stored_counts(grid) == dense_counts(f, 10), D
+        assert grid.max_x == 10
         assert grid.value(0, 0) == 1
         assert grid.column_window(0) == (0, 0)
         for x in range(1, 11):
             lo, hi = grid.column_window(x)
             assert lo == -f.floor_div_omega(x)
             assert hi == f.floor_div_xi(x)
+        with pytest.raises(ValueError):
+            grid.column_window(11)
         assert grid.value(1, -1) is None  # floor(1/omega) = 0, so no y = -1 cell
         assert grid.value(-1, 0) is None
 
@@ -119,7 +125,7 @@ def test_grid_windows_and_base_column(pool):
 def test_out_of_cone_queries(pool):
     f = Field(2)
     grid = pool.grid(f)
-    grid.ensure(4)
+    grid.count(f.element(4, 2))
     assert grid.value(3, 3) is None
     assert grid.value(-1, 0) is None
     with pytest.raises(ValueError):
@@ -128,59 +134,50 @@ def test_out_of_cone_queries(pool):
         grid.count(Field(3).element(2, 0))
 
 
-def test_conjugation_symmetry(pool):
+def test_conjugation_symmetry():
     for D in TABULATED_D:
         f = Field(D)
-        grid = pool.grid(f)
-        grid.ensure(25)
-        for x, y, c in grid.cells():
+        dense = dense_counts(f, 25)
+        for (x, y), c in dense.items():
             cx, cy = conjugate_cell(f, x, y)
-            if cx <= grid.max_x:
-                assert grid.value(cx, cy) == c, (D, x, y)
+            if cx <= 25:
+                assert dense[cx, cy] == c, (D, x, y)
 
 
 def test_unit_invariance(contexts, pool):
     for D, cap in ((2, 8), (5, 8), (13, 6)):
         ctx = contexts[D]
         grid = pool.grid(ctx.field)
-        grid.ensure(cap)
-        for x, y, c in list(grid.cells()):
-            if x > cap:
-                continue
+        for (x, y), c in dense_counts(ctx.field, cap).items():
             e = ctx.field.element(x, y)
             assert grid.count(ctx.eps_plus * e) == c, (D, x, y)
 
 
-def test_strict_monotonicity(pool):
+def test_strict_monotonicity():
     for D in (2, 5):
         f = Field(D)
-        grid = pool.grid(f)
-        grid.ensure(8)
-        cells = [(x, y, c) for x, y, c in grid.cells() if x <= 8]
-        for x1, y1, c1 in cells:
+        cells = dense_counts(f, 8).items()
+        for (x1, y1), c1 in cells:
             e1 = f.element(x1, y1)
-            for x2, y2, c2 in cells:
+            for (x2, y2), c2 in cells:
                 if (x1, y1) == (x2, y2):
                     continue
                 if f.element(x2, y2).succ_gt(e1):
                     assert c2 > c1, (D, (x1, y1), (x2, y2))
 
 
-def test_recurrence_coefficients_recheck(pool):
+def test_recurrence_coefficients_recheck():
     # alpha * p(alpha) = sum sigma_K(beta) * p(alpha - beta), re-derived
-    # through the public interval generator instead of the fused column loop.
+    # through the public interval generator instead of the packed columns.
     for D in TABULATED_D:
         f = Field(D)
-        grid = pool.grid(f)
-        grid.ensure(10)
-        for x, y, c in grid.cells():
-            if x > 10:
-                continue
+        dense = dense_counts(f, 10)
+        for (x, y), c in dense.items():
             alpha = f.element(x, y)
             total = f.element(0)
             for beta in enumerate_interval(alpha):
                 rest = alpha - beta
-                pr = grid.value(rest.a, rest.b)
+                pr = 1 if beta == alpha else dense.get((rest.a, rest.b))  # p(0) = 1
                 assert pr is not None
                 total = total + sigma_K(beta) * pr
             assert total == alpha * c, (D, x, y)
@@ -188,20 +185,21 @@ def test_recurrence_coefficients_recheck(pool):
 
 def test_column_cells_all_positive(pool):
     for D in TABULATED_D:
-        grid = pool.grid(Field(D))
-        grid.ensure(12)
-        for x, y, c in grid.cells():
-            assert c >= 1
+        f = Field(D)
+        grid = pool.grid(f)
+        grid.count(f.element(12, 0))
+        assert all(c >= 1 for c in stored_counts(grid).values()), D
+        assert all(c >= 1 for c in dense_counts(f, 12).values()), D
 
 
 def test_fresh_grid_and_pool_agree(pool):
     for D in (3, 21):
-        fresh = PartitionGrid(Field(D))
-        fresh.ensure(9)
-        shared = pool.grid(Field(D))
-        shared.ensure(9)
-        for x, y, c in fresh.cells():
-            assert shared.value(x, y) == c
+        f = Field(D)
+        fresh = PartitionGrid(f)
+        shared = pool.grid(f)
+        for (x, y), c in dense_counts(f, 9).items():
+            e = f.element(x, y)
+            assert fresh.count(e) == shared.count(e) == c, (D, x, y)
 
 
 def test_count_stores_exactly_the_interval():
@@ -212,68 +210,57 @@ def test_count_stores_exactly_the_interval():
         alpha = f.element(a, b)
         grid = PartitionGrid(f)
         grid.count(alpha)
-        stored = {(x, y) for x, y, _ in grid.cells()}
-        assert stored == {(e.a, e.b) for e in brute_interval(alpha)}, (D, a, b)
-        assert grid.max_x < a
-        dense = PartitionGrid(f)
-        dense.ensure(grid.max_x)
-        assert grid_columns(grid, grid.max_x) == grid_columns(dense, grid.max_x)
+        stored = stored_counts(grid)
+        assert set(stored) == {(e.a, e.b) for e in brute_interval(alpha)}, (D, a, b)
+        assert stored.items() <= dense_counts(f, a).items(), (D, a, b)
     grid = PartitionGrid(Field(2))
     assert grid.count(Field(2).element(3, 2)) == 1  # the unit 3+2*sqrt(2)
     assert grid.value(3, 0) is None and grid.value(1, 0) is None
     # After a sequence of counts it stores exactly the union of their intervals,
-    # no cell between two of them, and ensure still completes it.
+    # and no cell between two of them.
     rng = random.Random(0xC0DE)
     for D in TABULATED_D:
         f = Field(D)
-        cells = list(cone_cells(f, 30))[1:]
+        dense = dense_counts(f, 30)
+        cells = list(dense)
         rng.shuffle(cells)
         grid = PartitionGrid(f)
         union = set()
         for x, y in cells[:12]:
             grid.count(f.element(x, y))
             union |= {(e.a, e.b) for e in brute_interval(f.element(x, y))}
-        assert {(x, y) for x, y, _ in grid.cells()} == union, D
-        X = max(x for x, _ in union)
-        grid.ensure(X)
-        dense = PartitionGrid(f)
-        dense.ensure(X)
-        assert list(grid.cells()) == list(dense.cells()), D
+        stored = stored_counts(grid)
+        assert set(stored) == union, D
+        assert stored.items() <= dense.items(), D
 
 
-def test_count_in_any_order_matches_the_dense_grid(pool):
+def test_count_in_any_order_matches_the_dense_grid():
     # A shuffled order makes new intervals overlap the stored cells only in
     # part, so _fill must compute exactly the missing cells of each column.
     rng = random.Random(0xC0DE)
     for D in TABULATED_D:
         f = Field(D)
-        dense = pool.grid(f)
-        dense.ensure(30)
-        cells = list(cone_cells(f, 30))[1:]
+        dense = dense_counts(f, 30)
+        cells = list(dense)
         rng.shuffle(cells)
         grid = PartitionGrid(f)
         for x, y in cells:
-            assert grid.count(f.element(x, y)) == dense.value(x, y), (D, x, y)
-        assert grid.max_x == 30
-        assert all(dense.value(x, y) == c for x, y, c in grid.cells())
+            assert grid.count(f.element(x, y)) == dense[x, y], (D, x, y)
+        assert stored_counts(grid) == dense, D
 
 
 def test_ensure_completes_partial_columns():
+    # ensure and max_x, which perfbench reads, after count left partial columns.
     f = Field(13)
     grid = PartitionGrid(f)
     grid.count(f.element(9, 4))
     grid.ensure(12)
-    fresh = PartitionGrid(f)
-    fresh.ensure(12)
     assert grid.max_x == 12
-    assert grid_columns(grid, 12) == grid_columns(fresh, 12)
-    assert list(grid.cells()) == list(fresh.cells())
-    # extended further, it still equals a fresh build on every cell
+    assert stored_counts(grid) == dense_counts(f, 12)
+    # extended further, it still equals the dense cone on every cell
     grid.ensure(20)
-    fresh = PartitionGrid(f)
-    fresh.ensure(20)
     assert grid.max_x == 20
-    assert list(grid.cells()) == list(fresh.cells())
+    assert stored_counts(grid) == dense_counts(f, 20)
 
 
 def test_p_rational_small_values():
@@ -302,18 +289,19 @@ def test_p_rational_against_brute_force():
 
 def test_rational_column_matches_p_rational_when_cone_is_narrow():
     # For D > E_n the y = 0 column collapses to the rational values.
-    grid = PartitionGrid(Field(199))
-    grid.ensure(12)
+    f = Field(199)
+    grid = PartitionGrid(f)
     for n in range(1, 13):
-        assert grid.value(n, 0) == p_rational(n), n
+        assert grid.count(f.element(n, 0)) == p_rational(n), n
 
 
 def test_divisibility_violation_on_corrupted_state():
-    grid = PartitionGrid(Field(2))
-    grid.ensure(6)
+    f = Field(2)
+    grid = PartitionGrid(f)
+    grid.count(f.element(6, 0))
     grid._cols[5][0] = 9  # poison p(5, 0)
     with pytest.raises(DivisibilityViolation):
-        grid.ensure(12)
+        grid.count(f.element(12, 0))
 
 
 def test_asymptotic_estimate_monotone_in_norm():
@@ -325,39 +313,29 @@ def test_asymptotic_estimate_monotone_in_norm():
         asymptotic_estimate(f.element(1, 1))
 
 
-def cone_cells(field: Field, max_x: int):
-    for x in range(max_x + 1):
-        for y in range(-field.floor_div_omega(x), field.floor_div_xi(x) + 1):
-            yield x, y
-
-
-def test_parity_grid_matches_exact_grid_mod_2(pool):
+def test_parity_grid_matches_exact_grid_mod_2():
     # D=2 at X=60 fails when W is the width of column X alone: the bottom cell
     # of column 61 then shares a bit with the top cell (60, 42) of column 60.
     for D, X in [(D, 40) for D in TABULATED_D] + [(2, 60)]:
         f = Field(D)
-        exact = pool.grid(f)
-        exact.ensure(X)
         par = cone_parity(f, X)
         assert len(par) == X + 1
-        for x, y in cone_cells(f, X):
-            assert par[x][y + f.floor_div_omega(x)] == exact.value(x, y) % 2, (D, x, y)
+        assert par[0] == [1]
+        for (x, y), c in dense_counts(f, X).items():
+            assert par[x][y + f.floor_div_omega(x)] == c % 2, (D, x, y)
     for D in (2, 5):
         assert cone_parity(Field(D), 0) == [[1]], D
 
 
-def test_euler_product_matches_the_recurrence_to_x60(pool):
-    # Every cell of every column x <= 60, y < 0 included, from three algorithms.
+def test_euler_product_matches_the_recurrence_to_x60():
+    # Every cell of every column x <= 60, y < 0 included, from two algorithms.
     # D=2 at X=60 also catches a W no wider than column X in the product (see
     # test_parity_grid_matches_exact_grid_mod_2).
     for D in TABULATED_D:
         f = Field(D)
-        exact = pool.grid(f)
-        exact.ensure(60)
         cols = cone_columns(f, 60)
         assert len(cols) == 61
         assert cols == euler_product(f, 60), D
-        assert cols == grid_columns(exact, 60), D
 
 
 def test_cone_columns_match_the_euler_product_to_x100():
@@ -402,7 +380,7 @@ def test_wrong_weight_raises_divisibility_violation(monkeypatch, capsys):
 
 def test_recurrence_madds_matches_the_loop():
     # The same (u, v) bounds as PartitionGrid._cell, counted step by step.  The
-    # counts are exact, so the larger cases pin (madds, cells) of ensure(X).
+    # counts are exact, so the larger cases pin (madds, cells) of the cone up to X.
     pinned = {(2, 40): (223_660, 1_160), (3, 60): (745_434, 2_114),
               (5, 30): (179_677, 1_039), (13, 50): (390_404, 1_532)}
     for D, X in [(2, 14), (5, 14), (13, 14), *pinned]:

@@ -10,10 +10,17 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from quadpartitions import Field, PartitionGrid, QElement, build_context, is_squarefree  # noqa: E402
-from quadpartitions.partition import cone_columns, cone_rows  # noqa: E402
+from quadpartitions import (  # noqa: E402
+    Field,
+    PartitionGrid,
+    QElement,
+    build_context,
+    cone_columns,
+    is_squarefree,
+)
+from quadpartitions.partition import cone_rows  # noqa: E402
 
-from conftest import euler_product, grid_columns  # noqa: E402
+from conftest import euler_product  # noqa: E402
 
 SQUAREFREE = [D for D in range(2, 300) if is_squarefree(D)]
 SQUAREFREE_10K = [D for D in range(2, 10_000) if is_squarefree(D)]
@@ -55,10 +62,12 @@ def test_floors_and_signs_match_decimal(D, u, a, b, near):
 def test_euler_product_rows_match_the_recurrence(D, X):
     f = Field(D)
     cols = cone_columns(f, X)
-    grid = PartitionGrid(f)
-    grid.ensure(X)
-    assert cols == grid_columns(grid, X)
     assert cols == euler_product(f, X)
+    # The per-cell recurrence, counting every cell of the cone column by column.
+    grid = PartitionGrid(f)
+    for x, col in enumerate(cols[1:], 1):
+        for y, p in enumerate(col, -f.floor_div_omega(x)):
+            assert grid.count(QElement(f, x, y)) == p, (D, x, y)
     # Column x runs from y = -floor(x/omega); the rows hold y >= 0, 0 outside the cone.
     rows = cone_rows(f, X)
     bottoms = [f.floor_div_omega(x) for x in range(X + 1)]

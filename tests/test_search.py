@@ -26,7 +26,7 @@ from quadpartitions import cli
 from quadpartitions.contfrac import floor_ratio_eps
 from quadpartitions.search import slice_rows, worker_count
 
-from conftest import TABULATED_D
+from conftest import TABULATED_D, stored_counts
 
 # (k_max, y_max) produced by search_m at m_max = 11
 BOUNDS_AT_11 = {
@@ -286,7 +286,7 @@ def test_search_fills_only_the_slice_ideal(D, cells):
     ctx = build_context(Field(D))
     grid = PartitionGrid(ctx.field)
     search_m(ctx, 11, grid)
-    assert sum(1 for _ in grid.cells()) == cells
+    assert len(stored_counts(grid)) == cells
 
 
 def test_ky_view_fills_only_the_slice_ideal(monkeypatch, capsys):
@@ -297,7 +297,7 @@ def test_ky_view_fills_only_the_slice_ideal(monkeypatch, capsys):
     assert (report.k_max, report.y_max) == (6, 40)
     grid = PartitionGrid(f)
     assert slice_rows(grid, 6, 40) == report.slice_counts
-    assert sum(1 for _ in grid.cells()) == 286
+    assert len(stored_counts(grid)) == 286
 
     grids = []
 
@@ -309,7 +309,7 @@ def test_ky_view_fills_only_the_slice_ideal(monkeypatch, capsys):
     monkeypatch.setattr(cli, "PartitionGrid", RecordingGrid)
     assert cli.main(["grid", "--D", "19", "--view", "ky", "--kmax", "6", "--ymax", "40"]) == 0
     capsys.readouterr()
-    assert [sum(1 for _ in g.cells()) for g in grids] == [286]
+    assert [len(stored_counts(g)) for g in grids] == [286]
 
 
 def test_search_reaches_D31():
@@ -318,7 +318,7 @@ def test_search_reaches_D31():
     f = ctx.field
     grid = PartitionGrid(f)
     report = search_m(ctx, 11, grid)
-    assert sum(1 for _ in grid.cells()) == 1924
+    assert len(stored_counts(grid)) == 1924
     assert (report.k_max, report.y_max) == (6, 274)
     assert not report.missing()
     x_top = f.ceil_xi_mult(report.y_max) + report.k_max
