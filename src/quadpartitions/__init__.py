@@ -14,9 +14,7 @@ from .errors import BudgetExceeded, DivisibilityViolation, InvariantViolation
 from .field import Field, QElement, is_squarefree
 from .oracle import count_partitions, enumerate_partitions
 from .parity import (
-    ParityProfile,
     ParityReport,
-    count_trace,
     cumulative_P,
     parity_check,
     trace_layer_count,
@@ -62,7 +60,6 @@ __all__ = [
     "FieldContext",
     "GridPool",
     "InvariantViolation",
-    "ParityProfile",
     "ParityReport",
     "PartitionGrid",
     "QElement",
@@ -74,7 +71,6 @@ __all__ = [
     "cone_columns",
     "cone_parity",
     "count_partitions",
-    "count_trace",
     "cumulative_P",
     "dm_scan",
     "dumps_canonical",

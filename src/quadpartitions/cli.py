@@ -270,25 +270,25 @@ def cmd_dm(args: argparse.Namespace) -> int:
 def cmd_parity(args: argparse.Namespace) -> int:
     field = _field(args)
     report = parity_check(field, args.N, cone_parity(field, args.N))
-    profile = report.profile
-    P_bits = profile.parity_bits
+    P_bits = [v % 2 for v in report.P]
+    odd = sum(report.p_parity[1:])
     doc = {
         "D": field.D,
         "N": args.N,
-        "a": list(profile.a),
-        "P": list(profile.P),
-        "P_parity": list(P_bits),
+        "a": list(report.a),
+        "P": list(report.P),
+        "P_parity": P_bits,
         "p_parity": list(report.p_parity),
-        "odd_count": report.odd_count,
-        "even_count": report.even_count,
+        "odd_count": odd,
+        "even_count": args.N - odd,
     }
 
     def csv() -> str:
         lines = ["n,a_n,P_n,P_parity,p_parity"]
         for n in range(args.N + 1):
-            a_n = profile.a[n - 1] if n >= 1 else ""
+            a_n = report.a[n - 1] if n >= 1 else ""
             lines.append(
-                f"{n},{a_n},{profile.P[n]},{P_bits[n]},{report.p_parity[n]}"
+                f"{n},{a_n},{report.P[n]},{P_bits[n]},{report.p_parity[n]}"
             )
         return "\n".join(lines)
 
@@ -297,8 +297,8 @@ def cmd_parity(args: argparse.Namespace) -> int:
         f"P(n)      : {doc['P']}",
         f"P(n) mod 2: {doc['P_parity']}",
         f"p(n) mod 2: {doc['p_parity']}",
-        f"congruent: {report.congruent} "
-        f"(odd p(n) for {report.odd_count} of n = 1..{args.N})",
+        # parity_check has raised on any disagreement, and main then exits 3.
+        f"congruent: True (odd p(n) for {odd} of n = 1..{args.N})",
     ]
     if field.one_mod4:
         lines.append("note: D = 1 (mod 4); values are reported without any parity claim")

@@ -60,17 +60,24 @@ def in_fundamental_domain(e: QElement, ctx: FieldContext) -> bool:
 
 
 def fundamental_representative(e: QElement, ctx: FieldContext) -> QElement:
-    """The unique domain element equivalent to e up to units and conjugation."""
+    """The unique domain element equivalent to e up to units and conjugation.
+
+    Take a = e or e', so that a >= a'.  Then a/a' = a^2/Nm(a) < Tr(e)^2, as
+    Nm(a) >= 1 and a < Tr(e).  Each pass outside the domain divides a/a' by
+    eps_plus^2 >= ((3+sqrt5)/2)^2 > 4, so at most bit_length(Tr(e)) + 1
+    passes reach it; a loop that runs out means eps_plus is no unit > 1.
+    """
     if not e.is_totally_positive():
         raise ValueError(f"need a totally positive element, got {e!r}")
     inv = ctx.eps_plus.conjugate()  # norm 1, so the conjugate is the inverse
     a = e
-    while True:
+    for _ in range(e.trace().bit_length() + 3):
         if a.b < 0:
             a = a.conjugate()
-        if (ctx.eps_plus * a.conjugate() - a).sign() >= 0:
+        if in_fundamental_domain(a, ctx):
             return a
         a = a * inv
+    raise InvariantViolation(f"{e!r} did not reach the fundamental domain")
 
 
 def find_kmax(grid: PartitionGrid, m: int) -> int:

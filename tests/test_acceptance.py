@@ -12,7 +12,6 @@ from quadpartitions import (
     build_context,
     cone_columns,
     count_partitions,
-    count_trace,
     dm_scan,
     enumerate_partitions,
     exhaustive_scan_range,
@@ -23,6 +22,7 @@ from quadpartitions import (
     search_m,
     sigma_K,
     slice_element,
+    trace_layer_count,
     verify_thresholds,
     witness_m4,
     witness_m6,
@@ -265,13 +265,13 @@ def test_criterion_8_invariant_suites(contexts, pool):
             if not is_squarefree(D) or D % 4 == 1:
                 continue
             f = Field(D)
-            assert all(count_trace(f, n) % 2 == 1 for n in range(1, 201)), D
+            assert all(trace_layer_count(f, 2 * n) % 2 == 1 for n in range(1, 201)), D
 
         # cumulative parity agrees with the grid diagonal
         for D in (2, 3, 6, 7):
             f = Field(D)
             report = parity_check(f, 40, cone_columns(f, 40))
-            assert report.congruent, D
+            assert report.p_parity == tuple(v % 2 for v in report.P), D
 
 
 def test_criterion_9_threshold_optimality(pool):

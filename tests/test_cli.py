@@ -145,6 +145,25 @@ def test_parity_reads_the_euler_product(capsys):
     code, out, _ = run(capsys, "parity", "--D", "3", "--N", "200")
     assert code == 0
     assert "congruent: True" in out
+    code, out, _ = run(capsys, "parity", "--D", "3", "--N", "200", "--format", "json")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["P_parity"] == doc["p_parity"]
+    assert doc["odd_count"] == sum(doc["p_parity"][1:])
+    assert doc["odd_count"] + doc["even_count"] == 200
+
+
+def test_parity_disagreement_exits_3(monkeypatch, capsys):
+    # One flipped bit at (5, 0) in the mod-2 columns is a disagreement at n = 5.
+    def flipped(field, N):
+        columns = partition.cone_parity(field, N)
+        columns[5][field.floor_div_omega(5)] ^= 1
+        return columns
+
+    monkeypatch.setattr(cli, "cone_parity", flipped)
+    code, out, err = run(capsys, "parity", "--D", "3", "--N", "12")
+    assert (code, out) == (3, "")
+    assert err == "internal invariant violated: P and p disagree mod 2 for D=3 at n in [5]\n"
 
 
 def test_estimate_compare(capsys):

@@ -1,10 +1,12 @@
+from math import isqrt
+
 import pytest
 
 from quadpartitions import (
     Field,
+    InvariantViolation,
     cone_columns,
     cone_parity,
-    count_trace,
     cumulative_P,
     is_squarefree,
     parity_check,
@@ -43,21 +45,20 @@ def direct_P(field: Field, n: int) -> int:
     return total
 
 
-def test_count_trace_is_odd_for_2_3_mod_4():
+def test_even_trace_layers_are_odd_for_2_3_mod_4():
     for D in range(2, 40):
         if not is_squarefree(D) or D % 4 == 1:
             continue
         f = Field(D)
         for n in range(1, 201):
-            assert count_trace(f, n) % 2 == 1, (D, n)
+            assert trace_layer_count(f, 2 * n) % 2 == 1, (D, n)
 
 
 def test_count_trace_matches_enumeration_both_classes():
     for D in (2, 3, 5, 6, 13, 17, 21):
         f = Field(D)
         for n in range(1, 40):
-            want = direct_trace_layer(f, 2 * n)
-            assert count_trace(f, n) == want, (D, n)
+            assert trace_layer_count(f, 2 * n) == direct_trace_layer(f, 2 * n), (D, n)
     # Every element of trace 2n is n + t*sqrt(D) for an integer t (b = 2t
     # when D = 1 mod 4), so scanning t in [-n, n] enumerates the whole layer.
     for D in range(2, 60):
@@ -66,7 +67,7 @@ def test_count_trace_matches_enumeration_both_classes():
         f = Field(D)
         for n in range(1, 51):
             want = sum(f.from_sqrt(n, t).is_totally_positive() for t in range(-n, n + 1))
-            assert count_trace(f, n) == want, (D, n)
+            assert trace_layer_count(f, 2 * n) == want, (D, n)
 
 
 def test_trace_layer_count_matches_enumeration():
@@ -74,6 +75,12 @@ def test_trace_layer_count_matches_enumeration():
         f = Field(D)
         for t in range(1, 61):
             assert trace_layer_count(f, t) == direct_trace_layer(f, t), (D, t)
+    # a_n = 2*floor(n/sqrt(D)) + 1 in both classes of D
+    for D in range(2, 400):
+        if is_squarefree(D):
+            f = Field(D)
+            for n in range(1, 300):
+                assert trace_layer_count(f, 2 * n) == 2 * isqrt(n * n // D) + 1, (D, n)
     # odd traces occur only in the 1 mod 4 class
     assert trace_layer_count(Field(2), 3) == 0
     assert trace_layer_count(Field(5), 1) == 0
@@ -85,18 +92,18 @@ def test_trace_layer_count_matches_enumeration():
 def test_cumulative_P_matches_direct_sum():
     for D in PARITY_D:
         f = Field(D)
-        profile = cumulative_P(f, 25)
-        assert profile.P[0] == 1
+        P = cumulative_P(f, 25)
+        assert P[0] == 1
         for n in range(1, 26):
-            assert profile.P[n] == direct_P(f, n), (D, n)
+            assert P[n] == direct_P(f, n), (D, n)
 
 
 def test_cumulative_P_matches_direct_sum_one_mod4():
     for D in (5, 13, 17, 21):
         f = Field(D)
-        profile = cumulative_P(f, 18)
+        P = cumulative_P(f, 18)
         for n in range(1, 19):
-            assert profile.P[n] == direct_P(f, n), (D, n)
+            assert P[n] == direct_P(f, n), (D, n)
 
 
 def test_trace_layer_transform_matches_the_even_trace_branch():
@@ -106,16 +113,25 @@ def test_trace_layer_transform_matches_the_even_trace_branch():
         f = Field(D)
         Q = euler_transform([0] + [trace_layer_count(f, t) for t in range(1, 81)])
         assert Q[1::2] == [0] * 40, D
-        assert tuple(Q[::2]) == cumulative_P(f, 40).P, D
+        assert tuple(Q[::2]) == cumulative_P(f, 40), D
 
 
 def test_parity_congruence_holds():
     for D in PARITY_D:
         f = Field(D)
         report = parity_check(f, 40, cone_columns(f, 40))
-        assert report.congruent
-        assert report.odd_count + report.even_count == 40
+        assert report.p_parity == tuple(v % 2 for v in report.P)
+        assert (len(report.a), len(report.P)) == (40, 41)
         assert report.p_parity[0] == 1
+
+
+def test_parity_check_names_where_the_columns_disagree():
+    f = Field(3)
+    for n in (0, 7, 12):
+        columns = cone_parity(f, 12)
+        columns[n][f.floor_div_omega(n)] ^= 1
+        with pytest.raises(InvariantViolation, match=rf"for D=3 at n in \[{n}\]$"):
+            parity_check(f, 12, columns)
 
 
 def test_parity_check_agrees_for_both_grids():
@@ -127,9 +143,9 @@ def test_parity_check_agrees_for_both_grids():
 
 def test_parity_bits_frozen_for_sqrt2():
     report = parity_check(Field(2), 10, cone_parity(Field(2), 10))
-    assert report.profile.parity_bits[1:] == (1, 0, 1, 0, 0, 1, 0, 0, 0, 0)
-    assert report.profile.P == (1, 1, 4, 9, 20, 42, 91, 176, 354, 676, 1282)
-    assert report.profile.a == (1, 3, 5, 5, 7, 9, 9, 11, 13, 15)
+    assert tuple(v % 2 for v in report.P)[1:] == (1, 0, 1, 0, 0, 1, 0, 0, 0, 0)
+    assert report.P == (1, 1, 4, 9, 20, 42, 91, 176, 354, 676, 1282)
+    assert report.a == (1, 3, 5, 5, 7, 9, 9, 11, 13, 15)
 
 
 def test_both_parities_occur_in_window():
@@ -143,6 +159,6 @@ def test_both_parities_occur_in_window():
 def test_bad_arguments():
     f = Field(2)
     with pytest.raises(ValueError):
-        count_trace(f, 0)
+        trace_layer_count(f, 0)
     with pytest.raises(ValueError):
         cumulative_P(f, -1)

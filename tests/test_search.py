@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from decimal import Decimal, getcontext
 
@@ -5,6 +6,7 @@ import pytest
 
 from quadpartitions import (
     Field,
+    InvariantViolation,
     PartitionGrid,
     build_context,
     cone_parity,
@@ -169,6 +171,34 @@ def test_fundamental_representative_orbit(contexts):
                 assert fundamental_representative(other, ctx) == rep
     with pytest.raises(ValueError):
         fundamental_representative(Field(2).element(-1), contexts[2])
+
+
+def test_fundamental_representative_loop_is_bounded(contexts):
+    for D in TABULATED_D:
+        ctx = contexts[D]
+        e = ctx.field.element(3, 1)
+        rep = fundamental_representative(e, ctx)
+        for _ in range(40):
+            e = e * ctx.eps_plus
+            assert fundamental_representative(e, ctx) == rep, D
+    # With eps_plus = 1 no pass brings 2 + sqrt(2) into the domain.
+    ctx = dataclasses.replace(contexts[2], eps_plus=Field(2).element(1))
+    with pytest.raises(InvariantViolation):
+        fundamental_representative(Field(2).element(2, 1), ctx)
+
+
+def test_slice_counts_are_conjugation_and_unit_invariant(contexts):
+    # p(alpha) = p(alpha') = p(eps_plus * alpha') on the whole m = 11 slice
+    # box, out to x = 1,186, far beyond the oracle's x <= 8.
+    for ctx in (*contexts.values(), build_context(Field(19))):
+        f = ctx.field
+        grid = PartitionGrid(f)
+        report = search_m(ctx, 11, grid)
+        for y, row in enumerate(report.slice_counts):
+            for k, p in enumerate(row):
+                if (k, y) != (0, 0):
+                    conj = slice_element(f, k, y).conjugate()
+                    assert grid.count(conj) == grid.count(ctx.eps_plus * conj) == p, (f.D, k, y)
 
 
 def test_boundary_elements_are_self_paired(contexts):
