@@ -24,7 +24,7 @@ from .partition import (
     PartitionGrid,
     asymptotic_estimate,
     cone_columns,
-    cone_parity,
+    diagonal_parity,
     enumerate_interval,
     p_rational,
     sigma_K,
@@ -69,9 +69,9 @@ __all__ = [
     "asymptotic_estimate",
     "build_context",
     "cone_columns",
-    "cone_parity",
     "count_partitions",
     "cumulative_P",
+    "diagonal_parity",
     "dm_scan",
     "dumps_canonical",
     "element_to_obj",

@@ -20,7 +20,7 @@ from .field import Field, QElement, is_squarefree
 from .fixtures import builtin_documents, load_documents, verify_documents
 from .oracle import enumerate_partitions
 from .parity import parity_check
-from .partition import GridPool, PartitionGrid, asymptotic_estimate, cone_parity, cone_rows
+from .partition import GridPool, PartitionGrid, asymptotic_estimate, cone_rows, diagonal_parity
 from .search import (
     dm_scan,
     exhaustive_scan_range,
@@ -269,7 +269,7 @@ def cmd_dm(args: argparse.Namespace) -> int:
 
 def cmd_parity(args: argparse.Namespace) -> int:
     field = _field(args)
-    report = parity_check(field, args.N, cone_parity(field, args.N))
+    report = parity_check(field, args.N, diagonal_parity(field, args.N))
     P_bits = [v % 2 for v in report.P]
     odd = sum(report.p_parity[1:])
     doc = {

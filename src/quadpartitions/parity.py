@@ -18,9 +18,9 @@ c_1..c_2N); the resulting P(n) = Q(2n) still equals the direct sum over
 even traces.
 
 parity_check confirms the congruence by comparing P(n) mod 2 with p(n) mod 2
-read from whole-window columns at (n, 0).  The command line passes the
-columns of partition.cone_parity, which expands the Euler product modulo 2,
-so the two sides of the congruence come from independent algorithms.
+for n <= N.  The command line passes partition.diagonal_parity, which
+expands the Euler product modulo 2 below (N, 0), so the two sides of the
+congruence come from independent algorithms.
 """
 
 from __future__ import annotations
@@ -86,18 +86,18 @@ class ParityReport:
     p_parity: tuple[int, ...]  # p(n) mod 2 for n = 0..N
 
 
-def parity_check(field: Field, N: int, columns: Sequence[Sequence[int]]) -> ParityReport:
+def parity_check(field: Field, N: int, diagonal: Sequence[int]) -> ParityReport:
     """Confirm P(n) = p(n) (mod 2) for n <= N.
 
-    P(n) comes from the trace-layer recurrence; p(n) mod 2 is read at the
-    rational integers (n, 0), index floor(n/omega) of column n, from columns
-    in the shape of cone_columns up to x = N.  From cone_parity that is the
-    Euler product modulo 2, an algorithm independent of both recurrences;
-    from cone_columns it is the exact count.  Any disagreement raises
-    InvariantViolation, so a returned report always has P = p (mod 2).
+    P(n) comes from the trace-layer recurrence; diagonal holds p(n) at the
+    rational integers (n, 0) for n = 0..N, or p(n) mod 2, and is reduced mod
+    2 here.  From diagonal_parity that is the Euler product modulo 2, an
+    algorithm independent of both recurrences; read off cone_columns it is
+    the exact count.  Any disagreement raises InvariantViolation, so a
+    returned report always has P = p (mod 2).
     """
     P = cumulative_P(field, N)
-    p_par = tuple(columns[n][field.floor_div_omega(n)] % 2 for n in range(N + 1))
+    p_par = tuple(diagonal[n] % 2 for n in range(N + 1))
     offenders = [n for n in range(N + 1) if P[n] % 2 != p_par[n]]
     if offenders:
         raise InvariantViolation(

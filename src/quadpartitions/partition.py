@@ -22,13 +22,13 @@ column, one column at a time: each column is one big int with a slot of B
 bits per cell (Kronecker substitution), and column x is a sum of x products
 of packed columns.  cone_rows, the xy view, reads it.
 
-Two checks are independent of the recurrence over the cone.  Every column of
-cone_columns must sum to R(x), the number of partitions of x into parts
-counted by their first coordinate, or InvariantViolation is raised.  And
-cone_parity expands the Euler product of 1/(1 - q^beta) modulo 2, with 1-bit
-slots and XOR in place of addition, and returns p mod 2 in the shape of
-cone_columns, so p mod 2 from either layout is compared with a product that
-never runs the recurrence.
+Two checks are independent of the recurrence.  Every column of cone_columns
+must sum to R(x), the number of partitions of x into parts counted by their
+first coordinate, or InvariantViolation is raised.  And diagonal_parity
+expands the Euler product of 1/(1 - q^beta) modulo 2 over the order ideal
+below (N, 0), with 1-bit slots and XOR in place of addition, and returns
+p(n) mod 2 for n <= N, the side of the parity congruence that never runs
+the recurrence.
 
 euler_transform is the one-variable form of the recurrence, for a product
 prod_k (1 - q^k)^(-c[k]) over the rational integers: p_rational uses it with
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import gcd, sqrt
+from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceeded, DivisibilityViolation, InvariantViolation
@@ -52,8 +53,8 @@ __all__ = [
     "sigma_K",
     "enumerate_interval",
     "cone_columns",
-    "cone_parity",
     "cone_rows",
+    "diagonal_parity",
     "euler_transform",
     "p_rational",
     "asymptotic_estimate",
@@ -63,17 +64,18 @@ __all__ = [
 # Apery's constant zeta(3), used only by the floating-point diagnostic below.
 ZETA3 = 1.2020569031595942854
 
-# Throughput of the two cone kernels on a 2-core host with Python 3.11:
-# estimated 64-bit word operations per second of cone_parity's XOR fold (in
-# _fold_ms), measured for D = 2..97 and X = 40..260, and slot products per
-# second of cone_columns (see _recurrence_madds).  The latter falls as the
-# columns and their slots widen: 8e7 at X = 100 and 5e7 at X = 200 for D = 2,
-# 2.6e7 at X = 316 and 2.1e7 at X = 430, where the budget bites.  The rate is
-# that last one, so smaller cones run faster than estimated.
+# Throughput of the two kernels on a 2-core host with Python 3.11, each taken
+# where the budget bites, so smaller runs take less than estimated.  64-bit
+# words per second of diagonal_parity's XOR steps (see _fold_ms): a median of
+# 2.9e8 over D = 2, 5, 13 and N = 300..600, falling as the int outgrows the
+# caches, to 1.9e8 at N = 1351 for D = 2 and 1.7e8 at N = 1022 for D = 5.
+# Slot products per second of cone_columns (see _recurrence_madds): 8e7 at
+# X = 100 for D = 2, 2.1e7 at X = 430.
+_FOLD_WORDS_PER_S = 170_000_000
 _MADDS_PER_S = 21_000_000
-# The longest estimated run, in milliseconds on that host, that is started.
-# The xy view runs up to x = 416 for D=2 and 331 for D=5, estimated at two
-# minutes each, and is refused beyond.
+# The longest estimated run, in milliseconds on that host, that is started:
+# two minutes.  The xy view runs up to x = 416 for D=2 and 331 for D=5, and
+# parity up to N = 1182 and 994; both are refused beyond.
 _BUDGET_MS = 120_000
 
 
@@ -297,9 +299,11 @@ def _cone_layout(field: Field, X: int) -> tuple[list[int], list[int], int, int]:
     fdo[x] = floor(x/omega) and fdx[x] = floor(x/xi) bound the window of
     column x, which occupies slots x*W - fdo[x] up to x*W + fdx[x], and
     L = X*W + fdx[X] + 1 is one past the top cell of column X.  Both
-    whole-cone kernels start here, cone_columns with B-bit slots and
-    cone_parity with 1-bit slots.  Raises BudgetExceeded, before the O(X)
-    floors are listed, when neither could build the cone within the budget.
+    kernels start here, cone_columns with B-bit slots over the whole cone and
+    diagonal_parity with 1-bit slots over the cells below (X, 0), which the
+    same W keeps apart from every other cell of the cone.  Raises
+    BudgetExceeded, before the O(X) floors are listed, when neither could
+    build its cells within the budget.
 
     Choice of W.  Every exponent the Euler product generates is a totally
     positive element, so dropping the slots >= L is the truncation x <= X
@@ -315,23 +319,18 @@ def _cone_layout(field: Field, X: int) -> tuple[list[int], list[int], int, int]:
     W = field.floor_div_omega(X + 1) + top + 1
     L = X * W + top + 1
     # Every column holds the cell y = 0, so the cheapest kernel, the XOR fold,
-    # folds at least X parts, and the recurrence does at least X(X-1)/2
-    # multiply-adds.
-    lower = min(_fold_ms(X, L), _madds_ms(X * (X - 1) // 2))
+    # takes at least one step of X*W + 1 bits for each part (u, 0), and the
+    # recurrence does at least X(X-1)/2 multiply-adds.
+    lower = min(_fold_ms(X, X * W + 1), _madds_ms(X * (X - 1) // 2))
     _check_budget(X, lower, "building it would take at least")
     fdo = [field.floor_div_omega(x) for x in range(X + 1)]
     fdx = [field.floor_div_xi(x) for x in range(X + 1)]
     return fdo, fdx, W, L
 
 
-def _fold_ms(parts: int, L: int) -> int:
-    """Estimated milliseconds of cone_parity's XOR fold of parts into L one-bit slots.
-
-    Each part is folded in as at most ceil(log2 L) factors, and each factor
-    is a shift, a mask and an XOR over L/64 words, at 5e9 word operations
-    per second.
-    """
-    return parts * (L - 1).bit_length() * L * 1000 // (64 * 5_000_000_000)
+def _fold_ms(steps: int, L: int) -> int:
+    """Estimated milliseconds of diagonal_parity's steps, each a shift, a mask and an XOR of L bits."""
+    return steps * L * 1000 // (64 * _FOLD_WORDS_PER_S)
 
 
 def _recurrence_madds(sizes: Sequence[int]) -> int:
@@ -366,39 +365,60 @@ def _check_budget(X: int, ms: int, what: str) -> None:
         )
 
 
-# Maps the digits of a binary numeral to the byte values 0 and 1.
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+def _fold_steps(fdo: Sequence[int], fdx: Sequence[int], W: int, N: int) -> list[range]:
+    """The shifts of diagonal_parity's XOR steps, one range per k >= 0 and column x = 2^k*u <= N.
+
+    fdo, fdx and W are those of _cone_layout(field, N).  Column x of
+    I = [0, (N, 0)] runs from lo = max(-fdo[x], -fdx[N - x]) to
+    hi = min(fdx[x], fdo[N - x]): its window, clipped where (N - x, -y) is
+    no longer totally positive or zero.  The part 2^k*beta, beta = (u, v),
+    lies in I exactly when x = 2^k*u <= N and lo <= 2^k*v <= hi, and its
+    shift is its slot x*W + 2^k*v.  So the ranges for k = 0 are the columns
+    1..N of I, and there are fewer than 2N ranges in all.
+    """
+    lo = [max(-o, -t) for o, t in zip(fdo, reversed(fdx))]
+    hi = [min(t, o) for t, o in zip(fdx, reversed(fdo))]
+    return [
+        range(x * W + (-(-lo[x] >> k) << k), x * W + (hi[x] >> k << k) + 1, 1 << k)
+        for k in range(N.bit_length())
+        for x in range(1 << k, N + 1, 1 << k)
+    ]
 
 
-def cone_parity(field: Field, max_x: int) -> list[list[int]]:
-    """p(x + y*w) mod 2 over the whole window of each column x <= max_x, from the Euler product.
+def diagonal_parity(field: Field, N: int) -> tuple[int, ...]:
+    """p(n) mod 2 for n = 0..N, from the Euler product folded over the order ideal below (N, 0).
 
-    The shape of cone_columns: column x lists y = -floor(x/omega)..floor(x/xi).
-    The generating function of p is the product over totally positive beta of
-    1/(1 - q^beta), and modulo 2, 1/(1 - t) = (1 + t)(1 + t^2)(1 + t^4)...
-    The truncated product therefore needs only shifts and XORs.  The cone up
-    to max_x is one int F whose bit x*W + y holds p(x + y*w) mod 2 (the
-    layout of _cone_layout with 1-bit slots).  Every coin beta = (u, v) with
-    u <= max_x is folded in as the factors 1 + t^(s*2^k) for s = u*W + v and
-    every s*2^k < L.  It shares no arithmetic with the recurrence, so it
-    checks the counts of PartitionGrid and cone_columns mod 2 independently.
+    Modulo 2 the generating function of p, the product over totally positive
+    beta of 1/(1 - q^beta), is the product of the factors 1 + q^(2^k*beta),
+    k >= 0, so it needs only shifts and XORs.  It is one int F whose bit
+    x*W + y holds p(x + y*w) mod 2 (the layout of _cone_layout for X = N,
+    1-bit slots), and it shares no arithmetic with the recurrence.
+
+    Why folding only I = [0, (N, 0)] is exact on I.  Every partition of
+    (n, 0), n <= N, has all its parts in I, and I is an order ideal, so the
+    coefficients of a product on I read its factors only on I: each XOR step
+    is ANDed with the mask of I, and a factor 1 + q^gamma with gamma outside
+    I is 1 on I.  So the chain 2^k*beta of each part stops at its first
+    multiple outside I, as every later one lies above it (_fold_steps lists
+    the parts in I).  No cell aliases a slot of I: a cell of I plus a part
+    is a totally positive element, in the cone up to x = N, whose slots are
+    distinct, or beyond it, whose slots lie above them all (see _cone_layout).
 
     Raises BudgetExceeded, before any folding, when the fold is too costly.
     """
-    fdo, fdx, W, L = _cone_layout(field, max_x)
-    parts = sum(fdo) + sum(fdx) + max_x
-    _check_budget(max_x, _fold_ms(parts, L), "its parity product would take about")
-    mask = (1 << L) - 1
+    fdo, fdx, W, _ = _cone_layout(field, N)
+    L = N * W + 1  # one past the slot of (N, 0), the top cell of I
+    steps = _fold_steps(fdo, fdx, W, N)
+    _check_budget(N, _fold_ms(sum(map(len, steps)), L), "its parity product would take about")
+    mask = 1  # (0, 0) and the columns 1..N of I
+    for r in steps[:N]:
+        mask |= ((1 << len(r)) - 1) << r.start
     F = 1  # p(0) = 1
-    for u in range(1, max_x + 1):
-        for v in range(-fdo[u], fdx[u] + 1):
-            s = u * W + v
-            while s < L:
-                F ^= (F << s) & mask
-                s <<= 1
-    # Byte i of bits is bit i of F.
-    bits = format(F, f"0{L}b").encode()[::-1].translate(_BIT_BYTES)
-    return [list(bits[x * W - fdo[x] : x * W + fdx[x] + 1]) for x in range(max_x + 1)]
+    for r in steps:
+        for s in r:
+            F ^= (F << s) & mask
+    # Character i of bits is bit i of F, so (n, 0) is character n*W.
+    return tuple(map(int, format(F, f"0{L}b")[::-1][::W]))
 
 
 class GridPool:
@@ -527,10 +547,10 @@ def euler_transform(c: Sequence[int]) -> list[int]:
     checked and a remainder raises DivisibilityViolation.
     """
     T = len(c) - 1
-    w = [0] + [sum(d * c[d] for d in divisors(k)) for k in range(1, T + 1)]
+    w = [sum(d * c[d] for d in divisors(k)) for k in range(1, T + 1)]  # w(1..T)
     P = [1]
     for n in range(1, T + 1):
-        q, r = divmod(sum(w[k] * P[n - k] for k in range(1, n + 1)), n)
+        q, r = divmod(sum(map(mul, w, reversed(P))), n)
         if r:
             raise DivisibilityViolation(f"Euler transform division failed at n={n}")
         P.append(q)

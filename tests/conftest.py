@@ -71,3 +71,37 @@ def euler_product(field, X):
                                  f"{sum(col)}, not {R[x]}")
         columns.append(col)
     return columns
+
+
+# Maps the digits of a binary numeral to the byte values 0 and 1.
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def cone_parity(field, max_x):
+    """p(x + y*w) mod 2 over the whole window of each column x <= max_x, from the Euler product.
+
+    The shape of cone_columns, and the mod-2 twin of euler_product: 1-bit
+    slots in the layout of partition._cone_layout, and since modulo 2
+    1/(1 - t) = (1 + t)(1 + t^2)(1 + t^4)..., every part beta = (u, v) with
+    u <= max_x is folded in as the factors 1 + t^(s*2^k) for s = u*W + v and
+    every s*2^k < L, each one shift, one mask and one XOR on the whole int.
+    It folds the whole cone, where partition.diagonal_parity folds only the
+    order ideal below (max_x, 0), and shares no arithmetic with the recurrence.
+    """
+    fdo, fdx, W, L = partition._cone_layout(field, max_x)
+    mask = (1 << L) - 1
+    F = 1  # p(0) = 1
+    for u in range(1, max_x + 1):
+        for v in range(-fdo[u], fdx[u] + 1):
+            s = u * W + v
+            while s < L:
+                F ^= (F << s) & mask
+                s <<= 1
+    # Byte i of bits is bit i of F.
+    bits = format(F, f"0{L}b").encode()[::-1].translate(_BIT_BYTES)
+    return [list(bits[x * W - fdo[x] : x * W + fdx[x] + 1]) for x in range(max_x + 1)]
+
+
+def diagonal(field, columns):
+    """The cells (n, 0), n = 0..X, of columns in the shape of cone_columns up to X."""
+    return [col[field.floor_div_omega(n)] for n, col in enumerate(columns)]

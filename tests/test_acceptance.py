@@ -30,7 +30,7 @@ from quadpartitions import (
 from quadpartitions.contfrac import floor_ratio_eps
 from quadpartitions.partition import enumerate_interval
 
-from conftest import TABULATED_D, dense_counts
+from conftest import TABULATED_D, dense_counts, diagonal
 
 REFERENCE = Path(quadpartitions.__file__).parent / "reference"
 
@@ -270,7 +270,7 @@ def test_criterion_8_invariant_suites(contexts, pool):
         # cumulative parity agrees with the grid diagonal
         for D in (2, 3, 6, 7):
             f = Field(D)
-            report = parity_check(f, 40, cone_columns(f, 40))
+            report = parity_check(f, 40, diagonal(f, cone_columns(f, 40)))
             assert report.p_parity == tuple(v % 2 for v in report.P), D
 
 

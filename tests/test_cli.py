@@ -154,13 +154,13 @@ def test_parity_reads_the_euler_product(capsys):
 
 
 def test_parity_disagreement_exits_3(monkeypatch, capsys):
-    # One flipped bit at (5, 0) in the mod-2 columns is a disagreement at n = 5.
+    # One flipped bit at n = 5 in p(n) mod 2 is a disagreement at n = 5.
     def flipped(field, N):
-        columns = partition.cone_parity(field, N)
-        columns[5][field.floor_div_omega(5)] ^= 1
-        return columns
+        bits = list(partition.diagonal_parity(field, N))
+        bits[5] ^= 1
+        return bits
 
-    monkeypatch.setattr(cli, "cone_parity", flipped)
+    monkeypatch.setattr(cli, "diagonal_parity", flipped)
     code, out, err = run(capsys, "parity", "--D", "3", "--N", "12")
     assert (code, out) == (3, "")
     assert err == "internal invariant violated: P and p disagree mod 2 for D=3 at n in [5]\n"
@@ -363,6 +363,20 @@ def test_runs_over_the_cost_budget_exit_4_at_once(capsys):
             f"its recurrence would take about {secs} s, more than 120 s\n"
         )
         assert secs > partition._BUDGET_MS // 1000
+    # parity runs up to N = 1182 for D=2 and 994 for D=5, counting the XOR
+    # steps of its fold below (N, 0), and is refused at once from the next N on.
+    for D, N in ((2, 1183), (5, 995)):
+        fdo, fdx, W, _ = partition._cone_layout(Field(D), N - 1)
+        steps = sum(map(len, partition._fold_steps(fdo, fdx, W, N - 1)))
+        assert partition._fold_ms(steps, (N - 1) * W + 1) <= partition._BUDGET_MS, D
+        start = time.perf_counter()
+        code, out, err = run(capsys, "parity", "--D", str(D), "--N", str(N))
+        assert time.perf_counter() - start < 2, D
+        assert (code, out) == (4, ""), D
+        assert err == (
+            f"the cone up to x = {N} is over the cost budget: "
+            f"its parity product would take about 121 s, more than 120 s\n"
+        )
 
 
 def _drop_corner(doc):

@@ -6,15 +6,15 @@ from quadpartitions import (
     Field,
     InvariantViolation,
     cone_columns,
-    cone_parity,
     cumulative_P,
+    diagonal_parity,
     is_squarefree,
     parity_check,
     trace_layer_count,
 )
 from quadpartitions.partition import euler_transform
 
-from conftest import dense_counts
+from conftest import dense_counts, diagonal
 
 PARITY_D = (2, 3, 6, 7)
 
@@ -119,7 +119,7 @@ def test_trace_layer_transform_matches_the_even_trace_branch():
 def test_parity_congruence_holds():
     for D in PARITY_D:
         f = Field(D)
-        report = parity_check(f, 40, cone_columns(f, 40))
+        report = parity_check(f, 40, diagonal(f, cone_columns(f, 40)))
         assert report.p_parity == tuple(v % 2 for v in report.P)
         assert (len(report.a), len(report.P)) == (40, 41)
         assert report.p_parity[0] == 1
@@ -128,21 +128,22 @@ def test_parity_congruence_holds():
 def test_parity_check_names_where_the_columns_disagree():
     f = Field(3)
     for n in (0, 7, 12):
-        columns = cone_parity(f, 12)
-        columns[n][f.floor_div_omega(n)] ^= 1
+        bits = list(diagonal_parity(f, 12))
+        bits[n] ^= 1
         with pytest.raises(InvariantViolation, match=rf"for D=3 at n in \[{n}\]$"):
-            parity_check(f, 12, columns)
+            parity_check(f, 12, bits)
 
 
 def test_parity_check_agrees_for_both_grids():
-    # The columns of the Euler product mod 2 and the exact columns give one report.
+    # The Euler product mod 2 and the exact diagonal give one report.
     for D in PARITY_D:
         f = Field(D)
-        assert parity_check(f, 40, cone_parity(f, 40)) == parity_check(f, 40, cone_columns(f, 40)), D
+        exact = diagonal(f, cone_columns(f, 40))
+        assert parity_check(f, 40, diagonal_parity(f, 40)) == parity_check(f, 40, exact), D
 
 
 def test_parity_bits_frozen_for_sqrt2():
-    report = parity_check(Field(2), 10, cone_parity(Field(2), 10))
+    report = parity_check(Field(2), 10, diagonal_parity(Field(2), 10))
     assert tuple(v % 2 for v in report.P)[1:] == (1, 0, 1, 0, 0, 1, 0, 0, 0, 0)
     assert report.P == (1, 1, 4, 9, 20, 42, 91, 176, 354, 676, 1282)
     assert report.a == (1, 3, 5, 5, 7, 9, 9, 11, 13, 15)
@@ -151,7 +152,7 @@ def test_parity_bits_frozen_for_sqrt2():
 def test_both_parities_occur_in_window():
     # finite-window stand-in for the infinitude statement
     for D in PARITY_D:
-        bits = parity_check(Field(D), 40, cone_parity(Field(D), 40)).p_parity[1:]
+        bits = parity_check(Field(D), 40, diagonal_parity(Field(D), 40)).p_parity[1:]
         assert bits.count(1) >= 3
         assert bits.count(0) >= 3
 

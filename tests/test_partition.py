@@ -9,15 +9,14 @@ from quadpartitions import (
     PartitionGrid,
     QElement,
     asymptotic_estimate,
-    cone_parity,
     enumerate_interval,
     p_rational,
     sigma_K,
 )
-from quadpartitions import cli, cone_columns, partition
+from quadpartitions import cli, cone_columns, diagonal_parity, is_squarefree, partition
 from quadpartitions.partition import content
 
-from conftest import TABULATED_D, dense_counts, euler_product, stored_counts
+from conftest import TABULATED_D, cone_parity, dense_counts, diagonal, euler_product, stored_counts
 
 SPOT_VALUES = {
     # (D, a, b) -> p, frozen reference values
@@ -349,6 +348,46 @@ def test_cone_columns_match_the_parity_grid_to_x100():
     for D in TABULATED_D:
         f = Field(D)
         assert cone_parity(f, 100) == [[p % 2 for p in c] for c in cone_columns(f, 100)], D
+
+
+def test_diagonal_parity_matches_the_exact_diagonal_to_n120():
+    # Beyond the tabulated fields, D = 19 is 3 (mod 4) and D = 29, 101 are 1 (mod 4).
+    for D in TABULATED_D + (19, 29, 101):
+        f = Field(D)
+        exact = diagonal(f, cone_columns(f, 120))
+        assert diagonal_parity(f, 120) == tuple(p % 2 for p in exact), D
+
+
+def test_diagonal_parity_matches_the_whole_cone_fold():
+    # The fold below (N, 0) against the fold over the whole cone up to x = N.
+    for D in range(2, 400):
+        if is_squarefree(D):
+            f = Field(D)
+            assert diagonal_parity(f, 0) == (1,), D
+            for N in (1, 2, 3, 7, 30):
+                assert diagonal_parity(f, N) == tuple(diagonal(f, cone_parity(f, N))), (D, N)
+
+
+def test_fold_steps_are_every_chain_below_the_diagonal():
+    # The shifts that diagonal_parity folds and the budget counts, against a
+    # walk of every part beta of the cone up to x = N, its chain 2^k*beta
+    # followed while (N, 0) - 2^k*beta is totally positive or zero.
+    for D in (2, 3, 5, 6, 7, 13, 17, 21, 19, 29, 101):
+        f = Field(D)
+        for N in (0, 1, 2, 5, 12, 33):
+            fdo, fdx, W, _ = partition._cone_layout(f, N)
+            walked = []
+            for u in range(1, N + 1):
+                for v in range(-fdo[u], fdx[u] + 1):
+                    k = 0
+                    while True:
+                        rest = f.element(N - (u << k), -(v << k))
+                        if (rest.a, rest.b) != (0, 0) and not rest.is_totally_positive():
+                            break
+                        walked.append((u * W + v) << k)
+                        k += 1
+            steps = partition._fold_steps(fdo, fdx, W, N)
+            assert sorted(s for r in steps for s in r) == sorted(walked), (D, N)
 
 
 def test_euler_product_column_sum_mismatch_raises(monkeypatch):

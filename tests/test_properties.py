@@ -1,6 +1,6 @@
 """Property tests on random fields: the exact floors and signs against decimal
-arithmetic, and the packed columns against the per-cell recurrence and the
-Euler product."""
+arithmetic, the packed columns against the per-cell recurrence and the Euler
+product, and the Euler product mod 2 below (N, 0) against the exact diagonal."""
 
 import random
 from decimal import ROUND_FLOOR, Decimal, localcontext
@@ -16,11 +16,12 @@ from quadpartitions import (  # noqa: E402
     QElement,
     build_context,
     cone_columns,
+    diagonal_parity,
     is_squarefree,
 )
 from quadpartitions.partition import cone_rows  # noqa: E402
 
-from conftest import euler_product  # noqa: E402
+from conftest import diagonal, euler_product  # noqa: E402
 
 SQUAREFREE = [D for D in range(2, 300) if is_squarefree(D)]
 SQUAREFREE_10K = [D for D in range(2, 10_000) if is_squarefree(D)]
@@ -81,3 +82,10 @@ def test_euler_product_rows_match_the_recurrence(D, X):
                 image = eps * QElement(f, x, y).conjugate()
                 if image.a <= X and 0 <= image.b < len(rows):
                     assert rows[image.b][image.a] == p, (D, x, y)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(D=st.sampled_from(SQUAREFREE), N=st.integers(0, 60))
+def test_diagonal_parity_matches_the_exact_diagonal(D, N):
+    f = Field(D)
+    assert diagonal_parity(f, N) == tuple(p % 2 for p in diagonal(f, cone_columns(f, N)))

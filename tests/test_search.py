@@ -9,7 +9,6 @@ from quadpartitions import (
     InvariantViolation,
     PartitionGrid,
     build_context,
-    cone_parity,
     dm_scan,
     en_fn_bounds,
     exhaustive_scan_range,
@@ -28,7 +27,7 @@ from quadpartitions import cli
 from quadpartitions.contfrac import floor_ratio_eps
 from quadpartitions.search import slice_rows, worker_count
 
-from conftest import TABULATED_D, stored_counts
+from conftest import TABULATED_D, cone_parity, stored_counts
 
 # (k_max, y_max) produced by search_m at m_max = 11
 BOUNDS_AT_11 = {
