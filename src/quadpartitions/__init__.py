@@ -9,7 +9,13 @@ cumulative counting function, and searches for all elements with a prescribed
 number of partitions.
 """
 
-from .contfrac import FieldContext, build_context, expand_sigma, floor_ratio_eps
+from .contfrac import (
+    FieldContext,
+    build_context,
+    expand_sigma,
+    floor_ratio_eps,
+    indecomposables,
+)
 from .errors import BudgetExceeded, DivisibilityViolation, InvariantViolation
 from .field import Field, QElement, is_squarefree
 from .oracle import count_partitions, enumerate_partitions
@@ -85,6 +91,7 @@ __all__ = [
     "floor_ratio_eps",
     "fundamental_representative",
     "in_fundamental_domain",
+    "indecomposables",
     "is_squarefree",
     "p_rational",
     "parity_check",

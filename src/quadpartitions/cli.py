@@ -14,7 +14,7 @@ import math
 import sys
 from typing import Callable
 
-from .contfrac import build_context, floor_ratio_eps
+from .contfrac import build_context, floor_ratio_eps, indecomposables
 from .errors import BudgetExceeded, DivisibilityViolation, InvariantViolation
 from .field import Field, QElement, is_squarefree
 from .fixtures import builtin_documents, load_documents, verify_documents
@@ -157,14 +157,18 @@ def cmd_indecomposables(args: argparse.Namespace) -> int:
     doc = {
         "D": field.D,
         "period": list(ctx.period),
-        "indecomposables": [element_to_obj(e) for e in ctx.indecomposables],
+        "indecomposables": [element_to_obj(e) for e in indecomposables(ctx)],
     }
-    lines = [
-        f"D = {field.D}, continued fraction period {list(ctx.period)}",
-        "indecomposables for one unit period (with conjugates implied):",
-    ]
-    lines += [f"  {e}" for e in ctx.indecomposables]
-    _emit(args.format, doc, pretty=lambda: "\n".join(lines))
+
+    def pretty() -> str:
+        lines = [
+            f"D = {field.D}, continued fraction period {doc['period']}",
+            "indecomposables for one unit period (with conjugates implied):",
+        ]
+        lines += [f"  {obj['text']}" for obj in doc["indecomposables"]]
+        return "\n".join(lines)
+
+    _emit(args.format, doc, pretty=pretty)
     return 0
 
 
@@ -180,14 +184,17 @@ def cmd_units(args: argparse.Namespace) -> int:
         "eps_plus": element_to_obj(ctx.eps_plus),
         "floor_ratio": floor_ratio_eps(ctx),
     }
-    lines = [
-        f"D = {field.D}, discriminant {field.discriminant}",
-        f"continued fraction period {list(ctx.period)} (length {len(ctx.period)})",
-        f"eps      = {ctx.eps}  (norm {doc['eps_norm']})",
-        f"eps_plus = {ctx.eps_plus}",
-        f"floor(eps_plus / (xi + omega)) = {doc['floor_ratio']}",
-    ]
-    _emit(args.format, doc, pretty=lambda: "\n".join(lines))
+
+    def pretty() -> str:
+        return "\n".join([
+            f"D = {field.D}, discriminant {field.discriminant}",
+            f"continued fraction period {doc['period']} (length {len(ctx.period)})",
+            f"eps      = {doc['eps']['text']}  (norm {doc['eps_norm']})",
+            f"eps_plus = {doc['eps_plus']['text']}",
+            f"floor(eps_plus / (xi + omega)) = {doc['floor_ratio']}",
+        ])
+
+    _emit(args.format, doc, pretty=pretty)
     return 0
 
 
@@ -292,17 +299,20 @@ def cmd_parity(args: argparse.Namespace) -> int:
             )
         return "\n".join(lines)
 
-    lines = [
-        f"D = {field.D}, N = {args.N}",
-        f"P(n)      : {doc['P']}",
-        f"P(n) mod 2: {doc['P_parity']}",
-        f"p(n) mod 2: {doc['p_parity']}",
-        # parity_check has raised on any disagreement, and main then exits 3.
-        f"congruent: True (odd p(n) for {odd} of n = 1..{args.N})",
-    ]
-    if field.one_mod4:
-        lines.append("note: D = 1 (mod 4); values are reported without any parity claim")
-    _emit(args.format, doc, csv=csv, pretty=lambda: "\n".join(lines))
+    def pretty() -> str:
+        lines = [
+            f"D = {field.D}, N = {args.N}",
+            f"P(n)      : {doc['P']}",
+            f"P(n) mod 2: {doc['P_parity']}",
+            f"p(n) mod 2: {doc['p_parity']}",
+            # parity_check has raised on any disagreement, and main then exits 3.
+            f"congruent: True (odd p(n) for {odd} of n = 1..{args.N})",
+        ]
+        if field.one_mod4:
+            lines.append("note: D = 1 (mod 4); values are reported without any parity claim")
+        return "\n".join(lines)
+
+    _emit(args.format, doc, csv=csv, pretty=pretty)
     return 0
 
 

@@ -1,10 +1,15 @@
 """Continued fractions, convergents, units and indecomposables.
 
 The driver is the purely periodic continued fraction of
-sigma = omega + floor(xi).  Its convergents give the fundamental unit eps,
-the smallest totally positive unit eps_plus, and the complete list of
-additively indecomposable totally positive elements (up to multiplication
+sigma = omega + floor(xi).  Its convergents (p_i, q_i) give the elements
+alpha_i = p_i + q_i*xi: the fundamental unit eps, the smallest totally
+positive unit eps_plus, and, through indecomposables(ctx), the complete list
+of additively indecomposable totally positive elements (up to multiplication
 by eps_plus and conjugation).
+
+Every loop here runs on integer pairs.  xi = w - 1 for D = 1 (mod 4) and
+xi = w otherwise, so alpha_i = (p_i - q_i) + q_i*w or p_i + q_i*w in the
+basis (1, w); a QElement is made only for a value a caller reads.
 """
 
 from __future__ import annotations
@@ -15,7 +20,13 @@ from math import isqrt
 from .errors import InvariantViolation
 from .field import Field, QElement
 
-__all__ = ["FieldContext", "expand_sigma", "build_context", "floor_ratio_eps"]
+__all__ = [
+    "FieldContext",
+    "expand_sigma",
+    "build_context",
+    "indecomposables",
+    "floor_ratio_eps",
+]
 
 
 def expand_sigma(field: Field) -> tuple[int, ...]:
@@ -45,20 +56,24 @@ def expand_sigma(field: Field) -> tuple[int, ...]:
             return tuple(period)
 
 
+def _xi_shift(field: Field) -> int:
+    """t with xi = w - t, so that p + q*xi = (p - t*q) + q*w."""
+    return 1 if field.one_mod4 else 0
+
+
 @dataclass(frozen=True)
 class FieldContext:
-    """Everything the continued fraction of sigma determines about the field.
+    """What the commands read of the continued fraction of sigma.
 
     convergents[j] is (p_i, q_i) for i = j - 1, starting at i = -1 and ending
-    at i = 2s where s is the period length; alphas holds the corresponding
-    p_i + q_i * xi as ring elements.
+    at i = 2s where s is the period length.  eps = alpha_{s-1}, and eps_plus
+    is eps for even s and alpha_{2s-1} = eps^2 for odd s.  The indecomposables
+    come from the same convergents through indecomposables(ctx).
     """
 
     field: Field
     period: tuple[int, ...]
     convergents: tuple[tuple[int, int], ...]
-    alphas: tuple[QElement, ...]
-    indecomposables: tuple[QElement, ...]
     eps: QElement
     eps_plus: QElement
 
@@ -74,39 +89,47 @@ def build_context(field: Field) -> FieldContext:
         ps.append(u * ps[-1] + ps[-2])
         qs.append(u * qs[-1] + qs[-2])
 
-    xi = field.xi()
-    alphas = tuple(field.element(p) + q * xi for p, q in zip(ps, qs))
-
-    eps = alphas[s]  # alpha_{s-1}
+    t = _xi_shift(field)
+    eps = QElement(field, ps[s] - t * qs[s], qs[s])  # alpha_{s-1}
     if eps.norm() not in (1, -1):
         raise InvariantViolation(f"alpha_(s-1) is not a unit for D={field.D}")
-    eps_plus = eps if s % 2 == 0 else alphas[2 * s]  # alpha_{2s-1} when s is odd
+    if s % 2 == 0:
+        eps_plus = eps
+    else:
+        eps_plus = QElement(field, ps[2 * s] - t * qs[2 * s], qs[2 * s])  # alpha_{2s-1}
     if eps_plus.norm() != 1 or not eps_plus.is_totally_positive():
         raise InvariantViolation(f"eps_plus is not a totally positive unit for D={field.D}")
-
-    # One eps_plus-period of indecomposables: alpha_{i,r} = alpha_i + r*alpha_{i+1}
-    # for odd i, 0 <= r < u_{i+2}.  The shift alpha_{i+s} = eps*alpha_i preserves
-    # the parity of i when s is even, so odd i in [-1, s-3] suffices there; for
-    # odd s one eps^2-period needs odd i in [-1, 2s-3].
-    top = s - 3 if s % 2 == 0 else 2 * s - 3
-    seen: dict[QElement, None] = {}
-    for i in range(-1, top + 1, 2):
-        a_i = alphas[i + 1]
-        a_next = alphas[i + 2]
-        u = period[(i + 2) % s]
-        for r in range(u):
-            seen.setdefault(a_i + r * a_next)
-    indecomposables = tuple(seen)
 
     return FieldContext(
         field=field,
         period=period,
         convergents=tuple(zip(ps, qs)),
-        alphas=alphas,
-        indecomposables=indecomposables,
         eps=eps,
         eps_plus=eps_plus,
     )
+
+
+def indecomposables(ctx: FieldContext) -> tuple[QElement, ...]:
+    """The indecomposables of one eps_plus-period, in the order they are first met.
+
+    They are alpha_{i,r} = alpha_i + r*alpha_{i+1} for odd i, 0 <= r < u_{i+2}.
+    The shift alpha_{i+s} = eps*alpha_i preserves the parity of i when s is
+    even, so odd i in [-1, s-3] suffices there; for odd s one eps^2-period
+    needs odd i in [-1, 2s-3].  The sums are formed and deduplicated as
+    integer pairs in the basis (1, w).
+    """
+    period = ctx.period
+    s = len(period)
+    top = s - 3 if s % 2 == 0 else 2 * s - 3
+    t = _xi_shift(ctx.field)
+    alphas = [(p - t * q, q) for p, q in ctx.convergents[: top + 3]]
+    seen: dict[tuple[int, int], None] = {}
+    for i in range(-1, top + 1, 2):
+        a0, b0 = alphas[i + 1]
+        a1, b1 = alphas[i + 2]
+        for r in range(period[(i + 2) % s]):
+            seen[a0 + r * a1, b0 + r * b1] = None
+    return tuple(QElement(ctx.field, a, b) for a, b in seen)
 
 
 def floor_ratio_eps(ctx: FieldContext) -> int:

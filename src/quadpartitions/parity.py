@@ -61,22 +61,31 @@ def trace_layer_count(field: Field, t: int) -> int:
     return 2 * ((f + 1) // 2)
 
 
-def cumulative_P(field: Field, N: int) -> tuple[int, ...]:
+def _trace_layers(field: Field, N: int) -> list[int]:
+    """The counts the transform for P(0..N) runs on: [0, c_1..c_2N] or [0, a_1..a_N].
+
+    For D = 1 (mod 4) they are the trace layers c_t, t <= 2N.  Otherwise only
+    even traces occur, so they are (0, a_1..a_N) directly: the trace-layer
+    path would give the same values from twice as many terms, at about three
+    times the cost.
+    """
+    if field.one_mod4:
+        return [0] + [trace_layer_count(field, t) for t in range(1, 2 * N + 1)]
+    return [0] + [trace_layer_count(field, 2 * n) for n in range(1, N + 1)]
+
+
+def cumulative_P(
+    field: Field, N: int, layers: Sequence[int] | None = None
+) -> tuple[int, ...]:
     """P(0..N) through the exact divisor-weighted recurrence (euler_transform).
 
-    For D = 1 (mod 4) the transform runs over the trace layers c_t, t <= 2N,
-    and P(n) = Q(2n) is every second entry.  Otherwise only even traces
-    occur, so it runs over (0, a_1..a_N) directly: the trace-layer path would
-    give the same values from twice as many terms, at about three times the
-    cost.
+    layers is _trace_layers(field, N), passed by a caller that has it already.
+    For D = 1 (mod 4) P(n) = Q(2n) is every second entry of the transform.
     """
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
-    if field.one_mod4:
-        c = [0] + [trace_layer_count(field, t) for t in range(1, 2 * N + 1)]
-        return tuple(euler_transform(c)[::2])
-    a = [0] + [trace_layer_count(field, 2 * n) for n in range(1, N + 1)]
-    return tuple(euler_transform(a))
+    P = euler_transform(_trace_layers(field, N) if layers is None else layers)
+    return tuple(P[::2] if field.one_mod4 else P)
 
 
 @dataclass(frozen=True)
@@ -96,12 +105,13 @@ def parity_check(field: Field, N: int, diagonal: Sequence[int]) -> ParityReport:
     the exact count.  Any disagreement raises InvariantViolation, so a
     returned report always has P = p (mod 2).
     """
-    P = cumulative_P(field, N)
+    layers = _trace_layers(field, N)
+    P = cumulative_P(field, N, layers)
     p_par = tuple(diagonal[n] % 2 for n in range(N + 1))
     offenders = [n for n in range(N + 1) if P[n] % 2 != p_par[n]]
     if offenders:
         raise InvariantViolation(
             f"P and p disagree mod 2 for D={field.D} at n in {offenders}"
         )
-    a = tuple(trace_layer_count(field, 2 * n) for n in range(1, N + 1))
-    return ParityReport(a=a, P=P, p_parity=p_par)
+    a = layers[2::2] if field.one_mod4 else layers[1:]  # a_n = c_2n
+    return ParityReport(a=tuple(a), P=P, p_parity=p_par)

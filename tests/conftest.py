@@ -1,6 +1,8 @@
+from types import SimpleNamespace
+
 import pytest
 
-from quadpartitions import Field, GridPool, build_context
+from quadpartitions import Field, GridPool, build_context, expand_sigma
 from quadpartitions import partition
 
 # The eight fields whose tables the reference fixtures pin down.
@@ -15,6 +17,45 @@ def pool():
 @pytest.fixture(scope="session")
 def contexts():
     return {D: build_context(Field(D)) for D in TABULATED_D}
+
+
+def convergent_elements(ctx):
+    """alpha_i = p_i + q_i*xi as ring elements, for every (p_i, q_i) in ctx.convergents."""
+    xi = ctx.field.xi()
+    return [ctx.field.element(p) + q * xi for p, q in ctx.convergents]
+
+
+def reference_context(field):
+    """The continued-fraction context built in QElement arithmetic throughout, an oracle.
+
+    Returns period, convergents, alphas, eps, eps_plus and the ordered
+    indecomposables; contfrac builds the same values on integer pairs.
+    """
+    period = expand_sigma(field)
+    s = len(period)
+    ps = [1, (period[0] + 1) // 2]
+    qs = [0, 1]
+    for i in range(1, 2 * s + 1):
+        u = period[i % s]
+        ps.append(u * ps[-1] + ps[-2])
+        qs.append(u * qs[-1] + qs[-2])
+    xi = field.xi()
+    alphas = tuple(field.element(p) + q * xi for p, q in zip(ps, qs))
+    eps = alphas[s]
+    eps_plus = eps if s % 2 == 0 else alphas[2 * s]
+    top = s - 3 if s % 2 == 0 else 2 * s - 3
+    seen = {}
+    for i in range(-1, top + 1, 2):
+        for r in range(period[(i + 2) % s]):
+            seen.setdefault(alphas[i + 1] + r * alphas[i + 2])
+    return SimpleNamespace(
+        period=period,
+        convergents=tuple(zip(ps, qs)),
+        alphas=alphas,
+        eps=eps,
+        eps_plus=eps_plus,
+        indecomposables=tuple(seen),
+    )
 
 
 def dense_counts(field, X):

@@ -16,6 +16,7 @@ from quadpartitions import (
     GridPool,
     InvariantViolation,
     cli,
+    contfrac,
     enumerate_partitions,
     fixtures,
     oracle,
@@ -110,6 +111,22 @@ def test_units_and_indecomposables_run(capsys):
     code, out, _ = run(capsys, "indecomposables", "--D", "7")
     assert code == 0
     assert "1+√7" not in out  # not totally positive, so never indecomposable
+
+
+def test_only_the_indecomposables_command_lists_them(monkeypatch, capsys):
+    def listed(ctx):
+        raise AssertionError(f"indecomposables listed for D={ctx.field.D}")
+
+    monkeypatch.setattr(contfrac, "indecomposables", listed)
+    monkeypatch.setattr(cli, "indecomposables", listed)
+    for argv in (
+        ("units", "--D", "7"),
+        ("units", "--D", "13", "--format", "json"),
+        ("search", "--D", "7", "--m", "5"),
+        ("dm", "--m", "3"),
+        ("verify",),
+    ):
+        assert run(capsys, *argv)[0] == 0, argv
 
 
 def test_witness_excluded_field_reports_ten(capsys):

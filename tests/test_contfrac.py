@@ -8,10 +8,11 @@ from quadpartitions import (
     expand_sigma,
     floor_ratio_eps,
     fundamental_representative,
+    indecomposables,
     is_squarefree,
 )
 
-from conftest import dense_counts
+from conftest import convergent_elements, dense_counts, reference_context
 
 getcontext().prec = 100
 
@@ -86,12 +87,29 @@ def test_convergent_recurrence_and_bounds(contexts):
 
 
 def test_alphas_are_convergent_elements(contexts):
+    # alpha_i = p_i + q_i*xi in sqrt coordinates, and eps, eps_plus are among them.
     for D, ctx in contexts.items():
         f = ctx.field
-        xi = f.xi()
-        for (p, q), alpha in zip(ctx.convergents, ctx.alphas):
-            assert f.element(p) + q * xi == alpha
-        assert ctx.alphas[0] == f.element(1)  # alpha_(-1)
+        alphas = convergent_elements(ctx)
+        for (p, q), alpha in zip(ctx.convergents, alphas):
+            assert alpha.sqrt_coords() == ((2 * p - q, q, 2) if f.one_mod4 else (p, q, 1)), D
+        assert alphas[0] == f.element(1)  # alpha_(-1)
+        s = len(ctx.period)
+        assert ctx.eps == alphas[s], D  # alpha_(s-1)
+        assert ctx.eps_plus == alphas[s if s % 2 == 0 else 2 * s], D
+
+
+def test_context_matches_the_qelement_reference():
+    # Integer pairs against the QElement construction, for every squarefree D < 2000.
+    for D in range(2, 2000):
+        if not is_squarefree(D):
+            continue
+        f = Field(D)
+        ctx, ref = build_context(f), reference_context(f)
+        assert ctx.field == f
+        assert (ctx.period, ctx.convergents) == (ref.period, ref.convergents), D
+        assert (ctx.eps, ctx.eps_plus) == (ref.eps, ref.eps_plus), D
+        assert indecomposables(ctx) == ref.indecomposables, D
 
 
 def test_units_match_known_table(contexts):
@@ -116,8 +134,9 @@ def test_eps_plus_is_smallest_totally_positive_unit(contexts):
     for ctx in contexts.values():
         s = len(ctx.period)
         top = s - 1 if s % 2 == 0 else 2 * s - 1
+        alphas = convergent_elements(ctx)
         for i in range(0, top):
-            a = ctx.alphas[i + 1]
+            a = alphas[i + 1]
             if abs(a.norm()) == 1:
                 assert not (a.is_totally_positive() and a.norm() == 1), (ctx.field.D, i)
 
@@ -125,7 +144,7 @@ def test_eps_plus_is_smallest_totally_positive_unit(contexts):
 def test_conjugate_magnitudes_strictly_decrease(contexts):
     # |alpha_i'| is strictly decreasing, which drives indecomposability.
     for ctx in contexts.values():
-        conj_sq = [a.conjugate() * a.conjugate() for a in ctx.alphas]
+        conj_sq = [a.conjugate() * a.conjugate() for a in convergent_elements(ctx)]
         for c1, c2 in zip(conj_sq, conj_sq[1:]):
             assert (c1 - c2).sign() > 0, ctx.field.D
 
@@ -133,14 +152,15 @@ def test_conjugate_magnitudes_strictly_decrease(contexts):
 def test_shift_by_eps(contexts):
     for ctx in contexts.values():
         s = len(ctx.period)
+        alphas = convergent_elements(ctx)
         for i in range(-1, s + 1):
-            assert ctx.alphas[i + s + 1] == ctx.eps * ctx.alphas[i + 1], (ctx.field.D, i)
+            assert alphas[i + s + 1] == ctx.eps * alphas[i + 1], (ctx.field.D, i)
 
 
 def test_indecomposables_have_count_one(contexts, pool):
     for ctx in contexts.values():
         grid = pool.grid(ctx.field)
-        for e in ctx.indecomposables:
+        for e in indecomposables(ctx):
             assert e.is_totally_positive()
             assert grid.count(e) == 1, (ctx.field.D, e)
 
@@ -148,7 +168,7 @@ def test_indecomposables_have_count_one(contexts, pool):
 def test_indecomposables_cover_all_small_count_one_cells(contexts):
     # Any cell with p = 1 must reduce into the stored eps_plus-period.
     for ctx in contexts.values():
-        reduced = {fundamental_representative(e, ctx) for e in ctx.indecomposables}
+        reduced = {fundamental_representative(e, ctx) for e in indecomposables(ctx)}
         for (x, y), c in dense_counts(ctx.field, 12).items():
             if c == 1:
                 e = ctx.field.element(x, y)

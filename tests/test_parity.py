@@ -149,6 +149,15 @@ def test_parity_bits_frozen_for_sqrt2():
     assert report.a == (1, 3, 5, 5, 7, 9, 9, 11, 13, 15)
 
 
+def test_report_lists_the_even_trace_layers():
+    # The report's a_n come from the layers the recurrence ran on, in both classes of D.
+    for D in (2, 3, 5, 13, 17, 21):
+        f = Field(D)
+        report = parity_check(f, 30, diagonal_parity(f, 30))
+        assert report.a == tuple(trace_layer_count(f, 2 * n) for n in range(1, 31)), D
+        assert report.P == cumulative_P(f, 30), D
+
+
 def test_both_parities_occur_in_window():
     # finite-window stand-in for the infinitude statement
     for D in PARITY_D:

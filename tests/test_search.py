@@ -16,6 +16,7 @@ from quadpartitions import (
     find_ymax,
     fundamental_representative,
     in_fundamental_domain,
+    indecomposables,
     is_squarefree,
     search_m,
     slice_element,
@@ -148,7 +149,7 @@ def test_m1_classes_are_indecomposable_classes(contexts, pool):
     for D in TABULATED_D:
         ctx = contexts[D]
         report = search_m(ctx, 3, pool.grid(ctx.field))
-        classes = {fundamental_representative(e, ctx) for e in ctx.indecomposables}
+        classes = {fundamental_representative(e, ctx) for e in indecomposables(ctx)}
         assert set(report.representatives[1]) == classes, D
 
 
