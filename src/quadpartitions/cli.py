@@ -138,7 +138,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
     else:
         if args.kmax is None or args.ymax is None:
             raise UsageError("grid: --kmax and --ymax are required for the ky view")
-        rows = slice_rows(PartitionGrid(field), args.kmax, args.ymax)
+        rows = slice_rows(field, args.kmax, args.ymax)
         doc = {"D": field.D, "view": "ky", "k_max": args.kmax, "y_max": args.ymax, "rows": rows}
         col = "k"
     _emit(

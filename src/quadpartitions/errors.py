@@ -14,8 +14,11 @@ class BudgetExceeded(RuntimeError):
     """A run over its cost budget.
 
     Raised when the brute-force enumerator exhausts its node budget, and,
-    before any work starts, when building the cone up to a column is
-    estimated to take longer than the partition module's budget.
+    before any work starts, when building the cone up to a column or the
+    Euler product over a slice band (search, dm, grid --view ky and the
+    slice documents of verify) is estimated to take longer than the
+    partition module's budget.  A band is estimated again before each wider
+    fold.  The CLI exits with code 4.
     """
 
 

@@ -76,7 +76,7 @@ def _diff_grid_xy(doc: dict, pool: GridPool) -> list[str]:
 
 
 def _diff_slice_ky(doc: dict, pool: GridPool) -> list[str]:
-    rows = slice_rows(pool.grid(Field(doc["D"])), doc["k_max"], doc["y_max"])
+    rows = slice_rows(Field(doc["D"]), doc["k_max"], doc["y_max"])
     return _diff_rows(doc, rows, "y={r} k={c}")
 
 
@@ -113,7 +113,7 @@ def _diff_representatives(doc: dict, pool: GridPool) -> list[str]:
         D = entry["D"]
         field = Field(D)
         ctx = build_context(field)
-        report = search_m(ctx, doc["m_max"], pool.grid(field))
+        report = search_m(ctx, doc["m_max"])
         for m in range(1, doc["m_max"] + 1):
             expected = {(o["a"], o["b"]) for o in entry["by_m"][str(m)]}
             got = {(e.a, e.b) for e in report.representatives[m]}

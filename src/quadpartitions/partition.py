@@ -17,10 +17,12 @@ strictly earlier columns and the recurrence is well founded.
 
 It runs in two layouts.  PartitionGrid computes it cell by cell on the
 intervals [0, alpha] that count(alpha) asks for, and stores each column as a
-dict of exactly the cells filled.  cone_columns computes the whole cone up to a
-column, one column at a time: each column is one big int with a slot of B
-bits per cell (Kronecker substitution), and column x is a sum of x products
-of packed columns.  cone_rows, the xy view, reads it.
+dict of exactly the cells filled; the point queries (find_kmax, the
+witnesses, estimate --compare, the threshold table) read it.  cone_columns
+computes the whole cone up to a column, one column at a time: each column is
+one big int with a slot of B bits per cell (Kronecker substitution), and
+column x is a sum of x products of packed columns.  cone_rows, the xy view,
+reads it.
 
 Two checks are independent of the recurrence.  Every column of cone_columns
 must sum to R(x), the number of partitions of x into parts counted by their
@@ -29,6 +31,15 @@ expands the Euler product of 1/(1 - q^beta) modulo 2 over the order ideal
 below (N, 0), with 1-bit slots and XOR in place of addition, and returns
 p(n) mod 2 for n <= N, the side of the parity congruence that never runs
 the recurrence.
+
+The fourth layout is the thin band B(X, K) = {beta >> 0 : x(beta) <= X,
+beta' <= K} that holds the search's slice box.  band_columns expands the
+Euler product over it exactly, one shift, mask and add of one big int per
+factor, in slots u*W + v with W = floor(2K/xi) + 1; its docstring proves
+that B is an order ideal, that the slots are >= 1 on B, and that they are
+injective on B and B + B.  The product shares no arithmetic with the
+recurrence, and the recurrence then certifies every cell of it with two
+big-int products.
 
 euler_transform is the one-variable form of the recurrence, for a product
 prod_k (1 - q^k)^(-c[k]) over the rational integers: p_rational uses it with
@@ -39,9 +50,10 @@ the column sizes, for its slot width and its column-sum check.
 from __future__ import annotations
 
 from functools import cache
-from math import gcd, sqrt
+from itertools import repeat
+from math import gcd, isqrt, sqrt
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded, DivisibilityViolation, InvariantViolation
 from .field import Field, QElement
@@ -54,6 +66,7 @@ __all__ = [
     "enumerate_interval",
     "cone_columns",
     "cone_rows",
+    "band_columns",
     "diagonal_parity",
     "euler_transform",
     "p_rational",
@@ -64,15 +77,24 @@ __all__ = [
 # Apery's constant zeta(3), used only by the floating-point diagnostic below.
 ZETA3 = 1.2020569031595942854
 
-# Throughput of the two kernels on a 2-core host with Python 3.11, each taken
+# Throughput of the three kernels on a 2-core host with Python 3.11, each taken
 # where the budget bites, so smaller runs take less than estimated.  64-bit
 # words per second of diagonal_parity's XOR steps (see _fold_ms): a median of
 # 2.9e8 over D = 2, 5, 13 and N = 300..600, falling as the int outgrows the
 # caches, to 1.9e8 at N = 1351 for D = 2 and 1.7e8 at N = 1022 for D = 5.
 # Slot products per second of cone_columns (see _recurrence_madds): 8e7 at
 # X = 100 for D = 2, 2.1e7 at X = 430.
+# 64-bit words per second of band_columns' fold steps, its certificate's
+# two products included (see _band_ms): the fold alone ran at 1.4e8-1.9e8
+# over D = 2..97, K = 1..30, X = 600..100,000, and the certificate took
+# 0.4-1.4 times as long again; every cell costs about 10 us more.
 _FOLD_WORDS_PER_S = 170_000_000
 _MADDS_PER_S = 21_000_000
+_BAND_WORDS_PER_S = 90_000_000
+_BAND_CELL_US = 10
+# Slot width in bits that band_columns tries first: 32 bits hold every value
+# of the benchmark's slice boxes, the largest of which has 21 bits.
+_BAND_SLOT_BITS = 32
 # The longest estimated run, in milliseconds on that host, that is started:
 # two minutes.  The xy view runs up to x = 416 for D=2 and 331 for D=5, and
 # parity up to N = 1182 and 994; both are refused beyond.
@@ -322,7 +344,7 @@ def _cone_layout(field: Field, X: int) -> tuple[list[int], list[int], int, int]:
     # takes at least one step of X*W + 1 bits for each part (u, 0), and the
     # recurrence does at least X(X-1)/2 multiply-adds.
     lower = min(_fold_ms(X, X * W + 1), _madds_ms(X * (X - 1) // 2))
-    _check_budget(X, lower, "building it would take at least")
+    _check_budget(f"the cone up to x = {X}", lower, "building it would take at least")
     fdo = [field.floor_div_omega(x) for x in range(X + 1)]
     fdx = [field.floor_div_xi(x) for x in range(X + 1)]
     return fdo, fdx, W, L
@@ -353,14 +375,14 @@ def _madds_ms(madds: int) -> int:
     return madds * 1000 // _MADDS_PER_S
 
 
-def _check_budget(X: int, ms: int, what: str) -> None:
-    """Raise BudgetExceeded when ms, what's estimate for the cone up to x = X, is over budget."""
+def _check_budget(subject: str, ms: int, what: str) -> None:
+    """Raise BudgetExceeded when ms, what's estimate for subject, is over budget."""
     if ms > _BUDGET_MS:
         secs = -(-ms // 1000)  # rounded up, so it always reads above the budget
         # Beyond 1e300 no float holds secs.
         about = secs if secs < 10**6 else f"{secs:.1e}" if secs < 10**300 else "over 1e+300"
         raise BudgetExceeded(
-            f"the cone up to x = {X} is over the cost budget: {what} {about} s, "
+            f"{subject} is over the cost budget: {what} {about} s, "
             f"more than {_BUDGET_MS // 1000} s"
         )
 
@@ -409,7 +431,9 @@ def diagonal_parity(field: Field, N: int) -> tuple[int, ...]:
     fdo, fdx, W, _ = _cone_layout(field, N)
     L = N * W + 1  # one past the slot of (N, 0), the top cell of I
     steps = _fold_steps(fdo, fdx, W, N)
-    _check_budget(N, _fold_ms(sum(map(len, steps)), L), "its parity product would take about")
+    _check_budget(
+        f"the cone up to x = {N}", _fold_ms(sum(map(len, steps)), L), "its parity product would take about"
+    )
     mask = 1  # (0, 0) and the columns 1..N of I
     for r in steps[:N]:
         mask |= ((1 << len(r)) - 1) << r.start
@@ -477,7 +501,7 @@ def cone_columns(field: Field, max_x: int) -> list[list[int]]:
     fdo, fdx, _, _ = _cone_layout(field, max_x)
     sizes = [fdo[x] + fdx[x] + 1 for x in range(max_x + 1)]
     ms = _madds_ms(_recurrence_madds(sizes))
-    _check_budget(max_x, ms, "its recurrence would take about")
+    _check_budget(f"the cone up to x = {max_x}", ms, "its recurrence would take about")
     R = euler_transform([0] + sizes[1:])
     nbytes = (((max_x + fdx[max_x]) * R[max_x]).bit_length() + 7) // 8
     B = 8 * nbytes
@@ -537,6 +561,188 @@ def cone_rows(field: Field, max_x: int) -> list[list[int]]:
         [col[y - top - 1] if y <= top else 0 for col, top in zip(cols, tops)]
         for y in range(tops[-1] + 1)
     ]
+
+
+def _band_bounds(field: Field, X: int, K: int) -> tuple[list[int], list[int]]:
+    """(lo, hi): column u of B(X, K) runs over v = lo[u]..hi[u], empty where lo[u] > hi[u].
+
+    Column 0 holds only the zero element, lo[0] = hi[0] = 0.
+    """
+    fdx = [field.floor_div_xi(u) for u in range(max(X, K) + 1)]
+    lo = [0] + [
+        max(-field.floor_div_omega(u), -fdx[K - u]) if u <= K else fdx[u - K] + 1
+        for u in range(1, X + 1)
+    ]
+    return lo, fdx[: X + 1]
+
+
+def _band_ms(field: Field, X: int, K: int, W: int, bits: int) -> int:
+    """Estimated milliseconds of band_columns at a slot width of bits, from X, K and W alone.
+
+    The band holds about K*X/xi cells, each with a fixed share of Python
+    work, and about 4/3 fold steps per cell, each a shift, a mask and an add
+    of the whole int: (X*W + floor(X/xi) + 1)*bits bits.
+    """
+    cells = field.floor_div_xi(K * X) + K * W
+    words = (X * W + field.floor_div_xi(X) + 1) * bits // 64 + 1
+    return cells * 4 * words * 1000 // (3 * _BAND_WORDS_PER_S) + cells * _BAND_CELL_US // 1000
+
+
+def _pack(values: Iterable[int], nb: int) -> int:
+    """values packed nb bytes a slot, the first at slot 0."""
+    return int.from_bytes(b"".join(map(int.to_bytes, values, repeat(nb), repeat("little"))), "little")
+
+
+def _unpack(n: int, slots: int, nb: int) -> list[int]:
+    """The first slots slots of n, nb bytes each."""
+    data = n.to_bytes(max(slots * nb, (n.bit_length() + 7) // 8), "little")
+    chunks = map(data.__getitem__, map(slice, range(0, slots * nb, nb), range(nb, (slots + 1) * nb, nb)))
+    return list(map(int.from_bytes, chunks, repeat("little")))
+
+
+def _band_fold(steps: Sequence[int], shape: Sequence[int], nb: int) -> list[int]:
+    """The Euler product over the band in nb-byte slots, as one value a slot.
+
+    steps lists the slot of each factor 1 + q^(2^k*beta), and shape is 1 on
+    the slots of B and slot 0, 0 elsewhere.  A slot too narrow carries, so
+    band_columns certifies what this returns.
+    """
+    bits = 8 * nb
+    M = _pack(map(mul, shape, repeat((1 << bits) - 1)), nb)
+    F = 1  # p(0) = 1
+    for s in steps:
+        s *= bits
+        # (F << s) & M, masked before the shift: only the terms that land in B.
+        F += (F & (M >> s)) << s
+    return _unpack(F & M, len(shape), nb)  # a carry can leave the slots of B
+
+
+def _band_violation(values: list[int], cells: Sequence[tuple[int, int]], W: int) -> tuple[int, int, int] | None:
+    """(x, y, S0) of the first of cells, by x and then y, that fails the recurrence, or None.
+
+    values holds p(u + v*w) at slot u*W + v, 1 at slot 0 and 0 off the band.
+    S0 is the recurrence's sum of sig0(beta) * p(alpha - beta) over
+    0 < beta <= alpha, read from the product of the packed weights and the
+    packed values; a cell fails unless its value p >= 1, S0 = x*p and the
+    same sum with sig1 is (x + y)*p.
+    """
+    L = len(values)
+    G0 = [0] * L
+    G1 = [0] * L
+    for u, v in cells:
+        c = gcd(u, v)
+        sc = sigma(c)
+        G0[u * W + v] = (u // c) * sc
+        G1[u * W + v] = ((u + v) // c) * sc
+    # Every term is >= 0 (u + v > 0 on the cone), so no slot of either
+    # product exceeds the larger weight sum times the largest value; sig1 is
+    # below sig0 where v < 0, so both sums are needed.
+    nb = (max(sum(G0), sum(G1)) * max(values)).bit_length() // 8 + 1
+    P = _pack(values, nb)
+    T0 = _unpack(_pack(G0, nb) * P, L, nb)
+    T1 = _unpack(_pack(G1, nb) * P, L, nb)
+    for u, v in cells:
+        s = u * W + v
+        p = values[s]
+        if p < 1 or T0[s] != u * p or T1[s] != (u + v) * p:
+            return u, v, T0[s]
+    return None
+
+
+def _band_bound_bits(X: int, C: int) -> int:
+    """A bit length no p on B(X, K) exceeds, for C = floor(K/xi) + 1.
+
+    No column of B holds more than C cells: floor(u/xi) - floor((u - K)/xi)
+    <= floor(K/xi) + 1 for u > K, and floor(u/xi) + floor((K - u)/xi) + 1
+    <= floor(K/xi) + 1 for u <= K.  The parts of a partition of alpha in B
+    lie in B, so p(alpha) is at most the number of partitions of
+    x(alpha) <= X into parts of C colours: the coefficient of q^X in
+    P(q)^C, P(q) = prod_k 1/(1 - q^k).  For
+    q = e^(-s), log P(q) = sum_m q^m/(m(1 - q^m)) <= sum_m 1/(m^2 s) =
+    pi^2/(6s), so the coefficient is below e^(X*s + C*pi^2/(6s)).  With
+    s = 1/t, pi^2/6 < 5/3 and 1/log 2 < 13/9, its bit length is at most
+    13*(3X + 5C*t^2)/(27t) for every integer t >= 1.
+    """
+    t = max(1, isqrt(3 * X // (5 * C)))
+    return -(-13 * (3 * X + 5 * C * t * t) // (27 * t))
+
+
+def band_columns(field: Field, max_x: int, K: int) -> tuple[list[int], list[list[int]]]:
+    """(lo, cols): p(u + v*w) on the band B(max_x, K), cols[u][i] at v = lo[u] + i.
+
+    B(X, K) = {beta >> 0 : x(beta) <= X, beta' <= K}, for an integer K >= 1,
+    where beta = u + v*w has the conjugate beta' = u - v*xi; cols[0] = [1]
+    holds p(0).  Column u runs from lo[u] to floor(u/xi): for u <= K,
+    lo[u] = max(-floor(u/omega), -floor((K - u)/xi)), and for u > K,
+    lo[u] = floor((u - K)/xi) + 1.  The search's slice box lies in
+    B(ceil(y_max*xi) + k_max, k_max + 1), as the cell (k, y) has its
+    conjugate in (k, k + 1).
+
+    The layout puts cell (u, v) at slot phi = u*W + v, W = floor(2K/xi) + 1.
+    - B is an order ideal.  If beta - gamma >> 0, that difference has
+      x >= 1 (every totally positive element has) and a positive conjugate,
+      so gamma has a smaller x and a smaller conjugate than beta.
+    - phi >= 1 on B.  u >= 1 and v >= (u - K)/xi, and W > 2K/xi, so
+      phi > (2Ku + u - K)/xi > 0.
+    - phi is injective on B and B + B.  Their conjugates lie in (0, 2K], and
+      phi1 = phi2 forces v1 - v2 = (u2 - u1)*W, so the conjugates differ by
+      c1 - c2 = (u1 - u2)(xi*W + 1).  As |c1 - c2| < 2K < xi*W + 1, u1 = u2
+      and then v1 = v2.
+
+    The product.  1/(1 - q^beta) is the product of the factors
+    1 + q^(2^k*beta), k >= 0.  From F = 1, each factor with 2^k*beta in B
+    is one shift, one mask and one add of F, and the mask keeps the slots of
+    B and slot 0; a factor with 2^k*beta outside B is 1 on B.  Truncating to
+    B commutes with the products, as the cells outside an order ideal are
+    closed under adding cone elements, and by the injectivity no term of a
+    product lands on the slot of another cell.  These are the chains of
+    diagonal_parity, with + in place of XOR.
+
+    The certificate.  A slot too narrow carries, so every cell is checked
+    against the recurrence (see _band_violation): the weights sig0 and sig1
+    over B and the values read back are packed into slots wide enough for
+    any sum, and in the products G0*P and G1*P each cell alpha must read
+    x*p(alpha) and (x + y)*p(alpha), with p(alpha) >= 1.  By the injectivity
+    the slot of alpha in G0*P is the recurrence's sum over 0 < beta <= alpha,
+    so by induction on x every value that passes is p.  The fold starts at
+    _BAND_SLOT_BITS bits a slot and doubles the width while a cell fails.
+    From the width _band_bound_bits on no slot can carry, as every partial
+    product is coefficientwise at most the final one, so a failure there
+    raises DivisibilityViolation naming the first failing cell.
+
+    Raises BudgetExceeded before any O(X) work, and again before each wider
+    fold, when the estimated cost is over budget.
+    """
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
+    X = max_x
+    W = field.floor_div_xi(2 * K) + 1
+    bits = _BAND_SLOT_BITS
+    subject = f"the slice band of D={field.D} up to x = {X}"
+    _check_budget(subject, _band_ms(field, X, K, W, bits), "its Euler product would take about")
+    lo, hi = _band_bounds(field, X, K)
+    cells = [(u, v) for u in range(1, X + 1) for v in range(lo[u], hi[u] + 1)]
+    shape = [0] * (X * W + hi[X] + 1)
+    shape[0] = 1
+    steps = []
+    for u, v in cells:
+        shape[u * W + v] = 1
+        t, w = u, v
+        while t <= X and w >= lo[t]:  # 2^k*beta in B
+            steps.append(t * W + w)
+            t *= 2
+            w *= 2
+    bound = _band_bound_bits(X, field.floor_div_xi(K) + 1)
+    while True:
+        values = _band_fold(steps, shape, bits // 8)
+        bad = _band_violation(values, cells, W)
+        if bad is None:
+            return lo, [values[u * W + lo[u] : u * W + hi[u] + 1] for u in range(X + 1)]
+        if bits >= bound:
+            x, y, s0 = bad
+            raise DivisibilityViolation(f"coefficient match failed at (x={x}, y={y}): x*p = {s0}")
+        bits *= 2
+        _check_budget(subject, _band_ms(field, X, K, W, bits), "its Euler product would take about")
 
 
 def euler_transform(c: Sequence[int]) -> list[int]:

@@ -10,6 +10,14 @@ and a correctness lemma confines all representatives with p(alpha) <= m to
 the finite slice alpha = (ceil(y*xi) + k) + y*omega with 0 <= k <= k_max,
 0 <= y <= y_max, where p(k_max) >= m and the slice corner at y_max already
 has p >= m with y_max >= floor(eps_plus / (xi + omega)).
+
+How the box is filled.  k_max is read from a PartitionGrid, on the rational
+integers 1, 2, ...  Every other count comes from partition.band_columns,
+the Euler product over a thin band, certified cell by cell by the
+recurrence: find_ymax reads the corners (0, y) from bands B(X, 1), whose
+conjugates lie in (0, 1], and slice_rows reads the whole box from the one
+band B(ceil(y_max*xi) + k_max, k_max + 1).  Each band is estimated before
+any O(X) work and refused with BudgetExceeded when over budget.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from dataclasses import dataclass
 from .contfrac import FieldContext, build_context, floor_ratio_eps
 from .errors import InvariantViolation
 from .field import Field, QElement, is_squarefree
-from .partition import GridPool, PartitionGrid, p_rational
+from .partition import GridPool, PartitionGrid, band_columns, p_rational
 
 __all__ = [
     "SearchReport",
@@ -90,16 +98,38 @@ def find_kmax(grid: PartitionGrid, m: int) -> int:
     return n
 
 
-def find_ymax(ctx: FieldContext, grid: PartitionGrid, m: int) -> int:
-    """Smallest y >= floor(eps_plus/(xi+omega)) whose slice corner has p >= m."""
+def find_ymax(ctx: FieldContext, m: int) -> int:
+    """Smallest y >= floor(eps_plus/(xi+omega)) whose slice corner has p >= m.
+
+    The corner (0, y), y >= 1, has its conjugate ceil(y*xi) - y*xi in
+    (0, 1), so the corners up to y lie in the band B(ceil(y*xi), 1) of
+    band_columns.  The scan reads the corners from y0 = floor(eps_plus/(xi +
+    omega)) on, one band at a time, and doubles the number of corners a band
+    holds until one has p >= m: the first band holds y0 and y0 + 1, the
+    corner that most often settles the scan where eps_plus is large.
+
+    The first corner is never (0, 0), which is not totally positive:
+    y0 >= 1 for every field.  Write eps_plus = (A + B*sqrt(D))/den with
+    A, B >= 1 (eps_plus > 1 > eps_plus' > 0).  For D = 2, 3 (mod 4),
+    den = 1, A^2 - D*B^2 = 1 and xi + omega = 2*sqrt(D), so
+    eps_plus > 2B*sqrt(D) >= xi + omega.  For D = 1 (mod 4), den = 2,
+    A^2 - D*B^2 = 4 and xi + omega = sqrt(D), so eps_plus > B*sqrt(D) >=
+    xi + omega.
+    """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    y = floor_ratio_eps(ctx)
+    field = ctx.field
+    y0 = y = floor_ratio_eps(ctx)
+    n = 2
     while True:
-        corner = slice_element(ctx.field, 0, y)
-        if y == 0 or grid.count(corner) >= m:
-            return y
-        y += 1
+        top = y0 + n - 1
+        lo, cols = band_columns(field, field.ceil_xi_mult(top), 1)
+        for y in range(y, top + 1):
+            x = field.ceil_xi_mult(y)
+            if cols[x][y - lo[x]] >= m:
+                return y
+        y = top + 1
+        n *= 2
 
 
 @dataclass
@@ -116,36 +146,28 @@ class SearchReport:
         return not self.representatives[self.m_max]
 
 
-def slice_rows(grid: PartitionGrid, k_max: int, y_max: int) -> tuple[tuple[int, ...], ...]:
+def slice_rows(field: Field, k_max: int, y_max: int) -> tuple[tuple[int, ...], ...]:
     """p on the slice box: rows y = 0..y_max, columns k = 0..k_max.
 
-    Each row fills only the interval of its top (k_max, y): every cell of the
-    row lies below the top, because the difference is the rational integer
-    k_max - k >= 0, so the grid stores the box's order ideal and nothing more.
-    The corner (0, 0) is not totally positive; it reads p(0) = 1.
+    Cell (k, y) is (ceil(y*xi) + k) + y*w, whose conjugate lies in
+    (k, k + 1) (it is k at y = 0), so the box lies in the band
+    B(ceil(y_max*xi) + k_max, k_max + 1), and one band_columns fills it.  The
+    corner (0, 0) is not totally positive; it reads p(0) = 1.
     """
-    field = grid.field
+    lo, cols = band_columns(field, field.ceil_xi_mult(y_max) + k_max, k_max + 1)
     rows = []
     for y in range(y_max + 1):
-        top = slice_element(field, k_max, y)
-        if (k_max, y) != (0, 0):
-            grid.count(top)
-        base = top.a - k_max
-        row = tuple(grid.value(base + k, y) for k in range(k_max + 1))
-        if None in row:
-            raise InvariantViolation(f"grid for D={field.D} is missing a cell of slice row {y}")
-        rows.append(row)
+        base = field.ceil_xi_mult(y)
+        rows.append(tuple(cols[x][y - lo[x]] for x in range(base, base + k_max + 1)))
     return tuple(rows)
 
 
-def search_m(ctx: FieldContext, m_max: int, grid: PartitionGrid | None = None) -> SearchReport:
+def search_m(ctx: FieldContext, m_max: int) -> SearchReport:
     """Classify every element with p(alpha) <= m_max, up to units and conjugation."""
     field = ctx.field
-    if grid is None:
-        grid = PartitionGrid(field)
-    k_max = find_kmax(grid, m_max)
-    y_max = find_ymax(ctx, grid, m_max)
-    rows = slice_rows(grid, k_max, y_max)
+    k_max = find_kmax(PartitionGrid(field), m_max)
+    y_max = find_ymax(ctx, m_max)
+    rows = slice_rows(field, k_max, y_max)
     reps: dict[int, list[QElement]] = {m: [] for m in range(1, m_max + 1)}
     for y, row in enumerate(rows):
         for k, p in enumerate(row):

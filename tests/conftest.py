@@ -2,8 +2,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from quadpartitions import Field, GridPool, build_context, expand_sigma
+from quadpartitions import Field, GridPool, PartitionGrid, build_context, expand_sigma, find_kmax
 from quadpartitions import partition
+from quadpartitions.contfrac import floor_ratio_eps
+from quadpartitions.search import slice_element
 
 # The eight fields whose tables the reference fixtures pin down.
 TABULATED_D = (2, 3, 5, 6, 7, 13, 17, 21)
@@ -71,6 +73,42 @@ def dense_counts(field, X):
 def stored_counts(grid):
     """{(x, y): p(x + y*w)} on every cell a PartitionGrid has filled, all with x >= 1."""
     return {(x, y): p for x, col in enumerate(grid._cols) if x for y, p in col.items()}
+
+
+def grid_slice_rows(grid, k_max, y_max):
+    """p on the slice box, rows y = 0..y_max and columns k = 0..k_max, from a PartitionGrid.
+
+    The per-cell recurrence, an oracle for search.slice_rows: each row fills
+    only the interval of its top (k_max, y), as every cell of the row lies
+    below the top (the difference is the rational integer k_max - k), so
+    the grid stores the box's order ideal and nothing more.  The corner
+    (0, 0) is not totally positive; it reads p(0) = 1.
+    """
+    field = grid.field
+    rows = []
+    for y in range(y_max + 1):
+        top = slice_element(field, k_max, y)
+        if (k_max, y) != (0, 0):
+            grid.count(top)
+        row = tuple(grid.value(top.a - k_max + k, y) for k in range(k_max + 1))
+        if None in row:
+            raise AssertionError(f"grid for D={field.D} is missing a cell of slice row {y}")
+        rows.append(row)
+    return tuple(rows)
+
+
+def grid_search(ctx, m, grid=None):
+    """(k_max, y_max, slice rows) of the search for m on a PartitionGrid, an oracle for search_m.
+
+    y_max is the first corner (0, y), y >= floor(eps_plus/(xi + omega)),
+    with p >= m, each corner counted by grid.count.
+    """
+    grid = grid or PartitionGrid(ctx.field)
+    k_max = find_kmax(grid, m)
+    y = floor_ratio_eps(ctx)
+    while grid.count(slice_element(ctx.field, 0, y)) < m:
+        y += 1
+    return k_max, y, grid_slice_rows(grid, k_max, y)
 
 
 def euler_product(field, X):

@@ -100,18 +100,18 @@ def test_criterion_3_units_summary(contexts, pool):
             assert str(ep) == row["eps_plus"]["text"]
             assert floor_ratio_eps(ctx) == row["floor_ratio"]
             grid = pool.grid(ctx.field)
-            assert find_ymax(ctx, grid, 11) == row["y_max"]
+            assert find_ymax(ctx, 11) == row["y_max"]
             corner = slice_element(ctx.field, 0, row["y_max"])
             assert grid.count(corner) == row["corner_count"]
 
 
-def test_criterion_4_representative_tables(contexts, pool):
+def test_criterion_4_representative_tables(contexts):
     with criterion(4, "all elements with m <= 11 partitions match as exact sets"):
         for name in ("representatives-2-3-mod-4", "representatives-1-mod-4"):
             for entry in load(name)["fields"]:
                 D = entry["D"]
                 ctx = contexts[D]
-                report = search_m(ctx, 11, pool.grid(ctx.field))
+                report = search_m(ctx, 11)
                 assert set(entry["by_m"]) == {str(m) for m in range(1, 12)}
                 for m_str, items in entry["by_m"].items():
                     got = [

@@ -396,6 +396,30 @@ def test_runs_over_the_cost_budget_exit_4_at_once(capsys):
         )
 
 
+def test_slice_paths_over_the_cost_budget_exit_4_at_once(capsys):
+    # The band is estimated from X, K and W before any O(X) work: D=97's
+    # first corner band runs to x = 56,432,286.
+    refusals = {
+        ("search", "--D", "97", "--m", "11"): "the slice band of D=97 up to x = 56432286",
+        ("grid", "--view", "ky", "--D", "2", "--kmax", "6", "--ymax", "10000000"):
+            "the slice band of D=2 up to x = 14142142",
+    }
+    for argv, subject in refusals.items():
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 2, argv
+        assert (code, out) == (4, ""), argv
+        assert err.startswith(f"{subject} is over the cost budget: its Euler product would take about ")
+        assert err.count("\n") == 1, argv
+    # The box bands of the pinned wide-unit searches stay inside the budget at
+    # the 64-bit slots their values need (at most 63 bits).
+    for D, k_max, y_max in ((31, 6, 274), (41, 6, 641), (43, 6, 532), (61, 6, 196)):
+        f = Field(D)
+        X, K = f.ceil_xi_mult(y_max) + k_max, k_max + 1
+        W = f.floor_div_xi(2 * K) + 1
+        assert partition._band_ms(f, X, K, W, 64) <= partition._BUDGET_MS, D
+
+
 def _drop_corner(doc):
     del doc["rows"][1]["corner_count"]
 

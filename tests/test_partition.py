@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -435,3 +436,65 @@ def test_recurrence_madds_matches_the_loop():
         assert partition._recurrence_madds(sizes) == steps
         if (D, X) in pinned:
             assert (steps, sum(sizes[1:])) == pinned[D, X], (D, X)
+
+
+def brute_band(field: Field, X: int, K: int) -> set[tuple[int, int]]:
+    """B(X, K) by sign tests: totally positive beta with x <= X and conjugate <= K."""
+    cap = field.element(K)
+    return {
+        (u, v)
+        for u in range(1, X + 1)
+        for v in range(-2 * u, 2 * u + 1)  # |v| < u/xi or u/omega, both below 2u
+        if QElement(field, u, v).is_totally_positive()
+        and (cap - QElement(field, u, v).conjugate()).sign() >= 0
+    }
+
+
+def test_band_layout_is_an_injective_order_ideal():
+    # The three facts of band_columns' docstring, by brute force: B is an
+    # order ideal, its slots are >= 1, and the slot u*W + v is injective on
+    # B and B + B together.
+    for D in (2, 3, 5, 13, 19, 31, 97):
+        f = Field(D)
+        for K in (1, 2, 3, 7):
+            X = 40
+            W = f.floor_div_xi(2 * K) + 1
+            band = brute_band(f, X, K)
+            lo, cols = partition.band_columns(f, X, K)
+            assert cols[0] == [1]
+            assert {(u, v) for u in range(1, X + 1) for v in range(lo[u], lo[u] + len(cols[u]))} == band
+            cells = sorted(band)
+            for u1, v1 in cells:
+                for u2, v2 in cells:
+                    if QElement(f, u1 - u2, v1 - v2).is_totally_positive():
+                        assert (u2, v2) in band, (D, K, (u1, v1), (u2, v2))
+            assert min(u * W + v for u, v in band) >= 1, (D, K)
+            sums = {(u1 + u2, v1 + v2) for u1, v1 in cells for u2, v2 in cells}
+            union = band | sums
+            assert len({u * W + v for u, v in union}) == len(union), (D, K)
+
+
+def test_a_corrupted_euler_value_is_named(monkeypatch):
+    # One value off by one fails the certificate at every width, so the fold
+    # widens up to the proven bound and then names the cell.
+    f = Field(19)
+    X, K = 120, 3
+    W = f.floor_div_xi(2 * K) + 1
+    band = brute_band(f, X, K)
+    assert (10, 2) in band
+    fold = partition._band_fold
+    widths = []
+
+    def corrupted(steps, shape, nb):
+        widths.append(8 * nb)
+        values = fold(steps, shape, nb)
+        values[10 * W + 2] += 1
+        return values
+
+    monkeypatch.setattr(partition, "_band_fold", corrupted)
+    with pytest.raises(DivisibilityViolation, match=r"at \(x=10, y=2\)"):
+        partition.band_columns(f, X, K)
+    assert max(Counter(u for u, _ in band).values()) <= f.floor_div_xi(K) + 1
+    bound = partition._band_bound_bits(X, f.floor_div_xi(K) + 1)
+    assert widths == [partition._BAND_SLOT_BITS << i for i in range(len(widths))]
+    assert widths[-2] < bound <= widths[-1]

@@ -1,6 +1,7 @@
 """Property tests on random fields: the exact floors and signs against decimal
 arithmetic, the packed columns against the per-cell recurrence and the Euler
-product, and the Euler product mod 2 below (N, 0) against the exact diagonal."""
+product, the Euler product mod 2 below (N, 0) against the exact diagonal, and
+the band's Euler product against the per-cell recurrence."""
 
 import random
 from decimal import ROUND_FLOOR, Decimal, localcontext
@@ -19,7 +20,7 @@ from quadpartitions import (  # noqa: E402
     diagonal_parity,
     is_squarefree,
 )
-from quadpartitions.partition import cone_rows  # noqa: E402
+from quadpartitions.partition import band_columns, cone_rows  # noqa: E402
 
 from conftest import diagonal, euler_product  # noqa: E402
 
@@ -89,3 +90,15 @@ def test_euler_product_rows_match_the_recurrence(D, X):
 def test_diagonal_parity_matches_the_exact_diagonal(D, N):
     f = Field(D)
     assert diagonal_parity(f, N) == tuple(p % 2 for p in diagonal(f, cone_columns(f, N)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(D=st.sampled_from(SQUAREFREE), X=st.integers(0, 120), K=st.integers(1, 8))
+def test_band_cells_match_the_recurrence(D, X, K):
+    f = Field(D)
+    lo, cols = band_columns(f, X, K)
+    assert cols[0] == [1]
+    grid = PartitionGrid(f)
+    for x in range(1, X + 1):
+        for y, p in enumerate(cols[x], lo[x]):
+            assert grid.count(QElement(f, x, y)) == p, (D, X, K, x, y)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 from decimal import Decimal, getcontext
 
@@ -24,11 +25,12 @@ from quadpartitions import (
     witness_m4,
     witness_m6,
 )
-from quadpartitions import cli
+from quadpartitions import cli, partition, search
 from quadpartitions.contfrac import floor_ratio_eps
+from quadpartitions.partition import band_columns
 from quadpartitions.search import slice_rows, worker_count
 
-from conftest import TABULATED_D, cone_parity, stored_counts
+from conftest import TABULATED_D, cone_parity, grid_search, grid_slice_rows, stored_counts
 
 # (k_max, y_max) produced by search_m at m_max = 11
 BOUNDS_AT_11 = {
@@ -76,10 +78,10 @@ def test_slice_element_basics():
         slice_element(f, 0, -1)
 
 
-def test_search_bounds_frozen(contexts, pool):
+def test_search_bounds_frozen(contexts):
     for D in TABULATED_D:
         ctx = contexts[D]
-        report = search_m(ctx, 11, pool.grid(ctx.field))
+        report = search_m(ctx, 11)
         assert (report.k_max, report.y_max) == BOUNDS_AT_11[D], D
         assert len(report.slice_counts) == report.y_max + 1
         assert all(len(row) == report.k_max + 1 for row in report.slice_counts)
@@ -89,13 +91,13 @@ def test_search_bounds_frozen(contexts, pool):
 def test_slice_counts_match_grid(contexts, pool):
     ctx = contexts[7]
     grid = pool.grid(ctx.field)
-    report = search_m(ctx, 11, grid)
+    report = search_m(ctx, 11)
     for y, row in enumerate(report.slice_counts):
         for k, c in enumerate(row):
             if (k, y) == (0, 0):
                 continue
             e = slice_element(ctx.field, k, y)
-            assert grid.value(e.a, e.b) == c
+            assert grid.count(e) == c
 
 
 def test_find_kmax_find_ymax(contexts, pool):
@@ -104,12 +106,12 @@ def test_find_kmax_find_ymax(contexts, pool):
         grid = pool.grid(ctx.field)
         assert find_kmax(grid, 1) == 1
         assert find_kmax(grid, 11) == BOUNDS_AT_11[D][0]
-        assert find_ymax(ctx, grid, 1) == floor_ratio_eps(ctx)
-        assert find_ymax(ctx, grid, 11) == BOUNDS_AT_11[D][1]
+        assert find_ymax(ctx, 1) == floor_ratio_eps(ctx)
+        assert find_ymax(ctx, 11) == BOUNDS_AT_11[D][1]
     with pytest.raises(ValueError):
         find_kmax(pool.grid(Field(2)), 0)
     with pytest.raises(ValueError):
-        find_ymax(contexts[2], pool.grid(Field(2)), 0)
+        find_ymax(contexts[2], 0)
 
 
 def test_domain_membership_lemma_slice_bound(contexts):
@@ -145,10 +147,10 @@ def test_slice_order_monotone_in_k_and_y(contexts):
                     assert k1 <= k2, (D, (k1, y1), (k2, y2))
 
 
-def test_m1_classes_are_indecomposable_classes(contexts, pool):
+def test_m1_classes_are_indecomposable_classes(contexts):
     for D in TABULATED_D:
         ctx = contexts[D]
-        report = search_m(ctx, 3, pool.grid(ctx.field))
+        report = search_m(ctx, 3)
         classes = {fundamental_representative(e, ctx) for e in indecomposables(ctx)}
         assert set(report.representatives[1]) == classes, D
 
@@ -193,7 +195,7 @@ def test_slice_counts_are_conjugation_and_unit_invariant(contexts):
     for ctx in (*contexts.values(), build_context(Field(19))):
         f = ctx.field
         grid = PartitionGrid(f)
-        report = search_m(ctx, 11, grid)
+        report = search_m(ctx, 11)
         for y, row in enumerate(report.slice_counts):
             for k, p in enumerate(row):
                 if (k, y) != (0, 0):
@@ -291,9 +293,9 @@ def test_verify_thresholds(pool):
     assert all(r.collapsed and r.p_field == 1 for r in ones)
 
 
-def test_search_missing_flag(contexts, pool):
-    r2 = search_m(contexts[2], 11, pool.grid(Field(2)))
-    r17 = search_m(contexts[17], 11, pool.grid(Field(17)))
+def test_search_missing_flag(contexts):
+    r2 = search_m(contexts[2], 11)
+    r17 = search_m(contexts[17], 11)
     assert r2.missing()
     assert not r17.missing()
     assert [str(e) for e in r17.representatives[11]] == ["14+3√17"]
@@ -311,49 +313,63 @@ def test_dm_worker_count_is_capped():
 
 @pytest.mark.parametrize("D, cells", [(2, 122), (19, 286)])
 def test_search_fills_only_the_slice_ideal(D, cells):
-    # The stored cells are the union of the row tops' intervals, a deterministic
-    # count; the dense cone up to x_top has 575 and 7,560 cells.
+    # The oracle's grid stores the union of the row tops' intervals, a
+    # deterministic count; the dense cone up to x_top has 575 and 7,560 cells.
+    # search_m's band B(x_top, k_max + 1) holds the box and a few cells more.
     ctx = build_context(Field(D))
     grid = PartitionGrid(ctx.field)
-    search_m(ctx, 11, grid)
+    k_max, y_max, rows = grid_search(ctx, 11, grid)
     assert len(stored_counts(grid)) == cells
+    report = search_m(ctx, 11)
+    assert (report.k_max, report.y_max, report.slice_counts) == (k_max, y_max, rows)
+    x_top = ctx.field.ceil_xi_mult(y_max) + k_max
+    assert sum(map(len, band_columns(ctx.field, x_top, k_max + 1)[1])) - 1 == {2: 133, 19: 290}[D]
 
 
 def test_ky_view_fills_only_the_slice_ideal(monkeypatch, capsys):
     # grid --view ky over search's own box (k_max, y_max) = (6, 40) for D=19
-    # stores the same 286 cells; the dense fill under the box stored 7,559.
+    # reads it from one band of 290 cells, and the oracle's grid stores 286;
+    # the dense fill under the box stored 7,559.
     f = Field(19)
     report = search_m(build_context(f), 11)
     assert (report.k_max, report.y_max) == (6, 40)
     grid = PartitionGrid(f)
-    assert slice_rows(grid, 6, 40) == report.slice_counts
+    assert grid_slice_rows(grid, 6, 40) == slice_rows(f, 6, 40) == report.slice_counts
     assert len(stored_counts(grid)) == 286
 
     grids = []
+    bands = []
 
-    class RecordingGrid(cli.PartitionGrid):
+    class RecordingGrid(partition.PartitionGrid):
         def __init__(self, field):
             super().__init__(field)
             grids.append(self)
 
+    def recording_band(field, max_x, K):
+        lo, cols = band_columns(field, max_x, K)
+        bands.append((max_x, K, sum(map(len, cols)) - 1))
+        return lo, cols
+
     monkeypatch.setattr(cli, "PartitionGrid", RecordingGrid)
+    monkeypatch.setattr(search, "band_columns", recording_band)
     assert cli.main(["grid", "--D", "19", "--view", "ky", "--kmax", "6", "--ymax", "40"]) == 0
     capsys.readouterr()
-    assert [len(stored_counts(g)) for g in grids] == [286]
+    assert grids == []
+    assert bands == [(f.ceil_xi_mult(40) + 6, 7, 290)]
 
 
 def test_search_reaches_D31():
-    # The dense search would fill all 421,815 cells up to x_top = 1532.
+    # The dense search would fill all 421,815 cells up to x_top = 1532; the
+    # band holds 1,926 of them, where the oracle's grid stores 1,924.
     ctx = build_context(Field(31))
     f = ctx.field
-    grid = PartitionGrid(f)
-    report = search_m(ctx, 11, grid)
-    assert len(stored_counts(grid)) == 1924
+    report = search_m(ctx, 11)
     assert (report.k_max, report.y_max) == (6, 274)
     assert not report.missing()
     x_top = f.ceil_xi_mult(report.y_max) + report.k_max
     cone = sum(f.floor_div_omega(x) + f.floor_div_xi(x) + 1 for x in range(x_top + 1))
     assert (x_top, cone) == (1532, 421815)
+    assert sum(map(len, band_columns(f, x_top, 7)[1])) - 1 == 1926
 
 
 def test_slice_counts_match_the_parity_kernel():
@@ -362,7 +378,7 @@ def test_slice_counts_match_the_parity_kernel():
     checked = []
     for D in SLICE_SEARCH_FIELDS:
         f = Field(D)
-        report = search_m(build_context(f), 11, PartitionGrid(f))
+        report = search_m(build_context(f), 11)
         x_top = f.ceil_xi_mult(report.y_max) + report.k_max
         if x_top > 200:
             continue
@@ -373,3 +389,45 @@ def test_slice_counts_match_the_parity_kernel():
                 assert par[e.a][e.b + f.floor_div_omega(e.a)] == c % 2, (D, k, y)
         checked.append(D)
     assert len(checked) == 51 and 19 in checked
+
+
+def test_search_matches_the_grid_oracle():
+    # The band and its certificate against the per-cell recurrence, bit for
+    # bit: every squarefree D < 200 with floor(eps_plus/(xi + omega)) < 70,
+    # on each of which the oracle's grid search takes under 0.1 s.
+    fields = [D for D in range(2, 200) if is_squarefree(D) and floor_ratio_eps(build_context(Field(D))) < 70]
+    assert len(fields) == 70
+    for D in fields:
+        ctx = build_context(Field(D))
+        grid = PartitionGrid(ctx.field)
+        for m in (3, 5, 7, 10, 11):
+            report = search_m(ctx, m)
+            assert (report.k_max, report.y_max, report.slice_counts) == grid_search(ctx, m, grid), (D, m)
+
+
+def test_the_first_slice_corner_is_never_zero():
+    # find_ymax starts at y = floor(eps_plus/(xi + omega)), proved >= 1 in its
+    # docstring, so it never reads the corner (0, 0).
+    fields = [D for D in range(2, 3000) if is_squarefree(D)]
+    assert len(fields) == 1823
+    assert min(floor_ratio_eps(build_context(Field(D))) for D in fields) == 1
+
+
+def test_eight_bit_slots_widen_until_the_D31_box_reproduces(monkeypatch, capsys):
+    # The values of D=31's box reach 46 bits, so from 8-bit slots the box band
+    # fails its certificate at 8, 16 and 32 bits and passes at 64.
+    fold = partition._band_fold
+    widths = []
+
+    def recording(steps, shape, nb):
+        widths.append(8 * nb)
+        return fold(steps, shape, nb)
+
+    monkeypatch.setattr(partition, "_BAND_SLOT_BITS", 8)
+    monkeypatch.setattr(partition, "_band_fold", recording)
+    assert cli.main(["search", "--D", "31", "--m", "11", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fd80c53c3b50704968e30da5d4346d0799df614dfdad9b94ee50abe56613ec9e"
+    )
+    assert widths[-4:] == [8, 16, 32, 64]
