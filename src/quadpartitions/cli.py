@@ -20,7 +20,7 @@ from .field import Field, QElement, is_squarefree
 from .fixtures import builtin_documents, load_documents, verify_documents
 from .oracle import enumerate_partitions
 from .parity import parity_check
-from .partition import GridPool, PartitionGrid, asymptotic_estimate, cone_rows, diagonal_parity
+from .partition import PartitionGrid, asymptotic_estimate, cone_rows, diagonal_parity
 from .search import (
     dm_scan,
     exhaustive_scan_range,
@@ -377,9 +377,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not docs:
         print("no fixture documents found", file=sys.stderr)
         return 1
-    pool = GridPool()
     failures = 0
-    for name, diffs in verify_documents(docs, pool):
+    for name, diffs in verify_documents(docs):
         if diffs:
             failures += 1
             print(f"FAIL {name}")

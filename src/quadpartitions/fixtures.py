@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .contfrac import build_context, floor_ratio_eps
 from .field import Field, QElement
-from .partition import GridPool, cone_rows
+from .partition import PartitionGrid, cone_rows
 from .search import search_m, slice_element, slice_rows
 
 __all__ = [
@@ -70,17 +70,17 @@ def _diff_rows(doc: dict, rows: Sequence[Sequence[int]], at: str) -> list[str]:
     return diffs
 
 
-def _diff_grid_xy(doc: dict, pool: GridPool) -> list[str]:
+def _diff_grid_xy(doc: dict) -> list[str]:
     rows = cone_rows(Field(doc["D"]), doc["max_x"])
     return _diff_rows(doc, rows, "x={c} y={r}")
 
 
-def _diff_slice_ky(doc: dict, pool: GridPool) -> list[str]:
+def _diff_slice_ky(doc: dict) -> list[str]:
     rows = slice_rows(Field(doc["D"]), doc["k_max"], doc["y_max"])
     return _diff_rows(doc, rows, "y={r} k={c}")
 
 
-def _diff_units(doc: dict, pool: GridPool) -> list[str]:
+def _diff_units(doc: dict) -> list[str]:
     diffs = []
     for row in doc["rows"]:
         D = row["D"]
@@ -98,7 +98,7 @@ def _diff_units(doc: dict, pool: GridPool) -> list[str]:
                 f"{doc['name']}: D={D} floor_ratio expected={row['floor_ratio']} got={fr}"
             )
         corner = slice_element(field, 0, row["y_max"])
-        got = pool.grid(field).count(corner)
+        got = PartitionGrid(field).count(corner)
         if got != row["corner_count"]:
             diffs.append(
                 f"{doc['name']}: D={D} y={row['y_max']} k=0 "
@@ -107,7 +107,7 @@ def _diff_units(doc: dict, pool: GridPool) -> list[str]:
     return diffs
 
 
-def _diff_representatives(doc: dict, pool: GridPool) -> list[str]:
+def _diff_representatives(doc: dict) -> list[str]:
     diffs = []
     for entry in doc["fields"]:
         D = entry["D"]
@@ -190,7 +190,7 @@ def _check_value(key: str, value: object) -> str | None:
     return None
 
 
-def verify_document(doc: dict, pool: GridPool) -> list[str]:
+def verify_document(doc: dict) -> list[str]:
     """Recompute one reference document; the list of diff lines (empty = pass).
 
     A document that _check_document rejects raises MalformedDocument before
@@ -198,9 +198,9 @@ def verify_document(doc: dict, pool: GridPool) -> list[str]:
     are.
     """
     _check_document(doc)
-    return _DISPATCH[doc["kind"]](doc, pool)
+    return _DISPATCH[doc["kind"]](doc)
 
 
-def verify_documents(docs: Iterable[dict], pool: GridPool) -> list[tuple[str, list[str]]]:
-    """(name, diffs) for each document, sharing one grid pool."""
-    return [(doc["name"], verify_document(doc, pool)) for doc in docs]
+def verify_documents(docs: Iterable[dict]) -> list[tuple[str, list[str]]]:
+    """(name, diffs) for each document."""
+    return [(doc["name"], verify_document(doc)) for doc in docs]

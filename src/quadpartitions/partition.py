@@ -8,38 +8,46 @@ where the interval runs over the total-positivity order, and
 sig(beta) = (beta / c) * sigma(c) with c = gcd of the coordinates of beta
 and sigma the rational sum-of-divisors function.  Match coefficients in the
 basis (1, w), alpha = x + y*w: the first coordinate of the sum is x*p(alpha),
-so p(alpha) is one exact division.  Both layouts also sum the weights
-((u + v)/c)*sigma(c) of the parts beta = u + v*w, the two coordinates of
-sig(beta) added, and check that the sum is (x + y)*p(alpha) with p(alpha) >= 1;
-any mismatch raises DivisibilityViolation.
+so p(alpha) is one exact division.  Wherever the recurrence runs, it also
+sums the weights ((u + v)/c)*sigma(c) of the parts beta = u + v*w, the two
+coordinates of sig(beta) added, and checks that the sum is (x + y)*p(alpha)
+with p(alpha) >= 1; any mismatch raises DivisibilityViolation.
 Every summand beta has first coordinate >= 1, so a cell only depends on
 strictly earlier columns and the recurrence is well founded.
 
-It runs in two layouts.  PartitionGrid computes it cell by cell on the
-intervals [0, alpha] that count(alpha) asks for, and stores each column as a
-dict of exactly the cells filled; the point queries (find_kmax, the
-witnesses, estimate --compare, the threshold table) read it.  cone_columns
-computes the whole cone up to a column, one column at a time: each column is
-one big int with a slot of B bits per cell (Kronecker substitution), and
-column x is a sum of x products of packed columns.  cone_rows, the xy view,
-reads it.
+Four kernels compute p, or p mod 2, on an order ideal of the cone:
 
-Two checks are independent of the recurrence.  Every column of cone_columns
+- PartitionGrid runs the recurrence cell by cell on the intervals
+  [0, alpha] that count(alpha) asks for, and stores each column as a dict
+  of exactly the cells filled; the point queries (find_kmax, the witnesses,
+  estimate --compare, the units corner of verify, the threshold table)
+  read it.
+- cone_columns runs it over the whole cone up to a column, one column at a
+  time: each column is one big int with a slot of B bits per cell
+  (Kronecker substitution), and column x is a sum of x products of packed
+  columns.  cone_rows, the xy view, reads it.
+- diagonal_parity expands the Euler product of 1/(1 - q^beta) modulo 2
+  over the interval below (N, 0), with 1-bit slots and XOR in place of
+  addition, and returns p(n) mod 2 for n <= N, the side of the parity
+  congruence that never runs the recurrence.
+- band_columns expands the same product exactly over the thin band
+  B(X, K) = {beta >> 0 : x(beta) <= X, beta' <= K} that holds the search's
+  slice box, one shift, mask and add of one big int per factor; its
+  docstring proves the layout sound, and the recurrence then certifies
+  every cell with two big-int products.
+
+Each fact of the ideals is stated once, in one helper: _interval_bounds
+gives the columns of an interval [0, x + y*w] (to PartitionGrid,
+enumerate_interval and diagonal_parity) and _band_bounds those of a band;
+_fold_steps lists the factors 1 + q^(2^k*beta) of either product from an
+ideal's column bounds; _weights gives the two weights of a part; and
+_pack/_unpack move values in and out of byte slots.
+
+Two checks are independent of the recurrence: every column of cone_columns
 must sum to R(x), the number of partitions of x into parts counted by their
-first coordinate, or InvariantViolation is raised.  And diagonal_parity
-expands the Euler product of 1/(1 - q^beta) modulo 2 over the order ideal
-below (N, 0), with 1-bit slots and XOR in place of addition, and returns
-p(n) mod 2 for n <= N, the side of the parity congruence that never runs
-the recurrence.
-
-The fourth layout is the thin band B(X, K) = {beta >> 0 : x(beta) <= X,
-beta' <= K} that holds the search's slice box.  band_columns expands the
-Euler product over it exactly, one shift, mask and add of one big int per
-factor, in slots u*W + v with W = floor(2K/xi) + 1; its docstring proves
-that B is an order ideal, that the slots are >= 1 on B, and that they are
-injective on B and B + B.  The product shares no arithmetic with the
-recurrence, and the recurrence then certifies every cell of it with two
-big-int products.
+first coordinate, or InvariantViolation is raised; and diagonal_parity's
+product shares no arithmetic with it.  Every kernel estimates its cost
+before any work and raises BudgetExceeded when it is over _BUDGET_MS.
 
 euler_transform is the one-variable form of the recurrence, for a product
 prod_k (1 - q^k)^(-c[k]) over the rational integers: p_rational uses it with
@@ -50,7 +58,7 @@ the column sizes, for its slot width and its column-sum check.
 from __future__ import annotations
 
 from functools import cache
-from itertools import repeat
+from itertools import chain, repeat
 from math import gcd, isqrt, sqrt
 from operator import mul
 from typing import Iterable, Iterator, Sequence
@@ -77,7 +85,7 @@ __all__ = [
 # Apery's constant zeta(3), used only by the floating-point diagnostic below.
 ZETA3 = 1.2020569031595942854
 
-# Throughput of the three kernels on a 2-core host with Python 3.11, each taken
+# Throughput of the four kernels on a 2-core host with Python 3.11, each taken
 # where the budget bites, so smaller runs take less than estimated.  64-bit
 # words per second of diagonal_parity's XOR steps (see _fold_ms): a median of
 # 2.9e8 over D = 2, 5, 13 and N = 300..600, falling as the int outgrows the
@@ -88,10 +96,16 @@ ZETA3 = 1.2020569031595942854
 # two products included (see _band_ms): the fold alone ran at 1.4e8-1.9e8
 # over D = 2..97, K = 1..30, X = 600..100,000, and the certificate took
 # 0.4-1.4 times as long again; every cell costs about 10 us more.
+# Steps per second of PartitionGrid filling an interval, its column walk and
+# its multiply-adds counted alike (see _interval_ms): 4.3e6-4.7e6, flat in x,
+# on slice intervals whose columns come close to the bound, D=2 at k = 6 and
+# D=5 at k = 2 for x = 1,400..4,900 (D=2 at x = 4,900 took 81 s), and
+# 4e7-1e8 where the bound overcounts: diamonds (n, 0) and thin corners.
 _FOLD_WORDS_PER_S = 170_000_000
 _MADDS_PER_S = 21_000_000
 _BAND_WORDS_PER_S = 90_000_000
 _BAND_CELL_US = 10
+_INTERVAL_STEPS_PER_S = 4_000_000
 # Slot width in bits that band_columns tries first: 32 bits hold every value
 # of the benchmark's slice boxes, the largest of which has 21 bits.
 _BAND_SLOT_BITS = 32
@@ -141,24 +155,58 @@ def sigma_K(e: QElement) -> QElement:
     return QElement(e.field, (e.a // c) * s, (e.b // c) * s)
 
 
+def _weights(u: int, v: int) -> tuple[int, int]:
+    """(sig0, sig1) of beta = u + v*w: (u/c)*sigma(c) and ((u + v)/c)*sigma(c), c = gcd(u, v).
+
+    They are the two coordinates of sig(beta), added for sig1, so the
+    recurrence's sums with them are x*p(alpha) and (x + y)*p(alpha).
+    """
+    c = gcd(u, v)
+    sc = sigma(c)
+    return (u // c) * sc, ((u + v) // c) * sc
+
+
+def _interval_bounds(fdo: Sequence[int], fdx: Sequence[int], x: int, y: int) -> tuple[list[int], list[int]]:
+    """(lo, hi): the interval [0, x + y*w] meets column u <= x in v = lo[u]..hi[u].
+
+    fdo[u] = floor(u/omega) and fdx[u] = floor(u/xi) for u <= x.  Column u
+    of the cone runs over its window -fdo[u]..fdx[u], and (x - u) + (y - v)*w
+    is totally positive or zero exactly when y - fdx[x - u] <= v <=
+    y + fdo[x - u]; lo[u] > hi[u] where the interval misses column u.
+    """
+    lo = [max(-fdo[u], y - fdx[x - u]) for u in range(x + 1)]
+    hi = [min(fdx[u], y + fdo[x - u]) for u in range(x + 1)]
+    return lo, hi
+
+
+def _pack(values: Iterable[int], nb: int) -> int:
+    """values packed nb bytes a slot, the first at slot 0."""
+    return int.from_bytes(b"".join(map(int.to_bytes, values, repeat(nb), repeat("little"))), "little")
+
+
+def _unpack(n: int, slots: int, nb: int) -> list[int]:
+    """The first slots slots of n, nb bytes each."""
+    data = n.to_bytes(max(slots * nb, (n.bit_length() + 7) // 8), "little")
+    chunks = map(data.__getitem__, map(slice, range(0, slots * nb, nb), range(nb, (slots + 1) * nb, nb)))
+    return list(map(int.from_bytes, chunks, repeat("little")))
+
+
 def enumerate_interval(alpha: QElement) -> Iterator[QElement]:
     """Yield every beta with 0 < beta <= alpha, in increasing lex order.
 
-    For each first coordinate u the second coordinate runs over an exact
-    window: beta totally positive forces -floor(u/omega) <= v <= floor(u/xi),
-    and alpha - beta totally positive (or zero) pins v to a translate of the
-    same window for x - u.  Both bounds are integer-exact, and every candidate
-    is confirmed by sign tests before being yielded.
+    For each first coordinate u the second coordinate runs over the exact
+    window of _interval_bounds, and every candidate is confirmed by sign
+    tests before being yielded.
     """
     fld = alpha.field
     if not alpha.is_totally_positive():
         raise ValueError(f"interval base must be totally positive, got {alpha!r}")
     x, y = alpha.a, alpha.b
+    fdo = [fld.floor_div_omega(u) for u in range(x + 1)]
+    fdx = [fld.floor_div_xi(u) for u in range(x + 1)]
+    lo, hi = _interval_bounds(fdo, fdx, x, y)
     for u in range(1, x):
-        g = x - u
-        lo = max(-fld.floor_div_omega(u), y - fld.floor_div_xi(g))
-        hi = min(fld.floor_div_xi(u), y + fld.floor_div_omega(g))
-        for v in range(lo, hi + 1):
+        for v in range(lo[u], hi[u] + 1):
             beta = QElement(fld, u, v)
             if not (beta.is_totally_positive() and (alpha - beta).is_totally_positive()):
                 raise InvariantViolation(f"{beta!r} escapes the interval [0, {alpha!r}]")
@@ -222,6 +270,9 @@ class PartitionGrid:
             raise ValueError(f"count needs a totally positive element, got {e!r}")
         v = self.value(e.a, e.b)
         if v is None:
+            ms = _interval_ms(self.field, e)
+            if ms > _BUDGET_MS:  # formatting e costs more than the estimate
+                _check_budget(f"the interval [0, {e}] of D={e.field.D}", ms, "its recurrence would take about")
             self._fill(e.a, e.b)
             v = self.value(e.a, e.b)
             if v is None:
@@ -250,32 +301,18 @@ class PartitionGrid:
         """Store the interval [0, x + y*w].
 
         Bottom up, each missing cell of the interval's range in a column (see
-        _below) gets its weights and then its count from _cell, which reads
-        only its own weights and lower columns.
+        _interval_bounds) gets its weights and then its count from _cell,
+        which reads only its own weights and lower columns.
         """
         self._grow(x)
         cols = self._cols
-        lo, hi = self._below(x, y)
+        lo, hi = _interval_bounds(self._fdo, self._fdx, x, y)
         for u in range(1, x + 1):
             col, s0, s1 = cols[u], self._sig0[u], self._sig1[u]
             for v in range(lo[u], hi[u] + 1):
                 if v not in col:
-                    c = gcd(u, v)
-                    sc = sigma(c)
-                    s0[v] = (u // c) * sc
-                    s1[v] = ((u + v) // c) * sc
+                    s0[v], s1[v] = _weights(u, v)
                     col[v] = self._cell(u, v)
-
-    def _below(self, x: int, y: int) -> tuple[list[int], list[int]]:
-        """(lo, hi): the interval [0, x + y*w] meets column u in lo[u]..hi[u].
-
-        That is column u's window clipped to [y - floor((x-u)/xi),
-        y + floor((x-u)/omega)]; lo[u] > hi[u] where the interval misses u.
-        """
-        fdo, fdx = self._fdo, self._fdx
-        lo = [max(-fdo[u], y - fdx[x - u]) for u in range(x + 1)]
-        hi = [min(fdx[u], y + fdo[x - u]) for u in range(x + 1)]
-        return lo, hi
 
     def _cell(self, x: int, y: int) -> int:
         fdo, fdx = self._fdo, self._fdx
@@ -375,6 +412,22 @@ def _madds_ms(madds: int) -> int:
     return madds * 1000 // _MADDS_PER_S
 
 
+def _interval_ms(field: Field, e: QElement) -> int:
+    """Estimated milliseconds of PartitionGrid filling [0, e] from nothing, in O(1).
+
+    [0, e] lies in the band B(x, K) of band_columns, x = x(e) and
+    K = ceil(e'), as beta <= e has beta' <= e'; no column of the band holds
+    more than C = floor(K/xi) + 1 cells (see _band_bound_bits).  A cell in
+    column u walks the u - 1 columns below it in _cell and does at most
+    C multiply-adds in each, so the fill takes at most C*x(x + 1)/2 steps of
+    the column walk and C^2*x(x - 1)/2 multiply-adds.
+    """
+    x = e.a
+    K = x - field.floor_xi_mult(e.b) if e.b >= 0 else x + field.ceil_xi_mult(-e.b)
+    C = field.floor_div_xi(K) + 1
+    return (C * x * (x + 1) + C * C * x * (x - 1)) * 500 // _INTERVAL_STEPS_PER_S
+
+
 def _check_budget(subject: str, ms: int, what: str) -> None:
     """Raise BudgetExceeded when ms, what's estimate for subject, is over budget."""
     if ms > _BUDGET_MS:
@@ -387,23 +440,26 @@ def _check_budget(subject: str, ms: int, what: str) -> None:
         )
 
 
-def _fold_steps(fdo: Sequence[int], fdx: Sequence[int], W: int, N: int) -> list[range]:
-    """The shifts of diagonal_parity's XOR steps, one range per k >= 0 and column x = 2^k*u <= N.
+def _fold_steps(lo: Sequence[int], hi: Sequence[int], W: int) -> list[range]:
+    """The slots of the factors 1 + q^(2^k*beta), 2^k*beta in an order ideal I: a range per k and column.
 
-    fdo, fdx and W are those of _cone_layout(field, N).  Column x of
-    I = [0, (N, 0)] runs from lo = max(-fdo[x], -fdx[N - x]) to
-    hi = min(fdx[x], fdo[N - x]): its window, clipped where (N - x, -y) is
-    no longer totally positive or zero.  The part 2^k*beta, beta = (u, v),
-    lies in I exactly when x = 2^k*u <= N and lo <= 2^k*v <= hi, and its
-    shift is its slot x*W + 2^k*v.  So the ranges for k = 0 are the columns
-    1..N of I, and there are fewer than 2N ranges in all.
+    Column x <= X = len(lo) - 1 of I runs over v = lo[x]..hi[x], and its
+    cell (x, v) sits at slot x*W + v.  The multiple 2^k*beta of a totally
+    positive beta = (u, v) lies in I exactly when x = 2^k*u <= X and
+    lo[x] <= 2^k*v <= hi[x], and every cell of I whose two coordinates are
+    divisible by 2^k is such a multiple, as I lies in the cone.  Where 2^k
+    divides x it divides x*W, so those cells are the slots of column x
+    divisible by 2^k.  The first X ranges are the columns 1..X of I, empty
+    ones included, and the ranges for k >= 1 skip the empty columns; there
+    are fewer than 2X ranges in all.  diagonal_parity and band_columns fold
+    these factors, each for its own ideal.
     """
-    lo = [max(-o, -t) for o, t in zip(fdo, reversed(fdx))]
-    hi = [min(t, o) for t, o in zip(fdx, reversed(fdo))]
-    return [
-        range(x * W + (-(-lo[x] >> k) << k), x * W + (hi[x] >> k << k) + 1, 1 << k)
-        for k in range(N.bit_length())
-        for x in range(1 << k, N + 1, 1 << k)
+    X = len(lo) - 1
+    columns = [range(s + l, s + h + 1) for s, l, h in zip(range(W, (X + 1) * W, W), lo[1:], hi[1:])]
+    return columns + [
+        r[-r.start % m :: m]
+        for m in (1 << k for k in range(1, X.bit_length()))
+        for r in filter(None, columns[m - 1 :: m])
     ]
 
 
@@ -422,15 +478,16 @@ def diagonal_parity(field: Field, N: int) -> tuple[int, ...]:
     is ANDed with the mask of I, and a factor 1 + q^gamma with gamma outside
     I is 1 on I.  So the chain 2^k*beta of each part stops at its first
     multiple outside I, as every later one lies above it (_fold_steps lists
-    the parts in I).  No cell aliases a slot of I: a cell of I plus a part
-    is a totally positive element, in the cone up to x = N, whose slots are
-    distinct, or beyond it, whose slots lie above them all (see _cone_layout).
+    the multiples in I from its column bounds, _interval_bounds(N, 0)).  No
+    cell aliases a slot of I: a cell of I plus a part is a totally positive
+    element, in the cone up to x = N, whose slots are distinct, or beyond
+    it, whose slots lie above them all (see _cone_layout).
 
     Raises BudgetExceeded, before any folding, when the fold is too costly.
     """
     fdo, fdx, W, _ = _cone_layout(field, N)
     L = N * W + 1  # one past the slot of (N, 0), the top cell of I
-    steps = _fold_steps(fdo, fdx, W, N)
+    steps = _fold_steps(*_interval_bounds(fdo, fdx, N, 0), W)
     _check_budget(
         f"the cone up to x = {N}", _fold_ms(sum(map(len, steps)), L), "its parity product would take about"
     )
@@ -505,10 +562,6 @@ def cone_columns(field: Field, max_x: int) -> list[list[int]]:
     R = euler_transform([0] + sizes[1:])
     nbytes = (((max_x + fdx[max_x]) * R[max_x]).bit_length() + 7) // 8
     B = 8 * nbytes
-
-    def pack(values: list[int]) -> int:
-        return int.from_bytes(b"".join(v.to_bytes(nbytes, "little") for v in values), "little")
-
     cols = [[1]]  # p(0) = 1
     C = [1]
     S0 = [0]
@@ -522,8 +575,8 @@ def cone_columns(field: Field, max_x: int) -> list[list[int]]:
             sc = sigma(c)
             sig0.append((x // c) * sc)
             sig1.append(((x + v) // c) * sc)
-        S0.append(pack(sig0))
-        S1.append(pack(sig1))
+        S0.append(_pack(sig0, nbytes))
+        S1.append(_pack(sig1, nbytes))
         T0 = 0
         T1 = 0
         for u in range(1, x + 1):
@@ -531,14 +584,12 @@ def cone_columns(field: Field, max_x: int) -> list[list[int]]:
             shift = (f - fdo[u] - fdo[g]) * B
             T0 += (S0[u] * C[g]) << shift
             T1 += (S1[u] * C[g]) << shift
-        t0 = T0.to_bytes(sizes[x] * nbytes, "little")
-        t1 = T1.to_bytes(sizes[x] * nbytes, "little")
         col = []
-        for i in range(0, sizes[x] * nbytes, nbytes):
-            y = i // nbytes - f
-            xp = int.from_bytes(t0[i : i + nbytes], "little")
+        t0 = _unpack(T0, sizes[x], nbytes)
+        t1 = _unpack(T1, sizes[x], nbytes)
+        for y, xp, s1 in zip(range(-f, fdx[x] + 1), t0, t1):
             p, r = divmod(xp, x)
-            if r or p < 1 or int.from_bytes(t1[i : i + nbytes], "little") != (x + y) * p:
+            if r or p < 1 or s1 != (x + y) * p:
                 raise DivisibilityViolation(
                     f"coefficient match failed at (x={x}, y={y}): x*p = {xp}"
                 )
@@ -548,7 +599,7 @@ def cone_columns(field: Field, max_x: int) -> list[list[int]]:
                 f"column {x} of the cone for D={field.D} sums to {sum(col)}, not R({x}) = {R[x]}"
             )
         cols.append(col)
-        C.append(pack(col))
+        C.append(_pack(col, nbytes))
     return cols
 
 
@@ -588,39 +639,32 @@ def _band_ms(field: Field, X: int, K: int, W: int, bits: int) -> int:
     return cells * 4 * words * 1000 // (3 * _BAND_WORDS_PER_S) + cells * _BAND_CELL_US // 1000
 
 
-def _pack(values: Iterable[int], nb: int) -> int:
-    """values packed nb bytes a slot, the first at slot 0."""
-    return int.from_bytes(b"".join(map(int.to_bytes, values, repeat(nb), repeat("little"))), "little")
-
-
-def _unpack(n: int, slots: int, nb: int) -> list[int]:
-    """The first slots slots of n, nb bytes each."""
-    data = n.to_bytes(max(slots * nb, (n.bit_length() + 7) // 8), "little")
-    chunks = map(data.__getitem__, map(slice, range(0, slots * nb, nb), range(nb, (slots + 1) * nb, nb)))
-    return list(map(int.from_bytes, chunks, repeat("little")))
-
-
-def _band_fold(steps: Sequence[int], shape: Sequence[int], nb: int) -> list[int]:
+def _band_fold(steps: Sequence[range], X: int, nb: int) -> list[int]:
     """The Euler product over the band in nb-byte slots, as one value a slot.
 
-    steps lists the slot of each factor 1 + q^(2^k*beta), and shape is 1 on
-    the slots of B and slot 0, 0 elsewhere.  A slot too narrow carries, so
-    band_columns certifies what this returns.
+    steps lists the slots of the factors 1 + q^(2^k*beta) (see _fold_steps),
+    its first X ranges the columns 1..X of B, so the mask M keeps those and
+    slot 0.  A slot too narrow carries, so band_columns certifies what this
+    returns.
     """
     bits = 8 * nb
-    M = _pack(map(mul, shape, repeat((1 << bits) - 1)), nb)
+    mask = bytearray((steps[X - 1].stop if X else 1) * nb)
+    for r in (range(1), *filter(None, steps[:X])):
+        mask[r.start * nb : r.stop * nb] = b"\xff" * (len(r) * nb)
+    M = int.from_bytes(mask, "little")
     F = 1  # p(0) = 1
-    for s in steps:
+    for s in chain.from_iterable(steps):
         s *= bits
         # (F << s) & M, masked before the shift: only the terms that land in B.
         F += (F & (M >> s)) << s
-    return _unpack(F & M, len(shape), nb)  # a carry can leave the slots of B
+    return _unpack(F & M, len(mask) // nb, nb)  # a carry can leave the slots of B
 
 
-def _band_violation(values: list[int], cells: Sequence[tuple[int, int]], W: int) -> tuple[int, int, int] | None:
-    """(x, y, S0) of the first of cells, by x and then y, that fails the recurrence, or None.
+def _band_violation(values: list[int], columns: Sequence[range], W: int) -> tuple[int, int, int] | None:
+    """(x, y, S0) of the first cell of the band, by x and then y, that fails the recurrence, or None.
 
-    values holds p(u + v*w) at slot u*W + v, 1 at slot 0 and 0 off the band.
+    values holds p(u + v*w) at slot u*W + v, 1 at slot 0 and 0 off the band,
+    and columns[u - 1] is the range of slots of column u (see _fold_steps).
     S0 is the recurrence's sum of sig0(beta) * p(alpha - beta) over
     0 < beta <= alpha, read from the product of the packed weights and the
     packed values; a cell fails unless its value p >= 1, S0 = x*p and the
@@ -629,11 +673,9 @@ def _band_violation(values: list[int], cells: Sequence[tuple[int, int]], W: int)
     L = len(values)
     G0 = [0] * L
     G1 = [0] * L
-    for u, v in cells:
-        c = gcd(u, v)
-        sc = sigma(c)
-        G0[u * W + v] = (u // c) * sc
-        G1[u * W + v] = ((u + v) // c) * sc
+    for u, r in enumerate(columns, 1):
+        for s in r:
+            G0[s], G1[s] = _weights(u, s - u * W)
     # Every term is >= 0 (u + v > 0 on the cone), so no slot of either
     # product exceeds the larger weight sum times the largest value; sig1 is
     # below sig0 where v < 0, so both sums are needed.
@@ -641,11 +683,11 @@ def _band_violation(values: list[int], cells: Sequence[tuple[int, int]], W: int)
     P = _pack(values, nb)
     T0 = _unpack(_pack(G0, nb) * P, L, nb)
     T1 = _unpack(_pack(G1, nb) * P, L, nb)
-    for u, v in cells:
-        s = u * W + v
-        p = values[s]
-        if p < 1 or T0[s] != u * p or T1[s] != (u + v) * p:
-            return u, v, T0[s]
+    for u, r in enumerate(columns, 1):
+        for s in r:
+            p = values[s]
+            if p < 1 or T0[s] != u * p or T1[s] != (s - u * W + u) * p:
+                return u, s - u * W, T0[s]
     return None
 
 
@@ -695,8 +737,9 @@ def band_columns(field: Field, max_x: int, K: int) -> tuple[list[int], list[list
     B and slot 0; a factor with 2^k*beta outside B is 1 on B.  Truncating to
     B commutes with the products, as the cells outside an order ideal are
     closed under adding cone elements, and by the injectivity no term of a
-    product lands on the slot of another cell.  These are the chains of
-    diagonal_parity, with + in place of XOR.
+    product lands on the slot of another cell.  _fold_steps lists these
+    factors from the band's column bounds, as it lists the XOR steps of
+    diagonal_parity from those of its interval.
 
     The certificate.  A slot too narrow carries, so every cell is checked
     against the recurrence (see _band_violation): the weights sig0 and sig1
@@ -721,23 +764,14 @@ def band_columns(field: Field, max_x: int, K: int) -> tuple[list[int], list[list
     subject = f"the slice band of D={field.D} up to x = {X}"
     _check_budget(subject, _band_ms(field, X, K, W, bits), "its Euler product would take about")
     lo, hi = _band_bounds(field, X, K)
-    cells = [(u, v) for u in range(1, X + 1) for v in range(lo[u], hi[u] + 1)]
-    shape = [0] * (X * W + hi[X] + 1)
-    shape[0] = 1
-    steps = []
-    for u, v in cells:
-        shape[u * W + v] = 1
-        t, w = u, v
-        while t <= X and w >= lo[t]:  # 2^k*beta in B
-            steps.append(t * W + w)
-            t *= 2
-            w *= 2
+    steps = _fold_steps(lo, hi, W)
+    columns = steps[:X]
     bound = _band_bound_bits(X, field.floor_div_xi(K) + 1)
     while True:
-        values = _band_fold(steps, shape, bits // 8)
-        bad = _band_violation(values, cells, W)
+        values = _band_fold(steps, X, bits // 8)
+        bad = _band_violation(values, columns, W)
         if bad is None:
-            return lo, [values[u * W + lo[u] : u * W + hi[u] + 1] for u in range(X + 1)]
+            return lo, [values[:1]] + [values[r.start : r.stop] for r in columns]
         if bits >= bound:
             x, y, s0 = bad
             raise DivisibilityViolation(f"coefficient match failed at (x={x}, y={y}): x*p = {s0}")

@@ -13,7 +13,6 @@ import quadpartitions
 from quadpartitions import (
     BudgetExceeded,
     Field,
-    GridPool,
     InvariantViolation,
     cli,
     contfrac,
@@ -384,7 +383,7 @@ def test_runs_over_the_cost_budget_exit_4_at_once(capsys):
     # steps of its fold below (N, 0), and is refused at once from the next N on.
     for D, N in ((2, 1183), (5, 995)):
         fdo, fdx, W, _ = partition._cone_layout(Field(D), N - 1)
-        steps = sum(map(len, partition._fold_steps(fdo, fdx, W, N - 1)))
+        steps = sum(map(len, partition._fold_steps(*partition._interval_bounds(fdo, fdx, N - 1, 0), W)))
         assert partition._fold_ms(steps, (N - 1) * W + 1) <= partition._BUDGET_MS, D
         start = time.perf_counter()
         code, out, err = run(capsys, "parity", "--D", str(D), "--N", str(N))
@@ -420,6 +419,28 @@ def test_slice_paths_over_the_cost_budget_exit_4_at_once(capsys):
         assert partition._band_ms(f, X, K, W, 64) <= partition._BUDGET_MS, D
 
 
+def test_counts_over_the_cost_budget_exit_4_at_once(tmp_path, capsys):
+    # PartitionGrid.count estimates the fill of [0, alpha] in O(1) before it
+    # lists a floor: the diamond below x = 2000 and the thin interval below a
+    # units corner at y = 10^6 are refused at once, naming their field.
+    doc = json.loads((REFERENCE / "units-summary.json").read_text())
+    row = dict(doc["rows"][0], y_max=10**6)
+    doc["rows"] = [row]
+    (tmp_path / "units-summary.json").write_text(json.dumps(doc))
+    corner = search.slice_element(Field(row["D"]), 0, 10**6)
+    refusals = {
+        ("estimate", "--D", "2", "--a", "2000", "--b", "0", "--compare"): "the interval [0, 2000] of D=2",
+        ("verify", "--fixtures", str(tmp_path)): f"the interval [0, {corner}] of D={row['D']}",
+    }
+    for argv, subject in refusals.items():
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 2, argv
+        assert (code, out) == (4, ""), argv
+        assert err.startswith(f"{subject} is over the cost budget: its recurrence would take about "), argv
+        assert err.count("\n") == 1, argv
+
+
 def _drop_corner(doc):
     del doc["rows"][1]["corner_count"]
 
@@ -452,7 +473,7 @@ def test_verify_lets_an_engine_error_propagate(monkeypatch):
     monkeypatch.setattr(fixtures, "cone_rows", broken)
     doc = json.loads((REFERENCE / "grid-xy-D2.json").read_text())
     with pytest.raises(ValueError, match="engine bug") as info:
-        fixtures.verify_document(doc, GridPool())
+        fixtures.verify_document(doc)
     assert not isinstance(info.value, fixtures.MalformedDocument)
 
 
@@ -525,8 +546,9 @@ def test_dm_jobs_2_runs_a_pool_of_two_and_prints_the_serial_bytes(monkeypatch, c
 
 
 def test_no_command_reads_what_only_perfbench_keeps(monkeypatch, capsys):
-    # PartitionGrid keeps ensure, max_x and column_window for perfbench alone:
-    # with all three raising, every subcommand prints what it prints with them.
+    # PartitionGrid keeps ensure, max_x and column_window, and GridPool its
+    # grid, for perfbench alone: with all four raising, every subcommand
+    # prints what it prints with them.
     argvs = (
         ("grid", "--D", "5", "--max-x", "12", "--format", "json"),
         ("grid", "--D", "19", "--view", "ky", "--kmax", "3", "--ymax", "6"),
@@ -547,11 +569,12 @@ def test_no_command_reads_what_only_perfbench_keeps(monkeypatch, capsys):
         unpatched.append((code, out))
 
     def perfbench_only(*args):
-        raise AssertionError("a command read a PartitionGrid member kept for perfbench")
+        raise AssertionError("a command read a member kept for perfbench")
 
     monkeypatch.setattr(partition.PartitionGrid, "ensure", perfbench_only)
     monkeypatch.setattr(partition.PartitionGrid, "max_x", property(perfbench_only))
     monkeypatch.setattr(partition.PartitionGrid, "column_window", perfbench_only)
+    monkeypatch.setattr(partition.GridPool, "grid", perfbench_only)
     for argv, want in zip(argvs, unpatched):
         code, out, _ = run(capsys, *argv)
         assert (code, out) == want, argv

@@ -370,9 +370,11 @@ def test_diagonal_parity_matches_the_whole_cone_fold():
 
 
 def test_fold_steps_are_every_chain_below_the_diagonal():
-    # The shifts that diagonal_parity folds and the budget counts, against a
-    # walk of every part beta of the cone up to x = N, its chain 2^k*beta
-    # followed while (N, 0) - 2^k*beta is totally positive or zero.
+    # The shifts that diagonal_parity and band_columns fold, and the budget
+    # counts, against a walk of every part beta of each ideal, its chain
+    # 2^k*beta followed by sign tests while it stays in the ideal: below
+    # (N, 0), while (N, 0) - 2^k*beta is totally positive or zero; in the
+    # band B(X, K), while 2^k*beta has x <= X and its conjugate is <= K.
     for D in (2, 3, 5, 6, 7, 13, 17, 21, 19, 29, 101):
         f = Field(D)
         for N in (0, 1, 2, 5, 12, 33):
@@ -387,8 +389,23 @@ def test_fold_steps_are_every_chain_below_the_diagonal():
                             break
                         walked.append((u * W + v) << k)
                         k += 1
-            steps = partition._fold_steps(fdo, fdx, W, N)
+            steps = partition._fold_steps(*partition._interval_bounds(fdo, fdx, N, 0), W)
             assert sorted(s for r in steps for s in r) == sorted(walked), (D, N)
+        for X, K in ((0, 1), (1, 1), (9, 1), (12, 9), (16, 16), (33, 2), (40, 7)):
+            W = f.floor_div_xi(2 * K) + 1
+            cap = f.element(K)
+            walked = []
+            for u, v in brute_band(f, X, K):
+                k = 0
+                while True:
+                    multiple = QElement(f, u << k, v << k)
+                    in_band = multiple.is_totally_positive() and u << k <= X
+                    if not in_band or (cap - multiple.conjugate()).sign() < 0:
+                        break
+                    walked.append((u * W + v) << k)
+                    k += 1
+            steps = partition._fold_steps(*partition._band_bounds(f, X, K), W)
+            assert sorted(s for r in steps for s in r) == sorted(walked), (D, X, K)
 
 
 def test_euler_product_column_sum_mismatch_raises(monkeypatch):
@@ -438,6 +455,28 @@ def test_recurrence_madds_matches_the_loop():
             assert (steps, sum(sizes[1:])) == pinned[D, X], (D, X)
 
 
+def test_interval_estimate_bounds_every_column():
+    # _interval_ms bounds the cells of [0, alpha] by C = floor(K/xi) + 1 in
+    # each column, K = ceil(alpha'); checked on the cells count(alpha)
+    # stores, with K found by sign tests, and so is the K of its estimate.
+    for D in (2, 3, 5, 13, 19, 97):
+        f = Field(D)
+        elements = [f.element(n) for n in (1, 7, 20)]
+        elements += [QElement(f, f.ceil_xi_mult(y) + k, y) for k in (0, 1, 6) for y in (1, 9, 30)]
+        elements += [QElement(f, 20, -f.floor_div_omega(20)), QElement(f, 20, -3)]
+        for alpha in elements:
+            K = 1
+            while (f.element(K) - alpha.conjugate()).sign() < 0:
+                K += 1
+            grid = PartitionGrid(f)
+            grid.count(alpha)
+            widths = Counter(x for x, _ in stored_counts(grid))
+            C, x = f.floor_div_xi(K) + 1, alpha.a
+            assert max(widths.values()) <= C, (D, alpha)
+            steps = C * x * (x + 1) // 2 + C * C * x * (x - 1) // 2
+            assert partition._interval_ms(f, alpha) == steps * 1000 // partition._INTERVAL_STEPS_PER_S
+
+
 def brute_band(field: Field, X: int, K: int) -> set[tuple[int, int]]:
     """B(X, K) by sign tests: totally positive beta with x <= X and conjugate <= K."""
     cap = field.element(K)
@@ -485,9 +524,9 @@ def test_a_corrupted_euler_value_is_named(monkeypatch):
     fold = partition._band_fold
     widths = []
 
-    def corrupted(steps, shape, nb):
+    def corrupted(steps, columns, nb):
         widths.append(8 * nb)
-        values = fold(steps, shape, nb)
+        values = fold(steps, columns, nb)
         values[10 * W + 2] += 1
         return values
 

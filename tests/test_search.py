@@ -419,9 +419,9 @@ def test_eight_bit_slots_widen_until_the_D31_box_reproduces(monkeypatch, capsys)
     fold = partition._band_fold
     widths = []
 
-    def recording(steps, shape, nb):
+    def recording(steps, columns, nb):
         widths.append(8 * nb)
-        return fold(steps, shape, nb)
+        return fold(steps, columns, nb)
 
     monkeypatch.setattr(partition, "_BAND_SLOT_BITS", 8)
     monkeypatch.setattr(partition, "_band_fold", recording)
