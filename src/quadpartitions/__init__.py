@@ -37,7 +37,6 @@ from .partition import (
 )
 from .search import (
     SearchReport,
-    ThresholdRow,
     dm_scan,
     en_fn_bounds,
     exhaustive_scan_range,
@@ -47,7 +46,6 @@ from .search import (
     in_fundamental_domain,
     search_m,
     slice_element,
-    verify_thresholds,
     witness_m4,
     witness_m6,
 )
@@ -70,7 +68,6 @@ __all__ = [
     "PartitionGrid",
     "QElement",
     "SearchReport",
-    "ThresholdRow",
     "__version__",
     "asymptotic_estimate",
     "build_context",
@@ -100,7 +97,6 @@ __all__ = [
     "sigma_K",
     "slice_element",
     "trace_layer_count",
-    "verify_thresholds",
     "witness_m4",
     "witness_m6",
 ]

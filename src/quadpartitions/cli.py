@@ -67,9 +67,7 @@ def _field(args: argparse.Namespace) -> Field:
 
 
 def _tex_element(e: QElement) -> str:
-    A, B, den = e.sqrt_coords()
-    if den == 2 and A % 2 == 0 and B % 2 == 0:
-        A, B, den = A // 2, B // 2, 1
+    A, B, den = e.reduced_sqrt_coords()
     if B == 0:
         return str(A // den)
     root = f"\\sqrt{{{e.field.D}}}"

@@ -7,9 +7,9 @@ positive unit eps_plus, and, through indecomposables(ctx), the complete list
 of additively indecomposable totally positive elements (up to multiplication
 by eps_plus and conjugation).
 
-Every loop here runs on integer pairs.  xi = w - 1 for D = 1 (mod 4) and
-xi = w otherwise, so alpha_i = (p_i - q_i) + q_i*w or p_i + q_i*w in the
-basis (1, w); a QElement is made only for a value a caller reads.
+Every loop here runs on integer pairs.  xi = w - t (see Field), so
+alpha_i = (p_i - t*q_i) + q_i*w in the basis (1, w); a QElement is made only
+for a value a caller reads.
 """
 
 from __future__ import annotations
@@ -34,13 +34,11 @@ def expand_sigma(field: Field) -> tuple[int, ...]:
 
     sigma is reduced (sigma > 1 > sigma conj > -1 in absolute value terms),
     so the expansion is purely periodic and the state (P, Q) returns to its
-    initial value exactly at the period boundary.
+    initial value exactly at the period boundary.  sigma = (P0 + sqrt(D))/Q0
+    with P0 = t + den*floor(xi) and Q0 = den.
     """
     D = field.D
-    if field.one_mod4:
-        P0, Q0 = 2 * field.floor_xi() + 1, 2
-    else:
-        P0, Q0 = isqrt(D), 1
+    P0, Q0 = field.t + field.den * field.floor_xi(), field.den
     r = isqrt(D)
     period: list[int] = []
     P, Q = P0, Q0
@@ -54,11 +52,6 @@ def expand_sigma(field: Field) -> tuple[int, ...]:
         Q = num // Q
         if (P, Q) == (P0, Q0):
             return tuple(period)
-
-
-def _xi_shift(field: Field) -> int:
-    """t with xi = w - t, so that p + q*xi = (p - t*q) + q*w."""
-    return 1 if field.one_mod4 else 0
 
 
 @dataclass(frozen=True)
@@ -89,14 +82,13 @@ def build_context(field: Field) -> FieldContext:
         ps.append(u * ps[-1] + ps[-2])
         qs.append(u * qs[-1] + qs[-2])
 
-    t = _xi_shift(field)
-    eps = QElement(field, ps[s] - t * qs[s], qs[s])  # alpha_{s-1}
+    eps = QElement(field, ps[s] - field.t * qs[s], qs[s])  # alpha_{s-1}
     if eps.norm() not in (1, -1):
         raise InvariantViolation(f"alpha_(s-1) is not a unit for D={field.D}")
     if s % 2 == 0:
         eps_plus = eps
     else:
-        eps_plus = QElement(field, ps[2 * s] - t * qs[2 * s], qs[2 * s])  # alpha_{2s-1}
+        eps_plus = QElement(field, ps[2 * s] - field.t * qs[2 * s], qs[2 * s])  # alpha_{2s-1}
     if eps_plus.norm() != 1 or not eps_plus.is_totally_positive():
         raise InvariantViolation(f"eps_plus is not a totally positive unit for D={field.D}")
 
@@ -121,7 +113,7 @@ def indecomposables(ctx: FieldContext) -> tuple[QElement, ...]:
     period = ctx.period
     s = len(period)
     top = s - 3 if s % 2 == 0 else 2 * s - 3
-    t = _xi_shift(ctx.field)
+    t = ctx.field.t
     alphas = [(p - t * q, q) for p, q in ctx.convergents[: top + 3]]
     seen: dict[tuple[int, int], None] = {}
     for i in range(-1, top + 1, 2):

@@ -14,11 +14,13 @@ class BudgetExceeded(RuntimeError):
     """A run over its cost budget.
 
     Raised when the brute-force enumerator exhausts its node budget, and,
-    before any work starts, when building the cone up to a column or the
+    before any work starts, when building the cone up to a column, the
     Euler product over a slice band (search, dm, grid --view ky and the
-    slice documents of verify) is estimated to take longer than the
-    partition module's budget.  A band is estimated again before each wider
-    fold.  The CLI exits with code 4.
+    slice documents of verify) or the interval [0, alpha] of a point count
+    (PartitionGrid.count: search, dm, witness, estimate --compare and
+    verify) is estimated to take longer than the partition module's budget.
+    A band is estimated again before each wider fold.  The CLI exits with
+    code 4.
     """
 
 

@@ -48,7 +48,14 @@ def _sign_of_surd(A: int, B: int, D: int) -> int:
 
 @dataclass(frozen=True)
 class Field:
-    """A real quadratic field Q(sqrt(D)) with D >= 2 squarefree."""
+    """A real quadratic field Q(sqrt(D)) with D >= 2 squarefree.
+
+    The congruence class of D is fixed once, as three integers: t = 1 for
+    D = 1 (mod 4) and t = 0 otherwise, den = 1 + t and c = (D - t)/den^2.
+    Then w = (t + sqrt(D))/den, w^2 = t*w + c, conj(w) = t - w and
+    xi = w - t, and every formula below is one formula in (t, den, c).
+    Equality and hashing read D alone.
+    """
 
     D: int
 
@@ -57,14 +64,14 @@ class Field:
             raise ValueError(f"D must be an integer >= 2, got {self.D!r}")
         if not is_squarefree(self.D):
             raise ValueError(f"D must be squarefree, got {self.D}")
-
-    @property
-    def one_mod4(self) -> bool:
-        return self.D % 4 == 1
+        object.__setattr__(self, "t", 1 if self.D % 4 == 1 else 0)
+        object.__setattr__(self, "den", 1 + self.t)
+        object.__setattr__(self, "c", (self.D - self.t) // self.den**2)
+        object.__setattr__(self, "one_mod4", self.t == 1)
 
     @property
     def discriminant(self) -> int:
-        return self.D if self.one_mod4 else 4 * self.D
+        return 4 * self.D // self.den**2
 
     # ----- constructors -------------------------------------------------
 
@@ -75,24 +82,19 @@ class Field:
         return QElement(self, 0, 1)
 
     def xi(self) -> QElement:
-        """xi = -conj(omega): sqrt(D), or (sqrt(D) - 1)/2 when D = 1 mod 4."""
-        return QElement(self, -1, 1) if self.one_mod4 else QElement(self, 0, 1)
+        """xi = -conj(omega) = w - t: sqrt(D), or (sqrt(D) - 1)/2 when D = 1 mod 4."""
+        return QElement(self, -self.t, 1)
 
     def from_sqrt(self, c0: int, c1: int) -> QElement:
-        """The element c0 + c1*sqrt(D)."""
-        if self.one_mod4:
-            return QElement(self, c0 - c1, 2 * c1)
-        return QElement(self, c0, c1)
+        """The element c0 + c1*sqrt(D); sqrt(D) = den*w - t."""
+        return QElement(self, c0 - self.t * c1, self.den * c1)
 
     def from_half_sqrt(self, num0: int, num1: int) -> QElement:
-        """The element (num0 + num1*sqrt(D))/2, which must be integral."""
-        if self.one_mod4:
-            if (num0 - num1) % 2:
-                raise ValueError(f"({num0}+{num1}*sqrt({self.D}))/2 is not integral")
-            return QElement(self, (num0 - num1) // 2, num1)
-        if num0 % 2 or num1 % 2:
+        """The element (num0 + num1*sqrt(D))/2 = (a2 + b2*w)/2, which must be integral."""
+        a2, b2 = num0 - self.t * num1, self.den * num1
+        if a2 % 2 or b2 % 2:
             raise ValueError(f"({num0}+{num1}*sqrt({self.D}))/2 is not integral")
-        return QElement(self, num0 // 2, num1 // 2)
+        return QElement(self, a2 // 2, b2 // 2)
 
     # ----- exact floors ---------------------------------------------------
     # floor(y*sqrt(D)) = isqrt(y^2*D) and floor(x/n) = floor(floor(x)/n) for
@@ -101,41 +103,31 @@ class Field:
     # matching ceilings are floor + 1.
 
     def floor_xi(self) -> int:
-        f = isqrt(self.D)
-        return (f - 1) // 2 if self.one_mod4 else f
+        return (isqrt(self.D) - self.t) // self.den
 
     def floor_xi_mult(self, y: int) -> int:
         """floor(y * xi) for y >= 0."""
         if y < 0:
             raise ValueError(f"y must be >= 0, got {y}")
-        f = isqrt(y * y * self.D)
-        return (f - y) // 2 if self.one_mod4 else f
+        return (isqrt(y * y * self.D) - self.t * y) // self.den
 
     def ceil_xi_mult(self, y: int) -> int:
         """ceil(y * xi) for y >= 0; equals floor + 1 except at y = 0."""
         return 0 if y == 0 else self.floor_xi_mult(y) + 1
 
     def floor_div_xi(self, u: int) -> int:
-        """floor(u / xi) for u >= 0."""
+        """floor(u / xi) for u >= 0, as u/xi = v*(sqrt(D) + t)/(D - t) with v = den*u."""
         if u < 0:
             raise ValueError(f"u must be >= 0, got {u}")
-        if u == 0:
-            return 0
-        if self.one_mod4:
-            # u/xi = 2u(sqrt(D)+1)/(D-1)
-            return (isqrt(4 * u * u * self.D) + 2 * u) // (self.D - 1)
-        return isqrt(u * u // self.D)
+        v = self.den * u
+        return (isqrt(v * v * self.D) + self.t * v) // (self.D - self.t)
 
     def floor_div_omega(self, u: int) -> int:
-        """floor(u / omega) for u >= 0."""
+        """floor(u / omega) for u >= 0, as u/omega = v*(sqrt(D) - t)/(D - t) with v = den*u."""
         if u < 0:
             raise ValueError(f"u must be >= 0, got {u}")
-        if u == 0:
-            return 0
-        if self.one_mod4:
-            # u/omega = 2u(sqrt(D)-1)/(D-1)
-            return (isqrt(4 * u * u * self.D) - 2 * u) // (self.D - 1)
-        return isqrt(u * u // self.D)
+        v = self.den * u
+        return (isqrt(v * v * self.D) - self.t * v) // (self.D - self.t)
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,15 +160,9 @@ class QElement:
             return QElement(self.field, self.a * other, self.b * other)
         self._check_same_field(other)
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        D = self.field.D
-        if self.field.one_mod4:
-            # w^2 = w + (D-1)/4
-            return QElement(
-                self.field,
-                a1 * a2 + b1 * b2 * ((D - 1) // 4),
-                a1 * b2 + a2 * b1 + b1 * b2,
-            )
-        return QElement(self.field, a1 * a2 + b1 * b2 * D, a1 * b2 + a2 * b1)
+        f = self.field
+        # w^2 = t*w + c
+        return QElement(f, a1 * a2 + f.c * b1 * b2, a1 * b2 + a2 * b1 + f.t * b1 * b2)
 
     def __rmul__(self, other: int) -> QElement:
         return self.__mul__(other)
@@ -184,24 +170,30 @@ class QElement:
     # ----- conjugation and rational invariants -----------------------------
 
     def conjugate(self) -> QElement:
-        if self.field.one_mod4:
-            return QElement(self.field, self.a + self.b, -self.b)
-        return QElement(self.field, self.a, -self.b)
+        return QElement(self.field, self.a + self.field.t * self.b, -self.b)
 
     def trace(self) -> int:
-        return 2 * self.a + self.b if self.field.one_mod4 else 2 * self.a
+        return 2 * self.a + self.field.t * self.b
 
     def norm(self) -> int:
-        a, b, D = self.a, self.b, self.field.D
-        if self.field.one_mod4:
-            return a * a + a * b + b * b * ((1 - D) // 4)
-        return a * a - b * b * D
+        a, b, f = self.a, self.b, self.field
+        return a * a + f.t * a * b - f.c * b * b
 
     def sqrt_coords(self) -> tuple[int, int, int]:
         """(A, B, den) with self == (A + B*sqrt(D)) / den."""
-        if self.field.one_mod4:
-            return 2 * self.a + self.b, self.b, 2
-        return self.a, self.b, 1
+        f = self.field
+        return f.den * self.a + f.t * self.b, self.b, f.den
+
+    def reduced_sqrt_coords(self) -> tuple[int, int, int]:
+        """sqrt_coords in lowest terms, the form the renderers print.
+
+        When den divides B = b it divides A = den*a + t*b too, and the
+        denominator is 1; otherwise den = 2 and A = 2a + b and B are odd.
+        """
+        A, B, den = self.sqrt_coords()
+        if B % den:
+            return A, B, den
+        return A // den, B // den, 1
 
     # ----- order relations --------------------------------------------------
 
@@ -210,8 +202,14 @@ class QElement:
         return _sign_of_surd(A, B, self.field.D)
 
     def is_totally_positive(self) -> bool:
-        """True when both self and its conjugate are positive."""
-        return self.sign() > 0 and self.conjugate().sign() > 0
+        """True when self = (A + B*sqrt(D))/den and its conjugate are both positive.
+
+        The conjugate is (A - B*sqrt(D))/den, so both are positive exactly
+        when A > |B|*sqrt(D): one integer comparison, as A^2 = B^2*D only at
+        A = B = 0 for squarefree D.
+        """
+        A, B, _ = self.sqrt_coords()
+        return A > 0 and A * A > B * B * self.field.D
 
     def succ_gt(self, other: QElement) -> bool:
         """Strict partial order: self - other is totally positive."""
@@ -229,9 +227,7 @@ class QElement:
     def __str__(self) -> str:
         if self.b == 0:
             return str(self.a)
-        A, B, den = self.sqrt_coords()
-        if den == 2 and A % 2 == 0 and B % 2 == 0:
-            A, B, den = A // 2, B // 2, 1
+        A, B, den = self.reduced_sqrt_coords()
         mag = abs(B)
         surd = f"√{self.field.D}" if mag == 1 else f"{mag}√{self.field.D}"
         if A == 0:

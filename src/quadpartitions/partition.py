@@ -20,8 +20,8 @@ Four kernels compute p, or p mod 2, on an order ideal of the cone:
 - PartitionGrid runs the recurrence cell by cell on the intervals
   [0, alpha] that count(alpha) asks for, and stores each column as a dict
   of exactly the cells filled; the point queries (find_kmax, the witnesses,
-  estimate --compare, the units corner of verify, the threshold table)
-  read it.
+  estimate --compare, the units corner of verify) and the tests' threshold
+  table read it.
 - cone_columns runs it over the whole cone up to a column, one column at a
   time: each column is one big int with a slot of B bits per cell
   (Kronecker substitution), and column x is a sum of x products of packed
@@ -358,9 +358,11 @@ def _cone_layout(field: Field, X: int) -> tuple[list[int], list[int], int, int]:
     fdo[x] = floor(x/omega) and fdx[x] = floor(x/xi) bound the window of
     column x, which occupies slots x*W - fdo[x] up to x*W + fdx[x], and
     L = X*W + fdx[X] + 1 is one past the top cell of column X.  Both
-    kernels start here, cone_columns with B-bit slots over the whole cone and
-    diagonal_parity with 1-bit slots over the cells below (X, 0), which the
-    same W keeps apart from every other cell of the cone.  Raises
+    kernels start here.  cone_columns reads only the floors and the budget
+    check: it packs one column at a time, not the whole cone.
+    diagonal_parity packs 1-bit slots in this layout over the cells below
+    (X, 0), which the same W keeps apart from every other cell of the cone;
+    W and L serve it and the Euler-product oracles of the tests.  Raises
     BudgetExceeded, before the O(X) floors are listed, when neither could
     build its cells within the budget.
 

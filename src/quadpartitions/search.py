@@ -28,11 +28,10 @@ from dataclasses import dataclass
 from .contfrac import FieldContext, build_context, floor_ratio_eps
 from .errors import InvariantViolation
 from .field import Field, QElement, is_squarefree
-from .partition import GridPool, PartitionGrid, band_columns, p_rational
+from .partition import PartitionGrid, band_columns
 
 __all__ = [
     "SearchReport",
-    "ThresholdRow",
     "slice_element",
     "in_fundamental_domain",
     "fundamental_representative",
@@ -44,7 +43,6 @@ __all__ = [
     "worker_count",
     "exhaustive_scan_range",
     "en_fn_bounds",
-    "verify_thresholds",
     "witness_m4",
     "witness_m6",
 ]
@@ -246,64 +244,6 @@ def en_fn_bounds(n: int) -> tuple[int, int]:
     e_n = (n // 2) ** 2
     f_n = (n - 1) ** 2 if n % 2 == 0 else n * n
     return e_n, f_n
-
-
-@dataclass(frozen=True)
-class ThresholdRow:
-    D: int
-    n: int
-    bound: int
-    p_field: int
-    p_rational: int
-
-    @property
-    def collapsed(self) -> bool:
-        return self.p_field == self.p_rational
-
-
-def _threshold_witness_parts(field: Field, n: int) -> tuple[QElement, QElement]:
-    # The canonical extra partition that exists strictly below the threshold.
-    k = n // 2
-    if field.one_mod4:
-        if n % 2 == 0:
-            return field.element(k, 1), field.element(k, -1)
-        return field.element(k + 1, -1), field.element(k, 1)
-    if n % 2 == 0:
-        return field.from_sqrt(k, 1), field.from_sqrt(k, -1)
-    return field.from_sqrt(k + 1, 1), field.from_sqrt(k, -1)
-
-
-def verify_thresholds(
-    n: int,
-    D_values: list[int] | tuple[int, ...],
-    pool: GridPool,
-) -> tuple[ThresholdRow, ...]:
-    """Check p(n) = p_rational(n) exactly when D exceeds its class threshold.
-
-    Below the threshold the strict excess is asserted together with total
-    positivity of the explicit two-part witness partition.
-    """
-    pn = p_rational(n)
-    e_n, f_n = en_fn_bounds(n)
-    rows = []
-    for D in D_values:
-        field = Field(D)
-        pkn = pool.grid(field).count(field.element(n))
-        bound = f_n if field.one_mod4 else e_n
-        row = ThresholdRow(D=D, n=n, bound=bound, p_field=pkn, p_rational=pn)
-        if D > bound:
-            if pkn != pn:
-                raise InvariantViolation(f"p({n}) != p_rational({n}) for D={D} > {bound}")
-        else:
-            if pkn <= pn:
-                raise InvariantViolation(f"p({n}) <= p_rational({n}) for D={D} <= {bound}")
-            u, v = _threshold_witness_parts(field, n)
-            if not (u.is_totally_positive() and v.is_totally_positive()):
-                raise InvariantViolation(f"threshold witness not totally positive, D={D}, n={n}")
-            if u + v != field.element(n):
-                raise InvariantViolation(f"threshold witness does not sum to {n}, D={D}")
-        rows.append(row)
-    return tuple(rows)
 
 
 def witness_m4(field: Field, grid: PartitionGrid) -> tuple[QElement, int]:

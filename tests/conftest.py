@@ -1,8 +1,20 @@
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import pytest
 
-from quadpartitions import Field, GridPool, PartitionGrid, build_context, expand_sigma, find_kmax
+from quadpartitions import (
+    Field,
+    GridPool,
+    InvariantViolation,
+    PartitionGrid,
+    QElement,
+    build_context,
+    en_fn_bounds,
+    expand_sigma,
+    find_kmax,
+    p_rational,
+)
 from quadpartitions import partition
 from quadpartitions.contfrac import floor_ratio_eps
 from quadpartitions.search import slice_element
@@ -184,3 +196,65 @@ def cone_parity(field, max_x):
 def diagonal(field, columns):
     """The cells (n, 0), n = 0..X, of columns in the shape of cone_columns up to X."""
     return [col[field.floor_div_omega(n)] for n, col in enumerate(columns)]
+
+
+# The threshold table of E_n and F_n: the reference for ACCEPTANCE 9, which
+# no command prints.
+
+
+@dataclass(frozen=True)
+class ThresholdRow:
+    D: int
+    n: int
+    bound: int
+    p_field: int
+    p_rational: int
+
+    @property
+    def collapsed(self) -> bool:
+        return self.p_field == self.p_rational
+
+
+def _threshold_witness_parts(field: Field, n: int) -> tuple[QElement, QElement]:
+    # The canonical extra partition that exists strictly below the threshold.
+    k = n // 2
+    if field.one_mod4:
+        if n % 2 == 0:
+            return field.element(k, 1), field.element(k, -1)
+        return field.element(k + 1, -1), field.element(k, 1)
+    if n % 2 == 0:
+        return field.from_sqrt(k, 1), field.from_sqrt(k, -1)
+    return field.from_sqrt(k + 1, 1), field.from_sqrt(k, -1)
+
+
+def verify_thresholds(
+    n: int,
+    D_values: list[int] | tuple[int, ...],
+    pool: GridPool,
+) -> tuple[ThresholdRow, ...]:
+    """Check p(n) = p_rational(n) exactly when D exceeds its class threshold.
+
+    Below the threshold the strict excess is asserted together with total
+    positivity of the explicit two-part witness partition.
+    """
+    pn = p_rational(n)
+    e_n, f_n = en_fn_bounds(n)
+    rows = []
+    for D in D_values:
+        field = Field(D)
+        pkn = pool.grid(field).count(field.element(n))
+        bound = f_n if field.one_mod4 else e_n
+        row = ThresholdRow(D=D, n=n, bound=bound, p_field=pkn, p_rational=pn)
+        if D > bound:
+            if pkn != pn:
+                raise InvariantViolation(f"p({n}) != p_rational({n}) for D={D} > {bound}")
+        else:
+            if pkn <= pn:
+                raise InvariantViolation(f"p({n}) <= p_rational({n}) for D={D} <= {bound}")
+            u, v = _threshold_witness_parts(field, n)
+            if not (u.is_totally_positive() and v.is_totally_positive()):
+                raise InvariantViolation(f"threshold witness not totally positive, D={D}, n={n}")
+            if u + v != field.element(n):
+                raise InvariantViolation(f"threshold witness does not sum to {n}, D={D}")
+        rows.append(row)
+    return tuple(rows)

@@ -23,14 +23,13 @@ from quadpartitions import (
     sigma_K,
     slice_element,
     trace_layer_count,
-    verify_thresholds,
     witness_m4,
     witness_m6,
 )
 from quadpartitions.contfrac import floor_ratio_eps
 from quadpartitions.partition import enumerate_interval
 
-from conftest import TABULATED_D, dense_counts, diagonal
+from conftest import TABULATED_D, dense_counts, diagonal, verify_thresholds
 
 REFERENCE = Path(quadpartitions.__file__).parent / "reference"
 

@@ -39,8 +39,8 @@ def test_floors_and_signs_match_decimal(D, u, a, b, near):
     # At 120 digits every quantity below is off by less than 1e-70, and none
     # but an exact 0 lies within 1e-50 of an integer: u/xi, u/omega and u*xi
     # are irrational for u > 0, and |a + b*w| >= 1/|conj(a + b*w)| since the
-    # norm is a nonzero integer.  The second a puts a + b*w within 2 of 0,
-    # where A^2 and B^2*D nearly tie.
+    # norm is a nonzero integer.  The second a puts a + b*w within 2 of 0 and
+    # the third puts its conjugate a - b*xi there: A^2 and B^2*D nearly tie.
     f = Field(D)
     with localcontext() as ctx:
         ctx.prec = 120
@@ -54,9 +54,11 @@ def test_floors_and_signs_match_decimal(D, u, a, b, near):
         assert f.floor_div_omega(u) == floor(u / omega)
         assert f.floor_xi_mult(u) == floor(u * xi)
         assert f.ceil_xi_mult(u) == -floor(-u * xi)
-        for a in (a, near - floor(b * omega)):
-            value = a + b * omega
-            assert QElement(f, a, b).sign() == (value > 0) - (value < 0), (D, a, b)
+        for a in (a, near - floor(b * omega), near + floor(b * xi)):
+            value, conj = a + b * omega, a - b * xi
+            e = QElement(f, a, b)
+            assert e.sign() == (value > 0) - (value < 0), (D, a, b)
+            assert e.is_totally_positive() == (value > 0 and conj > 0), (D, a, b)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -21,7 +21,6 @@ from quadpartitions import (
     is_squarefree,
     search_m,
     slice_element,
-    verify_thresholds,
     witness_m4,
     witness_m6,
 )
@@ -30,7 +29,14 @@ from quadpartitions.contfrac import floor_ratio_eps
 from quadpartitions.partition import band_columns
 from quadpartitions.search import slice_rows, worker_count
 
-from conftest import TABULATED_D, cone_parity, grid_search, grid_slice_rows, stored_counts
+from conftest import (
+    TABULATED_D,
+    cone_parity,
+    grid_search,
+    grid_slice_rows,
+    stored_counts,
+    verify_thresholds,
+)
 
 # (k_max, y_max) produced by search_m at m_max = 11
 BOUNDS_AT_11 = {
