@@ -239,18 +239,14 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_dm(args: argparse.Namespace) -> int:
-    if args.Dmax is not None:
-        scan = tuple(D for D in range(2, args.Dmax + 1) if is_squarefree(D))
-        try:
-            complete = set(exhaustive_scan_range(args.m)) <= set(scan)
-        except ValueError:
-            complete = False
-    else:
-        try:
-            scan = exhaustive_scan_range(args.m)
-        except ValueError as exc:
+    try:
+        known = exhaustive_scan_range(args.m)
+    except ValueError as exc:
+        if args.Dmax is None:
             raise UsageError(f"dm: {exc}; pass an explicit --Dmax") from None
-        complete = True
+        known = None
+    scan = known if args.Dmax is None else tuple(D for D in range(2, args.Dmax + 1) if is_squarefree(D))
+    complete = known is not None and set(known) <= set(scan)
     missing = dm_scan(args.m, list(scan), jobs=args.jobs)
     doc = {"m": args.m, "scanned": list(scan), "missing": list(missing), "complete": complete}
     lines = [

@@ -126,25 +126,17 @@ def _diff_representatives(doc: dict) -> list[str]:
     return diffs
 
 
-_DISPATCH = {
-    "grid_xy": _diff_grid_xy,
-    "slice_ky": _diff_slice_ky,
-    "units": _diff_units,
-    "representatives": _diff_representatives,
-}
-
-
 class MalformedDocument(ValueError):
     """A reference document that cannot be recomputed as it stands."""
 
 
-# The keys each kind reads: those of its header, then the key of its list of
-# per-field entries (if any) and the keys of each entry.
-_KEYS = {
-    "grid_xy": (("D", "max_x", "rows"), None, ()),
-    "slice_ky": (("D", "k_max", "y_max", "rows"), None, ()),
-    "units": (("rows",), "rows", ("D", "eps_plus", "floor_ratio", "y_max", "corner_count")),
-    "representatives": (("m_max", "fields"), "fields", ("D", "by_m")),
+# Each kind: the function that recomputes it, the keys of its header, then
+# the key of its list of per-field entries (if any) and the keys of each entry.
+_KINDS = {
+    "grid_xy": (_diff_grid_xy, ("D", "max_x", "rows"), None, ()),
+    "slice_ky": (_diff_slice_ky, ("D", "k_max", "y_max", "rows"), None, ()),
+    "units": (_diff_units, ("rows",), "rows", ("D", "eps_plus", "floor_ratio", "y_max", "corner_count")),
+    "representatives": (_diff_representatives, ("m_max", "fields"), "fields", ("D", "by_m")),
 }
 _SIZES = {"max_x", "k_max", "y_max", "m_max"}
 
@@ -161,9 +153,9 @@ def _check_document(doc: dict) -> None:
     if not isinstance(doc, dict) or "name" not in doc:
         raise MalformedDocument("a document that is not an object with a name")
     name = doc["name"]
-    if doc.get("kind") not in _KEYS:
+    if doc.get("kind") not in _KINDS:
         raise MalformedDocument(f"{name}: unknown document kind {doc.get('kind')!r}")
-    header, listed, entry_keys = _KEYS[doc["kind"]]
+    _, header, listed, entry_keys = _KINDS[doc["kind"]]
     parts = [(doc, header)]
     if listed is not None and isinstance(doc.get(listed), list):
         parts += [(entry, entry_keys) for entry in doc[listed]]
@@ -198,7 +190,7 @@ def verify_document(doc: dict) -> list[str]:
     are.
     """
     _check_document(doc)
-    return _DISPATCH[doc["kind"]](doc)
+    return _KINDS[doc["kind"]][0](doc)
 
 
 def verify_documents(docs: Iterable[dict]) -> list[tuple[str, list[str]]]:

@@ -64,14 +64,13 @@ def trace_layer_count(field: Field, t: int) -> int:
 def _trace_layers(field: Field, N: int) -> list[int]:
     """The counts the transform for P(0..N) runs on: [0, c_1..c_2N] or [0, a_1..a_N].
 
-    For D = 1 (mod 4) they are the trace layers c_t, t <= 2N.  Otherwise only
-    even traces occur, so they are (0, a_1..a_N) directly: the trace-layer
-    path would give the same values from twice as many terms, at about three
-    times the cost.
+    They are the layers of the traces t <= 2N in steps of 2 // den: every
+    layer c_t for D = 1 (mod 4), where den = 2.  Otherwise only even traces
+    occur, so the layers are (0, a_1..a_N) directly: every trace would give
+    the same values from twice as many terms, at about three times the cost.
     """
-    if field.one_mod4:
-        return [0] + [trace_layer_count(field, t) for t in range(1, 2 * N + 1)]
-    return [0] + [trace_layer_count(field, 2 * n) for n in range(1, N + 1)]
+    step = 2 // field.den
+    return [0] + [trace_layer_count(field, t) for t in range(step, 2 * N + 1, step)]
 
 
 def cumulative_P(
@@ -80,12 +79,13 @@ def cumulative_P(
     """P(0..N) through the exact divisor-weighted recurrence (euler_transform).
 
     layers is _trace_layers(field, N), passed by a caller that has it already.
-    For D = 1 (mod 4) P(n) = Q(2n) is every second entry of the transform.
+    For D = 1 (mod 4) P(n) = Q(2n) is every second entry of the transform,
+    so P is read with stride den.
     """
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
     P = euler_transform(_trace_layers(field, N) if layers is None else layers)
-    return tuple(P[::2] if field.one_mod4 else P)
+    return tuple(P[::field.den])
 
 
 @dataclass(frozen=True)
@@ -113,5 +113,5 @@ def parity_check(field: Field, N: int, diagonal: Sequence[int]) -> ParityReport:
         raise InvariantViolation(
             f"P and p disagree mod 2 for D={field.D} at n in {offenders}"
         )
-    a = layers[2::2] if field.one_mod4 else layers[1:]  # a_n = c_2n
+    a = layers[field.den::field.den]  # a_n = c_2n, layer 2n at index den*n
     return ParityReport(a=tuple(a), P=P, p_parity=p_par)

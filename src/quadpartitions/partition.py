@@ -50,9 +50,10 @@ product shares no arithmetic with it.  Every kernel estimates its cost
 before any work and raises BudgetExceeded when it is over _BUDGET_MS.
 
 euler_transform is the one-variable form of the recurrence, for a product
-prod_k (1 - q^k)^(-c[k]) over the rational integers: p_rational uses it with
-c = 1, parity.cumulative_P with the trace-layer counts, and cone_columns with
-the column sizes, for its slot width and its column-sum check.
+prod_k (1 - q^k)^(-c[k]) over the rational integers: p_rational and
+rational_bound use it with c = 1, parity.cumulative_P with the trace-layer
+counts, and cone_columns with the column sizes, for its slot width and its
+column-sum check.
 """
 
 from __future__ import annotations
@@ -78,6 +79,7 @@ __all__ = [
     "diagonal_parity",
     "euler_transform",
     "p_rational",
+    "rational_bound",
     "asymptotic_estimate",
     "ZETA3",
 ]
@@ -804,6 +806,20 @@ def p_rational(n: int) -> int:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     return euler_transform([0] + [1] * n)[n]
+
+
+def rational_bound(m: int) -> int:
+    """The least n >= 1 with p_rational(n) >= m.
+
+    One transform of T terms gives p_rational(0..T), so T doubles until
+    p_rational(T) >= m: the last transform is at most twice as long as n.
+    """
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    T = 1
+    while (P := euler_transform([0] + [1] * T))[T] < m:
+        T *= 2
+    return next(n for n in range(1, T + 1) if P[n] >= m)
 
 
 def asymptotic_estimate(alpha: QElement) -> float:

@@ -11,13 +11,15 @@ the finite slice alpha = (ceil(y*xi) + k) + y*omega with 0 <= k <= k_max,
 0 <= y <= y_max, where p(k_max) >= m and the slice corner at y_max already
 has p >= m with y_max >= floor(eps_plus / (xi + omega)).
 
-How the box is filled.  k_max is read from a PartitionGrid, on the rational
-integers 1, 2, ...  Every other count comes from partition.band_columns,
-the Euler product over a thin band, certified cell by cell by the
-recurrence: find_ymax reads the corners (0, y) from bands B(X, 1), whose
-conjugates lie in (0, 1], and slice_rows reads the whole box from the one
-band B(ceil(y_max*xi) + k_max, k_max + 1).  Each band is estimated before
-any O(X) work and refused with BudgetExceeded when over budget.
+How the box is filled.  k_max is read from one PartitionGrid interval
+[0, n], n = partition.rational_bound(m), which holds every rational integer
+up to n.  Every other count comes from slice_rows, the only reader of
+partition.band_columns, the Euler product over a thin band, certified cell
+by cell by the recurrence: find_ymax reads the corners (0, y) as column
+k = 0 of slice_rows(field, 0, y), the band B(ceil(y*xi), 1), and search_m
+reads the whole box from the one band B(ceil(y_max*xi) + k_max,
+k_max + 1).  The interval and each band are estimated before any O(X)
+work and refused with BudgetExceeded when over budget.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from .contfrac import FieldContext, build_context, floor_ratio_eps
 from .errors import InvariantViolation
 from .field import Field, QElement, is_squarefree
-from .partition import PartitionGrid, band_columns
+from .partition import PartitionGrid, band_columns, p_rational, rational_bound
 
 __all__ = [
     "SearchReport",
@@ -47,8 +49,9 @@ __all__ = [
     "witness_m6",
 ]
 
-# m -> n with p(n) = m, for the m values whose D(m) scan is exhaustive.
-_COMPLETE_M = {1: 1, 2: 2, 3: 3, 5: 4, 7: 5, 11: 6}
+# The paper settles D(p(n)) for n <= _COMPLETE_N; raising it needs the slice
+# lemma and the E_n/F_n collapse proved for the new n first.
+_COMPLETE_N = 6
 
 
 def slice_element(field: Field, k: int, y: int) -> QElement:
@@ -87,22 +90,24 @@ def fundamental_representative(e: QElement, ctx: FieldContext) -> QElement:
 
 
 def find_kmax(grid: PartitionGrid, m: int) -> int:
-    """Smallest n >= 1 with p(n) >= m."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    n = 1
-    while grid.count(grid.field.element(n)) < m:
-        n += 1
-    return n
+    """Smallest n >= 1 with p(n) >= m.
+
+    Every rational partition of n is a partition in the field, so p(n) >=
+    p_rational(n) and n <= bound = rational_bound(m).  One count fills the
+    interval [0, bound], which holds every (n, 0) with n <= bound, and its
+    O(1) estimate refuses a hopeless m before any fill.
+    """
+    bound = rational_bound(m)
+    grid.count(grid.field.element(bound))
+    return next(n for n in range(1, bound + 1) if grid.value(n, 0) >= m)
 
 
 def find_ymax(ctx: FieldContext, m: int) -> int:
     """Smallest y >= floor(eps_plus/(xi+omega)) whose slice corner has p >= m.
 
-    The corner (0, y), y >= 1, has its conjugate ceil(y*xi) - y*xi in
-    (0, 1), so the corners up to y lie in the band B(ceil(y*xi), 1) of
-    band_columns.  The scan reads the corners from y0 = floor(eps_plus/(xi +
-    omega)) on, one band at a time, and doubles the number of corners a band
+    The corners (0, y) up to top are column k = 0 of slice_rows(field, 0,
+    top).  The scan reads the corners from y0 = floor(eps_plus/(xi + omega))
+    on, one such band at a time, and doubles the number of corners a band
     holds until one has p >= m: the first band holds y0 and y0 + 1, the
     corner that most often settles the scan where eps_plus is large.
 
@@ -116,15 +121,13 @@ def find_ymax(ctx: FieldContext, m: int) -> int:
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    field = ctx.field
     y0 = y = floor_ratio_eps(ctx)
     n = 2
     while True:
         top = y0 + n - 1
-        lo, cols = band_columns(field, field.ceil_xi_mult(top), 1)
+        rows = slice_rows(ctx.field, 0, top)
         for y in range(y, top + 1):
-            x = field.ceil_xi_mult(y)
-            if cols[x][y - lo[x]] >= m:
+            if rows[y][0] >= m:
                 return y
         y = top + 1
         n *= 2
@@ -225,12 +228,13 @@ def exhaustive_scan_range(m: int) -> tuple[int, ...]:
 
     For any other squarefree D, p(n) = m is attained at the rational integer n
     with p(n) = m, so scanning this finite set determines D(m) completely.
-    Raises for m outside the supported table.
+    Raises unless m = p_rational(n) for some n <= _COMPLETE_N.  Any m above
+    p_rational(_COMPLETE_N + 1) raises as that value does, so a huge m
+    costs no long transform here.
     """
-    try:
-        n = _COMPLETE_M[m]
-    except KeyError:
-        raise ValueError(f"no exhaustive scan range known for m={m}") from None
+    n = rational_bound(min(m, p_rational(_COMPLETE_N + 1)))
+    if n > _COMPLETE_N or p_rational(n) != m:
+        raise ValueError(f"no exhaustive scan range known for m={m}")
     e_bound, f_bound = en_fn_bounds(n)
     out = [D for D in range(2, e_bound + 1) if is_squarefree(D) and D % 4 != 1]
     out += [D for D in range(2, f_bound + 1) if is_squarefree(D) and D % 4 == 1]
@@ -248,7 +252,7 @@ def en_fn_bounds(n: int) -> tuple[int, int]:
 
 def witness_m4(field: Field, grid: PartitionGrid) -> tuple[QElement, int]:
     """(ceil(xi) + 2) + omega has exactly 4 partitions, for every field."""
-    alpha = QElement(field, field.ceil_xi_mult(1) + 2, 1)
+    alpha = slice_element(field, 2, 1)
     count = grid.count(alpha)
     if count != 4:
         raise InvariantViolation(f"expected 4 partitions at {alpha}, got {count}")

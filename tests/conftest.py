@@ -193,6 +193,30 @@ def cone_parity(field, max_x):
     return [list(bits[x * W - fdo[x] : x * W + fdx[x] + 1]) for x in range(max_x + 1)]
 
 
+def coin_change_count(alpha):
+    """p(alpha) by a coin-change count over the points of [0, alpha], an oracle at any x.
+
+    The parts beta of partition.enumerate_interval(alpha) are taken one at a
+    time in lex order, and f[gamma] counts the partitions of gamma into the
+    parts taken so far: for each point gamma >= beta in lex order, f[gamma]
+    += f[gamma - beta].  gamma - beta lies below alpha, so it is 0 or a point
+    of the list exactly when it is totally positive, and it is lex-smaller
+    than gamma, so f[gamma - beta] already counts beta.  That is the Euler
+    product truncated to [0, alpha], summed over a point list: it shares no
+    arithmetic with the recurrence or the packed folds, and it costs about
+    |[0, alpha]|^2 steps whatever x is.
+    """
+    pts = [(e.a, e.b) for e in partition.enumerate_interval(alpha)]
+    f = dict.fromkeys(pts, 0)
+    f[0, 0] = 1
+    for i, (u, v) in enumerate(pts):
+        for x, y in pts[i:]:
+            d = (x - u, y - v)
+            if d in f:
+                f[x, y] += f[d]
+    return f[alpha.a, alpha.b]
+
+
 def diagonal(field, columns):
     """The cells (n, 0), n = 0..X, of columns in the shape of cone_columns up to X."""
     return [col[field.floor_div_omega(n)] for n, col in enumerate(columns)]

@@ -1,7 +1,8 @@
 """Property tests on random fields: the exact floors and signs against decimal
 arithmetic, the packed columns against the per-cell recurrence and the Euler
-product, the Euler product mod 2 below (N, 0) against the exact diagonal, and
-the band's Euler product against the per-cell recurrence."""
+product, the Euler product mod 2 below (N, 0) against the exact diagonal, the
+band's Euler product against the per-cell recurrence, and the coin-change
+count over an interval's points against the band and the recurrence."""
 
 import random
 from decimal import ROUND_FLOOR, Decimal, localcontext
@@ -9,7 +10,7 @@ from decimal import ROUND_FLOOR, Decimal, localcontext
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from quadpartitions import (  # noqa: E402
     Field,
@@ -21,8 +22,9 @@ from quadpartitions import (  # noqa: E402
     is_squarefree,
 )
 from quadpartitions.partition import band_columns, cone_rows  # noqa: E402
+from quadpartitions.search import slice_element, slice_rows  # noqa: E402
 
-from conftest import diagonal, euler_product  # noqa: E402
+from conftest import coin_change_count, diagonal, euler_product  # noqa: E402
 
 SQUAREFREE = [D for D in range(2, 300) if is_squarefree(D)]
 SQUAREFREE_10K = [D for D in range(2, 10_000) if is_squarefree(D)]
@@ -104,3 +106,16 @@ def test_band_cells_match_the_recurrence(D, X, K):
     for x in range(1, X + 1):
         for y, p in enumerate(cols[x], lo[x]):
             assert grid.count(QElement(f, x, y)) == p, (D, X, K, x, y)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(D=st.sampled_from((2, 5, 13, 31)), k=st.integers(0, 4), y=st.integers(0, 60))
+def test_coin_change_count_matches_the_band_and_the_recurrence(D, k, y):
+    # Slice cells up to x = 339 (D=31 at y = 60), where the oracle's x <= 8
+    # does not reach.
+    assume((k, y) != (0, 0))
+    f = Field(D)
+    alpha = slice_element(f, k, y)
+    p = coin_change_count(alpha)
+    assert slice_rows(f, k, y)[y][k] == p, (D, k, y)
+    assert PartitionGrid(f).count(alpha) == p, (D, k, y)

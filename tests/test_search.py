@@ -31,6 +31,7 @@ from quadpartitions.search import slice_rows, worker_count
 
 from conftest import (
     TABULATED_D,
+    coin_change_count,
     cone_parity,
     grid_search,
     grid_slice_rows,
@@ -258,8 +259,12 @@ def test_exhaustive_scan_range_frozen():
     assert exhaustive_scan_range(5) == (2, 3, 5)
     assert exhaustive_scan_range(7) == (2, 3, 5, 13, 17, 21)
     assert exhaustive_scan_range(11) == (2, 3, 5, 6, 7, 13, 17, 21)
-    with pytest.raises(ValueError):
-        exhaustive_scan_range(4)
+    # Every other m raises: m = 4, 6 and 8 are no p(n), and m = p(7) = 15 and
+    # m = p(8) = 22 lie beyond the n <= 6 that the paper settles, as does a
+    # 301-digit m, refused without its rational bound's transform.
+    for m in (4, 6, 8, 15, 22, 10**300):
+        with pytest.raises(ValueError):
+            exhaustive_scan_range(m)
 
 
 def test_dm_scan():
@@ -362,6 +367,22 @@ def test_ky_view_fills_only_the_slice_ideal(monkeypatch, capsys):
     capsys.readouterr()
     assert grids == []
     assert bands == [(f.ceil_xi_mult(40) + 6, 7, 290)]
+
+
+@pytest.mark.parametrize("D, k, y, x, p", [
+    (73, 0, 338, 1275, 42),
+    (97, 0, 266, 1177, 77),
+    (89, 0, 456, 1923, 56),
+    (73, 6, 1, 10, 30),
+])
+def test_slice_hits_beyond_m_11_agree_with_the_coin_change_count(D, k, y, x, p):
+    # Hits of the D(m) scans beyond the paper: cells with exactly m = p(10),
+    # p(12), p(11) and p(9) partitions.  They lie at x up to 1,923, with at
+    # most 27 points below each, far past the brute-force oracle's x <= 8.
+    f = Field(D)
+    alpha = slice_element(f, k, y)
+    assert alpha.a == x
+    assert slice_rows(f, k, y)[y][k] == coin_change_count(alpha) == p
 
 
 def test_search_reaches_D31():
