@@ -47,13 +47,14 @@ Two checks are independent of the recurrence: every column of cone_columns
 must sum to R(x), the number of partitions of x into parts counted by their
 first coordinate, or InvariantViolation is raised; and diagonal_parity's
 product shares no arithmetic with it.  Every kernel estimates its cost
-before any work and raises BudgetExceeded when it is over _BUDGET_MS.
+before any work and raises BudgetExceeded when it is over _BUDGET_MS;
+check_interval is PartitionGrid's, which search.find_kmax also asks about
+an interval it has not reached yet.
 
 euler_transform is the one-variable form of the recurrence, for a product
-prod_k (1 - q^k)^(-c[k]) over the rational integers: p_rational and
-rational_bound use it with c = 1, parity.cumulative_P with the trace-layer
-counts, and cone_columns with the column sizes, for its slot width and its
-column-sum check.
+prod_k (1 - q^k)^(-c[k]) over the rational integers: p_rational uses it with
+c = 1, parity.cumulative_P with the trace-layer counts, and cone_columns with
+the column sizes, for its slot width and its column-sum check.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ __all__ = [
     "diagonal_parity",
     "euler_transform",
     "p_rational",
-    "rational_bound",
+    "check_interval",
     "asymptotic_estimate",
     "ZETA3",
 ]
@@ -272,9 +273,7 @@ class PartitionGrid:
             raise ValueError(f"count needs a totally positive element, got {e!r}")
         v = self.value(e.a, e.b)
         if v is None:
-            ms = _interval_ms(self.field, e)
-            if ms > _BUDGET_MS:  # formatting e costs more than the estimate
-                _check_budget(f"the interval [0, {e}] of D={e.field.D}", ms, "its recurrence would take about")
+            check_interval(e)
             self._fill(e.a, e.b)
             v = self.value(e.a, e.b)
             if v is None:
@@ -430,6 +429,13 @@ def _interval_ms(field: Field, e: QElement) -> int:
     K = x - field.floor_xi_mult(e.b) if e.b >= 0 else x + field.ceil_xi_mult(-e.b)
     C = field.floor_div_xi(K) + 1
     return (C * x * (x + 1) + C * C * x * (x - 1)) * 500 // _INTERVAL_STEPS_PER_S
+
+
+def check_interval(e: QElement) -> None:
+    """Raise BudgetExceeded when filling [0, e] from nothing is over budget, in O(1)."""
+    ms = _interval_ms(e.field, e)
+    if ms > _BUDGET_MS:  # formatting e costs more than the estimate
+        _check_budget(f"the interval [0, {e}] of D={e.field.D}", ms, "its recurrence would take about")
 
 
 def _check_budget(subject: str, ms: int, what: str) -> None:
@@ -806,20 +812,6 @@ def p_rational(n: int) -> int:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     return euler_transform([0] + [1] * n)[n]
-
-
-def rational_bound(m: int) -> int:
-    """The least n >= 1 with p_rational(n) >= m.
-
-    One transform of T terms gives p_rational(0..T), so T doubles until
-    p_rational(T) >= m: the last transform is at most twice as long as n.
-    """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    T = 1
-    while (P := euler_transform([0] + [1] * T))[T] < m:
-        T *= 2
-    return next(n for n in range(1, T + 1) if P[n] >= m)
 
 
 def asymptotic_estimate(alpha: QElement) -> float:

@@ -11,15 +11,16 @@ the finite slice alpha = (ceil(y*xi) + k) + y*omega with 0 <= k <= k_max,
 0 <= y <= y_max, where p(k_max) >= m and the slice corner at y_max already
 has p >= m with y_max >= floor(eps_plus / (xi + omega)).
 
-How the box is filled.  k_max is read from one PartitionGrid interval
-[0, n], n = partition.rational_bound(m), which holds every rational integer
-up to n.  Every other count comes from slice_rows, the only reader of
-partition.band_columns, the Euler product over a thin band, certified cell
-by cell by the recurrence: find_ymax reads the corners (0, y) as column
-k = 0 of slice_rows(field, 0, y), the band B(ceil(y*xi), 1), and search_m
-reads the whole box from the one band B(ceil(y_max*xi) + k_max,
-k_max + 1).  The interval and each band are estimated before any O(X)
-work and refused with BudgetExceeded when over budget.
+How the box is filled.  k_max is counted by a PartitionGrid on the
+rational integers n0, n0 + 1, ..., where n0 <= k_max is the least n whose
+trace sum P(n) (parity.cumulative_P) reaches m.  Every other count comes
+from slice_rows, the only reader of partition.band_columns, the Euler
+product over a thin band, certified cell by cell by the recurrence:
+find_ymax reads the corners (0, y) as column k = 0 of slice_rows(field, 0,
+y), the band B(ceil(y*xi), 1), and search_m reads the whole box from the
+one band B(ceil(y_max*xi) + k_max, k_max + 1).  Each interval and each
+band is estimated before any O(X) work and refused with BudgetExceeded
+when over budget.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from dataclasses import dataclass
 from .contfrac import FieldContext, build_context, floor_ratio_eps
 from .errors import InvariantViolation
 from .field import Field, QElement, is_squarefree
-from .partition import PartitionGrid, band_columns, p_rational, rational_bound
+from .parity import cumulative_P
+from .partition import PartitionGrid, band_columns, check_interval, p_rational
 
 __all__ = [
     "SearchReport",
@@ -92,14 +94,26 @@ def fundamental_representative(e: QElement, ctx: FieldContext) -> QElement:
 def find_kmax(grid: PartitionGrid, m: int) -> int:
     """Smallest n >= 1 with p(n) >= m.
 
-    Every rational partition of n is a partition in the field, so p(n) >=
-    p_rational(n) and n <= bound = rational_bound(m).  One count fills the
-    interval [0, bound], which holds every (n, 0) with n <= bound, and its
-    O(1) estimate refuses a hopeless m before any fill.
+    p(n) <= P(n), the sum of p over all alpha of trace 2n
+    (parity.cumulative_P), so k_max >= n0, the least n with P(n) >= m.  The
+    counts run from n0 up, each filling one more column, so together they
+    fill [0, k_max] as counts from n = 1 would, and the first whose interval
+    is over budget refuses, where counts from n = 1 would refuse too.  N
+    doubles until P(N) >= m; while P(N) < m, k_max > N, so an interval
+    [0, N + 1] over budget is refused before the next transform, and a
+    hopeless m costs a few short transforms.
     """
-    bound = rational_bound(m)
-    grid.count(grid.field.element(bound))
-    return next(n for n in range(1, bound + 1) if grid.value(n, 0) >= m)
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    field = grid.field
+    N = 1
+    while (P := cumulative_P(field, N))[N] < m:
+        check_interval(field.element(N + 1))
+        N *= 2
+    n = next(n for n in range(1, N + 1) if P[n] >= m)
+    while grid.count(field.element(n)) < m:
+        n += 1
+    return n
 
 
 def find_ymax(ctx: FieldContext, m: int) -> int:
@@ -228,12 +242,10 @@ def exhaustive_scan_range(m: int) -> tuple[int, ...]:
 
     For any other squarefree D, p(n) = m is attained at the rational integer n
     with p(n) = m, so scanning this finite set determines D(m) completely.
-    Raises unless m = p_rational(n) for some n <= _COMPLETE_N.  Any m above
-    p_rational(_COMPLETE_N + 1) raises as that value does, so a huge m
-    costs no long transform here.
+    Raises unless m = p_rational(n) for some n <= _COMPLETE_N.
     """
-    n = rational_bound(min(m, p_rational(_COMPLETE_N + 1)))
-    if n > _COMPLETE_N or p_rational(n) != m:
+    n = next((n for n in range(1, _COMPLETE_N + 1) if p_rational(n) == m), None)
+    if n is None:
         raise ValueError(f"no exhaustive scan range known for m={m}")
     e_bound, f_bound = en_fn_bounds(n)
     out = [D for D in range(2, e_bound + 1) if is_squarefree(D) and D % 4 != 1]

@@ -420,19 +420,20 @@ def test_slice_paths_over_the_cost_budget_exit_4_at_once(capsys):
 
 
 def test_a_hopeless_m_is_refused_before_any_fill(monkeypatch, capsys):
-    # find_kmax counts once, at the rational bound 922 of m = 10^30, whose
-    # interval's O(1) estimate is over the budget; nothing is filled.
+    # At D = 2 the trace sums P(n), which bound p(n) from above, stay below
+    # m = 10^300 up to n = 256, so k_max > 256, and find_kmax refuses the
+    # interval [0, 257] from its O(1) estimate; nothing is filled.
     def fill(grid, x, y):
         raise AssertionError(f"PartitionGrid filled the interval below ({x}, {y})")
 
     monkeypatch.setattr(partition.PartitionGrid, "_fill", fill)
-    m = str(10**30)
+    m = str(10**300)
     for argv in (("search", "--D", "2", "--m", m), ("dm", "--m", m, "--Dmax", "3")):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 2, argv
         assert (code, out) == (4, ""), argv
-        assert err.startswith("the interval [0, 922] of D=2 is over the cost budget: "), argv
+        assert err.startswith("the interval [0, 257] of D=2 is over the cost budget: "), argv
         assert err.count("\n") == 1, argv
 
 

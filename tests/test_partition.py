@@ -15,7 +15,7 @@ from quadpartitions import (
     sigma_K,
 )
 from quadpartitions import cli, cone_columns, diagonal_parity, is_squarefree, partition
-from quadpartitions.partition import content, euler_transform, rational_bound
+from quadpartitions.partition import content
 
 from conftest import TABULATED_D, cone_parity, dense_counts, diagonal, euler_product, stored_counts
 
@@ -285,20 +285,6 @@ def brute_rational_partitions(n: int) -> int:
 def test_p_rational_against_brute_force():
     for n in range(0, 26):
         assert p_rational(n) == brute_rational_partitions(n), n
-
-
-def test_rational_bound_is_the_least_n_with_p_at_least_m():
-    # Against a linear walk over one transform: p(30) = 5604 > 5000.
-    p = euler_transform([0] + [1] * 30)
-    n = 1
-    for m in range(1, 5001):
-        while p[n] < m:
-            n += 1
-        assert rational_bound(m) == n, m
-    assert rational_bound(10**30) == 922
-    for m in (0, -1):
-        with pytest.raises(ValueError):
-            rational_bound(m)
 
 
 def test_rational_column_matches_p_rational_when_cone_is_narrow():

@@ -26,6 +26,7 @@ from quadpartitions import (
 )
 from quadpartitions import cli, partition, search
 from quadpartitions.contfrac import floor_ratio_eps
+from quadpartitions.parity import cumulative_P
 from quadpartitions.partition import band_columns
 from quadpartitions.search import slice_rows, worker_count
 
@@ -119,6 +120,30 @@ def test_find_kmax_find_ymax(contexts, pool):
         find_kmax(pool.grid(Field(2)), 0)
     with pytest.raises(ValueError):
         find_ymax(contexts[2], 0)
+
+
+def test_find_kmax_is_the_least_n_with_p_at_least_m():
+    # Against a linear walk of counts from n = 1 for every m <= 5,000.  The
+    # counts of find_kmax start at the least n whose trace sum P(n) reaches
+    # m, at or below k_max as P(n) >= p(n).
+    for D in (2, 5, 13, 31):
+        f = Field(D)
+        walk, grid = PartitionGrid(f), PartitionGrid(f)
+        P = cumulative_P(f, 30)
+        assert all(walk.count(f.element(n)) <= P[n] for n in range(1, 31)), D
+        n = 1
+        for m in range(1, 5001):
+            while walk.count(f.element(n)) < m:
+                n += 1
+            assert find_kmax(grid, m) == n, (D, m)
+    # At D = 2 and m = 10^13, k_max = 69 while p_rational first reaches m at
+    # n = 211, whose interval is over budget; the counts fill no column
+    # beyond k_max.
+    f = Field(2)
+    grid = PartitionGrid(f)
+    assert find_kmax(grid, 10**13) == 69
+    assert grid.value(68, 0) < 10**13 <= grid.value(69, 0)
+    assert grid.value(70, 0) is None
 
 
 def test_domain_membership_lemma_slice_bound(contexts):
@@ -259,9 +284,9 @@ def test_exhaustive_scan_range_frozen():
     assert exhaustive_scan_range(5) == (2, 3, 5)
     assert exhaustive_scan_range(7) == (2, 3, 5, 13, 17, 21)
     assert exhaustive_scan_range(11) == (2, 3, 5, 6, 7, 13, 17, 21)
-    # Every other m raises: m = 4, 6 and 8 are no p(n), and m = p(7) = 15 and
-    # m = p(8) = 22 lie beyond the n <= 6 that the paper settles, as does a
-    # 301-digit m, refused without its rational bound's transform.
+    # Every other m raises: m = 4, 6 and 8 are no p(n), and m = p(7) = 15,
+    # m = p(8) = 22 and a 301-digit m lie beyond the n <= 6 that the paper
+    # settles.
     for m in (4, 6, 8, 15, 22, 10**300):
         with pytest.raises(ValueError):
             exhaustive_scan_range(m)
