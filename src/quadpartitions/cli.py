@@ -39,6 +39,9 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # The top-level parser's map from command name to that command's parser.
+    commands: dict[str, argparse.ArgumentParser]
+
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(f"{self.prog}: {message}")
 
@@ -391,13 +394,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ----- parser ---------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
     parser = _Parser(
         prog="quadpartitions",
         description="Exact partition counts for totally positive elements "
         "of real quadratic fields.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parser.commands = sub.choices
 
     def add_format(p: argparse.ArgumentParser, choices=("pretty", "csv", "json", "tex")) -> None:
         p.add_argument("--format", choices=choices, default="pretty")
@@ -463,18 +467,38 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parser() -> _Parser:
     """The parser main reads, built once per process.
 
-    It depends on no input, and parse_args returns a new Namespace on every
-    call, so nothing else is kept between calls of main.
+    It depends on no input, and each parse returns a new Namespace, so
+    nothing else is kept between calls of main.
     """
     return build_parser()
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace of argv, parsed by the parser of the command that argv[0] names.
+
+    The top-level parser would hand that command's parser every later
+    argument, "--" included, and add only its own unrecognized-arguments
+    error for the leftovers, so this prints the same for every argv while
+    skipping the top-level pass.  An argv that names no command (none at
+    all, an option first, an unknown name) goes to the top-level parser,
+    which prints its help or its usage error.
+    """
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         return args.func(args)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)

@@ -92,7 +92,9 @@ ZETA3 = 1.2020569031595942854
 # where the budget bites, so smaller runs take less than estimated.  64-bit
 # words per second of diagonal_parity's XOR steps (see _fold_ms): a median of
 # 2.9e8 over D = 2, 5, 13 and N = 300..600, falling as the int outgrows the
-# caches, to 1.9e8 at N = 1351 for D = 2 and 1.7e8 at N = 1022 for D = 5.
+# caches, to 1.9e8 at N = 1351 for D = 2 and 1.7e8 at N = 1022 for D = 5;
+# these were measured at the cone's stride.  At the ideal's own stride, about
+# half as long, D = 2 at N = 1406, the largest N started, ran 1.4e8 (143 s).
 # Slot products per second of cone_columns (see _recurrence_madds): 8e7 at
 # X = 100 for D = 2, 2.1e7 at X = 430.
 # 64-bit words per second of band_columns' fold steps, its certificate's
@@ -114,7 +116,7 @@ _INTERVAL_STEPS_PER_S = 4_000_000
 _BAND_SLOT_BITS = 32
 # The longest estimated run, in milliseconds on that host, that is started:
 # two minutes.  The xy view runs up to x = 416 for D=2 and 331 for D=5, and
-# parity up to N = 1182 and 994; both are refused beyond.
+# parity up to N = 1406 and 1153; both are refused beyond.
 _BUDGET_MS = 120_000
 
 
@@ -205,9 +207,7 @@ def enumerate_interval(alpha: QElement) -> Iterator[QElement]:
     if not alpha.is_totally_positive():
         raise ValueError(f"interval base must be totally positive, got {alpha!r}")
     x, y = alpha.a, alpha.b
-    fdo = [fld.floor_div_omega(u) for u in range(x + 1)]
-    fdx = [fld.floor_div_xi(u) for u in range(x + 1)]
-    lo, hi = _interval_bounds(fdo, fdx, x, y)
+    lo, hi = _interval_bounds(*_floors(fld, x), x, y)
     for u in range(1, x):
         for v in range(lo[u], hi[u] + 1):
             beta = QElement(fld, u, v)
@@ -353,41 +353,17 @@ class PartitionGrid:
         return p
 
 
-def _cone_layout(field: Field, X: int) -> tuple[list[int], list[int], int, int]:
-    """(fdo, fdx, W, L) of the cone up to column X packed into one int, slot x*W + y.
+def _floors(field: Field, X: int) -> tuple[list[int], list[int]]:
+    """(fdo, fdx), fdo[x] = floor(x/omega) and fdx[x] = floor(x/xi): column x runs over -fdo[x]..fdx[x]."""
+    return [field.floor_div_omega(x) for x in range(X + 1)], [field.floor_div_xi(x) for x in range(X + 1)]
 
-    fdo[x] = floor(x/omega) and fdx[x] = floor(x/xi) bound the window of
-    column x, which occupies slots x*W - fdo[x] up to x*W + fdx[x], and
-    L = X*W + fdx[X] + 1 is one past the top cell of column X.  Both
-    kernels start here.  cone_columns reads only the floors and the budget
-    check: it packs one column at a time, not the whole cone.
-    diagonal_parity packs 1-bit slots in this layout over the cells below
-    (X, 0), which the same W keeps apart from every other cell of the cone;
-    W and L serve it and the Euler-product oracles of the tests.  Raises
-    BudgetExceeded, before the O(X) floors are listed, when neither could
-    build its cells within the budget.
 
-    Choice of W.  Every exponent the Euler product generates is a totally
-    positive element, so dropping the slots >= L is the truncation x <= X
-    exactly when every cell with x > X lands at or above L.  The lowest such
-    cell is (X + 1, -floor((X + 1)/omega)), and the bottom slot of column x
-    grows with x, so W must exceed floor((X + 1)/omega) + floor(X/xi); that
-    bound also keeps the columns up to X disjoint and in order.  The width of
-    column X itself, floor(X/omega) + floor(X/xi) + 1, falls one short
-    whenever floor(t/omega) steps up at t = X + 1: the bottom cell of column
-    X + 1 then aliases the top cell of column X.
-    """
-    top = field.floor_div_xi(X)
-    W = field.floor_div_omega(X + 1) + top + 1
-    L = X * W + top + 1
-    # Every column holds the cell y = 0, so the cheapest kernel, the XOR fold,
-    # takes at least one step of X*W + 1 bits for each part (u, 0), and the
-    # recurrence does at least X(X-1)/2 multiply-adds.
-    lower = min(_fold_ms(X, X * W + 1), _madds_ms(X * (X - 1) // 2))
-    _check_budget(f"the cone up to x = {X}", lower, "building it would take at least")
-    fdo = [field.floor_div_omega(x) for x in range(X + 1)]
-    fdx = [field.floor_div_xi(x) for x in range(X + 1)]
-    return fdo, fdx, W, L
+def _diamond_stride(field: Field, N: int) -> int:
+    """The stride W of diagonal_parity's layout of the ideal below (N, 0), in O(1); see there."""
+    if N == 0:
+        return 1  # the ideal is the one cell (0, 0)
+    om, xi = field.floor_div_omega, field.floor_div_xi
+    return max(min(om(N + 1), xi(2 * N - 1)), min(xi(N - 1), om(2 * N + 1))) + 1
 
 
 def _fold_ms(steps: int, L: int) -> int:
@@ -479,25 +455,44 @@ def diagonal_parity(field: Field, N: int) -> tuple[int, ...]:
     Modulo 2 the generating function of p, the product over totally positive
     beta of 1/(1 - q^beta), is the product of the factors 1 + q^(2^k*beta),
     k >= 0, so it needs only shifts and XORs.  It is one int F whose bit
-    x*W + y holds p(x + y*w) mod 2 (the layout of _cone_layout for X = N,
-    1-bit slots), and it shares no arithmetic with the recurrence.
+    x*W + y holds p(x + y*w) mod 2 on the ideal I = [0, (N, 0)], and it
+    shares no arithmetic with the recurrence.
 
-    Why folding only I = [0, (N, 0)] is exact on I.  Every partition of
-    (n, 0), n <= N, has all its parts in I, and I is an order ideal, so the
-    coefficients of a product on I read its factors only on I: each XOR step
-    is ANDed with the mask of I, and a factor 1 + q^gamma with gamma outside
-    I is 1 on I.  So the chain 2^k*beta of each part stops at its first
-    multiple outside I, as every later one lies above it (_fold_steps lists
-    the multiples in I from its column bounds, _interval_bounds(N, 0)).  No
-    cell aliases a slot of I: a cell of I plus a part is a totally positive
-    element, in the cone up to x = N, whose slots are distinct, or beyond
-    it, whose slots lie above them all (see _cone_layout).
+    Why folding only I is exact on I.  Every partition of (n, 0), n <= N,
+    has all its parts in I, and I is an order ideal, so the coefficients of
+    a product on I read its factors only on I: each XOR step is ANDed with
+    the mask of I, and a factor 1 + q^gamma with gamma outside I is 1 on I.
+    So the chain 2^k*beta of each part stops at its first multiple outside
+    I, as every later one lies above it (_fold_steps lists the multiples in
+    I from its column bounds, _interval_bounds(N, 0)).
+
+    Why the stride keeps I apart.  The stride is
+        W = max(min(floor((N+1)/omega), floor((2N-1)/xi)),
+                min(floor((N-1)/xi), floor((2N+1)/omega))) + 1
+    (_diamond_stride; any stride serves N = 0), about half the stride of the
+    cone up to x = N.  Write r = x + y*omega and c = x - y*xi for the two
+    embeddings of the cell (x, y).  Two cells whose x differ by k != 0 share
+    a slot only if their y differ by -k*W, so r moves by -k(W*omega - 1) and
+    c by k(1 + W*xi).  Cells of I have r and c in [0, N]; a cell of I plus a
+    part, the only cells an XOR step writes, has r and c in (0, 2N], and it
+    lies outside I only if r > N or c > N.  So a cell outside I lands on the
+    slot of a cell of I, k counted from the cell of I, only
+    - for k > 0, if W*omega - 1 < N and 1 + W*xi <= 2N, which
+      W > (N+1)/omega or W > (2N-1)/xi excludes, and
+    - for k < 0, if W*omega - 1 <= 2N and 1 + W*xi < N, which
+      W > (2N+1)/omega or W > (N-1)/xi excludes; that bound also excludes
+      two cells of I on one slot (then W*omega - 1 <= N and 1 + W*xi <= N).
+    The cell (N, 0) has the highest slot of I, N*W, as every other cell of
+    I has y <= (N - x)/omega < (N - x)*W.
 
     Raises BudgetExceeded, before any folding, when the fold is too costly.
     """
-    fdo, fdx, W, _ = _cone_layout(field, N)
-    L = N * W + 1  # one past the slot of (N, 0), the top cell of I
-    steps = _fold_steps(*_interval_bounds(fdo, fdx, N, 0), W)
+    W = _diamond_stride(field, N)
+    L = N * W + 1  # one past the slot of (N, 0)
+    # Every part (u, 0), u = 1..N, lies in I, so the fold takes at least N
+    # steps of L bits.
+    _check_budget(f"the cone up to x = {N}", _fold_ms(N, L), "building it would take at least")
+    steps = _fold_steps(*_interval_bounds(*_floors(field, N), N, 0), W)
     _check_budget(
         f"the cone up to x = {N}", _fold_ms(sum(map(len, steps)), L), "its parity product would take about"
     )
@@ -565,7 +560,11 @@ def cone_columns(field: Field, max_x: int) -> list[list[int]]:
     Raises BudgetExceeded, before any work, when the estimated cost is over
     budget.
     """
-    fdo, fdx, _, _ = _cone_layout(field, max_x)
+    # Every column holds the cell y = 0, so the recurrence does at least
+    # X(X-1)/2 multiply-adds.
+    lower = _madds_ms(max_x * (max_x - 1) // 2)
+    _check_budget(f"the cone up to x = {max_x}", lower, "building it would take at least")
+    fdo, fdx = _floors(field, max_x)
     sizes = [fdo[x] + fdx[x] + 1 for x in range(max_x + 1)]
     ms = _madds_ms(_recurrence_madds(sizes))
     _check_budget(f"the cone up to x = {max_x}", ms, "its recurrence would take about")

@@ -123,11 +123,34 @@ def grid_search(ctx, m, grid=None):
     return k_max, y, grid_slice_rows(grid, k_max, y)
 
 
+def cone_layout(field, X):
+    """(fdo, fdx, W, L) of the cone up to column X packed into one int, slot x*W + y.
+
+    fdo[x] = floor(x/omega) and fdx[x] = floor(x/xi) bound the window of
+    column x, which occupies slots x*W - fdo[x] up to x*W + fdx[x], and
+    L = X*W + fdx[X] + 1 is one past the top cell of column X; euler_product
+    and cone_parity fold the whole cone in this layout.
+
+    Choice of W.  Every exponent the Euler product generates is a totally
+    positive element, so dropping the slots >= L is the truncation x <= X
+    exactly when every cell with x > X lands at or above L.  The lowest such
+    cell is (X + 1, -floor((X + 1)/omega)), and the bottom slot of column x
+    grows with x, so W must exceed floor((X + 1)/omega) + floor(X/xi); that
+    bound also keeps the columns up to X disjoint and in order.  The width of
+    column X itself, floor(X/omega) + floor(X/xi) + 1, falls one short
+    whenever floor(t/omega) steps up at t = X + 1: the bottom cell of column
+    X + 1 then aliases the top cell of column X.
+    """
+    fdo, fdx = partition._floors(field, X)
+    W = field.floor_div_omega(X + 1) + fdx[X] + 1
+    return fdo, fdx, W, X * W + fdx[X] + 1
+
+
 def euler_product(field, X):
     """The columns up to X from the Euler product of 1/(1 - q^beta), an exact reference.
 
     The product over the parts beta = (u, v) with u <= X is packed B bits
-    per slot in the layout of partition._cone_layout (Kronecker
+    per slot in the layout of cone_layout (Kronecker
     substitution).  Each part with offset s = u*W + v is folded in as the
     factors 1 + t^(s*2^k), s*2^k < L, each one shift, one mask and one add on
     the whole int.  It shares no arithmetic with the recurrence.
@@ -138,7 +161,7 @@ def euler_product(field, X):
     partial product is coefficientwise <= the final one.  Each column's sum
     is checked against R(x).
     """
-    fdo, fdx, W, L = partition._cone_layout(field, X)
+    fdo, fdx, W, L = cone_layout(field, X)
     R = partition.euler_transform([0] + [fdo[x] + fdx[x] + 1 for x in range(1, X + 1)])
     nbytes = (R[X].bit_length() + 7) // 8
     B = 8 * nbytes
@@ -172,14 +195,14 @@ def cone_parity(field, max_x):
     """p(x + y*w) mod 2 over the whole window of each column x <= max_x, from the Euler product.
 
     The shape of cone_columns, and the mod-2 twin of euler_product: 1-bit
-    slots in the layout of partition._cone_layout, and since modulo 2
+    slots in the layout of cone_layout, and since modulo 2
     1/(1 - t) = (1 + t)(1 + t^2)(1 + t^4)..., every part beta = (u, v) with
     u <= max_x is folded in as the factors 1 + t^(s*2^k) for s = u*W + v and
     every s*2^k < L, each one shift, one mask and one XOR on the whole int.
     It folds the whole cone, where partition.diagonal_parity folds only the
     order ideal below (max_x, 0), and shares no arithmetic with the recurrence.
     """
-    fdo, fdx, W, L = partition._cone_layout(field, max_x)
+    fdo, fdx, W, L = cone_layout(field, max_x)
     mask = (1 << L) - 1
     F = 1  # p(0) = 1
     for u in range(1, max_x + 1):

@@ -379,11 +379,14 @@ def test_runs_over_the_cost_budget_exit_4_at_once(capsys):
             f"its recurrence would take about {secs} s, more than 120 s\n"
         )
         assert secs > partition._BUDGET_MS // 1000
-    # parity runs up to N = 1182 for D=2 and 994 for D=5, counting the XOR
-    # steps of its fold below (N, 0), and is refused at once from the next N on.
-    for D, N in ((2, 1183), (5, 995)):
-        fdo, fdx, W, _ = partition._cone_layout(Field(D), N - 1)
-        steps = sum(map(len, partition._fold_steps(*partition._interval_bounds(fdo, fdx, N - 1, 0), W)))
+    # parity runs up to N = 1406 for D=2 and 1153 for D=5, counting the XOR
+    # steps of its fold below (N, 0) at the stride it folds at, and is
+    # refused at once from the next N on.
+    for D, N in ((2, 1407), (5, 1154)):
+        f = Field(D)
+        W = partition._diamond_stride(f, N - 1)
+        bounds = partition._interval_bounds(*partition._floors(f, N - 1), N - 1, 0)
+        steps = sum(map(len, partition._fold_steps(*bounds, W)))
         assert partition._fold_ms(steps, (N - 1) * W + 1) <= partition._BUDGET_MS, D
         start = time.perf_counter()
         code, out, err = run(capsys, "parity", "--D", str(D), "--N", str(N))
@@ -500,6 +503,7 @@ def test_one_parser_serves_every_call_alike(monkeypatch, capsys):
     # what the same argv prints alone in a fresh interpreter.
     argvs = (
         ("search", "--D", "2", "--m", "0"),
+        ("units", "--D", "7", "extra"),
         ("--help",),
         ("grid", "--D", "2", "--max-x", "417"),
         ("grid", "--D", "5", "--max-x", "6", "--format", "tex"),
@@ -531,6 +535,46 @@ def test_one_parser_serves_every_call_alike(monkeypatch, capsys):
     assert len(builds) == 1
     # The public builder still returns a new parser on every call.
     assert cli.build_parser() is not cli.build_parser()
+
+
+def test_each_command_parses_as_the_top_level_parser_would(monkeypatch, capsys):
+    # main hands a command's arguments to that command's parser alone; every
+    # argv, usage errors and help included, prints what the top-level
+    # parser's pass over the whole argv prints.
+    argvs = (
+        ("units", "--D", "7", "extra"),
+        ("units", "--D", "7", "--bogus", "1"),
+        ("units",),
+        ("nonsense",),
+        (),
+        ("grid", "--D", "2", "--view", "zz"),
+        ("units", "--form", "json", "--D", "7"),
+        ("units", "--D=7"),
+        ("-h",),
+        ("units", "-h"),
+        ("units", "--D", "7", "--", "x"),
+        ("--D", "7", "units"),
+        ("-h", "units"),
+        ("grid", "--D", "2", "--max-x", "-2"),
+        ("witness", "--D", "5", "--m", "6", "--format", "json"),
+        ("search", "--D", "2", "--m", "0"),
+    )
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def outcome(argv):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    split = [outcome(argv) for argv in argvs]
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli._parser().parse_args(argv))
+    for argv, seen in zip(argvs, split):
+        assert seen == outcome(argv), argv
+    assert split[0] == (1, "", "quadpartitions: unrecognized arguments: extra\n")
+    assert split[2] == (1, "", "quadpartitions units: the following arguments are required: --D\n")
 
 
 def test_importing_the_cli_loads_no_process_pool():

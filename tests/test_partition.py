@@ -378,7 +378,8 @@ def test_fold_steps_are_every_chain_below_the_diagonal():
     for D in (2, 3, 5, 6, 7, 13, 17, 21, 19, 29, 101):
         f = Field(D)
         for N in (0, 1, 2, 5, 12, 33):
-            fdo, fdx, W, _ = partition._cone_layout(f, N)
+            fdo, fdx = partition._floors(f, N)
+            W = partition._diamond_stride(f, N)
             walked = []
             for u in range(1, N + 1):
                 for v in range(-fdo[u], fdx[u] + 1):
@@ -406,6 +407,35 @@ def test_fold_steps_are_every_chain_below_the_diagonal():
                     k += 1
             steps = partition._fold_steps(*partition._band_bounds(f, X, K), W)
             assert sorted(s for r in steps for s in r) == sorted(walked), (D, X, K)
+
+
+def _diamond_aliases(f, N, W):
+    """Whether, at slot x*W + y, two cells of I = [0, (N, 0)] share a slot or a cell
+    of [0, (2N, 0)] outside I lands on the slot of a cell of I."""
+    fdo, fdx = partition._floors(f, 2 * N)
+    inner = {(x, y) for x, lo, hi in zip(range(N + 1), *partition._interval_bounds(fdo, fdx, N, 0))
+             for y in range(lo, hi + 1)}
+    slots = {x * W + y for x, y in inner}
+    if len(slots) < len(inner):
+        return True
+    return any(x * W + y in slots
+               for x, lo, hi in zip(range(2 * N + 1), *partition._interval_bounds(fdo, fdx, 2 * N, 0))
+               for y in range(lo, hi + 1) if (x, y) not in inner)
+
+
+def test_the_diamond_stride_keeps_the_ideal_apart():
+    # A cell of I = [0, (N, 0)] plus a part lies in [0, (2N, 0)], so the XOR
+    # steps of diagonal_parity write no bit of I from outside it.
+    for D in range(2, 100):
+        if is_squarefree(D):
+            f = Field(D)
+            for N in range(41):
+                assert not _diamond_aliases(f, N, partition._diamond_stride(f, N)), (D, N)
+    # There the stride is the least with no alias.
+    for D, N, W in ((2, 60, 44), (5, 80, 100), (13, 60, 46)):
+        f = Field(D)
+        assert partition._diamond_stride(f, N) == W
+        assert all(_diamond_aliases(f, N, w) for w in range(1, W)), (D, N)
 
 
 def test_euler_product_column_sum_mismatch_raises(monkeypatch):
