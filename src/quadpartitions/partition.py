@@ -33,8 +33,8 @@ Four kernels compute p, or p mod 2, on an order ideal of the cone:
 - band_columns expands the same product exactly over the thin band
   B(X, K) = {beta >> 0 : x(beta) <= X, beta' <= K} that holds the search's
   slice box, one shift, mask and add of one big int per factor; its
-  docstring proves the layout sound, and the recurrence then certifies
-  every cell with two big-int products.
+  docstring proves the layout sound, _band_fold's that no slot carries, and
+  the recurrence then certifies every cell with two big-int products.
 
 Each fact of the ideals is stated once, in one helper: _interval_bounds
 gives the columns of an interval [0, x + y*w] (to PartitionGrid,
@@ -61,9 +61,9 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import chain, repeat
-from math import gcd, isqrt, sqrt
+from math import gcd, sqrt
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded, DivisibilityViolation, InvariantViolation
 from .field import Field, QElement
@@ -90,33 +90,31 @@ ZETA3 = 1.2020569031595942854
 
 # Throughput of the four kernels on a 2-core host with Python 3.11, each taken
 # where the budget bites, so smaller runs take less than estimated.  64-bit
-# words per second of diagonal_parity's XOR steps (see _fold_ms): a median of
-# 2.9e8 over D = 2, 5, 13 and N = 300..600, falling as the int outgrows the
-# caches, to 1.9e8 at N = 1351 for D = 2 and 1.7e8 at N = 1022 for D = 5;
-# these were measured at the cone's stride.  At the ideal's own stride, about
-# half as long, D = 2 at N = 1406, the largest N started, ran 1.4e8 (143 s).
+# words per second of diagonal_parity's XOR steps (see _fold_ms), falling as
+# the int grows: at the ideal's own stride D = 2 ran 2.9e8 at N = 1339
+# (58 s) but 1.4e8-1.5e8 at N = 1406 (132-143 s), and the rate is the lower.
 # Slot products per second of cone_columns (see _recurrence_madds): 8e7 at
 # X = 100 for D = 2, 2.1e7 at X = 430.
 # 64-bit words per second of band_columns' fold steps, its certificate's
 # two products included (see _band_ms): the fold alone ran at 1.4e8-1.9e8
 # over D = 2..97, K = 1..30, X = 600..100,000, and the certificate took
-# 0.4-1.4 times as long again; every cell costs about 10 us more.
+# 0.4-1.4 times as long again; every cell costs about 10 us more.  Those
+# folds ran at one width; the fold that widens from 16 bits as it goes took
+# 0.5-1.0 of the estimate at the width it ends at over D = 2..97, K = 1..30,
+# X = 600..100,000 (D = 2, X = 8,000, K = 6: 48.9 s against 88 s at 144 bits).
 # Steps per second of PartitionGrid filling an interval, its column walk and
 # its multiply-adds counted alike (see _interval_ms): 4.3e6-4.7e6, flat in x,
 # on slice intervals whose columns come close to the bound, D=2 at k = 6 and
 # D=5 at k = 2 for x = 1,400..4,900 (D=2 at x = 4,900 took 81 s), and
 # 4e7-1e8 where the bound overcounts: diamonds (n, 0) and thin corners.
-_FOLD_WORDS_PER_S = 170_000_000
+_FOLD_WORDS_PER_S = 140_000_000
 _MADDS_PER_S = 21_000_000
 _BAND_WORDS_PER_S = 90_000_000
 _BAND_CELL_US = 10
 _INTERVAL_STEPS_PER_S = 4_000_000
-# Slot width in bits that band_columns tries first: 32 bits hold every value
-# of the benchmark's slice boxes, the largest of which has 21 bits.
-_BAND_SLOT_BITS = 32
 # The longest estimated run, in milliseconds on that host, that is started:
 # two minutes.  The xy view runs up to x = 416 for D=2 and 331 for D=5, and
-# parity up to N = 1406 and 1153; both are refused beyond.
+# parity up to N = 1339 and 1098; both are refused beyond.
 _BUDGET_MS = 120_000
 
 
@@ -395,8 +393,11 @@ def _interval_ms(field: Field, e: QElement) -> int:
     """Estimated milliseconds of PartitionGrid filling [0, e] from nothing, in O(1).
 
     [0, e] lies in the band B(x, K) of band_columns, x = x(e) and
-    K = ceil(e'), as beta <= e has beta' <= e'; no column of the band holds
-    more than C = floor(K/xi) + 1 cells (see _band_bound_bits).  A cell in
+    K = ceil(e'), as beta <= e has beta' <= e'.  No column u of the band
+    holds more than C = floor(K/xi) + 1 cells (see _band_bounds), as
+    floor(a) - floor(b) <= floor(a - b) + 1 and floor(a) + floor(b) <=
+    floor(a + b): floor(u/xi) - floor((u - K)/xi) <= C for u > K, and
+    floor(u/xi) + floor((K - u)/xi) + 1 <= C for u <= K.  A cell in
     column u walks the u - 1 columns below it in _cell and does at most
     C multiply-adds in each, so the fill takes at most C*x(x + 1)/2 steps of
     the column walk and C^2*x(x - 1)/2 multiply-adds.
@@ -648,29 +649,55 @@ def _band_ms(field: Field, X: int, K: int, W: int, bits: int) -> int:
     return cells * 4 * words * 1000 // (3 * _BAND_WORDS_PER_S) + cells * _BAND_CELL_US // 1000
 
 
-def _band_fold(steps: Sequence[range], X: int, nb: int) -> list[int]:
-    """The Euler product over the band in nb-byte slots, as one value a slot.
+def _band_fold(steps: Sequence[range], X: int, nb: int, check: Callable[[int], None]) -> list[int]:
+    """The Euler product over the band, as one value a slot, folded once from nb-byte slots on.
 
     steps lists the slots of the factors 1 + q^(2^k*beta) (see _fold_steps),
     its first X ranges the columns 1..X of B, so the mask M keeps those and
-    slot 0.  A slot too narrow carries, so band_columns certifies what this
-    returns.
+    slot 0.  The top byte of every slot is a guard: every 8 steps F is ANDed
+    with the guard mask G, and where a guard bit is set the values are
+    repacked one byte wider and the fold goes on from the same step.
+    check(bits) runs at each new width.
+
+    Why no slot carries.  Each step F += (F & (M >> s)) << s adds to each
+    slot the value of one other slot, so it at most doubles the largest
+    slot, and 8 steps multiply it by at most 2^8.  A clear guard byte means
+    every slot is below 2^(bits - 8), so the next 8 steps keep every slot
+    below 2^bits and none carries.  A set guard bit comes after 8 steps
+    without a carry, so the values are still exact, and one byte wider they
+    are below the guard again.  p(0) = 1 starts below the guard, so by
+    induction the fold is exact at every width it reaches.
     """
-    bits = 8 * nb
-    mask = bytearray((steps[X - 1].stop if X else 1) * nb)
+    L = steps[X - 1].stop if X else 1  # the slots from 0 through the last of B
+    ones = bytearray(L)  # 1 at slot 0 and the slots of B
     for r in (range(1), *filter(None, steps[:X])):
-        mask[r.start * nb : r.stop * nb] = b"\xff" * (len(r) * nb)
-    M = int.from_bytes(mask, "little")
-    F = 1  # p(0) = 1
-    for s in chain.from_iterable(steps):
+        ones[r.start : r.stop] = b"\x01" * len(r)
+
+    def spread(data: bytes, k: int, n: int) -> int:
+        """The L slots of k bytes each in data, moved to slots of n >= k bytes."""
+        wide = bytearray(L * n)
+        for j in range(k):
+            wide[j::n] = data[j::k]
+        return int.from_bytes(wide, "little")
+
+    F, bits, G = 1, 0, 0  # p(0) = 1; the masks are set at step 0
+    for i, s in enumerate(chain.from_iterable(steps)):
+        if not i % 8:
+            if F & G:
+                check(8 * nb + 8)
+                F = spread(F.to_bytes(L * nb, "little"), nb, nb + 1)
+                nb += 1
+            if bits != 8 * nb:  # M and G at the new width, from the slots of B
+                low = spread(ones, 1, nb)
+                bits, M, G = 8 * nb, low * ((1 << 8 * nb) - 1), low * 255 << 8 * nb - 8
         s *= bits
         # (F << s) & M, masked before the shift: only the terms that land in B.
         F += (F & (M >> s)) << s
-    return _unpack(F & M, len(mask) // nb, nb)  # a carry can leave the slots of B
+    return _unpack(F, L, nb)
 
 
-def _band_violation(values: list[int], columns: Sequence[range], W: int) -> tuple[int, int, int] | None:
-    """(x, y, S0) of the first cell of the band, by x and then y, that fails the recurrence, or None.
+def _band_violation(values: list[int], columns: Sequence[range], W: int) -> None:
+    """Raise DivisibilityViolation at the first cell of the band, by x and then y, that fails the recurrence.
 
     values holds p(u + v*w) at slot u*W + v, 1 at slot 0 and 0 off the band,
     and columns[u - 1] is the range of slots of column u (see _fold_steps).
@@ -696,30 +723,11 @@ def _band_violation(values: list[int], columns: Sequence[range], W: int) -> tupl
         for s in r:
             p = values[s]
             if p < 1 or T0[s] != u * p or T1[s] != (s - u * W + u) * p:
-                return u, s - u * W, T0[s]
-    return None
+                raise DivisibilityViolation(f"coefficient match failed at (x={u}, y={s - u * W}): x*p = {T0[s]}")
 
 
-def _band_bound_bits(X: int, C: int) -> int:
-    """A bit length no p on B(X, K) exceeds, for C = floor(K/xi) + 1.
-
-    No column of B holds more than C cells: floor(u/xi) - floor((u - K)/xi)
-    <= floor(K/xi) + 1 for u > K, and floor(u/xi) + floor((K - u)/xi) + 1
-    <= floor(K/xi) + 1 for u <= K.  The parts of a partition of alpha in B
-    lie in B, so p(alpha) is at most the number of partitions of
-    x(alpha) <= X into parts of C colours: the coefficient of q^X in
-    P(q)^C, P(q) = prod_k 1/(1 - q^k).  For
-    q = e^(-s), log P(q) = sum_m q^m/(m(1 - q^m)) <= sum_m 1/(m^2 s) =
-    pi^2/(6s), so the coefficient is below e^(X*s + C*pi^2/(6s)).  With
-    s = 1/t, pi^2/6 < 5/3 and 1/log 2 < 13/9, its bit length is at most
-    13*(3X + 5C*t^2)/(27t) for every integer t >= 1.
-    """
-    t = max(1, isqrt(3 * X // (5 * C)))
-    return -(-13 * (3 * X + 5 * C * t * t) // (27 * t))
-
-
-def band_columns(field: Field, max_x: int, K: int) -> tuple[list[int], list[list[int]]]:
-    """(lo, cols): p(u + v*w) on the band B(max_x, K), cols[u][i] at v = lo[u] + i.
+def band_columns(field: Field, X: int, K: int) -> tuple[list[int], list[list[int]]]:
+    """(lo, cols): p(u + v*w) on the band B(X, K), cols[u][i] at v = lo[u] + i.
 
     B(X, K) = {beta >> 0 : x(beta) <= X, beta' <= K}, for an integer K >= 1,
     where beta = u + v*w has the conjugate beta' = u - v*xi; cols[0] = [1]
@@ -750,42 +758,39 @@ def band_columns(field: Field, max_x: int, K: int) -> tuple[list[int], list[list
     factors from the band's column bounds, as it lists the XOR steps of
     diagonal_parity from those of its interval.
 
-    The certificate.  A slot too narrow carries, so every cell is checked
-    against the recurrence (see _band_violation): the weights sig0 and sig1
-    over B and the values read back are packed into slots wide enough for
-    any sum, and in the products G0*P and G1*P each cell alpha must read
-    x*p(alpha) and (x + y)*p(alpha), with p(alpha) >= 1.  By the injectivity
-    the slot of alpha in G0*P is the recurrence's sum over 0 < beta <= alpha,
-    so by induction on x every value that passes is p.  The fold starts at
-    _BAND_SLOT_BITS bits a slot and doubles the width while a cell fails.
-    From the width _band_bound_bits on no slot can carry, as every partial
-    product is coefficientwise at most the final one, so a failure there
-    raises DivisibilityViolation naming the first failing cell.
+    The slot width.  The fold starts at two-byte slots, one value byte under
+    a guard byte, and _band_fold widens them a byte at a time, in place,
+    whenever a guard bit is set; its docstring proves that no slot carries,
+    so every band folds once.
 
-    Raises BudgetExceeded before any O(X) work, and again before each wider
-    fold, when the estimated cost is over budget.
+    The certificate.  Every cell is still checked against the recurrence
+    (see _band_violation), by arithmetic the fold does not share: the
+    weights sig0 and sig1 over B and the values read back are packed into
+    slots wide enough for any sum, and in the products G0*P and G1*P each
+    cell alpha must read x*p(alpha) and (x + y)*p(alpha), with p(alpha) >= 1.
+    By the injectivity the slot of alpha in G0*P is the recurrence's sum
+    over 0 < beta <= alpha, so by induction on x every value that passes is
+    p.  A failure raises DivisibilityViolation naming the first failing cell.
+
+    Raises BudgetExceeded before any O(X) work, and again at each wider
+    slot, when the estimated cost is over budget.
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    X = max_x
     W = field.floor_div_xi(2 * K) + 1
-    bits = _BAND_SLOT_BITS
-    subject = f"the slice band of D={field.D} up to x = {X}"
-    _check_budget(subject, _band_ms(field, X, K, W, bits), "its Euler product would take about")
+
+    def check(bits: int) -> None:
+        subject = f"the slice band of D={field.D} up to x = {X}"
+        _check_budget(subject, _band_ms(field, X, K, W, bits), "its Euler product would take about")
+
+    nb = 2  # one value byte under the guard byte
+    check(8 * nb)
     lo, hi = _band_bounds(field, X, K)
     steps = _fold_steps(lo, hi, W)
     columns = steps[:X]
-    bound = _band_bound_bits(X, field.floor_div_xi(K) + 1)
-    while True:
-        values = _band_fold(steps, X, bits // 8)
-        bad = _band_violation(values, columns, W)
-        if bad is None:
-            return lo, [values[:1]] + [values[r.start : r.stop] for r in columns]
-        if bits >= bound:
-            x, y, s0 = bad
-            raise DivisibilityViolation(f"coefficient match failed at (x={x}, y={y}): x*p = {s0}")
-        bits *= 2
-        _check_budget(subject, _band_ms(field, X, K, W, bits), "its Euler product would take about")
+    values = _band_fold(steps, X, nb, check)
+    _band_violation(values, columns, W)
+    return lo, [values[:1]] + [values[r.start : r.stop] for r in columns]
 
 
 def euler_transform(c: Sequence[int]) -> list[int]:

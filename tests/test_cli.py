@@ -379,10 +379,10 @@ def test_runs_over_the_cost_budget_exit_4_at_once(capsys):
             f"its recurrence would take about {secs} s, more than 120 s\n"
         )
         assert secs > partition._BUDGET_MS // 1000
-    # parity runs up to N = 1406 for D=2 and 1153 for D=5, counting the XOR
+    # parity runs up to N = 1339 for D=2 and 1098 for D=5, counting the XOR
     # steps of its fold below (N, 0) at the stride it folds at, and is
     # refused at once from the next N on.
-    for D, N in ((2, 1407), (5, 1154)):
+    for D, N in ((2, 1340), (5, 1099)):
         f = Field(D)
         W = partition._diamond_stride(f, N - 1)
         bounds = partition._interval_bounds(*partition._floors(f, N - 1), N - 1, 0)
@@ -414,12 +414,13 @@ def test_slice_paths_over_the_cost_budget_exit_4_at_once(capsys):
         assert err.startswith(f"{subject} is over the cost budget: its Euler product would take about ")
         assert err.count("\n") == 1, argv
     # The box bands of the pinned wide-unit searches stay inside the budget at
-    # the 64-bit slots their values need (at most 63 bits).
-    for D, k_max, y_max in ((31, 6, 274), (41, 6, 641), (43, 6, 532), (61, 6, 196)):
+    # the slots where their folds end: values of 46, 63, 58 and 39 bits in
+    # whole value bytes under a guard byte.
+    for D, k_max, y_max, bits in ((31, 6, 274, 56), (41, 6, 641, 72), (43, 6, 532, 72), (61, 6, 196, 48)):
         f = Field(D)
         X, K = f.ceil_xi_mult(y_max) + k_max, k_max + 1
         W = f.floor_div_xi(2 * K) + 1
-        assert partition._band_ms(f, X, K, W, 64) <= partition._BUDGET_MS, D
+        assert partition._band_ms(f, X, K, W, bits) <= partition._BUDGET_MS, D
 
 
 def test_a_hopeless_m_is_refused_before_any_fill(monkeypatch, capsys):

@@ -544,26 +544,24 @@ def test_band_layout_is_an_injective_order_ideal():
 
 
 def test_a_corrupted_euler_value_is_named(monkeypatch):
-    # One value off by one fails the certificate at every width, so the fold
-    # widens up to the proven bound and then names the cell.
+    # One value off by one fails the certificate, which names the cell after
+    # the one fold.
     f = Field(19)
     X, K = 120, 3
     W = f.floor_div_xi(2 * K) + 1
     band = brute_band(f, X, K)
     assert (10, 2) in band
     fold = partition._band_fold
-    widths = []
+    calls = []
 
-    def corrupted(steps, columns, nb):
-        widths.append(8 * nb)
-        values = fold(steps, columns, nb)
+    def corrupted(steps, X, nb, check):
+        calls.append(nb)
+        values = fold(steps, X, nb, check)
         values[10 * W + 2] += 1
         return values
 
     monkeypatch.setattr(partition, "_band_fold", corrupted)
     with pytest.raises(DivisibilityViolation, match=r"at \(x=10, y=2\)"):
         partition.band_columns(f, X, K)
+    assert len(calls) == 1
     assert max(Counter(u for u, _ in band).values()) <= f.floor_div_xi(K) + 1
-    bound = partition._band_bound_bits(X, f.floor_div_xi(K) + 1)
-    assert widths == [partition._BAND_SLOT_BITS << i for i in range(len(widths))]
-    assert widths[-2] < bound <= widths[-1]

@@ -10,7 +10,7 @@ from decimal import ROUND_FLOOR, Decimal, localcontext
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from quadpartitions import (  # noqa: E402
     Field,
@@ -98,6 +98,10 @@ def test_diagonal_parity_matches_the_exact_diagonal(D, N):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(D=st.sampled_from(SQUAREFREE), X=st.integers(0, 120), K=st.integers(1, 8))
+# Values of 29 and 41 bits: the fold widens its 16-bit slots three and five
+# times.
+@example(D=2, X=120, K=8)
+@example(D=5, X=120, K=8)
 def test_band_cells_match_the_recurrence(D, X, K):
     f = Field(D)
     lo, cols = band_columns(f, X, K)

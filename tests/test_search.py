@@ -465,21 +465,23 @@ def test_the_first_slice_corner_is_never_zero():
     assert min(floor_ratio_eps(build_context(Field(D))) for D in fields) == 1
 
 
-def test_eight_bit_slots_widen_until_the_D31_box_reproduces(monkeypatch, capsys):
-    # The values of D=31's box reach 46 bits, so from 8-bit slots the box band
-    # fails its certificate at 8, 16 and 32 bits and passes at 64.
-    fold = partition._band_fold
+def test_the_D31_box_widens_in_place_byte_by_byte(monkeypatch, capsys):
+    # The values of D=31's box reach 46 bits, so its band, started at 16-bit
+    # slots, widens a byte at a time to 56 bits: the 48 value bits that hold
+    # 46 under the guard byte.  Every band starts at 16 bits and each wider
+    # estimate is one byte more, so no band is folded twice.
+    estimate = partition._band_ms
     widths = []
 
-    def recording(steps, columns, nb):
-        widths.append(8 * nb)
-        return fold(steps, columns, nb)
+    def recording(field, X, K, W, bits):
+        widths.append(bits)
+        return estimate(field, X, K, W, bits)
 
-    monkeypatch.setattr(partition, "_BAND_SLOT_BITS", 8)
-    monkeypatch.setattr(partition, "_band_fold", recording)
+    monkeypatch.setattr(partition, "_band_ms", recording)
     assert cli.main(["search", "--D", "31", "--m", "11", "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "fd80c53c3b50704968e30da5d4346d0799df614dfdad9b94ee50abe56613ec9e"
     )
-    assert widths[-4:] == [8, 16, 32, 64]
+    assert all(b in (16, a + 8) for a, b in zip(widths, widths[1:]))
+    assert widths[-6:] == [16, 24, 32, 40, 48, 56]
