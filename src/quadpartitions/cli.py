@@ -12,9 +12,10 @@ import argparse
 import functools
 import math
 import sys
-from typing import Callable
+from itertools import chain
+from typing import Callable, Iterable
 
-from .contfrac import build_context, floor_ratio_eps, indecomposables
+from .contfrac import FieldContext, build_context, coordinate_bound, floor_ratio_eps, indecomposables
 from .errors import BudgetExceeded, DivisibilityViolation, InvariantViolation
 from .field import Field, QElement, is_squarefree
 from .fixtures import builtin_documents, load_documents, verify_documents
@@ -119,6 +120,27 @@ def _matrix_tex(rows: list[list[int]], row_label: str, col_label: str) -> str:
     return "\n".join(lines)
 
 
+def _check_digits(ctx: FieldContext, printed: Iterable[int]) -> None:
+    """Raise BudgetExceeded, naming D, when one of printed has more digits than Python turns into a string.
+
+    printed, every int units or indecomposables print for ctx, is read only
+    when coordinate_bound(ctx) comes near sys.get_int_max_str_digits() (0,
+    or a Python without the limit: none), before anything is formatted.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    # 2^(3*limit) < 10^limit, so a shorter bound needs no power of ten.
+    if limit and coordinate_bound(ctx).bit_length() > 3 * limit and max(map(abs, printed)) >= 10**limit:
+        raise BudgetExceeded(
+            f"the output of D={ctx.field.D} is over the cost budget: it holds an int of more than "
+            f"{limit} digits, the most Python prints"
+        )
+
+
+def _element_ints(e: QElement) -> tuple[int, ...]:
+    """The ints printed for e: its coordinates, and its sqrt coordinates or their reduced form."""
+    return (e.a, e.b, *e.sqrt_coords()[:2])
+
+
 def _emit(fmt: str, doc: dict, **render: Callable[[], str]) -> None:
     """Print doc as canonical JSON for json, else the text render[fmt]() builds."""
     print(dumps_canonical(doc) if fmt == "json" else render[fmt]())
@@ -155,10 +177,12 @@ def cmd_grid(args: argparse.Namespace) -> int:
 def cmd_indecomposables(args: argparse.Namespace) -> int:
     field = _field(args)
     ctx = build_context(field)
+    elements = indecomposables(ctx)
+    _check_digits(ctx, chain.from_iterable(map(_element_ints, elements)))
     doc = {
         "D": field.D,
         "period": list(ctx.period),
-        "indecomposables": [element_to_obj(e) for e in indecomposables(ctx)],
+        "indecomposables": [element_to_obj(e) for e in elements],
     }
 
     def pretty() -> str:
@@ -176,6 +200,9 @@ def cmd_indecomposables(args: argparse.Namespace) -> int:
 def cmd_units(args: argparse.Namespace) -> int:
     field = _field(args)
     ctx = build_context(field)
+    floor_ratio = floor_ratio_eps(ctx)
+    units = chain.from_iterable(map(_element_ints, (ctx.eps, ctx.eps_plus)))
+    _check_digits(ctx, chain(chain.from_iterable(ctx.convergents), units, (floor_ratio,)))
     doc = {
         "D": field.D,
         "period": list(ctx.period),
@@ -183,7 +210,7 @@ def cmd_units(args: argparse.Namespace) -> int:
         "eps": element_to_obj(ctx.eps),
         "eps_norm": ctx.eps.norm(),
         "eps_plus": element_to_obj(ctx.eps_plus),
-        "floor_ratio": floor_ratio_eps(ctx),
+        "floor_ratio": floor_ratio,
     }
 
     def pretty() -> str:

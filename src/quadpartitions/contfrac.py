@@ -26,6 +26,7 @@ __all__ = [
     "build_context",
     "indecomposables",
     "floor_ratio_eps",
+    "coordinate_bound",
 ]
 
 
@@ -134,3 +135,18 @@ def floor_ratio_eps(ctx: FieldContext) -> int:
     A, B, _den = ctx.eps_plus.sqrt_coords()
     D = ctx.field.D
     return (isqrt(A * A * D) + B * D) // (2 * D)
+
+
+def coordinate_bound(ctx: FieldContext) -> int:
+    """2*max(p, q) of the last convergent: no int that units or indecomposables print for ctx is larger.
+
+    p_i and q_i start at (1, 0) and ((u_0 + 1)/2, 1) and grow with i, as every
+    partial quotient is >= 1, so M = max(p, q) of the last convergent, i = 2s,
+    bounds them all.  An element (p - t*q) + q*w with 0 <= p, q <= M, as eps
+    and eps_plus are, has coordinates, and sqrt coordinates (den*p - t*q, q),
+    of size at most 2M.  So has every indecomposable: alpha_i + r*alpha_(i+1)
+    with r < u_(i+2) is such an element, p = p_i + r*p_(i+1) <= p_(i+2) and
+    likewise q, for i + 2 <= 2s - 1.  floor_ratio_eps is at most
+    (p + q*xi)/(2*xi + t) <= p + q/2, as 2*xi + t >= 1, for eps_plus's p and q.
+    """
+    return 2 * max(ctx.convergents[-1])

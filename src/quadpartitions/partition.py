@@ -40,8 +40,9 @@ Each fact of the ideals is stated once, in one helper: _interval_bounds
 gives the columns of an interval [0, x + y*w] (to PartitionGrid,
 enumerate_interval and diagonal_parity) and _band_bounds those of a band;
 _fold_steps lists the factors 1 + q^(2^k*beta) of either product from an
-ideal's column bounds; _weights gives the two weights of a part; and
-_pack/_unpack move values in and out of byte slots.
+ideal's column bounds and slot layout; _weights gives the two weights of
+a part; and _pack, _unpack and _spread move values into, out of and
+between byte slots.
 
 Two checks are independent of the recurrence: every column of cone_columns
 must sum to R(x), the number of partitions of x into parts counted by their
@@ -60,8 +61,8 @@ the column sizes, for its slot width and its column-sum check.
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain, repeat
-from math import gcd, sqrt
+from itertools import chain, count, repeat
+from math import gcd, isqrt, sqrt
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -101,7 +102,9 @@ ZETA3 = 1.2020569031595942854
 # 0.4-1.4 times as long again; every cell costs about 10 us more.  Those
 # folds ran at one width; the fold that widens from 16 bits as it goes took
 # 0.5-1.0 of the estimate at the width it ends at over D = 2..97, K = 1..30,
-# X = 600..100,000 (D = 2, X = 8,000, K = 6: 48.9 s against 88 s at 144 bits).
+# X = 600..100,000, and 0.70-0.79 of it in the slot layout a*u + b*v on
+# three of those bands (D = 2, X = 8,000, K = 6: 65.4 s against 83.0 s at
+# 144 bits).
 # Steps per second of PartitionGrid filling an interval, its column walk and
 # its multiply-adds counted alike (see _interval_ms): 4.3e6-4.7e6, flat in x,
 # on slice intervals whose columns come close to the bound, D=2 at k = 6 and
@@ -427,26 +430,32 @@ def _check_budget(subject: str, ms: int, what: str) -> None:
         )
 
 
-def _fold_steps(lo: Sequence[int], hi: Sequence[int], W: int) -> list[range]:
+def _fold_steps(lo: Sequence[int], hi: Sequence[int], a: int, b: int) -> list[range]:
     """The slots of the factors 1 + q^(2^k*beta), 2^k*beta in an order ideal I: a range per k and column.
 
     Column x <= X = len(lo) - 1 of I runs over v = lo[x]..hi[x], and its
-    cell (x, v) sits at slot x*W + v.  The multiple 2^k*beta of a totally
-    positive beta = (u, v) lies in I exactly when x = 2^k*u <= X and
+    cell (x, v) sits at slot a*x + b*v, so its range lists those slots in
+    the order of v, b apart.  The multiple 2^k*beta of a totally positive
+    beta = (u, v) lies in I exactly when x = 2^k*u <= X and
     lo[x] <= 2^k*v <= hi[x], and every cell of I whose two coordinates are
-    divisible by 2^k is such a multiple, as I lies in the cone.  Where 2^k
-    divides x it divides x*W, so those cells are the slots of column x
-    divisible by 2^k.  The first X ranges are the columns 1..X of I, empty
-    ones included, and the ranges for k >= 1 skip the empty columns; there
-    are fewer than 2X ranges in all.  diagonal_parity and band_columns fold
-    these factors, each for its own ideal.
+    divisible by 2^k is such a multiple, as I lies in the cone.  So for
+    k >= 1 they are the cells of the v divisible by 2^k in each column x
+    divisible by 2^k: a slice of its range.  The first X ranges are the
+    columns 1..X of I, empty ones included, and the ranges for k >= 1 skip
+    the empty columns; there are fewer than 2X ranges in all.
+    diagonal_parity and band_columns fold these factors, each for its own
+    ideal and layout.
     """
     X = len(lo) - 1
-    columns = [range(s + l, s + h + 1) for s, l, h in zip(range(W, (X + 1) * W, W), lo[1:], hi[1:])]
+    step = b or 1  # a layout with b = 0 has at most one cell in each column of I
+    columns = [
+        range(t := s + b * l, t + (h + 1 - l) * step, step) for s, l, h in zip(range(a, (X + 1) * a, a), lo[1:], hi[1:])
+    ]
     return columns + [
-        r[-r.start % m :: m]
+        r[-l % m :: m]
         for m in (1 << k for k in range(1, X.bit_length()))
-        for r in filter(None, columns[m - 1 :: m])
+        for r, l in zip(columns[m - 1 :: m], lo[m::m])
+        if r
     ]
 
 
@@ -493,7 +502,7 @@ def diagonal_parity(field: Field, N: int) -> tuple[int, ...]:
     # Every part (u, 0), u = 1..N, lies in I, so the fold takes at least N
     # steps of L bits.
     _check_budget(f"the cone up to x = {N}", _fold_ms(N, L), "building it would take at least")
-    steps = _fold_steps(*_interval_bounds(*_floors(field, N), N, 0), W)
+    steps = _fold_steps(*_interval_bounds(*_floors(field, N), N, 0), W, 1)
     _check_budget(
         f"the cone up to x = {N}", _fold_ms(sum(map(len, steps)), L), "its parity product would take about"
     )
@@ -637,27 +646,57 @@ def _band_bounds(field: Field, X: int, K: int) -> tuple[list[int], list[int]]:
     return lo, fdx[: X + 1]
 
 
-def _band_ms(field: Field, X: int, K: int, W: int, bits: int) -> int:
-    """Estimated milliseconds of band_columns at a slot width of bits, from X, K and W alone.
+def _band_layout(field: Field, K: int) -> tuple[int, int]:
+    """(a, b) of band_columns' slot a*u + b*v on B(X, K): the least a >= 1 with b = 2K - floor(a*xi) < a*omega and gcd(a, b) = 1.
 
-    The band holds about K*X/xi cells, each with a fixed share of Python
-    work, and about 4/3 fold steps per cell, each a shift, a mask and an add
-    of the whole int: (X*W + floor(X/xi) + 1)*bits bits.
+    Every a <= 2K/(xi + omega) = K*den/sqrt(D) has b >= 2K - a*xi >= a*omega,
+    so the search starts past that bound; the inequality holds from its
+    second a on.
     """
-    cells = field.floor_div_xi(K * X) + K * W
-    words = (X * W + field.floor_div_xi(X) + 1) * bits // 64 + 1
+    a = isqrt((field.den * K) ** 2 // field.D) + 1
+    while True:
+        fx = field.floor_xi_mult(a)
+        b = 2 * K - fx
+        # b < a*omega = a*xi + a*t, with a*xi irrational.
+        if b <= fx + a * field.t and gcd(a, b) == 1:
+            return a, b
+        a += 1
+
+
+def _band_ms(field: Field, X: int, K: int, a: int, b: int, bits: int) -> int:
+    """Estimated milliseconds of band_columns at a slot width of bits, from X, K and the layout (a, b) alone.
+
+    The band holds about K*X/xi cells, and up to K*(floor(2K/xi) + 1) more
+    near its corner u <= K, each with a fixed share of Python work, and
+    about 4/3 fold steps per cell, each a shift, a mask and an add of the
+    whole int: L slots of bits bits.  A cell has u <= X and v <= X/xi, so
+    where b >= 0 its slot a*u + b*v is at most a*X + b*X/xi.  Where b < 0 the
+    slot is a*beta' + v*(a*xi + b) with beta' <= K and a*xi + b > 0 (see
+    band_columns), at most a*K + (a*xi + b)*X/xi = a*(K + X) + b*X/xi.
+    """
+    cells = field.floor_div_xi(K * X) + K * (field.floor_div_xi(2 * K) + 1)
+    bx = field.floor_div_xi(b * X) + 1 if b > 0 else -field.floor_div_xi(-b * X)  # >= b*X/xi
+    words = (a * (X + (K if b < 0 else 0)) + bx + 1) * bits // 64 + 1
     return cells * 4 * words * 1000 // (3 * _BAND_WORDS_PER_S) + cells * _BAND_CELL_US // 1000
 
 
-def _band_fold(steps: Sequence[range], X: int, nb: int, check: Callable[[int], None]) -> list[int]:
-    """The Euler product over the band, as one value a slot, folded once from nb-byte slots on.
+def _spread(data: bytes, k: int, n: int) -> int:
+    """The slots of k bytes each in data, moved to slots of n >= k bytes, as one int."""
+    wide = bytearray(len(data) // k * n)
+    for j in range(k):
+        wide[j::n] = data[j::k]
+    return int.from_bytes(wide, "little")
+
+
+def _band_fold(steps: Sequence[range], ones: bytes, nb: int, check: Callable[[int], None]) -> tuple[list[int], bytes]:
+    """(values, data): the Euler product over the band, one value a slot, folded once from nb-byte slots on.
 
     steps lists the slots of the factors 1 + q^(2^k*beta) (see _fold_steps),
-    its first X ranges the columns 1..X of B, so the mask M keeps those and
-    slot 0.  The top byte of every slot is a guard: every 8 steps F is ANDed
+    and ones holds 1 at slot 0 and at the slots of B, so the mask M keeps
+    those.  The top byte of every slot is a guard: every 8 steps F is ANDed
     with the guard mask G, and where a guard bit is set the values are
-    repacked one byte wider and the fold goes on from the same step.
-    check(bits) runs at each new width.
+    spread one byte wider and the fold goes on from the same step.
+    check(bits) runs at each new width.  data is F's bytes at its last width.
 
     Why no slot carries.  Each step F += (F & (M >> s)) << s adds to each
     slot the value of one other slot, so it at most doubles the largest
@@ -668,62 +707,59 @@ def _band_fold(steps: Sequence[range], X: int, nb: int, check: Callable[[int], N
     are below the guard again.  p(0) = 1 starts below the guard, so by
     induction the fold is exact at every width it reaches.
     """
-    L = steps[X - 1].stop if X else 1  # the slots from 0 through the last of B
-    ones = bytearray(L)  # 1 at slot 0 and the slots of B
-    for r in (range(1), *filter(None, steps[:X])):
-        ones[r.start : r.stop] = b"\x01" * len(r)
-
-    def spread(data: bytes, k: int, n: int) -> int:
-        """The L slots of k bytes each in data, moved to slots of n >= k bytes."""
-        wide = bytearray(L * n)
-        for j in range(k):
-            wide[j::n] = data[j::k]
-        return int.from_bytes(wide, "little")
-
+    L = len(ones)
     F, bits, G = 1, 0, 0  # p(0) = 1; the masks are set at step 0
     for i, s in enumerate(chain.from_iterable(steps)):
         if not i % 8:
             if F & G:
                 check(8 * nb + 8)
-                F = spread(F.to_bytes(L * nb, "little"), nb, nb + 1)
+                F = _spread(F.to_bytes(L * nb, "little"), nb, nb + 1)
                 nb += 1
             if bits != 8 * nb:  # M and G at the new width, from the slots of B
-                low = spread(ones, 1, nb)
+                low = _spread(ones, 1, nb)
                 bits, M, G = 8 * nb, low * ((1 << 8 * nb) - 1), low * 255 << 8 * nb - 8
         s *= bits
         # (F << s) & M, masked before the shift: only the terms that land in B.
         F += (F & (M >> s)) << s
-    return _unpack(F, L, nb)
+    return _unpack(F, L, nb), F.to_bytes(L * nb, "little")
 
 
-def _band_violation(values: list[int], columns: Sequence[range], W: int) -> None:
+def _band_violation(values: list[int], data: bytes, ones: bytes, lo: Sequence[int], columns: Sequence[range]) -> None:
     """Raise DivisibilityViolation at the first cell of the band, by x and then y, that fails the recurrence.
 
-    values holds p(u + v*w) at slot u*W + v, 1 at slot 0 and 0 off the band,
-    and columns[u - 1] is the range of slots of column u (see _fold_steps).
-    S0 is the recurrence's sum of sig0(beta) * p(alpha - beta) over
-    0 < beta <= alpha, read from the product of the packed weights and the
-    packed values; a cell fails unless its value p >= 1, S0 = x*p and the
-    same sum with sig1 is (x + y)*p.
+    values and data are _band_fold's, ones, lo and columns band_columns'
+    (see _fold_steps).  S0 is the recurrence's sum of sig0(beta) * p(alpha - beta)
+    over 0 < beta <= alpha, read from the product of the packed weights and
+    the values P, spread from data; a cell fails unless its value p >= 1,
+    S0 = x*p and the same sum with sig1 is (x + y)*p.  Each product is
+    compared on the slots of B with the packed x*p or (x + y)*p as one int,
+    and the cells are walked again only to name a failing one.
     """
     L = len(values)
-    G0 = [0] * L
-    G1 = [0] * L
-    for u, r in enumerate(columns, 1):
-        for s in r:
-            G0[s], G1[s] = _weights(u, s - u * W)
+    G0, G1, T0, T1 = [0] * L, [0] * L, [0] * L, [0] * L
+    for u, l, r in zip(range(1, len(columns) + 1), lo[1:], columns):
+        if r:
+            for v, s in zip(count(l), r):
+                p = values[s]
+                G0[s], G1[s] = _weights(u, v)
+                T0[s], T1[s] = u * p, (u + v) * p
     # Every term is >= 0 (u + v > 0 on the cone), so no slot of either
     # product exceeds the larger weight sum times the largest value; sig1 is
-    # below sig0 where v < 0, so both sums are needed.
-    nb = (max(sum(G0), sum(G1)) * max(values)).bit_length() // 8 + 1
-    P = _pack(values, nb)
-    T0 = _unpack(_pack(G0, nb) * P, L, nb)
-    T1 = _unpack(_pack(G1, nb) * P, L, nb)
-    for u, r in enumerate(columns, 1):
-        for s in r:
-            p = values[s]
-            if p < 1 or T0[s] != u * p or T1[s] != (s - u * W + u) * p:
-                raise DivisibilityViolation(f"coefficient match failed at (x={u}, y={s - u * W}): x*p = {T0[s]}")
+    # below sig0 where v < 0, so both sums are needed.  P is spread from the
+    # fold's slots, so it needs at least their width.
+    folded = len(data) // L
+    nb = max((max(sum(G0), sum(G1)) * max(values)).bit_length() // 8 + 1, folded)
+    P = _spread(data, folded, nb)
+    M = _spread(ones, 1, nb) * ((1 << 8 * nb) - 1)
+    S0, S1 = _pack(G0, nb) * P, _pack(G1, nb) * P
+    low = min(map(values.__getitem__, chain.from_iterable(columns)), default=1)
+    if low >= 1 and S0 & M == _pack(T0, nb) and S1 & M == _pack(T1, nb):
+        return
+    S0, S1 = _unpack(S0, L, nb), _unpack(S1, L, nb)
+    for u, l, r in zip(range(1, len(columns) + 1), lo[1:], columns):
+        for v, s in zip(count(l), r):
+            if values[s] < 1 or S0[s] != T0[s] or S1[s] != T1[s]:
+                raise DivisibilityViolation(f"coefficient match failed at (x={u}, y={v}): x*p = {S0[s]}")
 
 
 def band_columns(field: Field, X: int, K: int) -> tuple[list[int], list[list[int]]]:
@@ -737,16 +773,23 @@ def band_columns(field: Field, X: int, K: int) -> tuple[list[int], list[list[int
     B(ceil(y_max*xi) + k_max, k_max + 1), as the cell (k, y) has its
     conjugate in (k, k + 1).
 
-    The layout puts cell (u, v) at slot phi = u*W + v, W = floor(2K/xi) + 1.
+    The layout puts cell (u, v) at slot phi = a*u + b*v, where a is the
+    least integer >= 1 for which b = 2K - floor(a*xi) has b < a*omega and
+    gcd(a, b) = 1 (_band_layout).  Then phi = a*beta' + v*(a*xi + b), and
+    a*xi + b = 2K + frac(a*xi) lies in (2K, 2K + 1), as xi is irrational.
     - B is an order ideal.  If beta - gamma >> 0, that difference has
       x >= 1 (every totally positive element has) and a positive conjugate,
       so gamma has a smaller x and a smaller conjugate than beta.
-    - phi >= 1 on B.  u >= 1 and v >= (u - K)/xi, and W > 2K/xi, so
-      phi > (2Ku + u - K)/xi > 0.
-    - phi is injective on B and B + B.  Their conjugates lie in (0, 2K], and
-      phi1 = phi2 forces v1 - v2 = (u2 - u1)*W, so the conjugates differ by
-      c1 - c2 = (u1 - u2)(xi*W + 1).  As |c1 - c2| < 2K < xi*W + 1, u1 = u2
-      and then v1 = v2.
+    - phi >= 1 on B.  phi is an integer.  Where v >= 0, phi >= a*beta' > 0.
+      Where v < 0, |v| <= u/omega (the cell is totally positive), so
+      phi >= a*u - max(b, 0)*u/omega > 0, as b < a*omega and u >= 1.
+    - phi is injective on B and B + B.  Their conjugates lie in [0, 2K].
+      phi vanishes on (b, -a), whose conjugate is a*xi + b, and as
+      gcd(a, b) = 1 every cell with phi = 0 is a multiple n*(b, -a).  So
+      phi1 = phi2 makes the conjugates differ by n*(a*xi + b), more than
+      2K unless n = 0, and then the cells are equal.
+    The layout (W, 1), W = floor(2K/xi) + 1, has the same three facts, but
+    leaves about 1.7 times as many slots over the bands a search folds.
 
     The product.  1/(1 - q^beta) is the product of the factors
     1 + q^(2^k*beta), k >= 0.  From F = 1, each factor with 2^k*beta in B
@@ -765,32 +808,36 @@ def band_columns(field: Field, X: int, K: int) -> tuple[list[int], list[list[int
 
     The certificate.  Every cell is still checked against the recurrence
     (see _band_violation), by arithmetic the fold does not share: the
-    weights sig0 and sig1 over B and the values read back are packed into
-    slots wide enough for any sum, and in the products G0*P and G1*P each
-    cell alpha must read x*p(alpha) and (x + y)*p(alpha), with p(alpha) >= 1.
-    By the injectivity the slot of alpha in G0*P is the recurrence's sum
-    over 0 < beta <= alpha, so by induction on x every value that passes is
-    p.  A failure raises DivisibilityViolation naming the first failing cell.
+    weights sig0 and sig1 over B and the values are packed into slots wide
+    enough for any sum, and in the products G0*P and G1*P each cell alpha
+    must read x*p(alpha) and (x + y)*p(alpha), with p(alpha) >= 1.  By the
+    injectivity the slot of alpha in G0*P is the recurrence's sum over
+    0 < beta <= alpha, so by induction on x every value that passes is p.  A
+    failure raises DivisibilityViolation naming the first failing cell.
 
     Raises BudgetExceeded before any O(X) work, and again at each wider
     slot, when the estimated cost is over budget.
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    W = field.floor_div_xi(2 * K) + 1
+    a, b = _band_layout(field, K)
 
     def check(bits: int) -> None:
         subject = f"the slice band of D={field.D} up to x = {X}"
-        _check_budget(subject, _band_ms(field, X, K, W, bits), "its Euler product would take about")
+        _check_budget(subject, _band_ms(field, X, K, a, b, bits), "its Euler product would take about")
 
     nb = 2  # one value byte under the guard byte
     check(8 * nb)
     lo, hi = _band_bounds(field, X, K)
-    steps = _fold_steps(lo, hi, W)
+    steps = _fold_steps(lo, hi, a, b)
     columns = steps[:X]
-    values = _band_fold(steps, X, nb, check)
-    _band_violation(values, columns, W)
-    return lo, [values[:1]] + [values[r.start : r.stop] for r in columns]
+    ones = bytearray(max(map(max, filter(None, columns)), default=0) + 1)  # slot 0 and the slots of B
+    for s in chain((0,), chain.from_iterable(columns)):
+        ones[s] = 1
+    values, data = _band_fold(steps, ones, nb, check)
+    _band_violation(values, data, ones, lo, columns)
+    # A column of falling slots may stop below slot 0, where a slice counts from the end.
+    return lo, [values[:1]] + [values[r.start : r.stop if r.stop >= 0 else None : r.step] if r else [] for r in columns]
 
 
 def euler_transform(c: Sequence[int]) -> list[int]:

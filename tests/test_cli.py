@@ -386,7 +386,7 @@ def test_runs_over_the_cost_budget_exit_4_at_once(capsys):
         f = Field(D)
         W = partition._diamond_stride(f, N - 1)
         bounds = partition._interval_bounds(*partition._floors(f, N - 1), N - 1, 0)
-        steps = sum(map(len, partition._fold_steps(*bounds, W)))
+        steps = sum(map(len, partition._fold_steps(*bounds, W, 1)))
         assert partition._fold_ms(steps, (N - 1) * W + 1) <= partition._BUDGET_MS, D
         start = time.perf_counter()
         code, out, err = run(capsys, "parity", "--D", str(D), "--N", str(N))
@@ -399,8 +399,8 @@ def test_runs_over_the_cost_budget_exit_4_at_once(capsys):
 
 
 def test_slice_paths_over_the_cost_budget_exit_4_at_once(capsys):
-    # The band is estimated from X, K and W before any O(X) work: D=97's
-    # first corner band runs to x = 56,432,286.
+    # The band is estimated from X, K and its slot layout before any O(X)
+    # work: D=97's first corner band runs to x = 56,432,286.
     refusals = {
         ("search", "--D", "97", "--m", "11"): "the slice band of D=97 up to x = 56432286",
         ("grid", "--view", "ky", "--D", "2", "--kmax", "6", "--ymax", "10000000"):
@@ -419,8 +419,23 @@ def test_slice_paths_over_the_cost_budget_exit_4_at_once(capsys):
     for D, k_max, y_max, bits in ((31, 6, 274, 56), (41, 6, 641, 72), (43, 6, 532, 72), (61, 6, 196, 48)):
         f = Field(D)
         X, K = f.ceil_xi_mult(y_max) + k_max, k_max + 1
-        W = f.floor_div_xi(2 * K) + 1
-        assert partition._band_ms(f, X, K, W, bits) <= partition._BUDGET_MS, D
+        assert partition._band_ms(f, X, K, *partition._band_layout(f, K), bits) <= partition._BUDGET_MS, D
+
+
+def test_an_output_past_the_int_digit_limit_exits_4_at_once(capsys):
+    # eps_plus of D = 1000000007 has 6,382 digits, more than the 4,300 that
+    # Python turns into a string by default, so both commands refuse the
+    # field before they format anything.
+    limit = sys.get_int_max_str_digits()
+    for command in ("units", "indecomposables"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--D", "1000000007")
+        assert time.perf_counter() - start < 2, command
+        assert (code, out) == (4, ""), command
+        assert err == (
+            f"the output of D=1000000007 is over the cost budget: it holds an int of more than "
+            f"{limit} digits, the most Python prints\n"
+        )
 
 
 def test_a_hopeless_m_is_refused_before_any_fill(monkeypatch, capsys):

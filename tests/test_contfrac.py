@@ -12,6 +12,8 @@ from quadpartitions import (
     is_squarefree,
 )
 
+from quadpartitions.contfrac import coordinate_bound
+
 from conftest import convergent_elements, dense_counts, reference_context
 
 getcontext().prec = 100
@@ -179,3 +181,16 @@ def test_period_invariant_violation_unreachable_for_valid_d():
     for D in range(2, 300):
         if is_squarefree(D):
             expand_sigma(Field(D))  # must not raise
+
+
+def test_coordinate_bound_bounds_every_printed_int():
+    # units and indecomposables check only this bound before they print,
+    # unless it comes near Python's digit limit for int -> str.
+    for D in range(2, 1000):
+        if not is_squarefree(D):
+            continue
+        ctx = build_context(Field(D))
+        elements = (ctx.eps, ctx.eps_plus, *indecomposables(ctx))
+        coords = [c for e in elements for c in (e.a, e.b, *e.sqrt_coords()[:2], *e.reduced_sqrt_coords()[:2])]
+        printed = [*coords, *(c for pq in ctx.convergents for c in pq), floor_ratio_eps(ctx)]
+        assert max(map(abs, printed)) <= coordinate_bound(ctx), D

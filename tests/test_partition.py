@@ -1,5 +1,7 @@
 import random
 from collections import Counter
+from itertools import count
+from math import gcd
 
 import pytest
 
@@ -390,10 +392,10 @@ def test_fold_steps_are_every_chain_below_the_diagonal():
                             break
                         walked.append((u * W + v) << k)
                         k += 1
-            steps = partition._fold_steps(*partition._interval_bounds(fdo, fdx, N, 0), W)
+            steps = partition._fold_steps(*partition._interval_bounds(fdo, fdx, N, 0), W, 1)
             assert sorted(s for r in steps for s in r) == sorted(walked), (D, N)
         for X, K in ((0, 1), (1, 1), (9, 1), (12, 9), (16, 16), (33, 2), (40, 7)):
-            W = f.floor_div_xi(2 * K) + 1
+            a, b = partition._band_layout(f, K)
             cap = f.element(K)
             walked = []
             for u, v in brute_band(f, X, K):
@@ -403,9 +405,9 @@ def test_fold_steps_are_every_chain_below_the_diagonal():
                     in_band = multiple.is_totally_positive() and u << k <= X
                     if not in_band or (cap - multiple.conjugate()).sign() < 0:
                         break
-                    walked.append((u * W + v) << k)
+                    walked.append((a * u + b * v) << k)
                     k += 1
-            steps = partition._fold_steps(*partition._band_bounds(f, X, K), W)
+            steps = partition._fold_steps(*partition._band_bounds(f, X, K), a, b)
             assert sorted(s for r in steps for s in r) == sorted(walked), (D, X, K)
 
 
@@ -519,15 +521,27 @@ def brute_band(field: Field, X: int, K: int) -> set[tuple[int, int]]:
     }
 
 
+def layout_by_sign_tests(field: Field, K: int) -> tuple[int, int]:
+    """The least a >= 1 with b = 2K - floor(a*xi) < a*omega and gcd(a, b) = 1, and b; a*omega - b = -b + a*w."""
+    for a in count(1):
+        b = 2 * K - field.floor_xi_mult(a)
+        if QElement(field, -b, a).sign() > 0 and gcd(a, b) == 1:
+            return a, b
+
+
 def test_band_layout_is_an_injective_order_ideal():
     # The three facts of band_columns' docstring, by brute force: B is an
-    # order ideal, its slots are >= 1, and the slot u*W + v is injective on
-    # B and B + B together.
-    for D in (2, 3, 5, 13, 19, 31, 97):
+    # order ideal, its slots are >= 1, and the slot a*u + b*v is injective on
+    # B and B + B together.  The layouts include b < 0, b = 0 and a > 1.
+    layouts = {}
+    for D in range(2, 200):
+        if not is_squarefree(D):
+            continue
         f = Field(D)
-        for K in (1, 2, 3, 7):
+        for K in (1, 2, 3, 7, 11):
             X = 40
-            W = f.floor_div_xi(2 * K) + 1
+            a, b = layouts[D, K] = partition._band_layout(f, K)
+            assert (a, b) == layout_by_sign_tests(f, K), (D, K)
             band = brute_band(f, X, K)
             lo, cols = partition.band_columns(f, X, K)
             assert cols[0] == [1]
@@ -535,12 +549,15 @@ def test_band_layout_is_an_injective_order_ideal():
             cells = sorted(band)
             for u1, v1 in cells:
                 for u2, v2 in cells:
-                    if QElement(f, u1 - u2, v1 - v2).is_totally_positive():
+                    # (u1 - u2) + (v1 - v2)*w >> 0, as in QElement.is_totally_positive
+                    A, B = f.den * (u1 - u2) + f.t * (v1 - v2), v1 - v2
+                    if A > 0 and A * A > B * B * D:
                         assert (u2, v2) in band, (D, K, (u1, v1), (u2, v2))
-            assert min(u * W + v for u, v in band) >= 1, (D, K)
+            assert min(a * u + b * v for u, v in band) >= 1, (D, K)
             sums = {(u1 + u2, v1 + v2) for u1, v1 in cells for u2, v2 in cells}
             union = band | sums
-            assert len({u * W + v for u, v in union}) == len(union), (D, K)
+            assert len({a * u + b * v for u, v in union}) == len(union), (D, K)
+    assert (layouts[195, 1], layouts[19, 2], layouts[41, 7]) == ((1, -11), (1, 0), (5, 1))
 
 
 def test_a_corrupted_euler_value_is_named(monkeypatch):
@@ -548,17 +565,17 @@ def test_a_corrupted_euler_value_is_named(monkeypatch):
     # the one fold.
     f = Field(19)
     X, K = 120, 3
-    W = f.floor_div_xi(2 * K) + 1
+    a, b = partition._band_layout(f, K)
     band = brute_band(f, X, K)
     assert (10, 2) in band
     fold = partition._band_fold
     calls = []
 
-    def corrupted(steps, X, nb, check):
+    def corrupted(steps, ones, nb, check):
         calls.append(nb)
-        values = fold(steps, X, nb, check)
-        values[10 * W + 2] += 1
-        return values
+        values, data = fold(steps, ones, nb, check)
+        values[10 * a + 2 * b] += 1
+        return values, data
 
     monkeypatch.setattr(partition, "_band_fold", corrupted)
     with pytest.raises(DivisibilityViolation, match=r"at \(x=10, y=2\)"):

@@ -102,6 +102,10 @@ def test_diagonal_parity_matches_the_exact_diagonal(D, N):
 # times.
 @example(D=2, X=120, K=8)
 @example(D=5, X=120, K=8)
+# Slot layouts (a, b) = (1, -11), (1, 0) and (5, 1).
+@example(D=195, X=120, K=1)
+@example(D=19, X=120, K=2)
+@example(D=41, X=120, K=7)
 def test_band_cells_match_the_recurrence(D, X, K):
     f = Field(D)
     lo, cols = band_columns(f, X, K)

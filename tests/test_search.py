@@ -473,9 +473,9 @@ def test_the_D31_box_widens_in_place_byte_by_byte(monkeypatch, capsys):
     estimate = partition._band_ms
     widths = []
 
-    def recording(field, X, K, W, bits):
+    def recording(field, X, K, a, b, bits):
         widths.append(bits)
-        return estimate(field, X, K, W, bits)
+        return estimate(field, X, K, a, b, bits)
 
     monkeypatch.setattr(partition, "_band_ms", recording)
     assert cli.main(["search", "--D", "31", "--m", "11", "--format", "json"]) == 0
