@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 violated
-internal invariant, 4 a run over its cost budget (BudgetExceeded).  All
-output is deterministic: repeated runs of the same command produce identical
-bytes.
+internal invariant, 4 a run over its cost budget (BudgetExceeded), 141
+(128 + SIGPIPE) when the reader closes stdout before the output ends, with
+nothing on stderr.  All output is deterministic: repeated runs of the same
+command produce identical bytes.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from itertools import chain
 from typing import Callable, Iterable
@@ -526,7 +528,9 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -536,6 +540,11 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(str(exc), file=sys.stderr)
         return 4
+    except BrokenPipeError:
+        # Point stdout at devnull, so that the interpreter's final flush of
+        # what is left in its buffer cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -14,13 +14,16 @@ class BudgetExceeded(RuntimeError):
     """A run over its cost budget.
 
     Raised when the brute-force enumerator exhausts its node budget, and,
-    before any work starts, when building the cone up to a column, the
-    Euler product over a slice band (search, dm, grid --view ky and the
-    slice documents of verify) or the interval [0, alpha] of a point count
+    before any work starts, when building the cone up to a column (grid
+    --view xy), parity's fold over the ideal below (N, 0), the Euler
+    product over a slice band (search, dm, grid --view ky and the slice
+    documents of verify) or the interval [0, alpha] of a point count
     (PartitionGrid.count: search, dm, witness, estimate --compare and
     verify) is estimated to take longer than the partition module's budget.
-    A band is estimated again before each wider fold.  The CLI exits with
-    code 4.
+    A band is estimated again before each wider fold.  units and
+    indecomposables raise it, before they format anything, when an int they
+    would print has more digits than Python turns into a string.  The CLI
+    exits with code 4.
     """
 
 

@@ -32,13 +32,15 @@ Four kernels compute p, or p mod 2, on an order ideal of the cone:
   congruence that never runs the recurrence.
 - band_columns expands the same product exactly over the thin band
   B(X, K) = {beta >> 0 : x(beta) <= X, beta' <= K} that holds the search's
-  slice box, one shift, mask and add of one big int per factor; its
-  docstring proves the layout sound, _band_fold's that no slot carries, and
-  the recurrence then certifies every cell with two big-int products.
+  slice box, one shift, mask and add of one big int per factor; _band_fold
+  proves that no slot carries, and the recurrence then certifies every cell
+  with two big-int products.
 
 Each fact of the ideals is stated once, in one helper: _interval_bounds
 gives the columns of an interval [0, x + y*w] (to PartitionGrid,
 enumerate_interval and diagonal_parity) and _band_bounds those of a band;
+_band_layout gives both products the slot a*u + b*v of the cell u + v*w,
+with the proof that it keeps any order ideal inside a band apart;
 _fold_steps lists the factors 1 + q^(2^k*beta) of either product from an
 ideal's column bounds and slot layout; _weights gives the two weights of
 a part; and _pack, _unpack and _spread move values into, out of and
@@ -92,8 +94,9 @@ ZETA3 = 1.2020569031595942854
 # Throughput of the four kernels on a 2-core host with Python 3.11, each taken
 # where the budget bites, so smaller runs take less than estimated.  64-bit
 # words per second of diagonal_parity's XOR steps (see _fold_ms), falling as
-# the int grows: at the ideal's own stride D = 2 ran 2.9e8 at N = 1339
-# (58 s) but 1.4e8-1.5e8 at N = 1406 (132-143 s), and the rate is the lower.
+# the int grows: the last N started ran 3.0e8 for D = 2 (N = 1339, 56 s) and
+# 3.5e8 for D = 5 (N = 1191, 48 s), but a 1.4 Mbit int ran 1.4e8-1.5e8
+# (D = 2, N = 1406: 132-143 s), and the rate is the lower.
 # Slot products per second of cone_columns (see _recurrence_madds): 8e7 at
 # X = 100 for D = 2, 2.1e7 at X = 430.
 # 64-bit words per second of band_columns' fold steps, its certificate's
@@ -117,7 +120,7 @@ _BAND_CELL_US = 10
 _INTERVAL_STEPS_PER_S = 4_000_000
 # The longest estimated run, in milliseconds on that host, that is started:
 # two minutes.  The xy view runs up to x = 416 for D=2 and 331 for D=5, and
-# parity up to N = 1339 and 1098; both are refused beyond.
+# parity up to N = 1339 and 1191; both are refused beyond.
 _BUDGET_MS = 120_000
 
 
@@ -359,14 +362,6 @@ def _floors(field: Field, X: int) -> tuple[list[int], list[int]]:
     return [field.floor_div_omega(x) for x in range(X + 1)], [field.floor_div_xi(x) for x in range(X + 1)]
 
 
-def _diamond_stride(field: Field, N: int) -> int:
-    """The stride W of diagonal_parity's layout of the ideal below (N, 0), in O(1); see there."""
-    if N == 0:
-        return 1  # the ideal is the one cell (0, 0)
-    om, xi = field.floor_div_omega, field.floor_div_xi
-    return max(min(om(N + 1), xi(2 * N - 1)), min(xi(N - 1), om(2 * N + 1))) + 1
-
-
 def _fold_ms(steps: int, L: int) -> int:
     """Estimated milliseconds of diagonal_parity's steps, each a shift, a mask and an XOR of L bits."""
     return steps * L * 1000 // (64 * _FOLD_WORDS_PER_S)
@@ -444,7 +439,7 @@ def _fold_steps(lo: Sequence[int], hi: Sequence[int], a: int, b: int) -> list[ra
     columns 1..X of I, empty ones included, and the ranges for k >= 1 skip
     the empty columns; there are fewer than 2X ranges in all.
     diagonal_parity and band_columns fold these factors, each for its own
-    ideal and layout.
+    ideal, in the layout of _band_layout.
     """
     X = len(lo) - 1
     step = b or 1  # a layout with b = 0 has at most one cell in each column of I
@@ -465,7 +460,7 @@ def diagonal_parity(field: Field, N: int) -> tuple[int, ...]:
     Modulo 2 the generating function of p, the product over totally positive
     beta of 1/(1 - q^beta), is the product of the factors 1 + q^(2^k*beta),
     k >= 0, so it needs only shifts and XORs.  It is one int F whose bit
-    x*W + y holds p(x + y*w) mod 2 on the ideal I = [0, (N, 0)], and it
+    a*x + b*y holds p(x + y*w) mod 2 on the ideal I = [0, (N, 0)], and it
     shares no arithmetic with the recurrence.
 
     Why folding only I is exact on I.  Every partition of (n, 0), n <= N,
@@ -474,47 +469,36 @@ def diagonal_parity(field: Field, N: int) -> tuple[int, ...]:
     the mask of I, and a factor 1 + q^gamma with gamma outside I is 1 on I.
     So the chain 2^k*beta of each part stops at its first multiple outside
     I, as every later one lies above it (_fold_steps lists the multiples in
-    I from its column bounds, _interval_bounds(N, 0)).
-
-    Why the stride keeps I apart.  The stride is
-        W = max(min(floor((N+1)/omega), floor((2N-1)/xi)),
-                min(floor((N-1)/xi), floor((2N+1)/omega))) + 1
-    (_diamond_stride; any stride serves N = 0), about half the stride of the
-    cone up to x = N.  Write r = x + y*omega and c = x - y*xi for the two
-    embeddings of the cell (x, y).  Two cells whose x differ by k != 0 share
-    a slot only if their y differ by -k*W, so r moves by -k(W*omega - 1) and
-    c by k(1 + W*xi).  Cells of I have r and c in [0, N]; a cell of I plus a
-    part, the only cells an XOR step writes, has r and c in (0, 2N], and it
-    lies outside I only if r > N or c > N.  So a cell outside I lands on the
-    slot of a cell of I, k counted from the cell of I, only
-    - for k > 0, if W*omega - 1 < N and 1 + W*xi <= 2N, which
-      W > (N+1)/omega or W > (2N-1)/xi excludes, and
-    - for k < 0, if W*omega - 1 <= 2N and 1 + W*xi < N, which
-      W > (2N+1)/omega or W > (N-1)/xi excludes; that bound also excludes
-      two cells of I on one slot (then W*omega - 1 <= N and 1 + W*xi <= N).
-    The cell (N, 0) has the highest slot of I, N*W, as every other cell of
-    I has y <= (N - x)/omega < (N - x)*W.
+    I from its column bounds, _interval_bounds(N, 0)).  The slot a*x + b*y
+    is band_columns' layout at K = max(N, 1): a cell beta != 0 of I has
+    x <= N and beta' <= N, so it lies in B(N, N), and _band_layout's proof
+    keeps I apart from every cell a step writes and puts (N, 0) at the top
+    slot a*N.
 
     Raises BudgetExceeded, before any folding, when the fold is too costly.
     """
-    W = _diamond_stride(field, N)
-    L = N * W + 1  # one past the slot of (N, 0)
+    a, b = _band_layout(field, max(N, 1))
+    L = a * N + 1  # one past the slot of (N, 0)
     # Every part (u, 0), u = 1..N, lies in I, so the fold takes at least N
     # steps of L bits.
     _check_budget(f"the cone up to x = {N}", _fold_ms(N, L), "building it would take at least")
-    steps = _fold_steps(*_interval_bounds(*_floors(field, N), N, 0), W, 1)
+    steps = _fold_steps(*_interval_bounds(*_floors(field, N), N, 0), a, b)
     _check_budget(
         f"the cone up to x = {N}", _fold_ms(sum(map(len, steps)), L), "its parity product would take about"
     )
-    mask = 1  # (0, 0) and the columns 1..N of I
-    for r in steps[:N]:
-        mask |= ((1 << len(r)) - 1) << r.start
+    # Character s of bits is bit s of the mask: (0, 0) and the columns 1..N of
+    # I.  A column of falling slots (b < 0) may stop below slot 0, where a
+    # slice counts from the end.
+    bits = bytearray(b"1" + b"0" * (L - 1))
+    for r in filter(None, steps[:N]):
+        bits[r.start : r.stop if r.stop >= 0 else None : r.step] = b"1" * len(r)
+    mask = int(bits[::-1], 2)
     F = 1  # p(0) = 1
     for r in steps:
         for s in r:
             F ^= (F << s) & mask
-    # Character i of bits is bit i of F, so (n, 0) is character n*W.
-    return tuple(map(int, format(F, f"0{L}b")[::-1][::W]))
+    # Character i of the reversed binary digits is bit i of F, so (n, 0) is character a*n.
+    return tuple(map(int, format(F, f"0{L}b")[::-1][::a]))
 
 
 class GridPool:
@@ -647,7 +631,26 @@ def _band_bounds(field: Field, X: int, K: int) -> tuple[list[int], list[int]]:
 
 
 def _band_layout(field: Field, K: int) -> tuple[int, int]:
-    """(a, b) of band_columns' slot a*u + b*v on B(X, K): the least a >= 1 with b = 2K - floor(a*xi) < a*omega and gcd(a, b) = 1.
+    """(a, b) of the slot a*u + b*v of both Euler products: the least a >= 1 with b = 2K - floor(a*xi) < a*omega and gcd(a, b) = 1.
+
+    Why it keeps an ideal apart.  Let I be an order ideal of the cone inside
+    B(X, K) and 0 (see band_columns), K >= 1.  The cell beta = u + v*w has
+    the conjugate beta' = u - v*xi, so its slot is
+    phi = a*u + b*v = a*beta' + v*(a*xi + b), and a*xi + b = 2K + frac(a*xi)
+    lies in (2K, 2K + 1), as xi is irrational.
+    - phi >= 1 off 0.  phi is an integer.  Where v >= 0, phi >= a*beta' > 0.
+      Where v < 0, |v| <= u/omega (the cell is totally positive), so
+      phi >= a*u - max(b, 0)*u/omega > 0, as b < a*omega and u >= 1.
+    - phi is injective on I and I + I.  Their conjugates lie in [0, 2K].
+      phi vanishes on (b, -a), whose conjugate is a*xi + b, and as
+      gcd(a, b) = 1 every cell with phi = 0 is a multiple n*(b, -a).  So
+      phi1 = phi2 makes the conjugates differ by n*(a*xi + b), more than
+      2K unless n = 0, and then the cells are equal.
+    So a product truncated to I reads no term from outside I on a slot of I.
+    On I = [0, (N, 0)] with K = N, the cell (N, 0) has the top slot a*N:
+    every cell of I has u + v*omega <= N and beta' <= N, so for v > 0,
+    u <= N - v*omega gives phi <= a*N - v*(a*omega - b) < a*N, and for
+    v < 0, phi = a*beta' + v*(a*xi + b) < a*N.
 
     Every a <= 2K/(xi + omega) = K*den/sqrt(D) has b >= 2K - a*xi >= a*omega,
     so the search starts past that bound; the inequality holds from its
@@ -773,33 +776,21 @@ def band_columns(field: Field, X: int, K: int) -> tuple[list[int], list[list[int
     B(ceil(y_max*xi) + k_max, k_max + 1), as the cell (k, y) has its
     conjugate in (k, k + 1).
 
-    The layout puts cell (u, v) at slot phi = a*u + b*v, where a is the
-    least integer >= 1 for which b = 2K - floor(a*xi) has b < a*omega and
-    gcd(a, b) = 1 (_band_layout).  Then phi = a*beta' + v*(a*xi + b), and
-    a*xi + b = 2K + frac(a*xi) lies in (2K, 2K + 1), as xi is irrational.
-    - B is an order ideal.  If beta - gamma >> 0, that difference has
-      x >= 1 (every totally positive element has) and a positive conjugate,
-      so gamma has a smaller x and a smaller conjugate than beta.
-    - phi >= 1 on B.  phi is an integer.  Where v >= 0, phi >= a*beta' > 0.
-      Where v < 0, |v| <= u/omega (the cell is totally positive), so
-      phi >= a*u - max(b, 0)*u/omega > 0, as b < a*omega and u >= 1.
-    - phi is injective on B and B + B.  Their conjugates lie in [0, 2K].
-      phi vanishes on (b, -a), whose conjugate is a*xi + b, and as
-      gcd(a, b) = 1 every cell with phi = 0 is a multiple n*(b, -a).  So
-      phi1 = phi2 makes the conjugates differ by n*(a*xi + b), more than
-      2K unless n = 0, and then the cells are equal.
-    The layout (W, 1), W = floor(2K/xi) + 1, has the same three facts, but
-    leaves about 1.7 times as many slots over the bands a search folds.
+    B is an order ideal: if beta - gamma >> 0, that difference has x >= 1
+    (every totally positive element has) and a positive conjugate, so gamma
+    has a smaller x and a smaller conjugate than beta.  The cell (u, v)
+    sits at slot a*u + b*v (_band_layout, whose docstring proves that the
+    slots of B are >= 1 and keep B and B + B apart).
 
     The product.  1/(1 - q^beta) is the product of the factors
     1 + q^(2^k*beta), k >= 0.  From F = 1, each factor with 2^k*beta in B
     is one shift, one mask and one add of F, and the mask keeps the slots of
     B and slot 0; a factor with 2^k*beta outside B is 1 on B.  Truncating to
     B commutes with the products, as the cells outside an order ideal are
-    closed under adding cone elements, and by the injectivity no term of a
-    product lands on the slot of another cell.  _fold_steps lists these
-    factors from the band's column bounds, as it lists the XOR steps of
-    diagonal_parity from those of its interval.
+    closed under adding cone elements, and by the layout's injectivity no
+    term of a product lands on the slot of another cell.  _fold_steps lists
+    these factors from the band's column bounds, as it lists the XOR steps
+    of diagonal_parity from those of its interval.
 
     The slot width.  The fold starts at two-byte slots, one value byte under
     a guard byte, and _band_fold widens them a byte at a time, in place,

@@ -379,15 +379,15 @@ def test_runs_over_the_cost_budget_exit_4_at_once(capsys):
             f"its recurrence would take about {secs} s, more than 120 s\n"
         )
         assert secs > partition._BUDGET_MS // 1000
-    # parity runs up to N = 1339 for D=2 and 1098 for D=5, counting the XOR
-    # steps of its fold below (N, 0) at the stride it folds at, and is
+    # parity runs up to N = 1339 for D=2 and 1191 for D=5, counting the XOR
+    # steps of its fold below (N, 0) in the band layout at K = N, and is
     # refused at once from the next N on.
-    for D, N in ((2, 1340), (5, 1099)):
+    for D, N in ((2, 1340), (5, 1192)):
         f = Field(D)
-        W = partition._diamond_stride(f, N - 1)
+        a, b = partition._band_layout(f, N - 1)
         bounds = partition._interval_bounds(*partition._floors(f, N - 1), N - 1, 0)
-        steps = sum(map(len, partition._fold_steps(*bounds, W, 1)))
-        assert partition._fold_ms(steps, (N - 1) * W + 1) <= partition._BUDGET_MS, D
+        steps = sum(map(len, partition._fold_steps(*bounds, a, b)))
+        assert partition._fold_ms(steps, a * (N - 1) + 1) <= partition._BUDGET_MS, D
         start = time.perf_counter()
         code, out, err = run(capsys, "parity", "--D", str(D), "--N", str(N))
         assert time.perf_counter() - start < 2, D
@@ -603,6 +603,17 @@ def test_importing_the_cli_loads_no_process_pool():
     pool = [name for name in loaded
             if name.split(".")[0] == "multiprocessing" or name.startswith("concurrent.futures")]
     assert pool == []
+
+
+def test_a_closed_stdout_exits_141_without_a_traceback():
+    # The grid's 140,744 bytes overflow a 64 KiB pipe, so the process is
+    # still writing when its reader stops after one line.
+    proc = start_python("-m", "quadpartitions", "grid", "--D", "2", "--max-x", "100")
+    assert proc.stdout.readline().startswith("   y\\x |")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (141, "")
 
 
 def test_dm_jobs_2_runs_a_pool_of_two_and_prints_the_serial_bytes(monkeypatch, capsys):

@@ -381,7 +381,7 @@ def test_fold_steps_are_every_chain_below_the_diagonal():
         f = Field(D)
         for N in (0, 1, 2, 5, 12, 33):
             fdo, fdx = partition._floors(f, N)
-            W = partition._diamond_stride(f, N)
+            a, b = partition._band_layout(f, max(N, 1))
             walked = []
             for u in range(1, N + 1):
                 for v in range(-fdo[u], fdx[u] + 1):
@@ -390,9 +390,9 @@ def test_fold_steps_are_every_chain_below_the_diagonal():
                         rest = f.element(N - (u << k), -(v << k))
                         if (rest.a, rest.b) != (0, 0) and not rest.is_totally_positive():
                             break
-                        walked.append((u * W + v) << k)
+                        walked.append((a * u + b * v) << k)
                         k += 1
-            steps = partition._fold_steps(*partition._interval_bounds(fdo, fdx, N, 0), W, 1)
+            steps = partition._fold_steps(*partition._interval_bounds(fdo, fdx, N, 0), a, b)
             assert sorted(s for r in steps for s in r) == sorted(walked), (D, N)
         for X, K in ((0, 1), (1, 1), (9, 1), (12, 9), (16, 16), (33, 2), (40, 7)):
             a, b = partition._band_layout(f, K)
@@ -411,33 +411,34 @@ def test_fold_steps_are_every_chain_below_the_diagonal():
             assert sorted(s for r in steps for s in r) == sorted(walked), (D, X, K)
 
 
-def _diamond_aliases(f, N, W):
-    """Whether, at slot x*W + y, two cells of I = [0, (N, 0)] share a slot or a cell
+def _diamond_aliases(f, N, a, b):
+    """Whether, at slot a*x + b*y, two cells of I = [0, (N, 0)] share a slot or a cell
     of [0, (2N, 0)] outside I lands on the slot of a cell of I."""
     fdo, fdx = partition._floors(f, 2 * N)
     inner = {(x, y) for x, lo, hi in zip(range(N + 1), *partition._interval_bounds(fdo, fdx, N, 0))
              for y in range(lo, hi + 1)}
-    slots = {x * W + y for x, y in inner}
+    slots = {a * x + b * y for x, y in inner}
     if len(slots) < len(inner):
         return True
-    return any(x * W + y in slots
+    return any(a * x + b * y in slots
                for x, lo, hi in zip(range(2 * N + 1), *partition._interval_bounds(fdo, fdx, 2 * N, 0))
                for y in range(lo, hi + 1) if (x, y) not in inner)
 
 
-def test_the_diamond_stride_keeps_the_ideal_apart():
+def test_the_band_layout_keeps_the_diagonal_ideal_apart():
     # A cell of I = [0, (N, 0)] plus a part lies in [0, (2N, 0)], so the XOR
-    # steps of diagonal_parity write no bit of I from outside it.
+    # steps of diagonal_parity, in the band layout at K = N, write no bit of
+    # I from outside it, and (N, 0) has the top slot a*N.
     for D in range(2, 100):
         if is_squarefree(D):
             f = Field(D)
+            fdo, fdx = partition._floors(f, 40)
             for N in range(41):
-                assert not _diamond_aliases(f, N, partition._diamond_stride(f, N)), (D, N)
-    # There the stride is the least with no alias.
-    for D, N, W in ((2, 60, 44), (5, 80, 100), (13, 60, 46)):
-        f = Field(D)
-        assert partition._diamond_stride(f, N) == W
-        assert all(_diamond_aliases(f, N, w) for w in range(1, W)), (D, N)
+                a, b = partition._band_layout(f, max(N, 1))
+                assert not _diamond_aliases(f, N, a, b), (D, N)
+                lo, hi = partition._interval_bounds(fdo, fdx, N, 0)
+                top = max(a * x + b * y for x in range(N + 1) for y in range(lo[x], hi[x] + 1))
+                assert top == a * N, (D, N)
 
 
 def test_euler_product_column_sum_mismatch_raises(monkeypatch):
