@@ -15,9 +15,10 @@ for a value a caller reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from math import isqrt
 
-from .errors import InvariantViolation
+from .errors import BudgetExceeded, InvariantViolation
 from .field import Field, QElement
 
 __all__ = [
@@ -30,20 +31,32 @@ __all__ = [
 ]
 
 
+# The most bytes that build_context's convergents may take by the bound of
+# _convergent_bits, which is 1.26-2.5 times their size over the squarefree
+# D < 3000: D = 1000000007 (period 12,352) is bounded at 164 MB, takes
+# 131 MB and peaks at 153 MB RSS.
+_CONTEXT_BYTES = 256 << 20
+# Every partial quotient adds at least a bit to the bound of each later p and
+# q, so a period of s > _MAX_PERIOD bounds them at more than 4*s^2 bits, over
+# _CONTEXT_BYTES.
+_MAX_PERIOD = isqrt(8 * _CONTEXT_BYTES) // 2
+
+
 def expand_sigma(field: Field) -> tuple[int, ...]:
     """One period of the continued fraction of sigma = omega + floor(xi).
 
     sigma is reduced (sigma > 1 > sigma conj > -1 in absolute value terms),
     so the expansion is purely periodic and the state (P, Q) returns to its
     initial value exactly at the period boundary.  sigma = (P0 + sqrt(D))/Q0
-    with P0 = t + den*floor(xi) and Q0 = den.
+    with P0 = t + den*floor(xi) and Q0 = den.  Raises BudgetExceeded once the
+    period is longer than _MAX_PERIOD, whose convergents build_context refuses.
     """
     D = field.D
     P0, Q0 = field.t + field.den * field.floor_xi(), field.den
     r = isqrt(D)
     period: list[int] = []
     P, Q = P0, Q0
-    while True:
+    for _ in range(_MAX_PERIOD):
         a = (P + r) // Q
         period.append(a)
         P = a * Q - P
@@ -53,6 +66,24 @@ def expand_sigma(field: Field) -> tuple[int, ...]:
         Q = num // Q
         if (P, Q) == (P0, Q0):
             return tuple(period)
+    raise BudgetExceeded(
+        f"the convergents of D={D} are over the cost budget: its period is longer than "
+        f"{_MAX_PERIOD}, so they would take more than {_CONTEXT_BYTES >> 20} MB"
+    )
+
+
+def _convergent_bits(period: tuple[int, ...]) -> int:
+    """An upper bound on the bits of the 2s + 2 convergents of build_context, from the period alone.
+
+    p_i and q_i never fall as i grows, so p_i = u*p_(i-1) + p_(i-2) is at
+    most (u + 1)*p_(i-1), and likewise q_i, from p_(-1) = 1, q_(-1) = 0 and
+    p_0 <= u_0 + 1, q_0 = 1.  So both are at most the product of u_j + 1 over
+    j <= i, and u + 1 <= 2^bitlen(u): each has at most
+    1 + sum of bitlen(u_j) over j <= i bits.
+    """
+    bits = list(map(int.bit_length, period))
+    # The bounds of p_i, and of q_i, for i = -1..2s with u_i = period[i % s].
+    return 2 * sum(accumulate(chain(bits, bits, bits[:1]), initial=1))
 
 
 @dataclass(frozen=True)
@@ -73,8 +104,15 @@ class FieldContext:
 
 
 def build_context(field: Field) -> FieldContext:
+    """The context of field; raises BudgetExceeded, before any convergent, when they would take more than _CONTEXT_BYTES."""
     period = expand_sigma(field)
     s = len(period)
+    size = _convergent_bits(period) // 8
+    if size > _CONTEXT_BYTES:
+        raise BudgetExceeded(
+            f"the convergents of D={field.D} are over the cost budget: they would take up to "
+            f"{-(-size >> 20)} MB, more than {_CONTEXT_BYTES >> 20} MB"
+        )
 
     ps = [1, (period[0] + 1) // 2]
     qs = [0, 1]

@@ -1,4 +1,4 @@
-"""Exceptions shared across the package."""
+"""Exceptions shared across the package, and the cost budget that raises BudgetExceeded."""
 
 
 class DivisibilityViolation(ArithmeticError):
@@ -19,12 +19,33 @@ class BudgetExceeded(RuntimeError):
     product over a slice band (search, dm, grid --view ky and the slice
     documents of verify) or the interval [0, alpha] of a point count
     (PartitionGrid.count: search, dm, witness, estimate --compare and
-    verify) is estimated to take longer than the partition module's budget.
-    A band is estimated again before each wider fold.  units and
+    verify) is estimated to take longer than BUDGET_MS.  A band is
+    estimated again before each wider fold, and search prices a band inside
+    its box before any count.  Before any of these, a D whose squarefree
+    test is estimated over BUDGET_MS, and a field whose convergents
+    build_context bounds above its memory limit, are refused.  units and
     indecomposables raise it, before they format anything, when an int they
     would print has more digits than Python turns into a string.  The CLI
     exits with code 4.
     """
+
+
+# The longest estimated run, in milliseconds on a 2-core host with Python
+# 3.11, that is started: two minutes.  The rates behind each estimate are
+# next to the estimate (partition, field).
+BUDGET_MS = 120_000
+
+
+def check_budget(subject: str, ms: int, what: str) -> None:
+    """Raise BudgetExceeded when ms, what's estimate for subject, is over budget."""
+    if ms > BUDGET_MS:
+        secs = -(-ms // 1000)  # rounded up, so it always reads above the budget
+        # Beyond 1e300 no float holds secs.
+        about = secs if secs < 10**6 else f"{secs:.1e}" if secs < 10**300 else "over 1e+300"
+        raise BudgetExceeded(
+            f"{subject} is over the cost budget: {what} {about} s, "
+            f"more than {BUDGET_MS // 1000} s"
+        )
 
 
 class InvariantViolation(AssertionError):

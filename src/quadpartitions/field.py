@@ -9,23 +9,50 @@ A^2 vs B^2 * D, so this module involves no floating point at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import isqrt
+
+from .errors import BUDGET_MS, check_budget
 
 __all__ = ["Field", "QElement", "is_squarefree"]
 
 
+# Trial divisions per second of is_squarefree: 1.4e7-1.7e7 for n of 67 to
+# 133 bits on a 2-core host with Python 3.11, the other core busy.  At the
+# lower 1e7, D is refused from about 1.4e28, whose test would take 70-86 s.
+_DIVISIONS_PER_S = 10_000_000
+
+
+def _icbrt(n: int) -> int:
+    """floor(n^(1/3)) for n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // 3)
+    while (y := (2 * x + n // (x * x)) // 3) < x:
+        x = y
+    return x
+
+
 def is_squarefree(n: int) -> bool:
-    """Trial-division squarefreeness test; adequate for desk-scale n."""
+    """Whether no prime square divides n, by trial division up to c = floor(n^(1/3)).
+
+    Each factor d <= c found is divided out of the cofactor r, so a second d
+    means d^2 | n.  Every prime factor of the final r is above c, so its cube
+    is above n >= r, and r has at most two: it is squarefree unless it is a
+    prime's square.  Raises BudgetExceeded, before any division, when the
+    divisions are estimated to take longer than the budget.
+    """
     if n < 1:
         return False
-    if n % 4 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 2
-    return True
+    c = _icbrt(n)
+    ms = c // 2 * 1000 // _DIVISIONS_PER_S
+    if ms > BUDGET_MS:  # formatting n costs more than the estimate
+        check_budget(f"the squarefree test of D={n}", ms, "its trial divisions would take about")
+    r = n
+    for d in chain((2,), range(3, c + 1, 2)):
+        if r % d == 0:
+            r //= d
+            if r % d == 0:
+                return False
+    return r == 1 or isqrt(r) ** 2 != r
 
 
 def _sign_of_surd(A: int, B: int, D: int) -> int:

@@ -50,9 +50,10 @@ Two checks are independent of the recurrence: every column of cone_columns
 must sum to R(x), the number of partitions of x into parts counted by their
 first coordinate, or InvariantViolation is raised; and diagonal_parity's
 product shares no arithmetic with it.  Every kernel estimates its cost
-before any work and raises BudgetExceeded when it is over _BUDGET_MS;
+before any work and raises BudgetExceeded when it is over errors.BUDGET_MS;
 check_interval is PartitionGrid's, which search.find_kmax also asks about
-an interval it has not reached yet.
+an interval it has not reached yet, and check_band is band_columns', which
+search.search_m also asks about a band below its box before any count.
 
 euler_transform is the one-variable form of the recurrence, for a product
 prod_k (1 - q^k)^(-c[k]) over the rational integers: p_rational uses it with
@@ -62,13 +63,13 @@ the column sizes, for its slot width and its column-sum check.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 from itertools import chain, count, repeat
 from math import gcd, isqrt, sqrt
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import BudgetExceeded, DivisibilityViolation, InvariantViolation
+from .errors import BUDGET_MS, DivisibilityViolation, InvariantViolation, check_budget
 from .field import Field, QElement
 
 __all__ = [
@@ -84,6 +85,7 @@ __all__ = [
     "euler_transform",
     "p_rational",
     "check_interval",
+    "check_band",
     "asymptotic_estimate",
     "ZETA3",
 ]
@@ -118,10 +120,8 @@ _MADDS_PER_S = 21_000_000
 _BAND_WORDS_PER_S = 90_000_000
 _BAND_CELL_US = 10
 _INTERVAL_STEPS_PER_S = 4_000_000
-# The longest estimated run, in milliseconds on that host, that is started:
-# two minutes.  The xy view runs up to x = 416 for D=2 and 331 for D=5, and
-# parity up to N = 1339 and 1191; both are refused beyond.
-_BUDGET_MS = 120_000
+# Within errors.BUDGET_MS the xy view runs up to x = 416 for D=2 and 331 for
+# D=5, and parity up to N = 1339 and 1191; both are refused beyond.
 
 
 @cache
@@ -244,9 +244,8 @@ class PartitionGrid:
         self._cols: list[dict[int, int]] = [{0: 1}]  # p(0) = 1
         self._fdo: list[int] = [0]
         self._fdx: list[int] = [0]
-        # sig weight tables of column x, keyed by y like the column.
-        self._sig0: list[dict[int, int]] = [{}]
-        self._sig1: list[dict[int, int]] = [{}]
+        # Column x's weights, y -> _weights(x, y), keyed like the column.
+        self._sig: list[dict[int, tuple[int, int]]] = [{}]
 
     @property
     def max_x(self) -> int:
@@ -294,13 +293,11 @@ class PartitionGrid:
 
     def _grow(self, x: int) -> None:
         """Add empty columns and their floors up to x."""
-        fld = self.field
-        for u in range(len(self._cols), x + 1):
-            self._fdo.append(fld.floor_div_omega(u))
-            self._fdx.append(fld.floor_div_xi(u))
-            self._cols.append({})
-            self._sig0.append({})
-            self._sig1.append({})
+        new = range(len(self._cols), x + 1)
+        self._fdo += map(self.field.floor_div_omega, new)
+        self._fdx += map(self.field.floor_div_xi, new)
+        self._cols += ({} for _ in new)
+        self._sig += ({} for _ in new)
 
     def _fill(self, x: int, y: int) -> None:
         """Store the interval [0, x + y*w].
@@ -313,16 +310,15 @@ class PartitionGrid:
         cols = self._cols
         lo, hi = _interval_bounds(self._fdo, self._fdx, x, y)
         for u in range(1, x + 1):
-            col, s0, s1 = cols[u], self._sig0[u], self._sig1[u]
+            col, sig = cols[u], self._sig[u]
             for v in range(lo[u], hi[u] + 1):
                 if v not in col:
-                    s0[v], s1[v] = _weights(u, v)
+                    sig[v] = _weights(u, v)
                     col[v] = self._cell(u, v)
 
     def _cell(self, x: int, y: int) -> int:
         fdo, fdx = self._fdo, self._fdx
-        cols = self._cols
-        sig0, sig1 = self._sig0, self._sig1
+        cols, sig = self._cols, self._sig
         S0 = 0
         S1 = 0
         for u in range(1, x):
@@ -337,16 +333,17 @@ class PartitionGrid:
                 hi = t
             if lo > hi:
                 continue
-            a0 = sig0[u]
-            a1 = sig1[u]
+            a = sig[u]
             prev = cols[g]
             for v in range(lo, hi + 1):
                 P = prev[y - v]
-                S0 += a0[v] * P
-                S1 += a1[v] * P
+                w0, w1 = a[v]
+                S0 += w0 * P
+                S1 += w1 * P
         # The beta = alpha term contributes sig(alpha) * p(0).
-        S0 += sig0[x][y]
-        S1 += sig1[x][y]
+        w0, w1 = sig[x][y]
+        S0 += w0
+        S1 += w1
 
         # S0 = x*p recovers p, and S1 = (x + y)*p cross-checks it.
         p, r = divmod(S0, x)
@@ -409,20 +406,8 @@ def _interval_ms(field: Field, e: QElement) -> int:
 def check_interval(e: QElement) -> None:
     """Raise BudgetExceeded when filling [0, e] from nothing is over budget, in O(1)."""
     ms = _interval_ms(e.field, e)
-    if ms > _BUDGET_MS:  # formatting e costs more than the estimate
-        _check_budget(f"the interval [0, {e}] of D={e.field.D}", ms, "its recurrence would take about")
-
-
-def _check_budget(subject: str, ms: int, what: str) -> None:
-    """Raise BudgetExceeded when ms, what's estimate for subject, is over budget."""
-    if ms > _BUDGET_MS:
-        secs = -(-ms // 1000)  # rounded up, so it always reads above the budget
-        # Beyond 1e300 no float holds secs.
-        about = secs if secs < 10**6 else f"{secs:.1e}" if secs < 10**300 else "over 1e+300"
-        raise BudgetExceeded(
-            f"{subject} is over the cost budget: {what} {about} s, "
-            f"more than {_BUDGET_MS // 1000} s"
-        )
+    if ms > BUDGET_MS:  # formatting e costs more than the estimate
+        check_budget(f"the interval [0, {e}] of D={e.field.D}", ms, "its recurrence would take about")
 
 
 def _fold_steps(lo: Sequence[int], hi: Sequence[int], a: int, b: int) -> list[range]:
@@ -481,9 +466,9 @@ def diagonal_parity(field: Field, N: int) -> tuple[int, ...]:
     L = a * N + 1  # one past the slot of (N, 0)
     # Every part (u, 0), u = 1..N, lies in I, so the fold takes at least N
     # steps of L bits.
-    _check_budget(f"the cone up to x = {N}", _fold_ms(N, L), "building it would take at least")
+    check_budget(f"the cone up to x = {N}", _fold_ms(N, L), "building it would take at least")
     steps = _fold_steps(*_interval_bounds(*_floors(field, N), N, 0), a, b)
-    _check_budget(
+    check_budget(
         f"the cone up to x = {N}", _fold_ms(sum(map(len, steps)), L), "its parity product would take about"
     )
     # Character s of bits is bit s of the mask: (0, 0) and the columns 1..N of
@@ -557,11 +542,11 @@ def cone_columns(field: Field, max_x: int) -> list[list[int]]:
     # Every column holds the cell y = 0, so the recurrence does at least
     # X(X-1)/2 multiply-adds.
     lower = _madds_ms(max_x * (max_x - 1) // 2)
-    _check_budget(f"the cone up to x = {max_x}", lower, "building it would take at least")
+    check_budget(f"the cone up to x = {max_x}", lower, "building it would take at least")
     fdo, fdx = _floors(field, max_x)
     sizes = [fdo[x] + fdx[x] + 1 for x in range(max_x + 1)]
     ms = _madds_ms(_recurrence_madds(sizes))
-    _check_budget(f"the cone up to x = {max_x}", ms, "its recurrence would take about")
+    check_budget(f"the cone up to x = {max_x}", ms, "its recurrence would take about")
     R = euler_transform([0] + sizes[1:])
     nbytes = (((max_x + fdx[max_x]) * R[max_x]).bit_length() + 7) // 8
     B = 8 * nbytes
@@ -681,6 +666,17 @@ def _band_ms(field: Field, X: int, K: int, a: int, b: int, bits: int) -> int:
     bx = field.floor_div_xi(b * X) + 1 if b > 0 else -field.floor_div_xi(-b * X)  # >= b*X/xi
     words = (a * (X + (K if b < 0 else 0)) + bx + 1) * bits // 64 + 1
     return cells * 4 * words * 1000 // (3 * _BAND_WORDS_PER_S) + cells * _BAND_CELL_US // 1000
+
+
+def check_band(field: Field, X: int, K: int, bits: int) -> None:
+    """Raise BudgetExceeded when band_columns(field, X, K) at a slot width of bits is over budget, in O(1)."""
+    ms = _band_ms(field, X, K, *_band_layout(field, K), bits)
+    if ms > BUDGET_MS:  # formatting X costs more than the estimate
+        try:
+            up_to = f"x = {X}"
+        except ValueError:  # more digits than Python turns into a string
+            up_to = f"an x of {X.bit_length()} bits"
+        check_budget(f"the slice band of D={field.D} up to {up_to}", ms, "its Euler product would take about")
 
 
 def _spread(data: bytes, k: int, n: int) -> int:
@@ -811,14 +807,10 @@ def band_columns(field: Field, X: int, K: int) -> tuple[list[int], list[list[int
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    a, b = _band_layout(field, K)
-
-    def check(bits: int) -> None:
-        subject = f"the slice band of D={field.D} up to x = {X}"
-        _check_budget(subject, _band_ms(field, X, K, a, b, bits), "its Euler product would take about")
-
+    check = partial(check_band, field, X, K)
     nb = 2  # one value byte under the guard byte
     check(8 * nb)
+    a, b = _band_layout(field, K)
     lo, hi = _band_bounds(field, X, K)
     steps = _fold_steps(lo, hi, a, b)
     columns = steps[:X]

@@ -20,19 +20,22 @@ find_ymax reads the corners (0, y) as column k = 0 of slice_rows(field, 0,
 y), the band B(ceil(y*xi), 1), and search_m reads the whole box from the
 one band B(ceil(y_max*xi) + k_max, k_max + 1).  Each interval and each
 band is estimated before any O(X) work and refused with BudgetExceeded
-when over budget.
+when over budget; before the first count of k_max, search_m also prices
+find_ymax's first band and a band inside the box (see search_m).
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from math import isqrt
+from typing import Callable
 
 from .contfrac import FieldContext, build_context, floor_ratio_eps
 from .errors import InvariantViolation
 from .field import Field, QElement, is_squarefree
 from .parity import cumulative_P
-from .partition import PartitionGrid, band_columns, check_interval, p_rational
+from .partition import PartitionGrid, band_columns, check_band, check_interval, p_rational
 
 __all__ = [
     "SearchReport",
@@ -91,7 +94,7 @@ def fundamental_representative(e: QElement, ctx: FieldContext) -> QElement:
     raise InvariantViolation(f"{e!r} did not reach the fundamental domain")
 
 
-def find_kmax(grid: PartitionGrid, m: int) -> int:
+def find_kmax(grid: PartitionGrid, m: int, check: Callable[[int], None] = lambda n0: None) -> int:
     """Smallest n >= 1 with p(n) >= m.
 
     p(n) <= P(n), the sum of p over all alpha of trace 2n
@@ -101,7 +104,8 @@ def find_kmax(grid: PartitionGrid, m: int) -> int:
     is over budget refuses, where counts from n = 1 would refuse too.  N
     doubles until P(N) >= m; while P(N) < m, k_max > N, so an interval
     [0, N + 1] over budget is refused before the next transform, and a
-    hopeless m costs a few short transforms.
+    hopeless m costs a few short transforms.  check(n0) runs before the
+    first count.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -111,6 +115,7 @@ def find_kmax(grid: PartitionGrid, m: int) -> int:
         check_interval(field.element(N + 1))
         N *= 2
     n = next(n for n in range(1, N + 1) if P[n] >= m)
+    check(n)
     while grid.count(field.element(n)) < m:
         n += 1
     return n
@@ -180,7 +185,24 @@ def slice_rows(field: Field, k_max: int, y_max: int) -> tuple[tuple[int, ...], .
 def search_m(ctx: FieldContext, m_max: int) -> SearchReport:
     """Classify every element with p(alpha) <= m_max, up to units and conjugation."""
     field = ctx.field
-    k_max = find_kmax(PartitionGrid(field), m_max)
+    y0 = floor_ratio_eps(ctx)
+
+    def check(n0: int) -> None:
+        # Before any count, price find_ymax's first band, slice_rows(field,
+        # 0, y0 + 1), at its first width, and a band inside the box's band
+        # B(ceil(y_max*xi) + k_max, k_max + 1) at a width that fold reaches.
+        # As k_max >= n0, the box's band contains B(ceil(y*xi) + n0, n0 + 1)
+        # for y <= y_max, and its cell (k_max, 0) holds p >= m_max, so its
+        # slots end at whole bytes of at least bitlen(m_max) bits, and at
+        # least 16.  y_max >= y0, and y_max > (n0 - 2)/(xi + omega), where
+        # xi + omega = 2*sqrt(D)/den: the rational N = floor(c) + 1 lies
+        # above the corner c = (0, y_max) < y_max*(xi + omega) + 1, so
+        # p(N) >= p(c) >= m_max and N >= k_max >= n0.
+        check_band(field, field.ceil_xi_mult(y0 + 1), 1, 16)
+        y = max(y0, isqrt(((n0 - 2) * field.den) ** 2 // (4 * field.D)) + 1)
+        check_band(field, field.ceil_xi_mult(y) + n0, n0 + 1, 8 * max(2, -(-m_max.bit_length() // 8)))
+
+    k_max = find_kmax(PartitionGrid(field), m_max, check)
     y_max = find_ymax(ctx, m_max)
     rows = slice_rows(field, k_max, y_max)
     reps: dict[int, list[QElement]] = {m: [] for m in range(1, m_max + 1)}

@@ -17,6 +17,7 @@ from quadpartitions import (
     cli,
     contfrac,
     enumerate_partitions,
+    errors,
     fixtures,
     oracle,
     parity,
@@ -363,7 +364,7 @@ def test_runs_over_the_cost_budget_exit_4_at_once(capsys):
     for D, X in ((2, 260), (5, 210), (2, 316), (5, 251), (2, 416), (5, 331)):
         f = Field(D)
         sizes = [f.floor_div_omega(x) + f.floor_div_xi(x) + 1 for x in range(X + 1)]
-        assert partition._madds_ms(partition._recurrence_madds(sizes)) <= partition._BUDGET_MS, D
+        assert partition._madds_ms(partition._recurrence_madds(sizes)) <= errors.BUDGET_MS, D
     # The estimate is rounded up, so a refusal never reads "about 120 s, more than 120 s".
     refusals = {
         ("grid", "--D", "2", "--max-x", "417"): 121,
@@ -378,7 +379,7 @@ def test_runs_over_the_cost_budget_exit_4_at_once(capsys):
             f"the cone up to x = {argv[-1]} is over the cost budget: "
             f"its recurrence would take about {secs} s, more than 120 s\n"
         )
-        assert secs > partition._BUDGET_MS // 1000
+        assert secs > errors.BUDGET_MS // 1000
     # parity runs up to N = 1339 for D=2 and 1191 for D=5, counting the XOR
     # steps of its fold below (N, 0) in the band layout at K = N, and is
     # refused at once from the next N on.
@@ -387,7 +388,7 @@ def test_runs_over_the_cost_budget_exit_4_at_once(capsys):
         a, b = partition._band_layout(f, N - 1)
         bounds = partition._interval_bounds(*partition._floors(f, N - 1), N - 1, 0)
         steps = sum(map(len, partition._fold_steps(*bounds, a, b)))
-        assert partition._fold_ms(steps, a * (N - 1) + 1) <= partition._BUDGET_MS, D
+        assert partition._fold_ms(steps, a * (N - 1) + 1) <= errors.BUDGET_MS, D
         start = time.perf_counter()
         code, out, err = run(capsys, "parity", "--D", str(D), "--N", str(N))
         assert time.perf_counter() - start < 2, D
@@ -400,11 +401,16 @@ def test_runs_over_the_cost_budget_exit_4_at_once(capsys):
 
 def test_slice_paths_over_the_cost_budget_exit_4_at_once(capsys):
     # The band is estimated from X, K and its slot layout before any O(X)
-    # work: D=97's first corner band runs to x = 56,432,286.
+    # work: D=97's first corner band runs to x = 56,432,286, and that of
+    # D = 1000000007 to an x of 6,382 digits, more than Python prints, so
+    # its size is named instead.  At D = 2 and m = 10^30 search prices a
+    # band inside its box, B(286, 192) at 104 bits, before any count.
     refusals = {
         ("search", "--D", "97", "--m", "11"): "the slice band of D=97 up to x = 56432286",
         ("grid", "--view", "ky", "--D", "2", "--kmax", "6", "--ymax", "10000000"):
             "the slice band of D=2 up to x = 14142142",
+        ("search", "--D", "1000000007", "--m", "11"): "the slice band of D=1000000007 up to an x of 21198 bits",
+        ("search", "--D", "2", "--m", str(10**30)): "the slice band of D=2 up to x = 286",
     }
     for argv, subject in refusals.items():
         start = time.perf_counter()
@@ -419,7 +425,7 @@ def test_slice_paths_over_the_cost_budget_exit_4_at_once(capsys):
     for D, k_max, y_max, bits in ((31, 6, 274, 56), (41, 6, 641, 72), (43, 6, 532, 72), (61, 6, 196, 48)):
         f = Field(D)
         X, K = f.ceil_xi_mult(y_max) + k_max, k_max + 1
-        assert partition._band_ms(f, X, K, *partition._band_layout(f, K), bits) <= partition._BUDGET_MS, D
+        assert partition._band_ms(f, X, K, *partition._band_layout(f, K), bits) <= errors.BUDGET_MS, D
 
 
 def test_an_output_past_the_int_digit_limit_exits_4_at_once(capsys):
@@ -436,6 +442,41 @@ def test_an_output_past_the_int_digit_limit_exits_4_at_once(capsys):
             f"the output of D=1000000007 is over the cost budget: it holds an int of more than "
             f"{limit} digits, the most Python prints\n"
         )
+
+
+def test_oversized_fields_exit_4_at_once_in_little_memory():
+    # D = 10000000019 has period 124,134, whose convergents would take about
+    # 7.8 GB, and the squarefree test of D = 10^30 + 57 would divide about
+    # 5e9 times; each command exits 4, naming D, in a fresh interpreter whose
+    # peak RSS (VmHWM, where Linux reports it: ru_maxrss would carry over the
+    # forked test process's) stays under 200 MB.  D = 10^20 + 39 passes its
+    # test in well under a second and is refused by its first interval.
+    script = (
+        "import pathlib, sys, time\n"
+        "from quadpartitions.cli import main\n"
+        "for argv in map(str.split, sys.argv[1:]):\n"
+        "    start = time.perf_counter()\n"
+        "    code = main(argv)\n"
+        "    print(code, time.perf_counter() - start)\n"
+        "status = pathlib.Path('/proc/self/status')\n"
+        "print(status.read_text().split('VmHWM:')[1].split()[0] if status.exists() else 0)\n"
+    )
+    argvs = {
+        "units --D 10000000019": "the convergents of D=10000000019 are over the cost budget: ",
+        "indecomposables --D 10000000019": "the convergents of D=10000000019 are over the cost budget: ",
+        "search --D 10000000019 --m 11": "the convergents of D=10000000019 are over the cost budget: ",
+        "witness --D 100000000000000000039": "the interval [0, 10000000003+√100000000000000000039] of ",
+        f"units --D {10**30 + 57}": f"the squarefree test of D={10**30 + 57} is over the cost budget: ",
+    }
+    code, out, err = finish(start_python("-c", script, *argvs))
+    assert code == 0, err
+    *runs, rss_kb = out.splitlines()
+    assert [line.split()[0] for line in runs] == ["4"] * len(argvs)
+    assert all(float(line.split()[1]) < 2 for line in runs), runs
+    assert int(rss_kb) < 200 * 1024
+    lines = err.splitlines()
+    assert len(lines) == len(argvs)
+    assert all(line.startswith(subject) for line, subject in zip(lines, argvs.values())), lines
 
 
 def test_a_hopeless_m_is_refused_before_any_fill(monkeypatch, capsys):

@@ -3,6 +3,7 @@ from decimal import Decimal, getcontext
 import pytest
 
 from quadpartitions import (
+    BudgetExceeded,
     Field,
     build_context,
     expand_sigma,
@@ -12,7 +13,7 @@ from quadpartitions import (
     is_squarefree,
 )
 
-from quadpartitions.contfrac import coordinate_bound
+from quadpartitions.contfrac import _MAX_PERIOD, _convergent_bits, coordinate_bound
 
 from conftest import convergent_elements, dense_counts, reference_context
 
@@ -194,3 +195,34 @@ def test_coordinate_bound_bounds_every_printed_int():
         coords = [c for e in elements for c in (e.a, e.b, *e.sqrt_coords()[:2], *e.reduced_sqrt_coords()[:2])]
         printed = [*coords, *(c for pq in ctx.convergents for c in pq), floor_ratio_eps(ctx)]
         assert max(map(abs, printed)) <= coordinate_bound(ctx), D
+
+
+def test_convergent_bits_bound_every_context_from_its_period():
+    for D in range(2, 3000):
+        if not is_squarefree(D):
+            continue
+        ctx = build_context(Field(D))
+        bits = sum(p.bit_length() + q.bit_length() for p, q in ctx.convergents)
+        assert bits <= _convergent_bits(ctx.period), D
+
+
+def test_a_context_over_its_memory_bound_is_refused_before_any_convergent():
+    # D = 10000000019 has period 124,134, so expand_sigma stops past
+    # _MAX_PERIOD; D = 1000000031 has period 15,884, whose convergents are
+    # bounded at 270 MB.  D = 1000000007 (period 12,352, bounded at 164 MB)
+    # is built.
+    assert _MAX_PERIOD == 23170
+    with pytest.raises(BudgetExceeded) as exc:
+        build_context(Field(10000000019))
+    assert str(exc.value) == (
+        "the convergents of D=10000000019 are over the cost budget: its period is longer than 23170, "
+        "so they would take more than 256 MB"
+    )
+    with pytest.raises(BudgetExceeded) as exc:
+        build_context(Field(1000000031))
+    assert str(exc.value) == (
+        "the convergents of D=1000000031 are over the cost budget: they would take up to 270 MB, "
+        "more than 256 MB"
+    )
+    assert len(expand_sigma(Field(1000000007))) == 12352
+    assert _convergent_bits(expand_sigma(Field(1000000007))) // 8 >> 20 == 164

@@ -1,5 +1,6 @@
 import random
 from decimal import Decimal, getcontext
+from math import isqrt
 
 import pytest
 
@@ -37,6 +38,26 @@ def test_is_squarefree_matches_factorization():
         assert is_squarefree(n) == factor_squarefree(n), n
     assert not is_squarefree(0)
     assert not is_squarefree(-4)
+
+
+def test_is_squarefree_agrees_with_trial_division_to_the_square_root():
+    # Trial division by every d with d^2 <= n rejects exactly the n that a
+    # sieve of the squares d^2 marks, here for every n < 10^6.  Past that
+    # range the answer is known by construction: p*q is squarefree exactly
+    # when p != q, and p^2*q never is, for primes p, q in [10^3, 10^9]; the
+    # products p^2*q stop at 10^21, whose test takes under half a second.
+    N = 10**6
+    sieve = bytearray([1]) * N
+    sieve[0] = 0
+    for d in range(2, isqrt(N - 1) + 1):
+        sieve[d * d :: d * d] = bytes(len(range(d * d, N, d * d)))
+    assert bytes(map(is_squarefree, range(N))) == bytes(sieve)
+    primes = (1009, 7919, 104729, 1299709, 15485863, 999999937)
+    for p in primes:
+        for q in primes:
+            assert is_squarefree(p * q) == (p != q), (p, q)
+            if p * p * q < 10**21:
+                assert not is_squarefree(p * p * q), (p, q)
 
 
 def test_field_rejects_bad_d():

@@ -485,3 +485,26 @@ def test_the_D31_box_widens_in_place_byte_by_byte(monkeypatch, capsys):
     )
     assert all(b in (16, a + 8) for a, b in zip(widths, widths[1:]))
     assert widths[-6:] == [16, 24, 32, 40, 48, 56]
+
+
+def test_the_band_priced_before_the_counts_costs_no_more_than_the_box(monkeypatch):
+    # Before any count, search_m prices find_ymax's first band and then a
+    # band inside its box, at a width the box's fold reaches.  On the pinned
+    # searches that estimate is at most the box band's at the width where
+    # its fold ends, so a search the box's own checks let finish is never
+    # refused by it.
+    estimate = partition._band_ms
+    calls = []
+
+    def recording(field, X, K, a, b, bits):
+        ms = estimate(field, X, K, a, b, bits)
+        calls.append((X, K, ms))
+        return ms
+
+    monkeypatch.setattr(partition, "_band_ms", recording)
+    for D, m in ((2, 10), (5, 10), (31, 11), (41, 11), (43, 11), (61, 11)):
+        calls.clear()
+        f = Field(D)
+        report = search_m(build_context(f), m)
+        box = (f.ceil_xi_mult(report.y_max) + report.k_max, report.k_max + 1)
+        assert calls[1][2] <= [ms for X, K, ms in calls if (X, K) == box][-1], D
