@@ -30,19 +30,19 @@ Four kernels compute p, or p mod 2, on an order ideal of the cone:
   over the interval below (N, 0), with 1-bit slots and XOR in place of
   addition, and returns p(n) mod 2 for n <= N, the side of the parity
   congruence that never runs the recurrence.
-- band_columns expands the same product exactly over the thin band
-  B(X, K) = {beta >> 0 : x(beta) <= X, beta' <= K} that holds the search's
-  slice box, one shift, mask and add of one big int per factor; _band_fold
-  proves that no slot carries, and the recurrence then certifies every cell
-  with two big-int products.
+- band_rows expands the same product exactly over the thin band
+  B(X, K) = {beta >> 0 : x(beta) <= X, beta' <= K}, row by row, whose rows
+  0..y_max hold the search's slice box, one shift, mask and add of one big
+  int per factor; _band_fold proves that no slot carries, and the
+  recurrence then certifies every cell with two big-int products.
 
 Each fact of the ideals is stated once, in one helper: _interval_bounds
 gives the columns of an interval [0, x + y*w] (to PartitionGrid,
-enumerate_interval and diagonal_parity) and _band_bounds those of a band;
+enumerate_interval and diagonal_parity) and _band_rows the rows of a band;
 _band_layout gives both products the slot a*u + b*v of the cell u + v*w,
 with the proof that it keeps any order ideal inside a band apart;
 _fold_steps lists the factors 1 + q^(2^k*beta) of either product from an
-ideal's column bounds and slot layout; _weights gives the two weights of
+ideal's columns or rows in that layout; _weights gives the two weights of
 a part; and _pack, _unpack and _spread move values into, out of and
 between byte slots.
 
@@ -52,7 +52,7 @@ first coordinate, or InvariantViolation is raised; and diagonal_parity's
 product shares no arithmetic with it.  Every kernel estimates its cost
 before any work and raises BudgetExceeded when it is over errors.BUDGET_MS;
 check_interval is PartitionGrid's, which search.find_kmax also asks about
-an interval it has not reached yet, and check_band is band_columns', which
+an interval it has not reached yet, and check_band is band_rows', which
 search.search_m also asks about a band below its box before any count.
 
 euler_transform is the one-variable form of the recurrence, for a product
@@ -80,7 +80,7 @@ __all__ = [
     "enumerate_interval",
     "cone_columns",
     "cone_rows",
-    "band_columns",
+    "band_rows",
     "diagonal_parity",
     "euler_transform",
     "p_rational",
@@ -101,7 +101,7 @@ ZETA3 = 1.2020569031595942854
 # (D = 2, N = 1406: 132-143 s), and the rate is the lower.
 # Slot products per second of cone_columns (see _recurrence_madds): 8e7 at
 # X = 100 for D = 2, 2.1e7 at X = 430.
-# 64-bit words per second of band_columns' fold steps, its certificate's
+# 64-bit words per second of band_rows' fold steps, its certificate's
 # two products included (see _band_ms): the fold alone ran at 1.4e8-1.9e8
 # over D = 2..97, K = 1..30, X = 600..100,000, and the certificate took
 # 0.4-1.4 times as long again; every cell costs about 10 us more.  Those
@@ -387,9 +387,9 @@ def _madds_ms(madds: int) -> int:
 def _interval_ms(field: Field, e: QElement) -> int:
     """Estimated milliseconds of PartitionGrid filling [0, e] from nothing, in O(1).
 
-    [0, e] lies in the band B(x, K) of band_columns, x = x(e) and
-    K = ceil(e'), as beta <= e has beta' <= e'.  No column u of the band
-    holds more than C = floor(K/xi) + 1 cells (see _band_bounds), as
+    [0, e] lies in the band B(x, K) of band_rows, x = x(e) and
+    K = ceil(e'), as beta <= e has beta' <= e'.  Column u of the band holds
+    the v with (u - K)/xi <= v < u/xi, at most C = floor(K/xi) + 1, as
     floor(a) - floor(b) <= floor(a - b) + 1 and floor(a) + floor(b) <=
     floor(a + b): floor(u/xi) - floor((u - K)/xi) <= C for u > K, and
     floor(u/xi) + floor((K - u)/xi) + 1 <= C for u <= K.  A cell in
@@ -410,33 +410,31 @@ def check_interval(e: QElement) -> None:
         check_budget(f"the interval [0, {e}] of D={e.field.D}", ms, "its recurrence would take about")
 
 
-def _fold_steps(lo: Sequence[int], hi: Sequence[int], a: int, b: int) -> list[range]:
-    """The slots of the factors 1 + q^(2^k*beta), 2^k*beta in an order ideal I: a range per k and column.
+def _fold_steps(lines: Sequence[tuple[int, int, range]]) -> list[range]:
+    """The slots of the factors 1 + q^(2^k*beta), 2^k*beta in an order ideal I: a range per k and line.
 
-    Column x <= X = len(lo) - 1 of I runs over v = lo[x]..hi[x], and its
-    cell (x, v) sits at slot a*x + b*v, so its range lists those slots in
-    the order of v, b apart.  The multiple 2^k*beta of a totally positive
-    beta = (u, v) lies in I exactly when x = 2^k*u <= X and
-    lo[x] <= 2^k*v <= hi[x], and every cell of I whose two coordinates are
-    divisible by 2^k is such a multiple, as I lies in the cone.  So for
-    k >= 1 they are the cells of the v divisible by 2^k in each column x
-    divisible by 2^k: a slice of its range.  The first X ranges are the
-    columns 1..X of I, empty ones included, and the ranges for k >= 1 skip
-    the empty columns; there are fewer than 2X ranges in all.
-    diagonal_parity and band_columns fold these factors, each for its own
-    ideal, in the layout of _band_layout.
+    lines holds (fixed, first, slots) for every column, or every row, of I
+    off 0: its cells share the fixed coordinate, the other runs on from
+    first, and slots lists their slots in that order.  The multiples
+    2^k*beta of totally positive beta are the cells whose two coordinates
+    are divisible by 2^k, as I lies in the cone.  So for k >= 1, in either
+    orientation, they lie on the lines whose fixed coordinate is divisible
+    by 2^k, every 2^k-th cell from the first whose other one is: a slice of
+    its range.  Where I has no such cell for 2^k, it has none for
+    2^(k+1), and the list ends.  The first ranges are the lines themselves.
     """
-    X = len(lo) - 1
-    step = b or 1  # a layout with b = 0 has at most one cell in each column of I
-    columns = [
-        range(t := s + b * l, t + (h + 1 - l) * step, step) for s, l, h in zip(range(a, (X + 1) * a, a), lo[1:], hi[1:])
-    ]
-    return columns + [
-        r[-l % m :: m]
-        for m in (1 << k for k in range(1, X.bit_length()))
-        for r, l in zip(columns[m - 1 :: m], lo[m::m])
-        if r
-    ]
+    steps, m = [r for _, _, r in lines], 2
+    while multiples := [s for f, l, r in lines if not f % m and (s := r[-l % m :: m])]:
+        steps += multiples
+        m *= 2
+    return steps
+
+
+def _parity_columns(field: Field, N: int, a: int, b: int) -> list[tuple[int, int, range]]:
+    """The columns u = 1..N of the ideal below (N, 0) as lines of _fold_steps, the cell (u, v) at slot a*u + b*v."""
+    step = b or 1  # a layout with b = 0 has at most one cell in each column of the ideal
+    lo, hi = _interval_bounds(*_floors(field, N), N, 0)
+    return [(u, l, range(s := a * u + b * l, s + (h + 1 - l) * step, step)) for u, l, h in zip(count(1), lo[1:], hi[1:])]
 
 
 def diagonal_parity(field: Field, N: int) -> tuple[int, ...]:
@@ -454,8 +452,8 @@ def diagonal_parity(field: Field, N: int) -> tuple[int, ...]:
     the mask of I, and a factor 1 + q^gamma with gamma outside I is 1 on I.
     So the chain 2^k*beta of each part stops at its first multiple outside
     I, as every later one lies above it (_fold_steps lists the multiples in
-    I from its column bounds, _interval_bounds(N, 0)).  The slot a*x + b*y
-    is band_columns' layout at K = max(N, 1): a cell beta != 0 of I has
+    I from its columns, _interval_bounds(N, 0)).  The slot a*x + b*y
+    is band_rows' layout at K = max(N, 1): a cell beta != 0 of I has
     x <= N and beta' <= N, so it lies in B(N, N), and _band_layout's proof
     keeps I apart from every cell a step writes and puts (N, 0) at the top
     slot a*N.
@@ -467,7 +465,7 @@ def diagonal_parity(field: Field, N: int) -> tuple[int, ...]:
     # Every part (u, 0), u = 1..N, lies in I, so the fold takes at least N
     # steps of L bits.
     check_budget(f"the cone up to x = {N}", _fold_ms(N, L), "building it would take at least")
-    steps = _fold_steps(*_interval_bounds(*_floors(field, N), N, 0), a, b)
+    steps = _fold_steps(columns := _parity_columns(field, N, a, b))
     check_budget(
         f"the cone up to x = {N}", _fold_ms(sum(map(len, steps)), L), "its parity product would take about"
     )
@@ -475,7 +473,7 @@ def diagonal_parity(field: Field, N: int) -> tuple[int, ...]:
     # I.  A column of falling slots (b < 0) may stop below slot 0, where a
     # slice counts from the end.
     bits = bytearray(b"1" + b"0" * (L - 1))
-    for r in filter(None, steps[:N]):
+    for _, _, r in columns:
         bits[r.start : r.stop if r.stop >= 0 else None : r.step] = b"1" * len(r)
     mask = int(bits[::-1], 2)
     F = 1  # p(0) = 1
@@ -602,24 +600,34 @@ def cone_rows(field: Field, max_x: int) -> list[list[int]]:
     ]
 
 
-def _band_bounds(field: Field, X: int, K: int) -> tuple[list[int], list[int]]:
-    """(lo, hi): column u of B(X, K) runs over v = lo[u]..hi[u], empty where lo[u] > hi[u].
+def _band_rows(field: Field, X: int, K: int) -> list[tuple[int, int, int]]:
+    """(v, first, last) for every row of B(X, K) that holds a cell, v ascending: row v runs over u = first..last.
 
-    Column 0 holds only the zero element, lo[0] = hi[0] = 0.
+    The cell beta = u + v*w, w = omega = xi + t, has beta' = u - v*xi, and
+    v*xi is irrational for v != 0; each row is cut at u = X.  For v >= 0,
+    0 < beta' <= K reads floor(v*xi) < u <= floor(v*xi) + K, and then
+    beta > 0.  For v = -n < 0, beta = u - n*xi - n*t > 0 reads u >=
+    floor(n*xi) + n*t + 1 and beta' = u + n*xi <= K reads u <=
+    K - floor(n*xi) - 1, and then beta' > 0.  So a row is one run of at
+    most K cells, and as first grows with |v| and last falls with n, each
+    walk stops at its first empty row: one floor a row.
     """
-    fdx = [field.floor_div_xi(u) for u in range(max(X, K) + 1)]
-    lo = [0] + [
-        max(-field.floor_div_omega(u), -fdx[K - u]) if u <= K else fdx[u - K] + 1
-        for u in range(1, X + 1)
-    ]
-    return lo, fdx[: X + 1]
+    above, below = [], []
+    v, n = 0, 1
+    while (f := field.floor_xi_mult(v)) < X:
+        above.append((v, f + 1, min(f + K, X)))
+        v += 1
+    while (first := (f := field.floor_xi_mult(n)) + n * field.t + 1) <= (last := min(K - f - 1, X)):
+        below.append((-n, first, last))
+        n += 1
+    return below[::-1] + above
 
 
 def _band_layout(field: Field, K: int) -> tuple[int, int]:
     """(a, b) of the slot a*u + b*v of both Euler products: the least a >= 1 with b = 2K - floor(a*xi) < a*omega and gcd(a, b) = 1.
 
     Why it keeps an ideal apart.  Let I be an order ideal of the cone inside
-    B(X, K) and 0 (see band_columns), K >= 1.  The cell beta = u + v*w has
+    B(X, K) and 0 (see band_rows), K >= 1.  The cell beta = u + v*w has
     the conjugate beta' = u - v*xi, so its slot is
     phi = a*u + b*v = a*beta' + v*(a*xi + b), and a*xi + b = 2K + frac(a*xi)
     lies in (2K, 2K + 1), as xi is irrational.
@@ -652,7 +660,7 @@ def _band_layout(field: Field, K: int) -> tuple[int, int]:
 
 
 def _band_ms(field: Field, X: int, K: int, a: int, b: int, bits: int) -> int:
-    """Estimated milliseconds of band_columns at a slot width of bits, from X, K and the layout (a, b) alone.
+    """Estimated milliseconds of band_rows at a slot width of bits, from X, K and the layout (a, b) alone.
 
     The band holds about K*X/xi cells, and up to K*(floor(2K/xi) + 1) more
     near its corner u <= K, each with a fixed share of Python work, and
@@ -660,7 +668,7 @@ def _band_ms(field: Field, X: int, K: int, a: int, b: int, bits: int) -> int:
     whole int: L slots of bits bits.  A cell has u <= X and v <= X/xi, so
     where b >= 0 its slot a*u + b*v is at most a*X + b*X/xi.  Where b < 0 the
     slot is a*beta' + v*(a*xi + b) with beta' <= K and a*xi + b > 0 (see
-    band_columns), at most a*K + (a*xi + b)*X/xi = a*(K + X) + b*X/xi.
+    _band_layout), at most a*K + (a*xi + b)*X/xi = a*(K + X) + b*X/xi.
     """
     cells = field.floor_div_xi(K * X) + K * (field.floor_div_xi(2 * K) + 1)
     bx = field.floor_div_xi(b * X) + 1 if b > 0 else -field.floor_div_xi(-b * X)  # >= b*X/xi
@@ -669,7 +677,7 @@ def _band_ms(field: Field, X: int, K: int, a: int, b: int, bits: int) -> int:
 
 
 def check_band(field: Field, X: int, K: int, bits: int) -> None:
-    """Raise BudgetExceeded when band_columns(field, X, K) at a slot width of bits is over budget, in O(1)."""
+    """Raise BudgetExceeded when band_rows(field, X, K) at a slot width of bits is over budget, in O(1)."""
     ms = _band_ms(field, X, K, *_band_layout(field, K), bits)
     if ms > BUDGET_MS:  # formatting X costs more than the estimate
         try:
@@ -723,11 +731,11 @@ def _band_fold(steps: Sequence[range], ones: bytes, nb: int, check: Callable[[in
     return _unpack(F, L, nb), F.to_bytes(L * nb, "little")
 
 
-def _band_violation(values: list[int], data: bytes, ones: bytes, lo: Sequence[int], columns: Sequence[range]) -> None:
+def _band_violation(values: list[int], data: bytes, ones: bytes, rows: Sequence[tuple[int, int, range]]) -> None:
     """Raise DivisibilityViolation at the first cell of the band, by x and then y, that fails the recurrence.
 
-    values and data are _band_fold's, ones, lo and columns band_columns'
-    (see _fold_steps).  S0 is the recurrence's sum of sig0(beta) * p(alpha - beta)
+    values and data are _band_fold's, ones and rows band_rows' (v, first,
+    slots) for each row.  S0 is the recurrence's sum of sig0(beta) * p(alpha - beta)
     over 0 < beta <= alpha, read from the product of the packed weights and
     the values P, spread from data; a cell fails unless its value p >= 1,
     S0 = x*p and the same sum with sig1 is (x + y)*p.  Each product is
@@ -736,12 +744,11 @@ def _band_violation(values: list[int], data: bytes, ones: bytes, lo: Sequence[in
     """
     L = len(values)
     G0, G1, T0, T1 = [0] * L, [0] * L, [0] * L, [0] * L
-    for u, l, r in zip(range(1, len(columns) + 1), lo[1:], columns):
-        if r:
-            for v, s in zip(count(l), r):
-                p = values[s]
-                G0[s], G1[s] = _weights(u, v)
-                T0[s], T1[s] = u * p, (u + v) * p
+    for v, l, r in rows:
+        for u, s in zip(count(l), r):
+            p = values[s]
+            G0[s], G1[s] = _weights(u, v)
+            T0[s], T1[s] = u * p, (u + v) * p
     # Every term is >= 0 (u + v > 0 on the cone), so no slot of either
     # product exceeds the larger weight sum times the largest value; sig1 is
     # below sig0 where v < 0, so both sums are needed.  P is spread from the
@@ -751,26 +758,24 @@ def _band_violation(values: list[int], data: bytes, ones: bytes, lo: Sequence[in
     P = _spread(data, folded, nb)
     M = _spread(ones, 1, nb) * ((1 << 8 * nb) - 1)
     S0, S1 = _pack(G0, nb) * P, _pack(G1, nb) * P
-    low = min(map(values.__getitem__, chain.from_iterable(columns)), default=1)
+    low = min(map(values.__getitem__, chain.from_iterable(r for _, _, r in rows)), default=1)
     if low >= 1 and S0 & M == _pack(T0, nb) and S1 & M == _pack(T1, nb):
         return
     S0, S1 = _unpack(S0, L, nb), _unpack(S1, L, nb)
-    for u, l, r in zip(range(1, len(columns) + 1), lo[1:], columns):
-        for v, s in zip(count(l), r):
-            if values[s] < 1 or S0[s] != T0[s] or S1[s] != T1[s]:
-                raise DivisibilityViolation(f"coefficient match failed at (x={u}, y={v}): x*p = {S0[s]}")
+    for u, v, s in sorted((u, v, s) for v, l, r in rows for u, s in zip(count(l), r)):
+        if values[s] < 1 or S0[s] != T0[s] or S1[s] != T1[s]:
+            raise DivisibilityViolation(f"coefficient match failed at (x={u}, y={v}): x*p = {S0[s]}")
 
 
-def band_columns(field: Field, X: int, K: int) -> tuple[list[int], list[list[int]]]:
-    """(lo, cols): p(u + v*w) on the band B(X, K), cols[u][i] at v = lo[u] + i.
+def band_rows(field: Field, X: int, K: int) -> dict[int, tuple[int, list[int]]]:
+    """{v: (first, values)}: p(u + v*w) on the band B(X, K), row v holding u = first, first + 1, ...
 
     B(X, K) = {beta >> 0 : x(beta) <= X, beta' <= K}, for an integer K >= 1,
-    where beta = u + v*w has the conjugate beta' = u - v*xi; cols[0] = [1]
-    holds p(0).  Column u runs from lo[u] to floor(u/xi): for u <= K,
-    lo[u] = max(-floor(u/omega), -floor((K - u)/xi)), and for u > K,
-    lo[u] = floor((u - K)/xi) + 1.  The search's slice box lies in
-    B(ceil(y_max*xi) + k_max, k_max + 1), as the cell (k, y) has its
-    conjugate in (k, k + 1).
+    where beta = u + v*w has the conjugate beta' = u - v*xi.  Row v holds
+    its cells with conjugate in (0, K] (see _band_rows), only the rows that
+    hold one are keys, and p(0) = 1 is in none.  The search's slice box lies
+    in rows 0..y_max of B(ceil(y_max*xi) + k_max, k_max + 1), as the cell
+    (k, y) has its conjugate in (k, k + 1).
 
     B is an order ideal: if beta - gamma >> 0, that difference has x >= 1
     (every totally positive element has) and a positive conjugate, so gamma
@@ -785,8 +790,8 @@ def band_columns(field: Field, X: int, K: int) -> tuple[list[int], list[list[int
     B commutes with the products, as the cells outside an order ideal are
     closed under adding cone elements, and by the layout's injectivity no
     term of a product lands on the slot of another cell.  _fold_steps lists
-    these factors from the band's column bounds, as it lists the XOR steps
-    of diagonal_parity from those of its interval.
+    these factors from the band's rows, as it lists the XOR steps of
+    diagonal_parity from the columns of its interval.
 
     The slot width.  The fold starts at two-byte slots, one value byte under
     a guard byte, and _band_fold widens them a byte at a time, in place,
@@ -811,16 +816,13 @@ def band_columns(field: Field, X: int, K: int) -> tuple[list[int], list[list[int
     nb = 2  # one value byte under the guard byte
     check(8 * nb)
     a, b = _band_layout(field, K)
-    lo, hi = _band_bounds(field, X, K)
-    steps = _fold_steps(lo, hi, a, b)
-    columns = steps[:X]
-    ones = bytearray(max(map(max, filter(None, columns)), default=0) + 1)  # slot 0 and the slots of B
-    for s in chain((0,), chain.from_iterable(columns)):
+    rows = [(v, first, range(a * first + b * v, a * (last + 1) + b * v, a)) for v, first, last in _band_rows(field, X, K)]
+    ones = bytearray(max((r[-1] for _, _, r in rows), default=0) + 1)  # slot 0 and the slots of B
+    for s in chain((0,), *(r for _, _, r in rows)):
         ones[s] = 1
-    values, data = _band_fold(steps, ones, nb, check)
-    _band_violation(values, data, ones, lo, columns)
-    # A column of falling slots may stop below slot 0, where a slice counts from the end.
-    return lo, [values[:1]] + [values[r.start : r.stop if r.stop >= 0 else None : r.step] if r else [] for r in columns]
+    values, data = _band_fold(_fold_steps(rows), ones, nb, check)
+    _band_violation(values, data, ones, rows)
+    return {v: (first, values[r.start : r.stop : a]) for v, first, r in rows}
 
 
 def euler_transform(c: Sequence[int]) -> list[int]:

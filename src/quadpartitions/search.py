@@ -14,11 +14,11 @@ has p >= m with y_max >= floor(eps_plus / (xi + omega)).
 How the box is filled.  k_max is counted by a PartitionGrid on the
 rational integers n0, n0 + 1, ..., where n0 <= k_max is the least n whose
 trace sum P(n) (parity.cumulative_P) reaches m.  Every other count comes
-from slice_rows, the only reader of partition.band_columns, the Euler
-product over a thin band, certified cell by cell by the recurrence:
-find_ymax reads the corners (0, y) as column k = 0 of slice_rows(field, 0,
-y), the band B(ceil(y*xi), 1), and search_m reads the whole box from the
-one band B(ceil(y_max*xi) + k_max, k_max + 1).  Each interval and each
+from slice_rows, the only reader of partition.band_rows, the Euler
+product over a thin band, certified cell by cell by the recurrence, whose
+row y >= 1 is slice row y: find_ymax reads each corner (0, y) as the first
+cell of row y of slice_rows(field, 0, top), and search_m reads the whole box
+from the one band B(ceil(y_max*xi) + k_max, k_max + 1).  Each interval and each
 band is estimated before any O(X) work and refused with BudgetExceeded
 when over budget; before the first count of k_max, search_m also prices
 find_ymax's first band and a band inside the box (see search_m).
@@ -35,7 +35,7 @@ from .contfrac import FieldContext, build_context, floor_ratio_eps
 from .errors import InvariantViolation
 from .field import Field, QElement, is_squarefree
 from .parity import cumulative_P
-from .partition import PartitionGrid, band_columns, check_band, check_interval, p_rational
+from .partition import PartitionGrid, band_rows, check_band, check_interval, p_rational
 
 __all__ = [
     "SearchReport",
@@ -124,11 +124,11 @@ def find_kmax(grid: PartitionGrid, m: int, check: Callable[[int], None] = lambda
 def find_ymax(ctx: FieldContext, m: int) -> int:
     """Smallest y >= floor(eps_plus/(xi+omega)) whose slice corner has p >= m.
 
-    The corners (0, y) up to top are column k = 0 of slice_rows(field, 0,
-    top).  The scan reads the corners from y0 = floor(eps_plus/(xi + omega))
-    on, one such band at a time, and doubles the number of corners a band
-    holds until one has p >= m: the first band holds y0 and y0 + 1, the
-    corner that most often settles the scan where eps_plus is large.
+    The corners (0, y) up to top are the first cells of the rows of
+    slice_rows(field, 0, top).  The scan reads them from y0 = floor(eps_plus/(xi + omega))
+    on, one such band at a time, and doubles the corners a band holds
+    until one has p >= m: the first band holds y0 and y0 + 1, the corner
+    that most often settles the scan where eps_plus is large.
 
     The first corner is never (0, 0), which is not totally positive:
     y0 >= 1 for every field.  Write eps_plus = (A + B*sqrt(D))/den with
@@ -170,16 +170,14 @@ def slice_rows(field: Field, k_max: int, y_max: int) -> tuple[tuple[int, ...], .
     """p on the slice box: rows y = 0..y_max, columns k = 0..k_max.
 
     Cell (k, y) is (ceil(y*xi) + k) + y*w, whose conjugate lies in
-    (k, k + 1) (it is k at y = 0), so the box lies in the band
-    B(ceil(y_max*xi) + k_max, k_max + 1), and one band_columns fills it.  The
-    corner (0, 0) is not totally positive; it reads p(0) = 1.
+    (k, k + 1) (it is k at y = 0), so slice row y >= 1 is row y of the band
+    B(ceil(y_max*xi) + k_max, k_max + 1), from ceil(y*xi) over k_max + 1
+    cells, and one band_rows fills the box.  The band's row 0 starts at x = 1,
+    after the corner (0, 0), which is not totally positive and reads p(0) = 1.
     """
-    lo, cols = band_columns(field, field.ceil_xi_mult(y_max) + k_max, k_max + 1)
-    rows = []
-    for y in range(y_max + 1):
-        base = field.ceil_xi_mult(y)
-        rows.append(tuple(cols[x][y - lo[x]] for x in range(base, base + k_max + 1)))
-    return tuple(rows)
+    band = band_rows(field, field.ceil_xi_mult(y_max) + k_max, k_max + 1)
+    row0 = (1, *band[0][1][:k_max]) if k_max else (1,)
+    return (row0,) + tuple(tuple(band[y][1]) for y in range(1, y_max + 1))
 
 
 def search_m(ctx: FieldContext, m_max: int) -> SearchReport:

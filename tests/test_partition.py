@@ -372,11 +372,12 @@ def test_diagonal_parity_matches_the_whole_cone_fold():
 
 
 def test_fold_steps_are_every_chain_below_the_diagonal():
-    # The shifts that diagonal_parity and band_columns fold, and the budget
+    # The shifts that diagonal_parity and band_rows fold, and the budget
     # counts, against a walk of every part beta of each ideal, its chain
     # 2^k*beta followed by sign tests while it stays in the ideal: below
-    # (N, 0), while (N, 0) - 2^k*beta is totally positive or zero; in the
-    # band B(X, K), while 2^k*beta has x <= X and its conjugate is <= K.
+    # (N, 0), while (N, 0) - 2^k*beta is totally positive or zero, from the
+    # ideal's columns; in the band B(X, K), while 2^k*beta has x <= X and
+    # its conjugate is <= K, from the band's rows.
     for D in (2, 3, 5, 6, 7, 13, 17, 21, 19, 29, 101):
         f = Field(D)
         for N in (0, 1, 2, 5, 12, 33):
@@ -392,7 +393,7 @@ def test_fold_steps_are_every_chain_below_the_diagonal():
                             break
                         walked.append((a * u + b * v) << k)
                         k += 1
-            steps = partition._fold_steps(*partition._interval_bounds(fdo, fdx, N, 0), a, b)
+            steps = partition._fold_steps(partition._parity_columns(f, N, a, b))
             assert sorted(s for r in steps for s in r) == sorted(walked), (D, N)
         for X, K in ((0, 1), (1, 1), (9, 1), (12, 9), (16, 16), (33, 2), (40, 7)):
             a, b = partition._band_layout(f, K)
@@ -407,7 +408,8 @@ def test_fold_steps_are_every_chain_below_the_diagonal():
                         break
                     walked.append((a * u + b * v) << k)
                     k += 1
-            steps = partition._fold_steps(*partition._band_bounds(f, X, K), a, b)
+            rows = [(v, l, range(a * l + b * v, a * (h + 1) + b * v, a)) for v, l, h in partition._band_rows(f, X, K)]
+            steps = partition._fold_steps(rows)
             assert sorted(s for r in steps for s in r) == sorted(walked), (D, X, K)
 
 
@@ -530,8 +532,33 @@ def layout_by_sign_tests(field: Field, K: int) -> tuple[int, int]:
             return a, b
 
 
+def test_band_rows_are_the_band_by_sign_tests():
+    # Every row of B(X, K) is one run of at most K cells, and the rows are
+    # exactly the band; the rows below 0 and the rows cut at X are among
+    # those checked, and at K = 1 row v >= 1 is the corner (ceil(v*xi), v).
+    seen = Counter()
+    for D in range(2, 200):
+        if not is_squarefree(D):
+            continue
+        f = Field(D)
+        for K in (1, 2, 3, 7, 11, 40, 45):
+            for X in (0, 1, 9, 40):
+                rows = partition._band_rows(f, X, K)
+                cells = [(u, v) for v, first, last in rows for u in range(first, last + 1)]
+                assert len(cells) == len(set(cells)) and set(cells) == brute_band(f, X, K), (D, K, X)
+                assert [v for v, _, _ in rows] == sorted({v for _, v in cells}), (D, K, X)
+                for v, first, last in rows:
+                    assert 1 <= first <= last <= min(first + K - 1, X), (D, K, X, v)
+                    seen["below 0"] += v < 0
+                    seen["cut at X"] += last == X and last < first + K - 1
+                    if K == 1 and v >= 1 and last < X:
+                        assert first == last == f.ceil_xi_mult(v), (D, X, v)
+                        seen["corner"] += 1
+    assert min(seen.values()) > 0 and len(seen) == 3, seen
+
+
 def test_band_layout_is_an_injective_order_ideal():
-    # The three facts of band_columns' docstring, by brute force: B is an
+    # The three facts of band_rows' docstring, by brute force: B is an
     # order ideal, its slots are >= 1, and the slot a*u + b*v is injective on
     # B and B + B together.  The layouts include b < 0, b = 0 and a > 1.
     layouts = {}
@@ -544,9 +571,8 @@ def test_band_layout_is_an_injective_order_ideal():
             a, b = layouts[D, K] = partition._band_layout(f, K)
             assert (a, b) == layout_by_sign_tests(f, K), (D, K)
             band = brute_band(f, X, K)
-            lo, cols = partition.band_columns(f, X, K)
-            assert cols[0] == [1]
-            assert {(u, v) for u in range(1, X + 1) for v in range(lo[u], lo[u] + len(cols[u]))} == band
+            rows = partition.band_rows(f, X, K).items()
+            assert {(u, v) for v, (first, values) in rows for u in range(first, first + len(values))} == band
             cells = sorted(band)
             for u1, v1 in cells:
                 for u2, v2 in cells:
@@ -580,6 +606,6 @@ def test_a_corrupted_euler_value_is_named(monkeypatch):
 
     monkeypatch.setattr(partition, "_band_fold", corrupted)
     with pytest.raises(DivisibilityViolation, match=r"at \(x=10, y=2\)"):
-        partition.band_columns(f, X, K)
+        partition.band_rows(f, X, K)
     assert len(calls) == 1
     assert max(Counter(u for u, _ in band).values()) <= f.floor_div_xi(K) + 1

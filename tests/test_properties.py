@@ -21,7 +21,7 @@ from quadpartitions import (  # noqa: E402
     diagonal_parity,
     is_squarefree,
 )
-from quadpartitions.partition import band_columns, cone_rows  # noqa: E402
+from quadpartitions.partition import band_rows, cone_rows  # noqa: E402
 from quadpartitions.search import slice_element, slice_rows  # noqa: E402
 
 from conftest import coin_change_count, diagonal, euler_product  # noqa: E402
@@ -108,11 +108,9 @@ def test_diagonal_parity_matches_the_exact_diagonal(D, N):
 @example(D=41, X=120, K=7)
 def test_band_cells_match_the_recurrence(D, X, K):
     f = Field(D)
-    lo, cols = band_columns(f, X, K)
-    assert cols[0] == [1]
     grid = PartitionGrid(f)
-    for x in range(1, X + 1):
-        for y, p in enumerate(cols[x], lo[x]):
+    for y, (first, values) in band_rows(f, X, K).items():
+        for x, p in enumerate(values, first):
             assert grid.count(QElement(f, x, y)) == p, (D, X, K, x, y)
 
 

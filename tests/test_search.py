@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+from collections import Counter
 from decimal import Decimal, getcontext
 
 import pytest
@@ -27,7 +28,7 @@ from quadpartitions import (
 from quadpartitions import cli, partition, search
 from quadpartitions.contfrac import floor_ratio_eps
 from quadpartitions.parity import cumulative_P
-from quadpartitions.partition import band_columns
+from quadpartitions.partition import band_rows
 from quadpartitions.search import slice_rows, worker_count
 
 from conftest import (
@@ -359,7 +360,7 @@ def test_search_fills_only_the_slice_ideal(D, cells):
     report = search_m(ctx, 11)
     assert (report.k_max, report.y_max, report.slice_counts) == (k_max, y_max, rows)
     x_top = ctx.field.ceil_xi_mult(y_max) + k_max
-    assert sum(map(len, band_columns(ctx.field, x_top, k_max + 1)[1])) - 1 == {2: 133, 19: 290}[D]
+    assert sum(len(values) for _, values in band_rows(ctx.field, x_top, k_max + 1).values()) == {2: 133, 19: 290}[D]
 
 
 def test_ky_view_fills_only_the_slice_ideal(monkeypatch, capsys):
@@ -382,12 +383,12 @@ def test_ky_view_fills_only_the_slice_ideal(monkeypatch, capsys):
             grids.append(self)
 
     def recording_band(field, max_x, K):
-        lo, cols = band_columns(field, max_x, K)
-        bands.append((max_x, K, sum(map(len, cols)) - 1))
-        return lo, cols
+        rows = band_rows(field, max_x, K)
+        bands.append((max_x, K, sum(len(values) for _, values in rows.values())))
+        return rows
 
     monkeypatch.setattr(cli, "PartitionGrid", RecordingGrid)
-    monkeypatch.setattr(search, "band_columns", recording_band)
+    monkeypatch.setattr(search, "band_rows", recording_band)
     assert cli.main(["grid", "--D", "19", "--view", "ky", "--kmax", "6", "--ymax", "40"]) == 0
     capsys.readouterr()
     assert grids == []
@@ -421,7 +422,25 @@ def test_search_reaches_D31():
     x_top = f.ceil_xi_mult(report.y_max) + report.k_max
     cone = sum(f.floor_div_omega(x) + f.floor_div_xi(x) + 1 for x in range(x_top + 1))
     assert (x_top, cone) == (1532, 421815)
-    assert sum(map(len, band_columns(f, x_top, 7)[1])) - 1 == 1926
+    assert sum(len(values) for _, values in band_rows(f, x_top, 7).values()) == 1926
+
+
+def test_band_floor_work_follows_its_rows_not_x(monkeypatch):
+    # find_ymax's corner bands hold one cell a row: for D=195 (xi ~ 13.96)
+    # the 301 corners up to y = 300 lie in a band that runs to x = 4,190.
+    # Its bounds take one floor a row (318 floors in all here), where a walk
+    # by columns takes about one for each of its 4,190 columns.
+    f = Field(195)
+    assert f.ceil_xi_mult(300) == 4190
+    calls = Counter()
+    for name in ("floor_xi", "floor_xi_mult", "ceil_xi_mult", "floor_div_xi", "floor_div_omega"):
+        def counted(self, *args, _name=name, _method=getattr(Field, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(Field, name, counted)
+    assert len(slice_rows(f, 0, 300)) == 301
+    assert sum(calls.values()) < 2 * (300 + 1), calls
 
 
 def test_slice_counts_match_the_parity_kernel():
