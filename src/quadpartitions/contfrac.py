@@ -14,9 +14,9 @@ for a value a caller reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, chain
 from math import isqrt
+from typing import NamedTuple
 
 from .errors import BudgetExceeded, InvariantViolation
 from .field import Field, QElement
@@ -86,8 +86,7 @@ def _convergent_bits(period: tuple[int, ...]) -> int:
     return 2 * sum(accumulate(chain(bits, bits, bits[:1]), initial=1))
 
 
-@dataclass(frozen=True)
-class FieldContext:
+class FieldContext(NamedTuple):
     """What the commands read of the continued fraction of sigma.
 
     convergents[j] is (p_i, q_i) for i = j - 1, starting at i = -1 and ending

@@ -8,7 +8,6 @@ A^2 vs B^2 * D, so this module involves no floating point at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from math import isqrt
 
@@ -73,7 +72,11 @@ def _sign_of_surd(A: int, B: int, D: int) -> int:
     return 1 if rhs > lhs else -1
 
 
-@dataclass(frozen=True)
+def _read_only(self, name: str, *_: object) -> None:
+    """__setattr__ and __delattr__ of the value classes: every attribute is fixed at construction."""
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name}")
+
+
 class Field:
     """A real quadratic field Q(sqrt(D)) with D >= 2 squarefree.
 
@@ -81,20 +84,40 @@ class Field:
     D = 1 (mod 4) and t = 0 otherwise, den = 1 + t and c = (D - t)/den^2.
     Then w = (t + sqrt(D))/den, w^2 = t*w + c, conj(w) = t - w and
     xi = w - t, and every formula below is one formula in (t, den, c).
-    Equality and hashing read D alone.
+
+    An immutable value: equality and hashing read D alone, hash((D,)), and
+    pickle and copy rebuild a Field from D.
     """
 
-    D: int
+    __slots__ = ("D", "t", "den", "c", "one_mod4")
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.D, int) or isinstance(self.D, bool) or self.D < 2:
-            raise ValueError(f"D must be an integer >= 2, got {self.D!r}")
-        if not is_squarefree(self.D):
-            raise ValueError(f"D must be squarefree, got {self.D}")
-        object.__setattr__(self, "t", 1 if self.D % 4 == 1 else 0)
-        object.__setattr__(self, "den", 1 + self.t)
-        object.__setattr__(self, "c", (self.D - self.t) // self.den**2)
-        object.__setattr__(self, "one_mod4", self.t == 1)
+    def __init__(self, D: int) -> None:
+        if not isinstance(D, int) or isinstance(D, bool) or D < 2:
+            raise ValueError(f"D must be an integer >= 2, got {D!r}")
+        if not is_squarefree(D):
+            raise ValueError(f"D must be squarefree, got {D}")
+        t = 1 if D % 4 == 1 else 0
+        init = object.__setattr__
+        init(self, "D", D)
+        init(self, "t", t)
+        init(self, "den", 1 + t)
+        init(self, "c", (D - t) // (1 + t) ** 2)
+        init(self, "one_mod4", t == 1)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Field:
+            return NotImplemented
+        return self.D == other.D
+
+    def __hash__(self) -> int:
+        return hash((self.D,))
+
+    def __repr__(self) -> str:
+        return f"Field(D={self.D!r})"
+
+    def __reduce__(self) -> tuple:
+        return Field, (self.D,)
 
     @property
     def discriminant(self) -> int:
@@ -157,13 +180,32 @@ class Field:
         return (isqrt(v * v * self.D) - self.t * v) // (self.D - self.t)
 
 
-@dataclass(frozen=True, slots=True)
 class QElement:
-    """An element a + b*w of the ring of integers, in the basis (1, w)."""
+    """An element a + b*w of the ring of integers, in the basis (1, w).
 
-    field: Field
-    a: int
-    b: int
+    An immutable value: equal and hashed by (field, a, b), and pickle and
+    copy rebuild it from them.
+    """
+
+    __slots__ = ("field", "a", "b")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, field: Field, a: int, b: int) -> None:
+        init = object.__setattr__
+        init(self, "field", field)
+        init(self, "a", a)
+        init(self, "b", b)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not QElement:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b and self.field == other.field
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.a, self.b))
+
+    def __reduce__(self) -> tuple:
+        return QElement, (self.field, self.a, self.b)
 
     # ----- ring operations ------------------------------------------------
 

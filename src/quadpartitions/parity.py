@@ -25,9 +25,8 @@ congruence come from independent algorithms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InvariantViolation
 from .field import Field
@@ -88,8 +87,7 @@ def cumulative_P(
     return tuple(P[::field.den])
 
 
-@dataclass(frozen=True)
-class ParityReport:
+class ParityReport(NamedTuple):
     a: tuple[int, ...]  # a_1 .. a_N
     P: tuple[int, ...]  # P(0) .. P(N)
     p_parity: tuple[int, ...]  # p(n) mod 2 for n = 0..N

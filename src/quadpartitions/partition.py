@@ -462,13 +462,12 @@ def diagonal_parity(field: Field, N: int) -> tuple[int, ...]:
     """
     a, b = _band_layout(field, max(N, 1))
     L = a * N + 1  # one past the slot of (N, 0)
+    subject = f"the ideal below ({N}, 0) of D={field.D}"
     # Every part (u, 0), u = 1..N, lies in I, so the fold takes at least N
     # steps of L bits.
-    check_budget(f"the cone up to x = {N}", _fold_ms(N, L), "building it would take at least")
+    check_budget(subject, _fold_ms(N, L), "building it would take at least")
     steps = _fold_steps(columns := _parity_columns(field, N, a, b))
-    check_budget(
-        f"the cone up to x = {N}", _fold_ms(sum(map(len, steps)), L), "its parity product would take about"
-    )
+    check_budget(subject, _fold_ms(sum(map(len, steps)), L), "its parity product would take about")
     # Character s of bits is bit s of the mask: (0, 0) and the columns 1..N of
     # I.  A column of falling slots (b < 0) may stop below slot 0, where a
     # slice counts from the end.

@@ -27,9 +27,8 @@ find_ymax's first band and a band inside the box (see search_m).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from math import isqrt
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .contfrac import FieldContext, build_context, floor_ratio_eps
 from .errors import InvariantViolation
@@ -152,8 +151,7 @@ def find_ymax(ctx: FieldContext, m: int) -> int:
         n *= 2
 
 
-@dataclass
-class SearchReport:
+class SearchReport(NamedTuple):
     field: Field
     m_max: int
     k_max: int

@@ -393,7 +393,7 @@ def test_runs_over_the_cost_budget_exit_4_at_once(capsys):
         assert time.perf_counter() - start < 2, D
         assert (code, out) == (4, ""), D
         assert err == (
-            f"the cone up to x = {N} is over the cost budget: "
+            f"the ideal below ({N}, 0) of D={D} is over the cost budget: "
             f"its parity product would take about 121 s, more than 120 s\n"
         )
 
@@ -643,6 +643,20 @@ def test_importing_the_cli_loads_no_process_pool():
     pool = [name for name in loaded
             if name.split(".")[0] == "multiprocessing" or name.startswith("concurrent.futures")]
     assert pool == []
+
+
+def test_importing_the_cli_and_building_its_parser_loads_no_introspection():
+    # dataclasses loads inspect, ast, dis and tokenize, about a quarter of the
+    # CLI's cold start; no command reads any of them.
+    code, out, err = finish(start_python(
+        "-c",
+        "import sys, quadpartitions, quadpartitions.cli; quadpartitions.cli.build_parser(); "
+        "print(*sorted(sys.modules))",
+    ))
+    assert (code, err) == (0, "")
+    loaded = set(out.split())
+    assert "quadpartitions.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize"})
 
 
 def test_a_closed_stdout_exits_141_without_a_traceback():

@@ -1,10 +1,12 @@
+import copy
+import pickle
 import random
 from decimal import Decimal, getcontext
 from math import isqrt
 
 import pytest
 
-from quadpartitions import Field, QElement, is_squarefree
+from quadpartitions import Field, FieldContext, ParityReport, QElement, SearchReport, is_squarefree
 
 getcontext().prec = 80
 
@@ -68,6 +70,43 @@ def test_field_rejects_bad_d():
         Field(True)
     with pytest.raises(ValueError):
         Field(2.0)
+
+
+def test_field_and_qelement_are_immutable_values():
+    f, g = Field(2), Field(13)
+    e = f.element(1, 2)
+    assert f == Field(2) and f != g and not f != Field(2)
+    assert e == QElement(Field(2), 1, 2) and e != f.element(2, 1) and e != g.element(1, 2)
+    # The hashes of the frozen dataclasses these classes replaced, so set and
+    # dict orders, and every printed byte, stay as they were.
+    assert hash(f) == hash((2,)) and hash(g) == hash((13,))
+    assert hash(e) == hash((f, 1, 2))
+    assert repr(f) == "Field(D=2)"
+    assert repr(g.element(-3, 5)) == "QElement(D=13, a=-3, b=5)"
+    assert QElement(f, 1, 2) != (f, 1, 2) and Field(2) != 2 and Field(2) != (2,)
+    assert str(pytest.raises(ValueError, Field, 4).value) == "D must be squarefree, got 4"
+    assert str(pytest.raises(ValueError, Field, 1).value) == "D must be an integer >= 2, got 1"
+    assert str(pytest.raises(ValueError, Field, 2.0).value) == "D must be an integer >= 2, got 2.0"
+    for obj, name in ((f, "D"), (f, "t"), (f, "extra"), (e, "a"), (e, "field"), (e, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 3)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert (f.D, f.t, f.den, f.c) == (2, 0, 1, 2) and (e.a, e.b) == (1, 2)
+    assert not hasattr(f, "__dict__") and not hasattr(e, "__dict__")
+    for obj in (f, g, e, g.element(-3, 5)):
+        for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj), copy.copy(obj)):
+            assert twin == obj and hash(twin) == hash(obj) and repr(twin) == repr(obj)
+    thawed = pickle.loads(pickle.dumps(g))
+    assert (thawed.t, thawed.den, thawed.c, thawed.one_mod4) == (1, 2, 3, True)
+
+
+def test_records_keep_their_field_order():
+    assert FieldContext._fields == ("field", "period", "convergents", "eps", "eps_plus")
+    assert ParityReport._fields == ("a", "P", "p_parity")
+    assert SearchReport._fields == (
+        "field", "m_max", "k_max", "y_max", "slice_counts", "representatives"
+    )
 
 
 def test_discriminant_and_omega():

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import random
 from collections import Counter
@@ -217,7 +216,7 @@ def test_fundamental_representative_loop_is_bounded(contexts):
             e = e * ctx.eps_plus
             assert fundamental_representative(e, ctx) == rep, D
     # With eps_plus = 1 no pass brings 2 + sqrt(2) into the domain.
-    ctx = dataclasses.replace(contexts[2], eps_plus=Field(2).element(1))
+    ctx = contexts[2]._replace(eps_plus=Field(2).element(1))
     with pytest.raises(InvariantViolation):
         fundamental_representative(Field(2).element(2, 1), ctx)
 
