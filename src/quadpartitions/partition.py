@@ -18,10 +18,10 @@ strictly earlier columns and the recurrence is well founded.
 Four kernels compute p, or p mod 2, on an order ideal of the cone:
 
 - PartitionGrid runs the recurrence cell by cell on the intervals
-  [0, alpha] that count(alpha) asks for, and stores each column as a dict
-  of exactly the cells filled; the point queries (find_kmax, the witnesses,
-  estimate --compare, the units corner of verify) and the tests' threshold
-  table read it.
+  [0, alpha] that count(alpha) asks for, row by row like band_rows, and
+  stores each row as a dict of exactly the cells filled; the point queries
+  (find_kmax, the witnesses, estimate --compare, the units corner of
+  verify) and the tests' threshold table read it.
 - cone_columns runs it over the whole cone up to a column, one column at a
   time: each column is one big int with a slot of B bits per cell
   (Kronecker substitution), and column x is a sum of x products of packed
@@ -37,10 +37,10 @@ Four kernels compute p, or p mod 2, on an order ideal of the cone:
   recurrence then certifies every cell with two big-int products.
 
 Each fact of the ideals is stated once, in one helper: _interval_bounds
-gives the columns of an interval [0, x + y*w] (to PartitionGrid,
-enumerate_interval and diagonal_parity) and _band_rows the rows of a band;
-_band_layout gives both products the slot a*u + b*v of the cell u + v*w,
-with the proof that it keeps any order ideal inside a band apart;
+gives the columns of an interval [0, x + y*w] (to enumerate_interval and
+diagonal_parity), PartitionGrid._reach its rows and _band_rows the rows of
+a band; _band_layout gives both products the slot a*u + b*v of the cell
+u + v*w, with the proof that it keeps any order ideal inside a band apart;
 _fold_steps lists the factors 1 + q^(2^k*beta) of either product from an
 ideal's columns or rows in that layout; _weights gives the two weights of
 a part; and _pack, _unpack and _spread move values into, out of and
@@ -110,11 +110,11 @@ ZETA3 = 1.2020569031595942854
 # X = 600..100,000, and 0.70-0.79 of it in the slot layout a*u + b*v on
 # three of those bands (D = 2, X = 8,000, K = 6: 65.4 s against 83.0 s at
 # 144 bits).
-# Steps per second of PartitionGrid filling an interval, its column walk and
-# its multiply-adds counted alike (see _interval_ms): 4.3e6-4.7e6, flat in x,
-# on slice intervals whose columns come close to the bound, D=2 at k = 6 and
-# D=5 at k = 2 for x = 1,400..4,900 (D=2 at x = 4,900 took 81 s), and
-# 4e7-1e8 where the bound overcounts: diamonds (n, 0) and thin corners.
+# Steps per second of PartitionGrid filling an interval (see _interval_ms):
+# 4.1e6-5.2e6 for D=2 at k = 6 (5.7, 26.7 and 70.4 s at x = 1,400, 2,800 and
+# 4,900; the column walk before it took 30.0 s at 2,800) and 6.2e6-7.0e6 for
+# D=5 at k = 2 (4.2, 18.4 and 57.7 s), slices whose columns come close to
+# the bound, and 4e7-1e8 where it overcounts: diamonds (n, 0), thin corners.
 _FOLD_WORDS_PER_S = 140_000_000
 _MADDS_PER_S = 21_000_000
 _BAND_WORDS_PER_S = 90_000_000
@@ -182,6 +182,7 @@ def _interval_bounds(fdo: Sequence[int], fdx: Sequence[int], x: int, y: int) -> 
     of the cone runs over its window -fdo[u]..fdx[u], and (x - u) + (y - v)*w
     is totally positive or zero exactly when y - fdx[x - u] <= v <=
     y + fdo[x - u]; lo[u] > hi[u] where the interval misses column u.
+    PartitionGrid walks intervals by rows instead (PartitionGrid._reach).
     """
     lo = [max(-fdo[u], y - fdx[x - u]) for u in range(x + 1)]
     hi = [min(fdx[u], y + fdo[x - u]) for u in range(x + 1)]
@@ -222,16 +223,28 @@ def enumerate_interval(alpha: QElement) -> Iterator[QElement]:
     yield alpha
 
 
+class _RowEdges(dict):
+    """edges[n] = floor(max(n*xi, -n*omega)): row n of the cone starts at u = edges[n] + 1; one floor per |n|, as omega = xi + t."""
+
+    def __init__(self, field: Field) -> None:
+        self.field = field
+
+    def __missing__(self, n: int) -> int:
+        e = self[n] = self.field.floor_xi_mult(n) if n >= 0 else self[-n] - n * self.field.t
+        return e
+
+
 class PartitionGrid:
     """Partition counts p(x + y*w) on an order ideal of the cone, filled on demand.
 
-    Column x is a dict {y: p(x + y*w)} of exactly the cells filled so far,
-    all inside its window [-floor(x/omega), floor(x/xi)]; value() returns
-    None for every other cell.  count(alpha) fills the interval [0, alpha]
-    that the recurrence reads, so a search near the cone's edge touches a
-    thin sliver instead of the whole cone.  The stored set is the union of
-    the intervals filled, itself an order ideal, so it holds every cell the
-    recurrence reads.  Whole cones come from cone_columns.
+    Row v is a dict {u: p(u + v*w)} of exactly the cells filled so far, and
+    a matching dict of their weights {u: (sig0, sig1)}; row 0 also holds
+    p(0) = 1 at u = 0, and value() returns None for every cell not stored.
+    count(alpha) fills the interval [0, alpha] that the recurrence reads, so
+    a search near the cone's edge touches a thin sliver instead of the whole
+    cone.  The stored set is the union of the intervals filled, itself an
+    order ideal, so it holds every cell the recurrence reads.  Whole cones
+    come from cone_columns, the slice box from band_rows.
 
     ensure, max_x and column_window are kept for perfbench, which reads them;
     no command calls them.  ensure(X) fills the interval below every cell of
@@ -241,32 +254,27 @@ class PartitionGrid:
 
     def __init__(self, field: Field) -> None:
         self.field = field
-        self._cols: list[dict[int, int]] = [{0: 1}]  # p(0) = 1
-        self._fdo: list[int] = [0]
-        self._fdx: list[int] = [0]
-        # Column x's weights, y -> _weights(x, y), keyed like the column.
-        self._sig: list[dict[int, tuple[int, int]]] = [{}]
+        self._rows: dict[int, dict[int, int]] = {0: {0: 1}}  # p(0) = 1
+        self._sig: dict[int, dict[int, tuple[int, int]]] = {0: {}}
+        self._edges = _RowEdges(field)
 
     @property
     def max_x(self) -> int:
-        cols, fdo, fdx = self._cols, self._fdo, self._fdx
         m = 0
-        while m + 1 < len(cols) and len(cols[m + 1]) == fdo[m + 1] + fdx[m + 1] + 1:
+        while all(self.value(m + 1, y) is not None for y in self._window(m + 1)):
             m += 1
         return m
 
     def ensure(self, max_x: int) -> None:
         """Extend the grid so that all columns up to max_x are complete."""
         if max_x > self.max_x:
-            self._grow(max_x)
-            for y in range(-self._fdo[max_x], self._fdx[max_x] + 1):
+            for y in self._window(max_x):
                 self._fill(max_x, y)
 
     def value(self, x: int, y: int) -> int | None:
         """Stored count at (x, y), or None when the cell is not stored."""
-        if not 0 <= x < len(self._cols):
-            return None
-        return self._cols[x].get(y)
+        row = self._rows.get(y)
+        return None if row is None else row.get(x)
 
     def count(self, e: QElement) -> int:
         """p(e) for totally positive e, filling the interval [0, e] as needed."""
@@ -287,71 +295,82 @@ class PartitionGrid:
         """(y_min, y_max) of the window of a complete column x <= max_x."""
         if not 0 <= x <= self.max_x:
             raise ValueError(f"column {x} not built yet")
-        return -self._fdo[x], self._fdx[x]
+        return self._window(x)[0], self._window(x)[-1]
 
     # ----- internals -----------------------------------------------------
 
-    def _grow(self, x: int) -> None:
-        """Add empty columns and their floors up to x."""
-        new = range(len(self._cols), x + 1)
-        self._fdo += map(self.field.floor_div_omega, new)
-        self._fdx += map(self.field.floor_div_xi, new)
-        self._cols += ({} for _ in new)
-        self._sig += ({} for _ in new)
+    def _window(self, x: int) -> range:
+        """The y of column x: -floor(x/omega)..floor(x/xi)."""
+        return range(-self.field.floor_div_omega(x), self.field.floor_div_xi(x) + 1)
+
+    def _reach(self, x: int, y: int) -> tuple[int, int]:
+        """(a, b): the rows v = a..b of the interval [0, x + y*w], row v over u = g(v) + 1..x - 1 - g(y - v), and to x at v = y.
+
+        g = self._edges.  beta = u + v*w has beta' = u - v*xi, so beta >> 0
+        reads u > v*xi for v >= 0 and u > -v*omega for v < 0: u >= g(v) + 1
+        (v*xi is irrational for v != 0).  alpha - beta = (x - u) + d*w,
+        d = y - v, is >> 0 or 0 exactly when u <= x - g(d) - 1, or u <= x at
+        d = 0.  Every row between 0 and y is in a..b: there the real u with
+        beta, alpha - beta >= 0 fill a segment of length alpha' (y >= 0) or
+        alpha (y < 0), so the row is empty when that is below 1.  Outside
+        [min(0, y), max(0, y)], v and d keep their signs as v moves outward
+        and |v|, |d| grow, so the first u rises and the last falls: each
+        outward walk stops at its first empty row, past which none holds a
+        cell.  Each row takes one floor.
+        """
+        g = self._edges
+        a, b = min(0, y), max(0, y)
+        while g[b + 1] + g[y - b - 1] + 1 < x:
+            b += 1
+        while g[a - 1] + g[y - a + 1] + 1 < x:
+            a -= 1
+        return a, b
 
     def _fill(self, x: int, y: int) -> None:
-        """Store the interval [0, x + y*w].
+        """Store the interval [0, x + y*w], its missing cells in order of u, so each reads only stored cells.
 
-        Bottom up, each missing cell of the interval's range in a column (see
-        _interval_bounds) gets its weights and then its count from _cell,
-        which reads only its own weights and lower columns.
+        The parts beta = u + v*w != alpha of the cell alpha = (X, Y) lie in
+        the rows r of _reach(X, Y), row r over u = g(r) + 1..X - 1 - g(Y - r),
+        with alpha - beta in row Y - r.  Every cell of row Y walks the rows
+        of its last missing cell (L, Y), as [0, X + Y*w] lies in
+        [0, L + Y*w], and skips a row that holds no part of it.
         """
-        self._grow(x)
-        cols = self._cols
-        lo, hi = _interval_bounds(self._fdo, self._fdx, x, y)
-        for u in range(1, x + 1):
-            col, sig = cols[u], self._sig[u]
-            for v in range(lo[u], hi[u] + 1):
-                if v not in col:
-                    sig[v] = _weights(u, v)
-                    col[v] = self._cell(u, v)
-
-    def _cell(self, x: int, y: int) -> int:
-        fdo, fdx = self._fdo, self._fdx
-        cols, sig = self._cols, self._sig
-        S0 = 0
-        S1 = 0
-        for u in range(1, x):
-            g = x - u
-            lo = y - fdx[g]
-            t = -fdo[u]
-            if t > lo:
-                lo = t
-            hi = y + fdo[g]
-            t = fdx[u]
-            if t < hi:
-                hi = t
-            if lo > hi:
-                continue
-            a = sig[u]
-            prev = cols[g]
-            for v in range(lo, hi + 1):
-                P = prev[y - v]
-                w0, w1 = a[v]
-                S0 += w0 * P
-                S1 += w1 * P
-        # The beta = alpha term contributes sig(alpha) * p(0).
-        w0, w1 = sig[x][y]
-        S0 += w0
-        S1 += w1
-
-        # S0 = x*p recovers p, and S1 = (x + y)*p cross-checks it.
-        p, r = divmod(S0, x)
-        if r or p < 1 or S1 != (x + y) * p:
-            raise DivisibilityViolation(
-                f"coefficient match failed at (x={x}, y={y}): x*p = {S0}"
-            )
-        return p
+        rows, sig, g = self._rows, self._sig, self._edges
+        a, b = self._reach(x, y)
+        walk = []  # (v, first u, weights) for the rows a..b
+        missing = []
+        for v in range(a, b + 1):
+            row = rows.setdefault(v, {})
+            walk.append((v, first := g[v] + 1, sig.setdefault(v, {})))
+            missing += [(u, v) for u in range(first, x - g[y - v] + (v == y)) if u not in row]
+        missing.sort()
+        last = {Y: L for L, Y in missing}  # the last missing cell (L, Y) of each row
+        reach = map(self._reach, last.values(), last)
+        spans = {Y: slice(r0 - a, r1 - a + 1) for Y, (r0, r1) in zip(last, reach)}  # its rows in walk
+        for X, Y in missing:
+            S0 = 0
+            S1 = 0
+            for r, lo, w in walk[spans[Y]]:
+                hi = X - g[Y - r]
+                if lo >= hi:
+                    continue
+                prev = rows[Y - r]
+                for u in range(lo, hi):
+                    P = prev[X - u]
+                    w0, w1 = w[u]
+                    S0 += w0 * P
+                    S1 += w1 * P
+            # The beta = alpha term contributes sig(alpha) * p(0).
+            w0, w1 = sig[Y][X] = _weights(X, Y)
+            S0 += w0
+            S1 += w1
+            # S0 = x*p recovers p, and S1 = (x + y)*p cross-checks it.
+            p, r = divmod(S0, X)
+            if r or p < 1 or S1 != (X + Y) * p:
+                raise DivisibilityViolation(
+                    f"coefficient match failed at (x={X}, y={Y}): x*p = {S0}"
+                )
+            rows[Y][X] = p
 
 
 def _floors(field: Field, X: int) -> tuple[list[int], list[int]]:
@@ -392,10 +411,13 @@ def _interval_ms(field: Field, e: QElement) -> int:
     the v with (u - K)/xi <= v < u/xi, at most C = floor(K/xi) + 1, as
     floor(a) - floor(b) <= floor(a - b) + 1 and floor(a) + floor(b) <=
     floor(a + b): floor(u/xi) - floor((u - K)/xi) <= C for u > K, and
-    floor(u/xi) + floor((K - u)/xi) + 1 <= C for u <= K.  A cell in
-    column u walks the u - 1 columns below it in _cell and does at most
-    C multiply-adds in each, so the fill takes at most C*x(x + 1)/2 steps of
-    the column walk and C^2*x(x - 1)/2 multiply-adds.
+    floor(u/xi) + floor((K - u)/xi) + 1 <= C for u <= K.  A cell in column
+    u pairs with at most C cells in each of the u - 1 columns below it, so
+    the fill does at most C^2*x(x - 1)/2 multiply-adds, and the estimate
+    adds C*x(x + 1)/2 steps for the row walk.  A cell visits at most
+    x/xi + K/(xi + omega) + 1 rows (v*xi < u <= x where v >= 0, and
+    |v|*omega < u <= K - |v|*xi where v < 0), each but those it skips with
+    a multiply-add; the rate is timed where rows hold fewest of them.
     """
     x = e.a
     K = x - field.floor_xi_mult(e.b) if e.b >= 0 else x + field.ceil_xi_mult(-e.b)

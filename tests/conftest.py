@@ -84,7 +84,7 @@ def dense_counts(field, X):
 
 def stored_counts(grid):
     """{(x, y): p(x + y*w)} on every cell a PartitionGrid has filled, all with x >= 1."""
-    return {(x, y): p for x, col in enumerate(grid._cols) if x for y, p in col.items()}
+    return {(x, y): p for y, row in grid._rows.items() for x, p in row.items() if x}
 
 
 def grid_slice_rows(grid, k_max, y_max):

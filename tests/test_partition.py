@@ -18,6 +18,7 @@ from quadpartitions import (
 )
 from quadpartitions import cli, cone_columns, diagonal_parity, is_squarefree, partition
 from quadpartitions.partition import content
+from quadpartitions.search import slice_element, slice_rows
 
 from conftest import TABULATED_D, cone_parity, dense_counts, diagonal, euler_product, stored_counts
 
@@ -251,6 +252,36 @@ def test_count_in_any_order_matches_the_dense_grid():
         assert stored_counts(grid) == dense, D
 
 
+def test_point_counts_match_the_band_on_every_field_below_1000():
+    # PartitionGrid.count, each on a fresh grid, against slice_rows, which
+    # reads the band's Euler product and shares no arithmetic with the
+    # recurrence: the witness elements (2, 1) and (2, 2) and the estimate
+    # elements (3, y), y in {2, 4, 16}, on every squarefree D < 1000.
+    fields = [D for D in range(2, 1000) if is_squarefree(D)]
+    assert len(fields) == 607
+    for D in fields:
+        f = Field(D)
+        rows = slice_rows(f, 3, 16)
+        for k, y in ((2, 1), (2, 2), (3, 2), (3, 4), (3, 16)):
+            assert PartitionGrid(f).count(slice_element(f, k, y)) == rows[y][k], (D, k, y)
+
+
+def test_every_cell_up_to_x_40_matches_the_cone():
+    # Every cell with x <= 40, y < 0 included, counted in a shuffled order on
+    # one grid, so most fills meet stored rows in part, against cone_columns.
+    # On D = 5 (xi < 1) and 13 an interval has more rows than columns.
+    rng = random.Random(0x40)
+    for D in (2, 3, 5, 13, 17):
+        f = Field(D)
+        dense = dense_counts(f, 40)
+        cells = list(dense)
+        rng.shuffle(cells)
+        grid = PartitionGrid(f)
+        for x, y in cells:
+            assert grid.count(QElement(f, x, y)) == dense[x, y], (D, x, y)
+        assert stored_counts(grid) == dense, D
+
+
 def test_ensure_completes_partial_columns():
     # ensure and max_x, which perfbench reads, after count left partial columns.
     f = Field(13)
@@ -301,7 +332,7 @@ def test_divisibility_violation_on_corrupted_state():
     f = Field(2)
     grid = PartitionGrid(f)
     grid.count(f.element(6, 0))
-    grid._cols[5][0] = 9  # poison p(5, 0)
+    grid._rows[0][5] = 9  # poison p(5, 0)
     with pytest.raises(DivisibilityViolation):
         grid.count(f.element(12, 0))
 
@@ -492,8 +523,9 @@ def test_recurrence_madds_matches_the_loop():
 
 def test_interval_estimate_bounds_every_column():
     # _interval_ms bounds the cells of [0, alpha] by C = floor(K/xi) + 1 in
-    # each column, K = ceil(alpha'); checked on the cells count(alpha)
-    # stores, with K found by sign tests, and so is the K of its estimate.
+    # each column, K = ceil(alpha'), and each row holds at most K; checked on
+    # the cells count(alpha) stores, with K found by sign tests, and so is
+    # the K of its estimate.
     for D in (2, 3, 5, 13, 19, 97):
         f = Field(D)
         elements = [f.element(n) for n in (1, 7, 20)]
@@ -508,6 +540,9 @@ def test_interval_estimate_bounds_every_column():
             widths = Counter(x for x, _ in stored_counts(grid))
             C, x = f.floor_div_xi(K) + 1, alpha.a
             assert max(widths.values()) <= C, (D, alpha)
+            # Row v holds the u with u - v*xi in (0, alpha'], at most K of them.
+            lengths = Counter(y for _, y in stored_counts(grid))
+            assert max(lengths.values()) <= K, (D, alpha)
             steps = C * x * (x + 1) // 2 + C * C * x * (x - 1) // 2
             assert partition._interval_ms(f, alpha) == steps * 1000 // partition._INTERVAL_STEPS_PER_S
 
