@@ -36,15 +36,15 @@ Four kernels compute p, or p mod 2, on an order ideal of the cone:
   int per factor; _band_fold proves that no slot carries, and the
   recurrence then certifies every cell with two big-int products.
 
-Each fact of the ideals is stated once, in one helper: _interval_bounds
-gives the columns of an interval [0, x + y*w] (to enumerate_interval and
-diagonal_parity), PartitionGrid._reach its rows and _band_rows the rows of
-a band; _band_layout gives both products the slot a*u + b*v of the cell
-u + v*w, with the proof that it keeps any order ideal inside a band apart;
-_fold_steps lists the factors 1 + q^(2^k*beta) of either product from an
-ideal's columns or rows in that layout; _weights gives the two weights of
-a part; and _pack, _unpack and _spread move values into, out of and
-between byte slots.
+Each fact of the ideals is stated once, in one helper: _RowEdges lists
+the rows of an interval [0, x + y*w] (for PartitionGrid, diagonal_parity
+and enumerate_interval), _band_rows the rows of a band, and _floors the
+column windows of cone_columns; _band_layout gives both products the slot
+a*u + b*v of the cell u + v*w, with the proof that it keeps any order
+ideal inside a band apart; _lines puts an ideal's rows in that layout and
+_fold_steps lists from them the factors 1 + q^(2^k*beta) of either
+product; _weights gives the two weights of a part; and _pack, _unpack and
+_spread move values into, out of and between byte slots.
 
 Two checks are independent of the recurrence: every column of cone_columns
 must sum to R(x), the number of partitions of x into parts counted by their
@@ -175,20 +175,6 @@ def _weights(u: int, v: int) -> tuple[int, int]:
     return (u // c) * sc, ((u + v) // c) * sc
 
 
-def _interval_bounds(fdo: Sequence[int], fdx: Sequence[int], x: int, y: int) -> tuple[list[int], list[int]]:
-    """(lo, hi): the interval [0, x + y*w] meets column u <= x in v = lo[u]..hi[u].
-
-    fdo[u] = floor(u/omega) and fdx[u] = floor(u/xi) for u <= x.  Column u
-    of the cone runs over its window -fdo[u]..fdx[u], and (x - u) + (y - v)*w
-    is totally positive or zero exactly when y - fdx[x - u] <= v <=
-    y + fdo[x - u]; lo[u] > hi[u] where the interval misses column u.
-    PartitionGrid walks intervals by rows instead (PartitionGrid._reach).
-    """
-    lo = [max(-fdo[u], y - fdx[x - u]) for u in range(x + 1)]
-    hi = [min(fdx[u], y + fdo[x - u]) for u in range(x + 1)]
-    return lo, hi
-
-
 def _pack(values: Iterable[int], nb: int) -> int:
     """values packed nb bytes a slot, the first at slot 0."""
     return int.from_bytes(b"".join(map(int.to_bytes, values, repeat(nb), repeat("little"))), "little")
@@ -202,29 +188,30 @@ def _unpack(n: int, slots: int, nb: int) -> list[int]:
 
 
 def enumerate_interval(alpha: QElement) -> Iterator[QElement]:
-    """Yield every beta with 0 < beta <= alpha, in increasing lex order.
+    """Yield every beta with 0 < beta <= alpha: the rows of _RowEdges.rows in order, alpha last.
 
-    For each first coordinate u the second coordinate runs over the exact
-    window of _interval_bounds, and every candidate is confirmed by sign
-    tests before being yielded.
+    Every candidate is confirmed by sign tests before being yielded.
     """
     fld = alpha.field
     if not alpha.is_totally_positive():
         raise ValueError(f"interval base must be totally positive, got {alpha!r}")
     x, y = alpha.a, alpha.b
-    lo, hi = _interval_bounds(*_floors(fld, x), x, y)
-    for u in range(1, x):
-        for v in range(lo[u], hi[u] + 1):
+    for v, first, last in _RowEdges(fld).rows(x, y):
+        # Row y ends at alpha itself, yielded last.
+        for u in range(first, last + (v != y)):
             beta = QElement(fld, u, v)
             if not (beta.is_totally_positive() and (alpha - beta).is_totally_positive()):
                 raise InvariantViolation(f"{beta!r} escapes the interval [0, {alpha!r}]")
             yield beta
-    # u = x admits only beta = alpha: a nonzero (0, c) is never totally positive.
     yield alpha
 
 
 class _RowEdges(dict):
-    """edges[n] = floor(max(n*xi, -n*omega)): row n of the cone starts at u = edges[n] + 1; one floor per |n|, as omega = xi + t."""
+    """edges[n] = floor(max(n*xi, -n*omega)): row n of the cone starts at u = edges[n] + 1; one floor per |n|, as omega = xi + t.
+
+    rows(x, y) lists the interval [0, x + y*w] by rows, for PartitionGrid,
+    diagonal_parity and enumerate_interval, and reach(x, y) bounds them.
+    """
 
     def __init__(self, field: Field) -> None:
         self.field = field
@@ -232,6 +219,34 @@ class _RowEdges(dict):
     def __missing__(self, n: int) -> int:
         e = self[n] = self.field.floor_xi_mult(n) if n >= 0 else self[-n] - n * self.field.t
         return e
+
+    def reach(self, x: int, y: int) -> tuple[int, int]:
+        """(a, b): the rows v = a..b of the interval [0, x + y*w], row v over u = g(v) + 1..x - 1 - g(y - v), and to x at v = y.
+
+        g = self.  beta = u + v*w has beta' = u - v*xi, so beta >> 0
+        reads u > v*xi for v >= 0 and u > -v*omega for v < 0: u >= g(v) + 1
+        (v*xi is irrational for v != 0).  alpha - beta = (x - u) + d*w,
+        d = y - v, is >> 0 or 0 exactly when u <= x - g(d) - 1, or u <= x at
+        d = 0.  Every row between 0 and y is in a..b: there the real u with
+        beta, alpha - beta >= 0 fill a segment of length alpha' (y >= 0) or
+        alpha (y < 0), so the row is empty when that is below 1.  Outside
+        [min(0, y), max(0, y)], v and d keep their signs as v moves outward
+        and |v|, |d| grow, so the first u rises and the last falls: each
+        outward walk stops at its first empty row, past which none holds a
+        cell.  Each row takes one floor.
+        """
+        a, b = min(0, y), max(0, y)
+        while self[b + 1] + self[y - b - 1] + 1 < x:
+            b += 1
+        while self[a - 1] + self[y - a + 1] + 1 < x:
+            a -= 1
+        return a, b
+
+    def rows(self, x: int, y: int) -> Iterator[tuple[int, int, int]]:
+        """Yield (v, first, last) for each row v = a..b of reach(x, y): the cells 0 < beta <= x + y*w of row v are u = first..last, none where last < first."""
+        a, b = self.reach(x, y)
+        for v in range(a, b + 1):
+            yield v, self[v] + 1, x - self[y - v] - (v != y)
 
 
 class PartitionGrid:
@@ -303,49 +318,26 @@ class PartitionGrid:
         """The y of column x: -floor(x/omega)..floor(x/xi)."""
         return range(-self.field.floor_div_omega(x), self.field.floor_div_xi(x) + 1)
 
-    def _reach(self, x: int, y: int) -> tuple[int, int]:
-        """(a, b): the rows v = a..b of the interval [0, x + y*w], row v over u = g(v) + 1..x - 1 - g(y - v), and to x at v = y.
-
-        g = self._edges.  beta = u + v*w has beta' = u - v*xi, so beta >> 0
-        reads u > v*xi for v >= 0 and u > -v*omega for v < 0: u >= g(v) + 1
-        (v*xi is irrational for v != 0).  alpha - beta = (x - u) + d*w,
-        d = y - v, is >> 0 or 0 exactly when u <= x - g(d) - 1, or u <= x at
-        d = 0.  Every row between 0 and y is in a..b: there the real u with
-        beta, alpha - beta >= 0 fill a segment of length alpha' (y >= 0) or
-        alpha (y < 0), so the row is empty when that is below 1.  Outside
-        [min(0, y), max(0, y)], v and d keep their signs as v moves outward
-        and |v|, |d| grow, so the first u rises and the last falls: each
-        outward walk stops at its first empty row, past which none holds a
-        cell.  Each row takes one floor.
-        """
-        g = self._edges
-        a, b = min(0, y), max(0, y)
-        while g[b + 1] + g[y - b - 1] + 1 < x:
-            b += 1
-        while g[a - 1] + g[y - a + 1] + 1 < x:
-            a -= 1
-        return a, b
-
     def _fill(self, x: int, y: int) -> None:
         """Store the interval [0, x + y*w], its missing cells in order of u, so each reads only stored cells.
 
         The parts beta = u + v*w != alpha of the cell alpha = (X, Y) lie in
-        the rows r of _reach(X, Y), row r over u = g(r) + 1..X - 1 - g(Y - r),
+        the rows r of _RowEdges.reach(X, Y), row r over u = g(r) + 1..X - 1 - g(Y - r),
         with alpha - beta in row Y - r.  Every cell of row Y walks the rows
         of its last missing cell (L, Y), as [0, X + Y*w] lies in
         [0, L + Y*w], and skips a row that holds no part of it.
         """
         rows, sig, g = self._rows, self._sig, self._edges
-        a, b = self._reach(x, y)
-        walk = []  # (v, first u, weights) for the rows a..b
+        walk = []  # (v, first u, weights) for the rows of [0, x + y*w]
         missing = []
-        for v in range(a, b + 1):
+        for v, first, end in g.rows(x, y):
             row = rows.setdefault(v, {})
-            walk.append((v, first := g[v] + 1, sig.setdefault(v, {})))
-            missing += [(u, v) for u in range(first, x - g[y - v] + (v == y)) if u not in row]
+            walk.append((v, first, sig.setdefault(v, {})))
+            missing += [(u, v) for u in range(first, end + 1) if u not in row]
+        a = walk[0][0]  # the lowest row
         missing.sort()
         last = {Y: L for L, Y in missing}  # the last missing cell (L, Y) of each row
-        reach = map(self._reach, last.values(), last)
+        reach = map(g.reach, last.values(), last)
         spans = {Y: slice(r0 - a, r1 - a + 1) for Y, (r0, r1) in zip(last, reach)}  # its rows in walk
         for X, Y in missing:
             S0 = 0
@@ -435,15 +427,14 @@ def check_interval(e: QElement) -> None:
 def _fold_steps(lines: Sequence[tuple[int, int, range]]) -> list[range]:
     """The slots of the factors 1 + q^(2^k*beta), 2^k*beta in an order ideal I: a range per k and line.
 
-    lines holds (fixed, first, slots) for every column, or every row, of I
-    off 0: its cells share the fixed coordinate, the other runs on from
-    first, and slots lists their slots in that order.  The multiples
-    2^k*beta of totally positive beta are the cells whose two coordinates
-    are divisible by 2^k, as I lies in the cone.  So for k >= 1, in either
-    orientation, they lie on the lines whose fixed coordinate is divisible
-    by 2^k, every 2^k-th cell from the first whose other one is: a slice of
-    its range.  Where I has no such cell for 2^k, it has none for
-    2^(k+1), and the list ends.  The first ranges are the lines themselves.
+    lines holds (v, first, slots) for every row v of I off 0 (see _lines):
+    its cells run over u = first, first + 1, ..., and slots lists their
+    slots in that order.  The multiples 2^k*beta of totally positive beta
+    are the cells whose two coordinates are divisible by 2^k, as I lies in
+    the cone.  So for k >= 1 they lie on the rows whose v is divisible by
+    2^k, every 2^k-th cell from the first whose u is: a slice of its range.
+    Where I has no such cell for 2^k, it has none for 2^(k+1), and the
+    list ends.  The first ranges are the lines themselves.
     """
     steps, m = [r for _, _, r in lines], 2
     while multiples := [s for f, l, r in lines if not f % m and (s := r[-l % m :: m])]:
@@ -452,11 +443,9 @@ def _fold_steps(lines: Sequence[tuple[int, int, range]]) -> list[range]:
     return steps
 
 
-def _parity_columns(field: Field, N: int, a: int, b: int) -> list[tuple[int, int, range]]:
-    """The columns u = 1..N of the ideal below (N, 0) as lines of _fold_steps, the cell (u, v) at slot a*u + b*v."""
-    step = b or 1  # a layout with b = 0 has at most one cell in each column of the ideal
-    lo, hi = _interval_bounds(*_floors(field, N), N, 0)
-    return [(u, l, range(s := a * u + b * l, s + (h + 1 - l) * step, step)) for u, l, h in zip(count(1), lo[1:], hi[1:])]
+def _lines(a: int, b: int, rows: Iterable[tuple[int, int, int]]) -> list[tuple[int, int, range]]:
+    """The rows (v, first, last) of an ideal as lines of _fold_steps, the cell (u, v) at slot a*u + b*v."""
+    return [(v, first, range(a * first + b * v, a * (last + 1) + b * v, a)) for v, first, last in rows]
 
 
 def diagonal_parity(field: Field, N: int) -> tuple[int, ...]:
@@ -474,7 +463,7 @@ def diagonal_parity(field: Field, N: int) -> tuple[int, ...]:
     the mask of I, and a factor 1 + q^gamma with gamma outside I is 1 on I.
     So the chain 2^k*beta of each part stops at its first multiple outside
     I, as every later one lies above it (_fold_steps lists the multiples in
-    I from its columns, _interval_bounds(N, 0)).  The slot a*x + b*y
+    I from its rows, _RowEdges.rows(N, 0)).  The slot a*x + b*y
     is band_rows' layout at K = max(N, 1): a cell beta != 0 of I has
     x <= N and beta' <= N, so it lies in B(N, N), and _band_layout's proof
     keeps I apart from every cell a step writes and puts (N, 0) at the top
@@ -488,14 +477,13 @@ def diagonal_parity(field: Field, N: int) -> tuple[int, ...]:
     # Every part (u, 0), u = 1..N, lies in I, so the fold takes at least N
     # steps of L bits.
     check_budget(subject, _fold_ms(N, L), "building it would take at least")
-    steps = _fold_steps(columns := _parity_columns(field, N, a, b))
+    steps = _fold_steps(lines := _lines(a, b, _RowEdges(field).rows(N, 0)))
     check_budget(subject, _fold_ms(sum(map(len, steps)), L), "its parity product would take about")
-    # Character s of bits is bit s of the mask: (0, 0) and the columns 1..N of
-    # I.  A column of falling slots (b < 0) may stop below slot 0, where a
-    # slice counts from the end.
+    # Character s of bits is bit s of the mask: (0, 0) and the rows of I, whose
+    # slots rise by a from >= 1 (_band_layout).
     bits = bytearray(b"1" + b"0" * (L - 1))
-    for _, _, r in columns:
-        bits[r.start : r.stop if r.stop >= 0 else None : r.step] = b"1" * len(r)
+    for _, _, r in lines:
+        bits[r.start : r.stop : r.step] = b"1" * len(r)
     mask = int(bits[::-1], 2)
     F = 1  # p(0) = 1
     for r in steps:
@@ -536,7 +524,7 @@ def cone_columns(field: Field, max_x: int) -> list[list[int]]:
     holds x*p(x, y) at slot y + floor(x/omega), and T1, with S1_u, holds
     (x + y)*p(x, y); the shifts are >= 0 as floor(t/omega) is superadditive.
     p is T0's slot divided by x, and T1's slot must equal (x + y)*p, the
-    check of PartitionGrid._cell; a remainder or a mismatch raises
+    check of PartitionGrid._fill; a remainder or a mismatch raises
     DivisibilityViolation.  Column x costs x products of two packed columns,
     where the per-cell recurrence walks every pair of cells one multiply-add
     at a time.
@@ -812,7 +800,7 @@ def band_rows(field: Field, X: int, K: int) -> dict[int, tuple[int, list[int]]]:
     closed under adding cone elements, and by the layout's injectivity no
     term of a product lands on the slot of another cell.  _fold_steps lists
     these factors from the band's rows, as it lists the XOR steps of
-    diagonal_parity from the columns of its interval.
+    diagonal_parity from the rows of its interval.
 
     The slot width.  The fold starts at two-byte slots, one value byte under
     a guard byte, and _band_fold widens them a byte at a time, in place,
@@ -837,7 +825,7 @@ def band_rows(field: Field, X: int, K: int) -> dict[int, tuple[int, list[int]]]:
     nb = 2  # one value byte under the guard byte
     check(8 * nb)
     a, b = _band_layout(field, K)
-    rows = [(v, first, range(a * first + b * v, a * (last + 1) + b * v, a)) for v, first, last in _band_rows(field, X, K)]
+    rows = _lines(a, b, _band_rows(field, X, K))
     ones = bytearray(max((r[-1] for _, _, r in rows), default=0) + 1)  # slot 0 and the slots of B
     for s in chain((0,), *(r for _, _, r in rows)):
         ones[s] = 1

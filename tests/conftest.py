@@ -219,17 +219,17 @@ def cone_parity(field, max_x):
 def coin_change_count(alpha):
     """p(alpha) by a coin-change count over the points of [0, alpha], an oracle at any x.
 
-    The parts beta of partition.enumerate_interval(alpha) are taken one at a
-    time in lex order, and f[gamma] counts the partitions of gamma into the
-    parts taken so far: for each point gamma >= beta in lex order, f[gamma]
-    += f[gamma - beta].  gamma - beta lies below alpha, so it is 0 or a point
-    of the list exactly when it is totally positive, and it is lex-smaller
-    than gamma, so f[gamma - beta] already counts beta.  That is the Euler
+    The parts beta of partition.enumerate_interval(alpha), sorted, are taken
+    one at a time in lex order, and f[gamma] counts the partitions of gamma
+    into the parts taken so far: for each point gamma >= beta in lex order,
+    f[gamma] += f[gamma - beta].  gamma - beta lies below alpha, so it is 0
+    or a point of the list exactly when it is totally positive, and it is
+    lex-smaller than gamma, so f[gamma - beta] already counts beta.  That is the Euler
     product truncated to [0, alpha], summed over a point list: it shares no
     arithmetic with the recurrence or the packed folds, and it costs about
     |[0, alpha]|^2 steps whatever x is.
     """
-    pts = [(e.a, e.b) for e in partition.enumerate_interval(alpha)]
+    pts = sorted((e.a, e.b) for e in partition.enumerate_interval(alpha))
     f = dict.fromkeys(pts, 0)
     f[0, 0] = 1
     for i, (u, v) in enumerate(pts):

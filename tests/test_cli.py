@@ -386,7 +386,7 @@ def test_runs_over_the_cost_budget_exit_4_at_once(capsys):
     for D, N in ((2, 1340), (5, 1192)):
         f = Field(D)
         a, b = partition._band_layout(f, N - 1)
-        steps = sum(map(len, partition._fold_steps(partition._parity_columns(f, N - 1, a, b))))
+        steps = sum(map(len, partition._fold_steps(partition._lines(a, b, partition._RowEdges(f).rows(N - 1, 0)))))
         assert partition._fold_ms(steps, a * (N - 1) + 1) <= errors.BUDGET_MS, D
         start = time.perf_counter()
         code, out, err = run(capsys, "parity", "--D", str(D), "--N", str(N))

@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from itertools import count
-from math import gcd
+from math import ceil, floor, gcd, sqrt
 
 import pytest
 
@@ -91,6 +91,56 @@ def test_interval_enumeration_is_exact():
             assert len(set(got)) == len(got)
             assert set(got) == brute_interval(alpha), (D, x, y)
             assert got[-1] == alpha
+
+
+def box_scan(alpha: QElement) -> set[tuple[int, int]]:
+    """The cells 0 < beta <= alpha, by sign tests over a box that holds them.
+
+    beta = u + v*w has beta - beta' = v*s, s = w - w' > 0, and 0 < beta <= alpha
+    in the cone's order bounds both embeddings, beta in (0, alpha] and beta'
+    in (0, alpha'], so -alpha' < v*s < alpha; u runs over 1..x, as every
+    totally positive element has x >= 1.
+    """
+    f, x, y = alpha.field, alpha.a, alpha.b
+    r = sqrt(f.D)
+    w, w_, s = ((1 + r) / 2, (1 - r) / 2, r) if f.one_mod4 else (r, -r, 2 * r)
+    cells = set()
+    for v in range(floor(-(x + y * w_) / s) - 1, ceil((x + y * w) / s) + 2):
+        for u in range(1, x + 1):
+            rest = f.element(x - u, y - v)
+            if f.element(u, v).is_totally_positive() and ((x - u, y - v) == (0, 0) or rest.is_totally_positive()):
+                cells.add((u, v))
+    return cells
+
+
+def test_interval_rows_match_a_box_scan_to_x40():
+    # _RowEdges.rows, which the grid, diagonal_parity and enumerate_interval
+    # share, and enumerate_interval itself, against sign tests over a box, far
+    # past the oracle's x <= 8: elements up to x = 40 with y of both signs,
+    # and thin slice corners (ceil(y*xi), y), whose rows between 0 and y may
+    # hold no cell.
+    rng = random.Random(0x34)
+    empty_rows = 0
+    for D in range(2, 200):
+        if not is_squarefree(D):
+            continue
+        f = Field(D)
+        edges = partition._RowEdges(f)
+        alphas = [slice_element(f, 0, rng.randint(1, 20)) for _ in range(2)]
+        for x in rng.sample(range(1, 41), 3):
+            alphas.append(f.element(x, rng.randint(-f.floor_div_omega(x), f.floor_div_xi(x))))
+        for alpha in alphas:
+            want = box_scan(alpha)
+            a, b = edges.reach(alpha.a, alpha.b)
+            rows = list(edges.rows(alpha.a, alpha.b))
+            assert [v for v, _, _ in rows] == list(range(a, b + 1)), (D, alpha)
+            cells = [(u, v) for v, first, last in rows for u in range(first, last + 1)]
+            assert len(cells) == len(set(cells)) and set(cells) == want, (D, alpha)
+            empty_rows += sum(last < first for _, first, last in rows)
+            got = [(e.a, e.b) for e in enumerate_interval(alpha)]
+            assert len(got) == len(set(got)) and set(got) == want, (D, alpha)
+            assert got[-1] == (alpha.a, alpha.b), (D, alpha)
+    assert empty_rows, "no interval with an empty row between 0 and y"
 
 
 def test_interval_rejects_bad_base():
@@ -393,13 +443,19 @@ def test_diagonal_parity_matches_the_exact_diagonal_to_n120():
 
 
 def test_diagonal_parity_matches_the_whole_cone_fold():
-    # The fold below (N, 0) against the fold over the whole cone up to x = N.
-    for D in range(2, 400):
-        if is_squarefree(D):
-            f = Field(D)
-            assert diagonal_parity(f, 0) == (1,), D
-            for N in (1, 2, 3, 7, 30):
-                assert diagonal_parity(f, N) == tuple(diagonal(f, cone_parity(f, N))), (D, N)
+    # The fold below (N, 0) against the fold over the whole cone up to x = N,
+    # in layouts a*u + b*v of every sign of b: D = 683, 911, 919 and 970 have
+    # b < 0 at the benchmark's N.
+    signs = set()
+    wide = {683: (60, 90), 911: (60, 90), 919: (60, 90), 970: (60, 90)}
+    for D in [*filter(is_squarefree, range(2, 400)), *wide]:
+        f = Field(D)
+        assert diagonal_parity(f, 0) == (1,), D
+        for N in wide.get(D, (1, 2, 3, 7, 30)):
+            assert diagonal_parity(f, N) == tuple(diagonal(f, cone_parity(f, N))), (D, N)
+            b = partition._band_layout(f, N)[1]
+            signs.add((b > 0) - (b < 0))
+    assert signs == {-1, 0, 1}
 
 
 def test_fold_steps_are_every_chain_below_the_diagonal():
@@ -424,7 +480,7 @@ def test_fold_steps_are_every_chain_below_the_diagonal():
                             break
                         walked.append((a * u + b * v) << k)
                         k += 1
-            steps = partition._fold_steps(partition._parity_columns(f, N, a, b))
+            steps = partition._fold_steps(partition._lines(a, b, partition._RowEdges(f).rows(N, 0)))
             assert sorted(s for r in steps for s in r) == sorted(walked), (D, N)
         for X, K in ((0, 1), (1, 1), (9, 1), (12, 9), (16, 16), (33, 2), (40, 7)):
             a, b = partition._band_layout(f, K)
@@ -447,15 +503,14 @@ def test_fold_steps_are_every_chain_below_the_diagonal():
 def _diamond_aliases(f, N, a, b):
     """Whether, at slot a*x + b*y, two cells of I = [0, (N, 0)] share a slot or a cell
     of [0, (2N, 0)] outside I lands on the slot of a cell of I."""
-    fdo, fdx = partition._floors(f, 2 * N)
-    inner = {(x, y) for x, lo, hi in zip(range(N + 1), *partition._interval_bounds(fdo, fdx, N, 0))
-             for y in range(lo, hi + 1)}
+    edges = partition._RowEdges(f)
+    inner = {(0, 0)} | {(x, y) for y, first, last in edges.rows(N, 0) for x in range(first, last + 1)}
     slots = {a * x + b * y for x, y in inner}
     if len(slots) < len(inner):
         return True
     return any(a * x + b * y in slots
-               for x, lo, hi in zip(range(2 * N + 1), *partition._interval_bounds(fdo, fdx, 2 * N, 0))
-               for y in range(lo, hi + 1) if (x, y) not in inner)
+               for y, first, last in edges.rows(2 * N, 0)
+               for x in range(first, last + 1) if (x, y) not in inner)
 
 
 def test_the_band_layout_keeps_the_diagonal_ideal_apart():
@@ -465,12 +520,11 @@ def test_the_band_layout_keeps_the_diagonal_ideal_apart():
     for D in range(2, 100):
         if is_squarefree(D):
             f = Field(D)
-            fdo, fdx = partition._floors(f, 40)
+            edges = partition._RowEdges(f)
             for N in range(41):
                 a, b = partition._band_layout(f, max(N, 1))
                 assert not _diamond_aliases(f, N, a, b), (D, N)
-                lo, hi = partition._interval_bounds(fdo, fdx, N, 0)
-                top = max(a * x + b * y for x in range(N + 1) for y in range(lo[x], hi[x] + 1))
+                top = max((a * x + b * y for y, first, last in edges.rows(N, 0) for x in range(first, last + 1)), default=0)
                 assert top == a * N, (D, N)
 
 
