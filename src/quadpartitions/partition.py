@@ -56,9 +56,12 @@ an interval it has not reached yet, and check_band is band_rows', which
 search.search_m also asks about a band below its box before any count.
 
 euler_transform is the one-variable form of the recurrence, for a product
-prod_k (1 - q^k)^(-c[k]) over the rational integers: p_rational uses it with
-c = 1, parity.cumulative_P with the trace-layer counts, and cone_columns with
-the column sizes, for its slot width and its column-sum check.
+prod_k (1 - q^k)^(-c[k]) over the rational integers, and sums it in packed
+blocks: each block of _EULER_BLOCK coefficients is added to every later one
+by one Kronecker product, in slots proved wide enough as they grow.
+p_rational uses it with c = 1, parity.cumulative_P with the trace-layer
+counts, and cone_columns with the column sizes, for its slot width and its
+column-sum check.
 """
 
 from __future__ import annotations
@@ -122,6 +125,8 @@ _BAND_CELL_US = 10
 _INTERVAL_STEPS_PER_S = 4_000_000
 # Within errors.BUDGET_MS the xy view runs up to x = 416 for D=2 and 331 for
 # D=5, and parity up to N = 1339 and 1191; both are refused beyond.
+# Coefficients euler_transform adds to every later one with one packed product.
+_EULER_BLOCK = 16
 
 
 @cache
@@ -837,18 +842,75 @@ def band_rows(field: Field, X: int, K: int) -> dict[int, tuple[int, list[int]]]:
 def euler_transform(c: Sequence[int]) -> list[int]:
     """P(0..T), T = len(c) - 1, the coefficients of prod_{k>=1} (1 - q^k)^(-c[k]).
 
-    Taking the logarithmic derivative gives n * P(n) = sum_{k=1..n} w(k) * P(n - k)
-    with w(k) = sum_{d | k} d * c[d]; c[0] is ignored.  Every division is
-    checked and a remainder raises DivisibilityViolation.
+    Taking the logarithmic derivative gives n * P(n) = sum_{m<n} w(n - m) * P(m)
+    with w(k) = sum_{d | k} d * c[d], which a divisor sieve adds up: d * c[d]
+    to w(d), w(2d), ...  c[0] is ignored, and c[k] < 0 for a k >= 1 raises
+    ValueError.  Every division is checked and a remainder raises
+    DivisibilityViolation.
+
+    The sum runs in blocks of _EULER_BLOCK coefficients; a tail of fewer
+    than half a block joins the block before it.  A packs, nb bytes a slot,
+    S(n) = sum_{m < lo} w(n - m) * P(m) for every n not yet reached, where
+    lo is the first m of the block.  The first block has lo = 0 and reads
+    no A, so a transform with T < 24 is one plain loop.  Inside a block each
+    n adds the terms of lo <= m < n to S(n), the low slot of A, one by one.
+    After the block P(lo..n1-1), the block identity
+
+        S'(n) = S(n) + sum_{lo <= m < n1} w(n - m) * P(m),   n >= n1,
+
+    is one product: W, the slots w(1..T-lo), times the block packed has at
+    slot e the sum of w(e + 1 - i) * P(lo + i), the terms of n = lo + e + 1.
+    Shifted down n1 - lo - 1 slots, it is added to A shifted down past the
+    block, and a mask keeps the T + 1 - n1 slots of n1..T.
+
+    Why it is exact.  With every c[k] >= 0, every w(k) and P(m) is >= 0.
+    Every slot, of A or of a block product, is a sum of terms w(k) * P(m)
+    with distinct k, so it is at most sum(w) * max P < 2^(8*nb), with nb
+    checked after each block against the max of the P computed, and A and
+    W spread to wider slots, their exact values moved, when it grows.  So
+    no slot carries into the next, and the shifts, the masks and the low
+    slots read every slot exactly.  The slots the shifts drop belong to n
+    inside the block, whose terms from the block its own loop has added.
     """
     T = len(c) - 1
-    w = [sum(d * c[d] for d in divisors(k)) for k in range(1, T + 1)]  # w(1..T)
-    P = [1]
-    for n in range(1, T + 1):
-        q, r = divmod(sum(map(mul, w, reversed(P))), n)
-        if r:
-            raise DivisibilityViolation(f"Euler transform division failed at n={n}")
-        P.append(q)
+    w = [0] * T  # w(1..T); empty for T <= 0
+    for d in range(1, T + 1):
+        if (v := d * c[d]) < 0:
+            raise ValueError(f"euler_transform needs every c[k] >= 0, got c[{d}] = {c[d]}")
+        for k in range(d - 1, T, d):
+            w[k] += v
+    total = sum(w)
+    P, lo, top, nb, A, W, S = [1], 0, 1, 0, 0, 0, 0
+    for n0 in range(1, T + 1, _EULER_BLOCK):
+        # A tail of fewer than half a block joins the block before it.
+        n1 = n0 + _EULER_BLOCK if T + 1 - n0 >= 3 * _EULER_BLOCK // 2 else T + 1
+        blk = P[lo:]  # P(lo..n-1): P(0) in the first block
+        bits = 8 * nb
+        m = (1 << bits) - 1
+        for n in range(n0, n1):
+            q, r = divmod(sum(map(mul, w, reversed(blk)), S & m), n)
+            if r:
+                raise DivisibilityViolation(f"Euler transform division failed at n={n}")
+            P.append(q)
+            blk.append(q)
+            S >>= bits
+        rest = T + 1 - n1  # the slots still to come, n1..T
+        if not rest:
+            break
+        top = max(top, *blk)
+        W &= (1 << (T - lo) * bits) - 1  # w(1..T-lo), all a block product reads
+        if (need := (total * top).bit_length() // 8 + 1) > nb:
+            if nb:
+                A = _spread(A.to_bytes((T + 1 - n0) * nb, "little"), nb, need)
+                W = _spread(W.to_bytes((T - lo) * nb, "little"), nb, need)
+            else:
+                W = _pack(w, need)
+            nb = need
+        bits = 8 * nb
+        A = (A >> (n1 - n0) * bits) + (W * _pack(blk, nb) >> (n1 - lo - 1) * bits)
+        A &= (1 << rest * bits) - 1
+        S = A & ((1 << 2 * _EULER_BLOCK * bits) - 1)  # the next block's slots
+        lo = n1
     return P
 
 

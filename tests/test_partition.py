@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from itertools import count
-from math import ceil, floor, gcd, sqrt
+from math import ceil, comb, floor, gcd, sqrt
 
 import pytest
 
@@ -366,8 +366,37 @@ def brute_rational_partitions(n: int) -> int:
 
 
 def test_p_rational_against_brute_force():
-    for n in range(0, 26):
+    for n in range(0, 121):
         assert p_rational(n) == brute_rational_partitions(n), n
+    assert p_rational(1000) == 24061467864032622473692149727991
+
+
+def product_expansion(c: list[int]) -> list[int]:
+    # prod_k (1 - q^k)^(-c[k]) to q^T, one factor at a time: the series
+    # sum_j C(c[k] + j - 1, j) q^(jk) is c[k] passes of stride-k prefix sums at
+    # once; no divisor sum, no logarithmic derivative, no division.
+    T = len(c) - 1
+    P = [1] + [0] * T
+    for k in range(1, T + 1):
+        if c[k]:
+            b = [comb(c[k] + j - 1, j) for j in range(T // k + 1)]
+            P = [sum(b[j] * P[n - j * k] for j in range(n // k + 1)) for n in range(T + 1)]
+    return P
+
+
+def test_euler_transform_matches_the_product_expansion():
+    # Entries up to 10^6 make P(n) outgrow its slots block after block, so the
+    # packed sums widen many times; c[1] = 0 is the shape of D = 1 (mod 4).
+    rng = random.Random(36)
+    assert partition.euler_transform([]) == [1]
+    for T in [*range(71), 127, 128, 129, 200]:
+        for top in (3, 10**6):
+            c = [0] + [rng.randint(1, top) if rng.random() < 0.8 else 0 for _ in range(T)]
+            if T and rng.random() < 0.5:
+                c[1] = 0
+            assert partition.euler_transform(c) == product_expansion(c), (T, top)
+    with pytest.raises(ValueError):
+        partition.euler_transform([0, 1, 2, -1, 3])
 
 
 def test_rational_column_matches_p_rational_when_cone_is_narrow():
