@@ -1,3 +1,4 @@
+import argparse
 import json
 import multiprocessing.process
 import os
@@ -631,6 +632,109 @@ def test_each_command_parses_as_the_top_level_parser_would(monkeypatch, capsys):
         assert seen == outcome(argv), argv
     assert split[0] == (1, "", "quadpartitions: unrecognized arguments: extra\n")
     assert split[2] == (1, "", "quadpartitions units: the following arguments are required: --D\n")
+
+
+# One argv per command and format, in the shapes the benchmark's jobs take.
+PLAIN_SHAPES = (
+    *(("grid", "--view", "xy", "--D", "5", "--max-x", "6", "--format", f) for f in ("pretty", "csv", "json", "tex")),
+    *(("grid", "--view", "ky", "--D", "2", "--kmax", "2", "--ymax", "3", "--format", f)
+      for f in ("pretty", "csv", "json", "tex")),
+    ("search", "--D", "2", "--m", "4", "--explain"),
+    *(("search", "--D", "5", "--m", "4", "--format", f) for f in ("pretty", "csv", "json", "tex")),
+    *(("parity", "--D", "3", "--N", "12", "--format", f) for f in ("pretty", "csv", "json")),
+    *(("dm", "--m", "3", "--format", f) for f in ("pretty", "csv", "json")),
+    *((kind, "--D", "7", "--format", f) for kind in ("units", "indecomposables") for f in ("pretty", "json")),
+    *(("witness", "--D", "7", "--m", m, "--format", f) for m in ("4", "6") for f in ("pretty", "json")),
+    *(("estimate", "--D", "2", "--a", "6", "--b", "2", "--compare", "--format", f) for f in ("pretty", "json")),
+    ("verify",),
+)
+
+# Words argparse reads by rules of its own: values that start with "-", a
+# type or choices check that fails, repeats, and forms that are not a whole
+# option followed by its value.
+PLAIN_EDGES = (
+    ("units", "--D", "7", "extra"),
+    ("units", "--D", "7", "--bogus", "1"),
+    ("units",),
+    ("nonsense",),
+    (),
+    ("grid", "--D", "2", "--view", "zz"),
+    ("units", "--form", "json", "--D", "7"),
+    ("units", "--D=7"),
+    ("-h",),
+    ("units", "-h"),
+    ("units", "--D", "7", "--", "x"),
+    ("--D", "7", "units"),
+    ("-h", "units"),
+    ("grid", "--D", "2", "--max-x", "-2"),
+    ("witness", "--D", "5", "--m", "6", "--format", "json"),
+    ("search", "--D", "2", "--m", "0"),
+    ("estimate", "--D", "2", "--a", "3", "--b", "-1"),
+    ("units", "--D"),
+    ("units", "--D", "7", "--D", "11"),
+    ("search", "--D", "2", "--m", "3", "--explain", "--explain"),
+    ("witness", "--D", "7", "--m", "5"),
+    ("witness", "--D", "7", "--m", "06"),
+    ("units", "--D", " 7"),
+    ("units", "--D", "٧"),
+    ("verify", "--fixtures", ""),
+    ("verify", "--fixtures", "-"),
+    ("verify", "--fixtures", "--D"),
+    ("dm", "--m", "3", "--jobs", "1_0"),
+    ("units", "--D", "7", "--"),
+    ("units", "--D", "seven"),
+)
+
+
+def test_the_plain_reading_gives_what_argparse_gives(monkeypatch, tmp_path, capsys):
+    # Each argv the plain reading answers gets argparse's own Namespace, and
+    # main prints the same for every argv whether or not that reading runs.
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)  # verify --fixtures "" reads the working directory
+    commands = cli._parser().commands
+
+    def outcome(argv):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    argvs = PLAIN_SHAPES + PLAIN_EDGES
+    for argv in argvs:
+        command = commands.get(argv[0]) if argv else None
+        if command is None:
+            continue
+        plain = cli._read_plain(command, list(argv[1:]))
+        if plain is not None:
+            args, extras = command.parse_known_args(list(argv[1:]))
+            assert (vars(plain), extras) == (vars(args), []), argv
+    read = [outcome(argv) for argv in argvs]
+    monkeypatch.setattr(cli, "_read_plain", lambda command, words: None)
+    for argv, seen in zip(argvs, read):
+        assert seen == outcome(argv), argv
+
+
+def test_every_benchmark_shaped_argv_is_read_plain(monkeypatch):
+    # A parser edit that sends these calls back through argparse fails here:
+    # the plain reading follows only options that take one value or none.
+    commands = cli._parser().commands
+    for argv in PLAIN_SHAPES:
+        assert cli._read_plain(commands[argv[0]], list(argv[1:])) is not None, argv
+    declared = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def recording_add_argument(self, *args, **kwargs):
+        declared.append((args, kwargs))
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", recording_add_argument)
+    cli.build_parser()
+    options = [(args, kwargs) for args, kwargs in declared if kwargs.get("action") != "help"]
+    assert options
+    for args, kwargs in options:
+        assert "nargs" not in kwargs and kwargs.get("action", "store") in ("store", "store_true"), args
 
 
 def test_importing_the_cli_loads_no_process_pool():
