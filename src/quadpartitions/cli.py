@@ -465,6 +465,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.fixtures == "":  # Path("") is the working directory
+        raise UsageError("verify: --fixtures is an empty path")
     if args.fixtures is not None:
         try:
             docs = load_documents(args.fixtures)

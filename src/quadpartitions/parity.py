@@ -19,8 +19,9 @@ even traces.
 
 parity_check confirms the congruence by comparing P(n) mod 2 with p(n) mod 2
 for n <= N.  The command line passes partition.diagonal_parity, which
-expands the Euler product modulo 2 below (N, 0), so the two sides of the
-congruence come from independent algorithms.
+expands the Euler product modulo 2 below (N, 0) as the product of
+1 + q^beta over the parts beta = u + v*w with u or v odd, so the two sides
+of the congruence come from independent algorithms.
 """
 
 from __future__ import annotations
@@ -98,10 +99,11 @@ def parity_check(field: Field, N: int, diagonal: Sequence[int]) -> ParityReport:
 
     P(n) comes from the trace-layer recurrence; diagonal holds p(n) at the
     rational integers (n, 0) for n = 0..N, or p(n) mod 2, and is reduced mod
-    2 here.  From diagonal_parity that is the Euler product modulo 2, an
-    algorithm independent of both recurrences; read off cone_columns it is
-    the exact count.  Any disagreement raises InvariantViolation, so a
-    returned report always has P = p (mod 2).
+    2 here.  From diagonal_parity that is the Euler product modulo 2, one
+    factor 1 + q^beta per part beta outside 2O, an algorithm independent of
+    both recurrences; read off cone_columns it is the exact count.  Any
+    disagreement raises InvariantViolation, so a returned report always has
+    P = p (mod 2).
     """
     layers = _trace_layers(field, N)
     P = cumulative_P(field, N, layers)

@@ -27,9 +27,10 @@ Four kernels compute p, or p mod 2, on an order ideal of the cone:
   (Kronecker substitution), and column x is a sum of x products of packed
   columns.  cone_rows, the xy view, reads it.
 - diagonal_parity expands the Euler product of 1/(1 - q^beta) modulo 2
-  over the interval below (N, 0), with 1-bit slots and XOR in place of
-  addition, and returns p(n) mod 2 for n <= N, the side of the parity
-  congruence that never runs the recurrence.
+  over the interval below (N, 0) as the product of 1 + q^beta over its
+  cells outside 2O (Euler's distinct parts, mod 2), with 1-bit slots and
+  XOR in place of addition, and returns p(n) mod 2 for n <= N, the side of
+  the parity congruence that never runs the recurrence.
 - band_rows expands the same product exactly over the thin band
   B(X, K) = {beta >> 0 : x(beta) <= X, beta' <= K}, row by row, whose rows
   0..y_max hold the search's slice box, one shift, mask and add of one big
@@ -41,10 +42,11 @@ the rows of an interval [0, x + y*w] (for PartitionGrid, diagonal_parity
 and enumerate_interval), _band_rows the rows of a band, and _floors the
 column windows of cone_columns; _band_layout gives both products the slot
 a*u + b*v of the cell u + v*w, with the proof that it keeps any order
-ideal inside a band apart; _lines puts an ideal's rows in that layout and
-_fold_steps lists from them the factors 1 + q^(2^k*beta) of either
-product; _weights gives the two weights of a part; and _pack, _unpack and
-_spread move values into, out of and between byte slots.
+ideal inside a band apart; _lines puts an ideal's rows in that layout,
+_fold_steps lists from them band_rows' factors 1 + q^(2^k*beta) and
+_parity_steps diagonal_parity's factors 1 + q^beta, beta outside 2O;
+_weights gives the two weights of a part; and _pack, _unpack and _spread
+move values into, out of and between byte slots.
 
 Two checks are independent of the recurrence: every column of cone_columns
 must sum to R(x), the number of partitions of x into parts counted by their
@@ -98,10 +100,13 @@ ZETA3 = 1.2020569031595942854
 
 # Throughput of the four kernels on a 2-core host with Python 3.11, each taken
 # where the budget bites, so smaller runs take less than estimated.  64-bit
-# words per second of diagonal_parity's XOR steps (see _fold_ms), falling as
-# the int grows: the last N started ran 3.0e8 for D = 2 (N = 1339, 56 s) and
-# 3.5e8 for D = 5 (N = 1191, 48 s), but a 1.4 Mbit int ran 1.4e8-1.5e8
-# (D = 2, N = 1406: 132-143 s), and the rate is the lower.
+# words per second of diagonal_parity's XOR steps (see _fold_ms): with one
+# step per cell outside 2O the last N started ran 2.7e8 for D = 2 (N = 1547,
+# a 1.69 Mbit int, 63 s with 0.1 s of system time) and 3.9e8 for D = 5
+# (N = 1375, 43 s); the chain fold before it ran 3.0e8 and 3.5e8 at its own
+# last N (1339 and 1191), and once 1.4e8-1.5e8 on a 1.4 Mbit int, with 45 s
+# of system time (D = 2, N = 1406: 132-143 s; timed again, 54 s with none),
+# and the rate is that lower one.
 # Slot products per second of cone_columns (see _recurrence_madds): 8e7 at
 # X = 100 for D = 2, 2.1e7 at X = 430.
 # 64-bit words per second of band_rows' fold steps, its certificate's
@@ -124,7 +129,7 @@ _BAND_WORDS_PER_S = 90_000_000
 _BAND_CELL_US = 10
 _INTERVAL_STEPS_PER_S = 4_000_000
 # Within errors.BUDGET_MS the xy view runs up to x = 416 for D=2 and 331 for
-# D=5, and parity up to N = 1339 and 1191; both are refused beyond.
+# D=5, and parity up to N = 1547 and 1375; both are refused beyond.
 # Coefficients euler_transform adds to every later one with one packed product.
 _EULER_BLOCK = 16
 
@@ -439,7 +444,9 @@ def _fold_steps(lines: Sequence[tuple[int, int, range]]) -> list[range]:
     the cone.  So for k >= 1 they lie on the rows whose v is divisible by
     2^k, every 2^k-th cell from the first whose u is: a slice of its range.
     Where I has no such cell for 2^k, it has none for 2^(k+1), and the
-    list ends.  The first ranges are the lines themselves.
+    list ends.  The first ranges are the lines themselves.  band_rows folds
+    them all, as its product is exact; modulo 2, diagonal_parity needs only
+    the cells outside 2O (_parity_steps).
     """
     steps, m = [r for _, _, r in lines], 2
     while multiples := [s for f, l, r in lines if not f % m and (s := r[-l % m :: m])]:
@@ -448,8 +455,17 @@ def _fold_steps(lines: Sequence[tuple[int, int, range]]) -> list[range]:
     return steps
 
 
+def _parity_steps(lines: Sequence[tuple[int, int, range]]) -> list[range]:
+    """The slots of diagonal_parity's factors 1 + q^beta: the cells u + v*w of lines (see _fold_steps) with u or v odd.
+
+    All of row v when v is odd; every second cell from the first odd u
+    when v is even.
+    """
+    return [r if v % 2 else r[1 - first % 2 :: 2] for v, first, r in lines]
+
+
 def _lines(a: int, b: int, rows: Iterable[tuple[int, int, int]]) -> list[tuple[int, int, range]]:
-    """The rows (v, first, last) of an ideal as lines of _fold_steps, the cell (u, v) at slot a*u + b*v."""
+    """The rows (v, first, last) of an ideal as lines of _fold_steps and _parity_steps, the cell (u, v) at slot a*u + b*v."""
     return [(v, first, range(a * first + b * v, a * (last + 1) + b * v, a)) for v, first, last in rows]
 
 
@@ -457,32 +473,45 @@ def diagonal_parity(field: Field, N: int) -> tuple[int, ...]:
     """p(n) mod 2 for n = 0..N, from the Euler product folded over the order ideal below (N, 0).
 
     Modulo 2 the generating function of p, the product over totally positive
-    beta of 1/(1 - q^beta), is the product of the factors 1 + q^(2^k*beta),
-    k >= 0, so it needs only shifts and XORs.  It is one int F whose bit
-    a*x + b*y holds p(x + y*w) mod 2 on the ideal I = [0, (N, 0)], and it
-    shares no arithmetic with the recurrence.
+    beta of 1/(1 - q^beta), is the product of the factors 1 + q^beta over
+    the beta = u + v*w with u or v odd, so it needs only shifts and XORs.
+    It is one int F whose bit a*x + b*y holds p(x + y*w) mod 2 on the ideal
+    I = [0, (N, 0)], and it shares no arithmetic with the recurrence.
+
+    Why the cells outside 2O are enough (Euler's distinct parts, mod 2); all
+    products run over totally positive beta:
+    - Over GF(2), prod (1 + q^beta) = prod (1 - q^beta).
+    - prod (1 + q^beta) * prod (1 - q^beta) = prod (1 - q^(2*beta)).
+    - So prod (1 - q^beta)^2 = prod (1 - q^(2*beta)) mod 2.  The left side
+      is prod (1 - q^beta) times the right side (the factors on 2*cone)
+      times prod_(beta not in 2*cone) (1 - q^beta); cancelling the right
+      side, prod 1/(1 - q^beta) = prod_(beta not in 2*cone) (1 - q^beta)
+      = prod_(beta not in 2O) (1 + q^beta) mod 2.
+    - beta = 2*gamma with gamma in O is totally positive exactly when gamma
+      is, so beta is in 2*cone exactly when u and v are both even.
+    On the rational integers this is the classical p(n) = the number of
+    partitions of n into distinct odd parts (mod 2).
 
     Why folding only I is exact on I.  Every partition of (n, 0), n <= N,
     has all its parts in I, and I is an order ideal, so the coefficients of
     a product on I read its factors only on I: each XOR step is ANDed with
     the mask of I, and a factor 1 + q^gamma with gamma outside I is 1 on I.
-    So the chain 2^k*beta of each part stops at its first multiple outside
-    I, as every later one lies above it (_fold_steps lists the multiples in
-    I from its rows, _RowEdges.rows(N, 0)).  The slot a*x + b*y
+    So the fold takes one step per cell of I with u or v odd (_parity_steps
+    lists them from its rows, _RowEdges.rows(N, 0)).  The slot a*x + b*y
     is band_rows' layout at K = max(N, 1): a cell beta != 0 of I has
     x <= N and beta' <= N, so it lies in B(N, N), and _band_layout's proof
-    keeps I apart from every cell a step writes and puts (N, 0) at the top
-    slot a*N.
+    keeps I apart from every cell a step writes (each step still adds one
+    part of I) and puts (N, 0) at the top slot a*N.
 
     Raises BudgetExceeded, before any folding, when the fold is too costly.
     """
     a, b = _band_layout(field, max(N, 1))
     L = a * N + 1  # one past the slot of (N, 0)
     subject = f"the ideal below ({N}, 0) of D={field.D}"
-    # Every part (u, 0), u = 1..N, lies in I, so the fold takes at least N
-    # steps of L bits.
-    check_budget(subject, _fold_ms(N, L), "building it would take at least")
-    steps = _fold_steps(lines := _lines(a, b, _RowEdges(field).rows(N, 0)))
+    # Every part (u, 0) with u odd, u <= N, lies in I outside 2O, so the fold
+    # takes at least ceil(N/2) steps of L bits.
+    check_budget(subject, _fold_ms((N + 1) // 2, L), "building it would take at least")
+    steps = _parity_steps(lines := _lines(a, b, _RowEdges(field).rows(N, 0)))
     check_budget(subject, _fold_ms(sum(map(len, steps)), L), "its parity product would take about")
     # Character s of bits is bit s of the mask: (0, 0) and the rows of I, whose
     # slots rise by a from >= 1 (_band_layout).
@@ -804,8 +833,8 @@ def band_rows(field: Field, X: int, K: int) -> dict[int, tuple[int, list[int]]]:
     B commutes with the products, as the cells outside an order ideal are
     closed under adding cone elements, and by the layout's injectivity no
     term of a product lands on the slot of another cell.  _fold_steps lists
-    these factors from the band's rows, as it lists the XOR steps of
-    diagonal_parity from the rows of its interval.
+    these factors from the band's rows.  Every chain is needed here: the
+    product is exact, so diagonal_parity's mod-2 identity does not apply.
 
     The slot width.  The fold starts at two-byte slots, one value byte under
     a guard byte, and _band_fold widens them a byte at a time, in place,

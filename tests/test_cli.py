@@ -299,6 +299,15 @@ def test_verify_empty_dir_exits_1(tmp_path, capsys):
     assert "no fixture documents" in err
 
 
+def test_verify_empty_fixtures_path_is_a_usage_error(monkeypatch, tmp_path, capsys):
+    # Path("") is the working directory: an empty path must not load the
+    # stray JSON there as fixture documents.
+    (tmp_path / "stray.json").write_text('{"workloads": []}')
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "verify", "--fixtures", "")
+    assert (code, out, err) == (1, "", "verify: --fixtures is an empty path\n")
+
+
 def test_internal_violation_exits_3(monkeypatch, capsys):
     def boom(field, grid=None):
         raise InvariantViolation("forced for the test")
@@ -381,13 +390,14 @@ def test_runs_over_the_cost_budget_exit_4_at_once(capsys):
             f"its recurrence would take about {secs} s, more than 120 s\n"
         )
         assert secs > errors.BUDGET_MS // 1000
-    # parity runs up to N = 1339 for D=2 and 1191 for D=5, counting the XOR
-    # steps of its fold below (N, 0) in the band layout at K = N, and is
-    # refused at once from the next N on.
-    for D, N in ((2, 1340), (5, 1192)):
+    # parity runs up to N = 1547 for D=2 and 1375 for D=5, counting the XOR
+    # steps of its fold below (N, 0) in the band layout at K = N, one per
+    # cell with u or v odd, and is refused at once from the next N on.
+    for D, N in ((2, 1548), (5, 1376)):
         f = Field(D)
         a, b = partition._band_layout(f, N - 1)
-        steps = sum(map(len, partition._fold_steps(partition._lines(a, b, partition._RowEdges(f).rows(N - 1, 0)))))
+        rows = partition._RowEdges(f).rows(N - 1, 0)
+        steps = sum((u | v) & 1 for v, first, last in rows for u in range(first, last + 1))
         assert partition._fold_ms(steps, a * (N - 1) + 1) <= errors.BUDGET_MS, D
         start = time.perf_counter()
         code, out, err = run(capsys, "parity", "--D", str(D), "--N", str(N))
@@ -690,7 +700,7 @@ def test_the_plain_reading_gives_what_argparse_gives(monkeypatch, tmp_path, caps
     # Each argv the plain reading answers gets argparse's own Namespace, and
     # main prints the same for every argv whether or not that reading runs.
     monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.chdir(tmp_path)  # verify --fixtures "" reads the working directory
+    monkeypatch.chdir(tmp_path)  # relative --fixtures paths stay inside tmp_path
     commands = cli._parser().commands
 
     def outcome(argv):

@@ -354,6 +354,21 @@ def test_p_rational_small_values():
         p_rational(-1)
 
 
+def test_p_rational_parity_is_that_of_distinct_odd_parts_to_n2000():
+    # Modulo 2, prod 1/(1 - q^k) = prod over odd k of (1 + q^k): the rational
+    # form of diagonal_parity's product.  Bit n of F counts the partitions of
+    # n into distinct odd parts mod 2, one XOR step per odd part.  p_rational(n)
+    # is entry n of one transform, read here once for every n.
+    n = 2000
+    mask = (1 << (n + 1)) - 1
+    F = 1
+    for k in range(1, n + 1, 2):
+        F ^= (F << k) & mask
+    p = partition.euler_transform([0] + [1] * n)
+    assert p[n] == p_rational(n)
+    assert [c % 2 for c in p] == [F >> m & 1 for m in range(n + 1)]
+
+
 def brute_rational_partitions(n: int) -> int:
     # classic bounded-part counting, independent of the sigma recurrence
     table = [[0] * (n + 1) for _ in range(n + 1)]
@@ -487,10 +502,57 @@ def test_diagonal_parity_matches_the_whole_cone_fold():
     assert signs == {-1, 0, 1}
 
 
+def _chain_parity(f, N):
+    """p(n) mod 2 for n <= N from every chain 2^k*beta of the ideal below (N, 0): the factors
+    1 + q^(2^k*beta) of _fold_steps, folded in diagonal_parity's layout and mask."""
+    a, b = partition._band_layout(f, max(N, 1))
+    lines = partition._lines(a, b, partition._RowEdges(f).rows(N, 0))
+    mask = 1 | sum(1 << s for _, _, r in lines for s in r)
+    F = 1
+    for r in partition._fold_steps(lines):
+        for s in r:
+            F ^= (F << s) & mask
+    return tuple(F >> (a * n) & 1 for n in range(N + 1))
+
+
+def test_diagonal_parity_matches_the_chain_fold():
+    # The factors 1 + q^beta with u or v odd against every chain 2^k*beta, in
+    # layouts a*u + b*v of every sign of b.
+    signs = set()
+    for D in filter(is_squarefree, range(2, 100)):
+        f = Field(D)
+        for N in range(41):
+            assert diagonal_parity(f, N) == _chain_parity(f, N), (D, N)
+            b = partition._band_layout(f, max(N, 1))[1]
+            signs.add((b > 0) - (b < 0))
+    assert signs == {-1, 0, 1}
+
+
+def test_parity_steps_are_every_cell_below_the_diagonal_outside_2O():
+    # The shifts that diagonal_parity folds, and its budget counts, against a
+    # walk of every part beta = u + v*w of the ideal below (N, 0), from the
+    # ideal's columns, kept when (N, 0) - beta is totally positive or zero
+    # and u or v is odd.
+    for D in (2, 3, 5, 6, 7, 13, 17, 21, 19, 29, 101):
+        f = Field(D)
+        for N in (0, 1, 2, 5, 12, 33):
+            fdo, fdx = partition._floors(f, N)
+            a, b = partition._band_layout(f, max(N, 1))
+            walked = []
+            for u in range(1, N + 1):
+                for v in range(-fdo[u], fdx[u] + 1):
+                    rest = f.element(N - u, -v)
+                    if ((rest.a, rest.b) == (0, 0) or rest.is_totally_positive()) and (u % 2 or v % 2):
+                        walked.append(a * u + b * v)
+            steps = partition._parity_steps(partition._lines(a, b, partition._RowEdges(f).rows(N, 0)))
+            assert sorted(s for r in steps for s in r) == sorted(walked), (D, N)
+
+
 def test_fold_steps_are_every_chain_below_the_diagonal():
-    # The shifts that diagonal_parity and band_rows fold, and the budget
-    # counts, against a walk of every part beta of each ideal, its chain
-    # 2^k*beta followed by sign tests while it stays in the ideal: below
+    # The shifts that band_rows folds, and its budget counts, against a walk
+    # of every part beta of each ideal, its chain 2^k*beta followed by sign
+    # tests while it stays in the ideal (diagonal_parity folds no chains,
+    # only the cells outside 2O; _chain_parity folds these chains): below
     # (N, 0), while (N, 0) - 2^k*beta is totally positive or zero, from the
     # ideal's columns; in the band B(X, K), while 2^k*beta has x <= X and
     # its conjugate is <= K, from the band's rows.
