@@ -25,6 +25,7 @@ from .oracle import enumerate_partitions
 from .parity import parity_check
 from .partition import PartitionGrid, asymptotic_estimate, cone_rows, diagonal_parity
 from .search import (
+    check_scan,
     dm_scan,
     exhaustive_scan_range,
     search_m,
@@ -51,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
     # The top-level parser's map from command name to that command's parser.
     commands: dict[str, _Parser]
     # A command parser's table for _read_plain, set by build_parser.
-    plain: _PlainTable | None
+    plain: _PlainTable
 
     def __init__(self, **kwargs) -> None:
         self.declared: list[argparse.Action] = []  # what add_argument returned, help first
@@ -66,20 +67,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _plain_table(command: _Parser) -> _PlainTable | None:
-    """The table of command, or None when an option takes other than zero or one value.
+def _plain_table(command: _Parser) -> _PlainTable:
+    """The table of command.
 
     Help, a flag whose default is SUPPRESS, stays out, so -h and --help
-    send the argv to argparse.  A string default with a type is left to
-    argparse too, which converts it when the option is absent.
+    send the argv to argparse.  Each other option takes zero or one value,
+    and its default is stored as declared: no option has a string default
+    with a type, which argparse would convert when the option is absent.
+    tests/test_cli.py holds build_parser to both.
     """
     options: dict[str, argparse.Action] = {}
     defaults: dict[str, object] = {}
     for action in command.declared:
         if action.nargs == 0 and action.default is argparse.SUPPRESS:
             continue
-        if action.nargs not in (None, 0) or (isinstance(action.default, str) and action.type is not None):
-            return None
         options.update(dict.fromkeys(action.option_strings, action))
         if action.default is not argparse.SUPPRESS:
             defaults.setdefault(action.dest, action.default)
@@ -95,8 +96,6 @@ def _read_plain(command: _Parser, words: list[str]) -> argparse.Namespace | None
     it and whose choices hold it, with every required option present.
     Each value is stored by calling its action, as argparse does.
     """
-    if command.plain is None:
-        return None
     options, defaults, required = command.plain
     args = argparse.Namespace(**defaults)
     seen = set()
@@ -344,6 +343,8 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_dm(args: argparse.Namespace) -> int:
+    if args.Dmax is not None:
+        check_scan(args.m, args.Dmax)
     try:
         known = exhaustive_scan_range(args.m)
     except ValueError as exc:

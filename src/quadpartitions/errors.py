@@ -23,16 +23,18 @@ class BudgetExceeded(RuntimeError):
     estimated again before each wider fold, and search prices a band inside
     its box before any count.  Before any of these, a D whose squarefree
     test is estimated over BUDGET_MS, and a field whose convergents
-    build_context bounds above its memory limit, are refused.  units and
-    indecomposables raise it, before they format anything, when an int they
-    would print has more digits than Python turns into a string.  The CLI
-    exits with code 4.
+    build_context bounds above its memory limit, are refused.  dm --Dmax
+    is refused before it lists a field when the fewest fields its scan can
+    hold, each at the cheapest search, would take longer than BUDGET_MS.
+    units and indecomposables raise it, before they format anything, when
+    an int they would print has more digits than Python turns into a
+    string.  The CLI exits with code 4.
     """
 
 
 # The longest estimated run, in milliseconds on a 2-core host with Python
 # 3.11, that is started: two minutes.  The rates behind each estimate are
-# next to the estimate (partition, field).
+# next to the estimate (partition, field, search).
 BUDGET_MS = 120_000
 
 

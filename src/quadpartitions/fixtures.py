@@ -130,56 +130,117 @@ class MalformedDocument(ValueError):
     """A reference document that cannot be recomputed as it stands."""
 
 
-# Each kind: the function that recomputes it, the keys of its header, then
-# the key of its list of per-field entries (if any) and the keys of each entry.
+def _size(key: str, value: object, doc: dict) -> str | None:
+    if type(value) is not int or value < 0:
+        return f"{key} must be a nonnegative integer, got {value!r}"
+    return None
+
+
+def _positive(key: str, value: object, doc: dict) -> str | None:
+    # m_max = 0 has no k_max, and y_max = 0 puts a units corner at 0.
+    if type(value) is not int or value < 1:
+        return f"{key} must be a positive integer, got {value!r}"
+    return None
+
+
+def _integer(key: str, value: object, doc: dict) -> str | None:
+    return None if type(value) is int else f"{key} must be an integer, got {value!r}"
+
+
+def _discriminant(key: str, value: object, doc: dict) -> str | None:
+    try:
+        Field(value)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _list(key: str, value: object, doc: dict) -> str | None:
+    return None if isinstance(value, list) else f"{key} must be a list"
+
+
+def _int_rows(key: str, value: object, doc: dict) -> str | None:
+    if not isinstance(value, list):
+        return f"{key} must be a list"
+    if all(type(row) is list and all(type(v) is int for v in row) for row in value):
+        return None
+    return f"{key} must be a list of lists of integers"
+
+
+def _is_pair(value: object) -> bool:
+    return isinstance(value, dict) and type(value.get("a")) is int and type(value.get("b")) is int
+
+
+def _pair(key: str, value: object, doc: dict) -> str | None:
+    return None if _is_pair(value) else f"{key} must be an object with integer a and b"
+
+
+def _by_m(key: str, value: object, doc: dict) -> str | None:
+    # Exactly m_max keys, so the set compared below is no larger than the document.
+    m_max = doc["m_max"]
+    keys_ok = isinstance(value, dict) and len(value) == m_max and set(value) == set(map(str, range(1, m_max + 1)))
+    if not keys_ok:
+        return f"{key} must be an object with the keys '1'..'{m_max}'"
+    for m, found in value.items():
+        if not isinstance(found, list) or not all(map(_is_pair, found)):
+            return f"{key}[{m!r}] must be a list of objects with integer a and b"
+    return None
+
+
+# Each kind: the function that recomputes it, the checks of its header's
+# keys, then the key of its list of per-field entries (if any) and the
+# checks of each entry's keys.  The header is checked before the entries.
 _KINDS = {
-    "grid_xy": (_diff_grid_xy, ("D", "max_x", "rows"), None, ()),
-    "slice_ky": (_diff_slice_ky, ("D", "k_max", "y_max", "rows"), None, ()),
-    "units": (_diff_units, ("rows",), "rows", ("D", "eps_plus", "floor_ratio", "y_max", "corner_count")),
-    "representatives": (_diff_representatives, ("m_max", "fields"), "fields", ("D", "by_m")),
+    "grid_xy": (_diff_grid_xy, {"D": _discriminant, "max_x": _size, "rows": _int_rows}, None, {}),
+    "slice_ky": (
+        _diff_slice_ky,
+        {"D": _discriminant, "k_max": _size, "y_max": _size, "rows": _int_rows},
+        None,
+        {},
+    ),
+    "units": (
+        _diff_units,
+        {"rows": _list},
+        "rows",
+        {"D": _discriminant, "eps_plus": _pair, "floor_ratio": _integer, "y_max": _positive, "corner_count": _integer},
+    ),
+    "representatives": (
+        _diff_representatives,
+        {"m_max": _positive, "fields": _list},
+        "fields",
+        {"D": _discriminant, "by_m": _by_m},
+    ),
 }
-_SIZES = {"max_x", "k_max", "y_max", "m_max"}
 
 
 def _check_document(doc: dict) -> None:
     """Raise MalformedDocument unless doc can be recomputed as it stands.
 
-    A document is an object with a name and a known kind, holding every key
-    its kind reads, in its header and in each per-field entry.  The sizes
-    (max_x, k_max, y_max, m_max) are nonnegative integers, rows and fields
-    are lists, and every D is a valid Field discriminant.  Only the document
-    is read here; nothing is recomputed.
+    A document is an object with a string name and a known kind, holding
+    every key its kind reads, in its header and in each per-field entry,
+    each of the type its diff reads: sizes are nonnegative integers
+    (m_max and a units y_max positive), rows of cells are lists of lists
+    of integers, rows and fields are lists, eps_plus and each listed
+    representative are objects with integer a and b, by_m holds a list of
+    them under each of "1".."m_max", and every D is a valid Field
+    discriminant.  Only the document is read here; nothing is recomputed.
     """
-    if not isinstance(doc, dict) or "name" not in doc:
-        raise MalformedDocument("a document that is not an object with a name")
+    if not isinstance(doc, dict) or type(doc.get("name")) is not str:
+        raise MalformedDocument("a document that is not an object with a string name")
     name = doc["name"]
     if doc.get("kind") not in _KINDS:
         raise MalformedDocument(f"{name}: unknown document kind {doc.get('kind')!r}")
-    _, header, listed, entry_keys = _KINDS[doc["kind"]]
+    _, header, listed, entry_checks = _KINDS[doc["kind"]]
     parts = [(doc, header)]
     if listed is not None and isinstance(doc.get(listed), list):
-        parts += [(entry, entry_keys) for entry in doc[listed]]
-    for part, keys in parts:
+        parts += [(entry, entry_checks) for entry in doc[listed]]
+    for part, checks in parts:
         if not isinstance(part, dict):
             raise MalformedDocument(f"{name}: an entry of {listed!r} is not an object")
-        for key in keys:
-            reason = _check_value(key, part[key]) if key in part else f"missing key {key!r}"
+        for key, check in checks.items():
+            reason = check(key, part[key], doc) if key in part else f"missing key {key!r}"
             if reason:
                 raise MalformedDocument(f"{name}: {reason}")
-
-
-def _check_value(key: str, value: object) -> str | None:
-    """Why value cannot stand under key, or None when it can."""
-    if key in ("rows", "fields"):
-        return None if isinstance(value, list) else f"{key} must be a list"
-    if key == "D":
-        try:
-            Field(value)
-        except ValueError as exc:
-            return str(exc)
-    elif key in _SIZES and (type(value) is not int or value < 0):
-        return f"{key} must be a nonnegative integer, got {value!r}"
-    return None
 
 
 def verify_document(doc: dict) -> list[str]:

@@ -135,26 +135,17 @@ _EULER_BLOCK = 16
 
 
 @cache
-def divisors(n: int) -> tuple[int, ...]:
-    """All positive divisors of n, ascending."""
+def sigma(n: int) -> int:
+    """Sum of the positive divisors of n, by trial division up to sqrt(n)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    small: list[int] = []
-    large: list[int] = []
+    total = 0
     d = 1
     while d * d <= n:
         if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
+            total += d if d * d == n else d + n // d
         d += 1
-    return tuple(small + large[::-1])
-
-
-@cache
-def sigma(n: int) -> int:
-    """Sum of the positive divisors of n."""
-    return sum(divisors(n))
+    return total
 
 
 def content(e: QElement) -> int:

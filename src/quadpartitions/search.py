@@ -31,7 +31,7 @@ from math import isqrt
 from typing import Callable, NamedTuple
 
 from .contfrac import FieldContext, build_context, floor_ratio_eps
-from .errors import InvariantViolation
+from .errors import InvariantViolation, check_budget
 from .field import Field, QElement, is_squarefree
 from .parity import cumulative_P
 from .partition import PartitionGrid, band_rows, check_band, check_interval, p_rational
@@ -46,6 +46,7 @@ __all__ = [
     "slice_rows",
     "search_m",
     "dm_scan",
+    "check_scan",
     "worker_count",
     "exhaustive_scan_range",
     "en_fn_bounds",
@@ -253,6 +254,32 @@ def dm_scan(m: int, D_values: list[int] | tuple[int, ...], jobs: int = 1) -> tup
     else:
         results = [_misses(w) for w in work]
     return tuple(sorted(D for D, missing in results if missing))
+
+
+# Microseconds that search_m takes at the least on one field, on a 2-core
+# host with Python 3.11.  At m = 1 the five cheapest of every seventh D < 1000
+# took 132-169 us (D = 957, 285, 915, 663 and 110, best of 3), and the
+# cheapest squarefree D < 40 168 us (D=15, best of 7); larger m cost more, the
+# cheapest D < 40 taking 169, 234 and 279 us at m = 2, 3 and 5.  The rate is
+# well below them all.
+_SEARCH_US = 50
+
+
+def check_scan(m: int, D_max: int) -> None:
+    """Raise BudgetExceeded when a dm scan of every squarefree D <= D_max is sure to run over budget.
+
+    At most sum_p D_max/p^2 < 0.453*D_max of 1..D_max are divisible by a
+    prime square, so from D_max = 21 on the scan holds at least D_max/2
+    fields.  A scan that finishes runs search_m at m on each of them, and
+    none takes less than the cheapest search at m = 1.  Nothing is listed:
+    the estimate is O(1).
+    """
+    if D_max >= 21:
+        check_budget(
+            f"the dm scan of the squarefree D <= {D_max} at m = {m}",
+            D_max // 2 * _SEARCH_US // 1000,
+            "its searches would take at least",
+        )
 
 
 def exhaustive_scan_range(m: int) -> tuple[int, ...]:

@@ -6,6 +6,8 @@ import shutil
 import subprocess
 import sys
 import time
+from itertools import accumulate
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -507,6 +509,31 @@ def test_a_hopeless_m_is_refused_before_any_fill(monkeypatch, capsys):
         assert err.count("\n") == 1, argv
 
 
+def test_a_dm_scan_over_the_cost_budget_exits_4_before_it_lists_a_field(monkeypatch, capsys):
+    # Listing the squarefree D <= 10^17 alone ran for more than ten minutes:
+    # the scan is priced from the fields it holds at the least, before any
+    # D is tested, and refused at once.
+    def listed(n):
+        raise AssertionError(f"dm tested {n} for squarefreeness")
+
+    monkeypatch.setattr(cli, "is_squarefree", listed)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "dm", "--m", "2", "--Dmax", str(10**17))
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (4, "")
+    assert err == (
+        f"the dm scan of the squarefree D <= {10**17} at m = 2 is over the cost budget: "
+        "its searches would take at least 2.5e+12 s, more than 120 s\n"
+    )
+    # The price counts D_max // 2 fields from D_max = 21 on: no scan holds fewer.
+    n = 100_000
+    squarefree = [True] * (n + 1)
+    for d in range(2, isqrt(n) + 1):
+        squarefree[d * d :: d * d] = [False] * (n // (d * d))
+    held = list(accumulate(squarefree[2:]))  # fields of 2..D_max at D_max - 2
+    assert all(held[D_max - 2] >= D_max // 2 for D_max in range(21, n + 1))
+
+
 def test_counts_over_the_cost_budget_exit_4_at_once(tmp_path, capsys):
     # PartitionGrid.count estimates the fill of [0, alpha] in O(1) before it
     # lists a floor: the diamond below x = 2000 and the thin interval below a
@@ -533,6 +560,13 @@ def _drop_corner(doc):
     del doc["rows"][1]["corner_count"]
 
 
+def _row(index, value):
+    """An edit that puts value in place of row index of a document's rows."""
+    def edit(doc):
+        doc["rows"][index] = value
+    return edit
+
+
 @pytest.mark.parametrize("name, edit, reason", [
     ("slice-D13", lambda d: d.pop("k_max"), "missing key 'k_max'"),
     ("grid-xy-D2", lambda d: d.update(D=12), "D must be squarefree, got 12"),
@@ -543,13 +577,31 @@ def _drop_corner(doc):
     ("grid-xy-D2", lambda d: d.update(rows={}), "rows must be a list"),
     ("units-summary", _drop_corner, "missing key 'corner_count'"),
     ("representatives-1-mod-4", lambda d: d["fields"][0].update(D=4), "D must be squarefree, got 4"),
+    ("grid-xy-D2", lambda d: d.update(name=1), "a document that is not an object with a string name"),
+    ("grid-xy-D2", _row(3, 1), "rows must be a list of lists of integers"),
+    ("grid-xy-D2", _row(0, "abc"), "rows must be a list of lists of integers"),
+    ("grid-xy-D2", lambda d: d["rows"][0].insert(0, True), "rows must be a list of lists of integers"),
+    ("slice-D13", _row(2, {}), "rows must be a list of lists of integers"),
+    ("units-summary", lambda d: d["rows"][0].update(eps_plus=3), "eps_plus must be an object with integer a and b"),
+    ("units-summary", lambda d: d["rows"][2]["eps_plus"].pop("a"), "eps_plus must be an object with integer a and b"),
+    ("units-summary", lambda d: d["rows"][0]["eps_plus"].pop("b"), "eps_plus must be an object with integer a and b"),
+    ("units-summary", lambda d: d["rows"][0].update(floor_ratio="2"), "floor_ratio must be an integer, got '2'"),
+    ("units-summary", lambda d: d["rows"][0].update(y_max=0), "y_max must be a positive integer, got 0"),
+    ("representatives-1-mod-4", lambda d: d["fields"][0].update(by_m=1), "by_m must be an object with the keys '1'..'11'"),
+    ("representatives-1-mod-4", lambda d: d["fields"][1]["by_m"].pop("1"), "by_m must be an object with the keys '1'..'11'"),
+    ("representatives-1-mod-4", lambda d: d["fields"][0]["by_m"].update({"01": []}), "by_m must be an object with the keys '1'..'11'"),
+    ("representatives-1-mod-4", lambda d: d.update(m_max=10**18), "by_m must be an object with the keys '1'..'1000000000000000000'"),
+    ("representatives-1-mod-4", lambda d: d.update(m_max=0), "m_max must be a positive integer, got 0"),
+    ("representatives-2-3-mod-4", lambda d: d["fields"][0]["by_m"]["2"][0].pop("a"), "by_m['2'] must be a list of objects with integer a and b"),
+    ("representatives-2-3-mod-4", lambda d: d["fields"][0]["by_m"].update({"3": {}}), "by_m['3'] must be a list of objects with integer a and b"),
 ])
 def test_verify_malformed_document_exits_1(tmp_path, capsys, name, edit, reason):
     doc = json.loads((REFERENCE / f"{name}.json").read_text())
     edit(doc)
     (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     code, out, err = run(capsys, "verify", "--fixtures", str(tmp_path))
-    assert (code, out, err) == (1, "", f"cannot load fixtures from {tmp_path}: {name}: {reason}\n")
+    named = f"{doc['name']}: " if type(doc["name"]) is str else ""  # a document is named by its string name
+    assert (code, out, err) == (1, "", f"cannot load fixtures from {tmp_path}: {named}{reason}\n")
 
 
 def test_verify_lets_an_engine_error_propagate(monkeypatch):
@@ -727,8 +779,10 @@ def test_the_plain_reading_gives_what_argparse_gives(monkeypatch, tmp_path, caps
 
 
 def test_every_benchmark_shaped_argv_is_read_plain(monkeypatch):
-    # A parser edit that sends these calls back through argparse fails here:
-    # the plain reading follows only options that take one value or none.
+    # A parser edit that sends these calls back through argparse fails here.
+    # The plain reading follows only options that take one value or none,
+    # and stores each default as declared, where argparse would convert a
+    # string default through its option's type.
     commands = cli._parser().commands
     for argv in PLAIN_SHAPES:
         assert cli._read_plain(commands[argv[0]], list(argv[1:])) is not None, argv
@@ -745,6 +799,7 @@ def test_every_benchmark_shaped_argv_is_read_plain(monkeypatch):
     assert options
     for args, kwargs in options:
         assert "nargs" not in kwargs and kwargs.get("action", "store") in ("store", "store_true"), args
+        assert not (isinstance(kwargs.get("default"), str) and "type" in kwargs), args
 
 
 def test_importing_the_cli_loads_no_process_pool():

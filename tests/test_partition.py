@@ -52,13 +52,13 @@ def brute_interval(alpha: QElement) -> set[QElement]:
 
 
 def test_divisor_cache():
-    assert partition.divisors(12) == (1, 2, 3, 4, 6, 12)
-    assert partition.divisors(1) == (1,)
-    assert partition.divisors(49) == (1, 7, 49)
-    assert partition.sigma(12) == 28
-    assert partition.sigma(1) == 1
-    with pytest.raises(ValueError):
-        partition.divisors(0)
+    # Against a sieve that adds each d to every multiple of d.
+    n = 2_000
+    sums = [0] * (n + 1)
+    for d in range(1, n + 1):
+        for k in range(d, n + 1, d):
+            sums[k] += d
+    assert [partition.sigma(k) for k in range(1, n + 1)] == sums[1:]
     with pytest.raises(ValueError):
         partition.sigma(0)
 
