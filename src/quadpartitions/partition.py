@@ -36,6 +36,11 @@ Four kernels compute p, or p mod 2, on an order ideal of the cone:
   0..y_max hold the search's slice box, one shift, mask and add of one big
   int per factor; _band_fold proves that no slot carries, and the
   recurrence then certifies every cell with two big-int products.
+  _band_product is the fold with its certificate still to run: band_rows
+  runs it at once for search.slice_rows (the search's box, the ky view and
+  verify's slice datasets), and search.find_ymax reads its slice corners
+  from the fold alone, as search_m checks the y_max they give against the
+  certified box.
 
 Each fact of the ideals is stated once, in one helper: _RowEdges lists
 the rows of an interval [0, x + y*w] (for PartitionGrid, diagonal_parity
@@ -55,7 +60,8 @@ product shares no arithmetic with it.  Every kernel estimates its cost
 before any work and raises BudgetExceeded when it is over errors.BUDGET_MS;
 check_interval is PartitionGrid's, which search.find_kmax also asks about
 an interval it has not reached yet, and check_band is band_rows', which
-search.search_m also asks about a band below its box before any count.
+search.search_m also asks about a band below its box before any count,
+and search.dm_scan for every field of a scan before it searches any.
 
 euler_transform is the one-variable form of the recurrence, for a product
 prod_k (1 - q^k)^(-c[k]) over the rational integers, and sums it in packed
@@ -844,6 +850,21 @@ def band_rows(field: Field, X: int, K: int) -> dict[int, tuple[int, list[int]]]:
     Raises BudgetExceeded before any O(X) work, and again at each wider
     slot, when the estimated cost is over budget.
     """
+    rows, certify = _band_product(field, X, K)
+    certify()
+    return rows
+
+
+def _band_product(field: Field, X: int, K: int) -> tuple[dict[int, tuple[int, list[int]]], Callable[[], None]]:
+    """(rows, certify): band_rows' rows before its certificate, and the certificate.
+
+    The fold and every check_band call of band_rows run here, at the same
+    widths, so a band is refused with the same message whoever reads it.
+    certify() runs _band_violation on the fold.  Until it has run nothing in
+    rows is proved, so a reader that skips it checks what it read against a
+    certified band: search.find_ymax reads its corners here, and search_m
+    checks y_max against the certified column 0 of its box.
+    """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     check = partial(check_band, field, X, K)
@@ -855,8 +876,8 @@ def band_rows(field: Field, X: int, K: int) -> dict[int, tuple[int, list[int]]]:
     for s in chain((0,), *(r for _, _, r in rows)):
         ones[s] = 1
     values, data = _band_fold(_fold_steps(rows), ones, nb, check)
-    _band_violation(values, data, ones, rows)
-    return {v: (first, values[r.start : r.stop : a]) for v, first, r in rows}
+    certify = partial(_band_violation, values, data, ones, rows)
+    return {v: (first, values[r.start : r.stop : a]) for v, first, r in rows}, certify
 
 
 def euler_transform(c: Sequence[int]) -> list[int]:

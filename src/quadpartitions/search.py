@@ -14,27 +14,30 @@ has p >= m with y_max >= floor(eps_plus / (xi + omega)).
 How the box is filled.  k_max is counted by a PartitionGrid on the
 rational integers n0, n0 + 1, ..., where n0 <= k_max is the least n whose
 trace sum P(n) (parity.cumulative_P) reaches m.  Every other count comes
-from slice_rows, the only reader of partition.band_rows, the Euler
-product over a thin band, certified cell by cell by the recurrence, whose
-row y >= 1 is slice row y: find_ymax reads each corner (0, y) as the first
-cell of row y of slice_rows(field, 0, top), and search_m reads the whole box
-from the one band B(ceil(y_max*xi) + k_max, k_max + 1).  Each interval and each
-band is estimated before any O(X) work and refused with BudgetExceeded
-when over budget; before the first count of k_max, search_m also prices
-find_ymax's first band and a band inside the box (see search_m).
+from the Euler product over a thin band (partition.band_rows).  slice_rows
+reads the whole box from the one band B(ceil(y_max*xi) + k_max, k_max + 1),
+certified cell by cell by the recurrence, whose row y >= 1 is slice row y.
+find_ymax reads each corner (0, y) as the one cell of row y of a band with
+K = 1, from partition's fold without its certificate, and search_m checks
+the y_max it finds against column 0 of the certified box, which holds the
+same corners: each slice is certified once.  Each interval and each band
+is estimated before any O(X) work and refused with BudgetExceeded when
+over budget; before the first count of k_max, search_m also prices
+find_ymax's first band and a band inside the box (see _price_search), and
+dm_scan prices every field of a scan before it searches any.
 """
 
 from __future__ import annotations
 
 import os
 from math import isqrt
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .contfrac import FieldContext, build_context, floor_ratio_eps
 from .errors import InvariantViolation, check_budget
 from .field import Field, QElement, is_squarefree
 from .parity import cumulative_P
-from .partition import PartitionGrid, band_rows, check_band, check_interval, p_rational
+from .partition import PartitionGrid, _band_product, band_rows, check_band, check_interval, p_rational
 
 __all__ = [
     "SearchReport",
@@ -94,7 +97,25 @@ def fundamental_representative(e: QElement, ctx: FieldContext) -> QElement:
     raise InvariantViolation(f"{e!r} did not reach the fundamental domain")
 
 
-def find_kmax(grid: PartitionGrid, m: int, check: Callable[[int], None] = lambda n0: None) -> int:
+def _trace_bound(field: Field, m: int) -> int:
+    """n0, the least n >= 1 with P(n) >= m, so that k_max >= n0 (see find_kmax)."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    N = 1
+    while (P := cumulative_P(field, N))[N] < m:
+        check_interval(field.element(N + 1))
+        N *= 2
+    return next(n for n in range(1, N + 1) if P[n] >= m)
+
+
+def _count_up(grid: PartitionGrid, m: int, n: int) -> int:
+    """The least n' >= n with p(n') >= m, counted one rational integer at a time."""
+    while grid.count(grid.field.element(n)) < m:
+        n += 1
+    return n
+
+
+def find_kmax(grid: PartitionGrid, m: int) -> int:
     """Smallest n >= 1 with p(n) >= m.
 
     p(n) <= P(n), the sum of p over all alpha of trace 2n
@@ -104,31 +125,24 @@ def find_kmax(grid: PartitionGrid, m: int, check: Callable[[int], None] = lambda
     is over budget refuses, where counts from n = 1 would refuse too.  N
     doubles until P(N) >= m; while P(N) < m, k_max > N, so an interval
     [0, N + 1] over budget is refused before the next transform, and a
-    hopeless m costs a few short transforms.  check(n0) runs before the
-    first count.
+    hopeless m costs a few short transforms.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    field = grid.field
-    N = 1
-    while (P := cumulative_P(field, N))[N] < m:
-        check_interval(field.element(N + 1))
-        N *= 2
-    n = next(n for n in range(1, N + 1) if P[n] >= m)
-    check(n)
-    while grid.count(field.element(n)) < m:
-        n += 1
-    return n
+    return _count_up(grid, m, _trace_bound(grid.field, m))
 
 
 def find_ymax(ctx: FieldContext, m: int) -> int:
     """Smallest y >= floor(eps_plus/(xi+omega)) whose slice corner has p >= m.
 
-    The corners (0, y) up to top are the first cells of the rows of
-    slice_rows(field, 0, top).  The scan reads them from y0 = floor(eps_plus/(xi + omega))
+    The corners (0, y), 1 <= y <= top, are the cells of rows 1..top of the
+    band B(ceil(top*xi), 1): the cell u + y*w with conjugate in (0, 1] is
+    u = ceil(y*xi).  The scan reads them from y0 = floor(eps_plus/(xi + omega))
     on, one such band at a time, and doubles the corners a band holds
     until one has p >= m: the first band holds y0 and y0 + 1, the corner
     that most often settles the scan where eps_plus is large.
+
+    The corners are read from partition's fold without its certificate, so
+    the y returned is not proved here: search_m checks it against column 0
+    of its box, whose band is certified and holds the corners y0..y_max.
 
     The first corner is never (0, 0), which is not totally positive:
     y0 >= 1 for every field.  Write eps_plus = (A + B*sqrt(D))/den with
@@ -140,13 +154,14 @@ def find_ymax(ctx: FieldContext, m: int) -> int:
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
+    field = ctx.field
     y0 = y = floor_ratio_eps(ctx)
     n = 2
     while True:
         top = y0 + n - 1
-        rows = slice_rows(ctx.field, 0, top)
+        corners, _ = _band_product(field, field.ceil_xi_mult(top), 1)
         for y in range(y, top + 1):
-            if rows[y][0] >= m:
+            if corners[y][1][0] >= m:
                 return y
         y = top + 1
         n *= 2
@@ -179,36 +194,78 @@ def slice_rows(field: Field, k_max: int, y_max: int) -> tuple[tuple[int, ...], .
     return (row0,) + tuple(tuple(band[y][1]) for y in range(1, y_max + 1))
 
 
-def search_m(ctx: FieldContext, m_max: int) -> SearchReport:
-    """Classify every element with p(alpha) <= m_max, up to units and conjugation."""
+def _price_search(ctx: FieldContext, m_max: int) -> int:
+    """n0 of find_kmax, after every check search_m makes before its first count.
+
+    The doubling that finds n0 refuses a hopeless m from an interval's
+    estimate.  Then find_ymax's first band, B(ceil((y0 + 1)*xi), 1), is
+    priced at its first width, and a band inside the box's band
+    B(ceil(y_max*xi) + k_max, k_max + 1) at a width that fold reaches.  As
+    k_max >= n0, the box's band contains B(ceil(y*xi) + n0, n0 + 1) for
+    y <= y_max, and its cell (k_max, 0) holds p >= m_max, so its slots end at
+    whole bytes of at least bitlen(m_max) bits, and at least 16.  y_max >= y0,
+    and y_max > (n0 - 2)/(xi + omega), where xi + omega = 2*sqrt(D)/den: the
+    rational N = floor(c) + 1 lies above the corner c = (0, y_max) <
+    y_max*(xi + omega) + 1, so p(N) >= p(c) >= m_max and N >= k_max >= n0.
+    """
     field = ctx.field
+    n0 = _trace_bound(field, m_max)
     y0 = floor_ratio_eps(ctx)
+    check_band(field, field.ceil_xi_mult(y0 + 1), 1, 16)
+    y = max(y0, isqrt(((n0 - 2) * field.den) ** 2 // (4 * field.D)) + 1)
+    check_band(field, field.ceil_xi_mult(y) + n0, n0 + 1, 8 * max(2, -(-m_max.bit_length() // 8)))
+    return n0
 
-    def check(n0: int) -> None:
-        # Before any count, price find_ymax's first band, slice_rows(field,
-        # 0, y0 + 1), at its first width, and a band inside the box's band
-        # B(ceil(y_max*xi) + k_max, k_max + 1) at a width that fold reaches.
-        # As k_max >= n0, the box's band contains B(ceil(y*xi) + n0, n0 + 1)
-        # for y <= y_max, and its cell (k_max, 0) holds p >= m_max, so its
-        # slots end at whole bytes of at least bitlen(m_max) bits, and at
-        # least 16.  y_max >= y0, and y_max > (n0 - 2)/(xi + omega), where
-        # xi + omega = 2*sqrt(D)/den: the rational N = floor(c) + 1 lies
-        # above the corner c = (0, y_max) < y_max*(xi + omega) + 1, so
-        # p(N) >= p(c) >= m_max and N >= k_max >= n0.
-        check_band(field, field.ceil_xi_mult(y0 + 1), 1, 16)
-        y = max(y0, isqrt(((n0 - 2) * field.den) ** 2 // (4 * field.D)) + 1)
-        check_band(field, field.ceil_xi_mult(y) + n0, n0 + 1, 8 * max(2, -(-m_max.bit_length() // 8)))
 
-    k_max = find_kmax(PartitionGrid(field), m_max, check)
+def search_m(ctx: FieldContext, m_max: int) -> SearchReport:
+    """Classify every element with p(alpha) <= m_max, up to units and conjugation.
+
+    Before any count every check of _price_search runs.  Then k_max is
+    counted from n0, find_ymax finds y_max, and slice_rows reads the box
+    from one certified band.
+
+    y_max is certified by its definition.  find_ymax read the corners
+    (0, y0..y_max) uncertified, and they are column 0 of the box, so each
+    must read p < m_max below y_max and p >= m_max at y_max; otherwise
+    InvariantViolation names D and the corner.
+
+    Each row is classified up to its first p > m_max, and tested for the
+    fundamental domain only up to its first cell inside it:
+    - p is nondecreasing along a slice row.  The cell (k + 1, y) is
+      (k, y) + 1, and for alpha >> 0 adding a part 1 to each partition of
+      alpha gives distinct partitions of alpha + 1, none of them the one
+      part alpha + 1, so p(alpha + 1) >= p(alpha) + 1; on row 0,
+      p(0) = p(1) = 1.
+    - Membership is monotone in k.  Along row y the x = ceil(y*xi) + k
+      grows, y is fixed, and with alpha = alpha0 + k the exact test reads
+      eps_plus*alpha' - alpha = (eps_plus - 1)*k + c(y), c(y) =
+      eps_plus*alpha0' - alpha0, which grows with k as eps_plus > 1.
+    """
+    return _search(ctx, m_max, _price_search(ctx, m_max))
+
+
+def _search(ctx: FieldContext, m_max: int, n0: int) -> SearchReport:
+    """search_m from n0, once _price_search has run."""
+    field = ctx.field
+    k_max = _count_up(PartitionGrid(field), m_max, n0)
     y_max = find_ymax(ctx, m_max)
     rows = slice_rows(field, k_max, y_max)
+    for y in range(floor_ratio_eps(ctx), y_max + 1):
+        if (rows[y][0] >= m_max) != (y == y_max):
+            raise InvariantViolation(
+                f"find_ymax gave y_max = {y_max} for D={field.D} at m = {m_max}, "
+                f"but the certified corner (0, {y}) has p = {rows[y][0]}"
+            )
     reps: dict[int, list[QElement]] = {m: [] for m in range(1, m_max + 1)}
     for y, row in enumerate(rows):
+        inside = False
         for k, p in enumerate(row):
-            if p <= m_max:
-                alpha = slice_element(field, k, y)
-                if in_fundamental_domain(alpha, ctx):
-                    reps[p].append(alpha)
+            if p > m_max:
+                break
+            alpha = slice_element(field, k, y)
+            inside = inside or in_fundamental_domain(alpha, ctx)
+            if inside:
+                reps[p].append(alpha)
 
     representatives = {
         m: tuple(sorted(found, key=lambda e: e.lex_key)) for m, found in reps.items()
@@ -238,30 +295,40 @@ def worker_count(jobs: int, tasks: int, cpus: int) -> int:
 
 
 def dm_scan(m: int, D_values: list[int] | tuple[int, ...], jobs: int = 1) -> tuple[int, ...]:
-    """The subset of D_values whose field has no element with exactly m partitions."""
-    work = []
+    """The subset of D_values whose field has no element with exactly m partitions.
+
+    Every field, by increasing D, first runs the checks search_m makes before
+    its first count (_price_search), and only then is any field searched, so
+    a scan that some field's band or interval refuses is refused at once.  A
+    serial scan searches the contexts it priced.
+    """
     for D in D_values:
         if not is_squarefree(D) or D < 2:
             raise ValueError(f"D values must be squarefree and >= 2, got {D}")
-        work.append((D, m))
-    workers = worker_count(jobs, len(work), os.cpu_count() or 1)
+    priced = []
+    for D in sorted(D_values):
+        ctx = build_context(Field(D))
+        priced.append((ctx, _price_search(ctx, m)))
+    workers = worker_count(jobs, len(priced), os.cpu_count() or 1)
     if workers > 1:
         # Imported here: it loads multiprocessing, which only a pool needs.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_misses, work))
+            results = list(pool.map(_misses, [(ctx.field.D, m) for ctx, _ in priced]))
     else:
-        results = [_misses(w) for w in work]
-    return tuple(sorted(D for D, missing in results if missing))
+        results = [(ctx.field.D, _search(ctx, m, n0).missing()) for ctx, n0 in priced]
+    return tuple(D for D, missing in results if missing)
 
 
 # Microseconds that search_m takes at the least on one field, on a 2-core
-# host with Python 3.11.  At m = 1 the five cheapest of every seventh D < 1000
-# took 132-169 us (D = 957, 285, 915, 663 and 110, best of 3), and the
-# cheapest squarefree D < 40 168 us (D=15, best of 7); larger m cost more, the
-# cheapest D < 40 taking 169, 234 and 279 us at m = 2, 3 and 5.  The rate is
-# well below them all.
+# host with Python 3.11.  At m = 1 the five cheapest of the squarefree
+# D < 1000 with D = 5 (mod 7) took 126-185 us over three rounds (D = 110,
+# 285, 957, 138, 915, best of 5; fields with floor(eps_plus/(xi + omega))
+# >= 70 were not timed), and the cheapest squarefree D < 40 104-123 us
+# (D = 15, 3, best of 7); larger m cost more, the cheapest D < 40 taking
+# 141-158, 207-228 and 236-260 us at m = 2, 3 and 5.  The rate is well below
+# them all.
 _SEARCH_US = 50
 
 

@@ -416,13 +416,16 @@ def test_slice_paths_over_the_cost_budget_exit_4_at_once(capsys):
     # work: D=97's first corner band runs to x = 56,432,286, and that of
     # D = 1000000007 to an x of 6,382 digits, more than Python prints, so
     # its size is named instead.  At D = 2 and m = 10^30 search prices a
-    # band inside its box, B(286, 192) at 104 bits, before any count.
+    # band inside its box, B(286, 192) at 104 bits, before any count.  dm
+    # prices every field before it searches any, so D=73's first corner band
+    # refuses the scan to 1001 before the fields below it are searched.
     refusals = {
         ("search", "--D", "97", "--m", "11"): "the slice band of D=97 up to x = 56432286",
         ("grid", "--view", "ky", "--D", "2", "--kmax", "6", "--ymax", "10000000"):
             "the slice band of D=2 up to x = 14142142",
         ("search", "--D", "1000000007", "--m", "11"): "the slice band of D=1000000007 up to an x of 21198 bits",
         ("search", "--D", "2", "--m", str(10**30)): "the slice band of D=2 up to x = 286",
+        ("dm", "--m", "11", "--Dmax", "1001"): "the slice band of D=73 up to x = 2014253",
     }
     for argv, subject in refusals.items():
         start = time.perf_counter()

@@ -461,11 +461,16 @@ def test_slice_counts_match_the_parity_kernel():
     assert len(checked) == 51 and 19 in checked
 
 
+def oracle_fields() -> list[int]:
+    """Every squarefree D < 200 with floor(eps_plus/(xi + omega)) < 70."""
+    return [D for D in range(2, 200) if is_squarefree(D) and floor_ratio_eps(build_context(Field(D))) < 70]
+
+
 def test_search_matches_the_grid_oracle():
     # The band and its certificate against the per-cell recurrence, bit for
-    # bit: every squarefree D < 200 with floor(eps_plus/(xi + omega)) < 70,
-    # on each of which the oracle's grid search takes under 0.1 s.
-    fields = [D for D in range(2, 200) if is_squarefree(D) and floor_ratio_eps(build_context(Field(D))) < 70]
+    # bit, on the oracle fields, on each of which the oracle's grid search
+    # takes under 0.1 s.
+    fields = oracle_fields()
     assert len(fields) == 70
     for D in fields:
         ctx = build_context(Field(D))
@@ -526,3 +531,74 @@ def test_the_band_priced_before_the_counts_costs_no_more_than_the_box(monkeypatc
         report = search_m(build_context(f), m)
         box = (f.ceil_xi_mult(report.y_max) + report.k_max, report.k_max + 1)
         assert calls[1][2] <= [ms for X, K, ms in calls if (X, K) == box][-1], D
+
+
+def test_search_rows_stop_at_the_first_p_over_m_and_the_first_cell_inside():
+    # search_m stops a row at its first p > m and tests the domain only up to
+    # the row's first cell inside it: p is nondecreasing along every row and
+    # membership is monotone in k (proofs in its docstring).  Its
+    # representatives equal a filter that tests every cell with p <= m.
+    for D in oracle_fields():
+        ctx = build_context(Field(D))
+        for m in (3, 5, 7, 10, 11):
+            report = search_m(ctx, m)
+            found = {n: [] for n in range(1, m + 1)}
+            for y, row in enumerate(report.slice_counts):
+                assert list(row) == sorted(row), (D, m, y)
+                inside = [in_fundamental_domain(slice_element(ctx.field, k, y), ctx) for k in range(len(row))]
+                assert inside == sorted(inside), (D, m, y)
+                for k, p in enumerate(row):
+                    if p <= m and inside[k]:
+                        found[p].append(slice_element(ctx.field, k, y))
+            expected = {n: tuple(sorted(reps, key=lambda e: e.lex_key)) for n, reps in found.items()}
+            assert report.representatives == expected, (D, m)
+
+
+@pytest.mark.parametrize("late", [False, True])
+def test_search_certifies_the_corners_find_ymax_read(monkeypatch, late):
+    # find_ymax reads its corners from the fold without its certificate, and
+    # search_m checks y_max against column 0 of its certified box.  A fold
+    # that lets the corner before y_max read m_max (too early), or y_max
+    # itself read m_max - 1 (too late), must be caught and name D.
+    ctx = build_context(Field(2))
+    y0, y_max = floor_ratio_eps(ctx), BOUNDS_AT_11[2][1]
+    assert y0 < y_max - 1
+    y, value = (y_max, 10) if late else (y_max - 1, 11)
+    fold = partition._band_product
+    changed = []
+
+    def wrong(field, X, K):
+        rows, certify = fold(field, X, K)
+        if y in rows:
+            rows[y] = (rows[y][0], [value])
+            changed.append(X)
+        return rows, certify
+
+    monkeypatch.setattr(search, "_band_product", wrong)
+    with pytest.raises(InvariantViolation, match=rf"D=2 .*corner \(0, {y}\)"):
+        search_m(ctx, 11)
+    assert changed
+
+
+def test_each_search_certifies_one_band(monkeypatch):
+    # find_ymax's corner bands skip the certificate, so each search on the
+    # benchmark's slice-search fields certifies its box alone, while every
+    # band, corners included, is still folded.
+    certified, folded = [], []
+    violation, fold = partition._band_violation, partition._band_fold
+
+    def counted_violation(*args):
+        certified.append(1)
+        return violation(*args)
+
+    def counted_fold(*args):
+        folded.append(1)
+        return fold(*args)
+
+    monkeypatch.setattr(partition, "_band_violation", counted_violation)
+    monkeypatch.setattr(partition, "_band_fold", counted_fold)
+    for D in SLICE_SEARCH_FIELDS:
+        certified.clear()
+        folded.clear()
+        search_m(build_context(Field(D)), 11)
+        assert len(certified) == 1 and len(folded) >= 2, D
