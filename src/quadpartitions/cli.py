@@ -17,7 +17,7 @@ import sys
 from itertools import chain
 from typing import Callable, Iterable
 
-from .contfrac import FieldContext, build_context, coordinate_bound, floor_ratio_eps, indecomposables
+from .contfrac import build_context, coordinate_bound, floor_ratio_eps, indecomposables
 from .errors import BudgetExceeded, DivisibilityViolation, InvariantViolation
 from .field import Field, QElement, is_squarefree
 from .fixtures import builtin_documents, load_documents, verify_documents
@@ -194,18 +194,19 @@ def _matrix_tex(rows: list[list[int]], row_label: str, col_label: str) -> str:
     return "\n".join(lines)
 
 
-def _check_digits(ctx: FieldContext, printed: Iterable[int]) -> None:
+def _check_digits(D: int, bound: int, printed: Iterable[int]) -> None:
     """Raise BudgetExceeded, naming D, when one of printed has more digits than Python turns into a string.
 
-    printed, every int units or indecomposables print for ctx, is read only
-    when coordinate_bound(ctx) comes near sys.get_int_max_str_digits() (0,
-    or a Python without the limit: none), before anything is formatted.
+    printed, every int a command prints for D (units, indecomposables,
+    estimate), is read only when bound, which none of them exceeds in
+    absolute value, comes near sys.get_int_max_str_digits() (0, or a Python
+    without the limit: none), before anything is formatted.
     """
     limit = getattr(sys, "get_int_max_str_digits", int)()
     # 2^(3*limit) < 10^limit, so a shorter bound needs no power of ten.
-    if limit and coordinate_bound(ctx).bit_length() > 3 * limit and max(map(abs, printed)) >= 10**limit:
+    if limit and bound.bit_length() > 3 * limit and max(map(abs, printed)) >= 10**limit:
         raise BudgetExceeded(
-            f"the output of D={ctx.field.D} is over the cost budget: it holds an int of more than "
+            f"the output of D={D} is over the cost budget: it holds an int of more than "
             f"{limit} digits, the most Python prints"
         )
 
@@ -252,7 +253,7 @@ def cmd_indecomposables(args: argparse.Namespace) -> int:
     field = _field(args)
     ctx = build_context(field)
     elements = indecomposables(ctx)
-    _check_digits(ctx, chain.from_iterable(map(_element_ints, elements)))
+    _check_digits(field.D, coordinate_bound(ctx), chain.from_iterable(map(_element_ints, elements)))
     doc = {
         "D": field.D,
         "period": list(ctx.period),
@@ -276,7 +277,7 @@ def cmd_units(args: argparse.Namespace) -> int:
     ctx = build_context(field)
     floor_ratio = floor_ratio_eps(ctx)
     units = chain.from_iterable(map(_element_ints, (ctx.eps, ctx.eps_plus)))
-    _check_digits(ctx, chain(chain.from_iterable(ctx.convergents), units, (floor_ratio,)))
+    _check_digits(field.D, coordinate_bound(ctx), chain(chain.from_iterable(ctx.convergents), units, (floor_ratio,)))
     doc = {
         "D": field.D,
         "period": list(ctx.period),
@@ -440,6 +441,9 @@ def cmd_witness(args: argparse.Namespace) -> int:
 def cmd_estimate(args: argparse.Namespace) -> int:
     field = _field(args)
     alpha = QElement(field, args.a, args.b)
+    # Its coordinates and sqrt coordinates are at most 2|a| + |b|; a norm too
+    # large for a float is a usage error before it is printed.
+    _check_digits(field.D, 3 * max(abs(args.a), abs(args.b)), _element_ints(alpha))
     if not alpha.is_totally_positive():
         raise UsageError(f"estimate: {alpha} is not totally positive")
     try:

@@ -1,5 +1,7 @@
 """Exceptions shared across the package, and the cost budget that raises BudgetExceeded."""
 
+from typing import Callable
+
 
 class DivisibilityViolation(ArithmeticError):
     """An exact division required by a recurrence failed.
@@ -11,24 +13,21 @@ class DivisibilityViolation(ArithmeticError):
 
 
 class BudgetExceeded(RuntimeError):
-    """A run over its cost budget.
+    """A run over its cost budget.  The CLI exits with code 4.
 
-    Raised when the brute-force enumerator exhausts its node budget, and,
-    before any work starts, when building the cone up to a column (grid
-    --view xy), parity's fold over the ideal below (N, 0), the Euler
+    check_budget, the one reader of BUDGET_MS, raises it before any work
+    whose estimate is over the budget: building the cone up to a column
+    (grid --view xy), parity's fold over the ideal below (N, 0), the Euler
     product over a slice band (search, dm, grid --view ky and the slice
-    documents of verify) or the interval [0, alpha] of a point count
-    (PartitionGrid.count: search, dm, witness, estimate --compare and
-    verify) is estimated to take longer than BUDGET_MS.  A band is
-    estimated again before each wider fold, and search prices a band inside
-    its box before any count.  Before any of these, a D whose squarefree
-    test is estimated over BUDGET_MS, and a field whose convergents
-    build_context bounds above its memory limit, are refused.  dm --Dmax
-    is refused before it lists a field when the fewest fields its scan can
-    hold, each at the cheapest search, would take longer than BUDGET_MS.
-    units and indecomposables raise it, before they format anything, when
-    an int they would print has more digits than Python turns into a
-    string.  The CLI exits with code 4.
+    documents of verify), estimated again before each wider fold and priced
+    by search inside its box before any count, the interval [0, alpha] of a
+    point count (PartitionGrid.count: search, dm, witness, estimate
+    --compare and verify), the squarefree test of D, and a dm --Dmax scan of
+    the fewest fields it can hold, each at the cheapest search.  It is also
+    raised by the brute-force enumerator out of nodes, by build_context for
+    convergents over its memory limit, and by units, indecomposables and
+    estimate, before they format anything, for an int with more digits than
+    Python turns into a string.
     """
 
 
@@ -38,14 +37,14 @@ class BudgetExceeded(RuntimeError):
 BUDGET_MS = 120_000
 
 
-def check_budget(subject: str, ms: int, what: str) -> None:
-    """Raise BudgetExceeded when ms, what's estimate for subject, is over budget."""
+def check_budget(subject: Callable[[], str], ms: int, what: str) -> None:
+    """Raise BudgetExceeded when ms, what's estimate for subject(), is over budget; subject() runs only then."""
     if ms > BUDGET_MS:
         secs = -(-ms // 1000)  # rounded up, so it always reads above the budget
         # Beyond 1e300 no float holds secs.
         about = secs if secs < 10**6 else f"{secs:.1e}" if secs < 10**300 else "over 1e+300"
         raise BudgetExceeded(
-            f"{subject} is over the cost budget: {what} {about} s, "
+            f"{subject()} is over the cost budget: {what} {about} s, "
             f"more than {BUDGET_MS // 1000} s"
         )
 

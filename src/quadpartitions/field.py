@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import chain
 from math import isqrt
 
-from .errors import BUDGET_MS, check_budget
+from .errors import check_budget
 
 __all__ = ["Field", "QElement", "is_squarefree"]
 
@@ -42,9 +42,7 @@ def is_squarefree(n: int) -> bool:
     if n < 1:
         return False
     c = _icbrt(n)
-    ms = c // 2 * 1000 // _DIVISIONS_PER_S
-    if ms > BUDGET_MS:  # formatting n costs more than the estimate
-        check_budget(f"the squarefree test of D={n}", ms, "its trial divisions would take about")
+    check_budget(lambda: f"the squarefree test of D={n}", c // 2 * 1000 // _DIVISIONS_PER_S, "its trial divisions would take about")
     r = n
     for d in chain((2,), range(3, c + 1, 2)):
         if r % d == 0:

@@ -57,11 +57,11 @@ Two checks are independent of the recurrence: every column of cone_columns
 must sum to R(x), the number of partitions of x into parts counted by their
 first coordinate, or InvariantViolation is raised; and diagonal_parity's
 product shares no arithmetic with it.  Every kernel estimates its cost
-before any work and raises BudgetExceeded when it is over errors.BUDGET_MS;
-check_interval is PartitionGrid's, which search.find_kmax also asks about
-an interval it has not reached yet, and check_band is band_rows', which
-search.search_m also asks about a band below its box before any count,
-and search.dm_scan for every field of a scan before it searches any.
+before any work, and errors.check_budget, the one reader of BUDGET_MS,
+refuses it and only then names it; check_interval is PartitionGrid's,
+which search.find_kmax also asks about an interval it has not reached
+yet, and check_band is band_rows', which search.search_m also asks about
+a band below its box and search.dm_scan for each field before any count.
 
 euler_transform is the one-variable form of the recurrence, for a product
 prod_k (1 - q^k)^(-c[k]) over the rational integers, and sums it in packed
@@ -80,7 +80,7 @@ from math import gcd, isqrt, sqrt
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import BUDGET_MS, DivisibilityViolation, InvariantViolation, check_budget
+from .errors import DivisibilityViolation, InvariantViolation, check_budget
 from .field import Field, QElement
 
 __all__ = [
@@ -426,9 +426,12 @@ def _interval_ms(field: Field, e: QElement) -> int:
 
 def check_interval(e: QElement) -> None:
     """Raise BudgetExceeded when filling [0, e] from nothing is over budget, in O(1)."""
-    ms = _interval_ms(e.field, e)
-    if ms > BUDGET_MS:  # formatting e costs more than the estimate
-        check_budget(f"the interval [0, {e}] of D={e.field.D}", ms, "its recurrence would take about")
+    def subject() -> str:
+        try:
+            return f"the interval [0, {e}] of D={e.field.D}"
+        except ValueError:  # more digits than Python turns into a string: name e by its x
+            return f"the interval [0, alpha] of D={e.field.D} up to an x of {e.a.bit_length()} bits"
+    check_budget(subject, _interval_ms(e.field, e), "its recurrence would take about")
 
 
 def _fold_steps(lines: Sequence[tuple[int, int, range]]) -> list[range]:
@@ -504,7 +507,7 @@ def diagonal_parity(field: Field, N: int) -> tuple[int, ...]:
     """
     a, b = _band_layout(field, max(N, 1))
     L = a * N + 1  # one past the slot of (N, 0)
-    subject = f"the ideal below ({N}, 0) of D={field.D}"
+    subject = partial("the ideal below ({}, 0) of D={}".format, N, field.D)
     # Every part (u, 0) with u odd, u <= N, lies in I outside 2O, so the fold
     # takes at least ceil(N/2) steps of L bits.
     check_budget(subject, _fold_ms((N + 1) // 2, L), "building it would take at least")
@@ -580,11 +583,11 @@ def cone_columns(field: Field, max_x: int) -> list[list[int]]:
     # Every column holds the cell y = 0, so the recurrence does at least
     # X(X-1)/2 multiply-adds.
     lower = _madds_ms(max_x * (max_x - 1) // 2)
-    check_budget(f"the cone up to x = {max_x}", lower, "building it would take at least")
+    check_budget(lambda: f"the cone up to x = {max_x}", lower, "building it would take at least")
     fdo, fdx = _floors(field, max_x)
     sizes = [fdo[x] + fdx[x] + 1 for x in range(max_x + 1)]
     ms = _madds_ms(_recurrence_madds(sizes))
-    check_budget(f"the cone up to x = {max_x}", ms, "its recurrence would take about")
+    check_budget(lambda: f"the cone up to x = {max_x}", ms, "its recurrence would take about")
     R = euler_transform([0] + sizes[1:])
     nbytes = (((max_x + fdx[max_x]) * R[max_x]).bit_length() + 7) // 8
     B = 8 * nbytes
@@ -718,13 +721,12 @@ def _band_ms(field: Field, X: int, K: int, a: int, b: int, bits: int) -> int:
 
 def check_band(field: Field, X: int, K: int, bits: int) -> None:
     """Raise BudgetExceeded when band_rows(field, X, K) at a slot width of bits is over budget, in O(1)."""
-    ms = _band_ms(field, X, K, *_band_layout(field, K), bits)
-    if ms > BUDGET_MS:  # formatting X costs more than the estimate
+    def subject() -> str:
         try:
-            up_to = f"x = {X}"
+            return f"the slice band of D={field.D} up to x = {X}"
         except ValueError:  # more digits than Python turns into a string
-            up_to = f"an x of {X.bit_length()} bits"
-        check_budget(f"the slice band of D={field.D} up to {up_to}", ms, "its Euler product would take about")
+            return f"the slice band of D={field.D} up to an x of {X.bit_length()} bits"
+    check_budget(subject, _band_ms(field, X, K, *_band_layout(field, K), bits), "its Euler product would take about")
 
 
 def _spread(data: bytes, k: int, n: int) -> int:

@@ -280,11 +280,10 @@ def _search(ctx: FieldContext, m_max: int, n0: int) -> SearchReport:
     )
 
 
-def _misses(args: tuple[int, int]) -> tuple[int, bool]:
-    D, m = args
-    field = Field(D)
-    report = search_m(build_context(field), m)
-    return D, report.missing()
+def _misses(args: tuple[FieldContext, int, int]) -> tuple[int, bool]:
+    """(D, missing) of _search(ctx, m, n0): all a pool worker sends back."""
+    ctx, m, n0 = args
+    return ctx.field.D, _search(ctx, m, n0).missing()
 
 
 def worker_count(jobs: int, tasks: int, cpus: int) -> int:
@@ -299,8 +298,9 @@ def dm_scan(m: int, D_values: list[int] | tuple[int, ...], jobs: int = 1) -> tup
 
     Every field, by increasing D, first runs the checks search_m makes before
     its first count (_price_search), and only then is any field searched, so
-    a scan that some field's band or interval refuses is refused at once.  A
-    serial scan searches the contexts it priced.
+    a scan that some field's band or interval refuses is refused at once.
+    Each field is then searched from the context and n0 it was priced with,
+    by _misses, in this process or in a pool's worker alike.
     """
     for D in D_values:
         if not is_squarefree(D) or D < 2:
@@ -308,16 +308,16 @@ def dm_scan(m: int, D_values: list[int] | tuple[int, ...], jobs: int = 1) -> tup
     priced = []
     for D in sorted(D_values):
         ctx = build_context(Field(D))
-        priced.append((ctx, _price_search(ctx, m)))
+        priced.append((ctx, m, _price_search(ctx, m)))
     workers = worker_count(jobs, len(priced), os.cpu_count() or 1)
     if workers > 1:
         # Imported here: it loads multiprocessing, which only a pool needs.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_misses, [(ctx.field.D, m) for ctx, _ in priced]))
+            results = list(pool.map(_misses, priced))
     else:
-        results = [(ctx.field.D, _search(ctx, m, n0).missing()) for ctx, n0 in priced]
+        results = list(map(_misses, priced))
     return tuple(D for D, missing in results if missing)
 
 
@@ -343,7 +343,7 @@ def check_scan(m: int, D_max: int) -> None:
     """
     if D_max >= 21:
         check_budget(
-            f"the dm scan of the squarefree D <= {D_max} at m = {m}",
+            lambda: f"the dm scan of the squarefree D <= {D_max} at m = {m}",
             D_max // 2 * _SEARCH_US // 1000,
             "its searches would take at least",
         )

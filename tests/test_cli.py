@@ -446,33 +446,57 @@ def test_slice_paths_over_the_cost_budget_exit_4_at_once(capsys):
 def test_an_output_past_the_int_digit_limit_exits_4_at_once(capsys):
     # eps_plus of D = 1000000007 has 6,382 digits, more than the 4,300 that
     # Python turns into a string by default, so both commands refuse the
-    # field before they format anything.
+    # field before they format anything.  estimate reads a and b of 4,300
+    # digits, consecutive Fibonacci numbers F(20575) and F(20576), whose
+    # alpha = phi^20576 prints 2a + b, of 4,301 digits, as its sqrt
+    # coordinate; it is refused before anything formats alpha.
     limit = sys.get_int_max_str_digits()
-    for command in ("units", "indecomposables"):
+    a, b = 0, 1
+    for _ in range(20576):
+        a, b = b, a + b
+    assert 10 ** (limit - 1) <= a < b < 10**limit <= 2 * a + b
+    argvs = [(command, "--D", "1000000007") for command in ("units", "indecomposables")]
+    argvs += [("estimate", "--D", "5", "--a", str(a), "--b", str(b), "--format", fmt) for fmt in ("pretty", "json")]
+    for argv in argvs:
         start = time.perf_counter()
-        code, out, err = run(capsys, command, "--D", "1000000007")
-        assert time.perf_counter() - start < 2, command
-        assert (code, out) == (4, ""), command
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 2, argv[0]
+        assert (code, out) == (4, ""), argv[0]
         assert err == (
-            f"the output of D=1000000007 is over the cost budget: it holds an int of more than "
+            f"the output of D={argv[2]} is over the cost budget: it holds an int of more than "
             f"{limit} digits, the most Python prints\n"
         )
 
 
 def test_oversized_fields_exit_4_at_once_in_little_memory():
-    # D = 10000000019 has period 124,134, whose convergents would take about
+    # Each input once printed a traceback, hung or ran out of memory.  D =
+    # 10000000019 has period 124,134, whose convergents would take about
     # 7.8 GB, and the squarefree test of D = 10^30 + 57 would divide about
-    # 5e9 times; each command exits 4, naming D, in a fresh interpreter whose
-    # peak RSS (VmHWM, where Linux reports it: ru_maxrss would carry over the
-    # forked test process's) stays under 200 MB.  D = 10^20 + 39 passes its
-    # test in well under a second and is refused by its first interval.
+    # 5e9 times; D = 10^20 + 39 passes its test in well under a second and
+    # is refused by its first interval.  D = 1000000007's band once formatted
+    # an x of 6,382 digits, m = 10^30 once ran about 100 s of counts before a
+    # band refused its box, the parity inputs are the first N refused for
+    # D=2 and D=5, the listing of the dm scan to 10^17 walked every number
+    # before its price, and the scan to 1001 once searched every field below
+    # D=67 for about a minute before D=67's band refused it.  Every argv runs
+    # in one fresh interpreter whose address space is limited to 1 GB
+    # (1,000,000 KiB) and whose peak RSS (VmHWM, where Linux reports it:
+    # ru_maxrss would carry over the forked test process's) stays under
+    # 200 MB; each exits 4 within 2 s with no stdout, one stderr line naming
+    # what it refused and no traceback.
     script = (
-        "import pathlib, sys, time\n"
+        "import contextlib, io, json, pathlib, resource, sys, time, traceback\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1_000_000 * 1024, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
         "from quadpartitions.cli import main\n"
         "for argv in map(str.split, sys.argv[1:]):\n"
+        "    out, err, code = io.StringIO(), io.StringIO(), None\n"
         "    start = time.perf_counter()\n"
-        "    code = main(argv)\n"
-        "    print(code, time.perf_counter() - start)\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        try:\n"
+        "            code = main(argv)\n"
+        "        except Exception:\n"
+        "            traceback.print_exc()\n"
+        "    print(json.dumps([code, time.perf_counter() - start, out.getvalue(), err.getvalue()]))\n"
         "status = pathlib.Path('/proc/self/status')\n"
         "print(status.read_text().split('VmHWM:')[1].split()[0] if status.exists() else 0)\n"
     )
@@ -482,16 +506,23 @@ def test_oversized_fields_exit_4_at_once_in_little_memory():
         "search --D 10000000019 --m 11": "the convergents of D=10000000019 are over the cost budget: ",
         "witness --D 100000000000000000039": "the interval [0, 10000000003+√100000000000000000039] of ",
         f"units --D {10**30 + 57}": f"the squarefree test of D={10**30 + 57} is over the cost budget: ",
+        "search --D 1000000007 --m 11": "the slice band of D=1000000007 up to an x of 21198 bits is over ",
+        f"search --D 2 --m {10**30}": "the slice band of D=2 up to x = 286 is over the cost budget: ",
+        "parity --D 2 --N 1548": "the ideal below (1548, 0) of D=2 is over the cost budget: ",
+        "parity --D 5 --N 1376": "the ideal below (1376, 0) of D=5 is over the cost budget: ",
+        f"dm --m 2 --Dmax {10**17}": f"the dm scan of the squarefree D <= {10**17} at m = 2 is over ",
+        "dm --m 11 --Dmax 1001": "the slice band of D=73 up to x = 2014253 is over the cost budget: ",
     }
     code, out, err = finish(start_python("-c", script, *argvs))
-    assert code == 0, err
+    assert (code, err) == (0, "")
     *runs, rss_kb = out.splitlines()
-    assert [line.split()[0] for line in runs] == ["4"] * len(argvs)
-    assert all(float(line.split()[1]) < 2 for line in runs), runs
+    assert len(runs) == len(argvs)
+    for (argv, subject), run_line in zip(argvs.items(), runs):
+        code, secs, out, err = json.loads(run_line)
+        assert (code, out) == (4, ""), (argv, err)
+        assert secs < 2, argv
+        assert err.count("\n") == 1 and err.startswith(subject) and "Traceback" not in err, argv
     assert int(rss_kb) < 200 * 1024
-    lines = err.splitlines()
-    assert len(lines) == len(argvs)
-    assert all(line.startswith(subject) for line, subject in zip(lines, argvs.values())), lines
 
 
 def test_a_hopeless_m_is_refused_before_any_fill(monkeypatch, capsys):
@@ -540,15 +571,22 @@ def test_a_dm_scan_over_the_cost_budget_exits_4_before_it_lists_a_field(monkeypa
 def test_counts_over_the_cost_budget_exit_4_at_once(tmp_path, capsys):
     # PartitionGrid.count estimates the fill of [0, alpha] in O(1) before it
     # lists a floor: the diamond below x = 2000 and the thin interval below a
-    # units corner at y = 10^6 are refused at once, naming their field.
+    # units corner at y = 10^6 are refused at once, naming their field.  The
+    # corner at y = 9*10^4299 has an x of 4,301 digits, more than Python
+    # prints, so its interval is named by the size of that x.
     doc = json.loads((REFERENCE / "units-summary.json").read_text())
-    row = dict(doc["rows"][0], y_max=10**6)
-    doc["rows"] = [row]
-    (tmp_path / "units-summary.json").write_text(json.dumps(doc))
-    corner = search.slice_element(Field(row["D"]), 0, 10**6)
+    assert doc["rows"][0]["D"] == 2
+    fixtures = {}
+    for y_max in (10**6, 9 * 10**4299):
+        fixtures[y_max] = tmp_path / str(y_max.bit_length())
+        fixtures[y_max].mkdir()
+        row = dict(doc["rows"][0], y_max=y_max)
+        (fixtures[y_max] / "units-summary.json").write_text(json.dumps(dict(doc, rows=[row])))
+    corner = search.slice_element(Field(2), 0, 10**6)
     refusals = {
         ("estimate", "--D", "2", "--a", "2000", "--b", "0", "--compare"): "the interval [0, 2000] of D=2",
-        ("verify", "--fixtures", str(tmp_path)): f"the interval [0, {corner}] of D={row['D']}",
+        ("verify", "--fixtures", str(fixtures[10**6])): f"the interval [0, {corner}] of D=2",
+        ("verify", "--fixtures", str(fixtures[9 * 10**4299])): "the interval [0, alpha] of D=2 up to an x of 14285 bits",
     }
     for argv, subject in refusals.items():
         start = time.perf_counter()
@@ -557,6 +595,30 @@ def test_counts_over_the_cost_budget_exit_4_at_once(tmp_path, capsys):
         assert (code, out) == (4, ""), argv
         assert err.startswith(f"{subject} is over the cost budget: its recurrence would take about "), argv
         assert err.count("\n") == 1, argv
+
+
+def test_errors_budget_ms_alone_moves_every_refusal(monkeypatch, capsys):
+    # errors.check_budget is the one reader of BUDGET_MS, so patching it in
+    # errors alone reaches the interval, the band and the squarefree test:
+    # at a budget of 1 s each argv is refused at once, naming what it prices.
+    monkeypatch.setattr(errors, "BUDGET_MS", 1000)
+    squarefree = (
+        "the squarefree test of D=10000000000000000000001 is over the cost budget: "
+        "its trial divisions would take about 2 s"
+    )
+    refusals = {
+        "estimate --D 2 --a 200 --b 0 --compare":
+            "the interval [0, 200] of D=2 is over the cost budget: its recurrence would take about 102 s",
+        "search --D 86 --m 11":
+            "the slice band of D=86 up to x = 10421 is over the cost budget: its Euler product would take about 2 s",
+        "units --D 10000000000000000000001": squarefree,
+        "witness --D 10000000000000000000001": squarefree,
+    }
+    for argv, message in refusals.items():
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv.split())
+        assert time.perf_counter() - start < 0.5, argv
+        assert (code, out, err) == (4, "", f"{message}, more than 1 s\n"), argv
 
 
 def _drop_corner(doc):
@@ -852,11 +914,11 @@ def test_dm_jobs_2_runs_a_pool_of_two_and_prints_the_serial_bytes(monkeypatch, c
 
     monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
-    for fmt in ("pretty", "csv", "json"):
-        serial = run(capsys, "dm", "--m", "5", "--jobs", "1", "--format", fmt)
-        assert starts == [], fmt
-        assert run(capsys, "dm", "--m", "5", "--jobs", "2", "--format", fmt) == serial, fmt
-        assert len(starts) == 2, fmt
+    for m, fmt in (("5", "pretty"), ("5", "csv"), ("5", "json"), ("7", "pretty")):
+        serial = run(capsys, "dm", "--m", m, "--jobs", "1", "--format", fmt)
+        assert starts == [], (m, fmt)
+        assert run(capsys, "dm", "--m", m, "--jobs", "2", "--format", fmt) == serial, (m, fmt)
+        assert len(starts) == 2, (m, fmt)
         starts.clear()
 
 

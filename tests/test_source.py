@@ -42,3 +42,18 @@ def test_export_lists_name_only_what_is_there():
         module = sys.modules[getattr(quadpartitions, name).__module__]
         if module is not errors:
             assert name in module.__all__, name
+
+
+def test_only_errors_reads_the_cost_budget():
+    # errors.check_budget is the one reader of BUDGET_MS: a module that
+    # imported the name would compare with its own copy, which patching
+    # errors.BUDGET_MS does not reach.  Comments and docstrings may name it.
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = {getattr(node, field, None) for field in ("id", "attr", "name", "asname")}
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and "BUDGET_MS" in names:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
