@@ -25,6 +25,7 @@ from .oracle import enumerate_partitions
 from .parity import parity_check
 from .partition import PartitionGrid, asymptotic_estimate, cone_rows, diagonal_parity
 from .search import (
+    _price_search,
     check_scan,
     dm_scan,
     exhaustive_scan_range,
@@ -252,8 +253,13 @@ def cmd_grid(args: argparse.Namespace) -> int:
 def cmd_indecomposables(args: argparse.Namespace) -> int:
     field = _field(args)
     ctx = build_context(field)
+    # The last element listed, eps_plus - alpha_e for eps_plus = alpha_(e+1),
+    # holds the largest printed ints (see indecomposables).
+    s = len(ctx.period)
+    p, q = ctx.convergents[s * (1 + s % 2) - 1]  # alpha_e
+    last = ctx.eps_plus - QElement(field, p - field.t * q, q)
+    _check_digits(field.D, coordinate_bound(ctx), _element_ints(last))
     elements = indecomposables(ctx)
-    _check_digits(field.D, coordinate_bound(ctx), chain.from_iterable(map(_element_ints, elements)))
     doc = {
         "D": field.D,
         "period": list(ctx.period),
@@ -301,19 +307,50 @@ def cmd_units(args: argparse.Namespace) -> int:
     return 0
 
 
+# search prints a line, or a JSON key, for every m <= m_max, nearly all of
+# them empty at a large m.  The pretty table, the largest, takes about 285
+# bytes a row: that of D=2 peaked at 164 MB at m = 2^19 and 313 MB at 2^20,
+# 15 MB of it the interpreter's.  A table of more than 2^19 rows is refused,
+# so none passes about 165 MB, inside the 256 MB that the convergents of a
+# field may take (contfrac).
+_TABLE_ROWS = 1 << 19
+
+
 def cmd_search(args: argparse.Namespace) -> int:
     field = _field(args)
-    report = search_m(build_context(field), args.m)
+    ctx = build_context(field)
+    if args.m > _TABLE_ROWS:
+        _price_search(ctx, args.m)  # what search_m refuses before its first count is refused first
+        raise BudgetExceeded(
+            f"the table of D={field.D} up to m = {args.m} is over the cost budget: "
+            f"it would print {args.m} rows, more than {_TABLE_ROWS}"
+        )
+    report = search_m(ctx, args.m)
     ms = range(1, report.m_max + 1)
     reps = report.representatives
+    # The explanation is built before anything prints, so a refusal or a
+    # violated invariant leaves stdout empty.
+    explained = []
+    if args.explain and args.format == "pretty":
+        explained.append("partitions of the small representatives:")
+        for m, found in reps.items():
+            for e in found:
+                if e.a > 12:
+                    continue
+                parts = enumerate_partitions(e)
+                if len(parts) != m:
+                    raise InvariantViolation(
+                        f"{e} has {len(parts)} partitions, listed under m = {m}"
+                    )
+                explained += (f"  {e} = " + " + ".join(map(str, part_list)) for part_list in parts)
 
     def csv() -> str:
-        return "\n".join(["m,elements"] + [f"{m}," + ";".join(map(str, reps[m])) for m in ms])
+        return "\n".join(["m,elements"] + [f"{m}," + ";".join(map(str, reps.get(m, ()))) for m in ms])
 
     def tex() -> str:
         lines = ["\\begin{tabular}{|l|l|}", "\\hline", "$m$&elements\\\\", "\\hline\\hline"]
         for m in ms:
-            cell = ", ".join(f"${_tex_element(e)}$" for e in reps[m]) if reps[m] else "--"
+            cell = ", ".join(f"${_tex_element(e)}$" for e in reps.get(m, ())) or "--"
             lines += [f"${m}$&{cell}\\\\", "\\hline"]
         return "\n".join(lines + ["\\end{tabular}"])
 
@@ -323,23 +360,10 @@ def cmd_search(args: argparse.Namespace) -> int:
             "elements with exactly m partitions, up to units and conjugation:",
         ]
         for m in ms:
-            lines.append(f"  m = {m}: " + (", ".join(str(e) for e in reps[m]) or "(none)"))
-        return "\n".join(lines)
+            lines.append(f"  m = {m}: " + (", ".join(str(e) for e in reps.get(m, ())) or "(none)"))
+        return "\n".join(lines + explained)
 
     _emit(args.format, report_to_obj(report), csv=csv, tex=tex, pretty=pretty)
-    if args.explain and args.format == "pretty":
-        print("partitions of the small representatives:")
-        for m in ms:
-            for e in reps[m]:
-                if e.a > 12:
-                    continue
-                parts = enumerate_partitions(e)
-                if len(parts) != m:
-                    raise InvariantViolation(
-                        f"{e} has {len(parts)} partitions, listed under m = {m}"
-                    )
-                for part_list in parts:
-                    print(f"  {e} = " + " + ".join(str(p) for p in part_list))
     return 0
 
 

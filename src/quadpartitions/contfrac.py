@@ -147,6 +147,18 @@ def indecomposables(ctx: FieldContext) -> tuple[QElement, ...]:
     even, so odd i in [-1, s-3] suffices there; for odd s one eps^2-period
     needs odd i in [-1, 2s-3].  The sums are formed and deduplicated as
     integer pairs in the basis (1, w).
+
+    Every printed int (a, b and the sqrt coordinates den*a + t*b and b,
+    which bound their reduced form) is nonnegative and nondecreasing in
+    this order, so the last element, alpha_(e+1) - alpha_e for eps_plus =
+    alpha_(e+1), e + 1 = s - 1 or 2s - 1, holds the largest of each.
+    Each element is the one before plus alpha_(i+1): so
+    is alpha_(i,r+1), and alpha_(i+2,0) = alpha_(i,u-1) + alpha_(i+1) as
+    alpha_(i+2) = u*alpha_(i+1) + alpha_i, u = u_(i+2).  Every alpha_j,
+    j >= -1, has b = q_j >= 0 and a = p_j - t*q_j >= p_j - q_j >= 0, by
+    induction: p_(-1) - q_(-1) = 1, p_0 - q_0 = (u_0 + 1)//2 - 1 >= 0, and
+    p_j - q_j = u_j*(p_(j-1) - q_(j-1)) + (p_(j-2) - q_(j-2)).  So each step
+    adds ints >= 0 to each printed int.
     """
     period = ctx.period
     s = len(period)

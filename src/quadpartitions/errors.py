@@ -25,9 +25,10 @@ class BudgetExceeded(RuntimeError):
     --compare and verify), the squarefree test of D, and a dm --Dmax scan of
     the fewest fields it can hold, each at the cheapest search.  It is also
     raised by the brute-force enumerator out of nodes, by build_context for
-    convergents over its memory limit, and by units, indecomposables and
-    estimate, before they format anything, for an int with more digits than
-    Python turns into a string.
+    convergents over its memory limit, by search for a table of more than
+    2^19 rows, and by units, indecomposables and estimate, before they
+    format anything, for an int with more digits than Python turns into a
+    string.
     """
 
 

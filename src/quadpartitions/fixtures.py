@@ -116,7 +116,7 @@ def _diff_representatives(doc: dict) -> list[str]:
         report = search_m(ctx, doc["m_max"])
         for m in range(1, doc["m_max"] + 1):
             expected = {(o["a"], o["b"]) for o in entry["by_m"][str(m)]}
-            got = {(e.a, e.b) for e in report.representatives[m]}
+            got = {(e.a, e.b) for e in report.representatives.get(m, ())}
             if expected != got:
                 exp_txt = sorted(str(QElement(field, a, b)) for a, b in expected)
                 got_txt = sorted(str(QElement(field, a, b)) for a, b in got)

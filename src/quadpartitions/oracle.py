@@ -30,13 +30,16 @@ def _partitions(alpha: QElement) -> Iterator[tuple[QElement, ...]]:
     """Yield each partition of alpha once, as a tuple of non-increasing parts."""
     if not alpha.is_totally_positive():
         raise ValueError(f"can only partition totally positive elements, got {alpha!r}")
-    left = DEFAULT_BUDGET
+    left = budget = DEFAULT_BUDGET
 
     def walk(remaining: QElement, bound: tuple[int, int], prefix: list[QElement]):
         nonlocal left
         left -= 1
         if left < 0:
-            raise BudgetExceeded("partition enumeration budget exhausted")
+            raise BudgetExceeded(
+                f"the partitions of {alpha} of D={alpha.field.D} are over the cost budget: "
+                f"listing them visits more than {budget} nodes"
+            )
         for beta in _candidates(remaining):
             if beta.lex_key > bound:
                 continue

@@ -173,11 +173,12 @@ class SearchReport(NamedTuple):
     k_max: int
     y_max: int
     slice_counts: tuple[tuple[int, ...], ...]  # rows y = 0..y_max, cols k = 0..k_max
-    representatives: dict[int, tuple[QElement, ...]]  # m -> lex-sorted domain reps
+    # m -> lex-sorted domain reps, for each m <= m_max that some element has
+    representatives: dict[int, tuple[QElement, ...]]
 
     def missing(self) -> bool:
         """True when no element at all has exactly m_max partitions."""
-        return not self.representatives[self.m_max]
+        return self.m_max not in self.representatives
 
 
 def slice_rows(field: Field, k_max: int, y_max: int) -> tuple[tuple[int, ...], ...]:
@@ -256,7 +257,7 @@ def _search(ctx: FieldContext, m_max: int, n0: int) -> SearchReport:
                 f"find_ymax gave y_max = {y_max} for D={field.D} at m = {m_max}, "
                 f"but the certified corner (0, {y}) has p = {rows[y][0]}"
             )
-    reps: dict[int, list[QElement]] = {m: [] for m in range(1, m_max + 1)}
+    reps: dict[int, list[QElement]] = {}
     for y, row in enumerate(rows):
         inside = False
         for k, p in enumerate(row):
@@ -265,10 +266,10 @@ def _search(ctx: FieldContext, m_max: int, n0: int) -> SearchReport:
             alpha = slice_element(field, k, y)
             inside = inside or in_fundamental_domain(alpha, ctx)
             if inside:
-                reps[p].append(alpha)
+                reps.setdefault(p, []).append(alpha)
 
     representatives = {
-        m: tuple(sorted(found, key=lambda e: e.lex_key)) for m, found in reps.items()
+        m: tuple(sorted(found, key=lambda e: e.lex_key)) for m, found in sorted(reps.items())
     }
     return SearchReport(
         field=field,
@@ -296,19 +297,16 @@ def worker_count(jobs: int, tasks: int, cpus: int) -> int:
 def dm_scan(m: int, D_values: list[int] | tuple[int, ...], jobs: int = 1) -> tuple[int, ...]:
     """The subset of D_values whose field has no element with exactly m partitions.
 
-    Every field, by increasing D, first runs the checks search_m makes before
-    its first count (_price_search), and only then is any field searched, so
-    a scan that some field's band or interval refuses is refused at once.
+    Every Field is built first, so Field alone raises ValueError for a D
+    that is not squarefree and >= 2, before any work.  Then every field, by
+    increasing D, runs the checks search_m makes before its first count
+    (_price_search), and only then is any field searched, so a scan that
+    some field's band or interval refuses is refused at once.
     Each field is then searched from the context and n0 it was priced with,
     by _misses, in this process or in a pool's worker alike.
     """
-    for D in D_values:
-        if not is_squarefree(D) or D < 2:
-            raise ValueError(f"D values must be squarefree and >= 2, got {D}")
-    priced = []
-    for D in sorted(D_values):
-        ctx = build_context(Field(D))
-        priced.append((ctx, m, _price_search(ctx, m)))
+    fields = [Field(D) for D in sorted(D_values)]
+    priced = [(ctx, m, _price_search(ctx, m)) for ctx in map(build_context, fields)]
     workers = worker_count(jobs, len(priced), os.cpu_count() or 1)
     if workers > 1:
         # Imported here: it loads multiprocessing, which only a pool needs.

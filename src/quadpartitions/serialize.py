@@ -36,7 +36,7 @@ def report_to_obj(report: SearchReport) -> dict:
         "y_max": report.y_max,
         "slice": [list(row) for row in report.slice_counts],
         "representatives": {
-            str(m): [element_to_obj(e) for e in reps]
-            for m, reps in sorted(report.representatives.items())
+            str(m): [element_to_obj(e) for e in report.representatives.get(m, ())]
+            for m in range(1, report.m_max + 1)
         },
     }

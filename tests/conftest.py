@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import quadpartitions
 from quadpartitions import (
     Field,
     GridPool,
@@ -21,6 +26,26 @@ from quadpartitions.search import slice_element
 
 # The eight fields whose tables the reference fixtures pin down.
 TABULATED_D = (2, 3, 5, 6, 7, 13, 17, 21)
+REFERENCE = Path(quadpartitions.__file__).parent / "reference"
+
+
+def start_python(*args, cwd=None):
+    """Start python with args in a fresh interpreter, in cwd, that imports this package."""
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, (str(REFERENCE.parents[1]), os.environ.get("PYTHONPATH")))),
+        PYTHONIOENCODING="utf-8",
+        COLUMNS="80",  # argparse wraps --help to the terminal width
+    )
+    return subprocess.Popen(
+        [sys.executable, *args], env=env, cwd=cwd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, encoding="utf-8"
+    )
+
+
+def finish(proc):
+    """(exit code, stdout, stderr) of a process from start_python."""
+    out, err = proc.communicate()
+    return proc.returncode, out, err
 
 
 @pytest.fixture(scope="session")

@@ -1,21 +1,15 @@
 import argparse
 import json
 import multiprocessing.process
-import os
 import shutil
-import subprocess
-import sys
 import time
 from itertools import accumulate
 from math import isqrt
-from pathlib import Path
 
 import pytest
 
-import quadpartitions
 from quadpartitions import (
     BudgetExceeded,
-    Field,
     InvariantViolation,
     cli,
     contfrac,
@@ -28,32 +22,13 @@ from quadpartitions import (
     search,
 )
 
-REFERENCE = Path(quadpartitions.__file__).parent / "reference"
+from conftest import REFERENCE, finish, start_python
 
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def start_python(*args):
-    """Start python with args in a fresh interpreter that imports this package."""
-    env = dict(
-        os.environ,
-        PYTHONPATH=os.pathsep.join(filter(None, (str(REFERENCE.parents[1]), os.environ.get("PYTHONPATH")))),
-        PYTHONIOENCODING="utf-8",
-        COLUMNS="80",  # argparse wraps --help to the terminal width
-    )
-    return subprocess.Popen(
-        [sys.executable, *args], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, encoding="utf-8"
-    )
-
-
-def finish(proc):
-    """(exit code, stdout, stderr) of a process from start_python."""
-    out, err = proc.communicate()
-    return proc.returncode, out, err
 
 
 def test_grid_xy_json_matches_fixture(capsys):
@@ -326,8 +301,8 @@ def test_explain_count_mismatch_exits_3(monkeypatch, capsys):
         return parts + parts[:1]
 
     monkeypatch.setattr(cli, "enumerate_partitions", one_partition_too_many)
-    code, _, err = run(capsys, "search", "--D", "5", "--m", "3", "--explain")
-    assert code == 3
+    code, out, err = run(capsys, "search", "--D", "5", "--m", "3", "--explain")
+    assert (code, out) == (3, "")  # the explanation is built before anything prints
     assert "listed under m = 1" in err
 
 
@@ -342,12 +317,12 @@ def test_budget_exceeded_exits_4(monkeypatch, capsys):
 
 
 def test_node_budget_of_the_real_enumerator_exits_4(monkeypatch, capsys):
-    # No stub: the walker itself runs out of nodes on a representative it explains.
+    # No stub: the walker itself runs out of nodes on a representative it
+    # explains, and nothing is printed before the refusal.
     monkeypatch.setattr(oracle, "DEFAULT_BUDGET", 10)
-    code, out, err = run(capsys, "search", "--D", "5", "--m", "11", "--explain")
-    assert code == 4
-    assert err == "partition enumeration budget exhausted\n"
-    assert "partitions of the small representatives:" in out
+    assert run(capsys, "search", "--D", "5", "--m", "11", "--explain") == (
+        4, "", "the partitions of 4 of D=5 are over the cost budget: listing them visits more than 10 nodes\n"
+    )
 
 
 def test_parity_refuses_before_the_recurrence(monkeypatch, capsys):
@@ -356,191 +331,44 @@ def test_parity_refuses_before_the_recurrence(monkeypatch, capsys):
         raise AssertionError(f"cumulative_P ran for N = {N}")
 
     monkeypatch.setattr(parity, "cumulative_P", recurrence)
-    code, out, err = run(capsys, "parity", "--D", "2", "--N", "100000")
-    assert (code, out) == (4, "")
-    assert "over the cost budget" in err
-
-
-def test_runs_over_the_cost_budget_exit_4_at_once(capsys):
-    for argv in (("grid", "--D", "2", "--max-x", "100000"), ("parity", "--D", "2", "--N", "100000")):
-        start = time.perf_counter()
-        code, out, err = run(capsys, *argv)
-        assert time.perf_counter() - start < 2, argv
-        assert (code, out) == (4, ""), argv
-        assert err.count("\n") == 1 and "over the cost budget" in err, argv
-    # The largest argvs of the benchmark pool stay well inside the budget.
-    for argv in (("grid", "--D", "15", "--max-x", "100"), ("parity", "--D", "2", "--N", "90")):
-        assert run(capsys, *argv)[0] == 0, argv
-    # The xy view runs up to x = 416 for D=2 and 331 for D=5, and is refused
-    # at once from the next X on.
-    for D, X in ((2, 260), (5, 210), (2, 316), (5, 251), (2, 416), (5, 331)):
-        f = Field(D)
-        sizes = [f.floor_div_omega(x) + f.floor_div_xi(x) + 1 for x in range(X + 1)]
-        assert partition._madds_ms(partition._recurrence_madds(sizes)) <= errors.BUDGET_MS, D
-    # The estimate is rounded up, so a refusal never reads "about 120 s, more than 120 s".
-    refusals = {
-        ("grid", "--D", "2", "--max-x", "417"): 121,
-        ("grid", "--D", "5", "--max-x", "332"): 122,
-    }
-    for argv, secs in refusals.items():
-        start = time.perf_counter()
-        code, out, err = run(capsys, *argv)
-        assert time.perf_counter() - start < 2, argv
-        assert (code, out) == (4, ""), argv
-        assert err == (
-            f"the cone up to x = {argv[-1]} is over the cost budget: "
-            f"its recurrence would take about {secs} s, more than 120 s\n"
-        )
-        assert secs > errors.BUDGET_MS // 1000
-    # parity runs up to N = 1547 for D=2 and 1375 for D=5, counting the XOR
-    # steps of its fold below (N, 0) in the band layout at K = N, one per
-    # cell with u or v odd, and is refused at once from the next N on.
-    for D, N in ((2, 1548), (5, 1376)):
-        f = Field(D)
-        a, b = partition._band_layout(f, N - 1)
-        rows = partition._RowEdges(f).rows(N - 1, 0)
-        steps = sum((u | v) & 1 for v, first, last in rows for u in range(first, last + 1))
-        assert partition._fold_ms(steps, a * (N - 1) + 1) <= errors.BUDGET_MS, D
-        start = time.perf_counter()
-        code, out, err = run(capsys, "parity", "--D", str(D), "--N", str(N))
-        assert time.perf_counter() - start < 2, D
-        assert (code, out) == (4, ""), D
-        assert err == (
-            f"the ideal below ({N}, 0) of D={D} is over the cost budget: "
-            f"its parity product would take about 121 s, more than 120 s\n"
-        )
-
-
-def test_slice_paths_over_the_cost_budget_exit_4_at_once(capsys):
-    # The band is estimated from X, K and its slot layout before any O(X)
-    # work: D=97's first corner band runs to x = 56,432,286, and that of
-    # D = 1000000007 to an x of 6,382 digits, more than Python prints, so
-    # its size is named instead.  At D = 2 and m = 10^30 search prices a
-    # band inside its box, B(286, 192) at 104 bits, before any count.  dm
-    # prices every field before it searches any, so D=73's first corner band
-    # refuses the scan to 1001 before the fields below it are searched.
-    refusals = {
-        ("search", "--D", "97", "--m", "11"): "the slice band of D=97 up to x = 56432286",
-        ("grid", "--view", "ky", "--D", "2", "--kmax", "6", "--ymax", "10000000"):
-            "the slice band of D=2 up to x = 14142142",
-        ("search", "--D", "1000000007", "--m", "11"): "the slice band of D=1000000007 up to an x of 21198 bits",
-        ("search", "--D", "2", "--m", str(10**30)): "the slice band of D=2 up to x = 286",
-        ("dm", "--m", "11", "--Dmax", "1001"): "the slice band of D=73 up to x = 2014253",
-    }
-    for argv, subject in refusals.items():
-        start = time.perf_counter()
-        code, out, err = run(capsys, *argv)
-        assert time.perf_counter() - start < 2, argv
-        assert (code, out) == (4, ""), argv
-        assert err.startswith(f"{subject} is over the cost budget: its Euler product would take about ")
-        assert err.count("\n") == 1, argv
-    # The box bands of the pinned wide-unit searches stay inside the budget at
-    # the slots where their folds end: values of 46, 63, 58 and 39 bits in
-    # whole value bytes under a guard byte.
-    for D, k_max, y_max, bits in ((31, 6, 274, 56), (41, 6, 641, 72), (43, 6, 532, 72), (61, 6, 196, 48)):
-        f = Field(D)
-        X, K = f.ceil_xi_mult(y_max) + k_max, k_max + 1
-        assert partition._band_ms(f, X, K, *partition._band_layout(f, K), bits) <= errors.BUDGET_MS, D
-
-
-def test_an_output_past_the_int_digit_limit_exits_4_at_once(capsys):
-    # eps_plus of D = 1000000007 has 6,382 digits, more than the 4,300 that
-    # Python turns into a string by default, so both commands refuse the
-    # field before they format anything.  estimate reads a and b of 4,300
-    # digits, consecutive Fibonacci numbers F(20575) and F(20576), whose
-    # alpha = phi^20576 prints 2a + b, of 4,301 digits, as its sqrt
-    # coordinate; it is refused before anything formats alpha.
-    limit = sys.get_int_max_str_digits()
-    a, b = 0, 1
-    for _ in range(20576):
-        a, b = b, a + b
-    assert 10 ** (limit - 1) <= a < b < 10**limit <= 2 * a + b
-    argvs = [(command, "--D", "1000000007") for command in ("units", "indecomposables")]
-    argvs += [("estimate", "--D", "5", "--a", str(a), "--b", str(b), "--format", fmt) for fmt in ("pretty", "json")]
-    for argv in argvs:
-        start = time.perf_counter()
-        code, out, err = run(capsys, *argv)
-        assert time.perf_counter() - start < 2, argv[0]
-        assert (code, out) == (4, ""), argv[0]
-        assert err == (
-            f"the output of D={argv[2]} is over the cost budget: it holds an int of more than "
-            f"{limit} digits, the most Python prints\n"
-        )
-
-
-def test_oversized_fields_exit_4_at_once_in_little_memory():
-    # Each input once printed a traceback, hung or ran out of memory.  D =
-    # 10000000019 has period 124,134, whose convergents would take about
-    # 7.8 GB, and the squarefree test of D = 10^30 + 57 would divide about
-    # 5e9 times; D = 10^20 + 39 passes its test in well under a second and
-    # is refused by its first interval.  D = 1000000007's band once formatted
-    # an x of 6,382 digits, m = 10^30 once ran about 100 s of counts before a
-    # band refused its box, the parity inputs are the first N refused for
-    # D=2 and D=5, the listing of the dm scan to 10^17 walked every number
-    # before its price, and the scan to 1001 once searched every field below
-    # D=67 for about a minute before D=67's band refused it.  Every argv runs
-    # in one fresh interpreter whose address space is limited to 1 GB
-    # (1,000,000 KiB) and whose peak RSS (VmHWM, where Linux reports it:
-    # ru_maxrss would carry over the forked test process's) stays under
-    # 200 MB; each exits 4 within 2 s with no stdout, one stderr line naming
-    # what it refused and no traceback.
-    script = (
-        "import contextlib, io, json, pathlib, resource, sys, time, traceback\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (1_000_000 * 1024, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
-        "from quadpartitions.cli import main\n"
-        "for argv in map(str.split, sys.argv[1:]):\n"
-        "    out, err, code = io.StringIO(), io.StringIO(), None\n"
-        "    start = time.perf_counter()\n"
-        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
-        "        try:\n"
-        "            code = main(argv)\n"
-        "        except Exception:\n"
-        "            traceback.print_exc()\n"
-        "    print(json.dumps([code, time.perf_counter() - start, out.getvalue(), err.getvalue()]))\n"
-        "status = pathlib.Path('/proc/self/status')\n"
-        "print(status.read_text().split('VmHWM:')[1].split()[0] if status.exists() else 0)\n"
-    )
-    argvs = {
-        "units --D 10000000019": "the convergents of D=10000000019 are over the cost budget: ",
-        "indecomposables --D 10000000019": "the convergents of D=10000000019 are over the cost budget: ",
-        "search --D 10000000019 --m 11": "the convergents of D=10000000019 are over the cost budget: ",
-        "witness --D 100000000000000000039": "the interval [0, 10000000003+√100000000000000000039] of ",
-        f"units --D {10**30 + 57}": f"the squarefree test of D={10**30 + 57} is over the cost budget: ",
-        "search --D 1000000007 --m 11": "the slice band of D=1000000007 up to an x of 21198 bits is over ",
-        f"search --D 2 --m {10**30}": "the slice band of D=2 up to x = 286 is over the cost budget: ",
-        "parity --D 2 --N 1548": "the ideal below (1548, 0) of D=2 is over the cost budget: ",
-        "parity --D 5 --N 1376": "the ideal below (1376, 0) of D=5 is over the cost budget: ",
-        f"dm --m 2 --Dmax {10**17}": f"the dm scan of the squarefree D <= {10**17} at m = 2 is over ",
-        "dm --m 11 --Dmax 1001": "the slice band of D=73 up to x = 2014253 is over the cost budget: ",
-    }
-    code, out, err = finish(start_python("-c", script, *argvs))
-    assert (code, err) == (0, "")
-    *runs, rss_kb = out.splitlines()
-    assert len(runs) == len(argvs)
-    for (argv, subject), run_line in zip(argvs.items(), runs):
-        code, secs, out, err = json.loads(run_line)
-        assert (code, out) == (4, ""), (argv, err)
-        assert secs < 2, argv
-        assert err.count("\n") == 1 and err.startswith(subject) and "Traceback" not in err, argv
-    assert int(rss_kb) < 200 * 1024
+    assert run(capsys, "parity", "--D", "2", "--N", "100000")[:2] == (4, "")
 
 
 def test_a_hopeless_m_is_refused_before_any_fill(monkeypatch, capsys):
-    # At D = 2 the trace sums P(n), which bound p(n) from above, stay below
-    # m = 10^300 up to n = 256, so k_max > 256, and find_kmax refuses the
-    # interval [0, 257] from its O(1) estimate; nothing is filled.
+    # find_kmax refuses the interval [0, 257] of D=2 at m = 10^300 from its
+    # O(1) estimate; nothing is filled.
     def fill(grid, x, y):
         raise AssertionError(f"PartitionGrid filled the interval below ({x}, {y})")
 
     monkeypatch.setattr(partition.PartitionGrid, "_fill", fill)
     m = str(10**300)
     for argv in (("search", "--D", "2", "--m", m), ("dm", "--m", m, "--Dmax", "3")):
-        start = time.perf_counter()
-        code, out, err = run(capsys, *argv)
-        assert time.perf_counter() - start < 2, argv
-        assert (code, out) == (4, ""), argv
-        assert err.startswith("the interval [0, 257] of D=2 is over the cost budget: "), argv
-        assert err.count("\n") == 1, argv
+        assert run(capsys, *argv)[:2] == (4, ""), argv
+
+
+def test_a_search_table_it_cannot_print_is_refused_before_any_count(monkeypatch, capsys):
+    # search prints a row for every m <= m_max: a table of 2^19 rows reaches
+    # search_m, and one of 2^19 + 1 is refused before anything is counted.
+    def counted(ctx, m_max):
+        raise AssertionError(f"search_m counted up to m = {m_max}")
+
+    monkeypatch.setattr(cli, "search_m", counted)
+    assert run(capsys, "search", "--D", "2", "--m", str(2**19 + 1)) == (
+        4, "", "the table of D=2 up to m = 524289 is over the cost budget: "
+        "it would print 524289 rows, more than 524288\n"
+    )
+    with pytest.raises(AssertionError, match="m = 524288$"):
+        cli.main(["search", "--D", "2", "--m", str(2**19)])
+
+
+def test_indecomposables_refuses_before_it_lists(monkeypatch, capsys):
+    # The digit limit is checked on the ints of the last element it would
+    # list, before indecomposables runs.
+    def listed(ctx):
+        raise AssertionError(f"indecomposables listed D={ctx.field.D}")
+
+    monkeypatch.setattr(cli, "indecomposables", listed)
+    assert run(capsys, "indecomposables", "--D", "1000000007")[:2] == (4, "")
 
 
 def test_a_dm_scan_over_the_cost_budget_exits_4_before_it_lists_a_field(monkeypatch, capsys):
@@ -551,14 +379,7 @@ def test_a_dm_scan_over_the_cost_budget_exits_4_before_it_lists_a_field(monkeypa
         raise AssertionError(f"dm tested {n} for squarefreeness")
 
     monkeypatch.setattr(cli, "is_squarefree", listed)
-    start = time.perf_counter()
-    code, out, err = run(capsys, "dm", "--m", "2", "--Dmax", str(10**17))
-    assert time.perf_counter() - start < 2
-    assert (code, out) == (4, "")
-    assert err == (
-        f"the dm scan of the squarefree D <= {10**17} at m = 2 is over the cost budget: "
-        "its searches would take at least 2.5e+12 s, more than 120 s\n"
-    )
+    assert run(capsys, "dm", "--m", "2", "--Dmax", str(10**17))[:2] == (4, "")
     # The price counts D_max // 2 fields from D_max = 21 on: no scan holds fewer.
     n = 100_000
     squarefree = [True] * (n + 1)
@@ -566,35 +387,6 @@ def test_a_dm_scan_over_the_cost_budget_exits_4_before_it_lists_a_field(monkeypa
         squarefree[d * d :: d * d] = [False] * (n // (d * d))
     held = list(accumulate(squarefree[2:]))  # fields of 2..D_max at D_max - 2
     assert all(held[D_max - 2] >= D_max // 2 for D_max in range(21, n + 1))
-
-
-def test_counts_over_the_cost_budget_exit_4_at_once(tmp_path, capsys):
-    # PartitionGrid.count estimates the fill of [0, alpha] in O(1) before it
-    # lists a floor: the diamond below x = 2000 and the thin interval below a
-    # units corner at y = 10^6 are refused at once, naming their field.  The
-    # corner at y = 9*10^4299 has an x of 4,301 digits, more than Python
-    # prints, so its interval is named by the size of that x.
-    doc = json.loads((REFERENCE / "units-summary.json").read_text())
-    assert doc["rows"][0]["D"] == 2
-    fixtures = {}
-    for y_max in (10**6, 9 * 10**4299):
-        fixtures[y_max] = tmp_path / str(y_max.bit_length())
-        fixtures[y_max].mkdir()
-        row = dict(doc["rows"][0], y_max=y_max)
-        (fixtures[y_max] / "units-summary.json").write_text(json.dumps(dict(doc, rows=[row])))
-    corner = search.slice_element(Field(2), 0, 10**6)
-    refusals = {
-        ("estimate", "--D", "2", "--a", "2000", "--b", "0", "--compare"): "the interval [0, 2000] of D=2",
-        ("verify", "--fixtures", str(fixtures[10**6])): f"the interval [0, {corner}] of D=2",
-        ("verify", "--fixtures", str(fixtures[9 * 10**4299])): "the interval [0, alpha] of D=2 up to an x of 14285 bits",
-    }
-    for argv, subject in refusals.items():
-        start = time.perf_counter()
-        code, out, err = run(capsys, *argv)
-        assert time.perf_counter() - start < 2, argv
-        assert (code, out) == (4, ""), argv
-        assert err.startswith(f"{subject} is over the cost budget: its recurrence would take about "), argv
-        assert err.count("\n") == 1, argv
 
 
 def test_errors_budget_ms_alone_moves_every_refusal(monkeypatch, capsys):

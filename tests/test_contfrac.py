@@ -5,6 +5,7 @@ import pytest
 from quadpartitions import (
     BudgetExceeded,
     Field,
+    QElement,
     build_context,
     expand_sigma,
     floor_ratio_eps,
@@ -186,15 +187,26 @@ def test_period_invariant_violation_unreachable_for_valid_d():
 
 def test_coordinate_bound_bounds_every_printed_int():
     # units and indecomposables check only this bound before they print,
-    # unless it comes near Python's digit limit for int -> str.
+    # unless it comes near Python's digit limit for int -> str; then
+    # indecomposables reads only its last element, eps_plus - alpha_e, as a,
+    # b and the sqrt coordinates, which bound their reduced form, are
+    # nonnegative and nondecreasing in listing order.
+    def ints(e):
+        return (e.a, e.b, *e.sqrt_coords()[:2])
+
     for D in range(2, 1000):
         if not is_squarefree(D):
             continue
         ctx = build_context(Field(D))
-        elements = (ctx.eps, ctx.eps_plus, *indecomposables(ctx))
-        coords = [c for e in elements for c in (e.a, e.b, *e.sqrt_coords()[:2], *e.reduced_sqrt_coords()[:2])]
+        listed = indecomposables(ctx)
+        elements = (ctx.eps, ctx.eps_plus, *listed)
+        coords = [c for e in elements for c in (*ints(e), *e.reduced_sqrt_coords()[:2])]
         printed = [*coords, *(c for pq in ctx.convergents for c in pq), floor_ratio_eps(ctx)]
         assert max(map(abs, printed)) <= coordinate_bound(ctx), D
+        assert all(0 <= c <= d for e, f in zip(listed, listed[1:]) for c, d in zip(ints(e), ints(f))), D
+        s = len(ctx.period)
+        p, q = ctx.convergents[s * (1 + s % 2) - 1]
+        assert listed[-1] == ctx.eps_plus - QElement(ctx.field, p - ctx.field.t * q, q), D
 
 
 def test_convergent_bits_bound_every_context_from_its_period():

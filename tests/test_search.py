@@ -551,7 +551,16 @@ def test_search_rows_stop_at_the_first_p_over_m_and_the_first_cell_inside():
                     if p <= m and inside[k]:
                         found[p].append(slice_element(ctx.field, k, y))
             expected = {n: tuple(sorted(reps, key=lambda e: e.lex_key)) for n, reps in found.items()}
-            assert report.representatives == expected, (D, m)
+            assert {n: report.representatives.get(n, ()) for n in expected} == expected, (D, m)
+            assert set(report.representatives) == {n for n, reps in expected.items() if reps}, (D, m)
+
+
+def test_search_records_only_the_m_it_finds(contexts):
+    # One entry per m that some element has, never an empty one: the box
+    # bounds how many there are, where one entry per m <= m_max took 100,000.
+    report = search_m(contexts[2], 10**5)
+    assert 0 < len(report.representatives) <= sum(map(len, report.slice_counts))
+    assert all(report.representatives.values())
 
 
 @pytest.mark.parametrize("late", [False, True])
