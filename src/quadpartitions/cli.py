@@ -27,6 +27,7 @@ from .partition import PartitionGrid, asymptotic_estimate, cone_rows, diagonal_p
 from .search import (
     _price_search,
     check_scan,
+    classify_m,
     dm_scan,
     exhaustive_scan_range,
     search_m,
@@ -217,9 +218,9 @@ def _element_ints(e: QElement) -> tuple[int, ...]:
     return (e.a, e.b, *e.sqrt_coords()[:2])
 
 
-def _emit(fmt: str, doc: dict, **render: Callable[[], str]) -> None:
-    """Print doc as canonical JSON for json, else the text render[fmt]() builds."""
-    print(dumps_canonical(doc) if fmt == "json" else render[fmt]())
+def _emit(fmt: str, doc: Callable[[], object], **render: Callable[[], str]) -> None:
+    """Print doc() as canonical JSON for json, else the text render[fmt]() builds; doc runs only for json."""
+    print(dumps_canonical(doc()) if fmt == "json" else render[fmt]())
 
 
 # ----- subcommands -----------------------------------------------------------
@@ -242,7 +243,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
         col = "k"
     _emit(
         args.format,
-        doc,
+        lambda: doc,
         pretty=lambda: _matrix_pretty(rows, "y", col),
         csv=lambda: _matrix_csv(rows, "y", col),
         tex=lambda: _matrix_tex(rows, "y", col),
@@ -274,7 +275,7 @@ def cmd_indecomposables(args: argparse.Namespace) -> int:
         lines += [f"  {obj['text']}" for obj in doc["indecomposables"]]
         return "\n".join(lines)
 
-    _emit(args.format, doc, pretty=pretty)
+    _emit(args.format, lambda: doc, pretty=pretty)
     return 0
 
 
@@ -303,16 +304,16 @@ def cmd_units(args: argparse.Namespace) -> int:
             f"floor(eps_plus / (xi + omega)) = {doc['floor_ratio']}",
         ])
 
-    _emit(args.format, doc, pretty=pretty)
+    _emit(args.format, lambda: doc, pretty=pretty)
     return 0
 
 
 # search prints a line, or a JSON key, for every m <= m_max, nearly all of
-# them empty at a large m.  The pretty table, the largest, takes about 285
-# bytes a row: that of D=2 peaked at 164 MB at m = 2^19 and 313 MB at 2^20,
-# 15 MB of it the interpreter's.  A table of more than 2^19 rows is refused,
-# so none passes about 165 MB, inside the 256 MB that the convergents of a
-# field may take (contfrac).
+# them empty at a large m.  The JSON document, a dict with a key per m, is
+# the largest: at m = 2^19 the search of D=2 peaked at 146 MB in json, 85 MB
+# in pretty and 75 MB in tex, 15 MB of it the interpreter's.  A table of
+# more than 2^19 rows is refused, so none passes about 150 MB, inside the
+# 256 MB that the convergents of a field may take (contfrac).
 _TABLE_ROWS = 1 << 19
 
 
@@ -325,7 +326,9 @@ def cmd_search(args: argparse.Namespace) -> int:
             f"the table of D={field.D} up to m = {args.m} is over the cost budget: "
             f"it would print {args.m} rows, more than {_TABLE_ROWS}"
         )
-    report = search_m(ctx, args.m)
+    # json prints the slice matrix, so it folds the whole box; the tables
+    # print only the cells with p <= m, which classify_m walks to.
+    report = (search_m if args.format == "json" else classify_m)(ctx, args.m)
     ms = range(1, report.m_max + 1)
     reps = report.representatives
     # The explanation is built before anything prints, so a refusal or a
@@ -363,7 +366,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             lines.append(f"  m = {m}: " + (", ".join(str(e) for e in reps.get(m, ())) or "(none)"))
         return "\n".join(lines + explained)
 
-    _emit(args.format, report_to_obj(report), csv=csv, tex=tex, pretty=pretty)
+    _emit(args.format, lambda: report_to_obj(report), csv=csv, tex=tex, pretty=pretty)
     return 0
 
 
@@ -392,7 +395,7 @@ def cmd_dm(args: argparse.Namespace) -> int:
         lines.append("partial scan; membership outside the range is not decided here")
     _emit(
         args.format,
-        doc,
+        lambda: doc,
         csv=lambda: "\n".join(["D,attains_m"] + [f"{D},{0 if D in missing else 1}" for D in scan]),
         pretty=lambda: "\n".join(lines),
     )
@@ -437,7 +440,7 @@ def cmd_parity(args: argparse.Namespace) -> int:
             lines.append("note: D = 1 (mod 4); values are reported without any parity claim")
         return "\n".join(lines)
 
-    _emit(args.format, doc, csv=csv, pretty=pretty)
+    _emit(args.format, lambda: doc, csv=csv, pretty=pretty)
     return 0
 
 
@@ -458,7 +461,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
             sentence = f"D = {field.D} is excluded from the 6-or-9 dichotomy: p({alpha}) = {count}"
         else:
             sentence = f"D = {field.D}: p({alpha}) = {count} ({branch})"
-    _emit(args.format, doc, pretty=lambda: sentence)
+    _emit(args.format, lambda: doc, pretty=lambda: sentence)
     return 0
 
 
@@ -489,7 +492,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         doc["p_exact"] = exact
         doc["log_p_exact"] = math.log(exact) if exact > 1 else 0.0
         lines.append(f"exact p(alpha) = {exact}, log = {doc['log_p_exact']:.6f}")
-    _emit(args.format, doc, pretty=lambda: "\n".join(lines))
+    _emit(args.format, lambda: doc, pretty=lambda: "\n".join(lines))
     return 0
 
 

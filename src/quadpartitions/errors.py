@@ -18,17 +18,20 @@ class BudgetExceeded(RuntimeError):
     check_budget, the one reader of BUDGET_MS, raises it before any work
     whose estimate is over the budget: building the cone up to a column
     (grid --view xy), parity's fold over the ideal below (N, 0), the Euler
-    product over a slice band (search, dm, grid --view ky and the slice
-    documents of verify), estimated again before each wider fold and priced
-    by search inside its box before any count, the interval [0, alpha] of a
-    point count (PartitionGrid.count: search, dm, witness, estimate
-    --compare and verify), the squarefree test of D, and a dm --Dmax scan of
-    the fewest fields it can hold, each at the cheapest search.  It is also
-    raised by the brute-force enumerator out of nodes, by build_context for
-    convergents over its memory limit, by search for a table of more than
-    2^19 rows, and by units, indecomposables and estimate, before they
-    format anything, for an int with more digits than Python turns into a
-    string.
+    product over a slice band (search --format json, grid --view ky and the
+    slice documents of verify), estimated again before each wider fold and
+    priced by search and dm inside the box before any count, the walk
+    capped at m (search in its other formats, dm and verify's
+    representatives), charged for the rows it lists and again as it lists
+    more, the interval [0, alpha] of a point count (PartitionGrid.count:
+    search --format json, witness, estimate --compare and verify), priced
+    by search and dm before any count too, the squarefree test of D, and a
+    dm --Dmax scan of the fewest fields it can hold, each at the cheapest
+    field.  It is also raised by the brute-force enumerator out of nodes,
+    by build_context for convergents over its memory limit, by search for a
+    table of more than 2^19 rows, and by units, indecomposables and
+    estimate, before they format anything, for an int with more digits than
+    Python turns into a string.
     """
 
 
@@ -38,12 +41,17 @@ class BudgetExceeded(RuntimeError):
 BUDGET_MS = 120_000
 
 
-def check_budget(subject: Callable[[], str], ms: int, what: str) -> None:
-    """Raise BudgetExceeded when ms, what's estimate for subject(), is over budget; subject() runs only then."""
+def check_budget(subject: Callable[[], str], ms: int, what: str, least: bool = False) -> None:
+    """Raise BudgetExceeded when ms, what's estimate for subject(), is over budget; subject() runs only then.
+
+    what ends in a verb such as "would take"; the line reads "about" the
+    estimate, or "at least" it where least says it is a lower bound.
+    """
     if ms > BUDGET_MS:
         secs = -(-ms // 1000)  # rounded up, so it always reads above the budget
         # Beyond 1e300 no float holds secs.
-        about = secs if secs < 10**6 else f"{secs:.1e}" if secs < 10**300 else "over 1e+300"
+        qualifier = "at least" if least else "about"
+        about = f"{qualifier} {secs if secs < 10**6 else f'{secs:.1e}'}" if secs < 10**300 else "over 1e+300"
         raise BudgetExceeded(
             f"{subject()} is over the cost budget: {what} {about} s, "
             f"more than {BUDGET_MS // 1000} s"

@@ -42,7 +42,7 @@ def is_squarefree(n: int) -> bool:
     if n < 1:
         return False
     c = _icbrt(n)
-    check_budget(lambda: f"the squarefree test of D={n}", c // 2 * 1000 // _DIVISIONS_PER_S, "its trial divisions would take about")
+    check_budget(lambda: f"the squarefree test of D={n}", c // 2 * 1000 // _DIVISIONS_PER_S, "its trial divisions would take")
     r = n
     for d in chain((2,), range(3, c + 1, 2)):
         if r % d == 0:

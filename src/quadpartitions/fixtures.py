@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 from .contfrac import build_context, floor_ratio_eps
 from .field import Field, QElement
 from .partition import PartitionGrid, cone_rows
-from .search import search_m, slice_element, slice_rows
+from .search import classify_m, slice_element, slice_rows
 
 __all__ = [
     "MalformedDocument",
@@ -113,7 +113,7 @@ def _diff_representatives(doc: dict) -> list[str]:
         D = entry["D"]
         field = Field(D)
         ctx = build_context(field)
-        report = search_m(ctx, doc["m_max"])
+        report = classify_m(ctx, doc["m_max"])
         for m in range(1, doc["m_max"] + 1):
             expected = {(o["a"], o["b"]) for o in entry["by_m"][str(m)]}
             got = {(e.a, e.b) for e in report.representatives.get(m, ())}

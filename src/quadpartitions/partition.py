@@ -15,13 +15,18 @@ with p(alpha) >= 1; any mismatch raises DivisibilityViolation.
 Every summand beta has first coordinate >= 1, so a cell only depends on
 strictly earlier columns and the recurrence is well founded.
 
-Four kernels compute p, or p mod 2, on an order ideal of the cone:
+Five kernels compute p, min(p, m + 1) or p mod 2 on an order ideal of the
+cone:
 
 - PartitionGrid runs the recurrence cell by cell on the intervals
   [0, alpha] that count(alpha) asks for, row by row like band_rows, and
   stores each row as a dict of exactly the cells filled; the point queries
   (find_kmax, the witnesses, estimate --compare, the units corner of
   verify) and the tests' threshold table read it.
+- CappedGrid runs the same recurrence on the cells a search reads, capped
+  at m: a cell lists its parts only up to 2m - 2 and reads min(p, m + 1),
+  exact where p <= m; search.classify_m walks the slice with it, for the
+  searches that print no slice matrix and for dm.
 - cone_columns runs it over the whole cone up to a column, one column at a
   time: each column is one big int with a slot of B bits per cell
   (Kronecker substitution), and column x is a sum of x products of packed
@@ -62,6 +67,8 @@ refuses it and only then names it; check_interval is PartitionGrid's,
 which search.find_kmax also asks about an interval it has not reached
 yet, and check_band is band_rows', which search.search_m also asks about
 a band below its box and search.dm_scan for each field before any count.
+CappedGrid is charged from the rows its walk will list, and again as it
+lists more (_walk_ms).
 
 euler_transform is the one-variable form of the recurrence, for a product
 prod_k (1 - q^k)^(-c[k]) over the rational integers, and sums it in packed
@@ -85,6 +92,7 @@ from .field import Field, QElement
 
 __all__ = [
     "PartitionGrid",
+    "CappedGrid",
     "GridPool",
     "content",
     "sigma_K",
@@ -104,7 +112,7 @@ __all__ = [
 # Apery's constant zeta(3), used only by the floating-point diagnostic below.
 ZETA3 = 1.2020569031595942854
 
-# Throughput of the four kernels on a 2-core host with Python 3.11, each taken
+# Throughput of the five kernels on a 2-core host with Python 3.11, each taken
 # where the budget bites, so smaller runs take less than estimated.  64-bit
 # words per second of diagonal_parity's XOR steps (see _fold_ms): with one
 # step per cell outside 2O the last N started ran 2.7e8 for D = 2 (N = 1547,
@@ -129,11 +137,17 @@ ZETA3 = 1.2020569031595942854
 # 4,900; the column walk before it took 30.0 s at 2,800) and 6.2e6-7.0e6 for
 # D=5 at k = 2 (4.2, 18.4 and 57.7 s), slices whose columns come close to
 # the bound, and 4e7-1e8 where it overcounts: diamonds (n, 0), thin corners.
+# Rows per second that CappedGrid lists (see _walk_ms), its counts included:
+# 2.6e6-2.8e6 on the heavy slices of D = 46 and 67 at m = 11 (0.15 and
+# 0.27 s) and 4.8e6 on D=109 at m = 56 (0.62 s), but 6.7e5-1.5e6 at
+# m = 100,000-524,288 on D = 2..130 (0.04-0.24 s), whose rows hold the
+# most parts to count; the rate is below them all.
 _FOLD_WORDS_PER_S = 140_000_000
 _MADDS_PER_S = 21_000_000
 _BAND_WORDS_PER_S = 90_000_000
 _BAND_CELL_US = 10
 _INTERVAL_STEPS_PER_S = 4_000_000
+_WALK_ROWS_PER_S = 500_000
 # Within errors.BUDGET_MS the xy view runs up to x = 416 for D=2 and 331 for
 # D=5, and parity up to N = 1547 and 1375; both are refused beyond.
 # Coefficients euler_transform adds to every later one with one packed product.
@@ -372,6 +386,106 @@ class PartitionGrid:
             rows[Y][X] = p
 
 
+class CappedGrid:
+    """min(p(alpha), m + 1) on the cells a search reads, by PartitionGrid's recurrence under a cap.
+
+    count(x, y) lists the parts beta of alpha = x + y*w, 0 < beta < alpha,
+    by the rows of _RowEdges.reach, and stops past 2m - 2 of them.  Where
+    it lists at most 2m - 2 and none of them is over m, the recurrence reads
+    only exact values: p(alpha) is the S0 = x*p division of PartitionGrid,
+    checked by S1 = (x + y)*p, and a mismatch raises DivisibilityViolation
+    naming the cell.  Otherwise alpha is over m, so it reads m + 1:
+    - p(alpha) >= 1 + ceil(n/2) for n parts: each part beta gives the
+      partition {beta, alpha - beta}, shared only with alpha - beta, and
+      {alpha} is one more.  So 2m - 1 parts make p >= m + 1.
+    - p(beta + gamma) >= p(beta) + 1 for beta, gamma >> 0: adding the part
+      gamma to each partition of beta gives distinct partitions of
+      beta + gamma, none of them {beta + gamma}.  So a part over m puts
+      alpha over m.
+    A part (X, Y) of alpha has its own parts in the same rows r, from the
+    first cell of alpha's row r to X - g(Y - r) - 1 (see _RowEdges.reach),
+    so the missing parts are counted from alpha's rows, by increasing x,
+    and no row is listed twice.  The cells counted form an order ideal,
+    stored by rows like PartitionGrid's, each row one run from its first
+    cell; a cell over the cap is kept apart.
+
+    rows counts the rows listed, the unit of _walk_ms.  The walk is charged
+    for the rows given when it starts, and for twice the rows listed each
+    time it passes the rows charged; check_budget refuses it there.
+    """
+
+    def __init__(self, field: Field, m: int, charged: int) -> None:
+        self.field, self.m = field, m
+        self.rows = 0
+        self._edges = _RowEdges(field)
+        self._values: dict[int, dict[int, int]] = {}  # row v: {u: min(p, m + 1)}
+        self._sig: dict[int, dict[int, tuple[int, int]]] = {}  # row v: {u: (sig0, sig1)}
+        self._over: set[tuple[int, int]] = set()  # cells with more than 2m - 2 parts
+        self._charge(charged)
+
+    def _charge(self, rows: int) -> None:
+        self._charged = rows
+        check_budget(
+            lambda: f"the capped walk of D={self.field.D} at m = {self.m}",
+            _walk_ms(rows),
+            "its counts would take",
+        )
+
+    def count(self, x: int, y: int) -> int:
+        """min(p(alpha), m + 1) for alpha = x + y*w >> 0."""
+        values, sig, g, m = self._values, self._sig, self._edges, self.m
+        p = values[y].get(x) if y in values else None
+        if p is not None:
+            return p
+        if (x, y) in self._over:
+            return m + 1
+        room = 2 * m - 2  # the parts the cap still allows
+        a, b = g.reach(x, y)
+        spans = []  # (v, first, last): the parts u + v*w, u = first..last, of alpha
+        for v in range(a, b + 1):
+            first, last = g[v] + 1, x - g[y - v] - 1  # g[0] = 0, so row y stops before alpha
+            if last >= first:
+                room -= last - first + 1
+                if room < 0:
+                    break
+                spans.append((v, first, last))
+        self.rows += v - a + 1
+        if self.rows > self._charged:
+            self._charge(2 * self.rows)
+        if room < 0:
+            self._over.add((x, y))
+            return m + 1
+        cells = []  # the parts missing from each row follow its run
+        for v, first, last in spans:
+            if (u := first + len(values.setdefault(v, {}))) <= last:
+                cells += zip(range(u, last + 1), repeat(v))
+        cells.sort()  # by x, so every part is counted before the cells above it
+        cells.append((x, y))
+        for X, Y in cells:
+            S0, S1 = sig.setdefault(Y, {})[X] = _weights(X, Y)  # beta = alpha reads p(0) = 1
+            P = 0
+            for r, first, _ in spans:
+                if (end := X - g[Y - r]) <= first:
+                    continue
+                prev, w = values[Y - r], sig[r]
+                for u in range(first, end):
+                    if (P := prev[X - u]) > m:
+                        break
+                    w0, w1 = w[u]
+                    S0 += w0 * P
+                    S1 += w1 * P
+                if P > m:
+                    break
+            if P > m:
+                p = m + 1
+            else:
+                p, rem = divmod(S0, X)
+                if rem or p < 1 or S1 != (X + Y) * p:
+                    raise DivisibilityViolation(f"coefficient match failed at (x={X}, y={Y}): x*p = {S0}")
+            values.setdefault(Y, {})[X] = min(p, m + 1)
+        return values[y][x]
+
+
 def _floors(field: Field, X: int) -> tuple[list[int], list[int]]:
     """(fdo, fdx), fdo[x] = floor(x/omega) and fdx[x] = floor(x/xi): column x runs over -fdo[x]..fdx[x]."""
     return [field.floor_div_omega(x) for x in range(X + 1)], [field.floor_div_xi(x) for x in range(X + 1)]
@@ -424,6 +538,11 @@ def _interval_ms(field: Field, e: QElement) -> int:
     return (C * x * (x + 1) + C * C * x * (x - 1)) * 500 // _INTERVAL_STEPS_PER_S
 
 
+def _walk_ms(rows: int) -> int:
+    """Estimated milliseconds of a CappedGrid walk that lists rows rows and counts what they hold."""
+    return rows * 1000 // _WALK_ROWS_PER_S
+
+
 def check_interval(e: QElement) -> None:
     """Raise BudgetExceeded when filling [0, e] from nothing is over budget, in O(1)."""
     def subject() -> str:
@@ -431,7 +550,7 @@ def check_interval(e: QElement) -> None:
             return f"the interval [0, {e}] of D={e.field.D}"
         except ValueError:  # more digits than Python turns into a string: name e by its x
             return f"the interval [0, alpha] of D={e.field.D} up to an x of {e.a.bit_length()} bits"
-    check_budget(subject, _interval_ms(e.field, e), "its recurrence would take about")
+    check_budget(subject, _interval_ms(e.field, e), "its recurrence would take")
 
 
 def _fold_steps(lines: Sequence[tuple[int, int, range]]) -> list[range]:
@@ -510,9 +629,9 @@ def diagonal_parity(field: Field, N: int) -> tuple[int, ...]:
     subject = partial("the ideal below ({}, 0) of D={}".format, N, field.D)
     # Every part (u, 0) with u odd, u <= N, lies in I outside 2O, so the fold
     # takes at least ceil(N/2) steps of L bits.
-    check_budget(subject, _fold_ms((N + 1) // 2, L), "building it would take at least")
+    check_budget(subject, _fold_ms((N + 1) // 2, L), "building it would take", least=True)
     steps = _parity_steps(lines := _lines(a, b, _RowEdges(field).rows(N, 0)))
-    check_budget(subject, _fold_ms(sum(map(len, steps)), L), "its parity product would take about")
+    check_budget(subject, _fold_ms(sum(map(len, steps)), L), "its parity product would take")
     # Character s of bits is bit s of the mask: (0, 0) and the rows of I, whose
     # slots rise by a from >= 1 (_band_layout).
     bits = bytearray(b"1" + b"0" * (L - 1))
@@ -583,11 +702,11 @@ def cone_columns(field: Field, max_x: int) -> list[list[int]]:
     # Every column holds the cell y = 0, so the recurrence does at least
     # X(X-1)/2 multiply-adds.
     lower = _madds_ms(max_x * (max_x - 1) // 2)
-    check_budget(lambda: f"the cone up to x = {max_x}", lower, "building it would take at least")
+    check_budget(lambda: f"the cone up to x = {max_x}", lower, "building it would take", least=True)
     fdo, fdx = _floors(field, max_x)
     sizes = [fdo[x] + fdx[x] + 1 for x in range(max_x + 1)]
     ms = _madds_ms(_recurrence_madds(sizes))
-    check_budget(lambda: f"the cone up to x = {max_x}", ms, "its recurrence would take about")
+    check_budget(lambda: f"the cone up to x = {max_x}", ms, "its recurrence would take")
     R = euler_transform([0] + sizes[1:])
     nbytes = (((max_x + fdx[max_x]) * R[max_x]).bit_length() + 7) // 8
     B = 8 * nbytes
@@ -726,7 +845,7 @@ def check_band(field: Field, X: int, K: int, bits: int) -> None:
             return f"the slice band of D={field.D} up to x = {X}"
         except ValueError:  # more digits than Python turns into a string
             return f"the slice band of D={field.D} up to an x of {X.bit_length()} bits"
-    check_budget(subject, _band_ms(field, X, K, *_band_layout(field, K), bits), "its Euler product would take about")
+    check_budget(subject, _band_ms(field, X, K, *_band_layout(field, K), bits), "its Euler product would take")
 
 
 def _spread(data: bytes, k: int, n: int) -> int:

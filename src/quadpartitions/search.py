@@ -11,33 +11,44 @@ the finite slice alpha = (ceil(y*xi) + k) + y*omega with 0 <= k <= k_max,
 0 <= y <= y_max, where p(k_max) >= m and the slice corner at y_max already
 has p >= m with y_max >= floor(eps_plus / (xi + omega)).
 
-How the box is filled.  k_max is counted by a PartitionGrid on the
-rational integers n0, n0 + 1, ..., where n0 <= k_max is the least n whose
-trace sum P(n) (parity.cumulative_P) reaches m.  Every other count comes
-from the Euler product over a thin band (partition.band_rows).  slice_rows
-reads the whole box from the one band B(ceil(y_max*xi) + k_max, k_max + 1),
-certified cell by cell by the recurrence, whose row y >= 1 is slice row y.
-find_ymax reads each corner (0, y) as the one cell of row y of a band with
-K = 1, from partition's fold without its certificate, and search_m checks
-the y_max it finds against column 0 of the certified box, which holds the
-same corners: each slice is certified once.  Each interval and each band
-is estimated before any O(X) work and refused with BudgetExceeded when
-over budget; before the first count of k_max, search_m also prices
-find_ymax's first band and a band inside the box (see _price_search), and
-dm_scan prices every field of a scan before it searches any.
+How the box is filled.  search_m reads every cell, for search --format
+json, which prints the slice matrix.  k_max is counted by a PartitionGrid
+on the rational integers n0, n0 + 1, ..., where n0 <= k_max is the least n
+whose trace sum P(n) (parity.cumulative_P) reaches m.  Every other count
+comes from the Euler product over a thin band (partition.band_rows).
+slice_rows reads the whole box from the one band
+B(ceil(y_max*xi) + k_max, k_max + 1), certified cell by cell by the
+recurrence, whose row y >= 1 is slice row y.  find_ymax reads each corner
+(0, y) as the one cell of row y of a band with K = 1, from partition's
+fold without its certificate, and search_m checks the y_max it finds
+against column 0 of the certified box, which holds the same corners: each
+slice is certified once.
+
+How the box is walked.  classify_m reads only the cells with p <= m and
+the first cell past them, for every other format of search, for dm and for
+verify's representatives: a partition.CappedGrid counts min(p, m + 1) cell
+by cell, by the recurrence on the cell's parts while they are at most
+2m - 2, so a heavy box costs milliseconds where its fold costs seconds.
+
+Each interval and each band is estimated before any O(X) work and refused
+with BudgetExceeded when over budget; before the first count of k_max,
+search_m and classify_m also price find_ymax's first band and a band inside
+the box (see _price_search), and dm_scan prices every field of a scan
+before it searches any.  The walk is charged for the rows it lists.
 """
 
 from __future__ import annotations
 
 import os
+from itertools import repeat
 from math import isqrt
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .contfrac import FieldContext, build_context, floor_ratio_eps
 from .errors import InvariantViolation, check_budget
 from .field import Field, QElement, is_squarefree
 from .parity import cumulative_P
-from .partition import PartitionGrid, _band_product, band_rows, check_band, check_interval, p_rational
+from .partition import CappedGrid, PartitionGrid, _band_product, band_rows, check_band, check_interval, p_rational
 
 __all__ = [
     "SearchReport",
@@ -48,6 +59,7 @@ __all__ = [
     "find_ymax",
     "slice_rows",
     "search_m",
+    "classify_m",
     "dm_scan",
     "check_scan",
     "worker_count",
@@ -172,7 +184,7 @@ class SearchReport(NamedTuple):
     m_max: int
     k_max: int
     y_max: int
-    slice_counts: tuple[tuple[int, ...], ...]  # rows y = 0..y_max, cols k = 0..k_max
+    slice_counts: tuple[tuple[int, ...], ...]  # rows y = 0..y_max, cols k = 0..k_max; () from classify_m
     # m -> lex-sorted domain reps, for each m <= m_max that some element has
     representatives: dict[int, tuple[QElement, ...]]
 
@@ -196,7 +208,7 @@ def slice_rows(field: Field, k_max: int, y_max: int) -> tuple[tuple[int, ...], .
 
 
 def _price_search(ctx: FieldContext, m_max: int) -> int:
-    """n0 of find_kmax, after every check search_m makes before its first count.
+    """n0 of find_kmax, after every check search_m and classify_m make before their first count.
 
     The doubling that finds n0 refuses a hopeless m from an interval's
     estimate.  Then find_ymax's first band, B(ceil((y0 + 1)*xi), 1), is
@@ -242,11 +254,7 @@ def search_m(ctx: FieldContext, m_max: int) -> SearchReport:
       eps_plus*alpha' - alpha = (eps_plus - 1)*k + c(y), c(y) =
       eps_plus*alpha0' - alpha0, which grows with k as eps_plus > 1.
     """
-    return _search(ctx, m_max, _price_search(ctx, m_max))
-
-
-def _search(ctx: FieldContext, m_max: int, n0: int) -> SearchReport:
-    """search_m from n0, once _price_search has run."""
+    n0 = _price_search(ctx, m_max)
     field = ctx.field
     k_max = _count_up(PartitionGrid(field), m_max, n0)
     y_max = find_ymax(ctx, m_max)
@@ -257,34 +265,71 @@ def _search(ctx: FieldContext, m_max: int, n0: int) -> SearchReport:
                 f"find_ymax gave y_max = {y_max} for D={field.D} at m = {m_max}, "
                 f"but the certified corner (0, {y}) has p = {rows[y][0]}"
             )
+    classes = _classes(ctx, m_max, ((y, field.ceil_xi_mult(y), row) for y, row in enumerate(rows)))
+    return SearchReport(field, m_max, k_max, y_max, rows, classes)
+
+
+def _classes(ctx: FieldContext, m_max: int, rows: Iterable[tuple[int, int, Iterable[int]]]) -> dict[int, tuple[QElement, ...]]:
+    """m -> the lex-sorted representatives with p = m <= m_max, from rows (y, x, counts).
+
+    counts holds p(x + y*w), p(x + 1 + y*w), ..., and is read up to its first
+    p > m_max, each cell tested for the fundamental domain up to the first
+    inside it (search_m's docstring proves both stops).
+    """
     reps: dict[int, list[QElement]] = {}
-    for y, row in enumerate(rows):
+    for y, x, counts in rows:
         inside = False
-        for k, p in enumerate(row):
+        for u, p in enumerate(counts, x):
             if p > m_max:
                 break
-            alpha = slice_element(field, k, y)
+            alpha = QElement(ctx.field, u, y)
             inside = inside or in_fundamental_domain(alpha, ctx)
             if inside:
                 reps.setdefault(p, []).append(alpha)
-
-    representatives = {
-        m: tuple(sorted(found, key=lambda e: e.lex_key)) for m, found in sorted(reps.items())
-    }
-    return SearchReport(
-        field=field,
-        m_max=m_max,
-        k_max=k_max,
-        y_max=y_max,
-        slice_counts=rows,
-        representatives=representatives,
-    )
+    return {m: tuple(sorted(found, key=lambda e: e.lex_key)) for m, found in sorted(reps.items())}
 
 
-def _misses(args: tuple[FieldContext, int, int]) -> tuple[int, bool]:
-    """(D, missing) of _search(ctx, m, n0): all a pool worker sends back."""
-    ctx, m, n0 = args
-    return ctx.field.D, _search(ctx, m, n0).missing()
+def classify_m(ctx: FieldContext, m_max: int) -> SearchReport:
+    """search_m's report without the slice matrix, from a walk capped at m_max.
+
+    Before any count every check of _price_search runs.  The walk reads
+    min(p, m_max + 1) of each cell from a partition.CappedGrid, charged
+    before it starts for y0 + 1 slice rows, y0 = floor(eps_plus/(xi +
+    omega)), each of which lists about 2*m_max rows at the cap and no more
+    than the y0 + 1 rows of its corner's interval.  k_max is the first k of row 0 with
+    p >= m_max, within m_max + 1 cells as p rises by at least 1 at each step
+    of a slice row (see search_m), and y_max is find_ymax's, the first
+    corner (0, y), y >= y0, with p >= m_max, read a corner at a time.
+    Each slice row 0..y_max is then read up to its first p > m_max and
+    tested for the fundamental domain up to its first cell inside it, as
+    search_m reads its box (its docstring proves both).  No cell past
+    column k_max is lost: (k, y) is (k_max, y) plus the rational integer
+    k - k_max, and p(k_max, y) >= p(k_max) >= m_max, so p(k, y) > m_max.
+    """
+    _price_search(ctx, m_max)
+    return _classify(ctx, m_max)
+
+
+def _classify(ctx: FieldContext, m_max: int) -> SearchReport:
+    """classify_m once _price_search has run."""
+    field = ctx.field
+    y0 = floor_ratio_eps(ctx)
+    grid = CappedGrid(field, m_max, (y0 + 1) * min(2 * m_max, y0 + 1))
+    k_max = 1
+    while grid.count(k_max, 0) < m_max:
+        k_max += 1
+    y_max = y0
+    while grid.count(field.ceil_xi_mult(y_max), y_max) < m_max:
+        y_max += 1
+    # Row 0 starts at x = 1: (0, 0) is not totally positive.
+    starts = [(y, field.ceil_xi_mult(y) or 1) for y in range(y_max + 1)]
+    rows = ((y, x, map(grid.count, range(x, x + k_max + (y > 0)), repeat(y))) for y, x in starts)
+    return SearchReport(field, m_max, k_max, y_max, (), _classes(ctx, m_max, rows))
+
+
+def _misses(ctx: FieldContext, m: int) -> tuple[int, bool]:
+    """(D, missing) of _classify(ctx, m): all a pool worker sends back."""
+    return ctx.field.D, _classify(ctx, m).missing()
 
 
 def worker_count(jobs: int, tasks: int, cpus: int) -> int:
@@ -299,33 +344,35 @@ def dm_scan(m: int, D_values: list[int] | tuple[int, ...], jobs: int = 1) -> tup
 
     Every Field is built first, so Field alone raises ValueError for a D
     that is not squarefree and >= 2, before any work.  Then every field, by
-    increasing D, runs the checks search_m makes before its first count
-    (_price_search), and only then is any field searched, so a scan that
-    some field's band or interval refuses is refused at once.
-    Each field is then searched from the context and n0 it was priced with,
-    by _misses, in this process or in a pool's worker alike.
+    increasing D, runs the checks classify_m makes before its first count
+    (_price_search), and only then is any field walked, so a scan that some
+    field's band or interval refuses is refused at once.  Each field is
+    then walked from the context it was priced with, by _misses (classify_m
+    without its price), in this process or in a pool's worker alike.
     """
     fields = [Field(D) for D in sorted(D_values)]
-    priced = [(ctx, m, _price_search(ctx, m)) for ctx in map(build_context, fields)]
+    priced = list(map(build_context, fields))
+    for ctx in priced:
+        _price_search(ctx, m)
     workers = worker_count(jobs, len(priced), os.cpu_count() or 1)
     if workers > 1:
         # Imported here: it loads multiprocessing, which only a pool needs.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_misses, priced))
+            results = list(pool.map(_misses, priced, repeat(m)))
     else:
-        results = list(map(_misses, priced))
+        results = list(map(_misses, priced, repeat(m)))
     return tuple(D for D, missing in results if missing)
 
 
-# Microseconds that search_m takes at the least on one field, on a 2-core
-# host with Python 3.11.  At m = 1 the five cheapest of the squarefree
-# D < 1000 with D = 5 (mod 7) took 126-185 us over three rounds (D = 110,
-# 285, 957, 138, 915, best of 5; fields with floor(eps_plus/(xi + omega))
-# >= 70 were not timed), and the cheapest squarefree D < 40 104-123 us
-# (D = 15, 3, best of 7); larger m cost more, the cheapest D < 40 taking
-# 141-158, 207-228 and 236-260 us at m = 2, 3 and 5.  The rate is well below
+# Microseconds that dm takes at the least on one field, on a 2-core host
+# with Python 3.11: its Field, its context, _price_search and the walk of
+# classify_m.  At m = 1 the cheapest of the squarefree D < 1000 with
+# floor(eps_plus/(xi + omega)) < 70 took 56-63 us over three rounds (D = 15,
+# 35, 3, 255, 323, 399, best of 25), the price and the walk alone 37-43 us
+# of it; larger m cost more, the cheapest D < 40 taking 110, 170 and 239 us
+# at m = 2, 3 and 5 for the price and the walk alone.  The rate is below
 # them all.
 _SEARCH_US = 50
 
@@ -335,15 +382,16 @@ def check_scan(m: int, D_max: int) -> None:
 
     At most sum_p D_max/p^2 < 0.453*D_max of 1..D_max are divisible by a
     prime square, so from D_max = 21 on the scan holds at least D_max/2
-    fields.  A scan that finishes runs search_m at m on each of them, and
-    none takes less than the cheapest search at m = 1.  Nothing is listed:
-    the estimate is O(1).
+    fields.  A scan that finishes builds each of them and its context and
+    walks it at m (classify_m), and none takes less than the cheapest field
+    at m = 1.  Nothing is listed: the estimate is O(1).
     """
     if D_max >= 21:
         check_budget(
             lambda: f"the dm scan of the squarefree D <= {D_max} at m = {m}",
             D_max // 2 * _SEARCH_US // 1000,
-            "its searches would take at least",
+            "its searches would take",
+            least=True,
         )
 
 

@@ -42,6 +42,27 @@ def start_python(*args, cwd=None):
     )
 
 
+# Runs each argv of sys.argv[1] through main in one interpreter whose address
+# space is limited to 1 GB (1,000,000 KiB), then prints its peak RSS: VmHWM,
+# where Linux reports it, as ru_maxrss would carry over the forking process's.
+CHILD = """\
+import contextlib, io, json, pathlib, resource, sys, time, traceback
+resource.setrlimit(resource.RLIMIT_AS, (1_000_000 * 1024, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from quadpartitions.cli import main
+for argv in json.loads(sys.argv[1]):
+    out, err, code = io.StringIO(), io.StringIO(), None
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv.split())
+        except Exception:
+            traceback.print_exc()
+    print(json.dumps([code, time.perf_counter() - start, out.getvalue(), err.getvalue()]))
+status = pathlib.Path('/proc/self/status')
+print(status.read_text().split('VmHWM:')[1].split()[0] if status.exists() else 0)
+"""
+
+
 def finish(proc):
     """(exit code, stdout, stderr) of a process from start_python."""
     out, err = proc.communicate()

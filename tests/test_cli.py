@@ -348,11 +348,12 @@ def test_a_hopeless_m_is_refused_before_any_fill(monkeypatch, capsys):
 
 def test_a_search_table_it_cannot_print_is_refused_before_any_count(monkeypatch, capsys):
     # search prints a row for every m <= m_max: a table of 2^19 rows reaches
-    # search_m, and one of 2^19 + 1 is refused before anything is counted.
+    # classify_m, the walk the pretty table reads, and one of 2^19 + 1 is
+    # refused before anything is counted.
     def counted(ctx, m_max):
-        raise AssertionError(f"search_m counted up to m = {m_max}")
+        raise AssertionError(f"classify_m counted up to m = {m_max}")
 
-    monkeypatch.setattr(cli, "search_m", counted)
+    monkeypatch.setattr(cli, "classify_m", counted)
     assert run(capsys, "search", "--D", "2", "--m", str(2**19 + 1)) == (
         4, "", "the table of D=2 up to m = 524289 is over the cost budget: "
         "it would print 524289 rows, more than 524288\n"
@@ -393,6 +394,8 @@ def test_errors_budget_ms_alone_moves_every_refusal(monkeypatch, capsys):
     # errors.check_budget is the one reader of BUDGET_MS, so patching it in
     # errors alone reaches the interval, the band and the squarefree test:
     # at a budget of 1 s each argv is refused at once, naming what it prices.
+    # The band is the box of the json search, which folds it: the pretty
+    # table walks only the cells with p <= m and finishes.
     monkeypatch.setattr(errors, "BUDGET_MS", 1000)
     squarefree = (
         "the squarefree test of D=10000000000000000000001 is over the cost budget: "
@@ -401,7 +404,7 @@ def test_errors_budget_ms_alone_moves_every_refusal(monkeypatch, capsys):
     refusals = {
         "estimate --D 2 --a 200 --b 0 --compare":
             "the interval [0, 200] of D=2 is over the cost budget: its recurrence would take about 102 s",
-        "search --D 86 --m 11":
+        "search --D 86 --m 11 --format json":
             "the slice band of D=86 up to x = 10421 is over the cost budget: its Euler product would take about 2 s",
         "units --D 10000000000000000000001": squarefree,
         "witness --D 10000000000000000000001": squarefree,

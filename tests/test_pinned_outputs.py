@@ -3,6 +3,9 @@
 Each pin was printed by a kernel that the program no longer runs, so each
 checks the kernel that prints it now against an independent one.  The
 comment above each group names that kernel and what the group covers.
+The walks (WALKS) are the exception: where no other kernel finishes, they
+pin the capped walk's answers, whose representatives are recounted
+independently.
 
 To add a pin: run the argv with the kernel being replaced, then put the
 sha256 of its stdout and the argv under a comment that says which kernel
@@ -12,10 +15,13 @@ printed it and what the argv covers, for example
 """
 
 import hashlib
+import json
 
 import pytest
 
 from quadpartitions import cli
+
+from conftest import CHILD, finish, start_python
 
 # (sha256 of stdout, argv)
 PINS = [
@@ -113,6 +119,21 @@ PINS = [
     ("4ba9f06d7c55bc1fc9db4795194ed67cb576cb72bfa57fa2e655d6fb22787627", "witness --D 1000003 --m 6 --format json"),
 ]
 
+# Answers of the walk capped at m (search.classify_m), which reads only the
+# cells with p <= m of boxes whose fold takes seconds or is refused.  The pin
+# of D=46 was printed by search_m's fold of the whole box B(24348, 7), in
+# 26.5 s; the others have no second kernel that finishes (D=67 at m = 11
+# and D=109 at m = 56 are refused by their box's fold), and their
+# representatives are recounted by tests/test_search.py's coin-change count.
+WALKS = [
+    ("404afac5e29cf64f59b93cd5a1f15ea98b863674932e3dd4e4d5bb1a658a4ec5", "search --D 46 --m 11"),
+    ("3d37cecc76b0766d079695382fd6c70820454f2f799c099f00f4535655400bb9", "search --D 67 --m 11"),
+    ("e6a18a6e2f23b148c0c6e6ae29b684868f692d33d4f813fc9a551b9b6efe80b0", "search --D 109 --m 56 --format csv"),
+    ("8e12ce53c71b0cc6ba75fe6568ee3b43655a2112f133503eba335481837289ea", "dm --m 11 --Dmax 72"),
+    ("d1534e64b1ca2ea2b4eb9b4d66f55a2001a09a7610cf7576724628a5a3e107c1", "dm --m 42 --Dmax 72"),
+]
+PINS += WALKS
+
 
 @pytest.mark.parametrize("digest, argv", PINS, ids=[argv for _, argv in PINS])
 def test_output_matches_its_pin(capsys, digest, argv):
@@ -120,3 +141,18 @@ def test_output_matches_its_pin(capsys, digest, argv):
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+def test_the_walks_finish_at_once_in_little_memory():
+    # The five walks, run in one child with 1 GB of address space: each exits
+    # 0 within 10 s with its pinned stdout, and the child peaks under 200 MB.
+    code, out, err = finish(start_python("-c", CHILD, json.dumps([argv for _, argv in WALKS])))
+    assert (code, err) == (0, "")
+    *runs, rss_kb = out.splitlines()
+    assert len(runs) == len(WALKS)
+    for (digest, argv), run in zip(WALKS, runs):
+        code, secs, out, err = json.loads(run)
+        assert (code, err) == (0, ""), argv
+        assert secs < 10, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+    assert int(rss_kb) < 200 * 1024

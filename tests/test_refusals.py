@@ -5,7 +5,7 @@ import sys
 
 from quadpartitions import Field, errors, partition
 
-from conftest import REFERENCE, finish, start_python
+from conftest import CHILD, REFERENCE, finish, start_python
 
 
 def _fibonacci(n):
@@ -57,7 +57,7 @@ REFUSALS = (
     ("grid --view ky --D 2 --kmax 6 --ymax 10000000",
      f"the slice band of D=2 up to x = 14142142 {BAND} about 3.6e+07 s, {BUDGET}"),
     ("search --D 1000000007 --m 11",
-     f"the slice band of D=1000000007 up to an x of 21198 bits {BAND} about over 1e+300 s, {BUDGET}"),
+     f"the slice band of D=1000000007 up to an x of 21198 bits {BAND} over 1e+300 s, {BUDGET}"),
     (f"search --D 2 --m {10**30}", f"the slice band of D=2 up to x = 286 {BAND} about 172 s, {BUDGET}"),
     ("dm --m 11 --Dmax 1001", f"the slice band of D=73 up to x = 2014253 {BAND} about 2933 s, {BUDGET}"),
     # Intervals [0, alpha] of a point count, priced in O(1).  At D = 2 the
@@ -70,7 +70,7 @@ REFUSALS = (
     ("estimate --D 2 --a 2000 --b 0 --compare", f"the interval [0, 2000] of D=2 {INTERVAL} about 1.0e+06 s, {BUDGET}"),
     ("verify --fixtures y1000000", f"the interval [0, 1414214+1000000√2] of D=2 {INTERVAL} about 500001 s, {BUDGET}"),
     ("verify --fixtures y9e4299",
-     f"the interval [0, alpha] of D=2 up to an x of 14285 bits {INTERVAL} about over 1e+300 s, {BUDGET}"),
+     f"the interval [0, alpha] of D=2 up to an x of 14285 bits {INTERVAL} over 1e+300 s, {BUDGET}"),
     # Outputs past Python's digit limit, refused before anything is formatted.
     ("units --D 1000000007", f"the output of D=1000000007 {PRINTS}"),
     ("indecomposables --D 1000000007", f"the output of D=1000000007 {PRINTS}"),
@@ -92,27 +92,6 @@ REFUSALS = (
     ("search --D 2 --m 100000000",
      "the table of D=2 up to m = 100000000 is over the cost budget: it would print 100000000 rows, more than 524288"),
 )
-
-# Runs each argv of sys.argv[1] through main in one interpreter whose address
-# space is limited to 1 GB (1,000,000 KiB), then prints its peak RSS: VmHWM,
-# where Linux reports it, as ru_maxrss would carry over the forking process's.
-CHILD = """\
-import contextlib, io, json, pathlib, resource, sys, time, traceback
-resource.setrlimit(resource.RLIMIT_AS, (1_000_000 * 1024, resource.getrlimit(resource.RLIMIT_AS)[1]))
-from quadpartitions.cli import main
-for argv in json.loads(sys.argv[1]):
-    out, err, code = io.StringIO(), io.StringIO(), None
-    start = time.perf_counter()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv.split())
-        except Exception:
-            traceback.print_exc()
-    print(json.dumps([code, time.perf_counter() - start, out.getvalue(), err.getvalue()]))
-status = pathlib.Path('/proc/self/status')
-print(status.read_text().split('VmHWM:')[1].split()[0] if status.exists() else 0)
-"""
-
 
 def test_every_refusal_exits_4_at_once_in_little_memory(tmp_path):
     # Each argv exits 4 within 2 s, with no stdout and exactly its line, and

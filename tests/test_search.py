@@ -6,6 +6,8 @@ from decimal import Decimal, getcontext
 import pytest
 
 from quadpartitions import (
+    BudgetExceeded,
+    DivisibilityViolation,
     Field,
     InvariantViolation,
     PartitionGrid,
@@ -24,7 +26,7 @@ from quadpartitions import (
     witness_m4,
     witness_m6,
 )
-from quadpartitions import cli, partition, search
+from quadpartitions import cli, errors, partition, search
 from quadpartitions.contfrac import floor_ratio_eps
 from quadpartitions.parity import cumulative_P
 from quadpartitions.partition import band_rows
@@ -611,3 +613,114 @@ def test_each_search_certifies_one_band(monkeypatch):
         folded.clear()
         search_m(build_context(Field(D)), 11)
         assert len(certified) == 1 and len(folded) >= 2, D
+
+
+# classify_m against search_m: the 53 slice-search fields at every m <= 12,
+# the oracle fields at the m of the grid oracle, and the heavy boxes of the
+# pins, whose values need the widest slots.
+CLASSIFY_CASES = (
+    [(D, m) for D in SLICE_SEARCH_FIELDS for m in range(1, 13)]
+    + [(D, m) for D in (41, 43) for m in (11, 42)]
+    + [(86, 11), (131, 11)]
+)
+
+
+def _same_classes(ctx, m):
+    a, b = search_m(ctx, m), search.classify_m(ctx, m)
+    assert b.slice_counts == ()
+    return (a.k_max, a.y_max, a.representatives) == (b.k_max, b.y_max, b.representatives)
+
+
+def test_classify_m_finds_what_search_m_finds():
+    # The walk reads min(p, m + 1) where search_m folds the whole box: the
+    # same k_max, y_max and representatives, m by m.
+    contexts = {}
+    for D, m in CLASSIFY_CASES:
+        ctx = contexts.setdefault(D, build_context(Field(D)))
+        assert _same_classes(ctx, m), (D, m)
+    fields = oracle_fields()
+    for D in fields:
+        ctx = build_context(Field(D))
+        for m in (3, 5, 7, 10, 11):
+            assert _same_classes(ctx, m), (D, m)
+
+
+@pytest.mark.parametrize("D, m, missing", [(46, 11, False), (67, 11, False), (190, 11, False), (109, 56, True)])
+def test_the_walk_s_representatives_recount_by_coin_change(D, m, missing):
+    # Heavy boxes whose fold takes seconds (D = 46, 190) or is refused (D = 67
+    # at m = 11, D = 109 at m = 56): every representative the walk finds is
+    # recounted from the point list of its interval.  At D = 109 the walk
+    # finds none with exactly 56 partitions.
+    report = search.classify_m(build_context(Field(D)), m)
+    assert report.missing() == missing
+    found = [(n, e) for n, reps in report.representatives.items() for e in reps]
+    assert len(found) > 30
+    for n, e in found:
+        assert coin_change_count(e) == n, (D, e)
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_a_corrupted_weight_is_named_by_the_walk(monkeypatch, which):
+    # The walk divides S0 by x and checks S1 = (x + y)*p as PartitionGrid
+    # does, with raise, not assert, so python -O keeps both checks.
+    weights = partition._weights
+
+    def corrupted(u, v):
+        w = list(weights(u, v))
+        w[which] += (u, v) == (3, 0)
+        return tuple(w)
+
+    monkeypatch.setattr(partition, "_weights", corrupted)
+    with pytest.raises(DivisibilityViolation, match=r"at \(x=3, y=0\)"):
+        search.classify_m(build_context(Field(2)), 11)
+
+
+def test_the_walk_is_charged_again_as_it_lists_more(monkeypatch):
+    # D=46's walk at m = 11 is charged for (y0 + 1)*2m = 78,958 rows when it
+    # starts and lists 381,756.  At a budget of 200 ms the first charge
+    # passes, and the walk is refused once it lists more than it was charged.
+    ctx = build_context(Field(46))
+    assert floor_ratio_eps(ctx) == 3588
+    monkeypatch.setattr(errors, "BUDGET_MS", 200)
+    grids = []
+    capped = partition.CappedGrid
+
+    def recorded(*args):
+        grids.append(capped(*args))
+        return grids[-1]
+
+    monkeypatch.setattr(search, "CappedGrid", recorded)
+    with pytest.raises(BudgetExceeded, match="^the capped walk of D=46 at m = 11 is over the cost budget: "
+                       "its counts would take about 1 s, more than 0 s$"):
+        search._classify(ctx, 11)
+    assert 78_958 < grids[0].rows <= 200 * partition._WALK_ROWS_PER_S // 1000
+
+
+def test_the_walk_s_first_charge_at_the_budget_s_edge(monkeypatch):
+    # The walk is charged (y0 + 1)*min(2m, y0 + 1) rows before it starts, in
+    # O(1): about 2m rows at the cap for each slice row up to y0, and no more
+    # than the y0 + 1 rows of its corner's interval.  At m = 11 a field with
+    # y0 up to 2,727,294 is started and one past it refused, and at m = 2^19,
+    # the largest table, y0 up to 7,744.  D=97 (y0 of about 1.3e7) would be
+    # refused, had its first corner band not been refused first.  The heavy
+    # walks of the pins, and D=41 at m = 2^19, start well inside.
+    def first(y0, m):
+        return partition._walk_ms((y0 + 1) * min(2 * m, y0 + 1))
+
+    assert first(2_727_294, 11) <= errors.BUDGET_MS < first(2_727_295, 11)
+    assert first(7_744, 2**19) <= errors.BUDGET_MS < first(7_745, 2**19)
+    assert first(floor_ratio_eps(build_context(Field(97))), 11) > errors.BUDGET_MS
+    charged = []
+
+    def recorded(field, m, rows):
+        charged.append(rows)
+        raise StopIteration
+
+    monkeypatch.setattr(search, "CappedGrid", recorded)
+    for D, m in ((46, 11), (67, 11), (109, 56), (41, 2**19)):
+        ctx = build_context(Field(D))
+        with pytest.raises(StopIteration):
+            search.classify_m(ctx, m)
+        y0 = floor_ratio_eps(ctx)
+        assert charged.pop() == (y0 + 1) * min(2 * m, y0 + 1), D
+        assert first(y0, m) <= errors.BUDGET_MS // 50, D
