@@ -40,8 +40,6 @@ from .search import (
     dm_scan,
     en_fn_bounds,
     exhaustive_scan_range,
-    find_kmax,
-    find_ymax,
     fundamental_representative,
     in_fundamental_domain,
     search_m,
@@ -83,8 +81,6 @@ __all__ = [
     "enumerate_partitions",
     "exhaustive_scan_range",
     "expand_sigma",
-    "find_kmax",
-    "find_ymax",
     "floor_ratio_eps",
     "fundamental_representative",
     "in_fundamental_domain",

@@ -21,12 +21,13 @@ cone:
 - PartitionGrid runs the recurrence cell by cell on the intervals
   [0, alpha] that count(alpha) asks for, row by row like band_rows, and
   stores each row as a dict of exactly the cells filled; the point queries
-  (find_kmax, the witnesses, estimate --compare, the units corner of
-  verify) and the tests' threshold table read it.
+  (the witnesses, estimate --compare, the units corner of verify) and the
+  tests' threshold table read it.
 - CappedGrid runs the same recurrence on the cells a search reads, capped
   at m: a cell lists its parts only up to 2m - 2 and reads min(p, m + 1),
-  exact where p <= m; search.classify_m walks the slice with it, for the
-  searches that print no slice matrix and for dm.
+  exact where p <= m; search walks the slice with it, for the bounds
+  k_max and y_max of every search and for the classes of the searches
+  that print no slice matrix and of dm.
 - cone_columns runs it over the whole cone up to a column, one column at a
   time: each column is one big int with a slot of B bits per cell
   (Kronecker substitution), and column x is a sum of x products of packed
@@ -40,12 +41,9 @@ cone:
   B(X, K) = {beta >> 0 : x(beta) <= X, beta' <= K}, row by row, whose rows
   0..y_max hold the search's slice box, one shift, mask and add of one big
   int per factor; _band_fold proves that no slot carries, and the
-  recurrence then certifies every cell with two big-int products.
-  _band_product is the fold with its certificate still to run: band_rows
-  runs it at once for search.slice_rows (the search's box, the ky view and
-  verify's slice datasets), and search.find_ymax reads its slice corners
-  from the fold alone, as search_m checks the y_max they give against the
-  certified box.
+  recurrence then certifies every cell with two big-int products.  It
+  serves search.slice_rows: the json search's box, the ky view and
+  verify's slice datasets.
 
 Each fact of the ideals is stated once, in one helper: _RowEdges lists
 the rows of an interval [0, x + y*w] (for PartitionGrid, diagonal_parity
@@ -64,9 +62,10 @@ first coordinate, or InvariantViolation is raised; and diagonal_parity's
 product shares no arithmetic with it.  Every kernel estimates its cost
 before any work, and errors.check_budget, the one reader of BUDGET_MS,
 refuses it and only then names it; check_interval is PartitionGrid's,
-which search.find_kmax also asks about an interval it has not reached
-yet, and check_band is band_rows', which search.search_m also asks about
-a band below its box and search.dm_scan for each field before any count.
+and check_band is band_rows'.  Before any count, search also asks
+check_interval about the intervals [0, N + 1] of its trace bound and
+check_band about two bands, one of them inside its box, and search.dm_scan
+asks both for each field.
 CappedGrid is charged from the rows its walk will list, and again as it
 lists more (_walk_ms).
 
@@ -971,21 +970,6 @@ def band_rows(field: Field, X: int, K: int) -> dict[int, tuple[int, list[int]]]:
     Raises BudgetExceeded before any O(X) work, and again at each wider
     slot, when the estimated cost is over budget.
     """
-    rows, certify = _band_product(field, X, K)
-    certify()
-    return rows
-
-
-def _band_product(field: Field, X: int, K: int) -> tuple[dict[int, tuple[int, list[int]]], Callable[[], None]]:
-    """(rows, certify): band_rows' rows before its certificate, and the certificate.
-
-    The fold and every check_band call of band_rows run here, at the same
-    widths, so a band is refused with the same message whoever reads it.
-    certify() runs _band_violation on the fold.  Until it has run nothing in
-    rows is proved, so a reader that skips it checks what it read against a
-    certified band: search.find_ymax reads its corners here, and search_m
-    checks y_max against the certified column 0 of its box.
-    """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     check = partial(check_band, field, X, K)
@@ -997,8 +981,8 @@ def _band_product(field: Field, X: int, K: int) -> tuple[dict[int, tuple[int, li
     for s in chain((0,), *(r for _, _, r in rows)):
         ones[s] = 1
     values, data = _band_fold(_fold_steps(rows), ones, nb, check)
-    certify = partial(_band_violation, values, data, ones, rows)
-    return {v: (first, values[r.start : r.stop : a]) for v, first, r in rows}, certify
+    _band_violation(values, data, ones, rows)
+    return {v: (first, values[r.start : r.stop : a]) for v, first, r in rows}
 
 
 def euler_transform(c: Sequence[int]) -> list[int]:

@@ -11,30 +11,27 @@ the finite slice alpha = (ceil(y*xi) + k) + y*omega with 0 <= k <= k_max,
 0 <= y <= y_max, where p(k_max) >= m and the slice corner at y_max already
 has p >= m with y_max >= floor(eps_plus / (xi + omega)).
 
-How the box is filled.  search_m reads every cell, for search --format
-json, which prints the slice matrix.  k_max is counted by a PartitionGrid
-on the rational integers n0, n0 + 1, ..., where n0 <= k_max is the least n
-whose trace sum P(n) (parity.cumulative_P) reaches m.  Every other count
-comes from the Euler product over a thin band (partition.band_rows).
-slice_rows reads the whole box from the one band
-B(ceil(y_max*xi) + k_max, k_max + 1), certified cell by cell by the
-recurrence, whose row y >= 1 is slice row y.  find_ymax reads each corner
-(0, y) as the one cell of row y of a band with K = 1, from partition's
-fold without its certificate, and search_m checks the y_max it finds
-against column 0 of the certified box, which holds the same corners: each
-slice is certified once.
-
-How the box is walked.  classify_m reads only the cells with p <= m and
-the first cell past them, for every other format of search, for dm and for
-verify's representatives: a partition.CappedGrid counts min(p, m + 1) cell
+How the bounds are found.  One walk finds k_max and y_max for every
+search (_walk_bounds): a partition.CappedGrid counts min(p, m + 1) cell
 by cell, by the recurrence on the cell's parts while they are at most
-2m - 2, so a heavy box costs milliseconds where its fold costs seconds.
+2m - 2, and reads k_max from row 0 and y_max from the corners y0, y0 + 1,
+..., y0 = floor(eps_plus/(xi + omega)).
+
+How the box is read.  classify_m walks on, reading only the cells with
+p <= m and the first cell past them, for every format of search but json,
+for dm and for verify's representatives, so a heavy box costs
+milliseconds where its fold costs seconds.  search_m reads every cell,
+for search --format json, which prints the slice matrix: slice_rows reads
+the whole box from the one band B(ceil(y_max*xi) + k_max, k_max + 1) of
+partition.band_rows, certified cell by cell by the recurrence, whose row
+y >= 1 is slice row y, and search_m checks the walk's k_max and y_max
+against row 0 and column 0 of that box.
 
 Each interval and each band is estimated before any O(X) work and refused
-with BudgetExceeded when over budget; before the first count of k_max,
-search_m and classify_m also price find_ymax's first band and a band inside
-the box (see _price_search), and dm_scan prices every field of a scan
-before it searches any.  The walk is charged for the rows it lists.
+with BudgetExceeded when over budget; before the walk, search_m and
+classify_m run the checks of _price_search, and dm_scan prices every
+field of a scan before it walks any.  The walk is charged for the rows it
+lists.
 """
 
 from __future__ import annotations
@@ -48,15 +45,13 @@ from .contfrac import FieldContext, build_context, floor_ratio_eps
 from .errors import InvariantViolation, check_budget
 from .field import Field, QElement, is_squarefree
 from .parity import cumulative_P
-from .partition import CappedGrid, PartitionGrid, _band_product, band_rows, check_band, check_interval, p_rational
+from .partition import CappedGrid, PartitionGrid, band_rows, check_band, check_interval, p_rational
 
 __all__ = [
     "SearchReport",
     "slice_element",
     "in_fundamental_domain",
     "fundamental_representative",
-    "find_kmax",
-    "find_ymax",
     "slice_rows",
     "search_m",
     "classify_m",
@@ -109,76 +104,6 @@ def fundamental_representative(e: QElement, ctx: FieldContext) -> QElement:
     raise InvariantViolation(f"{e!r} did not reach the fundamental domain")
 
 
-def _trace_bound(field: Field, m: int) -> int:
-    """n0, the least n >= 1 with P(n) >= m, so that k_max >= n0 (see find_kmax)."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    N = 1
-    while (P := cumulative_P(field, N))[N] < m:
-        check_interval(field.element(N + 1))
-        N *= 2
-    return next(n for n in range(1, N + 1) if P[n] >= m)
-
-
-def _count_up(grid: PartitionGrid, m: int, n: int) -> int:
-    """The least n' >= n with p(n') >= m, counted one rational integer at a time."""
-    while grid.count(grid.field.element(n)) < m:
-        n += 1
-    return n
-
-
-def find_kmax(grid: PartitionGrid, m: int) -> int:
-    """Smallest n >= 1 with p(n) >= m.
-
-    p(n) <= P(n), the sum of p over all alpha of trace 2n
-    (parity.cumulative_P), so k_max >= n0, the least n with P(n) >= m.  The
-    counts run from n0 up, each filling one more column, so together they
-    fill [0, k_max] as counts from n = 1 would, and the first whose interval
-    is over budget refuses, where counts from n = 1 would refuse too.  N
-    doubles until P(N) >= m; while P(N) < m, k_max > N, so an interval
-    [0, N + 1] over budget is refused before the next transform, and a
-    hopeless m costs a few short transforms.
-    """
-    return _count_up(grid, m, _trace_bound(grid.field, m))
-
-
-def find_ymax(ctx: FieldContext, m: int) -> int:
-    """Smallest y >= floor(eps_plus/(xi+omega)) whose slice corner has p >= m.
-
-    The corners (0, y), 1 <= y <= top, are the cells of rows 1..top of the
-    band B(ceil(top*xi), 1): the cell u + y*w with conjugate in (0, 1] is
-    u = ceil(y*xi).  The scan reads them from y0 = floor(eps_plus/(xi + omega))
-    on, one such band at a time, and doubles the corners a band holds
-    until one has p >= m: the first band holds y0 and y0 + 1, the corner
-    that most often settles the scan where eps_plus is large.
-
-    The corners are read from partition's fold without its certificate, so
-    the y returned is not proved here: search_m checks it against column 0
-    of its box, whose band is certified and holds the corners y0..y_max.
-
-    The first corner is never (0, 0), which is not totally positive:
-    y0 >= 1 for every field.  Write eps_plus = (A + B*sqrt(D))/den with
-    A, B >= 1 (eps_plus > 1 > eps_plus' > 0).  For D = 2, 3 (mod 4),
-    den = 1, A^2 - D*B^2 = 1 and xi + omega = 2*sqrt(D), so
-    eps_plus > 2B*sqrt(D) >= xi + omega.  For D = 1 (mod 4), den = 2,
-    A^2 - D*B^2 = 4 and xi + omega = sqrt(D), so eps_plus > B*sqrt(D) >=
-    xi + omega.
-    """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    field = ctx.field
-    y0 = y = floor_ratio_eps(ctx)
-    n = 2
-    while True:
-        top = y0 + n - 1
-        corners, _ = _band_product(field, field.ceil_xi_mult(top), 1)
-        for y in range(y, top + 1):
-            if corners[y][1][0] >= m:
-                return y
-        y = top + 1
-        n *= 2
-
-
 class SearchReport(NamedTuple):
     field: Field
     m_max: int
@@ -207,40 +132,87 @@ def slice_rows(field: Field, k_max: int, y_max: int) -> tuple[tuple[int, ...], .
     return (row0,) + tuple(tuple(band[y][1]) for y in range(1, y_max + 1))
 
 
-def _price_search(ctx: FieldContext, m_max: int) -> int:
-    """n0 of find_kmax, after every check search_m and classify_m make before their first count.
+def _price_search(ctx: FieldContext, m_max: int) -> None:
+    """Every check search_m and classify_m make before their first count.
 
-    The doubling that finds n0 refuses a hopeless m from an interval's
-    estimate.  Then find_ymax's first band, B(ceil((y0 + 1)*xi), 1), is
-    priced at its first width, and a band inside the box's band
-    B(ceil(y_max*xi) + k_max, k_max + 1) at a width that fold reaches.  As
-    k_max >= n0, the box's band contains B(ceil(y*xi) + n0, n0 + 1) for
-    y <= y_max, and its cell (k_max, 0) holds p >= m_max, so its slots end at
-    whole bytes of at least bitlen(m_max) bits, and at least 16.  y_max >= y0,
-    and y_max > (n0 - 2)/(xi + omega), where xi + omega = 2*sqrt(D)/den: the
+    n0 is the least n >= 1 with P(n) >= m_max, P(n) the sum of p over all
+    alpha of trace 2n (parity.cumulative_P), so k_max >= n0 as p(n) <= P(n).
+    N doubles until P(N) >= m_max.  While P(N) < m_max, k_max > N, so the
+    box's band holds the interval [0, N + 1], whose cells have x and
+    conjugate at most N + 1; one over budget is refused before the next
+    transform, and a hopeless m costs a few short transforms.
+
+    Then two bands are priced.  The corner band B(ceil((y0 + 1)*xi), 1),
+    y0 = floor(eps_plus/(xi + omega)), is priced at 16 bits: no search
+    folds it, and it stays as the O(1) guard that refuses at once, by that
+    band's line, a field whose y0 is far too large (D = 73, 97, ...).  And
+    a band inside the box's band B(ceil(y_max*xi) + k_max, k_max + 1) is
+    priced at a width that fold reaches.  As k_max >= n0, the box's band
+    contains B(ceil(y*xi) + n0, n0 + 1) for y <= y_max, and its cell
+    (k_max, 0) holds p >= m_max, so its slots end at whole bytes of at least
+    bitlen(m_max) bits, and at least 16.  y_max >= y0, and
+    y_max > (n0 - 2)/(xi + omega), where xi + omega = 2*sqrt(D)/den: the
     rational N = floor(c) + 1 lies above the corner c = (0, y_max) <
     y_max*(xi + omega) + 1, so p(N) >= p(c) >= m_max and N >= k_max >= n0.
     """
+    if m_max < 1:
+        raise ValueError(f"m must be >= 1, got {m_max}")
     field = ctx.field
-    n0 = _trace_bound(field, m_max)
+    N = 1
+    while (P := cumulative_P(field, N))[N] < m_max:
+        check_interval(field.element(N + 1))
+        N *= 2
+    n0 = next(n for n in range(1, N + 1) if P[n] >= m_max)
     y0 = floor_ratio_eps(ctx)
     check_band(field, field.ceil_xi_mult(y0 + 1), 1, 16)
     y = max(y0, isqrt(((n0 - 2) * field.den) ** 2 // (4 * field.D)) + 1)
     check_band(field, field.ceil_xi_mult(y) + n0, n0 + 1, 8 * max(2, -(-m_max.bit_length() // 8)))
-    return n0
+
+
+def _walk_bounds(ctx: FieldContext, m_max: int) -> tuple[CappedGrid, int, int]:
+    """(grid, k_max, y_max): the slice box's bounds, read by a walk capped at m_max, once _price_search has run.
+
+    The walk reads min(p, m_max + 1) of each cell from a
+    partition.CappedGrid, charged before it starts for y0 + 1 slice rows,
+    y0 = floor(eps_plus/(xi + omega)), each of which lists about 2*m_max
+    rows at the cap and no more than the y0 + 1 rows of its corner's
+    interval.  k_max is the first k >= 1 of row 0 with p >= m_max, within
+    m_max + 1 cells as p rises by at least 1 at each step of a slice row
+    (see search_m), and y_max is the first corner (0, y), y >= y0, with
+    p >= m_max, read a corner at a time.
+
+    The first corner is never (0, 0), which is not totally positive:
+    y0 >= 1 for every field.  Write eps_plus = (A + B*sqrt(D))/den with
+    A, B >= 1 (eps_plus > 1 > eps_plus' > 0).  For D = 2, 3 (mod 4),
+    den = 1, A^2 - D*B^2 = 1 and xi + omega = 2*sqrt(D), so
+    eps_plus > 2B*sqrt(D) >= xi + omega.  For D = 1 (mod 4), den = 2,
+    A^2 - D*B^2 = 4 and xi + omega = sqrt(D), so eps_plus > B*sqrt(D) >=
+    xi + omega.
+    """
+    field = ctx.field
+    y0 = floor_ratio_eps(ctx)
+    grid = CappedGrid(field, m_max, (y0 + 1) * min(2 * m_max, y0 + 1))
+    k_max = 1
+    while grid.count(k_max, 0) < m_max:
+        k_max += 1
+    y_max = y0
+    while grid.count(field.ceil_xi_mult(y_max), y_max) < m_max:
+        y_max += 1
+    return grid, k_max, y_max
 
 
 def search_m(ctx: FieldContext, m_max: int) -> SearchReport:
     """Classify every element with p(alpha) <= m_max, up to units and conjugation.
 
-    Before any count every check of _price_search runs.  Then k_max is
-    counted from n0, find_ymax finds y_max, and slice_rows reads the box
-    from one certified band.
+    Before any count every check of _price_search runs.  Then the walk of
+    classify_m finds k_max and y_max (_walk_bounds), and slice_rows reads
+    the box from one certified band.
 
-    y_max is certified by its definition.  find_ymax read the corners
-    (0, y0..y_max) uncertified, and they are column 0 of the box, so each
-    must read p < m_max below y_max and p >= m_max at y_max; otherwise
-    InvariantViolation names D and the corner.
+    Both bounds are certified by their definitions, against the box: row 0
+    must read p < m_max at k = 1..k_max - 1 and p >= m_max at k_max, and
+    column 0, the corners (0, y0..y_max), p < m_max below y_max and
+    p >= m_max at y_max; otherwise InvariantViolation names D, m_max and
+    the cell.
 
     Each row is classified up to its first p > m_max, and tested for the
     fundamental domain only up to its first cell inside it:
@@ -254,16 +226,17 @@ def search_m(ctx: FieldContext, m_max: int) -> SearchReport:
       eps_plus*alpha' - alpha = (eps_plus - 1)*k + c(y), c(y) =
       eps_plus*alpha0' - alpha0, which grows with k as eps_plus > 1.
     """
-    n0 = _price_search(ctx, m_max)
+    _price_search(ctx, m_max)
     field = ctx.field
-    k_max = _count_up(PartitionGrid(field), m_max, n0)
-    y_max = find_ymax(ctx, m_max)
+    _, k_max, y_max = _walk_bounds(ctx, m_max)
     rows = slice_rows(field, k_max, y_max)
-    for y in range(floor_ratio_eps(ctx), y_max + 1):
-        if (rows[y][0] >= m_max) != (y == y_max):
+    bounds = [(k, 0, k == k_max) for k in range(1, k_max + 1)]
+    bounds += [(0, y, y == y_max) for y in range(floor_ratio_eps(ctx), y_max + 1)]
+    for k, y, last in bounds:
+        if (rows[y][k] >= m_max) != last:
             raise InvariantViolation(
-                f"find_ymax gave y_max = {y_max} for D={field.D} at m = {m_max}, "
-                f"but the certified corner (0, {y}) has p = {rows[y][0]}"
+                f"the walk gave k_max = {k_max} and y_max = {y_max} for D={field.D} at m = {m_max}, "
+                f"but the certified cell ({k}, {y}) has p = {rows[y][k]}"
             )
     classes = _classes(ctx, m_max, ((y, field.ceil_xi_mult(y), row) for y, row in enumerate(rows)))
     return SearchReport(field, m_max, k_max, y_max, rows, classes)
@@ -292,19 +265,13 @@ def _classes(ctx: FieldContext, m_max: int, rows: Iterable[tuple[int, int, Itera
 def classify_m(ctx: FieldContext, m_max: int) -> SearchReport:
     """search_m's report without the slice matrix, from a walk capped at m_max.
 
-    Before any count every check of _price_search runs.  The walk reads
-    min(p, m_max + 1) of each cell from a partition.CappedGrid, charged
-    before it starts for y0 + 1 slice rows, y0 = floor(eps_plus/(xi +
-    omega)), each of which lists about 2*m_max rows at the cap and no more
-    than the y0 + 1 rows of its corner's interval.  k_max is the first k of row 0 with
-    p >= m_max, within m_max + 1 cells as p rises by at least 1 at each step
-    of a slice row (see search_m), and y_max is find_ymax's, the first
-    corner (0, y), y >= y0, with p >= m_max, read a corner at a time.
-    Each slice row 0..y_max is then read up to its first p > m_max and
-    tested for the fundamental domain up to its first cell inside it, as
-    search_m reads its box (its docstring proves both).  No cell past
-    column k_max is lost: (k, y) is (k_max, y) plus the rational integer
-    k - k_max, and p(k_max, y) >= p(k_max) >= m_max, so p(k, y) > m_max.
+    Before any count every check of _price_search runs.  The walk finds
+    k_max and y_max (_walk_bounds), and then reads each slice row 0..y_max
+    up to its first p > m_max, tested for the fundamental domain up to its
+    first cell inside it, as search_m reads its box (its docstring proves
+    both).  No cell past column k_max is lost: (k, y) is (k_max, y) plus
+    the rational integer k - k_max, and p(k_max, y) >= p(k_max) >= m_max,
+    so p(k, y) > m_max.
     """
     _price_search(ctx, m_max)
     return _classify(ctx, m_max)
@@ -313,14 +280,7 @@ def classify_m(ctx: FieldContext, m_max: int) -> SearchReport:
 def _classify(ctx: FieldContext, m_max: int) -> SearchReport:
     """classify_m once _price_search has run."""
     field = ctx.field
-    y0 = floor_ratio_eps(ctx)
-    grid = CappedGrid(field, m_max, (y0 + 1) * min(2 * m_max, y0 + 1))
-    k_max = 1
-    while grid.count(k_max, 0) < m_max:
-        k_max += 1
-    y_max = y0
-    while grid.count(field.ceil_xi_mult(y_max), y_max) < m_max:
-        y_max += 1
+    grid, k_max, y_max = _walk_bounds(ctx, m_max)
     # Row 0 starts at x = 1: (0, 0) is not totally positive.
     starts = [(y, field.ceil_xi_mult(y) or 1) for y in range(y_max + 1)]
     rows = ((y, x, map(grid.count, range(x, x + k_max + (y > 0)), repeat(y))) for y, x in starts)

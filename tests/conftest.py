@@ -17,7 +17,6 @@ from quadpartitions import (
     build_context,
     en_fn_bounds,
     expand_sigma,
-    find_kmax,
     p_rational,
 )
 from quadpartitions import partition
@@ -158,11 +157,14 @@ def grid_slice_rows(grid, k_max, y_max):
 def grid_search(ctx, m, grid=None):
     """(k_max, y_max, slice rows) of the search for m on a PartitionGrid, an oracle for search_m.
 
-    y_max is the first corner (0, y), y >= floor(eps_plus/(xi + omega)),
-    with p >= m, each corner counted by grid.count.
+    k_max is the first n >= 1 with p(n) >= m and y_max the first corner
+    (0, y), y >= floor(eps_plus/(xi + omega)), with p >= m, each counted by
+    grid.count.
     """
     grid = grid or PartitionGrid(ctx.field)
-    k_max = find_kmax(grid, m)
+    k_max = 1
+    while grid.count(ctx.field.element(k_max)) < m:
+        k_max += 1
     y = floor_ratio_eps(ctx)
     while grid.count(slice_element(ctx.field, 0, y)) < m:
         y += 1

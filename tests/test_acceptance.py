@@ -15,7 +15,6 @@ from quadpartitions import (
     dm_scan,
     enumerate_partitions,
     exhaustive_scan_range,
-    find_ymax,
     in_fundamental_domain,
     is_squarefree,
     parity_check,
@@ -28,6 +27,7 @@ from quadpartitions import (
 )
 from quadpartitions.contfrac import floor_ratio_eps
 from quadpartitions.partition import enumerate_interval
+from quadpartitions.search import classify_m
 
 from conftest import TABULATED_D, dense_counts, diagonal, verify_thresholds
 
@@ -99,7 +99,7 @@ def test_criterion_3_units_summary(contexts, pool):
             assert str(ep) == row["eps_plus"]["text"]
             assert floor_ratio_eps(ctx) == row["floor_ratio"]
             grid = pool.grid(ctx.field)
-            assert find_ymax(ctx, 11) == row["y_max"]
+            assert classify_m(ctx, 11).y_max == row["y_max"]
             corner = slice_element(ctx.field, 0, row["y_max"])
             assert grid.count(corner) == row["corner_count"]
 

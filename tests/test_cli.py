@@ -335,8 +335,8 @@ def test_parity_refuses_before_the_recurrence(monkeypatch, capsys):
 
 
 def test_a_hopeless_m_is_refused_before_any_fill(monkeypatch, capsys):
-    # find_kmax refuses the interval [0, 257] of D=2 at m = 10^300 from its
-    # O(1) estimate; nothing is filled.
+    # _price_search refuses the interval [0, 257] of D=2 at m = 10^300 from
+    # its O(1) estimate; nothing is filled.
     def fill(grid, x, y):
         raise AssertionError(f"PartitionGrid filled the interval below ({x}, {y})")
 

@@ -60,6 +60,13 @@ REFUSALS = (
      f"the slice band of D=1000000007 up to an x of 21198 bits {BAND} over 1e+300 s, {BUDGET}"),
     (f"search --D 2 --m {10**30}", f"the slice band of D=2 up to x = 286 {BAND} about 172 s, {BUDGET}"),
     ("dm --m 11 --Dmax 1001", f"the slice band of D=73 up to x = 2014253 {BAND} about 2933 s, {BUDGET}"),
+    # A json search's box band is refused as soon as the walk has found its
+    # bounds: these two once counted k_max and folded corner bands for 5.7 s
+    # and 38.4 s before their box refused them.
+    ("search --D 134 --m 11 --format json",
+     f"the slice band of D=134 up to x = 145943 {BAND} about 122 s, {BUDGET}"),
+    ("search --D 118 --m 1 --format json",
+     f"the slice band of D=118 up to x = 306918 {BAND} about 130 s, {BUDGET}"),
     # Intervals [0, alpha] of a point count, priced in O(1).  At D = 2 the
     # trace sums P(n) stay below m = 10^300 up to n = 256, so k_max > 256.
     (f"search --D 2 --m {10**300}", f"the interval [0, 257] of D=2 {INTERVAL} about 274 s, {BUDGET}"),

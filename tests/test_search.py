@@ -15,8 +15,6 @@ from quadpartitions import (
     dm_scan,
     en_fn_bounds,
     exhaustive_scan_range,
-    find_kmax,
-    find_ymax,
     fundamental_representative,
     in_fundamental_domain,
     indecomposables,
@@ -110,42 +108,39 @@ def test_slice_counts_match_grid(contexts, pool):
             assert grid.count(e) == c
 
 
-def test_find_kmax_find_ymax(contexts, pool):
+def test_the_bounds_at_m_1_and_m_0(contexts):
+    # At m = 1 the walk stops at its first cells, k_max = 1 and y_max = y0,
+    # on both paths; m = 0 is refused with ValueError before any count.
     for D in TABULATED_D:
         ctx = contexts[D]
-        grid = pool.grid(ctx.field)
-        assert find_kmax(grid, 1) == 1
-        assert find_kmax(grid, 11) == BOUNDS_AT_11[D][0]
-        assert find_ymax(ctx, 1) == floor_ratio_eps(ctx)
-        assert find_ymax(ctx, 11) == BOUNDS_AT_11[D][1]
-    with pytest.raises(ValueError):
-        find_kmax(pool.grid(Field(2)), 0)
-    with pytest.raises(ValueError):
-        find_ymax(contexts[2], 0)
+        for find in (search_m, search.classify_m):
+            report = find(ctx, 1)
+            assert (report.k_max, report.y_max) == (1, floor_ratio_eps(ctx)), (D, find)
+        report = search.classify_m(ctx, 11)
+        assert (report.k_max, report.y_max) == BOUNDS_AT_11[D], D
+    for find in (search_m, search.classify_m):
+        with pytest.raises(ValueError):
+            find(contexts[2], 0)
 
 
-def test_find_kmax_is_the_least_n_with_p_at_least_m():
-    # Against a linear walk of counts from n = 1 for every m <= 5,000.  The
-    # counts of find_kmax start at the least n whose trace sum P(n) reaches
-    # m, at or below k_max as P(n) >= p(n).
+def test_k_max_is_the_least_n_with_p_at_least_m():
+    # The walk that finds the bounds of both search paths, against a linear
+    # walk of PartitionGrid counts from n = 1, at each step of p(n), n <= 30:
+    # m = p(n - 1) + 1 and m = p(n).  p(n) <= P(n), the trace sum from which
+    # _price_search takes n0 <= k_max.
     for D in (2, 5, 13, 31):
         f = Field(D)
-        walk, grid = PartitionGrid(f), PartitionGrid(f)
+        ctx, walk = build_context(f), PartitionGrid(f)
+        p = [1] + [walk.count(f.element(n)) for n in range(1, 31)]
         P = cumulative_P(f, 30)
-        assert all(walk.count(f.element(n)) <= P[n] for n in range(1, 31)), D
-        n = 1
-        for m in range(1, 5001):
-            while walk.count(f.element(n)) < m:
-                n += 1
-            assert find_kmax(grid, m) == n, (D, m)
+        assert all(p[n] <= P[n] for n in range(1, 31)), D
+        for m in sorted({m for n in range(1, 31) for m in (p[n - 1] + 1, p[n])}):
+            n = next(n for n in range(1, 31) if p[n] >= m)
+            search._price_search(ctx, m)
+            assert search._walk_bounds(ctx, m)[1] == n, (D, m)
     # At D = 2 and m = 10^13, k_max = 69 while p_rational first reaches m at
-    # n = 211, whose interval is over budget; the counts fill no column
-    # beyond k_max.
-    f = Field(2)
-    grid = PartitionGrid(f)
-    assert find_kmax(grid, 10**13) == 69
-    assert grid.value(68, 0) < 10**13 <= grid.value(69, 0)
-    assert grid.value(70, 0) is None
+    # n = 211, whose interval is over budget.
+    assert search.classify_m(build_context(Field(2)), 10**13).k_max == 69
 
 
 def test_domain_membership_lemma_slice_bound(contexts):
@@ -427,8 +422,9 @@ def test_search_reaches_D31():
 
 
 def test_band_floor_work_follows_its_rows_not_x(monkeypatch):
-    # find_ymax's corner bands hold one cell a row: for D=195 (xi ~ 13.96)
-    # the 301 corners up to y = 300 lie in a band that runs to x = 4,190.
+    # A band with K = 1 holds one cell a row, the slice corner: for D=195
+    # (xi ~ 13.96) the 301 corners up to y = 300 lie in a band that runs to
+    # x = 4,190.
     # Its bounds take one floor a row (318 floors in all here), where a walk
     # by columns takes about one for each of its 4,190 columns.
     f = Field(195)
@@ -483,8 +479,9 @@ def test_search_matches_the_grid_oracle():
 
 
 def test_the_first_slice_corner_is_never_zero():
-    # find_ymax starts at y = floor(eps_plus/(xi + omega)), proved >= 1 in its
-    # docstring, so it never reads the corner (0, 0).
+    # The walk reads the corners from y = floor(eps_plus/(xi + omega)), proved
+    # >= 1 in search._walk_bounds' docstring, so it never reads the corner
+    # (0, 0).
     fields = [D for D in range(2, 3000) if is_squarefree(D)]
     assert len(fields) == 1823
     assert min(floor_ratio_eps(build_context(Field(D))) for D in fields) == 1
@@ -513,7 +510,7 @@ def test_the_D31_box_widens_in_place_byte_by_byte(monkeypatch, capsys):
 
 
 def test_the_band_priced_before_the_counts_costs_no_more_than_the_box(monkeypatch):
-    # Before any count, search_m prices find_ymax's first band and then a
+    # Before any count, search_m prices the first corner band and then a
     # band inside its box, at a width the box's fold reaches.  On the pinned
     # searches that estimate is at most the box band's at the width where
     # its fold ends, so a search the box's own checks let finish is never
@@ -565,36 +562,35 @@ def test_search_records_only_the_m_it_finds(contexts):
     assert all(report.representatives.values())
 
 
-@pytest.mark.parametrize("late", [False, True])
-def test_search_certifies_the_corners_find_ymax_read(monkeypatch, late):
-    # find_ymax reads its corners from the fold without its certificate, and
-    # search_m checks y_max against column 0 of its certified box.  A fold
-    # that lets the corner before y_max read m_max (too early), or y_max
-    # itself read m_max - 1 (too late), must be caught and name D.
+@pytest.mark.parametrize("bound, late", [("y", False), ("y", True), ("k", False), ("k", True)])
+def test_search_certifies_the_bounds_the_walk_reads(monkeypatch, bound, late):
+    # search_m takes k_max and y_max from the capped walk and checks both
+    # against row 0 and column 0 of its certified box.  A walk whose count
+    # lets the cell before a bound read m_max (too early), or the bound
+    # itself read m_max - 1 (too late), must be caught, naming D and the cell.
     ctx = build_context(Field(2))
-    y0, y_max = floor_ratio_eps(ctx), BOUNDS_AT_11[2][1]
-    assert y0 < y_max - 1
-    y, value = (y_max, 10) if late else (y_max - 1, 11)
-    fold = partition._band_product
+    k_max, y_max = BOUNDS_AT_11[2]
+    assert floor_ratio_eps(ctx) < y_max - 1 and k_max > 1
+    k, y = (k_max - (not late), 0) if bound == "k" else (0, y_max - (not late))
+    cell = (ctx.field.ceil_xi_mult(y) + k, y)
+    count = partition.CappedGrid.count
     changed = []
 
-    def wrong(field, X, K):
-        rows, certify = fold(field, X, K)
-        if y in rows:
-            rows[y] = (rows[y][0], [value])
-            changed.append(X)
-        return rows, certify
+    def wrong(grid, x, v):
+        if (x, v) != cell:
+            return count(grid, x, v)
+        changed.append(cell)
+        return 10 if late else 11
 
-    monkeypatch.setattr(search, "_band_product", wrong)
-    with pytest.raises(InvariantViolation, match=rf"D=2 .*corner \(0, {y}\)"):
+    monkeypatch.setattr(partition.CappedGrid, "count", wrong)
+    with pytest.raises(InvariantViolation, match=rf"D=2 at m = 11, but the certified cell \({k}, {y}\)"):
         search_m(ctx, 11)
     assert changed
 
 
 def test_each_search_certifies_one_band(monkeypatch):
-    # find_ymax's corner bands skip the certificate, so each search on the
-    # benchmark's slice-search fields certifies its box alone, while every
-    # band, corners included, is still folded.
+    # The walk finds the bounds, so each search on the benchmark's
+    # slice-search fields folds one band, its box, and certifies it.
     certified, folded = [], []
     violation, fold = partition._band_violation, partition._band_fold
 
@@ -612,7 +608,7 @@ def test_each_search_certifies_one_band(monkeypatch):
         certified.clear()
         folded.clear()
         search_m(build_context(Field(D)), 11)
-        assert len(certified) == 1 and len(folded) >= 2, D
+        assert len(certified) == len(folded) == 1, D
 
 
 # classify_m against search_m: the 53 slice-search fields at every m <= 12,
