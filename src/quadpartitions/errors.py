@@ -20,14 +20,15 @@ class BudgetExceeded(RuntimeError):
     (grid --view xy), parity's fold over the ideal below (N, 0), the Euler
     product over a slice band (search --format json, grid --view ky and the
     slice documents of verify), estimated again before each wider fold and
-    priced by search and dm inside the box before any count, the walk
-    capped at m (search in its other formats, dm and verify's
-    representatives), charged for the rows it lists and again as it lists
-    more, the interval [0, alpha] of a point count (PartitionGrid.count:
-    search --format json, witness, estimate --compare and verify), priced
-    by search and dm before any count too, the squarefree test of D, and a
-    dm --Dmax scan of the fewest fields it can hold, each at the cheapest
-    field.  It is also raised by the brute-force enumerator out of nodes,
+    priced by search and dm inside the box before any count, the one
+    kernel of PartitionGrid under its two budgets (capped at m, the walk
+    of every search, dm and verify's representatives, charged for the rows
+    it lists and again as it lists more; exact, the interval [0, alpha] of
+    a point count for witness, estimate --compare and verify's units
+    corner, priced by check_interval, which search and dm also ask about
+    the intervals [0, N + 1] before any count), the squarefree test of D,
+    and a dm --Dmax scan of the fewest fields it can hold, each at the
+    cheapest field.  It is also raised by the brute-force enumerator out of nodes,
     by build_context for convergents over its memory limit, by search for a
     table of more than 2^19 rows, and by units, indecomposables and
     estimate, before they format anything, for an int with more digits than

@@ -15,19 +15,18 @@ with p(alpha) >= 1; any mismatch raises DivisibilityViolation.
 Every summand beta has first coordinate >= 1, so a cell only depends on
 strictly earlier columns and the recurrence is well founded.
 
-Five kernels compute p, min(p, m + 1) or p mod 2 on an order ideal of the
+Four kernels compute p, min(p, m + 1) or p mod 2 on an order ideal of the
 cone:
 
-- PartitionGrid runs the recurrence cell by cell on the intervals
-  [0, alpha] that count(alpha) asks for, row by row like band_rows, and
-  stores each row as a dict of exactly the cells filled; the point queries
-  (the witnesses, estimate --compare, the units corner of verify) and the
-  tests' threshold table read it.
-- CappedGrid runs the same recurrence on the cells a search reads, capped
-  at m: a cell lists its parts only up to 2m - 2 and reads min(p, m + 1),
-  exact where p <= m; search walks the slice with it, for the bounds
-  k_max and y_max of every search and for the classes of the searches
-  that print no slice matrix and of dm.
+- PartitionGrid runs the recurrence cell by cell, one kernel (cell) on
+  the intervals [0, alpha] it is asked for, row by row like band_rows, and
+  stores each row as one run of exactly the cells filled.  Exact, it
+  serves the point queries (the witnesses, estimate --compare, the units
+  corner of verify) and the tests' threshold table.  Capped at m, a cell
+  lists its parts only up to 2m - 2 and reads min(p, m + 1), exact where
+  p <= m, and each row keeps its first cell over m; search walks the
+  slice with it, for the bounds k_max and y_max of every search and for
+  the classes of the searches that print no slice matrix and of dm.
 - cone_columns runs it over the whole cone up to a column, one column at a
   time: each column is one big int with a slot of B bits per cell
   (Kronecker substitution), and column x is a sum of x products of packed
@@ -61,13 +60,12 @@ must sum to R(x), the number of partitions of x into parts counted by their
 first coordinate, or InvariantViolation is raised; and diagonal_parity's
 product shares no arithmetic with it.  Every kernel estimates its cost
 before any work, and errors.check_budget, the one reader of BUDGET_MS,
-refuses it and only then names it; check_interval is PartitionGrid's,
+refuses it and only then names it; check_interval is an exact count's,
 and check_band is band_rows'.  Before any count, search also asks
 check_interval about the intervals [0, N + 1] of its trace bound and
 check_band about two bands, one of them inside its box, and search.dm_scan
-asks both for each field.
-CappedGrid is charged from the rows its walk will list, and again as it
-lists more (_walk_ms).
+asks both for each field.  A capped PartitionGrid is charged from the
+rows its walk will list, and again as it lists more (_walk_ms).
 
 euler_transform is the one-variable form of the recurrence, for a product
 prod_k (1 - q^k)^(-c[k]) over the rational integers, and sums it in packed
@@ -82,7 +80,7 @@ from __future__ import annotations
 
 from functools import cache, partial
 from itertools import chain, count, repeat
-from math import gcd, isqrt, sqrt
+from math import gcd, isqrt
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -91,7 +89,6 @@ from .field import Field, QElement
 
 __all__ = [
     "PartitionGrid",
-    "CappedGrid",
     "GridPool",
     "content",
     "sigma_K",
@@ -111,7 +108,7 @@ __all__ = [
 # Apery's constant zeta(3), used only by the floating-point diagnostic below.
 ZETA3 = 1.2020569031595942854
 
-# Throughput of the five kernels on a 2-core host with Python 3.11, each taken
+# Throughput of the kernels on a 2-core host with Python 3.11, each taken
 # where the budget bites, so smaller runs take less than estimated.  64-bit
 # words per second of diagonal_parity's XOR steps (see _fold_ms): with one
 # step per cell outside 2O the last N started ran 2.7e8 for D = 2 (N = 1547,
@@ -136,11 +133,11 @@ ZETA3 = 1.2020569031595942854
 # 4,900; the column walk before it took 30.0 s at 2,800) and 6.2e6-7.0e6 for
 # D=5 at k = 2 (4.2, 18.4 and 57.7 s), slices whose columns come close to
 # the bound, and 4e7-1e8 where it overcounts: diamonds (n, 0), thin corners.
-# Rows per second that CappedGrid lists (see _walk_ms), its counts included:
-# 2.6e6-2.8e6 on the heavy slices of D = 46 and 67 at m = 11 (0.15 and
-# 0.27 s) and 4.8e6 on D=109 at m = 56 (0.62 s), but 6.7e5-1.5e6 at
-# m = 100,000-524,288 on D = 2..130 (0.04-0.24 s), whose rows hold the
-# most parts to count; the rate is below them all.
+# Rows per second that a capped PartitionGrid lists (see _walk_ms), its
+# counts included: 2.6e6-2.8e6 on the heavy slices of D = 46 and 67 at
+# m = 11 (0.15 and 0.27 s) and 4.8e6 on D=109 at m = 56 (0.62 s), but
+# 6.7e5-1.5e6 at m = 100,000-524,288 on D = 2..130 (0.04-0.24 s), whose rows
+# hold the most parts to count; the rate is below them all.
 _FOLD_WORDS_PER_S = 140_000_000
 _MADDS_PER_S = 21_000_000
 _BAND_WORDS_PER_S = 90_000_000
@@ -229,8 +226,9 @@ def enumerate_interval(alpha: QElement) -> Iterator[QElement]:
 class _RowEdges(dict):
     """edges[n] = floor(max(n*xi, -n*omega)): row n of the cone starts at u = edges[n] + 1; one floor per |n|, as omega = xi + t.
 
-    rows(x, y) lists the interval [0, x + y*w] by rows, for PartitionGrid,
-    diagonal_parity and enumerate_interval, and reach(x, y) bounds them.
+    rows(x, y) lists the interval [0, x + y*w] by rows, for diagonal_parity
+    and enumerate_interval, and reach(x, y) bounds them, for
+    PartitionGrid.cell too.
     """
 
     def __init__(self, field: Field) -> None:
@@ -270,16 +268,25 @@ class _RowEdges(dict):
 
 
 class PartitionGrid:
-    """Partition counts p(x + y*w) on an order ideal of the cone, filled on demand.
+    """Partition counts p(x + y*w) on an order ideal of the cone, filled on demand, exact or under a cap m.
 
-    Row v is a dict {u: p(u + v*w)} of exactly the cells filled so far, and
-    a matching dict of their weights {u: (sig0, sig1)}; row 0 also holds
-    p(0) = 1 at u = 0, and value() returns None for every cell not stored.
     count(alpha) fills the interval [0, alpha] that the recurrence reads, so
     a search near the cone's edge touches a thin sliver instead of the whole
-    cone.  The stored set is the union of the intervals filled, itself an
-    order ideal, so it holds every cell the recurrence reads.  Whole cones
-    come from cone_columns, the slice box from band_rows.
+    cone; cell(x, y) is its kernel.  The stored set is the union of the
+    intervals filled, itself an order ideal, and a row of an order ideal is
+    one run from the row's first cell, as beta - 1 <= beta wherever
+    beta - 1 >> 0.  So row v holds p and the weights (see _weights) of
+    u = g(v) + 1, g(v) + 2, ..., g = _RowEdges, as three lists; value()
+    reads p(0) = 1 at (0, 0) and None at every cell not stored.  Whole
+    cones come from cone_columns, the slice box from band_rows.
+
+    cap(m, rows) makes a fresh grid count min(p, m + 1), for the walk of a
+    search.  A capped run stops before its row's first cell over m, kept
+    once known as the row's cut, and rows counts the rows its fills list,
+    the unit of _walk_ms.  The walk is charged for the rows given when it
+    starts, and for twice the rows listed each time it passes the rows
+    charged; check_budget refuses it there.  An exact count is priced by
+    check_interval before it fills anything.
 
     ensure, max_x and column_window are kept for perfbench, which reads them;
     no command calls them.  ensure(X) fills the interval below every cell of
@@ -289,9 +296,24 @@ class PartitionGrid:
 
     def __init__(self, field: Field) -> None:
         self.field = field
-        self._rows: dict[int, dict[int, int]] = {0: {0: 1}}  # p(0) = 1
-        self._sig: dict[int, dict[int, tuple[int, int]]] = {0: {}}
+        self.m: int | None = None  # the cap; None counts exactly
+        self.rows = 0
         self._edges = _RowEdges(field)
+        self._rows: dict[int, tuple[list[int], list[int], list[int]]] = {}  # row v: p, sig0 and sig1 of its run
+        self._cut: dict[int, int] = {}  # row v: its first cell known over the cap
+
+    def cap(self, m: int, charged: int) -> None:
+        """Count min(p, m + 1) from now on, charged for charged rows before any count; a fresh grid only."""
+        self.m = m
+        self._charge(charged)
+
+    def _charge(self, rows: int) -> None:
+        self._charged = rows
+        check_budget(
+            lambda: f"the capped walk of D={self.field.D} at m = {self.m}",
+            _walk_ms(rows),
+            "its counts would take",
+        )
 
     @property
     def max_x(self) -> int:
@@ -304,12 +326,16 @@ class PartitionGrid:
         """Extend the grid so that all columns up to max_x are complete."""
         if max_x > self.max_x:
             for y in self._window(max_x):
-                self._fill(max_x, y)
+                self.cell(max_x, y)
 
     def value(self, x: int, y: int) -> int | None:
         """Stored count at (x, y), or None when the cell is not stored."""
+        if x == y == 0:
+            return 1  # p(0)
         row = self._rows.get(y)
-        return None if row is None else row.get(x)
+        if row is None or not 0 <= (i := x - self._edges[y] - 1) < len(row[0]):
+            return None
+        return row[0][i]
 
     def count(self, e: QElement) -> int:
         """p(e) for totally positive e, filling the interval [0, e] as needed."""
@@ -320,10 +346,7 @@ class PartitionGrid:
         v = self.value(e.a, e.b)
         if v is None:
             check_interval(e)
-            self._fill(e.a, e.b)
-            v = self.value(e.a, e.b)
-            if v is None:
-                raise InvariantViolation(f"no stored cell for {e!r} after filling its interval")
+            v = self.cell(e.a, e.b)
         return v
 
     def column_window(self, x: int) -> tuple[int, int]:
@@ -338,151 +361,111 @@ class PartitionGrid:
         """The y of column x: -floor(x/omega)..floor(x/xi)."""
         return range(-self.field.floor_div_omega(x), self.field.floor_div_xi(x) + 1)
 
-    def _fill(self, x: int, y: int) -> None:
-        """Store the interval [0, x + y*w], its missing cells in order of u, so each reads only stored cells.
+    def cell(self, x: int, y: int) -> int:
+        """p(alpha), or min(p, m + 1) under a cap m, for alpha = x + y*w >> 0: the one kernel of the recurrence.
 
-        The parts beta = u + v*w != alpha of the cell alpha = (X, Y) lie in
-        the rows r of _RowEdges.reach(X, Y), row r over u = g(r) + 1..X - 1 - g(Y - r),
-        with alpha - beta in row Y - r.  Every cell of row Y walks the rows
-        of its last missing cell (L, Y), as [0, X + Y*w] lies in
-        [0, L + Y*w], and skips a row that holds no part of it.
+        It fills the cells of [0, alpha] not yet stored by increasing x, so
+        each reads only stored cells.  The parts beta = u + v*w of alpha,
+        0 < beta < alpha, lie in the rows v of _RowEdges.reach(x, y), row v
+        over u = g(v) + 1..x - 1 - g(y - v), with alpha - beta in row y - v.
+        A part (X, Y) of alpha has its own parts in the same rows r, from the
+        first cell of row r to X - 1 - g(Y - r), so alpha's rows serve every
+        cell filled, each read up to that bound.
+
+        Which rows a cell walks.  Where the fill adds more than two cells a
+        row, each cell of row Y walks only the rows of reach(L, Y), (L, Y)
+        the last cell filled in its row, as [0, X + Y*w] lies in
+        [0, L + Y*w].  A fill of about one cell a row, a step of the walk,
+        walks alpha's rows, as their windows would cost more than they save.
+
+        The recurrence.  Row r adds sig(beta) * p(alpha - beta) over its
+        parts of (X, Y), the n = X - g(Y - r) - first(r) cells from its first:
+        the weights of row r read forward, and the values of row Y - r read
+        backward from its n-th cell, as both runs start at their rows' first
+        cells; the beta = alpha term reads p(0) = 1.  S0 = X*p recovers p and
+        S1 = (X + Y)*p cross-checks it, with p >= 1; a mismatch raises
+        DivisibilityViolation naming the cell.
+
+        Why the cap is one check a row.  Under a cap m a cell is over m, and
+        reads m + 1, where
+        - it has more than 2m - 2 parts: p(alpha) >= 1 + ceil(n/2) for n
+          parts, as each part beta gives the partition {beta, alpha - beta},
+          shared only with alpha - beta, and {alpha} is one more;
+        - it has a part over m: p(beta + gamma) >= p(beta) + 1 for
+          beta, gamma >> 0, as adding the part gamma to each partition of
+          beta gives distinct partitions of beta + gamma, none of them
+          {beta + gamma};
+        - or its exact p is over m.
+        By the second, p(beta + 1) >= p(beta) + 1, so p rises along a row and
+        its cells over m are the end of the row.  Each row keeps the first
+        cell over m that the grid has met, its cut, and its run holds the
+        filled cells below the cut; a walk that reads every row in order
+        from its first cell, as search's does, makes each cut its row's
+        first cell over m.  So the listing, as it counts alpha's parts,
+        compares each row's last part with the row's cut, one comparison a
+        row, and stops at the first row past 2m - 2 parts or with a part
+        over m.  Every other part is below its cut, stored or filled before
+        any cell above it reads it, and a cell filled over m has alpha above
+        it: the fill stops there, and its row's cut and alpha's are set.  So
+        every sum reads exact values alone, with no test per multiply-add,
+        and exact and capped counts run one loop.
         """
-        rows, sig, g = self._rows, self._sig, self._edges
-        walk = []  # (v, first u, weights) for the rows of [0, x + y*w]
-        missing = []
-        for v, first, end in g.rows(x, y):
-            row = rows.setdefault(v, {})
-            walk.append((v, first, sig.setdefault(v, {})))
-            missing += [(u, v) for u in range(first, end + 1) if u not in row]
-        a = walk[0][0]  # the lowest row
-        missing.sort()
-        last = {Y: L for L, Y in missing}  # the last missing cell (L, Y) of each row
-        reach = map(g.reach, last.values(), last)
-        spans = {Y: slice(r0 - a, r1 - a + 1) for Y, (r0, r1) in zip(last, reach)}  # its rows in walk
-        for X, Y in missing:
-            S0 = 0
-            S1 = 0
-            for r, lo, w in walk[spans[Y]]:
-                hi = X - g[Y - r]
-                if lo >= hi:
-                    continue
-                prev = rows[Y - r]
-                for u in range(lo, hi):
-                    P = prev[X - u]
-                    w0, w1 = w[u]
-                    S0 += w0 * P
-                    S1 += w1 * P
-            # The beta = alpha term contributes sig(alpha) * p(0).
-            w0, w1 = sig[Y][X] = _weights(X, Y)
-            S0 += w0
-            S1 += w1
-            # S0 = x*p recovers p, and S1 = (x + y)*p cross-checks it.
-            p, r = divmod(S0, X)
-            if r or p < 1 or S1 != (X + Y) * p:
-                raise DivisibilityViolation(
-                    f"coefficient match failed at (x={X}, y={Y}): x*p = {S0}"
-                )
-            rows[Y][X] = p
-
-
-class CappedGrid:
-    """min(p(alpha), m + 1) on the cells a search reads, by PartitionGrid's recurrence under a cap.
-
-    count(x, y) lists the parts beta of alpha = x + y*w, 0 < beta < alpha,
-    by the rows of _RowEdges.reach, and stops past 2m - 2 of them.  Where
-    it lists at most 2m - 2 and none of them is over m, the recurrence reads
-    only exact values: p(alpha) is the S0 = x*p division of PartitionGrid,
-    checked by S1 = (x + y)*p, and a mismatch raises DivisibilityViolation
-    naming the cell.  Otherwise alpha is over m, so it reads m + 1:
-    - p(alpha) >= 1 + ceil(n/2) for n parts: each part beta gives the
-      partition {beta, alpha - beta}, shared only with alpha - beta, and
-      {alpha} is one more.  So 2m - 1 parts make p >= m + 1.
-    - p(beta + gamma) >= p(beta) + 1 for beta, gamma >> 0: adding the part
-      gamma to each partition of beta gives distinct partitions of
-      beta + gamma, none of them {beta + gamma}.  So a part over m puts
-      alpha over m.
-    A part (X, Y) of alpha has its own parts in the same rows r, from the
-    first cell of alpha's row r to X - g(Y - r) - 1 (see _RowEdges.reach),
-    so the missing parts are counted from alpha's rows, by increasing x,
-    and no row is listed twice.  The cells counted form an order ideal,
-    stored by rows like PartitionGrid's, each row one run from its first
-    cell; a cell over the cap is kept apart.
-
-    rows counts the rows listed, the unit of _walk_ms.  The walk is charged
-    for the rows given when it starts, and for twice the rows listed each
-    time it passes the rows charged; check_budget refuses it there.
-    """
-
-    def __init__(self, field: Field, m: int, charged: int) -> None:
-        self.field, self.m = field, m
-        self.rows = 0
-        self._edges = _RowEdges(field)
-        self._values: dict[int, dict[int, int]] = {}  # row v: {u: min(p, m + 1)}
-        self._sig: dict[int, dict[int, tuple[int, int]]] = {}  # row v: {u: (sig0, sig1)}
-        self._over: set[tuple[int, int]] = set()  # cells with more than 2m - 2 parts
-        self._charge(charged)
-
-    def _charge(self, rows: int) -> None:
-        self._charged = rows
-        check_budget(
-            lambda: f"the capped walk of D={self.field.D} at m = {self.m}",
-            _walk_ms(rows),
-            "its counts would take",
-        )
-
-    def count(self, x: int, y: int) -> int:
-        """min(p(alpha), m + 1) for alpha = x + y*w >> 0."""
-        values, sig, g, m = self._values, self._sig, self._edges, self.m
-        p = values[y].get(x) if y in values else None
-        if p is not None:
-            return p
-        if (x, y) in self._over:
+        rows, cut, g, m = self._rows, self._cut, self._edges, self.m
+        if (row := rows.get(y)) is not None and (i := x - g[y] - 1) < len(row[0]):
+            return row[0][i]
+        if x >= cut.get(y, x + 1):
             return m + 1
-        room = 2 * m - 2  # the parts the cap still allows
         a, b = g.reach(x, y)
-        spans = []  # (v, first, last): the parts u + v*w, u = first..last, of alpha
+        room = 2 * m - 2 if m is not None else None  # the parts the cap still allows
+        walk = []  # (r, first, sig0, sig1) of each row r = a..b
+        cells = []  # the cells of [0, alpha] to fill, each run's missing end
+        over = False
         for v in range(a, b + 1):
             first, last = g[v] + 1, x - g[y - v] - 1  # g[0] = 0, so row y stops before alpha
-            if last >= first:
+            if room is not None and last >= first:
                 room -= last - first + 1
-                if room < 0:
+                if over := room < 0 or last >= cut.get(v, x):  # too many parts, or one over m
                     break
-                spans.append((v, first, last))
-        self.rows += v - a + 1
-        if self.rows > self._charged:
-            self._charge(2 * self.rows)
-        if room < 0:
-            self._over.add((x, y))
-            return m + 1
-        cells = []  # the parts missing from each row follow its run
-        for v, first, last in spans:
-            if (u := first + len(values.setdefault(v, {}))) <= last:
+            if v not in rows:
+                rows[v] = [], [], []
+            p, sig0, sig1 = rows[v]
+            walk.append((v, first, sig0, sig1))
+            if (u := first + len(p)) <= last:
                 cells += zip(range(u, last + 1), repeat(v))
-        cells.sort()  # by x, so every part is counted before the cells above it
+        self.rows += v - a + 1
+        if m is not None and self.rows > self._charged:
+            self._charge(2 * self.rows)
+        if over:
+            cut[y] = x
+            return m + 1
+        cells.sort()
         cells.append((x, y))
+        windows = {}
+        if len(cells) > 2 * len(walk):
+            ends = {Y: X for X, Y in cells}  # the last cell of each row
+            windows = {Y: walk[r0 - a : r1 - a + 1] for Y, (r0, r1) in zip(ends, map(g.reach, ends.values(), ends))}
         for X, Y in cells:
-            S0, S1 = sig.setdefault(Y, {})[X] = _weights(X, Y)  # beta = alpha reads p(0) = 1
-            P = 0
-            for r, first, _ in spans:
-                if (end := X - g[Y - r]) <= first:
-                    continue
-                prev, w = values[Y - r], sig[r]
-                for u in range(first, end):
-                    if (P := prev[X - u]) > m:
-                        break
-                    w0, w1 = w[u]
-                    S0 += w0 * P
-                    S1 += w1 * P
-                if P > m:
-                    break
-            if P > m:
-                p = m + 1
-            else:
-                p, rem = divmod(S0, X)
-                if rem or p < 1 or S1 != (X + Y) * p:
-                    raise DivisibilityViolation(f"coefficient match failed at (x={X}, y={Y}): x*p = {S0}")
-            values.setdefault(Y, {})[X] = min(p, m + 1)
-        return values[y][x]
+            S0, S1 = W0, W1 = _weights(X, Y)  # beta = alpha reads p(0) = 1
+            for r, first, sig0, sig1 in windows.get(Y, walk):
+                if (n := X - g[Y - r] - first) > 0:
+                    prev = rows[Y - r][0]
+                    for j in range(n):
+                        P = prev[n - 1 - j]
+                        S0 += sig0[j] * P
+                        S1 += sig1[j] * P
+            # S0 = x*p recovers p, and S1 = (x + y)*p cross-checks it.
+            p, rem = divmod(S0, X)
+            if rem or p < 1 or S1 != (X + Y) * p:
+                raise DivisibilityViolation(f"coefficient match failed at (x={X}, y={Y}): x*p = {S0}")
+            if m is not None and p > m:  # so alpha, a cell above it, is over m too
+                cut[y] = x
+                cut[Y] = X
+                return m + 1
+            row = rows[Y]
+            row[0].append(p)
+            row[1].append(W0)
+            row[2].append(W1)
+        return p
 
 
 def _floors(field: Field, X: int) -> tuple[list[int], list[int]]:
@@ -538,7 +521,7 @@ def _interval_ms(field: Field, e: QElement) -> int:
 
 
 def _walk_ms(rows: int) -> int:
-    """Estimated milliseconds of a CappedGrid walk that lists rows rows and counts what they hold."""
+    """Estimated milliseconds of a capped PartitionGrid walk that lists rows rows and counts what they hold."""
     return rows * 1000 // _WALK_ROWS_PER_S
 
 
@@ -676,7 +659,7 @@ def cone_columns(field: Field, max_x: int) -> list[list[int]]:
     holds x*p(x, y) at slot y + floor(x/omega), and T1, with S1_u, holds
     (x + y)*p(x, y); the shifts are >= 0 as floor(t/omega) is superadditive.
     p is T0's slot divided by x, and T1's slot must equal (x + y)*p, the
-    check of PartitionGrid._fill; a remainder or a mismatch raises
+    check of PartitionGrid.cell; a remainder or a mismatch raises
     DivisibilityViolation.  Column x costs x products of two packed columns,
     where the per-cell recurrence walks every pair of cells one multiply-add
     at a time.
@@ -1073,6 +1056,8 @@ def asymptotic_estimate(alpha: QElement) -> float:
     This is the only floating-point computation in the package and is purely
     diagnostic; nothing exact depends on it.
     """
+    from math import sqrt  # imported here, beside the one float computation
+
     if not alpha.is_totally_positive():
         raise ValueError(f"estimate needs a totally positive element, got {alpha!r}")
     nm = alpha.norm()

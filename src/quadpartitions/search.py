@@ -12,10 +12,10 @@ the finite slice alpha = (ceil(y*xi) + k) + y*omega with 0 <= k <= k_max,
 has p >= m with y_max >= floor(eps_plus / (xi + omega)).
 
 How the bounds are found.  One walk finds k_max and y_max for every
-search (_walk_bounds): a partition.CappedGrid counts min(p, m + 1) cell
-by cell, by the recurrence on the cell's parts while they are at most
-2m - 2, and reads k_max from row 0 and y_max from the corners y0, y0 + 1,
-..., y0 = floor(eps_plus/(xi + omega)).
+search (_walk_bounds): a partition.PartitionGrid capped at m counts
+min(p, m + 1) cell by cell, by the recurrence on the cell's parts while
+they are at most 2m - 2, and reads k_max from row 0 and y_max from the
+corners y0, y0 + 1, ..., y0 = floor(eps_plus/(xi + omega)).
 
 How the box is read.  classify_m walks on, reading only the cells with
 p <= m and the first cell past them, for every format of search but json,
@@ -45,7 +45,7 @@ from .contfrac import FieldContext, build_context, floor_ratio_eps
 from .errors import InvariantViolation, check_budget
 from .field import Field, QElement, is_squarefree
 from .parity import cumulative_P
-from .partition import CappedGrid, PartitionGrid, band_rows, check_band, check_interval, p_rational
+from .partition import PartitionGrid, band_rows, check_band, check_interval, p_rational
 
 __all__ = [
     "SearchReport",
@@ -169,14 +169,14 @@ def _price_search(ctx: FieldContext, m_max: int) -> None:
     check_band(field, field.ceil_xi_mult(y) + n0, n0 + 1, 8 * max(2, -(-m_max.bit_length() // 8)))
 
 
-def _walk_bounds(ctx: FieldContext, m_max: int) -> tuple[CappedGrid, int, int]:
+def _walk_bounds(ctx: FieldContext, m_max: int) -> tuple[PartitionGrid, int, int]:
     """(grid, k_max, y_max): the slice box's bounds, read by a walk capped at m_max, once _price_search has run.
 
     The walk reads min(p, m_max + 1) of each cell from a
-    partition.CappedGrid, charged before it starts for y0 + 1 slice rows,
-    y0 = floor(eps_plus/(xi + omega)), each of which lists about 2*m_max
-    rows at the cap and no more than the y0 + 1 rows of its corner's
-    interval.  k_max is the first k >= 1 of row 0 with p >= m_max, within
+    partition.PartitionGrid capped at m_max, charged before it starts for
+    y0 + 1 slice rows, y0 = floor(eps_plus/(xi + omega)), each of which
+    lists about 2*m_max rows at the cap and no more than the y0 + 1 rows of
+    its corner's interval.  k_max is the first k >= 1 of row 0 with p >= m_max, within
     m_max + 1 cells as p rises by at least 1 at each step of a slice row
     (see search_m), and y_max is the first corner (0, y), y >= y0, with
     p >= m_max, read a corner at a time.
@@ -191,12 +191,13 @@ def _walk_bounds(ctx: FieldContext, m_max: int) -> tuple[CappedGrid, int, int]:
     """
     field = ctx.field
     y0 = floor_ratio_eps(ctx)
-    grid = CappedGrid(field, m_max, (y0 + 1) * min(2 * m_max, y0 + 1))
+    grid = PartitionGrid(field)
+    grid.cap(m_max, (y0 + 1) * min(2 * m_max, y0 + 1))
     k_max = 1
-    while grid.count(k_max, 0) < m_max:
+    while grid.cell(k_max, 0) < m_max:
         k_max += 1
     y_max = y0
-    while grid.count(field.ceil_xi_mult(y_max), y_max) < m_max:
+    while grid.cell(field.ceil_xi_mult(y_max), y_max) < m_max:
         y_max += 1
     return grid, k_max, y_max
 
@@ -283,7 +284,7 @@ def _classify(ctx: FieldContext, m_max: int) -> SearchReport:
     grid, k_max, y_max = _walk_bounds(ctx, m_max)
     # Row 0 starts at x = 1: (0, 0) is not totally positive.
     starts = [(y, field.ceil_xi_mult(y) or 1) for y in range(y_max + 1)]
-    rows = ((y, x, map(grid.count, range(x, x + k_max + (y > 0)), repeat(y))) for y, x in starts)
+    rows = ((y, x, map(grid.cell, range(x, x + k_max + (y > 0)), repeat(y))) for y, x in starts)
     return SearchReport(field, m_max, k_max, y_max, (), _classes(ctx, m_max, rows))
 
 

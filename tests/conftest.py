@@ -129,7 +129,7 @@ def dense_counts(field, X):
 
 def stored_counts(grid):
     """{(x, y): p(x + y*w)} on every cell a PartitionGrid has filled, all with x >= 1."""
-    return {(x, y): p for y, row in grid._rows.items() for x, p in row.items() if x}
+    return {(x, y): p for y, (run, _, _) in grid._rows.items() for x, p in enumerate(run, grid._edges[y] + 1)}
 
 
 def grid_slice_rows(grid, k_max, y_max):

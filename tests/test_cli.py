@@ -340,7 +340,7 @@ def test_a_hopeless_m_is_refused_before_any_fill(monkeypatch, capsys):
     def fill(grid, x, y):
         raise AssertionError(f"PartitionGrid filled the interval below ({x}, {y})")
 
-    monkeypatch.setattr(partition.PartitionGrid, "_fill", fill)
+    monkeypatch.setattr(partition.PartitionGrid, "cell", fill)
     m = str(10**300)
     for argv in (("search", "--D", "2", "--m", m), ("dm", "--m", m, "--Dmax", "3")):
         assert run(capsys, *argv)[:2] == (4, ""), argv

@@ -289,7 +289,7 @@ def test_count_stores_exactly_the_interval():
 
 def test_count_in_any_order_matches_the_dense_grid():
     # A shuffled order makes new intervals overlap the stored cells only in
-    # part, so _fill must compute exactly the missing cells of each column.
+    # part, so cell() must compute exactly the missing cells of each column.
     rng = random.Random(0xC0DE)
     for D in TABULATED_D:
         f = Field(D)
@@ -426,7 +426,7 @@ def test_divisibility_violation_on_corrupted_state():
     f = Field(2)
     grid = PartitionGrid(f)
     grid.count(f.element(6, 0))
-    grid._rows[0][5] = 9  # poison p(5, 0)
+    grid._rows[0][0][4] = 9  # poison p(5, 0), the fifth cell of row 0
     with pytest.raises(DivisibilityViolation):
         grid.count(f.element(12, 0))
 

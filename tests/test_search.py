@@ -573,7 +573,7 @@ def test_search_certifies_the_bounds_the_walk_reads(monkeypatch, bound, late):
     assert floor_ratio_eps(ctx) < y_max - 1 and k_max > 1
     k, y = (k_max - (not late), 0) if bound == "k" else (0, y_max - (not late))
     cell = (ctx.field.ceil_xi_mult(y) + k, y)
-    count = partition.CappedGrid.count
+    count = partition.PartitionGrid.cell
     changed = []
 
     def wrong(grid, x, v):
@@ -582,7 +582,7 @@ def test_search_certifies_the_bounds_the_walk_reads(monkeypatch, bound, late):
         changed.append(cell)
         return 10 if late else 11
 
-    monkeypatch.setattr(partition.CappedGrid, "count", wrong)
+    monkeypatch.setattr(partition.PartitionGrid, "cell", wrong)
     with pytest.raises(InvariantViolation, match=rf"D=2 at m = 11, but the certified cell \({k}, {y}\)"):
         search_m(ctx, 11)
     assert changed
@@ -641,6 +641,45 @@ def test_classify_m_finds_what_search_m_finds():
             assert _same_classes(ctx, m), (D, m)
 
 
+def test_every_cell_the_walk_stores_in_the_box_matches_the_certified_box(monkeypatch):
+    # The capped kernel cell by cell against slice_rows, the band's Euler
+    # product, which shares no arithmetic with it: each cell of the box that
+    # the walk of classify_m stored reads p <= m, and each cut in the box,
+    # where the walk reads m + 1 from on, is its row's first cell over m, as
+    # the walk reads every row in order from its first cell.  No cell is
+    # filled twice: one found over m is never filled again.
+    grids, filled = [], Counter()
+    cap, weights = partition.PartitionGrid.cap, partition._weights
+
+    def recorded(grid, *args):
+        grids.append(grid)
+        return cap(grid, *args)
+
+    def counted(u, v):
+        filled[u, v] += 1
+        return weights(u, v)
+
+    monkeypatch.setattr(partition.PartitionGrid, "cap", recorded)
+    monkeypatch.setattr(partition, "_weights", counted)
+    stored = cuts = 0
+    for D, m in [(D, m) for D in SLICE_SEARCH_FIELDS for m in (1, 2, 3, 5, 7, 11)] + [(41, 42), (43, 42)]:
+        filled.clear()
+        report = search.classify_m(build_context(Field(D)), m)
+        assert max(filled.values()) == 1, (D, m)
+        grid = grids.pop()
+        box = slice_rows(grid.field, report.k_max, report.y_max)
+        for y, row in enumerate(box):
+            x0 = grid.field.ceil_xi_mult(y)
+            for k, p in enumerate(row):
+                if (value := grid.value(x0 + k, y)) is not None:
+                    assert value == p <= m, (D, m, k, y)
+                    stored += 1
+            if 0 <= (k := grid._cut.get(y, x0 - 1) - x0) < len(row):
+                assert row[k] > m and (k == 0 < y or row[k - 1] <= m), (D, m, k, y)
+                cuts += 1
+    assert stored > 5_000 and cuts > 4_000, (stored, cuts)
+
+
 @pytest.mark.parametrize("D, m, missing", [(46, 11, False), (67, 11, False), (190, 11, False), (109, 56, True)])
 def test_the_walk_s_representatives_recount_by_coin_change(D, m, missing):
     # Heavy boxes whose fold takes seconds (D = 46, 190) or is refused (D = 67
@@ -657,8 +696,8 @@ def test_the_walk_s_representatives_recount_by_coin_change(D, m, missing):
 
 @pytest.mark.parametrize("which", [0, 1])
 def test_a_corrupted_weight_is_named_by_the_walk(monkeypatch, which):
-    # The walk divides S0 by x and checks S1 = (x + y)*p as PartitionGrid
-    # does, with raise, not assert, so python -O keeps both checks.
+    # The capped walk divides S0 by x and checks S1 = (x + y)*p in the kernel
+    # exact counts run, with raise, not assert, so python -O keeps both checks.
     weights = partition._weights
 
     def corrupted(u, v):
@@ -679,13 +718,13 @@ def test_the_walk_is_charged_again_as_it_lists_more(monkeypatch):
     assert floor_ratio_eps(ctx) == 3588
     monkeypatch.setattr(errors, "BUDGET_MS", 200)
     grids = []
-    capped = partition.CappedGrid
+    cap = partition.PartitionGrid.cap
 
-    def recorded(*args):
-        grids.append(capped(*args))
-        return grids[-1]
+    def recorded(grid, *args):
+        grids.append(grid)
+        return cap(grid, *args)
 
-    monkeypatch.setattr(search, "CappedGrid", recorded)
+    monkeypatch.setattr(partition.PartitionGrid, "cap", recorded)
     with pytest.raises(BudgetExceeded, match="^the capped walk of D=46 at m = 11 is over the cost budget: "
                        "its counts would take about 1 s, more than 0 s$"):
         search._classify(ctx, 11)
@@ -708,11 +747,11 @@ def test_the_walk_s_first_charge_at_the_budget_s_edge(monkeypatch):
     assert first(floor_ratio_eps(build_context(Field(97))), 11) > errors.BUDGET_MS
     charged = []
 
-    def recorded(field, m, rows):
+    def recorded(grid, m, rows):
         charged.append(rows)
         raise StopIteration
 
-    monkeypatch.setattr(search, "CappedGrid", recorded)
+    monkeypatch.setattr(partition.PartitionGrid, "cap", recorded)
     for D, m in ((46, 11), (67, 11), (109, 56), (41, 2**19)):
         ctx = build_context(Field(D))
         with pytest.raises(StopIteration):

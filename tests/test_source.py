@@ -57,3 +57,27 @@ def test_only_errors_reads_the_cost_budget():
             if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and "BUDGET_MS" in names:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_the_package_computes_in_integers_only():
+    # Exact answers come from integer arithmetic alone: no float constant,
+    # float, inf, log or sqrt appears outside the one floating-point
+    # diagnostic, the asymptotic estimate (ZETA3, asymptotic_estimate and
+    # the command that prints it).  So no float can stand in for an integer
+    # bound, such as math.inf for "no cap".
+    allowed = {("partition.py", "ZETA3"), ("partition.py", "asymptotic_estimate"), ("cli.py", "cmd_estimate")}
+    banned = {"float", "inf", "log", "sqrt"}
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = [getattr(top, "name", None)] + [getattr(t, "id", None) for t in getattr(top, "targets", ())]
+            if any((path.name, name) in allowed for name in names):
+                continue
+            for node in ast.walk(top):
+                floating = isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+                named = {getattr(node, field, None) for field in ("id", "attr")}
+                if isinstance(node, ast.alias):
+                    named = {node.name, node.asname}
+                if floating or named & banned:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
