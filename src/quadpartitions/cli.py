@@ -381,7 +381,7 @@ def cmd_dm(args: argparse.Namespace) -> int:
         known = None
     scan = known if args.Dmax is None else tuple(D for D in range(2, args.Dmax + 1) if is_squarefree(D))
     complete = known is not None and set(known) <= set(scan)
-    missing = dm_scan(args.m, list(scan), jobs=args.jobs)
+    missing = dm_scan(args.m, list(scan))
     doc = {"m": args.m, "scanned": list(scan), "missing": list(missing), "complete": complete}
     lines = [
         f"m = {args.m}: scanned D in {list(scan)}",
@@ -571,7 +571,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("dm", help="fields with no element of exactly m partitions")
     p.add_argument("--m", type=_at_least(1), required=True)
     p.add_argument("--Dmax", type=_at_least(2))
-    p.add_argument("--jobs", type=_at_least(1), default=1)
     add_format(p, choices=("pretty", "csv", "json"))
     p.set_defaults(func=cmd_dm)
 

@@ -36,7 +36,6 @@ lists.
 
 from __future__ import annotations
 
-import os
 from itertools import repeat
 from math import isqrt
 from typing import Iterable, NamedTuple
@@ -57,7 +56,6 @@ __all__ = [
     "classify_m",
     "dm_scan",
     "check_scan",
-    "worker_count",
     "exhaustive_scan_range",
     "en_fn_bounds",
     "witness_m4",
@@ -288,43 +286,22 @@ def _classify(ctx: FieldContext, m_max: int) -> SearchReport:
     return SearchReport(field, m_max, k_max, y_max, (), _classes(ctx, m_max, rows))
 
 
-def _misses(ctx: FieldContext, m: int) -> tuple[int, bool]:
-    """(D, missing) of _classify(ctx, m): all a pool worker sends back."""
-    return ctx.field.D, _classify(ctx, m).missing()
-
-
-def worker_count(jobs: int, tasks: int, cpus: int) -> int:
-    """Worker processes for a scan: never more than jobs, tasks or cpus."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    return min(jobs, tasks, cpus)
-
-
-def dm_scan(m: int, D_values: list[int] | tuple[int, ...], jobs: int = 1) -> tuple[int, ...]:
+def dm_scan(m: int, D_values: list[int] | tuple[int, ...]) -> tuple[int, ...]:
     """The subset of D_values whose field has no element with exactly m partitions.
 
     Every Field is built first, so Field alone raises ValueError for a D
-    that is not squarefree and >= 2, before any work.  Then every field, by
-    increasing D, runs the checks classify_m makes before its first count
-    (_price_search), and only then is any field walked, so a scan that some
-    field's band or interval refuses is refused at once.  Each field is
-    then walked from the context it was priced with, by _misses (classify_m
-    without its price), in this process or in a pool's worker alike.
+    that is not squarefree and >= 2, before any work.  Then every field's
+    context is built and, by increasing D, runs the checks classify_m makes
+    before its first count (_price_search), and only then is any field
+    walked, so a scan that some field's band or interval refuses is refused
+    at once.  Each field is then walked from the context it was priced
+    with, by _classify (classify_m without its price).
     """
     fields = [Field(D) for D in sorted(D_values)]
     priced = list(map(build_context, fields))
     for ctx in priced:
         _price_search(ctx, m)
-    workers = worker_count(jobs, len(priced), os.cpu_count() or 1)
-    if workers > 1:
-        # Imported here: it loads multiprocessing, which only a pool needs.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_misses, priced, repeat(m)))
-    else:
-        results = list(map(_misses, priced, repeat(m)))
-    return tuple(D for D, missing in results if missing)
+    return tuple(ctx.field.D for ctx in priced if _classify(ctx, m).missing())
 
 
 # Microseconds that dm takes at the least on one field, on a 2-core host

@@ -29,7 +29,11 @@ REFERENCE = Path(quadpartitions.__file__).parent / "reference"
 
 
 def start_python(*args, cwd=None):
-    """Start python with args in a fresh interpreter, in cwd, that imports this package."""
+    """Start python with args in a fresh interpreter, in cwd, that imports this package.
+
+    The child runs at this interpreter's optimization level, one -O for each
+    level, so a run under python -O starts its children under -O too.
+    """
     env = dict(
         os.environ,
         PYTHONPATH=os.pathsep.join(filter(None, (str(REFERENCE.parents[1]), os.environ.get("PYTHONPATH")))),
@@ -37,7 +41,8 @@ def start_python(*args, cwd=None):
         COLUMNS="80",  # argparse wraps --help to the terminal width
     )
     return subprocess.Popen(
-        [sys.executable, *args], env=env, cwd=cwd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, encoding="utf-8"
+        [sys.executable, *["-O"] * sys.flags.optimize, *args],
+        env=env, cwd=cwd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, encoding="utf-8",
     )
 
 

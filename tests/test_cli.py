@@ -1,7 +1,7 @@
 import argparse
 import json
-import multiprocessing.process
 import shutil
+import sys
 import time
 from itertools import accumulate
 from math import isqrt
@@ -19,7 +19,6 @@ from quadpartitions import (
     oracle,
     parity,
     partition,
-    search,
 )
 
 from conftest import REFERENCE, finish, start_python
@@ -190,8 +189,6 @@ def test_usage_errors_exit_1(capsys):
         ("grid", "--D", "2"),
         ("grid", "--D", "2", "--view", "ky", "--kmax", "3"),
         ("dm", "--m", "4"),
-        ("dm", "--m", "3", "--jobs", "0"),
-        ("dm", "--m", "3", "--jobs", "-2"),
         ("parity", "--D", "2", "--N", "-1"),
         ("grid", "--D", "2", "--max-x", "-2"),
         ("grid", "--D", "2", "--view", "ky", "--kmax", "-1", "--ymax", "2"),
@@ -602,7 +599,7 @@ PLAIN_EDGES = (
     ("verify", "--fixtures", ""),
     ("verify", "--fixtures", "-"),
     ("verify", "--fixtures", "--D"),
-    ("dm", "--m", "3", "--jobs", "1_0"),
+    ("dm", "--m", "3", "--Dmax", "1_0"),
     ("units", "--D", "7", "--"),
     ("units", "--D", "seven"),
 )
@@ -662,18 +659,6 @@ def test_every_benchmark_shaped_argv_is_read_plain(monkeypatch):
         assert not (isinstance(kwargs.get("default"), str) and "type" in kwargs), args
 
 
-def test_importing_the_cli_loads_no_process_pool():
-    code, out, err = finish(start_python(
-        "-c", "import sys, quadpartitions, quadpartitions.cli; print(*sorted(sys.modules))"
-    ))
-    assert (code, err) == (0, "")
-    loaded = out.split()
-    assert "quadpartitions.cli" in loaded
-    pool = [name for name in loaded
-            if name.split(".")[0] == "multiprocessing" or name.startswith("concurrent.futures")]
-    assert pool == []
-
-
 def test_importing_the_cli_and_building_its_parser_loads_no_introspection():
     # dataclasses loads inspect, ast, dis and tokenize, about a quarter of the
     # CLI's cold start; no command reads any of them.
@@ -686,6 +671,17 @@ def test_importing_the_cli_and_building_its_parser_loads_no_introspection():
     loaded = set(out.split())
     assert "quadpartitions.cli" in loaded
     assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize"})
+    # Nor is a process pool loaded.
+    pool = [name for name in loaded
+            if name.split(".")[0] == "multiprocessing" or name.startswith("concurrent.futures")]
+    assert pool == []
+
+
+def test_a_child_interpreter_runs_at_the_parents_optimization_level():
+    # Under python -O the children of start_python (the refusal table, the
+    # walks, the import checks) run without their assert statements too.
+    code, out, err = finish(start_python("-c", "import sys; print(sys.flags.optimize)"))
+    assert (code, out, err) == (0, f"{sys.flags.optimize}\n", "")
 
 
 def test_a_closed_stdout_exits_141_without_a_traceback():
@@ -697,24 +693,6 @@ def test_a_closed_stdout_exits_141_without_a_traceback():
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(), err) == (141, "")
-
-
-def test_dm_jobs_2_runs_a_pool_of_two_and_prints_the_serial_bytes(monkeypatch, capsys):
-    starts = []
-    real_start = multiprocessing.process.BaseProcess.start
-
-    def counting_start(self):
-        starts.append(self)
-        real_start(self)
-
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
-    for m, fmt in (("5", "pretty"), ("5", "csv"), ("5", "json"), ("7", "pretty")):
-        serial = run(capsys, "dm", "--m", m, "--jobs", "1", "--format", fmt)
-        assert starts == [], (m, fmt)
-        assert run(capsys, "dm", "--m", m, "--jobs", "2", "--format", fmt) == serial, (m, fmt)
-        assert len(starts) == 2, (m, fmt)
-        starts.clear()
 
 
 def test_no_command_reads_what_only_perfbench_keeps(monkeypatch, capsys):

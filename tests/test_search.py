@@ -28,7 +28,7 @@ from quadpartitions import cli, errors, partition, search
 from quadpartitions.contfrac import floor_ratio_eps
 from quadpartitions.parity import cumulative_P
 from quadpartitions.partition import band_rows
-from quadpartitions.search import slice_rows, worker_count
+from quadpartitions.search import slice_rows
 
 from conftest import (
     TABULATED_D,
@@ -291,7 +291,6 @@ def test_exhaustive_scan_range_frozen():
 
 def test_dm_scan():
     assert dm_scan(3, exhaustive_scan_range(3)) == (5,)
-    assert dm_scan(5, exhaustive_scan_range(5), jobs=2) == (2, 3, 5)
     assert dm_scan(11, (17,)) == ()
     with pytest.raises(ValueError):
         dm_scan(3, (12,))
@@ -334,14 +333,37 @@ def test_search_missing_flag(contexts):
     assert [str(e) for e in r17.representatives[11]] == ["14+3√17"]
 
 
-def test_dm_worker_count_is_capped():
-    assert worker_count(1, 10, 8) == 1
-    assert worker_count(4, 10, 8) == 4
-    assert worker_count(1000, 10, 8) == 8
-    assert worker_count(1000, 3, 8) == 3
-    assert worker_count(5, 0, 8) == 0
+def test_dm_scan_builds_every_field_then_prices_every_context_then_walks(monkeypatch):
+    # dm_scan's docstring: every Field first, then each context and its
+    # price by increasing D, and a walk only once every field is priced.
+    calls = []
+
+    def recorded(name, real):
+        def call(first, *rest):
+            calls.append((name, first.D if name == "build" else first.field.D))
+            return real(first, *rest)
+        return call
+
+    monkeypatch.setattr(search, "build_context", recorded("build", search.build_context))
+    monkeypatch.setattr(search, "_classify", recorded("walk", search._classify))
+    price = recorded("price", search._price_search)
+    monkeypatch.setattr(search, "_price_search", price)
     with pytest.raises(ValueError):
-        worker_count(0, 10, 8)
+        dm_scan(3, (7, 2, 12))
+    assert calls == []
+    assert dm_scan(5, (5, 2, 3)) == (2, 3, 5)
+    assert calls == [(step, D) for step in ("build", "price", "walk") for D in (2, 3, 5)]
+    calls.clear()
+
+    def refusing(ctx, m):
+        price(ctx, m)
+        if ctx.field.D == 5:
+            raise BudgetExceeded("D=5 is over the cost budget")
+
+    monkeypatch.setattr(search, "_price_search", refusing)
+    with pytest.raises(BudgetExceeded, match="^D=5 "):
+        dm_scan(5, (5, 2, 3))
+    assert calls == [(step, D) for step in ("build", "price") for D in (2, 3, 5)]
 
 
 @pytest.mark.parametrize("D, cells", [(2, 122), (19, 286)])
