@@ -189,6 +189,7 @@ def test_usage_errors_exit_1(capsys):
         ("grid", "--D", "2"),
         ("grid", "--D", "2", "--view", "ky", "--kmax", "3"),
         ("dm", "--m", "4"),
+        ("dm", "--m", "3", "--jobs", "2"),
         ("parity", "--D", "2", "--N", "-1"),
         ("grid", "--D", "2", "--max-x", "-2"),
         ("grid", "--D", "2", "--view", "ky", "--kmax", "-1", "--ymax", "2"),

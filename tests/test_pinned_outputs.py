@@ -5,8 +5,8 @@ checks the kernel that prints it now against an independent one.  The
 comment above each group names that kernel and what the group covers.
 The walks (WALKS) are the exception: where no other kernel finishes, they
 pin the capped walk's answers, whose representatives are recounted
-independently, and they run once, all in one child that also bounds their
-time and memory.
+independently, and each runs once, in a child of its own that also bounds
+its time and memory.
 
 To add a pin: run the argv with the kernel being replaced, then put the
 sha256 of its stdout and the argv under a comment that says which kernel
@@ -143,16 +143,15 @@ def test_output_matches_its_pin(capsys, digest, argv):
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
 
 
-def test_the_walks_finish_at_once_in_little_memory():
-    # The five walks, run in one child with 1 GB of address space: each exits
-    # 0 within 10 s with its pinned stdout, and the child peaks under 200 MB.
-    code, out, err = finish(start_python("-c", CHILD, json.dumps([argv for _, argv in WALKS])))
+@pytest.mark.parametrize("digest, argv", WALKS, ids=[argv for _, argv in WALKS])
+def test_the_walks_finish_at_once_in_little_memory(digest, argv):
+    # Each walk, run in its own child with 1 GB of address space, exits 0
+    # within 10 s with its pinned stdout, and the child peaks under 200 MB.
+    code, out, err = finish(start_python("-c", CHILD, json.dumps([argv])))
     assert (code, err) == (0, "")
-    *runs, rss_kb = out.splitlines()
-    assert len(runs) == len(WALKS)
-    for (digest, argv), run in zip(WALKS, runs):
-        code, secs, out, err = json.loads(run)
-        assert (code, err) == (0, ""), argv
-        assert secs < 10, argv
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+    run, rss_kb = out.splitlines()
+    code, secs, out, err = json.loads(run)
+    assert (code, err) == (0, "")
+    assert secs < 10
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert int(rss_kb) < 200 * 1024

@@ -333,9 +333,10 @@ def test_search_missing_flag(contexts):
     assert [str(e) for e in r17.representatives[11]] == ["14+3√17"]
 
 
-def test_dm_scan_builds_every_field_then_prices_every_context_then_walks(monkeypatch):
-    # dm_scan's docstring: every Field first, then each context and its
-    # price by increasing D, and a walk only once every field is priced.
+@pytest.fixture
+def scan_calls(monkeypatch):
+    # dm_scan's calls of build_context, _price_search and _classify, as
+    # (step, D) in the order they happen.
     calls = []
 
     def recorded(name, real):
@@ -345,15 +346,26 @@ def test_dm_scan_builds_every_field_then_prices_every_context_then_walks(monkeyp
         return call
 
     monkeypatch.setattr(search, "build_context", recorded("build", search.build_context))
+    monkeypatch.setattr(search, "_price_search", recorded("price", search._price_search))
     monkeypatch.setattr(search, "_classify", recorded("walk", search._classify))
-    price = recorded("price", search._price_search)
-    monkeypatch.setattr(search, "_price_search", price)
+    return calls
+
+
+def test_dm_scan_builds_no_context_until_every_field_is_built(scan_calls):
     with pytest.raises(ValueError):
         dm_scan(3, (7, 2, 12))
-    assert calls == []
+    assert scan_calls == []
+
+
+def test_dm_scan_builds_every_field_then_prices_every_context_then_walks(scan_calls):
+    # dm_scan's docstring: every Field first, then each context and its
+    # price by increasing D, and a walk only once every field is priced.
     assert dm_scan(5, (5, 2, 3)) == (2, 3, 5)
-    assert calls == [(step, D) for step in ("build", "price", "walk") for D in (2, 3, 5)]
-    calls.clear()
+    assert scan_calls == [(step, D) for step in ("build", "price", "walk") for D in (2, 3, 5)]
+
+
+def test_dm_scan_walks_no_field_when_a_price_refuses(monkeypatch, scan_calls):
+    price = search._price_search
 
     def refusing(ctx, m):
         price(ctx, m)
@@ -363,7 +375,7 @@ def test_dm_scan_builds_every_field_then_prices_every_context_then_walks(monkeyp
     monkeypatch.setattr(search, "_price_search", refusing)
     with pytest.raises(BudgetExceeded, match="^D=5 "):
         dm_scan(5, (5, 2, 3))
-    assert calls == [(step, D) for step in ("build", "price") for D in (2, 3, 5)]
+    assert scan_calls == [(step, D) for step in ("build", "price") for D in (2, 3, 5)]
 
 
 @pytest.mark.parametrize("D, cells", [(2, 122), (19, 286)])
