@@ -9,18 +9,17 @@ command produce identical bytes.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import math
 import os
 import sys
 from itertools import chain
+from types import SimpleNamespace
 from typing import Callable, Iterable
 
 from .contfrac import build_context, coordinate_bound, floor_ratio_eps, indecomposables
 from .errors import BudgetExceeded, DivisibilityViolation, InvariantViolation
 from .field import Field, QElement, is_squarefree
-from .fixtures import builtin_documents, load_documents, verify_documents
 from .oracle import enumerate_partitions
 from .parity import parity_check
 from .partition import PartitionGrid, asymptotic_estimate, cone_rows, diagonal_parity
@@ -44,99 +43,22 @@ class UsageError(Exception):
     pass
 
 
-# Each option string of a flag or a one-value option with its action, what
-# argparse sets before it reads any word (each option's default, then func),
-# and the required actions.
-_PlainTable = tuple[dict[str, argparse.Action], dict[str, object], frozenset[argparse.Action]]
-
-
-class _Parser(argparse.ArgumentParser):
-    # The top-level parser's map from command name to that command's parser.
-    commands: dict[str, _Parser]
-    # A command parser's table for _read_plain, set by build_parser.
-    plain: _PlainTable
-
-    def __init__(self, **kwargs) -> None:
-        self.declared: list[argparse.Action] = []  # what add_argument returned, help first
-        super().__init__(**kwargs)
-
-    def add_argument(self, *args, **kwargs) -> argparse.Action:
-        action = super().add_argument(*args, **kwargs)
-        self.declared.append(action)
-        return action
-
-    def error(self, message: str) -> None:  # type: ignore[override]
-        raise UsageError(f"{self.prog}: {message}")
-
-
-def _plain_table(command: _Parser) -> _PlainTable:
-    """The table of command.
-
-    Help, a flag whose default is SUPPRESS, stays out, so -h and --help
-    send the argv to argparse.  Each other option takes zero or one value,
-    and its default is stored as declared: no option has a string default
-    with a type, which argparse would convert when the option is absent.
-    tests/test_cli.py holds build_parser to both.
-    """
-    options: dict[str, argparse.Action] = {}
-    defaults: dict[str, object] = {}
-    for action in command.declared:
-        if action.nargs == 0 and action.default is argparse.SUPPRESS:
-            continue
-        options.update(dict.fromkeys(action.option_strings, action))
-        if action.default is not argparse.SUPPRESS:
-            defaults.setdefault(action.dest, action.default)
-    defaults.setdefault("func", command.get_default("func"))
-    return options, defaults, frozenset(a for a in options.values() if a.required)
-
-
-def _read_plain(command: _Parser, words: list[str]) -> argparse.Namespace | None:
-    """The Namespace argparse gives for words, or None where words are not plain.
-
-    Plain words are whole option strings of command, each a flag or
-    followed by one value that does not start with "-", whose type accepts
-    it and whose choices hold it, with every required option present.
-    Each value is stored by calling its action, as argparse does.
-    """
-    options, defaults, required = command.plain
-    args = argparse.Namespace(**defaults)
-    seen = set()
-    rest = iter(words)
-    for word in rest:
-        action = options.get(word)
-        if action is None:
-            return None
-        if action.nargs == 0:
-            value: object = []
-        else:
-            text = next(rest, "-")  # a missing value declines like an option
-            if text.startswith("-"):
-                return None
-            try:
-                value = text if action.type is None else action.type(text)
-            except (argparse.ArgumentTypeError, TypeError, ValueError):
-                return None
-            if action.choices is not None and value not in action.choices:
-                return None
-        action(command, args, value, word)
-        seen.add(action)
-    return args if required <= seen else None
-
-
 def _at_least(low: int) -> Callable[[str], int]:
     """argparse type for an int no smaller than low; a smaller one is a usage error."""
 
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+            from argparse import ArgumentTypeError
+
+            raise ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
 
 
-def _field(args: argparse.Namespace) -> Field:
+def _field(args: SimpleNamespace) -> Field:
     try:
         return Field(args.D)
     except ValueError as exc:
@@ -226,7 +148,7 @@ def _emit(fmt: str, doc: Callable[[], object], **render: Callable[[], str]) -> N
 # ----- subcommands -----------------------------------------------------------
 
 
-def cmd_grid(args: argparse.Namespace) -> int:
+def cmd_grid(args: SimpleNamespace) -> int:
     field = _field(args)
     if args.view == "xy":
         if args.max_x is None:
@@ -251,7 +173,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_indecomposables(args: argparse.Namespace) -> int:
+def cmd_indecomposables(args: SimpleNamespace) -> int:
     field = _field(args)
     ctx = build_context(field)
     # The last element listed, eps_plus - alpha_e for eps_plus = alpha_(e+1),
@@ -279,7 +201,7 @@ def cmd_indecomposables(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_units(args: argparse.Namespace) -> int:
+def cmd_units(args: SimpleNamespace) -> int:
     field = _field(args)
     ctx = build_context(field)
     floor_ratio = floor_ratio_eps(ctx)
@@ -317,7 +239,7 @@ def cmd_units(args: argparse.Namespace) -> int:
 _TABLE_ROWS = 1 << 19
 
 
-def cmd_search(args: argparse.Namespace) -> int:
+def cmd_search(args: SimpleNamespace) -> int:
     field = _field(args)
     ctx = build_context(field)
     if args.m > _TABLE_ROWS:
@@ -370,7 +292,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_dm(args: argparse.Namespace) -> int:
+def cmd_dm(args: SimpleNamespace) -> int:
     if args.Dmax is not None:
         check_scan(args.m, args.Dmax)
     try:
@@ -402,7 +324,7 @@ def cmd_dm(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_parity(args: argparse.Namespace) -> int:
+def cmd_parity(args: SimpleNamespace) -> int:
     field = _field(args)
     report = parity_check(field, args.N, diagonal_parity(field, args.N))
     P_bits = [v % 2 for v in report.P]
@@ -444,7 +366,7 @@ def cmd_parity(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_witness(args: argparse.Namespace) -> int:
+def cmd_witness(args: SimpleNamespace) -> int:
     field = _field(args)
     grid = PartitionGrid(field)
     if args.m == 4:
@@ -465,7 +387,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_estimate(args: argparse.Namespace) -> int:
+def cmd_estimate(args: SimpleNamespace) -> int:
     field = _field(args)
     alpha = QElement(field, args.a, args.b)
     # Its coordinates and sqrt coordinates are at most 2|a| + |b|; a norm too
@@ -496,7 +418,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
+    from .fixtures import builtin_documents, load_documents, verify_documents  # only verify runs them
+
     if args.fixtures == "":  # Path("") is the working directory
         raise UsageError("verify: --fixtures is an empty path")
     if args.fixtures is not None:
@@ -529,113 +453,185 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 # ----- parser ---------------------------------------------------------------
 
+# The one declaration of the commands: each command's function, help line
+# and options, in the order help lists them.  An option is (option string,
+# type, choices, default, required); a flag has neither type nor choices and
+# stores True, and each other option takes one value.  Its dest is derived
+# as argparse derives it.  No option has a string default with a type,
+# which argparse would convert when the option is absent; tests/test_cli.py
+# holds the table to both rules.
+_D = ("--D", int, None, None, True)
 
-def build_parser() -> _Parser:
-    parser = _Parser(
-        prog="quadpartitions",
-        description="Exact partition counts for totally positive elements "
-        "of real quadratic fields.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    parser.commands = sub.choices
 
-    def add_format(p: argparse.ArgumentParser, choices=("pretty", "csv", "json", "tex")) -> None:
-        p.add_argument("--format", choices=choices, default="pretty")
+def _format(*choices: str) -> tuple:
+    return ("--format", None, choices, "pretty", False)
 
-    p = sub.add_parser("grid", help="partition counts over a rectangle of the cone")
-    p.add_argument("--D", type=int, required=True)
-    p.add_argument("--max-x", type=_at_least(0), dest="max_x")
-    p.add_argument("--view", choices=("xy", "ky"), default="xy")
-    p.add_argument("--kmax", type=_at_least(0))
-    p.add_argument("--ymax", type=_at_least(0))
-    add_format(p)
-    p.set_defaults(func=cmd_grid)
 
-    p = sub.add_parser("indecomposables", help="indecomposables for one unit period")
-    p.add_argument("--D", type=int, required=True)
-    add_format(p, choices=("pretty", "json"))
-    p.set_defaults(func=cmd_indecomposables)
+_COMMANDS = {
+    "grid": (cmd_grid, "partition counts over a rectangle of the cone", (
+        _D,
+        ("--max-x", _at_least(0), None, None, False),
+        ("--view", None, ("xy", "ky"), "xy", False),
+        ("--kmax", _at_least(0), None, None, False),
+        ("--ymax", _at_least(0), None, None, False),
+        _format("pretty", "csv", "json", "tex"),
+    )),
+    "indecomposables": (cmd_indecomposables, "indecomposables for one unit period", (_D, _format("pretty", "json"))),
+    "units": (cmd_units, "continued fraction, eps and eps_plus", (_D, _format("pretty", "json"))),
+    "search": (cmd_search, "all elements with at most m partitions", (
+        _D,
+        ("--m", _at_least(1), None, None, True),
+        ("--explain", None, None, False, False),
+        _format("pretty", "csv", "json", "tex"),
+    )),
+    "dm": (cmd_dm, "fields with no element of exactly m partitions", (
+        ("--m", _at_least(1), None, None, True),
+        ("--Dmax", _at_least(2), None, None, False),
+        _format("pretty", "csv", "json"),
+    )),
+    "parity": (cmd_parity, "cumulative counts P(n) and their parity", (
+        _D,
+        ("--N", _at_least(0), None, None, True),
+        _format("pretty", "csv", "json"),
+    )),
+    "witness": (cmd_witness, "elements with exactly 4, and 6 or 9, partitions", (
+        _D,
+        ("--m", int, (4, 6), 4, False),
+        _format("pretty", "json"),
+    )),
+    "estimate": (cmd_estimate, "leading-order size of log p(alpha)", (
+        _D,
+        ("--a", int, None, None, True),
+        ("--b", int, None, None, True),
+        ("--compare", None, None, False, False),
+        _format("pretty", "json"),
+    )),
+    "verify": (cmd_verify, "recompute and diff the reference datasets", (("--fixtures", str, None, None, False),)),
+}
 
-    p = sub.add_parser("units", help="continued fraction, eps and eps_plus")
-    p.add_argument("--D", type=int, required=True)
-    add_format(p, choices=("pretty", "json"))
-    p.set_defaults(func=cmd_units)
 
-    p = sub.add_parser("search", help="all elements with at most m partitions")
-    p.add_argument("--D", type=int, required=True)
-    p.add_argument("--m", type=_at_least(1), required=True)
-    p.add_argument("--explain", action="store_true")
-    add_format(p)
-    p.set_defaults(func=cmd_search)
+def build_parser() -> dict[str, tuple[dict, dict, frozenset]]:
+    """Each command's maps for _read_plain, read from _COMMANDS.
 
-    p = sub.add_parser("dm", help="fields with no element of exactly m partitions")
-    p.add_argument("--m", type=_at_least(1), required=True)
-    p.add_argument("--Dmax", type=_at_least(2))
-    add_format(p, choices=("pretty", "csv", "json"))
-    p.set_defaults(func=cmd_dm)
+    A command's maps are its option strings, each with its dest, type and
+    choices; what argparse sets before it reads any word (each option's
+    default, then func); and the dests of its required options.  Help is
+    not among the options, so -h and --help go to argparse.
+    """
+    table = {}
+    for name, (func, _, options) in _COMMANDS.items():
+        plain, defaults, required = {}, {}, set()
+        for option, kind, choices, default, needed in options:
+            dest = option.lstrip("-").replace("-", "_")
+            plain[option] = (dest, kind, choices)
+            defaults[dest] = default
+            if needed:
+                required.add(dest)
+        defaults["func"] = func
+        table[name] = (plain, defaults, frozenset(required))
+    return table
 
-    p = sub.add_parser("parity", help="cumulative counts P(n) and their parity")
-    p.add_argument("--D", type=int, required=True)
-    p.add_argument("--N", type=_at_least(0), required=True)
-    add_format(p, choices=("pretty", "csv", "json"))
-    p.set_defaults(func=cmd_parity)
 
-    p = sub.add_parser("witness", help="elements with exactly 4, and 6 or 9, partitions")
-    p.add_argument("--D", type=int, required=True)
-    p.add_argument("--m", type=int, choices=(4, 6), default=4)
-    add_format(p, choices=("pretty", "json"))
-    p.set_defaults(func=cmd_witness)
+def _read_plain(command: tuple[dict, dict, frozenset], words: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives for words, or None where words are not plain.
 
-    p = sub.add_parser("estimate", help="leading-order size of log p(alpha)")
-    p.add_argument("--D", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--compare", action="store_true")
-    add_format(p, choices=("pretty", "json"))
-    p.set_defaults(func=cmd_estimate)
-
-    p = sub.add_parser("verify", help="recompute and diff the reference datasets")
-    p.add_argument("--fixtures", type=str, default=None)
-    p.set_defaults(func=cmd_verify)
-
-    for p in parser.commands.values():
-        p.plain = _plain_table(p)
-    return parser
+    Plain words are whole option strings of command, each a flag or
+    followed by one value that does not start with "-", whose type accepts
+    it and whose choices hold it, with every required option present.  As
+    argparse does, a flag stores True, an option its converted value, and
+    the last repeat wins.
+    """
+    options, defaults, required = command
+    values = dict(defaults)
+    seen = set()
+    rest = iter(words)
+    for word in rest:
+        option = options.get(word)
+        if option is None:
+            return None
+        dest, kind, choices = option
+        seen.add(dest)
+        if kind is None and choices is None:
+            values[dest] = True
+            continue
+        text = next(rest, "-")  # a missing value declines like an option
+        if text.startswith("-"):
+            return None
+        try:
+            value = text if kind is None else kind(text)
+        except Exception:  # argparse converts text again and reports or raises what it does
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    return SimpleNamespace(**values) if required <= seen else None
 
 
 @functools.cache
-def _parser() -> _Parser:
-    """The parser main reads, built once per process.
+def _parser() -> dict[str, tuple[dict, dict, frozenset]]:
+    """The maps main reads, built once per process.
 
-    It depends on no input, and each parse returns a new Namespace, so
+    They depend on no input, and each reading returns a new namespace, so
     nothing else is kept between calls of main.
     """
     return build_parser()
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
+@functools.cache
+def _argparser():
+    """The argparse parser of _COMMANDS, built once per process when first needed.
+
+    Its commands attribute maps each command name to that command's parser.
+    Every parser raises UsageError with its usage error instead of exiting.
+    """
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message: str) -> None:  # type: ignore[override]
+            raise UsageError(f"{self.prog}: {message}")
+
+    parser = Parser(
+        prog="quadpartitions",
+        description="Exact partition counts for totally positive elements "
+        "of real quadratic fields.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=Parser)
+    for name, (func, help_line, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        for option, kind, choices, default, required in options:
+            if kind is None and choices is None:
+                command.add_argument(option, action="store_true")
+            else:
+                command.add_argument(option, type=kind, choices=choices, default=default, required=required)
+        command.set_defaults(func=func)
+    parser.commands = sub.choices
+    return parser
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
     """The namespace of argv, read for the command that argv[0] names.
 
     A plain argv, each later word a whole option of that command and each
     value valid and not starting with "-", is read from the command's
-    option table (_read_plain) in 1-5 us, against 4-32 us through
-    argparse, and gets the Namespace argparse would give.  Any other argv,
-    help, "--D=7", "--form", a negative value, "--" and usage errors among
-    them, goes to that command's parser.  The top-level parser would hand
-    it every later argument, "--" included, and add only its own
-    unrecognized-arguments error for the leftovers, so this prints the same
-    for every argv while skipping the top-level pass.  An argv that names
-    no command (none at all, an option first, an unknown name) goes to the
-    top-level parser, which prints its help or its usage error.
+    maps (_read_plain) in 1-5 us, without importing argparse, and gets the
+    namespace argparse would give.  Any other argv, help, "--D=7",
+    "--form", a negative value, "--" and usage errors among them, imports
+    argparse and goes to that command's parser, built from the same table
+    (_argparser).  The top-level parser would hand it every later argument,
+    "--" included, and add only its own unrecognized-arguments error for
+    the leftovers, so this prints the same for every argv while skipping
+    the top-level pass.  An argv that names no command (none at all, an
+    option first, an unknown name) goes to the top-level parser, which
+    prints its help or its usage error.
     """
-    parser = _parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args = _read_plain(command, argv[1:])
+    command = _parser().get(argv[0]) if argv else None
+    args = None if command is None else _read_plain(command, argv[1:])
     if args is not None:
         return args
-    args, extras = command.parse_known_args(argv[1:])
+    parser = _argparser()
+    if command is None:
+        return parser.parse_args(argv, SimpleNamespace())
+    args, extras = parser.commands[argv[0]].parse_known_args(argv[1:], SimpleNamespace())
     if extras:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
     return args

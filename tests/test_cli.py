@@ -1,4 +1,3 @@
-import argparse
 import json
 import shutil
 import sys
@@ -547,7 +546,7 @@ def test_each_command_parses_as_the_top_level_parser_would(monkeypatch, capsys):
         return code, captured.out, captured.err
 
     split = [outcome(argv) for argv in argvs]
-    monkeypatch.setattr(cli, "_parse", lambda argv: cli._parser().parse_args(argv))
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli._argparser().parse_args(argv))
     for argv, seen in zip(argvs, split):
         assert seen == outcome(argv), argv
     assert split[0] == (1, "", "quadpartitions: unrecognized arguments: extra\n")
@@ -611,7 +610,7 @@ def test_the_plain_reading_gives_what_argparse_gives(monkeypatch, tmp_path, caps
     # main prints the same for every argv whether or not that reading runs.
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.chdir(tmp_path)  # relative --fixtures paths stay inside tmp_path
-    commands = cli._parser().commands
+    commands, parsers = cli._parser(), cli._argparser().commands
 
     def outcome(argv):
         try:
@@ -628,7 +627,7 @@ def test_the_plain_reading_gives_what_argparse_gives(monkeypatch, tmp_path, caps
             continue
         plain = cli._read_plain(command, list(argv[1:]))
         if plain is not None:
-            args, extras = command.parse_known_args(list(argv[1:]))
+            args, extras = parsers[argv[0]].parse_known_args(list(argv[1:]))
             assert (vars(plain), extras) == (vars(args), []), argv
     read = [outcome(argv) for argv in argvs]
     monkeypatch.setattr(cli, "_read_plain", lambda command, words: None)
@@ -636,28 +635,26 @@ def test_the_plain_reading_gives_what_argparse_gives(monkeypatch, tmp_path, caps
         assert seen == outcome(argv), argv
 
 
-def test_every_benchmark_shaped_argv_is_read_plain(monkeypatch):
-    # A parser edit that sends these calls back through argparse fails here.
+def test_every_benchmark_shaped_argv_is_read_plain():
+    # A table edit that sends these calls back through argparse fails here.
     # The plain reading follows only options that take one value or none,
     # and stores each default as declared, where argparse would convert a
     # string default through its option's type.
-    commands = cli._parser().commands
+    commands = cli._parser()
     for argv in PLAIN_SHAPES:
         assert cli._read_plain(commands[argv[0]], list(argv[1:])) is not None, argv
-    declared = []
-    add_argument = argparse.ArgumentParser.add_argument
-
-    def recording_add_argument(self, *args, **kwargs):
-        declared.append((args, kwargs))
-        return add_argument(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", recording_add_argument)
-    cli.build_parser()
-    options = [(args, kwargs) for args, kwargs in declared if kwargs.get("action") != "help"]
+    options = [option for _, _, declared in cli._COMMANDS.values() for option in declared]
     assert options
-    for args, kwargs in options:
-        assert "nargs" not in kwargs and kwargs.get("action", "store") in ("store", "store_true"), args
-        assert not (isinstance(kwargs.get("default"), str) and "type" in kwargs), args
+    for option, kind, choices, default, required in options:
+        if kind is None and choices is None:  # a flag: absent False, present True
+            assert (default, required) == (False, False), option
+        assert not (isinstance(default, str) and kind is not None), option
+    # The argparse parsers built from the table read each option as a flag
+    # or as one value too.
+    for parser in cli._argparser().commands.values():
+        for action in parser._actions:
+            if action.dest != "help":
+                assert action.nargs is None or (action.nargs, action.const) == (0, True), action.dest
 
 
 def test_importing_the_cli_and_building_its_parser_loads_no_introspection():
@@ -676,6 +673,33 @@ def test_importing_the_cli_and_building_its_parser_loads_no_introspection():
     pool = [name for name in loaded
             if name.split(".")[0] == "multiprocessing" or name.startswith("concurrent.futures")]
     assert pool == []
+
+
+# Runs each list of argvs in sys.argv[1] through main with stdout and stderr
+# sent to devnull, then prints the exit codes and which of argparse, gettext
+# and quadpartitions.fixtures are loaded so far.
+IMPORTS_CHILD = """\
+import contextlib, json, os, sys
+from quadpartitions.cli import main
+with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull), contextlib.redirect_stderr(devnull):
+    for argvs in json.loads(sys.argv[1]):
+        codes = [main(argv) for argv in argvs]
+        loaded = [name in sys.modules for name in ("argparse", "gettext", "quadpartitions.fixtures")]
+        print(json.dumps([codes, loaded]), file=sys.__stdout__)
+"""
+
+
+def test_a_plain_argv_imports_no_argparse():
+    # argparse and gettext cost about a tenth of the cold start, and
+    # fixtures as much again: a plain argv loads neither, verify alone loads
+    # fixtures, and only an argv that is not plain loads argparse.
+    stages = [[argv for argv in PLAIN_SHAPES if argv[0] != "verify"], [["verify"]], [["units", "--D", "7", "extra"]]]
+    code, out, err = finish(start_python("-c", IMPORTS_CHILD, json.dumps(stages)))
+    assert (code, err) == (0, "")
+    plain, verify, usage_error = map(json.loads, out.splitlines())
+    assert plain == [[0] * len(stages[0]), [False, False, False]]
+    assert verify == [[0], [False, False, True]]
+    assert usage_error[0] == [1] and usage_error[1][0]
 
 
 def test_a_child_interpreter_runs_at_the_parents_optimization_level():

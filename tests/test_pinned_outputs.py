@@ -134,6 +134,22 @@ WALKS = [
     ("d1534e64b1ca2ea2b4eb9b4d66f55a2001a09a7610cf7576724628a5a3e107c1", "dm --m 42 --Dmax 72"),
 ]
 
+# The --help of the top level and of each command at COLUMNS=80, pinned when
+# the commands were still declared through argparse's add_argument, before
+# argparse was built from the option table.
+HELP = [
+    ("52004379dd03935602a121f7a5b2308690e57324eb4487eea6c532d54c134e57", ""),
+    ("f7de7b71d892e11d46b6223b8c8215f95829899a32335a5698711d9485b303c0", "grid"),
+    ("8ff7912466e1fcd6bd19aae57b26711b0debb358fbdd7014ef9ad838f1d69e4e", "indecomposables"),
+    ("bdbd1bdd71a3a3ed23e2a0fcaa1a949723a109d95daef39f8a633a1e39fae6c4", "units"),
+    ("5c3e9bf03945cf1c19bd055f9d5ca001d2bdac00758717d275d352c5f679bf00", "search"),
+    ("0ab61938bfb051da2c4c4a9dba43fbb58086ddc4b2c9557674963ec4f4cc9679", "dm"),
+    ("4ba47d82c9027ae99bd61fa4945bc69c1a6d3d6616ac2f74dd13163ba6d6d1ee", "parity"),
+    ("5859404160bb58ad8d7977288357c3b321a527fd97f7059a7f7e7cb9ebc24607", "witness"),
+    ("c776020711b17b71f5495334605b670387445db78e5322dcf547ddeae59ea013", "estimate"),
+    ("334f3484aa357205cb5955f0b14df37b6cf5683bd0f106a39d8de949efb076a2", "verify"),
+]
+
 
 @pytest.mark.parametrize("digest, argv", PINS, ids=[argv for _, argv in PINS])
 def test_output_matches_its_pin(capsys, digest, argv):
@@ -155,3 +171,15 @@ def test_the_walks_finish_at_once_in_little_memory(digest, argv):
     assert secs < 10
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert int(rss_kb) < 200 * 1024
+
+
+def test_each_help_matches_its_pin(monkeypatch, capsys):
+    # Every option's order, metavar, choices and help line shows in these bytes.
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the terminal width
+    seen = []
+    for digest, command in HELP:
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*command.split(), "--help"])
+        captured = capsys.readouterr()
+        seen.append((exit_info.value.code, captured.err, hashlib.sha256(captured.out.encode()).hexdigest()))
+    assert seen == [(0, "", digest) for digest, _ in HELP]
